@@ -23,11 +23,12 @@
 //! [`TenantState::serve_auction`]: pdm_service::TenantState::serve_auction
 
 use crate::grid::derive_seed;
-use crate::runner::AggStat;
+use crate::runner::{latency_p50_p99_micros, pool_latency, AggStat};
 use crate::table;
 use crate::Scale;
 use pdm_auction::{AuctionLedger, AuctionMarket, AuctionMarketConfig, ValuationDistribution};
 use pdm_linalg::Vector;
+use pdm_obs::LogHistogram;
 use pdm_service::{
     AuctionPolicy, AuctionRequest, MarketService, MetricRegistry, ServiceConfig, ShardMetrics,
     TenantConfig, TenantId, TenantState,
@@ -78,12 +79,12 @@ pub struct AuctionPerf {
     /// Auction rounds settled per second of drain (service) time.
     pub rounds_per_sec: f64,
     /// Mean per-request service latency in µs, over *every* request of the
-    /// cell (the all-time streaming stats, not the bounded percentile
-    /// window).
+    /// cell (the all-time streaming stats).
     pub latency_mean_micros: f64,
-    /// Median per-request service latency in µs.
+    /// Median per-request service latency in µs, read off the cell's
+    /// merged latency histogram (an upper bucket edge, ≤ 19% high).
     pub latency_p50_micros: f64,
-    /// p99 per-request service latency in µs.
+    /// p99 per-request service latency in µs, from the same histogram.
     pub latency_p99_micros: f64,
 }
 
@@ -210,10 +211,8 @@ struct RecordedRound {
 struct RepOutcome {
     ledger: AuctionLedger,
     /// The service-wide metrics fold, carrying the all-time latency
-    /// streaming stats (the bounded percentile window alone would drop the
-    /// mean).
+    /// streaming stats.
     metrics: ShardMetrics,
-    latency_pool: Vec<f64>,
     drain_time: Duration,
     /// The service's final `pdm-obs` scrape, folded into the run registry.
     scrape: MetricRegistry,
@@ -335,15 +334,9 @@ fn run_rep(spec: &AuctionCellSpec, workers: usize, rep: u64) -> Result<RepOutcom
         ));
     }
 
-    let latency_pool = service
-        .shard_metrics()
-        .iter()
-        .flat_map(|shard| shard.latency_window().to_vec())
-        .collect();
     Ok(RepOutcome {
         ledger,
         metrics,
-        latency_pool,
         drain_time,
         scrape: service.scrape(),
     })
@@ -365,17 +358,17 @@ pub fn run_auction_cell_obs(
     let mut baseline = Vec::with_capacity(reps as usize);
     let mut welfare = Vec::with_capacity(reps as usize);
     let mut hit_rate = Vec::with_capacity(reps as usize);
-    let mut latency_pool: Vec<f64> = Vec::new();
+    let mut latency = LogHistogram::new();
     let mut drain_time = Duration::ZERO;
     for rep in 0..reps {
-        let mut outcome = run_rep(spec, workers, rep)?;
+        let outcome = run_rep(spec, workers, rep)?;
         revenue.push(outcome.ledger.revenue);
         baseline.push(outcome.ledger.baseline_revenue);
         welfare.push(outcome.ledger.welfare);
         hit_rate.push(outcome.ledger.reserve_hit_rate());
         totals.merge(&outcome.ledger);
         metrics.merge(&outcome.metrics);
-        latency_pool.append(&mut outcome.latency_pool);
+        pool_latency(&mut latency, &outcome.scrape);
         drain_time += outcome.drain_time;
         obs.merge(&outcome.scrape);
     }
@@ -386,10 +379,7 @@ pub fn run_auction_cell_obs(
     } else {
         0.0
     };
-    let (p50, p99) = match pdm_linalg::quantiles(&latency_pool, &[0.50, 0.99]) {
-        Ok(qs) => (qs[0], qs[1]),
-        Err(_) => (f64::NAN, f64::NAN),
-    };
+    let (p50, p99) = latency_p50_p99_micros(&latency);
     Ok(AuctionCellReport {
         label: spec.label.clone(),
         distribution: spec.distribution.name().to_owned(),
@@ -567,8 +557,7 @@ mod tests {
     #[test]
     fn latency_mean_pools_the_all_time_stats_across_reps() {
         // Regression: the cell mean must come from the merged all-time
-        // streaming stats, not be dropped (NaN) or read off the bounded
-        // percentile window.
+        // streaming stats, not be dropped (NaN).
         let mut obs = MetricRegistry::new();
         let report =
             run_auction_cell_obs(&tiny_cell(2, AuctionPolicy::Session), 2, 2, &mut obs).unwrap();

@@ -23,9 +23,10 @@
 //! [`MarketService`]: pdm_service::MarketService
 
 use crate::grid::derive_seed;
-use crate::runner::AggStat;
+use crate::runner::{latency_p50_p99_micros, pool_latency, AggStat};
 use crate::table;
 use crate::Scale;
+use pdm_obs::LogHistogram;
 use pdm_pricing::prelude::{
     DriftKind, DriftPolicy, DriftSchedule, DriftingLinearEnvironment, Environment, NoiseModel,
     StepOutcome,
@@ -92,12 +93,12 @@ pub struct DriftPerf {
     /// Quotes served per second of drain (service) time.
     pub quotes_per_sec: f64,
     /// Mean per-request service latency in µs, over *every* request of the
-    /// cell (the all-time streaming stats, not the bounded percentile
-    /// window).
+    /// cell (the all-time streaming stats).
     pub latency_mean_micros: f64,
-    /// Median per-request service latency in µs.
+    /// Median per-request service latency in µs, read off the cell's
+    /// merged latency histogram (an upper bucket edge, ≤ 19% high).
     pub latency_p50_micros: f64,
-    /// p99 per-request service latency in µs.
+    /// p99 per-request service latency in µs, from the same histogram.
     pub latency_p99_micros: f64,
 }
 
@@ -237,10 +238,8 @@ struct RepOutcome {
     fires: u64,
     restarts: u64,
     /// The service-wide metrics fold, carrying the request counters *and*
-    /// the all-time latency streaming stats (the bounded percentile window
-    /// alone would drop the mean).
+    /// the all-time latency streaming stats.
     metrics: ShardMetrics,
-    latency_pool: Vec<f64>,
     drain_time: Duration,
     /// The service's final `pdm-obs` scrape, folded into the run registry.
     scrape: MetricRegistry,
@@ -401,11 +400,6 @@ fn run_rep(spec: &DriftCellSpec, workers: usize, rep: u64) -> Result<RepOutcome,
         ));
     }
 
-    let latency_pool = service
-        .shard_metrics()
-        .iter()
-        .flat_map(|shard| shard.latency_window().to_vec())
-        .collect();
     Ok(RepOutcome {
         revenue,
         regret,
@@ -420,7 +414,6 @@ fn run_rep(spec: &DriftCellSpec, workers: usize, rep: u64) -> Result<RepOutcome,
         fires,
         restarts,
         metrics,
-        latency_pool,
         drain_time,
         scrape: service.scrape(),
     })
@@ -445,10 +438,10 @@ pub fn run_drift_cell_obs(
     let mut fires = 0u64;
     let mut restarts = 0u64;
     let mut metrics = ShardMetrics::new();
-    let mut latency_pool: Vec<f64> = Vec::new();
+    let mut latency = LogHistogram::new();
     let mut drain_time = Duration::ZERO;
     for rep in 0..reps {
-        let mut outcome = run_rep(spec, workers, rep)?;
+        let outcome = run_rep(spec, workers, rep)?;
         revenue.push(outcome.revenue);
         regret.push(outcome.regret);
         post_shift.push(outcome.post_shift_regret);
@@ -458,7 +451,7 @@ pub fn run_drift_cell_obs(
         fires += outcome.fires;
         restarts += outcome.restarts;
         metrics.merge(&outcome.metrics);
-        latency_pool.append(&mut outcome.latency_pool);
+        pool_latency(&mut latency, &outcome.scrape);
         drain_time += outcome.drain_time;
         obs.merge(&outcome.scrape);
     }
@@ -469,10 +462,7 @@ pub fn run_drift_cell_obs(
     } else {
         0.0
     };
-    let (p50, p99) = match pdm_linalg::quantiles(&latency_pool, &[0.50, 0.99]) {
-        Ok(qs) => (qs[0], qs[1]),
-        Err(_) => (f64::NAN, f64::NAN),
-    };
+    let (p50, p99) = latency_p50_p99_micros(&latency);
     Ok(DriftCellReport {
         label: spec.label.clone(),
         kind: spec.kind.name().to_owned(),
@@ -654,8 +644,7 @@ mod tests {
     #[test]
     fn latency_mean_pools_the_all_time_stats_across_reps() {
         // Regression: the cell mean must come from the merged all-time
-        // streaming stats, not be dropped (NaN) or read off the bounded
-        // percentile window.
+        // streaming stats, not be dropped (NaN).
         let mut obs = MetricRegistry::new();
         let report = run_drift_cell_obs(
             &tiny_cell(piecewise(30), DriftPolicy::Static),

@@ -16,7 +16,9 @@
 
 use crate::grid::{Checkpoint, Job};
 use pdm_linalg::{mean, sample_std};
+use pdm_obs::{LogHistogram, MetricRegistry};
 use pdm_pricing::prelude::SimulationOutcome;
+use pdm_service::metrics::LATENCY_HISTOGRAM;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -320,6 +322,21 @@ pub fn aggregate_cell(
         checkpoints: checkpoint_aggregates,
         perf,
     }
+}
+
+/// Folds one repetition's per-request service-latency histogram (from its
+/// final service scrape) into a cell's pooled histogram.
+pub(crate) fn pool_latency(pooled: &mut LogHistogram, scrape: &MetricRegistry) {
+    if let Some(latency) = scrape.histogram_counts(LATENCY_HISTOGRAM) {
+        pooled.merge(latency);
+    }
+}
+
+/// Median and p99 per-request service latency in µs, read off a pooled
+/// latency histogram (`NaN` when nothing was served).
+pub(crate) fn latency_p50_p99_micros(pooled: &LogHistogram) -> (f64, f64) {
+    let micros = |q| pooled.quantile(q).map_or(f64::NAN, |nanos| nanos / 1e3);
+    (micros(0.50), micros(0.99))
 }
 
 #[cfg(test)]

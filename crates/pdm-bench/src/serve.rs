@@ -34,10 +34,11 @@
 //! [`PricingSession`]: pdm_pricing::prelude::PricingSession
 
 use crate::grid::derive_seed;
-use crate::runner::AggStat;
+use crate::runner::{latency_p50_p99_micros, pool_latency, AggStat};
 use crate::table;
 use crate::Scale;
 use pdm_linalg::sampling;
+use pdm_obs::LogHistogram;
 use pdm_pricing::prelude::{RegretReport, StepOutcome};
 use pdm_service::{
     MarketService, MetricRegistry, OutcomeReport, QueryRequest, ServiceConfig, ServiceError,
@@ -133,9 +134,10 @@ pub struct ServePerf {
     pub quotes_per_sec: f64,
     /// Mean per-request service latency in µs.
     pub latency_mean_micros: f64,
-    /// Median per-request service latency in µs.
+    /// Median per-request service latency in µs, read off the cell's
+    /// merged latency histogram (an upper bucket edge, ≤ 19% high).
     pub latency_p50_micros: f64,
-    /// p99 per-request service latency in µs.
+    /// p99 per-request service latency in µs, from the same histogram.
     pub latency_p99_micros: f64,
 }
 
@@ -237,11 +239,6 @@ struct RepOutcome {
     regret: f64,
     accept_rate: f64,
     metrics: ShardMetrics,
-    /// Every shard's retained latency window, pooled — the exact sample set
-    /// for the cell percentiles.  (Rolling shards up through
-    /// [`ShardMetrics::merge`] instead would evict the earliest-merged
-    /// shards' samples once the union exceeds the bounded window.)
-    latency_pool: Vec<f64>,
     drain_time: Duration,
     /// The service's final `pdm-obs` scrape: per-stage span histograms,
     /// exported counters, and point-in-time gauges.  Folded across reps and
@@ -405,17 +402,11 @@ fn run_rep(spec: &ServeCellSpec, workers: usize, rep: u64) -> Result<RepOutcome,
         merged.merge(&served);
     }
 
-    let latency_pool = service
-        .shard_metrics()
-        .iter()
-        .flat_map(|shard| shard.latency_window().to_vec())
-        .collect();
     Ok(RepOutcome {
         revenue: merged.cumulative_revenue,
         regret: merged.cumulative_regret,
         accept_rate: merged.acceptance_rate(),
         metrics: service.aggregate_metrics(),
-        latency_pool,
         drain_time,
         scrape: service.scrape(),
     })
@@ -437,15 +428,15 @@ pub fn run_serve_cell_obs(
     let mut regret = Vec::with_capacity(reps as usize);
     let mut accept_rate = Vec::with_capacity(reps as usize);
     let mut metrics = ShardMetrics::new();
-    let mut latency_pool: Vec<f64> = Vec::new();
+    let mut latency = LogHistogram::new();
     let mut drain_time = Duration::ZERO;
     for rep in 0..reps {
-        let mut outcome = run_rep(spec, workers, rep)?;
+        let outcome = run_rep(spec, workers, rep)?;
         revenue.push(outcome.revenue);
         regret.push(outcome.regret);
         accept_rate.push(outcome.accept_rate);
         metrics.merge(&outcome.metrics);
-        latency_pool.append(&mut outcome.latency_pool);
+        pool_latency(&mut latency, &outcome.scrape);
         drain_time += outcome.drain_time;
         obs.merge(&outcome.scrape);
     }
@@ -456,12 +447,7 @@ pub fn run_serve_cell_obs(
     } else {
         0.0
     };
-    // Percentiles come from the exact pooled per-shard windows, not the
-    // merged (bounded, eviction-prone) service window.
-    let (p50, p99) = match pdm_linalg::quantiles(&latency_pool, &[0.50, 0.99]) {
-        Ok(qs) => (qs[0], qs[1]),
-        Err(_) => (f64::NAN, f64::NAN),
-    };
+    let (p50, p99) = latency_p50_p99_micros(&latency);
     Ok(ServeCellReport {
         label: spec.label.clone(),
         mix: spec.mix.name().to_owned(),

@@ -15,11 +15,11 @@
 //!   and snapshot/restore cycles.
 //! * **Submit/drain** — [`MarketService::submit`] admits a request into its
 //!   tenant's shard queue; [`MarketService::drain`] serves every queued
-//!   request on a `std::thread::scope` worker pool, one shard per worker at
-//!   a time, with **no global lock**.  Per-shard FIFO processing makes every
-//!   computed value independent of the worker count — `bench serve` in
-//!   `pdm-bench` verifies service aggregates against a serial simulation
-//!   bit for bit.
+//!   request on a persistent worker pool whose helper threads park between
+//!   drains, one shard per worker at a time, with **no global lock**.
+//!   Per-shard FIFO processing makes every computed value independent of
+//!   the worker count — `bench serve` in `pdm-bench` verifies service
+//!   aggregates against a serial simulation bit for bit.
 //! * **Bounded admission** — shard queues have a hard capacity; overload is
 //!   shed with [`ServiceError::QueueFull`] and counted, instead of growing
 //!   memory without bound.
@@ -123,6 +123,7 @@ pub mod api;
 pub mod ledger;
 pub mod metrics;
 mod obs;
+mod pool;
 pub mod routing;
 mod shard;
 pub mod snapshot;

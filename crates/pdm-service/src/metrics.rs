@@ -5,9 +5,8 @@
 //! when the workload supplies ground truth, the uncertainty-width *proxy*
 //! always), what it refused (shed and rejected requests), how its
 //! drift-aware tenants reacted to a moving market (surprisal-detector
-//! firings and knowledge-set restarts), and how fast it was (per-request
-//! service latency, summarised through the error-checked quantile helpers
-//! of `pdm-linalg`).
+//! firings and knowledge-set restarts), and how fast it was (an all-time
+//! mean/min/max summary of per-request service latency).
 //!
 //! Auction tenants report through the same ledger: the nested
 //! [`AuctionLedger`] counts settled rounds, sales, reserve hits, clearing
@@ -18,25 +17,23 @@
 //! Everything except the latency figures is **deterministic**: counts and
 //! monetary sums depend only on the request stream, never on thread timing,
 //! which is what lets `bench serve` compare worker counts byte for byte.
-//! Latency samples are wall-clock and live strictly apart.
+//! Latency is wall-clock and lives strictly apart.  Its quantiles come from
+//! the [`LATENCY_HISTOGRAM`] wall histogram of each shard's `pdm-obs`
+//! registry, which merges exactly across shards and runs and holds a fixed
+//! number of buckets however many requests it has seen.
 
 use pdm_auction::AuctionLedger;
-use pdm_linalg::{OnlineStats, Result as LinalgResult, SampleWindow};
+use pdm_linalg::OnlineStats;
 use std::time::Duration;
 
-/// Maximum latency samples a ledger retains for quantile estimation.
-///
-/// A long-lived service serves requests forever; keeping every sample would
-/// grow memory without bound — the same failure mode the bounded admission
-/// queue exists to prevent.  The quantiles therefore cover a sliding window
-/// of the most recent [`LATENCY_WINDOW`] samples (which is what a latency
-/// dashboard wants anyway), while the streaming
-/// [`ShardMetrics::latency_stats`] summary keeps exact all-time
-/// mean/min/max.
-pub const LATENCY_WINDOW: usize = 65_536;
+/// Name of the per-request service-latency histogram (wall-clock
+/// nanoseconds, one observation per request) in every shard registry and
+/// so in [`crate::MarketService::scrape`].  Read quantiles off it with
+/// [`pdm_obs::LogHistogram::quantile`].
+pub const LATENCY_HISTOGRAM: &str = "shard.request.wall_nanos";
 
-/// Counters and latency samples of one shard (or of a whole service, after
-/// [`ShardMetrics::merge`]).
+/// Counters and the latency summary of one shard (or of a whole service,
+/// after [`ShardMetrics::merge`]).
 #[derive(Debug, Clone)]
 pub struct ShardMetrics {
     /// Price quotes served.
@@ -91,11 +88,9 @@ pub struct ShardMetrics {
     /// Posted prices clamped down to the arbitrage-free ceiling
     /// ([`crate::ledger::ARBITRAGE_PRICE_MARKUP`] × total compensation).
     pub arbitrage_clamps: u64,
-    /// Sliding window of the most recent [`LATENCY_WINDOW`] per-request
-    /// service latency samples, in microseconds (wall-clock; excluded from
-    /// all determinism comparisons).
-    latency_window: SampleWindow,
-    /// Streaming all-time summary of every sample ever recorded.
+    /// Streaming all-time summary of per-request service latency, in
+    /// microseconds (wall-clock; excluded from all determinism
+    /// comparisons).
     latency_stats: OnlineStats,
 }
 
@@ -128,7 +123,6 @@ impl ShardMetrics {
             owners_exhausted: 0,
             privacy_throttled: 0,
             arbitrage_clamps: 0,
-            latency_window: SampleWindow::new(LATENCY_WINDOW),
             latency_stats: OnlineStats::new(),
         }
     }
@@ -177,69 +171,32 @@ impl ShardMetrics {
 
     /// Records one request's service time.
     pub fn record_latency(&mut self, elapsed: Duration) {
-        let micros = elapsed.as_secs_f64() * 1e6;
-        self.latency_window.push(micros);
-        self.latency_stats.push(micros);
+        self.latency_stats.push(elapsed.as_secs_f64() * 1e6);
     }
 
     /// Records the service time of a batch of `count` requests drained in
-    /// one go: the batch wall-clock is split evenly, one sample per request,
-    /// so window occupancy and all-time counts stay per-request comparable
-    /// with [`ShardMetrics::record_latency`].  A `count` of zero is a no-op.
+    /// one go: the batch wall-clock is split evenly, counting as `count`
+    /// samples of the per-request share, folded in O(1).  A `count` of zero
+    /// is a no-op.
     pub fn record_latency_batch(&mut self, elapsed: Duration, count: usize) {
         if count == 0 {
             return;
         }
         let micros = elapsed.as_secs_f64() * 1e6 / count as f64;
-        for _ in 0..count {
-            self.latency_window.push(micros);
-            self.latency_stats.push(micros);
-        }
-    }
-
-    /// Number of latency samples currently retained in the quantile window
-    /// (all-time counts live in [`ShardMetrics::latency_stats`]).
-    #[must_use]
-    pub fn latency_samples(&self) -> usize {
-        self.latency_window.len()
-    }
-
-    /// Read access to the retained latency window, in microseconds
-    /// (storage order).  Consumers that need exact percentiles over *many*
-    /// ledgers — e.g. `bench serve` pooling every shard of every repetition
-    /// — collect these slices themselves instead of going through
-    /// [`ShardMetrics::merge`], whose merged window evicts the
-    /// earliest-merged ledgers' samples once the union exceeds
-    /// [`LATENCY_WINDOW`].
-    #[must_use]
-    pub fn latency_window(&self) -> &[f64] {
-        self.latency_window.as_slice()
+        self.latency_stats.merge(&OnlineStats::from_raw_parts(
+            count as u64,
+            micros,
+            0.0,
+            micros * count as f64,
+            micros,
+            micros,
+        ));
     }
 
     /// Streaming all-time mean/min/max summary of the service latency.
     #[must_use]
     pub fn latency_stats(&self) -> &OnlineStats {
         &self.latency_stats
-    }
-
-    /// Service-latency quantiles in microseconds (e.g. `&[0.5, 0.99]` for
-    /// p50/p99), over the most recent [`LATENCY_WINDOW`] samples.
-    ///
-    /// # Errors
-    /// Propagates [`pdm_linalg::LinalgError::Empty`] when the shard has not
-    /// served anything yet — the documented error path of the quantile
-    /// helpers, surfaced instead of a silent `NaN`.
-    pub fn latency_quantiles(&self, qs: &[f64]) -> LinalgResult<Vec<f64>> {
-        self.latency_window.quantiles(qs)
-    }
-
-    /// The p50/p99 pair most dashboards want, as `(p50, p99)`.
-    ///
-    /// # Errors
-    /// Same as [`ShardMetrics::latency_quantiles`].
-    pub fn latency_p50_p99(&self) -> LinalgResult<(f64, f64)> {
-        let qs = self.latency_quantiles(&[0.50, 0.99])?;
-        Ok((qs[0], qs[1]))
     }
 
     /// Accumulates another ledger into this one (used to roll shards up
@@ -263,12 +220,6 @@ impl ShardMetrics {
         self.owners_exhausted += other.owners_exhausted;
         self.privacy_throttled += other.privacy_throttled;
         self.arbitrage_clamps += other.arbitrage_clamps;
-        // Replay the other window oldest-first so the merged ring keeps the
-        // most recent samples; the all-time summaries merge exactly (not
-        // per-sample, which would double-count against the Welford merge).
-        for micros in other.latency_window.iter_chronological() {
-            self.latency_window.push(micros);
-        }
         self.latency_stats.merge(&other.latency_stats);
     }
 }
@@ -276,68 +227,30 @@ impl ShardMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdm_linalg::LinalgError;
 
     #[test]
-    fn empty_metrics_error_on_quantiles_instead_of_nan() {
+    fn empty_metrics_report_zero_rates_and_no_latency() {
         let metrics = ShardMetrics::new();
-        assert!(matches!(
-            metrics.latency_p50_p99(),
-            Err(LinalgError::Empty { .. })
-        ));
+        assert_eq!(metrics.latency_stats().count(), 0);
         assert_eq!(metrics.accept_rate(), 0.0);
         assert_eq!(metrics.shed_rate(), 0.0);
     }
 
     #[test]
-    fn latency_quantiles_come_from_the_recorded_samples() {
-        let mut metrics = ShardMetrics::new();
-        for millis in [1, 2, 3, 4, 100] {
-            metrics.record_latency(Duration::from_millis(millis));
+    fn a_latency_batch_counts_one_even_share_per_request() {
+        let mut batched = ShardMetrics::new();
+        batched.record_latency_batch(Duration::from_micros(300), 3);
+        batched.record_latency_batch(Duration::from_micros(50), 0);
+        let mut single = ShardMetrics::new();
+        for _ in 0..3 {
+            single.record_latency(Duration::from_micros(100));
         }
-        let (p50, p99) = metrics.latency_p50_p99().unwrap();
-        assert!((p50 - 3_000.0).abs() < 1e-6);
-        assert!(p99 > p50);
-        assert_eq!(metrics.latency_samples(), 5);
-        assert!(metrics.latency_stats().max() >= p99);
-    }
-
-    /// Feeds `micros` straight into the window + summary, bypassing the
-    /// `Duration` round-trip so the test values stay exact.
-    fn push_micros(metrics: &mut ShardMetrics, micros: f64) {
-        metrics.latency_window.push(micros);
-        metrics.latency_stats.push(micros);
-    }
-
-    #[test]
-    fn latency_window_is_bounded_and_keeps_the_most_recent_samples() {
-        let mut metrics = ShardMetrics::new();
-        // Overfill the window: samples 0..LATENCY_WINDOW+100, each i µs.
-        for i in 0..LATENCY_WINDOW + 100 {
-            push_micros(&mut metrics, i as f64);
+        for stats in [batched.latency_stats(), single.latency_stats()] {
+            assert_eq!(stats.count(), 3);
+            assert!((stats.mean() - 100.0).abs() < 1e-9);
+            assert!((stats.min() - 100.0).abs() < 1e-9);
+            assert!((stats.max() - 100.0).abs() < 1e-9);
         }
-        assert_eq!(metrics.latency_samples(), LATENCY_WINDOW);
-        assert_eq!(metrics.latency_window().len(), LATENCY_WINDOW);
-        // The window holds the most recent samples, so its minimum is the
-        // first surviving index, i.e. exactly 100.
-        let window_min = metrics.latency_quantiles(&[0.0]).unwrap()[0];
-        assert_eq!(window_min, 100.0);
-        // The all-time summary still saw everything.
-        assert_eq!(
-            metrics.latency_stats().count(),
-            (LATENCY_WINDOW + 100) as u64
-        );
-        assert_eq!(metrics.latency_stats().min(), 0.0);
-
-        // Merging two full windows stays bounded and keeps the newest
-        // (largest, here) samples.
-        let mut other = ShardMetrics::new();
-        for i in 0..LATENCY_WINDOW {
-            push_micros(&mut other, 1e9 + i as f64);
-        }
-        metrics.merge(&other);
-        assert_eq!(metrics.latency_samples(), LATENCY_WINDOW);
-        assert_eq!(metrics.latency_quantiles(&[0.0]).unwrap()[0], 1e9);
     }
 
     #[test]
@@ -362,7 +275,7 @@ mod tests {
         assert_eq!(a.quotes_served, 12);
         assert_eq!(a.sales, 8);
         assert!((a.revenue - 78.0).abs() < 1e-12);
-        assert_eq!(a.latency_samples(), 1);
+        assert_eq!(a.latency_stats().count(), 1);
     }
 
     #[test]

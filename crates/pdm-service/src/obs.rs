@@ -18,8 +18,8 @@
 //! [`ShardMetrics`] ledger, which *is* persisted — the export below simply
 //! re-reads it at every scrape.
 
-use crate::metrics::ShardMetrics;
-use pdm_obs::{EventJournal, MetricRegistry, SpanId};
+use crate::metrics::{ShardMetrics, LATENCY_HISTOGRAM};
+use pdm_obs::{EventJournal, HistId, MetricRegistry, SpanId};
 
 /// Events retained by the service's post-mortem journal.
 pub(crate) const JOURNAL_CAPACITY: usize = 256;
@@ -43,6 +43,9 @@ pub(crate) struct ShardObs {
     pub(crate) settle: SpanId,
     /// Self-contained auction rounds (work = bids in the round).
     pub(crate) auction: SpanId,
+    /// Per-request service latency ([`LATENCY_HISTOGRAM`]): each drain's
+    /// wall-clock split evenly over its requests.
+    pub(crate) latency: HistId,
 }
 
 impl ShardObs {
@@ -63,6 +66,11 @@ impl ShardObs {
             "Privacy charge settlements against owner ledgers",
         );
         let auction = registry.span("shard.auction", "Self-contained auction rounds");
+        let latency = registry.wall_histogram(
+            LATENCY_HISTOGRAM,
+            "Per-request service latency: each drain's wall-clock split evenly over its \
+             requests (nanoseconds)",
+        );
         Self {
             registry,
             transfer,
@@ -71,6 +79,7 @@ impl ShardObs {
             observe,
             settle,
             auction,
+            latency,
         }
     }
 }

@@ -13,11 +13,12 @@
 //!   work itself.  [`MarketService::submit`] is the same path behind the
 //!   pre-ingest `&mut self` signature.
 //! * [`MarketService::drain`] transfers each stripe into its shard and
-//!   serves every queued request on a `std::thread::scope` worker pool
-//!   (capped at the machine's hardware threads, with the calling thread
-//!   claiming shards alongside the spawned workers), one worker per shard
-//!   at a time, and returns the batched [`Response`]s in deterministic
-//!   (shard, submission) order.
+//!   serves every queued request, one worker per shard at a time, and
+//!   returns the batched [`Response`]s in deterministic (shard, submission)
+//!   order.  A multi-worker drain runs on a persistent pool (capped at the
+//!   machine's hardware threads): helper threads spawned by the first such
+//!   drain park between drains and claim shards alongside the calling
+//!   thread (see [`crate::pool`]).
 //!
 //! Because every shard processes its queue strictly FIFO and shards share
 //! no mutable state, the *values* the engine computes are identical for any
@@ -38,6 +39,7 @@ use crate::api::{
 };
 use crate::metrics::ShardMetrics;
 use crate::obs::{export_shard_metrics, ServiceObs};
+use crate::pool::DrainPool;
 use crate::routing::{shard_of, TenantId};
 use crate::shard::Shard;
 use crate::sync;
@@ -45,8 +47,8 @@ use crate::tenant::{MarketKind, TenantConfig, TenantState};
 use pdm_linalg::Json;
 use pdm_obs::MetricRegistry;
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// Sizing of a [`MarketService`].
@@ -209,13 +211,57 @@ impl IngestStripe {
     }
 }
 
+/// The per-shard state a drain shares with its pool's helper threads, all
+/// indexed by shard.
+#[derive(Debug)]
+struct Core {
+    /// Mutex-striped bounded ingest queues, one per shard.
+    ingest: Vec<IngestStripe>,
+    shards: Vec<Mutex<Shard>>,
+    /// One response buffer per shard, filled by whichever worker serves the
+    /// shard and emptied, capacity kept, when the drain gathers the slots
+    /// in shard order.
+    slots: Vec<Mutex<Vec<Response>>>,
+}
+
+/// One pool task: transfer shard `index`'s stripe into its FIFO and serve
+/// the backlog into the shard's slot.
+fn serve_shard(core: &Core, index: usize) {
+    let mut shard = sync::lock(&core.shards[index], "shard");
+    let mut slot = sync::lock(&core.slots[index], "slot");
+    // Empty after every gather, unless a drain that panicked left
+    // responses behind: those must not leak into this drain's output.
+    slot.clear();
+    transfer_stripe(&core.ingest[index], &mut shard);
+    shard.process_all_into(&mut slot);
+}
+
+/// Moves everything queued on a stripe into its shard's FIFO, preserving
+/// seq order.
+fn transfer_stripe(stripe: &IngestStripe, shard: &mut Shard) {
+    let mut queue = sync::lock(&stripe.queue, "ingest stripe");
+    let moved = queue.len();
+    if moved == 0 {
+        return;
+    }
+    // pdm-lint: allow(no-ambient-clock) reason="wall-clock latency span; wall histograms are documented non-deterministic and excluded from the determinism fingerprint"
+    let started = Instant::now();
+    shard.admit_transferred(queue.drain(..));
+    shard
+        .obs
+        .registry
+        .record_span(shard.obs.transfer, started.elapsed(), moved as u64);
+}
+
 /// The sharded serving engine.
 #[derive(Debug)]
 pub struct MarketService {
     config: ServiceConfig,
-    /// Mutex-striped bounded ingest queues, one per shard.
-    ingest: Vec<IngestStripe>,
-    shards: Vec<Mutex<Shard>>,
+    /// Stripes, shards and response slots, shared with the drain pool.
+    core: Arc<Core>,
+    /// The persistent drain pool, created by the first multi-worker drain
+    /// and shut down (helpers joined) when the service drops.
+    pool: Option<DrainPool<Core>>,
     /// Every registered tenant id, readable without touching a shard — the
     /// ingest path checks membership here so admission never contends with
     /// a drain worker holding the shard lock.
@@ -223,10 +269,10 @@ pub struct MarketService {
     next_seq: AtomicU64,
     /// Monotonic WAL segment number (see [`MarketService::checkpoint`]).
     pub(crate) wal_segments: AtomicU64,
-    /// Hardware threads available to a drain pool, probed once at
-    /// construction: spawning more drain workers than the machine can run
-    /// cannot add parallelism, it only pays spawn and context-switch
-    /// overhead, so [`MarketService::drain`] caps its pool here.
+    /// Hardware threads available to the drain pool, probed once at
+    /// construction: more drain workers than the machine can run cannot
+    /// add parallelism, they only pay wake-up and context-switch overhead,
+    /// so [`MarketService::drain`] caps its pool here.
     hardware_workers: usize,
     /// Service-level observability state: WAL-stage spans plus the bounded
     /// post-mortem event journal.  Process-local — never persisted; a
@@ -255,8 +301,12 @@ impl MarketService {
             .collect();
         Ok(Self {
             config,
-            ingest: (0..config.shards).map(|_| IngestStripe::new()).collect(),
-            shards,
+            core: Arc::new(Core {
+                ingest: (0..config.shards).map(|_| IngestStripe::new()).collect(),
+                shards,
+                slots: (0..config.shards).map(|_| Mutex::new(Vec::new())).collect(),
+            }),
+            pool: None,
             registry: RwLock::new(BTreeSet::new()),
             next_seq: AtomicU64::new(0),
             wal_segments: AtomicU64::new(0),
@@ -275,19 +325,20 @@ impl MarketService {
     /// Number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.core.shards.len()
     }
 
     /// The shard the given tenant is (or would be) routed to.
     #[must_use]
     pub fn shard_of(&self, tenant: TenantId) -> usize {
-        shard_of(tenant, self.shards.len())
+        shard_of(tenant, self.core.shards.len())
     }
 
     /// Total number of registered tenants, resident or paged out.
     #[must_use]
     pub fn tenant_count(&self) -> usize {
-        self.shards
+        self.core
+            .shards
             .iter()
             .map(|s| sync::lock(s, "shard").tenant_count())
             .sum()
@@ -298,7 +349,8 @@ impl MarketService {
     /// cap between drains.
     #[must_use]
     pub fn resident_tenants(&self) -> usize {
-        self.shards
+        self.core
+            .shards
             .iter()
             .map(|s| sync::lock(s, "shard").resident_count())
             .sum()
@@ -309,7 +361,8 @@ impl MarketService {
     /// length of their serialised form.
     #[must_use]
     pub fn resident_memory_bytes(&self) -> usize {
-        self.shards
+        self.core
+            .shards
             .iter()
             .map(|s| sync::lock(s, "shard").resident_memory_bytes())
             .sum()
@@ -365,7 +418,7 @@ impl MarketService {
     pub(crate) fn apply_wal_record(&mut self, state: TenantState) {
         let index = self.shard_of(state.id);
         let id = state.id;
-        sync::get_mut(&mut self.shards[index], "shard").replace(state);
+        sync::lock(&self.core.shards[index], "shard").replace(state);
         sync::write(&self.registry, "registry").insert(id);
     }
 
@@ -373,7 +426,7 @@ impl MarketService {
     pub(crate) fn register_state(&mut self, state: TenantState) -> Result<usize, ServiceError> {
         let index = self.shard_of(state.id);
         let id = state.id;
-        let shard = sync::get_mut(&mut self.shards[index], "shard");
+        let mut shard = sync::lock(&self.core.shards[index], "shard");
         if shard.contains(id) {
             return Err(ServiceError::DuplicateTenant(id));
         }
@@ -398,7 +451,7 @@ impl MarketService {
             return Err(ServiceError::UnknownTenant(tenant));
         }
         let index = self.shard_of(tenant);
-        let stripe = &self.ingest[index];
+        let stripe = &self.core.ingest[index];
         let mut queue = sync::lock(&stripe.queue, "ingest stripe");
         if queue.len() >= self.config.queue_capacity {
             stripe.shed.fetch_add(1, Ordering::Relaxed);
@@ -482,34 +535,22 @@ impl MarketService {
     /// backlog mid-drain).
     #[must_use]
     pub fn queued_requests(&self) -> usize {
-        let striped: usize = self
-            .ingest
-            .iter()
-            .map(|stripe| sync::lock(&stripe.queue, "ingest stripe").len())
-            .sum();
         let shard_backlog: usize = self
+            .core
             .shards
             .iter()
             .map(|s| sync::lock(s, "shard").queue_len())
             .sum();
-        striped + shard_backlog
+        self.striped_requests() + shard_backlog
     }
 
-    /// Moves everything queued on shard `index`'s ingest stripe into the
-    /// shard's FIFO, preserving seq order.
-    fn transfer_stripe(stripe: &IngestStripe, shard: &mut Shard) {
-        let mut queue = sync::lock(&stripe.queue, "ingest stripe");
-        let moved = queue.len();
-        if moved == 0 {
-            return;
-        }
-        // pdm-lint: allow(no-ambient-clock) reason="wall-clock latency span; wall histograms are documented non-deterministic and excluded from the determinism fingerprint"
-        let started = Instant::now();
-        shard.admit_transferred(queue.drain(..));
-        shard
-            .obs
-            .registry
-            .record_span(shard.obs.transfer, started.elapsed(), moved as u64);
+    /// Requests admitted to the ingest stripes and not yet transferred.
+    fn striped_requests(&self) -> usize {
+        self.core
+            .ingest
+            .iter()
+            .map(|stripe| sync::lock(&stripe.queue, "ingest stripe").len())
+            .sum()
     }
 
     /// Serves every queued request and returns the responses in
@@ -528,66 +569,53 @@ impl MarketService {
     /// deterministic (shard, submission) order.
     ///
     /// Each worker first transfers its claimed shard's ingest stripe into
-    /// the shard FIFO, then serves the backlog.  `workers` scoped threads
-    /// pull shard indices from an atomic counter; each shard is processed
-    /// serially by whichever worker claims it, so per-shard state needs no
-    /// lock contention and the computed values are independent of the
-    /// worker count.  `workers` is clamped to `[1, shard_count]` and capped
-    /// at the machine's hardware threads — oversubscribing a core cannot
-    /// add parallelism, it only pays spawn and context-switch overhead.  An
-    /// effective single worker (including every drain on a single-core
-    /// host) runs on the calling thread with no pool at all; a pool of `n`
-    /// workers spawns `n - 1` threads and the calling thread claims shards
-    /// alongside them.
+    /// the shard FIFO, then serves the backlog.  Workers claim shard indices
+    /// from an atomic counter; each shard is processed serially by whichever
+    /// worker claims it, so per-shard state needs no lock contention and the
+    /// computed values are independent of the worker count.  `workers` is
+    /// clamped to `[1, shard_count]` and capped at the machine's hardware
+    /// threads — oversubscribing a core cannot add parallelism, it only pays
+    /// wake-up and context-switch overhead.  An effective single worker
+    /// (including every drain on a single-core host) runs on the calling
+    /// thread with no pool at all.  `n` workers are the calling thread plus
+    /// `n - 1` helpers of the service's persistent pool: the first such
+    /// drain spawns them, later drains wake them from their park, and
+    /// dropping the service joins them.  Each shard's responses land in its
+    /// own slot and are gathered in shard order.
     ///
     /// Requests ingested *after* a shard's transfer step are served by the
     /// next drain — continuous producers never block on the serving work,
     /// they only wait out the one-push stripe lock.
+    ///
+    /// # Panics
+    /// When a worker panics — e.g. on a shard whose lock an earlier panic
+    /// poisoned — the drain re-raises that panic once every other shard is
+    /// served, whichever thread hit it.
     pub fn drain_into(&mut self, workers: usize, out: &mut Vec<Response>) {
-        let shard_count = self.shards.len();
+        let shard_count = self.core.shards.len();
         let workers = workers.clamp(1, shard_count).min(self.hardware_workers);
 
         // An idle drain (e.g. the silent waves of a bursty workload) must
-        // not pay for thread spawns or per-shard locking.
-        if self.queued_requests() == 0 {
+        // not lock shards or wake the pool.  The stripes are all there is
+        // to check: every drain empties each shard FIFO it fills.
+        if self.striped_requests() == 0 {
             return;
         }
 
         if workers <= 1 {
-            for (stripe, shard) in self.ingest.iter().zip(&mut self.shards) {
-                let shard = sync::get_mut(shard, "shard");
-                Self::transfer_stripe(stripe, shard);
+            for (stripe, shard) in self.core.ingest.iter().zip(&self.core.shards) {
+                let mut shard = sync::lock(shard, "shard");
+                transfer_stripe(stripe, &mut shard);
                 shard.process_all_into(out);
             }
             return;
         }
 
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Vec<Response>>> =
-            (0..shard_count).map(|_| Mutex::new(Vec::new())).collect();
-        let shards = &self.shards;
-        let stripes = &self.ingest;
-        let claim_shards = || loop {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            if index >= shard_count {
-                break;
-            }
-            let mut responses = Vec::new();
-            let mut shard = sync::lock(&shards[index], "shard");
-            Self::transfer_stripe(&stripes[index], &mut shard);
-            shard.process_all_into(&mut responses);
-            drop(shard);
-            *sync::lock(&slots[index], "slot") = responses;
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(claim_shards);
-            }
-            claim_shards();
-        });
-
-        for slot in slots {
-            out.append(&mut sync::into_inner(slot, "slot"));
+        self.pool
+            .get_or_insert_with(|| DrainPool::new(Arc::clone(&self.core), shard_count, serve_shard))
+            .run(workers - 1);
+        for slot in &self.core.slots {
+            out.append(&mut sync::lock(slot, "slot"));
         }
     }
 
@@ -601,16 +629,17 @@ impl MarketService {
     /// run against a serial simulation bit for bit.
     #[must_use]
     pub fn tenant_report(&self, tenant: TenantId) -> Option<pdm_pricing::prelude::RegretReport> {
-        sync::lock(&self.shards[self.shard_of(tenant)], "shard").tenant_report(tenant)
+        sync::lock(&self.core.shards[self.shard_of(tenant)], "shard").tenant_report(tenant)
     }
 
     /// A clone of each shard's metrics ledger, in shard order, with the
     /// shed count of the shard's ingest stripe folded in.
     #[must_use]
     pub fn shard_metrics(&self) -> Vec<ShardMetrics> {
-        self.shards
+        self.core
+            .shards
             .iter()
-            .zip(&self.ingest)
+            .zip(&self.core.ingest)
             .map(|(shard, stripe)| {
                 let mut metrics = sync::lock(shard, "shard").metrics.clone();
                 metrics.shed += stripe.shed.load(Ordering::Relaxed);
@@ -670,7 +699,7 @@ impl MarketService {
         let mut open_rounds = 0usize;
         let mut memory_bytes = 0usize;
         let mut shard_backlog = 0usize;
-        for shard in &self.shards {
+        for shard in &self.core.shards {
             let shard = sync::lock(shard, "shard");
             merged.merge(&shard.obs.registry);
             resident += shard.resident_count();
@@ -680,11 +709,7 @@ impl MarketService {
             shard_backlog += shard.queue_len();
         }
         export_shard_metrics(&mut merged, &self.aggregate_metrics());
-        let striped: usize = self
-            .ingest
-            .iter()
-            .map(|stripe| sync::lock(&stripe.queue, "ingest stripe").len())
-            .sum();
+        let striped = self.striped_requests();
         let mut set = |name: &str, help: &str, value: f64| {
             let id = merged.gauge(name, help);
             merged.set(id, value);
@@ -732,14 +757,9 @@ impl MarketService {
         sync::lock(&self.obs, "obs").journal.to_json()
     }
 
-    /// Read access to the shards, for the snapshot writer.
+    /// The shards, for the snapshot writer and restorer.
     pub(crate) fn shards(&self) -> &[Mutex<Shard>] {
-        &self.shards
-    }
-
-    /// Mutable access to the shards, for the snapshot restorer.
-    pub(crate) fn shards_mut(&mut self) -> &mut [Mutex<Shard>] {
-        &mut self.shards
+        &self.core.shards
     }
 }
 
@@ -1064,6 +1084,55 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_shard_panics_the_drain_instead_of_hanging() {
+        // Whichever worker claims the poisoned shard — the calling thread or
+        // a pool helper — the drain re-raises its panic once the other
+        // shards are served.  Each shard carries enough work that the
+        // helper wakes while the caller is still busy, and the poisoned
+        // shard moves through every position, so over the repetitions both
+        // kinds of worker claim it.  (The pool's own tests force each case
+        // deterministically.)
+        const DIM: usize = 48;
+        for poisoned in 0..4 {
+            let mut service = MarketService::new(ServiceConfig {
+                shards: 4,
+                queue_capacity: 1024,
+                ..ServiceConfig::default()
+            })
+            .unwrap();
+            for id in 0..32 {
+                service
+                    .register_tenant(TenantId(id), TenantConfig::standard(DIM, 100))
+                    .unwrap();
+            }
+            let shard = &service.core.shards[poisoned];
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _guard = shard.lock().unwrap();
+                panic!("poison shard {poisoned}");
+            }));
+            for _ in 0..8 {
+                for id in 0..32 {
+                    let features = Vector::from_slice(&[1.0 / (DIM as f64).sqrt(); DIM]);
+                    service
+                        .ingest_quote(QueryRequest {
+                            tenant: TenantId(id),
+                            features,
+                            reserve_price: 0.1,
+                        })
+                        .unwrap();
+                }
+                let mut out = Vec::new();
+                let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    service.drain_into(2, &mut out);
+                }))
+                .expect_err("draining a poisoned shard panics");
+                let message = payload.downcast::<String>().unwrap();
+                assert!(message.contains("shard lock poisoned"), "{message}");
+            }
+        }
+    }
+
+    #[test]
     fn degenerate_configs_are_rejected_not_clamped() {
         // Regression: `queue_capacity: 0` used to be silently clamped to 1
         // (by `Shard::new`), hiding a deployment that would otherwise shed
@@ -1268,7 +1337,7 @@ mod tests {
             .register_tenant(TenantId(2), TenantConfig::privacy(2, 100, generous))
             .unwrap();
         let index = service.shard_of(TenantId(2));
-        let shard = service.shards[index].get_mut().unwrap();
+        let shard = service.core.shards[index].lock().unwrap();
         let state = shard.resident_state(TenantId(2)).expect("resident");
         let bank = state.privacy.as_ref().unwrap();
         assert_eq!(bank.params().epsilon_budget, 1.5);

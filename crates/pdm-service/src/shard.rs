@@ -299,13 +299,19 @@ impl Shard {
             self.last_served.insert(tenant, self.clock);
         }
         self.enforce_residency();
-        // One measurement feeds both the latency ledger and the drain span:
-        // the whole-queue timing the hot path already paid for.
+        // One measurement feeds the latency ledger, the per-request latency
+        // histogram and the drain span: the whole-queue timing the hot path
+        // already paid for.
         let elapsed = started.elapsed();
         self.metrics.record_latency_batch(elapsed, total);
+        let requests = total as u64;
+        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.obs
             .registry
-            .record_span(self.obs.drain, elapsed, total as u64);
+            .observe_n(self.obs.latency, nanos / requests, requests);
+        self.obs
+            .registry
+            .record_span(self.obs.drain, elapsed, requests);
     }
 
     /// Materialises a paged-out tenant before its run is served.  The
@@ -672,7 +678,13 @@ mod tests {
         assert_eq!(shard.metrics.observations, 1);
         assert_eq!(shard.metrics.sales, 1);
         assert!(shard.metrics.regret >= 0.0);
-        assert_eq!(shard.metrics.latency_samples(), 2);
+        assert_eq!(shard.metrics.latency_stats().count(), 2);
+        let latency = shard
+            .obs
+            .registry
+            .histogram_counts(crate::metrics::LATENCY_HISTOGRAM)
+            .expect("every shard registers the latency histogram");
+        assert_eq!(latency.count(), 2, "one observation per request");
         assert_eq!(shard.open_rounds(), 0);
     }
 

@@ -1086,12 +1086,12 @@ impl MarketService {
         }
         for (index, ledger) in metrics.iter().enumerate() {
             let restored = metrics_from_json(ledger, &format!("shard {index}"))?;
-            sync::get_mut(&mut service.shards_mut()[index], "shard").metrics = restored;
+            sync::lock(&service.shards()[index], "shard").metrics = restored;
         }
         // Registration marked every tenant dirty; a freshly restored service
         // is by definition in sync with its snapshot, so the WAL starts clean.
-        for shard in service.shards_mut() {
-            sync::get_mut(shard, "shard").clear_dirty();
+        for shard in service.shards() {
+            sync::lock(shard, "shard").clear_dirty();
         }
         Ok(service)
     }

@@ -17,19 +17,10 @@ pub(crate) fn lock<'a, T>(mutex: &'a Mutex<T>, what: &str) -> MutexGuard<'a, T> 
     }
 }
 
-/// `Mutex::get_mut` under the same poison policy (exclusive-borrow paths:
-/// registration, snapshot restore, drains that own the service).
+/// `Mutex::get_mut` under the same poison policy (exclusive-borrow paths,
+/// e.g. a WAL restore recording into the service it owns).
 pub(crate) fn get_mut<'a, T>(mutex: &'a mut Mutex<T>, what: &str) -> &'a mut T {
     match mutex.get_mut() {
-        Ok(inner) => inner,
-        Err(_) => poisoned(what),
-    }
-}
-
-/// `Mutex::into_inner` under the same poison policy (collecting worker
-/// result slots after a scoped pool joins).
-pub(crate) fn into_inner<T>(mutex: Mutex<T>, what: &str) -> T {
-    match mutex.into_inner() {
         Ok(inner) => inner,
         Err(_) => poisoned(what),
     }
@@ -67,7 +58,7 @@ mod tests {
         assert_eq!(*lock(&m, "test"), 7);
         let mut m = m;
         *get_mut(&mut m, "test") = 8;
-        assert_eq!(into_inner(m, "test"), 8);
+        assert_eq!(*lock(&m, "test"), 8);
 
         let rw = RwLock::new(3u32);
         assert_eq!(*read(&rw, "test"), 3);

@@ -201,14 +201,14 @@ impl MarketService {
             for (index, ledger) in metrics.iter().enumerate() {
                 let restored =
                     metrics_from_json(ledger, &format!("WAL segment {number} shard {index}"))?;
-                sync::get_mut(&mut service.shards_mut()[index], "shard").metrics = restored;
+                sync::lock(&service.shards()[index], "shard").metrics = restored;
             }
         }
         // Replay marked replaced tenants dirty; the restored service is in
         // sync with the stream it was rebuilt from, so the WAL starts clean
         // and numbering continues after the last replayed segment.
-        for shard in service.shards_mut() {
-            sync::get_mut(shard, "shard").clear_dirty();
+        for shard in service.shards() {
+            sync::lock(shard, "shard").clear_dirty();
         }
         if let Some(last) = last_segment {
             service.wal_segments.store(last + 1, Ordering::Relaxed);

@@ -8,8 +8,10 @@
 //! drain computes are independent of the worker count.
 
 use pdm_linalg::Vector;
+use pdm_service::metrics::LATENCY_HISTOGRAM;
 use pdm_service::{
-    shard_of, MarketService, OutcomeReport, QueryRequest, ServiceConfig, TenantConfig, TenantId,
+    shard_of, MarketService, OutcomeReport, QueryRequest, Response, ServiceConfig, TenantConfig,
+    TenantId,
 };
 use proptest::prelude::*;
 
@@ -160,20 +162,99 @@ fn per_shard_metrics_cover_all_traffic_and_latency_percentiles_exist() {
             })
             .unwrap();
     }
+    let before = service.scrape();
+    assert!(
+        before
+            .histogram_counts(LATENCY_HISTOGRAM)
+            .is_some_and(|latency| latency.quantile(0.5).is_none()),
+        "an idle service has no latency percentiles"
+    );
     service.drain(3);
     let shards = service.shard_metrics();
     assert_eq!(shards.len(), 3);
     let total: u64 = shards.iter().map(|m| m.quotes_served).sum();
     assert_eq!(total, 9);
     for metrics in &shards {
-        if metrics.quotes_served > 0 {
-            let (p50, p99) = metrics
-                .latency_p50_p99()
-                .expect("non-empty shards have latency samples");
-            assert!(p50.is_finite() && p99 >= p50);
-        } else {
-            // The documented error path: empty shards error instead of NaN.
-            assert!(metrics.latency_p50_p99().is_err());
-        }
+        assert_eq!(metrics.latency_stats().count(), metrics.quotes_served);
     }
+    let scrape = service.scrape();
+    let latency = scrape
+        .histogram_counts(LATENCY_HISTOGRAM)
+        .expect("the scrape carries the latency histogram");
+    assert_eq!(latency.count(), 9, "one observation per request");
+    let p50 = latency.quantile(0.5).expect("non-empty");
+    let p99 = latency.quantile(0.99).expect("non-empty");
+    assert!(p50.is_finite() && p99 >= p50);
+}
+
+/// Drains one closed-loop stream on a single service, cycling the drain
+/// worker count through `workers` wave by wave, and returns every response
+/// as `(tenant, shard, seq, payload)` plus the final snapshot and
+/// deterministic scrape renderings.
+fn reused_pool_run(workers: &[usize]) -> (Vec<String>, String, String) {
+    let mut service = MarketService::new(ServiceConfig {
+        shards: 4,
+        queue_capacity: 256,
+        ..ServiceConfig::default()
+    })
+    .expect("valid service config");
+    for id in 0..13 {
+        service
+            .register_tenant(TenantId(id), TenantConfig::standard(3, 200))
+            .unwrap();
+    }
+    let mut seen = Vec::new();
+    let mut record = |responses: &[Response]| {
+        for r in responses {
+            seen.push(format!(
+                "{:?}/{}/{}/{:?}",
+                r.tenant, r.shard, r.seq, r.payload
+            ));
+        }
+    };
+    let mut responses = Vec::new();
+    for (round, &drain_workers) in workers.iter().enumerate() {
+        for id in 0..13u64 {
+            let a = 0.2 + 0.05 * ((id + round as u64) % 7) as f64;
+            service
+                .submit_quote(QueryRequest {
+                    tenant: TenantId(id),
+                    features: Vector::from_slice(&[a, 1.0 - a, 0.3]),
+                    reserve_price: 0.2,
+                })
+                .unwrap();
+        }
+        responses.clear();
+        service.drain_into(drain_workers, &mut responses);
+        record(&responses);
+        for response in &responses {
+            let quote = *response.quote().expect("quote response");
+            service
+                .submit_outcome(OutcomeReport {
+                    tenant: response.tenant,
+                    accepted: quote.posted_price <= 0.9,
+                    market_value: Some(0.9),
+                })
+                .unwrap();
+        }
+        responses.clear();
+        service.drain_into(drain_workers, &mut responses);
+        record(&responses);
+    }
+    let snapshot = service.snapshot().expect("quiescent").render();
+    let scrape = service.scrape().to_json(true).render();
+    (seen, snapshot, scrape)
+}
+
+#[test]
+fn one_service_reuses_its_pool_across_worker_counts() {
+    let cycled = reused_pool_run(&[1, 2, 4, 2, 1]);
+    let serial = reused_pool_run(&[1, 1, 1, 1, 1]);
+    assert_eq!(cycled.0.len(), 5 * 2 * 13);
+    assert_eq!(
+        cycled.0, serial.0,
+        "responses: payload, shard and seq order"
+    );
+    assert_eq!(cycled.1, serial.1, "snapshot");
+    assert_eq!(cycled.2, serial.2, "deterministic scrape");
 }
