@@ -23,15 +23,17 @@
 //! [`TenantState::serve_auction`]: pdm_service::TenantState::serve_auction
 
 use crate::grid::derive_seed;
-use crate::runner::{latency_p50_p99_micros, pool_latency, AggStat};
+use crate::json::Json;
+use crate::report::{agg_stat_json, check_stat, check_throughput, gate_tolerance, BenchReport};
+use crate::runner::AggStat;
 use crate::table;
+use crate::workload::{Cell, Rep, Workload};
 use crate::Scale;
 use pdm_auction::{AuctionLedger, AuctionMarket, AuctionMarketConfig, ValuationDistribution};
 use pdm_linalg::Vector;
-use pdm_obs::LogHistogram;
 use pdm_service::{
-    AuctionPolicy, AuctionRequest, MarketService, MetricRegistry, ServiceConfig, ShardMetrics,
-    TenantConfig, TenantId, TenantState,
+    AuctionPolicy, AuctionRequest, MarketService, ServiceConfig, TenantConfig, TenantId,
+    TenantState,
 };
 use std::time::{Duration, Instant};
 
@@ -107,8 +109,6 @@ pub struct AuctionCellReport {
     pub waves: u64,
     /// Repetitions aggregated.
     pub reps: u64,
-    /// Worker threads each drain ran on.
-    pub workers: u64,
     /// Rounds settled, summed over repetitions.
     pub auctions: u64,
     /// Rounds sold, summed over repetitions.
@@ -163,41 +163,6 @@ pub fn grid_policies() -> [AuctionPolicy; 3] {
     ]
 }
 
-/// The auction grid: bidder count × distribution × policy at the given
-/// scale.
-#[must_use]
-pub fn auction_grid(scale: Scale) -> Vec<AuctionCellSpec> {
-    let bidder_counts = [1usize, 2, 4];
-    let tenants = scale.pick(4, 8);
-    let dim = scale.pick(3, 4);
-    let shards = scale.pick(4, 8);
-    let waves = scale.pick(48, 768);
-    let mut cells = Vec::new();
-    for &bidders in &bidder_counts {
-        for distribution in ValuationDistribution::bench_defaults() {
-            for policy in grid_policies() {
-                let index = cells.len() as u64;
-                cells.push(AuctionCellSpec {
-                    label: format!(
-                        "bidders={bidders}/dist={}/policy={}",
-                        distribution.name(),
-                        policy.name()
-                    ),
-                    tenants,
-                    bidders,
-                    dim,
-                    shards,
-                    waves,
-                    distribution,
-                    policy,
-                    seed: AUCTION_SEED_BASE + index,
-                });
-            }
-        }
-    }
-    cells
-}
-
 /// One recorded auction round, replayed serially during verification.
 struct RecordedRound {
     features: Vector,
@@ -207,20 +172,9 @@ struct RecordedRound {
     price_bits: u64,
 }
 
-/// The per-repetition outcome handed to the aggregator.
-struct RepOutcome {
-    ledger: AuctionLedger,
-    /// The service-wide metrics fold, carrying the all-time latency
-    /// streaming stats.
-    metrics: ShardMetrics,
-    drain_time: Duration,
-    /// The service's final `pdm-obs` scrape, folded into the run registry.
-    scrape: MetricRegistry,
-}
-
 /// Runs one repetition of one cell and verifies it against the serial
 /// replay.  Returns the deterministic per-rep aggregates.
-fn run_rep(spec: &AuctionCellSpec, workers: usize, rep: u64) -> Result<RepOutcome, String> {
+fn run_rep(spec: &AuctionCellSpec, workers: usize, rep: u64) -> Result<Rep<AuctionLedger>, String> {
     let traffic_seed = derive_seed(spec.seed, rep);
     let tenant_config = TenantConfig::auction(spec.dim, spec.waves, spec.policy);
 
@@ -334,115 +288,202 @@ fn run_rep(spec: &AuctionCellSpec, workers: usize, rep: u64) -> Result<RepOutcom
         ));
     }
 
-    Ok(RepOutcome {
-        ledger,
+    Ok(Rep {
+        outcome: ledger,
         metrics,
         drain_time,
         scrape: service.scrape(),
     })
 }
 
-/// Runs one cell (all repetitions) and aggregates it into a report row,
-/// folding every repetition's final service scrape into `obs`.
-pub fn run_auction_cell_obs(
-    spec: &AuctionCellSpec,
-    workers: usize,
-    reps: u64,
-    obs: &mut MetricRegistry,
-) -> Result<AuctionCellReport, String> {
-    let started = Instant::now();
-    let reps = reps.max(1);
-    let mut totals = AuctionLedger::default();
-    let mut metrics = ShardMetrics::new();
-    let mut revenue = Vec::with_capacity(reps as usize);
-    let mut baseline = Vec::with_capacity(reps as usize);
-    let mut welfare = Vec::with_capacity(reps as usize);
-    let mut hit_rate = Vec::with_capacity(reps as usize);
-    let mut latency = LogHistogram::new();
-    let mut drain_time = Duration::ZERO;
-    for rep in 0..reps {
-        let outcome = run_rep(spec, workers, rep)?;
-        revenue.push(outcome.ledger.revenue);
-        baseline.push(outcome.ledger.baseline_revenue);
-        welfare.push(outcome.ledger.welfare);
-        hit_rate.push(outcome.ledger.reserve_hit_rate());
-        totals.merge(&outcome.ledger);
-        metrics.merge(&outcome.metrics);
-        pool_latency(&mut latency, &outcome.scrape);
-        drain_time += outcome.drain_time;
-        obs.merge(&outcome.scrape);
+impl Workload for AuctionCellSpec {
+    const NAME: &'static str = "auction";
+    const VERIFIED: &'static str = "reserves, clearing prices, ledger counters";
+    /// The repetition's serial-replay ledger, folded in tenant order.
+    type Outcome = AuctionLedger;
+    type Row = AuctionCellReport;
+
+    /// The auction grid: bidder count × distribution × policy at the given
+    /// scale.
+    fn grid(scale: Scale) -> Vec<Self> {
+        let bidder_counts = [1usize, 2, 4];
+        let tenants = scale.pick(4, 8);
+        let dim = scale.pick(3, 4);
+        let shards = scale.pick(4, 8);
+        let waves = scale.pick(48, 768);
+        let mut cells = Vec::new();
+        for &bidders in &bidder_counts {
+            for distribution in ValuationDistribution::bench_defaults() {
+                for policy in grid_policies() {
+                    let index = cells.len() as u64;
+                    cells.push(AuctionCellSpec {
+                        label: format!(
+                            "bidders={bidders}/dist={}/policy={}",
+                            distribution.name(),
+                            policy.name()
+                        ),
+                        tenants,
+                        bidders,
+                        dim,
+                        shards,
+                        waves,
+                        distribution,
+                        policy,
+                        seed: AUCTION_SEED_BASE + index,
+                    });
+                }
+            }
+        }
+        cells
     }
 
-    let drain_secs = drain_time.as_secs_f64();
-    let rounds_per_sec = if drain_secs > 0.0 {
-        totals.auctions as f64 / drain_secs
-    } else {
-        0.0
-    };
-    let (p50, p99) = latency_p50_p99_micros(&latency);
-    Ok(AuctionCellReport {
-        label: spec.label.clone(),
-        distribution: spec.distribution.name().to_owned(),
-        policy: spec.policy.name().to_owned(),
-        tenants: spec.tenants as u64,
-        bidders: spec.bidders as u64,
-        shards: spec.shards as u64,
-        waves: spec.waves as u64,
-        reps,
-        workers: workers as u64,
-        auctions: totals.auctions,
-        sales: totals.sales,
-        reserve_hits: totals.reserve_hits,
-        revenue: AggStat::from_values(&revenue),
-        baseline_revenue: AggStat::from_values(&baseline),
-        welfare: AggStat::from_values(&welfare),
-        hit_rate: AggStat::from_values(&hit_rate),
-        perf: AuctionPerf {
-            wall_clock_secs: started.elapsed().as_secs_f64(),
-            rounds_per_sec,
-            latency_mean_micros: metrics.latency_stats().mean(),
-            latency_p50_micros: p50,
-            latency_p99_micros: p99,
-        },
-    })
-}
+    fn label(&self) -> &str {
+        &self.label
+    }
 
-/// [`run_auction_cell_obs`] with the scrape discarded, for callers that
-/// only want the report row.
-pub fn run_auction_cell(
-    spec: &AuctionCellSpec,
-    workers: usize,
-    reps: u64,
-) -> Result<AuctionCellReport, String> {
-    run_auction_cell_obs(spec, workers, reps, &mut MetricRegistry::new())
-}
+    fn shards(&self) -> usize {
+        self.shards
+    }
 
-/// Runs a set of auction cells (the whole grid, or a `--filter` subset),
-/// folding every cell's scrape into `obs`.
-pub fn run_auction_cells_obs(
-    cells: &[AuctionCellSpec],
-    workers: usize,
-    reps: u64,
-    obs: &mut MetricRegistry,
-) -> Result<Vec<AuctionCellReport>, String> {
-    cells
-        .iter()
-        .map(|spec| run_auction_cell_obs(spec, workers, reps, obs))
-        .collect()
-}
+    fn run_rep(&self, workers: usize, rep: u64) -> Result<Rep<AuctionLedger>, String> {
+        run_rep(self, workers, rep)
+    }
 
-/// Runs a set of auction cells (the whole grid, or a `--filter` subset).
-pub fn run_auction_cells(
-    cells: &[AuctionCellSpec],
-    workers: usize,
-    reps: u64,
-) -> Result<Vec<AuctionCellReport>, String> {
-    run_auction_cells_obs(cells, workers, reps, &mut MetricRegistry::new())
+    fn fold(&self, cell: &Cell<AuctionLedger>) -> AuctionCellReport {
+        let mut totals = AuctionLedger::default();
+        for rep in &cell.reps {
+            totals.merge(&rep.outcome);
+        }
+        let (p50, p99) = cell.latency_p50_p99_micros();
+        AuctionCellReport {
+            label: self.label.clone(),
+            distribution: self.distribution.name().to_owned(),
+            policy: self.policy.name().to_owned(),
+            tenants: self.tenants as u64,
+            bidders: self.bidders as u64,
+            shards: self.shards as u64,
+            waves: self.waves as u64,
+            reps: cell.rep_count(),
+            auctions: totals.auctions,
+            sales: totals.sales,
+            reserve_hits: totals.reserve_hits,
+            revenue: cell.stat(|rep| rep.outcome.revenue),
+            baseline_revenue: cell.stat(|rep| rep.outcome.baseline_revenue),
+            welfare: cell.stat(|rep| rep.outcome.welfare),
+            hit_rate: cell.stat(|rep| rep.outcome.reserve_hit_rate()),
+            perf: AuctionPerf {
+                wall_clock_secs: cell.wall_clock_secs,
+                rounds_per_sec: cell.per_drain_sec(totals.auctions),
+                latency_mean_micros: cell.metrics.latency_stats().mean(),
+                latency_p50_micros: p50,
+                latency_p99_micros: p99,
+            },
+        }
+    }
+
+    fn render(rows: &[AuctionCellReport]) -> Vec<String> {
+        vec![render_auction(rows)]
+    }
+
+    fn validate(rows: &[AuctionCellReport], full_scale: bool, violations: &mut Vec<String>) {
+        for cell in rows {
+            let place = format!("auction / {}", cell.label);
+            for (what, stat, upper) in [
+                ("revenue", &cell.revenue, None),
+                ("baseline revenue", &cell.baseline_revenue, None),
+                ("welfare", &cell.welfare, None),
+                ("reserve hit rate", &cell.hit_rate, Some(1.0)),
+            ] {
+                check_stat(violations, &place, what, stat, upper);
+            }
+            if cell.auctions == 0 {
+                violations.push(format!("{place}: settled no auction rounds at all"));
+            }
+            if cell.sales == 0 {
+                violations.push(format!("{place}: sold nothing in any round"));
+            }
+            // A sale never prices above the winning bid, so welfare
+            // dominates revenue identically per round and in every sum.
+            // The comparison tolerance scales with the pair's magnitude.
+            let tolerance = gate_tolerance(cell.welfare.mean.abs().max(cell.revenue.mean.abs()));
+            if cell.welfare.mean + tolerance < cell.revenue.mean {
+                violations.push(format!(
+                    "{place}: welfare {} fell below revenue {}",
+                    cell.welfare.mean, cell.revenue.mean
+                ));
+            }
+            let throughput = cell.perf.rounds_per_sec;
+            check_throughput(violations, &place, "rounds/sec", cell.auctions, throughput);
+            // The reserve-uplift gate of the auction workload: at full
+            // scale, every *learned* reserve policy must earn at least the
+            // second-price-no-reserve baseline in the thin-competition
+            // cells (≤ 2 bidders) — the regime personalized reserves exist
+            // for.  With thicker competition the second bid already
+            // extracts the surplus and the optimal reserve is non-binding,
+            // so those cells are gated only on the invariants above.
+            // Quick-scale horizons are too short for the learners to
+            // converge, so the gate is a full-scale contract.
+            if full_scale && cell.is_learned_policy() && cell.bidders <= 2 {
+                let baseline = cell.baseline_revenue.mean;
+                let tolerance = gate_tolerance(baseline.abs().max(cell.revenue.mean.abs()));
+                if cell.revenue.mean + tolerance < baseline {
+                    violations.push(format!(
+                        "{place}: learned-reserve revenue {} fell below the no-reserve \
+                         second-price baseline {}",
+                        cell.revenue.mean, baseline
+                    ));
+                }
+            }
+        }
+    }
+
+    fn deterministic_json(cell: &AuctionCellReport) -> Vec<(&'static str, Json)> {
+        vec![
+            ("label", Json::str(&cell.label)),
+            ("distribution", Json::str(&cell.distribution)),
+            ("policy", Json::str(&cell.policy)),
+            ("tenants", Json::Num(cell.tenants as f64)),
+            ("bidders", Json::Num(cell.bidders as f64)),
+            ("shards", Json::Num(cell.shards as f64)),
+            ("waves", Json::Num(cell.waves as f64)),
+            ("reps", Json::Num(cell.reps as f64)),
+            ("auctions", Json::Num(cell.auctions as f64)),
+            ("sales", Json::Num(cell.sales as f64)),
+            ("reserve_hits", Json::Num(cell.reserve_hits as f64)),
+            ("revenue", agg_stat_json(&cell.revenue)),
+            ("baseline_revenue", agg_stat_json(&cell.baseline_revenue)),
+            ("welfare", agg_stat_json(&cell.welfare)),
+            ("hit_rate", agg_stat_json(&cell.hit_rate)),
+        ]
+    }
+
+    fn perf_json(cell: &AuctionCellReport) -> Vec<(&'static str, Json)> {
+        vec![
+            ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
+            ("rounds_per_sec", Json::Num(cell.perf.rounds_per_sec)),
+            (
+                "latency_mean_micros",
+                Json::Num(cell.perf.latency_mean_micros),
+            ),
+            (
+                "latency_p50_micros",
+                Json::Num(cell.perf.latency_p50_micros),
+            ),
+            (
+                "latency_p99_micros",
+                Json::Num(cell.perf.latency_p99_micros),
+            ),
+        ]
+    }
+
+    fn rows(report: &mut BenchReport) -> &mut Vec<AuctionCellReport> {
+        &mut report.auction
+    }
 }
 
 /// Renders the auction cells as the console table `bench auction` prints.
 #[must_use]
-pub fn render_auction(cells: &[AuctionCellReport]) -> String {
+fn render_auction(cells: &[AuctionCellReport]) -> String {
     let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|cell| {
@@ -476,6 +517,12 @@ pub fn render_auction(cells: &[AuctionCellReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::run_cell;
+    use pdm_service::MetricRegistry;
+
+    fn run(spec: &AuctionCellSpec, workers: usize, reps: u64) -> AuctionCellReport {
+        run_cell(spec, workers, reps, &mut MetricRegistry::new()).unwrap()
+    }
 
     fn tiny_cell(bidders: usize, policy: AuctionPolicy) -> AuctionCellSpec {
         AuctionCellSpec {
@@ -493,7 +540,7 @@ mod tests {
 
     #[test]
     fn grid_crosses_bidders_distributions_and_policies() {
-        let quick = auction_grid(Scale::Quick);
+        let quick = AuctionCellSpec::grid(Scale::Quick);
         assert_eq!(quick.len(), 3 * 3 * 3);
         let labels: Vec<&str> = quick.iter().map(|c| c.label.as_str()).collect();
         assert!(labels.contains(&"bidders=1/dist=uniform/policy=static"));
@@ -502,7 +549,7 @@ mod tests {
         let mut seeds: Vec<u64> = quick.iter().map(|c| c.seed).collect();
         seeds.dedup();
         assert_eq!(seeds.len(), quick.len());
-        let full = auction_grid(Scale::Full);
+        let full = AuctionCellSpec::grid(Scale::Full);
         assert!(full[0].waves > quick[0].waves);
         assert!(full[0].tenants > quick[0].tenants);
     }
@@ -510,7 +557,7 @@ mod tests {
     #[test]
     fn cell_runs_and_passes_its_own_serial_verification() {
         for policy in grid_policies() {
-            let report = run_auction_cell(&tiny_cell(2, policy), 2, 1).unwrap();
+            let report = run(&tiny_cell(2, policy), 2, 1);
             assert_eq!(report.auctions, 4 * 12, "{policy:?}");
             assert!(report.sales > 0, "{policy:?}");
             assert!(report.revenue.mean > 0.0, "{policy:?}");
@@ -524,8 +571,7 @@ mod tests {
 
     #[test]
     fn single_bidder_cells_report_a_zero_baseline() {
-        let report =
-            run_auction_cell(&tiny_cell(1, AuctionPolicy::Static { markup: 0.0 }), 1, 1).unwrap();
+        let report = run(&tiny_cell(1, AuctionPolicy::Static { markup: 0.0 }), 1, 1);
         assert_eq!(report.baseline_revenue.mean, 0.0);
         assert!(report.uplift().is_infinite());
         // Every single-bidder sale is priced by the reserve, by definition.
@@ -536,8 +582,8 @@ mod tests {
     #[test]
     fn worker_count_does_not_move_deterministic_aggregates() {
         for policy in grid_policies() {
-            let one = run_auction_cell(&tiny_cell(2, policy), 1, 2).unwrap();
-            let four = run_auction_cell(&tiny_cell(2, policy), 4, 2).unwrap();
+            let one = run(&tiny_cell(2, policy), 1, 2);
+            let four = run(&tiny_cell(2, policy), 4, 2);
             assert_eq!(one.auctions, four.auctions, "{policy:?}");
             assert_eq!(one.sales, four.sales, "{policy:?}");
             assert_eq!(one.reserve_hits, four.reserve_hits, "{policy:?}");
@@ -559,8 +605,7 @@ mod tests {
         // Regression: the cell mean must come from the merged all-time
         // streaming stats, not be dropped (NaN).
         let mut obs = MetricRegistry::new();
-        let report =
-            run_auction_cell_obs(&tiny_cell(2, AuctionPolicy::Session), 2, 2, &mut obs).unwrap();
+        let report = run_cell(&tiny_cell(2, AuctionPolicy::Session), 2, 2, &mut obs).unwrap();
         assert!(
             report.perf.latency_mean_micros.is_finite() && report.perf.latency_mean_micros > 0.0,
             "mean {} must be a real pooled figure",
@@ -576,15 +621,15 @@ mod tests {
     #[test]
     fn reps_reseed_the_traffic() {
         let spec = tiny_cell(2, AuctionPolicy::Session);
-        let one = run_auction_cell(&spec, 2, 1).unwrap();
-        let three = run_auction_cell(&spec, 2, 3).unwrap();
+        let one = run(&spec, 2, 1);
+        let three = run(&spec, 2, 3);
         assert_eq!(three.auctions, 3 * one.auctions);
         assert!(three.revenue.std > 0.0);
     }
 
     #[test]
     fn render_lists_every_cell_with_uplift() {
-        let report = run_auction_cell(&tiny_cell(2, AuctionPolicy::Session), 1, 1).unwrap();
+        let report = run(&tiny_cell(2, AuctionPolicy::Session), 1, 1);
         let rendered = render_auction(std::slice::from_ref(&report));
         assert!(rendered.contains("bidders=2/dist=uniform/policy=session"));
         assert!(rendered.contains("uplift"));

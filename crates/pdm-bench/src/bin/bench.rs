@@ -15,5 +15,5 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    std::process::exit(pdm_bench::cli::main_with(None, &args));
+    std::process::exit(pdm_bench::cli::main_with(&args));
 }

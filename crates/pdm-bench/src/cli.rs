@@ -1,25 +1,24 @@
-//! Command-line front end shared by the `bench` binary and the legacy
-//! per-figure shims.
+//! Command-line front end of the `bench` binary.
 //!
 //! Parsing is **strict**: an unrecognised flag is an error with a usage
 //! message, never silently ignored (a typo like `--ful` used to run the
-//! wrong scale for minutes).  The same parser backs all ten binaries, so
-//! every experiment accepts `--full`, `--workers`, `--reps`, `--json`, and
-//! `--check` uniformly.
+//! wrong scale for minutes).  Every subcommand accepts `--full`,
+//! `--workers`, `--reps`, `--json`, and `--check` uniformly.
 
-use crate::auction::{auction_grid, render_auction, run_auction_cells_obs};
-use crate::drift::{drift_grid, render_drift, run_drift_cells_obs};
+use crate::auction::AuctionCellSpec;
+use crate::drift::DriftCellSpec;
 use crate::experiments::{experiments_for, render_experiment, render_fig1};
 use crate::grid::expand_jobs;
-use crate::longhaul::{longhaul_grid, render_longhaul, run_longhaul_cells_obs};
-use crate::privacy::{privacy_grid, render_privacy, run_privacy_cells_obs};
+use crate::longhaul::LonghaulCellSpec;
+use crate::privacy::PrivacyCellSpec;
 use crate::report::{
     build_experiment_reports, git_describe, BenchReport, PerfFloor, PerfSummary, SCHEMA_VERSION,
 };
 use crate::runner::run_jobs;
-use crate::serve::{render_serve, render_serve_summary, run_serve_cells_obs, serve_grid};
+use crate::serve::ServeCellSpec;
+use crate::workload::{run_cells, Workload};
 use crate::Scale;
-use pdm_service::MetricRegistry;
+use pdm_service::{drain_workers, MetricRegistry};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -107,12 +106,10 @@ impl Command {
         }
     }
 
-    /// Parses a subcommand name (the legacy binary names with underscores
-    /// are accepted as aliases).
+    /// Parses a subcommand name.
     #[must_use]
     pub fn parse(name: &str) -> Option<Command> {
-        let normalised = name.replace('_', "-");
-        Command::ALL.into_iter().find(|c| c.name() == normalised)
+        Command::ALL.into_iter().find(|c| c.name() == name)
     }
 }
 
@@ -181,11 +178,10 @@ fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Parses arguments.  `preset` fixes the subcommand (the legacy shims);
-/// otherwise the first positional argument names it.  Unknown arguments are
-/// an error; `Ok(None)` means `--help` was requested.
-pub fn parse_args(preset: Option<Command>, args: &[String]) -> Result<Option<BenchArgs>, String> {
-    let mut command = preset;
+/// Parses arguments: the first positional argument names the subcommand.
+/// Unknown arguments are an error; `Ok(None)` means `--help` was requested.
+pub fn parse_args(args: &[String]) -> Result<Option<BenchArgs>, String> {
+    let mut command = None;
     let mut scale = Scale::Quick;
     let mut json = None;
     let mut workers = default_workers();
@@ -282,23 +278,36 @@ fn filter_cells<T>(cells: Vec<T>, filter: Option<&str>, key: impl Fn(&T) -> Stri
     }
 }
 
-/// Runs one closed-loop service workload (serve or auction): banner, cells,
-/// tables, and the serial-replay verification footer.  Empty cell lists
-/// (the subcommand does not cover the workload) run nothing.
-fn run_closed_loop_workload<C, R>(
-    name: &str,
+/// The error for a `--filter` that left nothing to run.
+fn no_match(args: &BenchArgs, needle: &str) -> String {
+    format!(
+        "--filter `{needle}` matched no cells of `bench {}`",
+        args.command.name()
+    )
+}
+
+/// Runs one closed-loop service workload into `report`: banner, cells,
+/// tables, and the serial-replay verification footer.  The report records
+/// the drain worker count the service actually used, and carries the
+/// deterministic half of `obs`, the registry every repetition's scrape is
+/// folded into.  Returns the simulation job count, which is zero.
+fn run_service<W: Workload>(
     args: &BenchArgs,
-    workers: usize,
-    cells: &[C],
-    mut run: impl FnMut(&[C], usize, u64) -> Result<Vec<R>, String>,
-    render: impl Fn(&[R]) -> Vec<String>,
-    verified: &str,
-) -> Result<Vec<R>, String> {
+    report: &mut BenchReport,
+    obs: &mut MetricRegistry,
+) -> Result<usize, String> {
+    let filter = args.filter.as_deref();
+    let cells = filter_cells(W::grid(args.scale), filter, |c| c.label().to_owned());
     if cells.is_empty() {
-        return Ok(Vec::new());
+        return Err(no_match(args, filter.unwrap_or_default()));
     }
+    // Shard counts are uniform across a grid at a given scale, so one
+    // clamp covers every drain of the run.
+    let shards = cells.iter().map(W::shards).max().unwrap_or(1);
+    let workers = drain_workers(args.workers, shards, default_workers());
     println!(
-        "bench {name} — {} ({} cells, {} drain worker{}, {} rep{} per cell)",
+        "bench {} — {} ({} cells, {} drain worker{}, {} rep{} per cell)",
+        W::NAME,
         args.scale.label(),
         cells.len(),
         workers,
@@ -307,30 +316,32 @@ fn run_closed_loop_workload<C, R>(
         if args.reps == 1 { "" } else { "s" },
     );
     println!();
-    let rows = run(cells, workers, args.reps)?;
-    for table in render(&rows) {
+    let rows = run_cells(&cells, workers, args.reps, obs)?;
+    for table in W::render(&rows) {
         println!("{table}");
     }
-    println!("every cell verified bit-for-bit against its serial per-tenant replay ({verified})");
+    println!(
+        "every cell verified bit-for-bit against its serial per-tenant replay ({})",
+        W::VERIFIED
+    );
     println!();
-    Ok(rows)
+    *W::rows(report) = rows;
+    report.workers = workers;
+    // Only the deterministic half of the registry: wall-clock histograms
+    // are excluded from the report.
+    report.obs = Some(obs.to_json(true));
+    Ok(0)
 }
 
-/// Runs a parsed invocation end to end: execute the grid, print the tables,
-/// write the JSON report, apply the `--check` gate.
-///
-/// Returns the report on success and the failure message otherwise.
-pub fn execute(args: &BenchArgs) -> Result<BenchReport, String> {
-    let start = Instant::now();
+/// Runs the simulation experiments of the subcommand into `report` and
+/// returns the number of jobs.
+fn run_simulation(args: &BenchArgs, report: &mut BenchReport) -> Result<usize, String> {
     if args.command == Command::Fig1 {
         print!("{}", render_fig1());
     }
     let filter = args.filter.as_deref();
-
-    // Assemble every grid the subcommand covers, then apply `--filter` to
-    // the job keys (experiment name / cell label) uniformly.
     let mut experiments = experiments_for(args.command, args.scale);
-    if filter.is_some() {
+    if let Some(needle) = filter {
         for experiment in &mut experiments {
             let name = experiment.name.clone();
             experiment.cells = filter_cells(std::mem::take(&mut experiment.cells), filter, |c| {
@@ -338,44 +349,8 @@ pub fn execute(args: &BenchArgs) -> Result<BenchReport, String> {
             });
         }
         experiments.retain(|e| !e.cells.is_empty());
-    }
-    let serve_cells = if args.command == Command::Serve {
-        filter_cells(serve_grid(args.scale), filter, |c| c.label.clone())
-    } else {
-        Vec::new()
-    };
-    let auction_cells = if args.command == Command::Auction {
-        filter_cells(auction_grid(args.scale), filter, |c| c.label.clone())
-    } else {
-        Vec::new()
-    };
-    let drift_cells = if args.command == Command::Drift {
-        filter_cells(drift_grid(args.scale), filter, |c| c.label.clone())
-    } else {
-        Vec::new()
-    };
-    let longhaul_cells = if args.command == Command::Longhaul {
-        filter_cells(longhaul_grid(args.scale), filter, |c| c.label.clone())
-    } else {
-        Vec::new()
-    };
-    let privacy_cells = if args.command == Command::Privacy {
-        filter_cells(privacy_grid(args.scale), filter, |c| c.label.clone())
-    } else {
-        Vec::new()
-    };
-    if let Some(needle) = filter {
-        if experiments.is_empty()
-            && serve_cells.is_empty()
-            && auction_cells.is_empty()
-            && drift_cells.is_empty()
-            && longhaul_cells.is_empty()
-            && privacy_cells.is_empty()
-        {
-            return Err(format!(
-                "--filter `{needle}` matched no cells of `bench {}`",
-                args.command.name()
-            ));
+        if experiments.is_empty() {
+            return Err(no_match(args, needle));
         }
     }
 
@@ -383,22 +358,9 @@ pub fn execute(args: &BenchArgs) -> Result<BenchReport, String> {
         experiments.iter().map(|e| e.cells.clone()).collect();
     let jobs = expand_jobs(&grids, args.reps);
     // The effective pool size — this, not the requested count, is what the
-    // banner, footer, and JSON report record.  For the simulation grid,
-    // `run_jobs` clamps to the job count; for the serve and auction
-    // workloads, `MarketService::drain` clamps to the shard count (uniform
-    // across the grid at a given scale), so the same clamp is applied here.
-    let shard_cap = serve_cells
-        .iter()
-        .map(|cell| cell.shards)
-        .chain(auction_cells.iter().map(|cell| cell.shards))
-        .chain(drift_cells.iter().map(|cell| cell.shards))
-        .chain(longhaul_cells.iter().map(|cell| cell.shards))
-        .chain(privacy_cells.iter().map(|cell| cell.shards))
-        .max();
-    let workers = match shard_cap {
-        Some(shards) => args.workers.clamp(1, shards),
-        None => args.workers.clamp(1, jobs.len().max(1)),
-    };
+    // banner, footer, and JSON report record: `run_jobs` clamps to the job
+    // count.
+    let workers = args.workers.clamp(1, jobs.len().max(1));
     if !jobs.is_empty() {
         println!(
             "bench {} — {} ({} jobs across {} worker{}, {} rep{} per cell)",
@@ -413,103 +375,53 @@ pub fn execute(args: &BenchArgs) -> Result<BenchReport, String> {
         println!();
     }
     let results = run_jobs(&jobs, workers);
-
-    let reports = build_experiment_reports(
+    report.experiments = build_experiment_reports(
         experiments
             .iter()
             .map(|e| (e.name.as_str(), e.cells.as_slice())),
         &jobs,
         &results,
     );
-    for (experiment, report) in experiments.iter().zip(&reports) {
-        println!("{}", render_experiment(experiment.kind, report));
+    for (experiment, aggregate) in experiments.iter().zip(&report.experiments) {
+        println!("{}", render_experiment(experiment.kind, aggregate));
         if !experiment.note.is_empty() {
             println!("{}", experiment.note);
             println!();
         }
     }
+    report.workers = workers;
+    Ok(jobs.len())
+}
 
-    // Every service workload folds its final scrape into this run-wide
+/// Runs a parsed invocation end to end: execute the grid, print the tables,
+/// write the JSON report, apply the `--check` gate.
+///
+/// Returns the report on success and the failure message otherwise.
+pub fn execute(args: &BenchArgs) -> Result<BenchReport, String> {
+    let start = Instant::now();
+    let mut report = BenchReport::new(args.command.name(), args.scale.name(), 1, args.reps);
+    report.git_describe = git_describe();
+    // Every service workload folds its final scrapes into this run-wide
     // registry (counters and histogram buckets merge as exact integer adds,
-    // so the fold order across cells and reps cannot matter).
+    // so the fold order across cells and reps cannot matter).  A
+    // simulation-only run leaves it empty and writes no obs section.
     let mut obs = MetricRegistry::new();
-    let serve = run_closed_loop_workload(
-        "serve",
-        args,
-        workers,
-        &serve_cells,
-        |cells, workers, reps| run_serve_cells_obs(cells, workers, reps, &mut obs),
-        |rows| vec![render_serve(rows), render_serve_summary(rows)],
-        "posted prices, revenue, regret",
-    )?;
-    let auction = run_closed_loop_workload(
-        "auction",
-        args,
-        workers,
-        &auction_cells,
-        |cells, workers, reps| run_auction_cells_obs(cells, workers, reps, &mut obs),
-        |rows| vec![render_auction(rows)],
-        "reserves, clearing prices, ledger counters",
-    )?;
-    let drift = run_closed_loop_workload(
-        "drift",
-        args,
-        workers,
-        &drift_cells,
-        |cells, workers, reps| run_drift_cells_obs(cells, workers, reps, &mut obs),
-        |rows| vec![render_drift(rows)],
-        "posted prices, detector firings, restarts",
-    )?;
-    let longhaul = run_closed_loop_workload(
-        "longhaul",
-        args,
-        workers,
-        &longhaul_cells,
-        |cells, workers, reps| run_longhaul_cells_obs(cells, workers, reps, &mut obs),
-        |rows| vec![render_longhaul(rows)],
-        "WAL restore continuation, pre-cut ledgers, resident bound",
-    )?;
-    let privacy = run_closed_loop_workload(
-        "privacy",
-        args,
-        workers,
-        &privacy_cells,
-        |cells, workers, reps| run_privacy_cells_obs(cells, workers, reps, &mut obs),
-        |rows| vec![render_privacy(rows)],
-        "posted prices, refusals, ε ledgers, exhaustion trajectory",
-    )?;
-    // The report carries only the deterministic half of the registry
-    // (wall-clock histograms excluded), and only when a service workload
-    // actually ran — a simulation-only report has no obs section, exactly
-    // like pre-v8 files.
-    let ran_service_workload = !(serve.is_empty()
-        && auction.is_empty()
-        && drift.is_empty()
-        && longhaul.is_empty()
-        && privacy.is_empty());
-
-    let report = BenchReport {
-        obs: ran_service_workload.then(|| obs.to_json(true)),
-        schema_version: SCHEMA_VERSION,
-        name: args.command.name().to_owned(),
-        git_describe: git_describe(),
-        scale: args.scale.name().to_owned(),
-        workers,
-        reps: args.reps,
-        wall_clock_secs: start.elapsed().as_secs_f64(),
-        experiments: reports,
-        perf: PerfSummary::from_serve(&serve),
-        serve,
-        auction,
-        drift,
-        longhaul,
-        privacy,
-    };
+    let jobs = match args.command {
+        Command::Serve => run_service::<ServeCellSpec>(args, &mut report, &mut obs),
+        Command::Auction => run_service::<AuctionCellSpec>(args, &mut report, &mut obs),
+        Command::Drift => run_service::<DriftCellSpec>(args, &mut report, &mut obs),
+        Command::Longhaul => run_service::<LonghaulCellSpec>(args, &mut report, &mut obs),
+        Command::Privacy => run_service::<PrivacyCellSpec>(args, &mut report, &mut obs),
+        _ => run_simulation(args, &mut report),
+    }?;
+    report.perf = PerfSummary::from_serve(&report.serve);
+    report.wall_clock_secs = start.elapsed().as_secs_f64();
+    let workers = report.workers;
 
     println!(
         "completed in {:.2}s ({} jobs, {} worker{})",
         report.wall_clock_secs,
-        jobs.len(),
+        jobs,
         workers,
         if workers == 1 { "" } else { "s" },
     );
@@ -559,11 +471,11 @@ pub fn execute(args: &BenchArgs) -> Result<BenchReport, String> {
     Ok(report)
 }
 
-/// Entry point shared by every binary: parse `raw_args` (with the shims'
-/// preset subcommand), run, and map the outcome to an exit code.
+/// The `bench` entry point: parse `raw_args`, run, and map the outcome to
+/// an exit code.
 #[must_use]
-pub fn main_with(preset: Option<Command>, raw_args: &[String]) -> i32 {
-    match parse_args(preset, raw_args) {
+pub fn main_with(raw_args: &[String]) -> i32 {
+    match parse_args(raw_args) {
         Ok(None) => {
             println!("{}", usage());
             0
@@ -583,18 +495,10 @@ pub fn main_with(preset: Option<Command>, raw_args: &[String]) -> i32 {
     }
 }
 
-/// The legacy per-figure binaries: `shim("fig4")` is `bench fig4` with the
-/// process arguments passed through.
-#[must_use]
-pub fn shim(name: &str) -> i32 {
-    let command = Command::parse(name).expect("shim names a known subcommand");
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    main_with(Some(command), &args)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| (*s).to_owned()).collect()
@@ -602,10 +506,14 @@ mod tests {
 
     #[test]
     fn parses_subcommand_and_flags() {
-        let args = parse_args(
-            None,
-            &strings(&["fig4", "--full", "--workers", "4", "--reps", "3"]),
-        )
+        let args = parse_args(&strings(&[
+            "fig4",
+            "--full",
+            "--workers",
+            "4",
+            "--reps",
+            "3",
+        ]))
         .unwrap()
         .unwrap();
         assert_eq!(args.command, Command::Fig4);
@@ -619,7 +527,7 @@ mod tests {
     #[test]
     fn serve_is_a_first_class_subcommand() {
         assert_eq!(Command::parse("serve"), Some(Command::Serve));
-        let args = parse_args(None, &strings(&["serve", "--workers", "4", "--check"]))
+        let args = parse_args(&strings(&["serve", "--workers", "4", "--check"]))
             .unwrap()
             .unwrap();
         assert_eq!(args.command, Command::Serve);
@@ -631,7 +539,7 @@ mod tests {
     #[test]
     fn auction_is_a_first_class_subcommand() {
         assert_eq!(Command::parse("auction"), Some(Command::Auction));
-        let args = parse_args(None, &strings(&["auction", "--workers", "2", "--check"]))
+        let args = parse_args(&strings(&["auction", "--workers", "2", "--check"]))
             .unwrap()
             .unwrap();
         assert_eq!(args.command, Command::Auction);
@@ -642,7 +550,7 @@ mod tests {
     #[test]
     fn drift_is_a_first_class_subcommand() {
         assert_eq!(Command::parse("drift"), Some(Command::Drift));
-        let args = parse_args(None, &strings(&["drift", "--workers", "2", "--check"]))
+        let args = parse_args(&strings(&["drift", "--workers", "2", "--check"]))
             .unwrap()
             .unwrap();
         assert_eq!(args.command, Command::Drift);
@@ -653,7 +561,7 @@ mod tests {
     #[test]
     fn longhaul_is_a_first_class_subcommand() {
         assert_eq!(Command::parse("longhaul"), Some(Command::Longhaul));
-        let args = parse_args(None, &strings(&["longhaul", "--workers", "2", "--check"]))
+        let args = parse_args(&strings(&["longhaul", "--workers", "2", "--check"]))
             .unwrap()
             .unwrap();
         assert_eq!(args.command, Command::Longhaul);
@@ -664,7 +572,7 @@ mod tests {
     #[test]
     fn privacy_is_a_first_class_subcommand() {
         assert_eq!(Command::parse("privacy"), Some(Command::Privacy));
-        let args = parse_args(None, &strings(&["privacy", "--workers", "2", "--check"]))
+        let args = parse_args(&strings(&["privacy", "--workers", "2", "--check"]))
             .unwrap()
             .unwrap();
         assert_eq!(args.command, Command::Privacy);
@@ -674,7 +582,7 @@ mod tests {
 
     #[test]
     fn filter_restricts_the_privacy_grid_and_the_check_gate_passes() {
-        let mut args = parse_args(None, &strings(&["privacy", "--filter", "budget=1.5"]))
+        let mut args = parse_args(&strings(&["privacy", "--filter", "budget=1.5"]))
             .unwrap()
             .unwrap();
         args.workers = 2;
@@ -690,7 +598,7 @@ mod tests {
 
     #[test]
     fn filter_restricts_the_longhaul_grid() {
-        let mut args = parse_args(None, &strings(&["longhaul", "--filter", "cap=8"]))
+        let mut args = parse_args(&strings(&["longhaul", "--filter", "cap=8"]))
             .unwrap()
             .unwrap();
         args.workers = 2;
@@ -704,14 +612,11 @@ mod tests {
 
     #[test]
     fn filter_restricts_the_drift_grid() {
-        let mut args = parse_args(
-            None,
-            &strings(&[
-                "drift",
-                "--filter",
-                "kind=adversarial/mag=1.0/policy=static",
-            ]),
-        )
+        let mut args = parse_args(&strings(&[
+            "drift",
+            "--filter",
+            "kind=adversarial/mag=1.0/policy=static",
+        ]))
         .unwrap()
         .unwrap();
         args.workers = 2;
@@ -727,37 +632,31 @@ mod tests {
 
     #[test]
     fn filter_flag_parses_strictly() {
-        let args = parse_args(None, &strings(&["serve", "--filter", "bursty"]))
+        let args = parse_args(&strings(&["serve", "--filter", "bursty"]))
             .unwrap()
             .unwrap();
         assert_eq!(args.filter.as_deref(), Some("bursty"));
         // Missing or empty values are an error, not a silent no-op.
-        assert!(parse_args(None, &strings(&["serve", "--filter"]))
+        assert!(parse_args(&strings(&["serve", "--filter"]))
             .unwrap_err()
             .contains("--filter"));
-        assert!(parse_args(None, &strings(&["serve", "--filter", ""]))
+        assert!(parse_args(&strings(&["serve", "--filter", ""]))
             .unwrap_err()
             .contains("--filter"));
         // No filter by default.
         assert_eq!(
-            parse_args(None, &strings(&["serve"]))
-                .unwrap()
-                .unwrap()
-                .filter,
+            parse_args(&strings(&["serve"])).unwrap().unwrap().filter,
             None
         );
     }
 
     #[test]
     fn filter_restricts_the_auction_grid_and_rejects_no_matches() {
-        let mut args = parse_args(
-            None,
-            &strings(&[
-                "auction",
-                "--filter",
-                "bidders=1/dist=uniform/policy=static",
-            ]),
-        )
+        let mut args = parse_args(&strings(&[
+            "auction",
+            "--filter",
+            "bidders=1/dist=uniform/policy=static",
+        ]))
         .unwrap()
         .unwrap();
         args.workers = 2;
@@ -777,7 +676,7 @@ mod tests {
 
     #[test]
     fn filter_restricts_simulation_grids_by_job_key() {
-        let mut args = parse_args(None, &strings(&["fig4", "--filter", "with reserve"]))
+        let mut args = parse_args(&strings(&["fig4", "--filter", "with reserve"]))
             .unwrap()
             .unwrap();
         args.workers = 2;
@@ -798,15 +697,15 @@ mod tests {
     #[test]
     fn perf_floor_flag_parses_and_gates_a_serve_run() {
         // Parsing: the flag takes a path and is off by default.
-        let args = parse_args(None, &strings(&["serve", "--perf-floor", "floor.json"]))
+        let args = parse_args(&strings(&["serve", "--perf-floor", "floor.json"]))
             .unwrap()
             .unwrap();
         assert_eq!(args.perf_floor, Some(PathBuf::from("floor.json")));
-        assert!(parse_args(None, &strings(&["serve", "--perf-floor"]))
+        assert!(parse_args(&strings(&["serve", "--perf-floor"]))
             .unwrap_err()
             .contains("--perf-floor"));
         assert_eq!(
-            parse_args(None, &strings(&["serve"]))
+            parse_args(&strings(&["serve"]))
                 .unwrap()
                 .unwrap()
                 .perf_floor,
@@ -830,7 +729,7 @@ mod tests {
         )
         .expect("write floor");
 
-        let mut args = parse_args(None, &strings(&["serve", "--filter", "mix=uniform"]))
+        let mut args = parse_args(&strings(&["serve", "--filter", "mix=uniform"]))
             .unwrap()
             .unwrap();
         args.workers = 2;
@@ -849,7 +748,7 @@ mod tests {
         assert!(err.contains("failed to read"), "{err}");
 
         // Gating a simulation-only run is an error, not a silent pass.
-        let mut fig4 = parse_args(None, &strings(&["fig4", "--filter", "with reserve"]))
+        let mut fig4 = parse_args(&strings(&["fig4", "--filter", "with reserve"]))
             .unwrap()
             .unwrap();
         fig4.workers = 2;
@@ -864,15 +763,15 @@ mod tests {
     #[test]
     fn metrics_out_flag_parses_and_writes_a_lint_clean_exposition() {
         // Parsing: the flag takes a path and is off by default.
-        let args = parse_args(None, &strings(&["serve", "--metrics-out", "scrape.prom"]))
+        let args = parse_args(&strings(&["serve", "--metrics-out", "scrape.prom"]))
             .unwrap()
             .unwrap();
         assert_eq!(args.metrics_out, Some(PathBuf::from("scrape.prom")));
-        assert!(parse_args(None, &strings(&["serve", "--metrics-out"]))
+        assert!(parse_args(&strings(&["serve", "--metrics-out"]))
             .unwrap_err()
             .contains("--metrics-out"));
         assert_eq!(
-            parse_args(None, &strings(&["serve"]))
+            parse_args(&strings(&["serve"]))
                 .unwrap()
                 .unwrap()
                 .metrics_out,
@@ -885,7 +784,7 @@ mod tests {
         // per-stage span histograms, and the JSON report carries the
         // deterministic half as the v8 `obs` section.
         let scrape = std::env::temp_dir().join("pdm_metrics_out_serve.prom");
-        let mut args = parse_args(None, &strings(&["serve", "--filter", "mix=uniform"]))
+        let mut args = parse_args(&strings(&["serve", "--filter", "mix=uniform"]))
             .unwrap()
             .unwrap();
         args.workers = 2;
@@ -900,7 +799,7 @@ mod tests {
         let quotes = obs
             .get("counters")
             .and_then(|c| c.get("quotes_served_total"))
-            .and_then(crate::json::Json::as_f64)
+            .and_then(Json::as_f64)
             .expect("obs counters carry quotes_served_total");
         let total: u64 = report.serve.iter().map(|c| c.quotes_served).sum();
         assert_eq!(quotes as u64, total);
@@ -909,7 +808,7 @@ mod tests {
         // A simulation-only run writes an empty (still lint-clean) scrape
         // and carries no obs section.
         let scrape = std::env::temp_dir().join("pdm_metrics_out_fig4.prom");
-        let mut fig4 = parse_args(None, &strings(&["fig4", "--filter", "with reserve"]))
+        let mut fig4 = parse_args(&strings(&["fig4", "--filter", "with reserve"]))
             .unwrap()
             .unwrap();
         fig4.workers = 2;
@@ -923,43 +822,36 @@ mod tests {
     }
 
     #[test]
-    fn legacy_underscore_names_are_aliases() {
-        assert_eq!(
-            Command::parse("regret_scaling"),
-            Some(Command::RegretScaling)
-        );
+    fn command_names_parse_exactly() {
         assert_eq!(
             Command::parse("regret-scaling"),
             Some(Command::RegretScaling)
         );
+        assert_eq!(Command::parse("regret_scaling"), None);
         assert_eq!(Command::parse("nope"), None);
     }
 
     #[test]
     fn unknown_flags_are_an_error_not_a_silent_noop() {
         // The original bug: `--ful` silently ran the quick scale.
-        let err = parse_args(None, &strings(&["fig4", "--ful"])).unwrap_err();
+        let err = parse_args(&strings(&["fig4", "--ful"])).unwrap_err();
         assert!(err.contains("--ful"), "{err}");
-        let err = parse_args(Some(Command::All), &strings(&["--quick"])).unwrap_err();
+        let err = parse_args(&strings(&["all", "--quick"])).unwrap_err();
         assert!(err.contains("--quick"), "{err}");
-        let err = parse_args(None, &strings(&["figgy"])).unwrap_err();
+        let err = parse_args(&strings(&["figgy"])).unwrap_err();
         assert!(err.contains("figgy"), "{err}");
     }
 
     #[test]
     fn missing_command_and_flag_values_error() {
-        assert!(parse_args(None, &[])
-            .unwrap_err()
-            .contains("missing command"));
-        assert!(parse_args(Some(Command::All), &strings(&["--json"]))
+        assert!(parse_args(&[]).unwrap_err().contains("missing command"));
+        assert!(parse_args(&strings(&["all", "--json"]))
             .unwrap_err()
             .contains("--json"));
-        assert!(
-            parse_args(Some(Command::All), &strings(&["--workers", "0"]))
-                .unwrap_err()
-                .contains("positive")
-        );
-        assert!(parse_args(Some(Command::All), &strings(&["--reps", "x"]))
+        assert!(parse_args(&strings(&["all", "--workers", "0"]))
+            .unwrap_err()
+            .contains("positive"));
+        assert!(parse_args(&strings(&["all", "--reps", "x"]))
             .unwrap_err()
             .contains("positive"));
     }
@@ -970,35 +862,57 @@ mod tests {
         // this parser handles `--full` itself because it accepts more flags.
         // Pin the two together so they cannot drift.
         let via_cli = |args: &[&str]| {
-            parse_args(Some(Command::Fig4), &strings(args))
-                .unwrap()
-                .unwrap()
-                .scale
+            let mut full = vec!["fig4"];
+            full.extend_from_slice(args);
+            parse_args(&strings(&full)).unwrap().unwrap().scale
         };
         assert_eq!(Ok(via_cli(&["--full"])), Scale::try_from_args(["--full"]));
         assert_eq!(Ok(via_cli(&[])), Scale::try_from_args(Vec::<String>::new()));
         // Both reject the classic typo.
         assert!(Scale::try_from_args(["--ful"]).is_err());
-        assert!(parse_args(Some(Command::Fig4), &strings(&["--ful"])).is_err());
+        assert!(parse_args(&strings(&["fig4", "--ful"])).is_err());
     }
 
     #[test]
     fn help_short_circuits() {
-        assert_eq!(parse_args(None, &strings(&["--help"])).unwrap(), None);
-        assert_eq!(
-            parse_args(Some(Command::Fig4), &strings(&["-h"])).unwrap(),
-            None
-        );
+        assert_eq!(parse_args(&strings(&["--help"])).unwrap(), None);
+        assert_eq!(parse_args(&strings(&["fig4", "-h"])).unwrap(), None);
         assert!(usage().contains("--workers"));
         assert!(usage().contains("regret-scaling"));
     }
 
     #[test]
-    fn preset_plus_positional_keeps_the_preset() {
-        // A shim's preset wins; a stray positional is rejected as unknown
-        // only when it is not a valid command... it is treated as unknown
-        // because the command slot is taken.
-        let err = parse_args(Some(Command::Fig4), &strings(&["fig5a"])).unwrap_err();
-        assert!(err.contains("fig5a"), "{err}");
+    fn service_reports_record_the_drain_workers_actually_used() {
+        // Drains never run on more workers than the shards or the machine
+        // allow, so neither the report nor any of its cells may claim more.
+        let hardware = default_workers();
+        for (command, filter) in [
+            ("serve", "tenants=16/mix=uniform"),
+            ("auction", "bidders=1/dist=uniform/policy=static"),
+            ("drift", "kind=adversarial/mag=1.0/policy=static"),
+            ("longhaul", "cap=8"),
+            ("privacy", "budget=1.5"),
+        ] {
+            let mut args = parse_args(&strings(&[command, "--filter", filter]))
+                .unwrap()
+                .unwrap();
+            args.workers = 64;
+            let report = execute(&args).expect(command);
+            assert!(
+                report.workers <= hardware,
+                "{command}: {} drain workers on {hardware} hardware threads",
+                report.workers
+            );
+            let json = report.to_json();
+            let cells = json.get(command).and_then(Json::as_arr).expect(command);
+            assert!(!cells.is_empty(), "{command}");
+            for cell in cells {
+                assert_eq!(
+                    cell.get("workers").and_then(Json::as_u64),
+                    Some(report.workers as u64),
+                    "{command}"
+                );
+            }
+        }
     }
 }

@@ -23,17 +23,18 @@
 //! [`MarketService`]: pdm_service::MarketService
 
 use crate::grid::derive_seed;
-use crate::runner::{latency_p50_p99_micros, pool_latency, AggStat};
+use crate::json::Json;
+use crate::report::{agg_stat_json, check_stat, check_throughput, BenchReport};
+use crate::runner::AggStat;
 use crate::table;
+use crate::workload::{Cell, Rep, Workload};
 use crate::Scale;
-use pdm_obs::LogHistogram;
 use pdm_pricing::prelude::{
     DriftKind, DriftPolicy, DriftSchedule, DriftingLinearEnvironment, Environment, NoiseModel,
     StepOutcome,
 };
 use pdm_service::{
-    MarketService, MetricRegistry, OutcomeReport, QueryRequest, ServiceConfig, ShardMetrics,
-    TenantConfig, TenantId, TenantState,
+    MarketService, OutcomeReport, QueryRequest, ServiceConfig, TenantConfig, TenantId, TenantState,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -121,8 +122,6 @@ pub struct DriftCellReport {
     pub waves: u64,
     /// Repetitions aggregated.
     pub reps: u64,
-    /// Worker threads each drain ran on.
-    pub workers: u64,
     /// Rounds served and observed, summed over repetitions.
     pub rounds: u64,
     /// Accepted quotes, summed over repetitions.
@@ -176,48 +175,6 @@ pub fn grid_kinds(waves: usize, magnitude: f64) -> [DriftKind; 3] {
     ]
 }
 
-/// The drift grid: kind × magnitude × policy at the given scale.
-#[must_use]
-pub fn drift_grid(scale: Scale) -> Vec<DriftCellSpec> {
-    let tenants = scale.pick(4, 8);
-    let dim = scale.pick(3, 3);
-    let shards = scale.pick(4, 8);
-    // Phases must be long enough for the mechanism to converge into the
-    // conservative regime before a jump — that is where drift hurts the
-    // static mechanism and where the surprisal signal lives.  Quick runs
-    // three 60-round phases; full runs three 300-round phases.
-    let waves = scale.pick(180, 900);
-    let magnitudes = [0.5f64, 1.0];
-    let mut cells = Vec::new();
-    let mut row = 0u64;
-    for &magnitude in &magnitudes {
-        for kind in grid_kinds(waves, magnitude) {
-            // One seed per (kind, magnitude) row: every policy column of
-            // the row faces the exact same drifting markets.
-            let env_seed = DRIFT_SEED_BASE + row;
-            row += 1;
-            for policy in grid_policies() {
-                cells.push(DriftCellSpec {
-                    label: format!(
-                        "kind={}/mag={magnitude:.1}/policy={}",
-                        kind.name(),
-                        policy.name()
-                    ),
-                    kind,
-                    magnitude,
-                    policy,
-                    tenants,
-                    dim,
-                    shards,
-                    waves,
-                    env_seed,
-                });
-            }
-        }
-    }
-    cells
-}
-
 /// One recorded posted-price round, replayed serially during verification.
 struct RecordedRound {
     features: pdm_linalg::Vector,
@@ -227,8 +184,8 @@ struct RecordedRound {
     posted_bits: u64,
 }
 
-/// The per-repetition outcome handed to the aggregator.
-struct RepOutcome {
+/// The per-repetition totals of the serial replay.
+pub struct DriftOutcome {
     revenue: f64,
     regret: f64,
     post_shift_regret: f64,
@@ -237,12 +194,6 @@ struct RepOutcome {
     sales: u64,
     fires: u64,
     restarts: u64,
-    /// The service-wide metrics fold, carrying the request counters *and*
-    /// the all-time latency streaming stats.
-    metrics: ShardMetrics,
-    drain_time: Duration,
-    /// The service's final `pdm-obs` scrape, folded into the run registry.
-    scrape: MetricRegistry,
 }
 
 /// The tenant config of one cell: the paper's posted-price defaults with
@@ -255,7 +206,7 @@ fn tenant_config(spec: &DriftCellSpec) -> TenantConfig {
 
 /// Runs one repetition of one cell and verifies it against the serial
 /// replay.  Returns the deterministic per-rep aggregates.
-fn run_rep(spec: &DriftCellSpec, workers: usize, rep: u64) -> Result<RepOutcome, String> {
+fn run_rep(spec: &DriftCellSpec, workers: usize, rep: u64) -> Result<Rep<DriftOutcome>, String> {
     // Environment streams derive from the row seed (kind × magnitude) and
     // the repetition — NOT the policy — so policy columns are comparable.
     let row_seed = derive_seed(spec.env_seed, rep);
@@ -400,133 +351,218 @@ fn run_rep(spec: &DriftCellSpec, workers: usize, rep: u64) -> Result<RepOutcome,
         ));
     }
 
-    Ok(RepOutcome {
-        revenue,
-        regret,
-        post_shift_regret,
-        accept_rate: if rounds == 0 {
-            0.0
-        } else {
-            sales as f64 / rounds as f64
+    Ok(Rep {
+        outcome: DriftOutcome {
+            revenue,
+            regret,
+            post_shift_regret,
+            accept_rate: if rounds == 0 {
+                0.0
+            } else {
+                sales as f64 / rounds as f64
+            },
+            rounds,
+            sales,
+            fires,
+            restarts,
         },
-        rounds,
-        sales,
-        fires,
-        restarts,
         metrics,
         drain_time,
         scrape: service.scrape(),
     })
 }
 
-/// Runs one cell (all repetitions) and aggregates it into a report row,
-/// folding every repetition's final service scrape into `obs`.
-pub fn run_drift_cell_obs(
-    spec: &DriftCellSpec,
-    workers: usize,
-    reps: u64,
-    obs: &mut MetricRegistry,
-) -> Result<DriftCellReport, String> {
-    let started = Instant::now();
-    let reps = reps.max(1);
-    let mut revenue = Vec::with_capacity(reps as usize);
-    let mut regret = Vec::with_capacity(reps as usize);
-    let mut post_shift = Vec::with_capacity(reps as usize);
-    let mut accept = Vec::with_capacity(reps as usize);
-    let mut rounds = 0u64;
-    let mut sales = 0u64;
-    let mut fires = 0u64;
-    let mut restarts = 0u64;
-    let mut metrics = ShardMetrics::new();
-    let mut latency = LogHistogram::new();
-    let mut drain_time = Duration::ZERO;
-    for rep in 0..reps {
-        let outcome = run_rep(spec, workers, rep)?;
-        revenue.push(outcome.revenue);
-        regret.push(outcome.regret);
-        post_shift.push(outcome.post_shift_regret);
-        accept.push(outcome.accept_rate);
-        rounds += outcome.rounds;
-        sales += outcome.sales;
-        fires += outcome.fires;
-        restarts += outcome.restarts;
-        metrics.merge(&outcome.metrics);
-        pool_latency(&mut latency, &outcome.scrape);
-        drain_time += outcome.drain_time;
-        obs.merge(&outcome.scrape);
+impl Workload for DriftCellSpec {
+    const NAME: &'static str = "drift";
+    const VERIFIED: &'static str = "posted prices, detector firings, restarts";
+    type Outcome = DriftOutcome;
+    type Row = DriftCellReport;
+
+    /// The drift grid: kind × magnitude × policy at the given scale.
+    fn grid(scale: Scale) -> Vec<Self> {
+        let tenants = scale.pick(4, 8);
+        let dim = scale.pick(3, 3);
+        let shards = scale.pick(4, 8);
+        // Phases must be long enough for the mechanism to converge into the
+        // conservative regime before a jump — that is where drift hurts the
+        // static mechanism and where the surprisal signal lives.  Quick runs
+        // three 60-round phases; full runs three 300-round phases.
+        let waves = scale.pick(180, 900);
+        let magnitudes = [0.5f64, 1.0];
+        let mut cells = Vec::new();
+        let mut row = 0u64;
+        for &magnitude in &magnitudes {
+            for kind in grid_kinds(waves, magnitude) {
+                // One seed per (kind, magnitude) row: every policy column of
+                // the row faces the exact same drifting markets.
+                let env_seed = DRIFT_SEED_BASE + row;
+                row += 1;
+                for policy in grid_policies() {
+                    cells.push(DriftCellSpec {
+                        label: format!(
+                            "kind={}/mag={magnitude:.1}/policy={}",
+                            kind.name(),
+                            policy.name()
+                        ),
+                        kind,
+                        magnitude,
+                        policy,
+                        tenants,
+                        dim,
+                        shards,
+                        waves,
+                        env_seed,
+                    });
+                }
+            }
+        }
+        cells
     }
 
-    let drain_secs = drain_time.as_secs_f64();
-    let quotes_per_sec = if drain_secs > 0.0 {
-        metrics.quotes_served as f64 / drain_secs
-    } else {
-        0.0
-    };
-    let (p50, p99) = latency_p50_p99_micros(&latency);
-    Ok(DriftCellReport {
-        label: spec.label.clone(),
-        kind: spec.kind.name().to_owned(),
-        magnitude: spec.magnitude,
-        policy: spec.policy.name().to_owned(),
-        tenants: spec.tenants as u64,
-        shards: spec.shards as u64,
-        waves: spec.waves as u64,
-        reps,
-        workers: workers as u64,
-        rounds,
-        sales,
-        drift_fires: fires,
-        drift_restarts: restarts,
-        revenue: AggStat::from_values(&revenue),
-        regret: AggStat::from_values(&regret),
-        post_shift_regret: AggStat::from_values(&post_shift),
-        accept_rate: AggStat::from_values(&accept),
-        perf: DriftPerf {
-            wall_clock_secs: started.elapsed().as_secs_f64(),
-            quotes_per_sec,
-            latency_mean_micros: metrics.latency_stats().mean(),
-            latency_p50_micros: p50,
-            latency_p99_micros: p99,
-        },
-    })
-}
+    fn label(&self) -> &str {
+        &self.label
+    }
 
-/// [`run_drift_cell_obs`] with the scrape discarded, for callers that only
-/// want the report row.
-pub fn run_drift_cell(
-    spec: &DriftCellSpec,
-    workers: usize,
-    reps: u64,
-) -> Result<DriftCellReport, String> {
-    run_drift_cell_obs(spec, workers, reps, &mut MetricRegistry::new())
-}
+    fn shards(&self) -> usize {
+        self.shards
+    }
 
-/// Runs a set of drift cells (the whole grid, or a `--filter` subset),
-/// folding every cell's scrape into `obs`.
-pub fn run_drift_cells_obs(
-    cells: &[DriftCellSpec],
-    workers: usize,
-    reps: u64,
-    obs: &mut MetricRegistry,
-) -> Result<Vec<DriftCellReport>, String> {
-    cells
-        .iter()
-        .map(|spec| run_drift_cell_obs(spec, workers, reps, obs))
-        .collect()
-}
+    fn run_rep(&self, workers: usize, rep: u64) -> Result<Rep<DriftOutcome>, String> {
+        run_rep(self, workers, rep)
+    }
 
-/// Runs a set of drift cells (the whole grid, or a `--filter` subset).
-pub fn run_drift_cells(
-    cells: &[DriftCellSpec],
-    workers: usize,
-    reps: u64,
-) -> Result<Vec<DriftCellReport>, String> {
-    run_drift_cells_obs(cells, workers, reps, &mut MetricRegistry::new())
+    fn fold(&self, cell: &Cell<DriftOutcome>) -> DriftCellReport {
+        let total = |count: fn(&DriftOutcome) -> u64| -> u64 {
+            cell.reps.iter().map(|rep| count(&rep.outcome)).sum()
+        };
+        let (p50, p99) = cell.latency_p50_p99_micros();
+        DriftCellReport {
+            label: self.label.clone(),
+            kind: self.kind.name().to_owned(),
+            magnitude: self.magnitude,
+            policy: self.policy.name().to_owned(),
+            tenants: self.tenants as u64,
+            shards: self.shards as u64,
+            waves: self.waves as u64,
+            reps: cell.rep_count(),
+            rounds: total(|outcome| outcome.rounds),
+            sales: total(|outcome| outcome.sales),
+            drift_fires: total(|outcome| outcome.fires),
+            drift_restarts: total(|outcome| outcome.restarts),
+            revenue: cell.stat(|rep| rep.outcome.revenue),
+            regret: cell.stat(|rep| rep.outcome.regret),
+            post_shift_regret: cell.stat(|rep| rep.outcome.post_shift_regret),
+            accept_rate: cell.stat(|rep| rep.outcome.accept_rate),
+            perf: DriftPerf {
+                wall_clock_secs: cell.wall_clock_secs,
+                quotes_per_sec: cell.per_drain_sec(cell.metrics.quotes_served),
+                latency_mean_micros: cell.metrics.latency_stats().mean(),
+                latency_p50_micros: p50,
+                latency_p99_micros: p99,
+            },
+        }
+    }
+
+    fn render(rows: &[DriftCellReport]) -> Vec<String> {
+        vec![render_drift(rows)]
+    }
+
+    fn validate(rows: &[DriftCellReport], full_scale: bool, violations: &mut Vec<String>) {
+        for cell in rows {
+            let place = format!("drift / {}", cell.label);
+            for (what, stat, upper) in [
+                ("revenue", &cell.revenue, None),
+                ("regret", &cell.regret, None),
+                ("post-shift regret", &cell.post_shift_regret, None),
+                ("acceptance rate", &cell.accept_rate, Some(1.0)),
+            ] {
+                check_stat(violations, &place, what, stat, upper);
+            }
+            if cell.rounds == 0 {
+                violations.push(format!("{place}: served no rounds at all"));
+            }
+            if cell.sales == 0 {
+                violations.push(format!("{place}: sold nothing in any round"));
+            }
+            let throughput = cell.perf.quotes_per_sec;
+            check_throughput(violations, &place, "quotes/sec", cell.rounds, throughput);
+            // The drift-adaptivity gate: at full scale, in every
+            // piecewise-stationary cell, the drift-aware policies must beat
+            // the static mechanism's post-shift regret (the static
+            // mechanism's knowledge set excludes the moved θ*, so its
+            // conservative prices go stale; restart and discounting exist
+            // to recover exactly this).  Environment seeds are shared
+            // across the row's policy columns, so the comparison is over
+            // identical markets.  Quick-scale phases are too short for the
+            // comparison to separate, so the gate is a full-scale contract.
+            if full_scale && cell.kind == "piecewise" && cell.policy != "static" {
+                let static_cell = rows.iter().find(|other| {
+                    other.kind == cell.kind
+                        && other.magnitude == cell.magnitude
+                        && other.policy == "static"
+                });
+                if let Some(static_cell) = static_cell {
+                    let aware = cell.post_shift_regret.mean;
+                    let stationary = static_cell.post_shift_regret.mean;
+                    if aware >= stationary {
+                        violations.push(format!(
+                            "{place}: post-shift regret {aware} did not beat the static \
+                             mechanism's {stationary}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+
+    fn deterministic_json(cell: &DriftCellReport) -> Vec<(&'static str, Json)> {
+        vec![
+            ("label", Json::str(&cell.label)),
+            ("kind", Json::str(&cell.kind)),
+            ("magnitude", Json::Num(cell.magnitude)),
+            ("policy", Json::str(&cell.policy)),
+            ("tenants", Json::Num(cell.tenants as f64)),
+            ("shards", Json::Num(cell.shards as f64)),
+            ("waves", Json::Num(cell.waves as f64)),
+            ("reps", Json::Num(cell.reps as f64)),
+            ("rounds", Json::Num(cell.rounds as f64)),
+            ("sales", Json::Num(cell.sales as f64)),
+            ("drift_fires", Json::Num(cell.drift_fires as f64)),
+            ("drift_restarts", Json::Num(cell.drift_restarts as f64)),
+            ("revenue", agg_stat_json(&cell.revenue)),
+            ("regret", agg_stat_json(&cell.regret)),
+            ("post_shift_regret", agg_stat_json(&cell.post_shift_regret)),
+            ("accept_rate", agg_stat_json(&cell.accept_rate)),
+        ]
+    }
+
+    fn perf_json(cell: &DriftCellReport) -> Vec<(&'static str, Json)> {
+        vec![
+            ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
+            ("quotes_per_sec", Json::Num(cell.perf.quotes_per_sec)),
+            (
+                "latency_mean_micros",
+                Json::Num(cell.perf.latency_mean_micros),
+            ),
+            (
+                "latency_p50_micros",
+                Json::Num(cell.perf.latency_p50_micros),
+            ),
+            (
+                "latency_p99_micros",
+                Json::Num(cell.perf.latency_p99_micros),
+            ),
+        ]
+    }
+
+    fn rows(report: &mut BenchReport) -> &mut Vec<DriftCellReport> {
+        &mut report.drift
+    }
 }
 
 /// Renders the drift cells as the console table `bench drift` prints.
 #[must_use]
-pub fn render_drift(cells: &[DriftCellReport]) -> String {
+fn render_drift(cells: &[DriftCellReport]) -> String {
     let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|cell| {
@@ -564,6 +600,12 @@ pub fn render_drift(cells: &[DriftCellReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::run_cell;
+    use pdm_service::MetricRegistry;
+
+    fn run(spec: &DriftCellSpec, workers: usize, reps: u64) -> DriftCellReport {
+        run_cell(spec, workers, reps, &mut MetricRegistry::new()).unwrap()
+    }
 
     fn tiny_cell(kind: DriftKind, policy: DriftPolicy) -> DriftCellSpec {
         DriftCellSpec {
@@ -588,7 +630,7 @@ mod tests {
 
     #[test]
     fn grid_crosses_kinds_magnitudes_and_policies() {
-        let quick = drift_grid(Scale::Quick);
+        let quick = DriftCellSpec::grid(Scale::Quick);
         assert_eq!(quick.len(), 2 * 3 * 3);
         let labels: Vec<&str> = quick.iter().map(|c| c.label.as_str()).collect();
         assert!(labels.contains(&"kind=piecewise/mag=0.5/policy=static"));
@@ -599,14 +641,14 @@ mod tests {
             assert!(row.iter().all(|c| c.env_seed == row[0].env_seed));
             assert!(row.iter().all(|c| c.kind == row[0].kind));
         }
-        let full = drift_grid(Scale::Full);
+        let full = DriftCellSpec::grid(Scale::Full);
         assert!(full[0].waves > quick[0].waves);
     }
 
     #[test]
     fn cell_runs_and_passes_its_own_serial_verification() {
         for policy in grid_policies() {
-            let report = run_drift_cell(&tiny_cell(piecewise(30), policy), 2, 1).unwrap();
+            let report = run(&tiny_cell(piecewise(30), policy), 2, 1);
             assert_eq!(report.rounds, 3 * 30, "{policy:?}");
             assert!(report.sales > 0, "{policy:?}");
             assert!(report.revenue.mean > 0.0, "{policy:?}");
@@ -622,8 +664,8 @@ mod tests {
     fn worker_count_does_not_move_deterministic_aggregates() {
         for policy in grid_policies() {
             let spec = tiny_cell(piecewise(30), policy);
-            let one = run_drift_cell(&spec, 1, 2).unwrap();
-            let four = run_drift_cell(&spec, 4, 2).unwrap();
+            let one = run(&spec, 1, 2);
+            let four = run(&spec, 4, 2);
             assert_eq!(one.rounds, four.rounds, "{policy:?}");
             assert_eq!(one.sales, four.sales, "{policy:?}");
             assert_eq!(one.drift_fires, four.drift_fires, "{policy:?}");
@@ -646,7 +688,7 @@ mod tests {
         // Regression: the cell mean must come from the merged all-time
         // streaming stats, not be dropped (NaN).
         let mut obs = MetricRegistry::new();
-        let report = run_drift_cell_obs(
+        let report = run_cell(
             &tiny_cell(piecewise(30), DriftPolicy::Static),
             2,
             2,
@@ -673,22 +715,21 @@ mod tests {
         // surprisal signal (rejected "certain" sales) lives.
         let mut spec = tiny_cell(piecewise(180), DriftPolicy::restart_default());
         spec.waves = 180;
-        let report = run_drift_cell(&spec, 2, 1).unwrap();
+        let report = run(&spec, 2, 1);
         assert!(
             report.drift_fires >= 1,
             "full-magnitude jumps must trigger the detector"
         );
         assert_eq!(report.drift_fires, report.drift_restarts);
         // Static cells never fire.
-        let static_report =
-            run_drift_cell(&tiny_cell(piecewise(30), DriftPolicy::Static), 2, 1).unwrap();
+        let static_report = run(&tiny_cell(piecewise(30), DriftPolicy::Static), 2, 1);
         assert_eq!(static_report.drift_fires, 0);
         assert_eq!(static_report.drift_restarts, 0);
     }
 
     #[test]
     fn render_lists_every_cell_with_post_shift_regret() {
-        let report = run_drift_cell(&tiny_cell(piecewise(30), DriftPolicy::Static), 1, 1).unwrap();
+        let report = run(&tiny_cell(piecewise(30), DriftPolicy::Static), 1, 1);
         let rendered = render_drift(std::slice::from_ref(&report));
         assert!(rendered.contains("kind=piecewise/mag=1.0/policy=static"));
         assert!(rendered.contains("post-shift"));

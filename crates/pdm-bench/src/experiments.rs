@@ -1,12 +1,11 @@
 //! Shared definitions of the paper's experiments as runner grids, plus the
 //! human-readable renderers for their aggregates.
 //!
-//! Every `bench` subcommand (and every legacy per-figure binary, which is now
-//! a thin shim over [`crate::cli`]) resolves here to a list of
+//! Every simulation subcommand of `bench` resolves here to a list of
 //! [`Experiment`]s: named cell grids with a rendering style and a footer
 //! note quoting the paper's reference numbers.  The configurations reproduce
-//! the original nine binaries exactly at repetition 0 — same seeds, same
-//! scales — so the historical outputs remain comparable.
+//! the original per-figure binaries exactly at repetition 0 — same seeds,
+//! same scales — so the historical outputs remain comparable.
 
 use crate::avazu_pipeline::FeatureCase;
 use crate::cli::Command;

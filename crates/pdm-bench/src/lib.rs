@@ -2,13 +2,13 @@
 //!
 //! The benchmark harness that regenerates every table and figure of the
 //! paper's evaluation (Section V), plus the ablations called out in
-//! `DESIGN.md`.  Each experiment is a binary (`cargo run -p pdm-bench
-//! --release --bin <name>`); the shared pipelines live here so the binaries,
-//! the Criterion benches, and the integration tests all exercise the same
-//! code.
+//! `DESIGN.md`.  Each experiment is a subcommand of the **`bench`** binary
+//! (`cargo run -p pdm-bench --release --bin bench -- <name>`); the shared
+//! pipelines live here so the binary, the Criterion benches, and the
+//! integration tests all exercise the same code.
 //!
-//! | binary | reproduces |
-//! |--------|------------|
+//! | subcommand | reproduces |
+//! |------------|------------|
 //! | `fig1` | Fig. 1 — single-round regret shape |
 //! | `fig4` | Fig. 4(a)–(f) — cumulative regret, noisy linear query |
 //! | `fig5a` | Fig. 5(a) — regret ratios at n = 100 + risk-averse baseline |
@@ -17,23 +17,23 @@
 //! | `table1` | Table I — per-round statistics under the reserve version |
 //! | `overhead` | Section V-D — per-round latency and memory |
 //! | `lemma8` | Lemma 8 / Fig. 6 — conservative-cut ablation |
-//! | `regret_scaling` | Theorems 1 & 3 — regret growth in T and n, ε ablation |
-//!
-//! All of those are thin shims over the **`bench`** binary, which runs any
-//! subset of the grid in parallel:
+//! | `regret-scaling` | Theorems 1 & 3 — regret growth in T and n, ε ablation |
+//! | `all` | every experiment above in one parallel grid |
 //!
 //! ```text
 //! cargo run -p pdm-bench --release --bin bench -- all --workers 8 --reps 5 \
 //!     --json BENCH_all.json
 //! ```
 //!
-//! Every binary accepts `--full` to run at the paper's scale (the default is
-//! a scaled-down configuration that finishes in seconds and preserves the
-//! qualitative shape), `--workers`/`--reps` for the parallel runner, and
-//! `--json` to write the versioned machine-readable report documented in
-//! `docs/BENCHMARKS.md`.  The experiment grid lives in [`experiments`]; the
-//! worker pool and aggregation in [`runner`]; the `BENCH_*.json` schema in
-//! [`report`].
+//! Every subcommand accepts `--full` to run at the paper's scale (the
+//! default is a scaled-down configuration that finishes in seconds and
+//! preserves the qualitative shape), `--workers`/`--reps` for the parallel
+//! runner, and `--json` to write the versioned machine-readable report
+//! documented in `docs/BENCHMARKS.md`.  The experiment grid lives in
+//! [`experiments`]; the worker pool and aggregation in [`runner`]; the
+//! closed-loop service workloads (`serve`, `auction`, `drift`, `longhaul`,
+//! `privacy`) share one driver in [`workload`]; the write-only
+//! `BENCH_*.json` schema lives in [`report`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,6 +53,7 @@ pub mod runner;
 pub mod scale;
 pub mod serve;
 pub mod table;
+pub mod workload;
 
 /// The deterministic JSON tree the `BENCH_*.json` reports serialise through.
 ///

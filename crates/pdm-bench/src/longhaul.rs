@@ -30,13 +30,14 @@
 //! [`MarketService::restore_with_wal`]: pdm_service::MarketService::restore_with_wal
 
 use crate::grid::derive_seed;
+use crate::report::{agg_stat_json, check_stat, check_throughput, BenchReport};
 use crate::runner::AggStat;
 use crate::table;
+use crate::workload::{Cell, Rep, Workload};
 use crate::Scale;
 use pdm_linalg::{sampling, Json, Vector};
 use pdm_service::{
-    MarketService, MetricRegistry, OutcomeReport, QueryRequest, ServiceConfig, ShardMetrics,
-    TenantConfig, TenantId,
+    MarketService, OutcomeReport, QueryRequest, ServiceConfig, TenantConfig, TenantId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,8 +106,6 @@ pub struct LonghaulCellReport {
     pub waves: u64,
     /// Repetitions aggregated.
     pub reps: u64,
-    /// Worker threads each drain ran on.
-    pub workers: u64,
     /// The resident cap the run was bounded by.
     pub resident_capacity: u64,
     /// Tenant records per WAL segment.
@@ -137,33 +136,6 @@ pub struct LonghaulCellReport {
     pub perf: LonghaulPerf,
 }
 
-/// The longhaul grid at the given scale: one tenant population under two
-/// resident caps (tight and tighter), both far below the population.
-#[must_use]
-pub fn longhaul_grid(scale: Scale) -> Vec<LonghaulCellSpec> {
-    let tenants = scale.pick(24usize, 128);
-    let dim = scale.pick(3, 8);
-    let shards = scale.pick(4, 8);
-    let waves = scale.pick(24, 96);
-    let caps = scale.pick(vec![8usize, 6], vec![32, 16]);
-    let wal_segment_size = scale.pick(8, 32);
-    let checkpoint_every = scale.pick(4, 8);
-    caps.into_iter()
-        .enumerate()
-        .map(|(index, cap)| LonghaulCellSpec {
-            label: format!("tenants={tenants}/cap={cap}"),
-            tenants,
-            dim,
-            shards,
-            waves,
-            resident_capacity: cap,
-            wal_segment_size,
-            checkpoint_every,
-            seed: LONGHAUL_SEED_BASE + index as u64,
-        })
-        .collect()
-}
-
 /// One precomputed request of the traffic trace.
 struct TraceRequest {
     tenant: u64,
@@ -172,21 +144,15 @@ struct TraceRequest {
     reserve: f64,
 }
 
-/// The per-repetition outcome handed to the aggregator.
-struct RepOutcome {
-    revenue: f64,
-    regret: f64,
-    accept_rate: f64,
-    metrics: ShardMetrics,
+/// The per-repetition WAL, paging and restore figures.  The repetition's
+/// metrics and scrape are the *original* service's (the restored twin
+/// replays the same second half, so folding both would double-count the
+/// post-cut traffic).
+pub struct LonghaulOutcome {
     wal_segments: u64,
     max_resident: usize,
     resident_memory_bytes: usize,
     restore_latency: Duration,
-    drain_time: Duration,
-    /// The *original* service's final `pdm-obs` scrape (the restored twin
-    /// replays the same second half, so folding both would double-count the
-    /// post-cut traffic).
-    scrape: MetricRegistry,
 }
 
 /// Precomputes the full trace: each wave serves a sliding window of
@@ -323,7 +289,11 @@ fn run_waves(
 /// Runs one repetition of one cell: first half with checkpoints under
 /// traffic, the timed restore at the cut, then the identical second half on
 /// both services with bit-for-bit comparison.
-fn run_rep(spec: &LonghaulCellSpec, workers: usize, rep: u64) -> Result<RepOutcome, String> {
+fn run_rep(
+    spec: &LonghaulCellSpec,
+    workers: usize,
+    rep: u64,
+) -> Result<Rep<LonghaulOutcome>, String> {
     let trace = build_trace(spec, derive_seed(spec.seed, rep))?;
     let cut = spec.waves / 2;
     let cap = spec.resident_capacity;
@@ -419,123 +389,203 @@ fn run_rep(spec: &LonghaulCellSpec, workers: usize, rep: u64) -> Result<RepOutco
         ));
     }
 
-    let metrics = original.aggregate_metrics();
-    Ok(RepOutcome {
-        revenue: metrics.revenue,
-        regret: metrics.regret,
-        accept_rate: metrics.accept_rate(),
-        wal_segments: original.wal_segments_written(),
-        max_resident,
-        resident_memory_bytes: original.resident_memory_bytes(),
-        restore_latency,
+    Ok(Rep {
+        outcome: LonghaulOutcome {
+            wal_segments: original.wal_segments_written(),
+            max_resident,
+            resident_memory_bytes: original.resident_memory_bytes(),
+            restore_latency,
+        },
+        metrics: original.aggregate_metrics(),
         drain_time,
-        metrics,
         scrape: original.scrape(),
     })
 }
 
-/// Runs one cell (all repetitions) and aggregates it into a report row,
-/// folding every repetition's final original-service scrape into `obs`.
-pub fn run_longhaul_cell_obs(
-    spec: &LonghaulCellSpec,
-    workers: usize,
-    reps: u64,
-    obs: &mut MetricRegistry,
-) -> Result<LonghaulCellReport, String> {
-    let started = Instant::now();
-    let reps = reps.max(1);
-    let mut revenue = Vec::with_capacity(reps as usize);
-    let mut regret = Vec::with_capacity(reps as usize);
-    let mut accept_rate = Vec::with_capacity(reps as usize);
-    let mut metrics = ShardMetrics::new();
-    let mut wal_segments = 0u64;
-    let mut max_resident = 0usize;
-    let mut memory_bytes = 0.0f64;
-    let mut restore_time = Duration::ZERO;
-    let mut drain_time = Duration::ZERO;
-    for rep in 0..reps {
-        let outcome = run_rep(spec, workers, rep)?;
-        revenue.push(outcome.revenue);
-        regret.push(outcome.regret);
-        accept_rate.push(outcome.accept_rate);
-        metrics.merge(&outcome.metrics);
-        wal_segments += outcome.wal_segments;
-        max_resident = max_resident.max(outcome.max_resident);
-        memory_bytes += outcome.resident_memory_bytes as f64;
-        restore_time += outcome.restore_latency;
-        drain_time += outcome.drain_time;
-        obs.merge(&outcome.scrape);
+impl Workload for LonghaulCellSpec {
+    const NAME: &'static str = "longhaul";
+    const VERIFIED: &'static str = "WAL restore continuation, pre-cut ledgers, resident bound";
+    type Outcome = LonghaulOutcome;
+    type Row = LonghaulCellReport;
+
+    /// The longhaul grid at the given scale: one tenant population under two
+    /// resident caps (tight and tighter), both far below the population.
+    fn grid(scale: Scale) -> Vec<Self> {
+        let tenants = scale.pick(24usize, 128);
+        let dim = scale.pick(3, 8);
+        let shards = scale.pick(4, 8);
+        let waves = scale.pick(24, 96);
+        let caps = scale.pick(vec![8usize, 6], vec![32, 16]);
+        let wal_segment_size = scale.pick(8, 32);
+        let checkpoint_every = scale.pick(4, 8);
+        caps.into_iter()
+            .enumerate()
+            .map(|(index, cap)| LonghaulCellSpec {
+                label: format!("tenants={tenants}/cap={cap}"),
+                tenants,
+                dim,
+                shards,
+                waves,
+                resident_capacity: cap,
+                wal_segment_size,
+                checkpoint_every,
+                seed: LONGHAUL_SEED_BASE + index as u64,
+            })
+            .collect()
     }
-    let drain_secs = drain_time.as_secs_f64();
-    let quotes_per_sec = if drain_secs > 0.0 {
-        metrics.quotes_served as f64 / drain_secs
-    } else {
-        0.0
-    };
-    Ok(LonghaulCellReport {
-        label: spec.label.clone(),
-        tenants: spec.tenants as u64,
-        shards: spec.shards as u64,
-        waves: spec.waves as u64,
-        reps,
-        workers: workers as u64,
-        resident_capacity: spec.resident_capacity as u64,
-        wal_segment_size: spec.wal_segment_size as u64,
-        quotes_served: metrics.quotes_served,
-        observations: metrics.observations,
-        sales: metrics.sales,
-        evictions: metrics.evictions,
-        rehydrations: metrics.rehydrations,
-        wal_segments,
-        max_resident: max_resident as u64,
-        revenue: AggStat::from_values(&revenue),
-        regret: AggStat::from_values(&regret),
-        accept_rate: AggStat::from_values(&accept_rate),
-        perf: LonghaulPerf {
-            wall_clock_secs: started.elapsed().as_secs_f64(),
-            quotes_per_sec,
-            restore_latency_micros: restore_time.as_secs_f64() * 1e6 / reps as f64,
-            memory_per_tenant_bytes: memory_bytes / (reps as f64 * spec.tenants as f64),
-        },
-    })
-}
 
-/// [`run_longhaul_cell_obs`] with the scrape discarded, for callers that
-/// only want the report row.
-pub fn run_longhaul_cell(
-    spec: &LonghaulCellSpec,
-    workers: usize,
-    reps: u64,
-) -> Result<LonghaulCellReport, String> {
-    run_longhaul_cell_obs(spec, workers, reps, &mut MetricRegistry::new())
-}
+    fn label(&self) -> &str {
+        &self.label
+    }
 
-/// Runs a set of longhaul cells (the whole grid, or a `--filter` subset),
-/// folding every cell's scrape into `obs`.
-pub fn run_longhaul_cells_obs(
-    cells: &[LonghaulCellSpec],
-    workers: usize,
-    reps: u64,
-    obs: &mut MetricRegistry,
-) -> Result<Vec<LonghaulCellReport>, String> {
-    cells
-        .iter()
-        .map(|spec| run_longhaul_cell_obs(spec, workers, reps, obs))
-        .collect()
-}
+    fn shards(&self) -> usize {
+        self.shards
+    }
 
-/// Runs a set of longhaul cells (the whole grid, or a `--filter` subset).
-pub fn run_longhaul_cells(
-    cells: &[LonghaulCellSpec],
-    workers: usize,
-    reps: u64,
-) -> Result<Vec<LonghaulCellReport>, String> {
-    run_longhaul_cells_obs(cells, workers, reps, &mut MetricRegistry::new())
+    fn run_rep(&self, workers: usize, rep: u64) -> Result<Rep<LonghaulOutcome>, String> {
+        run_rep(self, workers, rep)
+    }
+
+    fn fold(&self, cell: &Cell<LonghaulOutcome>) -> LonghaulCellReport {
+        let metrics = &cell.metrics;
+        let reps = cell.rep_count();
+        let outcomes = || cell.reps.iter().map(|rep| &rep.outcome);
+        let memory_bytes: f64 = outcomes()
+            .map(|outcome| outcome.resident_memory_bytes as f64)
+            .sum();
+        let restore_time: Duration = outcomes().map(|outcome| outcome.restore_latency).sum();
+        LonghaulCellReport {
+            label: self.label.clone(),
+            tenants: self.tenants as u64,
+            shards: self.shards as u64,
+            waves: self.waves as u64,
+            reps,
+            resident_capacity: self.resident_capacity as u64,
+            wal_segment_size: self.wal_segment_size as u64,
+            quotes_served: metrics.quotes_served,
+            observations: metrics.observations,
+            sales: metrics.sales,
+            evictions: metrics.evictions,
+            rehydrations: metrics.rehydrations,
+            wal_segments: outcomes().map(|outcome| outcome.wal_segments).sum(),
+            max_resident: outcomes()
+                .map(|outcome| outcome.max_resident)
+                .max()
+                .unwrap_or(0) as u64,
+            revenue: cell.stat(|rep| rep.metrics.revenue),
+            regret: cell.stat(|rep| rep.metrics.regret),
+            accept_rate: cell.stat(|rep| rep.metrics.accept_rate()),
+            perf: LonghaulPerf {
+                wall_clock_secs: cell.wall_clock_secs,
+                quotes_per_sec: cell.per_drain_sec(metrics.quotes_served),
+                restore_latency_micros: restore_time.as_secs_f64() * 1e6 / reps as f64,
+                memory_per_tenant_bytes: memory_bytes / (reps as f64 * self.tenants as f64),
+            },
+        }
+    }
+
+    fn render(rows: &[LonghaulCellReport]) -> Vec<String> {
+        vec![render_longhaul(rows)]
+    }
+
+    fn validate(rows: &[LonghaulCellReport], _full_scale: bool, violations: &mut Vec<String>) {
+        for cell in rows {
+            let place = format!("longhaul / {}", cell.label);
+            for (what, stat, upper) in [
+                ("revenue", &cell.revenue, None),
+                ("regret", &cell.regret, None),
+                ("acceptance rate", &cell.accept_rate, Some(1.0)),
+            ] {
+                check_stat(violations, &place, what, stat, upper);
+            }
+            if cell.quotes_served == 0 {
+                violations.push(format!("{place}: served no quotes at all"));
+            }
+            // The residency contract of the paging layer: the run records
+            // the high-water mark across every wave of both the original
+            // and the restored service, and it must stay under the cap.
+            if cell.max_resident > cell.resident_capacity {
+                violations.push(format!(
+                    "{place}: {} tenants resident at the high-water mark, above the \
+                     configured cap of {}",
+                    cell.max_resident, cell.resident_capacity
+                ));
+            }
+            // A longhaul run that wrote no WAL segments never exercised the
+            // checkpoint path it exists to measure.
+            if cell.wal_segments == 0 {
+                violations.push(format!("{place}: wrote no WAL segments at all"));
+            }
+            let throughput = cell.perf.quotes_per_sec;
+            check_throughput(
+                violations,
+                &place,
+                "quotes/sec",
+                cell.quotes_served,
+                throughput,
+            );
+            // Restore latency and memory-per-tenant are wall-clock figures,
+            // but a successful run must still report them as finite,
+            // non-negative numbers for the CI columns to mean anything.
+            for (what, v) in [
+                ("restore latency µs", cell.perf.restore_latency_micros),
+                ("memory per tenant", cell.perf.memory_per_tenant_bytes),
+            ] {
+                if !v.is_finite() || v < 0.0 {
+                    violations.push(format!("{place}: {what} is not a sane figure ({v})"));
+                }
+            }
+        }
+    }
+
+    fn deterministic_json(cell: &LonghaulCellReport) -> Vec<(&'static str, Json)> {
+        vec![
+            ("label", Json::str(&cell.label)),
+            ("tenants", Json::Num(cell.tenants as f64)),
+            ("shards", Json::Num(cell.shards as f64)),
+            ("waves", Json::Num(cell.waves as f64)),
+            ("reps", Json::Num(cell.reps as f64)),
+            (
+                "resident_capacity",
+                Json::Num(cell.resident_capacity as f64),
+            ),
+            ("wal_segment_size", Json::Num(cell.wal_segment_size as f64)),
+            ("quotes_served", Json::Num(cell.quotes_served as f64)),
+            ("observations", Json::Num(cell.observations as f64)),
+            ("sales", Json::Num(cell.sales as f64)),
+            ("evictions", Json::Num(cell.evictions as f64)),
+            ("rehydrations", Json::Num(cell.rehydrations as f64)),
+            ("wal_segments", Json::Num(cell.wal_segments as f64)),
+            ("max_resident", Json::Num(cell.max_resident as f64)),
+            ("revenue", agg_stat_json(&cell.revenue)),
+            ("regret", agg_stat_json(&cell.regret)),
+            ("accept_rate", agg_stat_json(&cell.accept_rate)),
+        ]
+    }
+
+    fn perf_json(cell: &LonghaulCellReport) -> Vec<(&'static str, Json)> {
+        vec![
+            ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
+            ("quotes_per_sec", Json::Num(cell.perf.quotes_per_sec)),
+            (
+                "restore_latency_micros",
+                Json::Num(cell.perf.restore_latency_micros),
+            ),
+            (
+                "memory_per_tenant_bytes",
+                Json::Num(cell.perf.memory_per_tenant_bytes),
+            ),
+        ]
+    }
+
+    fn rows(report: &mut BenchReport) -> &mut Vec<LonghaulCellReport> {
+        &mut report.longhaul
+    }
 }
 
 /// Renders the longhaul cells as the console table `bench longhaul` prints.
 #[must_use]
-pub fn render_longhaul(cells: &[LonghaulCellReport]) -> String {
+fn render_longhaul(cells: &[LonghaulCellReport]) -> String {
     let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|cell| {
@@ -571,6 +621,12 @@ pub fn render_longhaul(cells: &[LonghaulCellReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::run_cell;
+    use pdm_service::MetricRegistry;
+
+    fn run(spec: &LonghaulCellSpec, workers: usize, reps: u64) -> LonghaulCellReport {
+        run_cell(spec, workers, reps, &mut MetricRegistry::new()).unwrap()
+    }
 
     fn tiny_cell() -> LonghaulCellSpec {
         LonghaulCellSpec {
@@ -588,20 +644,20 @@ mod tests {
 
     #[test]
     fn grid_scales_and_labels_carry_the_cap() {
-        let quick = longhaul_grid(Scale::Quick);
+        let quick = LonghaulCellSpec::grid(Scale::Quick);
         assert_eq!(quick.len(), 2);
         assert!(quick[0].label.contains("cap="));
         for cell in &quick {
             assert!(cell.resident_capacity < cell.tenants);
         }
-        let full = longhaul_grid(Scale::Full);
+        let full = LonghaulCellSpec::grid(Scale::Full);
         assert!(full[0].tenants > quick[0].tenants);
         assert!(full[0].waves > quick[0].waves);
     }
 
     #[test]
     fn cell_survives_its_own_restore_and_residency_gates() {
-        let report = run_longhaul_cell(&tiny_cell(), 2, 1).unwrap();
+        let report = run(&tiny_cell(), 2, 1);
         assert!(report.quotes_served > 0);
         assert_eq!(report.observations, report.quotes_served);
         assert!(
@@ -618,8 +674,8 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_move_deterministic_aggregates() {
-        let one = run_longhaul_cell(&tiny_cell(), 1, 1).unwrap();
-        let two = run_longhaul_cell(&tiny_cell(), 2, 1).unwrap();
+        let one = run(&tiny_cell(), 1, 1);
+        let two = run(&tiny_cell(), 2, 1);
         assert_eq!(one.quotes_served, two.quotes_served);
         assert_eq!(one.sales, two.sales);
         assert_eq!(one.evictions, two.evictions);
@@ -632,7 +688,7 @@ mod tests {
 
     #[test]
     fn render_lists_every_column() {
-        let report = run_longhaul_cell(&tiny_cell(), 1, 1).unwrap();
+        let report = run(&tiny_cell(), 1, 1);
         let rendered = render_longhaul(std::slice::from_ref(&report));
         assert!(rendered.contains("tenants=12/cap=4"));
         assert!(rendered.contains("B/tenant"));

@@ -35,13 +35,15 @@
 //! [`MarketService`]: pdm_service::MarketService
 
 use crate::grid::derive_seed;
+use crate::report::{agg_stat_json, check_stat, check_throughput, gate_tolerance, BenchReport};
 use crate::runner::AggStat;
 use crate::table;
+use crate::workload::{Cell, Rep, Workload};
 use crate::Scale;
 use pdm_linalg::{sampling, Json, Vector};
 use pdm_service::{
-    MarketService, MetricRegistry, OutcomeReport, Payload, PrivacyParams, QueryRequest,
-    ServiceConfig, ShardMetrics, TenantConfig, TenantId,
+    MarketService, OutcomeReport, Payload, PrivacyParams, QueryRequest, ServiceConfig,
+    TenantConfig, TenantId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -109,8 +111,6 @@ pub struct PrivacyCellReport {
     pub waves: u64,
     /// Repetitions aggregated.
     pub reps: u64,
-    /// Worker threads each drain ran on.
-    pub workers: u64,
     /// Data owners per tenant.
     pub owners: u64,
     /// The per-owner ε budget of the cell.
@@ -153,36 +153,6 @@ pub struct PrivacyCellReport {
     pub perf: PrivacyPerf,
 }
 
-/// The privacy grid at the given scale: one tenant population under two ε
-/// budget levels (tight and looser), both sized to bind before the run
-/// ends so the supply-throttling gates have something to measure.
-#[must_use]
-pub fn privacy_grid(scale: Scale) -> Vec<PrivacyCellSpec> {
-    let tenants = scale.pick(6usize, 16);
-    let owners = scale.pick(4usize, 8);
-    let shards = scale.pick(2usize, 4);
-    let waves = scale.pick(24usize, 64);
-    let budgets = scale.pick(vec![1.5f64, 3.0], vec![3.0, 6.0]);
-    let wal_segment_size = scale.pick(4usize, 16);
-    let checkpoint_every = scale.pick(4usize, 8);
-    budgets
-        .into_iter()
-        .enumerate()
-        .map(|(index, budget)| PrivacyCellSpec {
-            label: format!("budget={budget}/owners={owners}"),
-            tenants,
-            owners,
-            shards,
-            waves,
-            epsilon_budget: budget,
-            compensation_base: 0.05,
-            wal_segment_size,
-            checkpoint_every,
-            seed: PRIVACY_SEED_BASE + index as u64,
-        })
-        .collect()
-}
-
 /// One precomputed request of the traffic trace.
 struct TraceRequest {
     tenant: u64,
@@ -191,18 +161,15 @@ struct TraceRequest {
     reserve: f64,
 }
 
-/// The per-repetition outcome handed to the aggregator.
-struct RepOutcome {
-    metrics: ShardMetrics,
+/// The per-repetition supply, WAL and restore figures.  The repetition's
+/// metrics and scrape are the *original* service's (the restored twin
+/// replays the same second half, so folding both would double-count the
+/// post-cut traffic).
+pub struct PrivacyOutcome {
     quoted_early: u64,
     trajectory: Vec<u64>,
     wal_segments: u64,
     restore_latency: Duration,
-    drain_time: Duration,
-    /// The *original* service's final `pdm-obs` scrape (the restored twin
-    /// replays the same second half, so folding both would double-count the
-    /// post-cut traffic).
-    scrape: MetricRegistry,
 }
 
 /// Precomputes the full trace: one query per tenant per wave, drawn from
@@ -335,7 +302,11 @@ fn run_waves(
 /// traffic, the timed restore at the cut, then the identical second half
 /// on both services with bit-for-bit comparison — prices, refusals, the
 /// exhaustion trajectory, and the ε/compensation ledger totals.
-fn run_rep(spec: &PrivacyCellSpec, workers: usize, rep: u64) -> Result<RepOutcome, String> {
+fn run_rep(
+    spec: &PrivacyCellSpec,
+    workers: usize,
+    rep: u64,
+) -> Result<Rep<PrivacyOutcome>, String> {
     let trace = build_trace(spec, derive_seed(spec.seed, rep))?;
     let cut = spec.waves / 2;
 
@@ -436,127 +407,254 @@ fn run_rep(spec: &PrivacyCellSpec, workers: usize, rep: u64) -> Result<RepOutcom
         ));
     }
 
-    Ok(RepOutcome {
+    Ok(Rep {
+        outcome: PrivacyOutcome {
+            quoted_early,
+            trajectory,
+            wal_segments: original.wal_segments_written(),
+            restore_latency,
+        },
         metrics: original.aggregate_metrics(),
-        quoted_early,
-        trajectory,
-        wal_segments: original.wal_segments_written(),
-        restore_latency,
         drain_time,
         scrape: original.scrape(),
     })
 }
 
-/// Runs one cell (all repetitions) and aggregates it into a report row,
-/// folding every repetition's final original-service scrape into `obs`.
-pub fn run_privacy_cell_obs(
-    spec: &PrivacyCellSpec,
-    workers: usize,
-    reps: u64,
-    obs: &mut MetricRegistry,
-) -> Result<PrivacyCellReport, String> {
-    let started = Instant::now();
-    let reps = reps.max(1);
-    let mut revenue = Vec::with_capacity(reps as usize);
-    let mut compensation = Vec::with_capacity(reps as usize);
-    let mut epsilon = Vec::with_capacity(reps as usize);
-    let mut accept_rate = Vec::with_capacity(reps as usize);
-    let mut metrics = ShardMetrics::new();
-    let mut quoted_early = 0u64;
-    let mut wal_segments = 0u64;
-    let mut trajectory = vec![0u64; spec.waves];
-    let mut restore_time = Duration::ZERO;
-    let mut drain_time = Duration::ZERO;
-    for rep in 0..reps {
-        let outcome = run_rep(spec, workers, rep)?;
-        revenue.push(outcome.metrics.revenue);
-        compensation.push(outcome.metrics.compensation_paid);
-        epsilon.push(outcome.metrics.epsilon_spent);
-        accept_rate.push(outcome.metrics.accept_rate());
-        metrics.merge(&outcome.metrics);
-        quoted_early += outcome.quoted_early;
-        wal_segments += outcome.wal_segments;
-        for (slot, sample) in trajectory.iter_mut().zip(&outcome.trajectory) {
-            *slot += sample;
-        }
-        restore_time += outcome.restore_latency;
-        drain_time += outcome.drain_time;
-        obs.merge(&outcome.scrape);
+impl Workload for PrivacyCellSpec {
+    const NAME: &'static str = "privacy";
+    const VERIFIED: &'static str = "posted prices, refusals, ε ledgers, exhaustion trajectory";
+    type Outcome = PrivacyOutcome;
+    type Row = PrivacyCellReport;
+
+    /// The privacy grid at the given scale: one tenant population under two ε
+    /// budget levels (tight and looser), both sized to bind before the run
+    /// ends so the supply-throttling gates have something to measure.
+    fn grid(scale: Scale) -> Vec<Self> {
+        let tenants = scale.pick(6usize, 16);
+        let owners = scale.pick(4usize, 8);
+        let shards = scale.pick(2usize, 4);
+        let waves = scale.pick(24usize, 64);
+        let budgets = scale.pick(vec![1.5f64, 3.0], vec![3.0, 6.0]);
+        let wal_segment_size = scale.pick(4usize, 16);
+        let checkpoint_every = scale.pick(4usize, 8);
+        budgets
+            .into_iter()
+            .enumerate()
+            .map(|(index, budget)| PrivacyCellSpec {
+                label: format!("budget={budget}/owners={owners}"),
+                tenants,
+                owners,
+                shards,
+                waves,
+                epsilon_budget: budget,
+                compensation_base: 0.05,
+                wal_segment_size,
+                checkpoint_every,
+                seed: PRIVACY_SEED_BASE + index as u64,
+            })
+            .collect()
     }
-    let drain_secs = drain_time.as_secs_f64();
-    let quotes_per_sec = if drain_secs > 0.0 {
-        metrics.quotes_served as f64 / drain_secs
-    } else {
-        0.0
-    };
-    Ok(PrivacyCellReport {
-        label: spec.label.clone(),
-        tenants: spec.tenants as u64,
-        shards: spec.shards as u64,
-        waves: spec.waves as u64,
-        reps,
-        workers: workers as u64,
-        owners: spec.owners as u64,
-        epsilon_budget: spec.epsilon_budget,
-        requests: reps * (spec.waves as u64) * (spec.tenants as u64),
-        quotes_served: metrics.quotes_served,
-        observations: metrics.observations,
-        sales: metrics.sales,
-        throttled: metrics.privacy_throttled,
-        arbitrage_clamps: metrics.arbitrage_clamps,
-        owners_exhausted: metrics.owners_exhausted,
-        wal_segments,
-        quoted_early,
-        quoted_late: metrics.quotes_served - quoted_early,
-        exhausted_trajectory: trajectory,
-        revenue: AggStat::from_values(&revenue),
-        compensation: AggStat::from_values(&compensation),
-        epsilon_spent: AggStat::from_values(&epsilon),
-        accept_rate: AggStat::from_values(&accept_rate),
-        perf: PrivacyPerf {
-            wall_clock_secs: started.elapsed().as_secs_f64(),
-            quotes_per_sec,
-            restore_latency_micros: restore_time.as_secs_f64() * 1e6 / reps as f64,
-        },
-    })
-}
 
-/// [`run_privacy_cell_obs`] with the scrape discarded, for callers that
-/// only want the report row.
-pub fn run_privacy_cell(
-    spec: &PrivacyCellSpec,
-    workers: usize,
-    reps: u64,
-) -> Result<PrivacyCellReport, String> {
-    run_privacy_cell_obs(spec, workers, reps, &mut MetricRegistry::new())
-}
+    fn label(&self) -> &str {
+        &self.label
+    }
 
-/// Runs a set of privacy cells (the whole grid, or a `--filter` subset),
-/// folding every cell's scrape into `obs`.
-pub fn run_privacy_cells_obs(
-    cells: &[PrivacyCellSpec],
-    workers: usize,
-    reps: u64,
-    obs: &mut MetricRegistry,
-) -> Result<Vec<PrivacyCellReport>, String> {
-    cells
-        .iter()
-        .map(|spec| run_privacy_cell_obs(spec, workers, reps, obs))
-        .collect()
-}
+    fn shards(&self) -> usize {
+        self.shards
+    }
 
-/// Runs a set of privacy cells (the whole grid, or a `--filter` subset).
-pub fn run_privacy_cells(
-    cells: &[PrivacyCellSpec],
-    workers: usize,
-    reps: u64,
-) -> Result<Vec<PrivacyCellReport>, String> {
-    run_privacy_cells_obs(cells, workers, reps, &mut MetricRegistry::new())
+    fn run_rep(&self, workers: usize, rep: u64) -> Result<Rep<PrivacyOutcome>, String> {
+        run_rep(self, workers, rep)
+    }
+
+    fn fold(&self, cell: &Cell<PrivacyOutcome>) -> PrivacyCellReport {
+        let metrics = &cell.metrics;
+        let reps = cell.rep_count();
+        let quoted_early: u64 = cell.reps.iter().map(|rep| rep.outcome.quoted_early).sum();
+        let mut trajectory = vec![0u64; self.waves];
+        for rep in &cell.reps {
+            for (slot, sample) in trajectory.iter_mut().zip(&rep.outcome.trajectory) {
+                *slot += sample;
+            }
+        }
+        let restore_time: Duration = cell
+            .reps
+            .iter()
+            .map(|rep| rep.outcome.restore_latency)
+            .sum();
+        PrivacyCellReport {
+            label: self.label.clone(),
+            tenants: self.tenants as u64,
+            shards: self.shards as u64,
+            waves: self.waves as u64,
+            reps,
+            owners: self.owners as u64,
+            epsilon_budget: self.epsilon_budget,
+            requests: reps * (self.waves as u64) * (self.tenants as u64),
+            quotes_served: metrics.quotes_served,
+            observations: metrics.observations,
+            sales: metrics.sales,
+            throttled: metrics.privacy_throttled,
+            arbitrage_clamps: metrics.arbitrage_clamps,
+            owners_exhausted: metrics.owners_exhausted,
+            wal_segments: cell.reps.iter().map(|rep| rep.outcome.wal_segments).sum(),
+            quoted_early,
+            quoted_late: metrics.quotes_served - quoted_early,
+            exhausted_trajectory: trajectory,
+            revenue: cell.stat(|rep| rep.metrics.revenue),
+            compensation: cell.stat(|rep| rep.metrics.compensation_paid),
+            epsilon_spent: cell.stat(|rep| rep.metrics.epsilon_spent),
+            accept_rate: cell.stat(|rep| rep.metrics.accept_rate()),
+            perf: PrivacyPerf {
+                wall_clock_secs: cell.wall_clock_secs,
+                quotes_per_sec: cell.per_drain_sec(metrics.quotes_served),
+                restore_latency_micros: restore_time.as_secs_f64() * 1e6 / reps as f64,
+            },
+        }
+    }
+
+    fn render(rows: &[PrivacyCellReport]) -> Vec<String> {
+        vec![render_privacy(rows)]
+    }
+
+    fn validate(rows: &[PrivacyCellReport], _full_scale: bool, violations: &mut Vec<String>) {
+        for cell in rows {
+            let place = format!("privacy / {}", cell.label);
+            for (what, stat, upper) in [
+                ("revenue", &cell.revenue, None),
+                ("compensation", &cell.compensation, None),
+                ("epsilon spent", &cell.epsilon_spent, None),
+                ("acceptance rate", &cell.accept_rate, Some(1.0)),
+            ] {
+                check_stat(violations, &place, what, stat, upper);
+            }
+            if cell.quotes_served == 0 {
+                violations.push(format!("{place}: served no quotes at all"));
+            }
+            // The arbitrage-free accounting identity: the shard lifts every
+            // reserve to cover owner payouts, so cumulative compensation can
+            // never exceed cumulative revenue.
+            let tolerance =
+                gate_tolerance(cell.revenue.mean.abs().max(cell.compensation.mean.abs()));
+            if cell.compensation.mean > cell.revenue.mean + tolerance {
+                violations.push(format!(
+                    "{place}: owner compensation {} exceeded revenue {}",
+                    cell.compensation.mean, cell.revenue.mean
+                ));
+            }
+            // Retirement is sticky, so the per-wave exhaustion trajectory
+            // must be monotone non-decreasing...
+            if cell
+                .exhausted_trajectory
+                .windows(2)
+                .any(|pair| pair[1] < pair[0])
+            {
+                violations.push(format!(
+                    "{place}: the owners-exhausted trajectory decreased — retirement \
+                     must be sticky"
+                ));
+            }
+            // ...and the grid is sized so budgets actually bind: a run where
+            // no owner ever exhausted measured nothing.
+            if cell.owners_exhausted == 0 {
+                violations.push(format!(
+                    "{place}: no owner ever exhausted her budget — the cell never \
+                     exercised the throttling it exists to measure"
+                ));
+            } else {
+                // Exhaustion must measurably throttle supply: the second
+                // half of the trace serves strictly fewer quotes.
+                if cell.quoted_late >= cell.quoted_early {
+                    violations.push(format!(
+                        "{place}: budget exhaustion did not throttle supply ({} quotes \
+                         served late vs {} early)",
+                        cell.quoted_late, cell.quoted_early
+                    ));
+                }
+                if cell.throttled == 0 {
+                    violations.push(format!(
+                        "{place}: owners exhausted but no quote was ever refused"
+                    ));
+                }
+            }
+            // A privacy run that wrote no WAL segments never exercised the
+            // ledger-persistence path it exists to verify.
+            if cell.wal_segments == 0 {
+                violations.push(format!("{place}: wrote no WAL segments at all"));
+            }
+            let throughput = cell.perf.quotes_per_sec;
+            check_throughput(
+                violations,
+                &place,
+                "quotes/sec",
+                cell.quotes_served,
+                throughput,
+            );
+            if !cell.perf.restore_latency_micros.is_finite()
+                || cell.perf.restore_latency_micros < 0.0
+            {
+                violations.push(format!(
+                    "{place}: restore latency µs is not a sane figure ({})",
+                    cell.perf.restore_latency_micros
+                ));
+            }
+        }
+    }
+
+    fn deterministic_json(cell: &PrivacyCellReport) -> Vec<(&'static str, Json)> {
+        vec![
+            ("label", Json::str(&cell.label)),
+            ("tenants", Json::Num(cell.tenants as f64)),
+            ("shards", Json::Num(cell.shards as f64)),
+            ("waves", Json::Num(cell.waves as f64)),
+            ("reps", Json::Num(cell.reps as f64)),
+            ("owners", Json::Num(cell.owners as f64)),
+            ("epsilon_budget", Json::Num(cell.epsilon_budget)),
+            ("requests", Json::Num(cell.requests as f64)),
+            ("quotes_served", Json::Num(cell.quotes_served as f64)),
+            ("observations", Json::Num(cell.observations as f64)),
+            ("sales", Json::Num(cell.sales as f64)),
+            ("throttled", Json::Num(cell.throttled as f64)),
+            ("arbitrage_clamps", Json::Num(cell.arbitrage_clamps as f64)),
+            ("owners_exhausted", Json::Num(cell.owners_exhausted as f64)),
+            ("wal_segments", Json::Num(cell.wal_segments as f64)),
+            ("quoted_early", Json::Num(cell.quoted_early as f64)),
+            ("quoted_late", Json::Num(cell.quoted_late as f64)),
+            (
+                "exhausted_trajectory",
+                Json::Arr(
+                    cell.exhausted_trajectory
+                        .iter()
+                        .map(|&n| Json::Num(n as f64))
+                        .collect(),
+                ),
+            ),
+            ("revenue", agg_stat_json(&cell.revenue)),
+            ("compensation", agg_stat_json(&cell.compensation)),
+            ("epsilon_spent", agg_stat_json(&cell.epsilon_spent)),
+            ("accept_rate", agg_stat_json(&cell.accept_rate)),
+        ]
+    }
+
+    fn perf_json(cell: &PrivacyCellReport) -> Vec<(&'static str, Json)> {
+        vec![
+            ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
+            ("quotes_per_sec", Json::Num(cell.perf.quotes_per_sec)),
+            (
+                "restore_latency_micros",
+                Json::Num(cell.perf.restore_latency_micros),
+            ),
+        ]
+    }
+
+    fn rows(report: &mut BenchReport) -> &mut Vec<PrivacyCellReport> {
+        &mut report.privacy
+    }
 }
 
 /// Renders the privacy cells as the console table `bench privacy` prints.
 #[must_use]
-pub fn render_privacy(cells: &[PrivacyCellReport]) -> String {
+fn render_privacy(cells: &[PrivacyCellReport]) -> String {
     let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|cell| {
@@ -600,6 +698,12 @@ pub fn render_privacy(cells: &[PrivacyCellReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::run_cell;
+    use pdm_service::MetricRegistry;
+
+    fn run(spec: &PrivacyCellSpec, workers: usize, reps: u64) -> PrivacyCellReport {
+        run_cell(spec, workers, reps, &mut MetricRegistry::new()).unwrap()
+    }
 
     fn tiny_cell() -> PrivacyCellSpec {
         PrivacyCellSpec {
@@ -618,18 +722,18 @@ mod tests {
 
     #[test]
     fn grid_scales_and_labels_carry_the_budget() {
-        let quick = privacy_grid(Scale::Quick);
+        let quick = PrivacyCellSpec::grid(Scale::Quick);
         assert_eq!(quick.len(), 2);
         assert!(quick[0].label.contains("budget="));
         assert!(quick[0].epsilon_budget < quick[1].epsilon_budget);
-        let full = privacy_grid(Scale::Full);
+        let full = PrivacyCellSpec::grid(Scale::Full);
         assert!(full[0].tenants > quick[0].tenants);
         assert!(full[0].waves > quick[0].waves);
     }
 
     #[test]
     fn cell_exhausts_owners_and_throttles_supply() {
-        let report = run_privacy_cell(&tiny_cell(), 2, 1).unwrap();
+        let report = run(&tiny_cell(), 2, 1);
         assert!(report.quotes_served > 0);
         assert!(report.sales > 0, "the session must make sales to spend ε");
         assert!(
@@ -664,8 +768,8 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_move_deterministic_aggregates() {
-        let one = run_privacy_cell(&tiny_cell(), 1, 1).unwrap();
-        let two = run_privacy_cell(&tiny_cell(), 2, 1).unwrap();
+        let one = run(&tiny_cell(), 1, 1);
+        let two = run(&tiny_cell(), 2, 1);
         assert_eq!(one.quotes_served, two.quotes_served);
         assert_eq!(one.sales, two.sales);
         assert_eq!(one.throttled, two.throttled);
@@ -687,7 +791,7 @@ mod tests {
 
     #[test]
     fn render_lists_every_column() {
-        let report = run_privacy_cell(&tiny_cell(), 1, 1).unwrap();
+        let report = run(&tiny_cell(), 1, 1);
         let rendered = render_privacy(std::slice::from_ref(&report));
         assert!(rendered.contains("budget=1.5/owners=4"));
         assert!(rendered.contains("throttled"));

@@ -1,4 +1,4 @@
-//! The versioned `BENCH_*.json` report: schema, writer, parser, validation.
+//! The versioned `BENCH_*.json` report: schema, writer, validation.
 //!
 //! A [`BenchReport`] is what `bench <subcommand> --json <path>` writes: run
 //! metadata (schema version, git describe, scale, worker count, wall clock)
@@ -16,20 +16,19 @@
 //!   any NaN or negative regret aggregate, or any regret ratio above 1,
 //!   fails the build.
 //!
-//! Schema changes must bump [`SCHEMA_VERSION`] and stay readable by
-//! [`BenchReport::from_json`]; the schema is documented in
-//! `docs/BENCHMARKS.md`.
+//! The report is write-only: nothing in the workspace reads one back.
+//! Schema changes must bump [`SCHEMA_VERSION`]; the schema is documented
+//! in `docs/BENCHMARKS.md`.
 
-use crate::auction::{AuctionCellReport, AuctionPerf};
-use crate::drift::{DriftCellReport, DriftPerf};
+use crate::auction::{AuctionCellReport, AuctionCellSpec};
+use crate::drift::{DriftCellReport, DriftCellSpec};
 use crate::grid::{CellSpec, Job};
 use crate::json::Json;
-use crate::longhaul::{LonghaulCellReport, LonghaulPerf};
-use crate::privacy::{PrivacyCellReport, PrivacyPerf};
-use crate::runner::{
-    aggregate_cell, AggStat, CellAggregate, CellPerf, CheckpointAggregate, JobResult, MeanStd,
-};
-use crate::serve::{ServeCellReport, ServePerf};
+use crate::longhaul::{LonghaulCellReport, LonghaulCellSpec};
+use crate::privacy::{PrivacyCellReport, PrivacyCellSpec};
+use crate::runner::{aggregate_cell, AggStat, CellAggregate, JobResult, MeanStd};
+use crate::serve::{ServeCellReport, ServeCellSpec};
+use crate::workload::Workload;
 use std::process::Command;
 
 /// Version of the `BENCH_*.json` schema this build writes.
@@ -39,8 +38,7 @@ use std::process::Command;
 /// on the fixed log-bucket grid, the exported service counters, and the
 /// point-in-time gauges — byte-identical for any `--workers`) and the
 /// additive `latency_mean_micros` perf column of the auction and drift
-/// cells, pooled from the all-time streaming latency stats (reads back as
-/// `NaN` from v1–v7 files);
+/// cells, pooled from the all-time streaming latency stats;
 /// v7 added the additive `privacy` section (the `bench privacy` workload:
 /// privacy-budget economics over a grid of ε budget levels, with
 /// revenue-vs-compensation accounting, the per-wave owners-exhausted
@@ -53,8 +51,7 @@ use std::process::Command;
 /// perf columns);
 /// v5 added the additive top-level `perf` summary (the serve workload's
 /// grid-level quotes/sec as a first-class figure, the one the
-/// `--perf-floor` CI gate reads) — absent for simulation-only runs and for
-/// reports read back from v1–v4 files;
+/// `--perf-floor` CI gate reads) — absent for simulation-only runs;
 /// v4 added the additive `drift` section (the `bench drift` workload: the
 /// drift-kind × magnitude × policy grid with post-shift regret, detector
 /// firings, and restarts) and made the `validate()` tolerances
@@ -63,8 +60,7 @@ use std::process::Command;
 /// the bidder-count × distribution × reserve-policy grid with clearing
 /// revenue, the no-reserve baseline, welfare, and reserve hit-rates);
 /// v2 added the additive `serve` section (the `bench serve` closed-loop
-/// workload: quotes/sec plus p50/p99 service latency per workload cell);
-/// v1–v7 reports parse as v8 reports with the missing sections empty.
+/// workload: quotes/sec plus p50/p99 service latency per workload cell).
 pub const SCHEMA_VERSION: u64 = 8;
 
 /// Headline throughput summary (schema v5): the serve workload folded into
@@ -211,7 +207,8 @@ pub struct BenchReport {
     pub git_describe: String,
     /// `quick` or `full`.
     pub scale: String,
-    /// Worker threads the grid ran on.
+    /// Worker threads the grid ran on: for a service workload, the drain
+    /// workers every drain used, which each cell's JSON also records.
     pub workers: usize,
     /// Repetitions per cell.
     pub reps: u64,
@@ -219,29 +216,23 @@ pub struct BenchReport {
     pub wall_clock_secs: f64,
     /// Per-experiment aggregates.
     pub experiments: Vec<ExperimentReport>,
-    /// Serve-workload cells (schema v2; empty for simulation-only runs and
-    /// for reports read back from v1 files).
+    /// Serve-workload cells (schema v2; empty for other runs).
     pub serve: Vec<ServeCellReport>,
-    /// Auction-workload cells (schema v3; empty for other runs and for
-    /// reports read back from v1/v2 files).
+    /// Auction-workload cells (schema v3; empty for other runs).
     pub auction: Vec<AuctionCellReport>,
-    /// Drift-workload cells (schema v4; empty for other runs and for
-    /// reports read back from v1–v3 files).
+    /// Drift-workload cells (schema v4; empty for other runs).
     pub drift: Vec<DriftCellReport>,
-    /// Longhaul-workload cells (schema v6; empty for other runs and for
-    /// reports read back from v1–v5 files).
+    /// Longhaul-workload cells (schema v6; empty for other runs).
     pub longhaul: Vec<LonghaulCellReport>,
-    /// Privacy-workload cells (schema v7; empty for other runs and for
-    /// reports read back from v1–v6 files).
+    /// Privacy-workload cells (schema v7; empty for other runs).
     pub privacy: Vec<PrivacyCellReport>,
-    /// Headline throughput summary (schema v5; `None` for simulation-only
-    /// runs and for reports read back from v1–v4 files).
+    /// Headline throughput summary (schema v5; `None` without serve cells).
     pub perf: Option<PerfSummary>,
     /// Deterministic observability dump (schema v8): the merged run
     /// registry's `to_json(deterministic_only = true)` — per-stage span
     /// work histograms, exported service counters, and gauges, all
     /// byte-identical for any `--workers`.  `None` for simulation-only
-    /// runs and for reports read back from v1–v7 files.
+    /// runs.
     pub obs: Option<Json>,
 }
 
@@ -298,7 +289,7 @@ pub fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
-fn agg_stat_json(stat: &AggStat) -> Json {
+pub(crate) fn agg_stat_json(stat: &AggStat) -> Json {
     Json::obj(vec![
         ("mean", Json::Num(stat.mean)),
         ("std", Json::Num(stat.std)),
@@ -308,22 +299,6 @@ fn agg_stat_json(stat: &AggStat) -> Json {
     ])
 }
 
-fn agg_stat_from_json(value: &Json, context: &str) -> Result<AggStat, String> {
-    let field = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{context}: missing number `{key}`"))
-    };
-    Ok(AggStat {
-        mean: field("mean")?,
-        std: field("std")?,
-        ci95_half: field("ci95_half")?,
-        min: field("min")?,
-        max: field("max")?,
-    })
-}
-
 fn mean_std_json(value: &MeanStd) -> Json {
     Json::obj(vec![
         ("mean", Json::Num(value.mean)),
@@ -331,23 +306,10 @@ fn mean_std_json(value: &MeanStd) -> Json {
     ])
 }
 
-fn mean_std_from_json(value: &Json, context: &str) -> Result<MeanStd, String> {
-    let field = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{context}: missing number `{key}`"))
-    };
-    Ok(MeanStd {
-        mean: field("mean")?,
-        std: field("std")?,
-    })
-}
-
-/// Serialises the schedule-independent part of a cell (everything except
-/// `perf`).
-fn cell_deterministic_json(cell: &CellAggregate) -> Json {
-    Json::obj(vec![
+/// The schedule-independent columns of a simulation cell (everything
+/// except `perf`).
+fn cell_deterministic_json(cell: &CellAggregate) -> Vec<(&'static str, Json)> {
+    vec![
         ("label", Json::str(&cell.label)),
         ("mechanism", Json::str(&cell.mechanism_name)),
         ("reps", Json::Num(cell.reps as f64)),
@@ -384,12 +346,11 @@ fn cell_deterministic_json(cell: &CellAggregate) -> Json {
                     .collect(),
             ),
         ),
-    ])
+    ]
 }
 
-fn cell_json(cell: &CellAggregate) -> Json {
-    let mut json = cell_deterministic_json(cell);
-    let perf = Json::obj(vec![
+fn cell_perf_json(cell: &CellAggregate) -> Vec<(&'static str, Json)> {
+    vec![
         ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
         ("rounds_per_sec", Json::Num(cell.perf.rounds_per_sec)),
         (
@@ -409,676 +370,112 @@ fn cell_json(cell: &CellAggregate) -> Json {
             Json::Num(cell.perf.latency_max_micros),
         ),
         ("memory_bytes", Json::Num(cell.perf.memory_bytes as f64)),
-    ]);
-    if let Json::Obj(pairs) = &mut json {
-        pairs.push(("perf".to_owned(), perf));
-    }
-    json
+    ]
 }
 
-/// Serialises the schedule-independent part of a serve cell: everything
-/// except `perf` and the worker count (both legitimately differ between the
-/// runs the determinism suite compares).
-fn serve_cell_deterministic_json(cell: &ServeCellReport) -> Json {
-    Json::obj(vec![
-        ("label", Json::str(&cell.label)),
-        ("mix", Json::str(&cell.mix)),
-        ("tenants", Json::Num(cell.tenants as f64)),
-        ("shards", Json::Num(cell.shards as f64)),
-        ("waves", Json::Num(cell.waves as f64)),
-        ("reps", Json::Num(cell.reps as f64)),
-        ("quotes_served", Json::Num(cell.quotes_served as f64)),
-        ("observations", Json::Num(cell.observations as f64)),
-        ("sales", Json::Num(cell.sales as f64)),
-        ("shed", Json::Num(cell.shed as f64)),
-        ("rejected", Json::Num(cell.rejected as f64)),
-        ("revenue", agg_stat_json(&cell.revenue)),
-        ("regret", agg_stat_json(&cell.regret)),
-        ("accept_rate", agg_stat_json(&cell.accept_rate)),
-    ])
+/// One cell as JSON: its deterministic columns, then the drain worker
+/// count (service cells of a full report), then `perf` (full reports).
+fn cell_json(
+    mut columns: Vec<(&'static str, Json)>,
+    workers: Option<usize>,
+    perf: Option<Vec<(&'static str, Json)>>,
+) -> Json {
+    columns.extend(workers.map(|workers| ("workers", Json::Num(workers as f64))));
+    columns.extend(perf.map(|perf| ("perf", Json::obj(perf))));
+    Json::obj(columns)
 }
 
-fn serve_cell_json(cell: &ServeCellReport) -> Json {
-    let mut json = serve_cell_deterministic_json(cell);
-    let perf = Json::obj(vec![
-        ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
-        ("quotes_per_sec", Json::Num(cell.perf.quotes_per_sec)),
-        (
-            "latency_mean_micros",
-            Json::Num(cell.perf.latency_mean_micros),
-        ),
-        (
-            "latency_p50_micros",
-            Json::Num(cell.perf.latency_p50_micros),
-        ),
-        (
-            "latency_p99_micros",
-            Json::Num(cell.perf.latency_p99_micros),
-        ),
-    ]);
-    if let Json::Obj(pairs) = &mut json {
-        pairs.push(("workers".to_owned(), Json::Num(cell.workers as f64)));
-        pairs.push(("perf".to_owned(), perf));
-    }
-    json
+/// A service workload's report section: its key and its cells.
+fn section<W: Workload>(rows: &[W::Row], full: bool, workers: usize) -> (&'static str, Json) {
+    let cells = rows
+        .iter()
+        .map(|row| {
+            cell_json(
+                W::deterministic_json(row),
+                full.then_some(workers),
+                full.then(|| W::perf_json(row)),
+            )
+        })
+        .collect();
+    (W::NAME, Json::Arr(cells))
 }
 
-fn serve_cell_from_json(value: &Json) -> Result<ServeCellReport, String> {
-    let label = value
-        .get("label")
-        .and_then(Json::as_str)
-        .ok_or("serve cell: missing `label`")?
-        .to_owned();
-    let context = format!("serve cell `{label}`");
-    let count = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{context}: missing count `{key}`"))
-    };
-    let stat = |key: &str| {
-        value
-            .get(key)
-            .ok_or_else(|| format!("{context}: missing `{key}`"))
-            .and_then(|v| agg_stat_from_json(v, &context))
-    };
-    let perf = value
-        .get("perf")
-        .ok_or_else(|| format!("{context}: missing `perf`"))?;
-    let perf_field = |key: &str| {
-        perf.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{context}: missing perf number `{key}`"))
-    };
-    Ok(ServeCellReport {
-        mix: value
-            .get("mix")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{context}: missing `mix`"))?
-            .to_owned(),
-        tenants: count("tenants")?,
-        shards: count("shards")?,
-        waves: count("waves")?,
-        reps: count("reps")?,
-        workers: count("workers")?,
-        quotes_served: count("quotes_served")?,
-        observations: count("observations")?,
-        sales: count("sales")?,
-        shed: count("shed")?,
-        rejected: count("rejected")?,
-        revenue: stat("revenue")?,
-        regret: stat("regret")?,
-        accept_rate: stat("accept_rate")?,
-        perf: ServePerf {
-            wall_clock_secs: perf_field("wall_clock_secs")?,
-            quotes_per_sec: perf_field("quotes_per_sec")?,
-            latency_mean_micros: perf_field("latency_mean_micros")?,
-            latency_p50_micros: perf_field("latency_p50_micros")?,
-            latency_p99_micros: perf_field("latency_p99_micros")?,
-        },
-        label,
-    })
-}
-
-/// Serialises the schedule-independent part of an auction cell: everything
-/// except `perf` and the worker count.
-fn auction_cell_deterministic_json(cell: &AuctionCellReport) -> Json {
-    Json::obj(vec![
-        ("label", Json::str(&cell.label)),
-        ("distribution", Json::str(&cell.distribution)),
-        ("policy", Json::str(&cell.policy)),
-        ("tenants", Json::Num(cell.tenants as f64)),
-        ("bidders", Json::Num(cell.bidders as f64)),
-        ("shards", Json::Num(cell.shards as f64)),
-        ("waves", Json::Num(cell.waves as f64)),
-        ("reps", Json::Num(cell.reps as f64)),
-        ("auctions", Json::Num(cell.auctions as f64)),
-        ("sales", Json::Num(cell.sales as f64)),
-        ("reserve_hits", Json::Num(cell.reserve_hits as f64)),
-        ("revenue", agg_stat_json(&cell.revenue)),
-        ("baseline_revenue", agg_stat_json(&cell.baseline_revenue)),
-        ("welfare", agg_stat_json(&cell.welfare)),
-        ("hit_rate", agg_stat_json(&cell.hit_rate)),
-    ])
-}
-
-fn auction_cell_json(cell: &AuctionCellReport) -> Json {
-    let mut json = auction_cell_deterministic_json(cell);
-    let perf = Json::obj(vec![
-        ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
-        ("rounds_per_sec", Json::Num(cell.perf.rounds_per_sec)),
-        (
-            "latency_mean_micros",
-            Json::Num(cell.perf.latency_mean_micros),
-        ),
-        (
-            "latency_p50_micros",
-            Json::Num(cell.perf.latency_p50_micros),
-        ),
-        (
-            "latency_p99_micros",
-            Json::Num(cell.perf.latency_p99_micros),
-        ),
-    ]);
-    if let Json::Obj(pairs) = &mut json {
-        pairs.push(("workers".to_owned(), Json::Num(cell.workers as f64)));
-        pairs.push(("perf".to_owned(), perf));
-    }
-    json
-}
-
-fn auction_cell_from_json(value: &Json) -> Result<AuctionCellReport, String> {
-    let label = value
-        .get("label")
-        .and_then(Json::as_str)
-        .ok_or("auction cell: missing `label`")?
-        .to_owned();
-    let context = format!("auction cell `{label}`");
-    let text = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| format!("{context}: missing `{key}`"))
-    };
-    let count = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{context}: missing count `{key}`"))
-    };
-    let stat = |key: &str| {
-        value
-            .get(key)
-            .ok_or_else(|| format!("{context}: missing `{key}`"))
-            .and_then(|v| agg_stat_from_json(v, &context))
-    };
-    let perf = value
-        .get("perf")
-        .ok_or_else(|| format!("{context}: missing `perf`"))?;
-    let perf_field = |key: &str| {
-        perf.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{context}: missing perf number `{key}`"))
-    };
-    Ok(AuctionCellReport {
-        distribution: text("distribution")?,
-        policy: text("policy")?,
-        tenants: count("tenants")?,
-        bidders: count("bidders")?,
-        shards: count("shards")?,
-        waves: count("waves")?,
-        reps: count("reps")?,
-        workers: count("workers")?,
-        auctions: count("auctions")?,
-        sales: count("sales")?,
-        reserve_hits: count("reserve_hits")?,
-        revenue: stat("revenue")?,
-        baseline_revenue: stat("baseline_revenue")?,
-        welfare: stat("welfare")?,
-        hit_rate: stat("hit_rate")?,
-        perf: AuctionPerf {
-            wall_clock_secs: perf_field("wall_clock_secs")?,
-            rounds_per_sec: perf_field("rounds_per_sec")?,
-            // Additive in v8: v1–v7 files read back as NaN, like every
-            // other absent wall-clock figure.
-            latency_mean_micros: perf
-                .get("latency_mean_micros")
-                .and_then(Json::as_f64)
-                .unwrap_or(f64::NAN),
-            latency_p50_micros: perf_field("latency_p50_micros")?,
-            latency_p99_micros: perf_field("latency_p99_micros")?,
-        },
-        label,
-    })
-}
-
-/// Serialises the schedule-independent part of a drift cell: everything
-/// except `perf` and the worker count.
-fn drift_cell_deterministic_json(cell: &DriftCellReport) -> Json {
-    Json::obj(vec![
-        ("label", Json::str(&cell.label)),
-        ("kind", Json::str(&cell.kind)),
-        ("magnitude", Json::Num(cell.magnitude)),
-        ("policy", Json::str(&cell.policy)),
-        ("tenants", Json::Num(cell.tenants as f64)),
-        ("shards", Json::Num(cell.shards as f64)),
-        ("waves", Json::Num(cell.waves as f64)),
-        ("reps", Json::Num(cell.reps as f64)),
-        ("rounds", Json::Num(cell.rounds as f64)),
-        ("sales", Json::Num(cell.sales as f64)),
-        ("drift_fires", Json::Num(cell.drift_fires as f64)),
-        ("drift_restarts", Json::Num(cell.drift_restarts as f64)),
-        ("revenue", agg_stat_json(&cell.revenue)),
-        ("regret", agg_stat_json(&cell.regret)),
-        ("post_shift_regret", agg_stat_json(&cell.post_shift_regret)),
-        ("accept_rate", agg_stat_json(&cell.accept_rate)),
-    ])
-}
-
-fn drift_cell_json(cell: &DriftCellReport) -> Json {
-    let mut json = drift_cell_deterministic_json(cell);
-    let perf = Json::obj(vec![
-        ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
-        ("quotes_per_sec", Json::Num(cell.perf.quotes_per_sec)),
-        (
-            "latency_mean_micros",
-            Json::Num(cell.perf.latency_mean_micros),
-        ),
-        (
-            "latency_p50_micros",
-            Json::Num(cell.perf.latency_p50_micros),
-        ),
-        (
-            "latency_p99_micros",
-            Json::Num(cell.perf.latency_p99_micros),
-        ),
-    ]);
-    if let Json::Obj(pairs) = &mut json {
-        pairs.push(("workers".to_owned(), Json::Num(cell.workers as f64)));
-        pairs.push(("perf".to_owned(), perf));
-    }
-    json
-}
-
-fn drift_cell_from_json(value: &Json) -> Result<DriftCellReport, String> {
-    let label = value
-        .get("label")
-        .and_then(Json::as_str)
-        .ok_or("drift cell: missing `label`")?
-        .to_owned();
-    let context = format!("drift cell `{label}`");
-    let text = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| format!("{context}: missing `{key}`"))
-    };
-    let count = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{context}: missing count `{key}`"))
-    };
-    let stat = |key: &str| {
-        value
-            .get(key)
-            .ok_or_else(|| format!("{context}: missing `{key}`"))
-            .and_then(|v| agg_stat_from_json(v, &context))
-    };
-    let perf = value
-        .get("perf")
-        .ok_or_else(|| format!("{context}: missing `perf`"))?;
-    let perf_field = |key: &str| {
-        perf.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{context}: missing perf number `{key}`"))
-    };
-    Ok(DriftCellReport {
-        kind: text("kind")?,
-        magnitude: value
-            .get("magnitude")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{context}: missing `magnitude`"))?,
-        policy: text("policy")?,
-        tenants: count("tenants")?,
-        shards: count("shards")?,
-        waves: count("waves")?,
-        reps: count("reps")?,
-        workers: count("workers")?,
-        rounds: count("rounds")?,
-        sales: count("sales")?,
-        drift_fires: count("drift_fires")?,
-        drift_restarts: count("drift_restarts")?,
-        revenue: stat("revenue")?,
-        regret: stat("regret")?,
-        post_shift_regret: stat("post_shift_regret")?,
-        accept_rate: stat("accept_rate")?,
-        perf: DriftPerf {
-            wall_clock_secs: perf_field("wall_clock_secs")?,
-            quotes_per_sec: perf_field("quotes_per_sec")?,
-            // Additive in v8: v1–v7 files read back as NaN, like every
-            // other absent wall-clock figure.
-            latency_mean_micros: perf
-                .get("latency_mean_micros")
-                .and_then(Json::as_f64)
-                .unwrap_or(f64::NAN),
-            latency_p50_micros: perf_field("latency_p50_micros")?,
-            latency_p99_micros: perf_field("latency_p99_micros")?,
-        },
-        label,
-    })
-}
-
-/// Serialises the schedule-independent part of a longhaul cell: everything
-/// except `perf` and the worker count.  The paging and WAL counters belong
-/// here — the per-shard LRU clock advances in FIFO admission order, so
-/// evictions, rehydrations, segment counts, and the resident high-water
-/// mark are all worker-count independent.
-fn longhaul_cell_deterministic_json(cell: &LonghaulCellReport) -> Json {
-    Json::obj(vec![
-        ("label", Json::str(&cell.label)),
-        ("tenants", Json::Num(cell.tenants as f64)),
-        ("shards", Json::Num(cell.shards as f64)),
-        ("waves", Json::Num(cell.waves as f64)),
-        ("reps", Json::Num(cell.reps as f64)),
-        (
-            "resident_capacity",
-            Json::Num(cell.resident_capacity as f64),
-        ),
-        ("wal_segment_size", Json::Num(cell.wal_segment_size as f64)),
-        ("quotes_served", Json::Num(cell.quotes_served as f64)),
-        ("observations", Json::Num(cell.observations as f64)),
-        ("sales", Json::Num(cell.sales as f64)),
-        ("evictions", Json::Num(cell.evictions as f64)),
-        ("rehydrations", Json::Num(cell.rehydrations as f64)),
-        ("wal_segments", Json::Num(cell.wal_segments as f64)),
-        ("max_resident", Json::Num(cell.max_resident as f64)),
-        ("revenue", agg_stat_json(&cell.revenue)),
-        ("regret", agg_stat_json(&cell.regret)),
-        ("accept_rate", agg_stat_json(&cell.accept_rate)),
-    ])
-}
-
-fn longhaul_cell_json(cell: &LonghaulCellReport) -> Json {
-    let mut json = longhaul_cell_deterministic_json(cell);
-    let perf = Json::obj(vec![
-        ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
-        ("quotes_per_sec", Json::Num(cell.perf.quotes_per_sec)),
-        (
-            "restore_latency_micros",
-            Json::Num(cell.perf.restore_latency_micros),
-        ),
-        (
-            "memory_per_tenant_bytes",
-            Json::Num(cell.perf.memory_per_tenant_bytes),
-        ),
-    ]);
-    if let Json::Obj(pairs) = &mut json {
-        pairs.push(("workers".to_owned(), Json::Num(cell.workers as f64)));
-        pairs.push(("perf".to_owned(), perf));
-    }
-    json
-}
-
-fn longhaul_cell_from_json(value: &Json) -> Result<LonghaulCellReport, String> {
-    let label = value
-        .get("label")
-        .and_then(Json::as_str)
-        .ok_or("longhaul cell: missing `label`")?
-        .to_owned();
-    let context = format!("longhaul cell `{label}`");
-    let count = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{context}: missing count `{key}`"))
-    };
-    let stat = |key: &str| {
-        value
-            .get(key)
-            .ok_or_else(|| format!("{context}: missing `{key}`"))
-            .and_then(|v| agg_stat_from_json(v, &context))
-    };
-    let perf = value
-        .get("perf")
-        .ok_or_else(|| format!("{context}: missing `perf`"))?;
-    let perf_field = |key: &str| {
-        perf.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{context}: missing perf number `{key}`"))
-    };
-    Ok(LonghaulCellReport {
-        tenants: count("tenants")?,
-        shards: count("shards")?,
-        waves: count("waves")?,
-        reps: count("reps")?,
-        workers: count("workers")?,
-        resident_capacity: count("resident_capacity")?,
-        wal_segment_size: count("wal_segment_size")?,
-        quotes_served: count("quotes_served")?,
-        observations: count("observations")?,
-        sales: count("sales")?,
-        evictions: count("evictions")?,
-        rehydrations: count("rehydrations")?,
-        wal_segments: count("wal_segments")?,
-        max_resident: count("max_resident")?,
-        revenue: stat("revenue")?,
-        regret: stat("regret")?,
-        accept_rate: stat("accept_rate")?,
-        perf: LonghaulPerf {
-            wall_clock_secs: perf_field("wall_clock_secs")?,
-            quotes_per_sec: perf_field("quotes_per_sec")?,
-            restore_latency_micros: perf_field("restore_latency_micros")?,
-            memory_per_tenant_bytes: perf_field("memory_per_tenant_bytes")?,
-        },
-        label,
-    })
-}
-
-/// Serialises the schedule-independent part of a privacy cell: everything
-/// except `perf` and the worker count.  The ledger economics belong here —
-/// ε debits, compensation accruals, exhaustion counts, and the per-wave
-/// trajectory are all settled in submission order, so they are
-/// worker-count independent by the service's determinism contract.
-fn privacy_cell_deterministic_json(cell: &PrivacyCellReport) -> Json {
-    Json::obj(vec![
-        ("label", Json::str(&cell.label)),
-        ("tenants", Json::Num(cell.tenants as f64)),
-        ("shards", Json::Num(cell.shards as f64)),
-        ("waves", Json::Num(cell.waves as f64)),
-        ("reps", Json::Num(cell.reps as f64)),
-        ("owners", Json::Num(cell.owners as f64)),
-        ("epsilon_budget", Json::Num(cell.epsilon_budget)),
-        ("requests", Json::Num(cell.requests as f64)),
-        ("quotes_served", Json::Num(cell.quotes_served as f64)),
-        ("observations", Json::Num(cell.observations as f64)),
-        ("sales", Json::Num(cell.sales as f64)),
-        ("throttled", Json::Num(cell.throttled as f64)),
-        ("arbitrage_clamps", Json::Num(cell.arbitrage_clamps as f64)),
-        ("owners_exhausted", Json::Num(cell.owners_exhausted as f64)),
-        ("wal_segments", Json::Num(cell.wal_segments as f64)),
-        ("quoted_early", Json::Num(cell.quoted_early as f64)),
-        ("quoted_late", Json::Num(cell.quoted_late as f64)),
-        (
-            "exhausted_trajectory",
-            Json::Arr(
-                cell.exhausted_trajectory
-                    .iter()
-                    .map(|&n| Json::Num(n as f64))
-                    .collect(),
+impl PerfSummary {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("serve_quotes", Json::Num(self.serve_quotes as f64)),
+            ("serve_drain_secs", Json::Num(self.serve_drain_secs)),
+            ("serve_quotes_per_sec", Json::Num(self.serve_quotes_per_sec)),
+            (
+                "serve_min_cell_quotes_per_sec",
+                Json::Num(self.serve_min_cell_quotes_per_sec),
             ),
-        ),
-        ("revenue", agg_stat_json(&cell.revenue)),
-        ("compensation", agg_stat_json(&cell.compensation)),
-        ("epsilon_spent", agg_stat_json(&cell.epsilon_spent)),
-        ("accept_rate", agg_stat_json(&cell.accept_rate)),
-    ])
-}
-
-fn privacy_cell_json(cell: &PrivacyCellReport) -> Json {
-    let mut json = privacy_cell_deterministic_json(cell);
-    let perf = Json::obj(vec![
-        ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
-        ("quotes_per_sec", Json::Num(cell.perf.quotes_per_sec)),
-        (
-            "restore_latency_micros",
-            Json::Num(cell.perf.restore_latency_micros),
-        ),
-    ]);
-    if let Json::Obj(pairs) = &mut json {
-        pairs.push(("workers".to_owned(), Json::Num(cell.workers as f64)));
-        pairs.push(("perf".to_owned(), perf));
+        ])
     }
-    json
-}
-
-fn privacy_cell_from_json(value: &Json) -> Result<PrivacyCellReport, String> {
-    let label = value
-        .get("label")
-        .and_then(Json::as_str)
-        .ok_or("privacy cell: missing `label`")?
-        .to_owned();
-    let context = format!("privacy cell `{label}`");
-    let count = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{context}: missing count `{key}`"))
-    };
-    let stat = |key: &str| {
-        value
-            .get(key)
-            .ok_or_else(|| format!("{context}: missing `{key}`"))
-            .and_then(|v| agg_stat_from_json(v, &context))
-    };
-    let exhausted_trajectory = value
-        .get("exhausted_trajectory")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{context}: missing `exhausted_trajectory`"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| format!("{context}: trajectory entries must be counts"))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let perf = value
-        .get("perf")
-        .ok_or_else(|| format!("{context}: missing `perf`"))?;
-    let perf_field = |key: &str| {
-        perf.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{context}: missing perf number `{key}`"))
-    };
-    Ok(PrivacyCellReport {
-        tenants: count("tenants")?,
-        shards: count("shards")?,
-        waves: count("waves")?,
-        reps: count("reps")?,
-        workers: count("workers")?,
-        owners: count("owners")?,
-        epsilon_budget: value
-            .get("epsilon_budget")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{context}: missing number `epsilon_budget`"))?,
-        requests: count("requests")?,
-        quotes_served: count("quotes_served")?,
-        observations: count("observations")?,
-        sales: count("sales")?,
-        throttled: count("throttled")?,
-        arbitrage_clamps: count("arbitrage_clamps")?,
-        owners_exhausted: count("owners_exhausted")?,
-        wal_segments: count("wal_segments")?,
-        quoted_early: count("quoted_early")?,
-        quoted_late: count("quoted_late")?,
-        exhausted_trajectory,
-        revenue: stat("revenue")?,
-        compensation: stat("compensation")?,
-        epsilon_spent: stat("epsilon_spent")?,
-        accept_rate: stat("accept_rate")?,
-        perf: PrivacyPerf {
-            wall_clock_secs: perf_field("wall_clock_secs")?,
-            quotes_per_sec: perf_field("quotes_per_sec")?,
-            restore_latency_micros: perf_field("restore_latency_micros")?,
-        },
-        label,
-    })
-}
-
-fn cell_from_json(value: &Json) -> Result<CellAggregate, String> {
-    let label = value
-        .get("label")
-        .and_then(Json::as_str)
-        .ok_or("cell: missing `label`")?
-        .to_owned();
-    let context = format!("cell `{label}`");
-    let stat = |key: &str| {
-        value
-            .get(key)
-            .ok_or_else(|| format!("{context}: missing `{key}`"))
-            .and_then(|v| agg_stat_from_json(v, &context))
-    };
-    let per_round = |key: &str| {
-        value
-            .get(key)
-            .ok_or_else(|| format!("{context}: missing `{key}`"))
-            .and_then(|v| mean_std_from_json(v, &context))
-    };
-    let perf = value
-        .get("perf")
-        .ok_or_else(|| format!("{context}: missing `perf`"))?;
-    let perf_field = |key: &str| {
-        perf.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{context}: missing perf number `{key}`"))
-    };
-    let checkpoints = value
-        .get("checkpoints")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{context}: missing `checkpoints`"))?
-        .iter()
-        .map(|cp| {
-            Ok(CheckpointAggregate {
-                round: cp
-                    .get("round")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("{context}: checkpoint missing `round`"))?
-                    as usize,
-                cumulative_regret: agg_stat_from_json(
-                    cp.get("cumulative_regret")
-                        .ok_or_else(|| format!("{context}: checkpoint missing regret"))?,
-                    &context,
-                )?,
-                regret_ratio: agg_stat_from_json(
-                    cp.get("regret_ratio")
-                        .ok_or_else(|| format!("{context}: checkpoint missing ratio"))?,
-                    &context,
-                )?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(CellAggregate {
-        mechanism_name: value
-            .get("mechanism")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{context}: missing `mechanism`"))?
-            .to_owned(),
-        reps: value
-            .get("reps")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{context}: missing `reps`"))?,
-        rounds: value
-            .get("rounds")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{context}: missing `rounds`"))? as usize,
-        cumulative_regret: stat("cumulative_regret")?,
-        regret_ratio: stat("regret_ratio")?,
-        revenue: stat("revenue")?,
-        acceptance_rate: stat("acceptance_rate")?,
-        market_value_per_round: per_round("market_value_per_round")?,
-        reserve_price_per_round: per_round("reserve_price_per_round")?,
-        posted_price_per_round: per_round("posted_price_per_round")?,
-        regret_per_round: per_round("regret_per_round")?,
-        checkpoints,
-        perf: CellPerf {
-            wall_clock_secs: perf_field("wall_clock_secs")?,
-            rounds_per_sec: perf_field("rounds_per_sec")?,
-            latency_mean_micros: perf_field("latency_mean_micros")?,
-            latency_p50_micros: perf_field("latency_p50_micros")?,
-            latency_p99_micros: perf_field("latency_p99_micros")?,
-            latency_max_micros: perf_field("latency_max_micros")?,
-            memory_bytes: perf_field("memory_bytes")? as usize,
-        },
-        label,
-    })
 }
 
 impl BenchReport {
+    /// An empty report of the current schema: no cells, no summary, no
+    /// obs section, zero wall clock, and `unknown` git metadata.
+    #[must_use]
+    pub fn new(name: &str, scale: &str, workers: usize, reps: u64) -> Self {
+        Self {
+            schema_version: SCHEMA_VERSION,
+            name: name.to_owned(),
+            git_describe: "unknown".to_owned(),
+            scale: scale.to_owned(),
+            workers,
+            reps,
+            wall_clock_secs: 0.0,
+            experiments: Vec::new(),
+            serve: Vec::new(),
+            auction: Vec::new(),
+            drift: Vec::new(),
+            longhaul: Vec::new(),
+            privacy: Vec::new(),
+            perf: None,
+            obs: None,
+        }
+    }
+
+    /// The cell sections in schema order: the experiments, then the five
+    /// service workloads.  `full` adds each cell's worker count and `perf`.
+    fn sections(&self, full: bool) -> [(&'static str, Json); 6] {
+        let experiments = self
+            .experiments
+            .iter()
+            .map(|exp| {
+                let cells = exp
+                    .cells
+                    .iter()
+                    .map(|cell| {
+                        cell_json(
+                            cell_deterministic_json(cell),
+                            None,
+                            full.then(|| cell_perf_json(cell)),
+                        )
+                    })
+                    .collect();
+                Json::obj(vec![
+                    ("name", Json::str(&exp.name)),
+                    ("cells", Json::Arr(cells)),
+                ])
+            })
+            .collect();
+        [
+            ("experiments", Json::Arr(experiments)),
+            section::<ServeCellSpec>(&self.serve, full, self.workers),
+            section::<AuctionCellSpec>(&self.auction, full, self.workers),
+            section::<DriftCellSpec>(&self.drift, full, self.workers),
+            section::<LonghaulCellSpec>(&self.longhaul, full, self.workers),
+            section::<PrivacyCellSpec>(&self.privacy, full, self.workers),
+        ]
+    }
+
     /// Serialises the full report (metadata + aggregates + perf).
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut json = Json::obj(vec![
+        let mut pairs = vec![
             ("schema_version", Json::Num(self.schema_version as f64)),
             ("name", Json::str(&self.name)),
             ("git_describe", Json::str(&self.git_describe)),
@@ -1086,207 +483,15 @@ impl BenchReport {
             ("workers", Json::Num(self.workers as f64)),
             ("reps", Json::Num(self.reps as f64)),
             ("wall_clock_secs", Json::Num(self.wall_clock_secs)),
-            (
-                "experiments",
-                Json::Arr(
-                    self.experiments
-                        .iter()
-                        .map(|exp| {
-                            Json::obj(vec![
-                                ("name", Json::str(&exp.name)),
-                                (
-                                    "cells",
-                                    Json::Arr(exp.cells.iter().map(cell_json).collect()),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "serve",
-                Json::Arr(self.serve.iter().map(serve_cell_json).collect()),
-            ),
-            (
-                "auction",
-                Json::Arr(self.auction.iter().map(auction_cell_json).collect()),
-            ),
-            (
-                "drift",
-                Json::Arr(self.drift.iter().map(drift_cell_json).collect()),
-            ),
-            (
-                "longhaul",
-                Json::Arr(self.longhaul.iter().map(longhaul_cell_json).collect()),
-            ),
-            (
-                "privacy",
-                Json::Arr(self.privacy.iter().map(privacy_cell_json).collect()),
-            ),
-        ]);
+        ];
+        pairs.extend(self.sections(true));
         if let Some(perf) = &self.perf {
-            let summary = Json::obj(vec![
-                ("serve_quotes", Json::Num(perf.serve_quotes as f64)),
-                ("serve_drain_secs", Json::Num(perf.serve_drain_secs)),
-                ("serve_quotes_per_sec", Json::Num(perf.serve_quotes_per_sec)),
-                (
-                    "serve_min_cell_quotes_per_sec",
-                    Json::Num(perf.serve_min_cell_quotes_per_sec),
-                ),
-            ]);
-            if let Json::Obj(pairs) = &mut json {
-                pairs.push(("perf".to_owned(), summary));
-            }
+            pairs.push(("perf", perf.to_json()));
         }
         if let Some(obs) = &self.obs {
-            if let Json::Obj(pairs) = &mut json {
-                pairs.push(("obs".to_owned(), obs.clone()));
-            }
+            pairs.push(("obs", obs.clone()));
         }
-        json
-    }
-
-    /// Parses a report previously produced by [`BenchReport::to_json`].
-    pub fn from_json(value: &Json) -> Result<Self, String> {
-        let schema_version = value
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("report: missing `schema_version`")?;
-        if schema_version > SCHEMA_VERSION {
-            return Err(format!(
-                "report: schema version {schema_version} is newer than this build's \
-                 {SCHEMA_VERSION}"
-            ));
-        }
-        let text = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("report: missing `{key}`"))
-        };
-        let experiments = value
-            .get("experiments")
-            .and_then(Json::as_arr)
-            .ok_or("report: missing `experiments`")?
-            .iter()
-            .map(|exp| {
-                Ok(ExperimentReport {
-                    name: exp
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("experiment: missing `name`")?
-                        .to_owned(),
-                    cells: exp
-                        .get("cells")
-                        .and_then(Json::as_arr)
-                        .ok_or("experiment: missing `cells`")?
-                        .iter()
-                        .map(cell_from_json)
-                        .collect::<Result<Vec<_>, String>>()?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        // `serve` arrived with schema v2, `auction` with v3, and `drift`
-        // with v4; absent sections in older files mean "no such cells",
-        // not an error.
-        let serve = match value.get("serve") {
-            Some(section) => section
-                .as_arr()
-                .ok_or("report: `serve` must be an array")?
-                .iter()
-                .map(serve_cell_from_json)
-                .collect::<Result<Vec<_>, String>>()?,
-            None => Vec::new(),
-        };
-        let auction = match value.get("auction") {
-            Some(section) => section
-                .as_arr()
-                .ok_or("report: `auction` must be an array")?
-                .iter()
-                .map(auction_cell_from_json)
-                .collect::<Result<Vec<_>, String>>()?,
-            None => Vec::new(),
-        };
-        let drift = match value.get("drift") {
-            Some(section) => section
-                .as_arr()
-                .ok_or("report: `drift` must be an array")?
-                .iter()
-                .map(drift_cell_from_json)
-                .collect::<Result<Vec<_>, String>>()?,
-            None => Vec::new(),
-        };
-        // `longhaul` arrived with schema v6; same additive rule.
-        let longhaul = match value.get("longhaul") {
-            Some(section) => section
-                .as_arr()
-                .ok_or("report: `longhaul` must be an array")?
-                .iter()
-                .map(longhaul_cell_from_json)
-                .collect::<Result<Vec<_>, String>>()?,
-            None => Vec::new(),
-        };
-        // `privacy` arrived with schema v7; same additive rule.
-        let privacy = match value.get("privacy") {
-            Some(section) => section
-                .as_arr()
-                .ok_or("report: `privacy` must be an array")?
-                .iter()
-                .map(privacy_cell_from_json)
-                .collect::<Result<Vec<_>, String>>()?,
-            None => Vec::new(),
-        };
-        // The `perf` summary arrived with schema v5; its absence (older
-        // files, simulation-only runs) means "no summary", not an error.
-        let perf = match value.get("perf") {
-            Some(section) => {
-                let field = |key: &str| {
-                    section
-                        .get(key)
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| format!("report: perf summary missing number `{key}`"))
-                };
-                Some(PerfSummary {
-                    serve_quotes: section
-                        .get("serve_quotes")
-                        .and_then(Json::as_u64)
-                        .ok_or("report: perf summary missing count `serve_quotes`")?,
-                    serve_drain_secs: field("serve_drain_secs")?,
-                    serve_quotes_per_sec: field("serve_quotes_per_sec")?,
-                    serve_min_cell_quotes_per_sec: field("serve_min_cell_quotes_per_sec")?,
-                })
-            }
-            None => None,
-        };
-        Ok(Self {
-            schema_version,
-            serve,
-            auction,
-            drift,
-            longhaul,
-            privacy,
-            perf,
-            // The `obs` section arrived with schema v8; it is carried
-            // verbatim — the registry dump is already canonical JSON.
-            obs: value.get("obs").cloned(),
-            name: text("name")?,
-            git_describe: text("git_describe")?,
-            scale: text("scale")?,
-            workers: value
-                .get("workers")
-                .and_then(Json::as_u64)
-                .ok_or("report: missing `workers`")? as usize,
-            reps: value
-                .get("reps")
-                .and_then(Json::as_u64)
-                .ok_or("report: missing `reps`")?,
-            wall_clock_secs: value
-                .get("wall_clock_secs")
-                .and_then(Json::as_f64)
-                .ok_or("report: missing `wall_clock_secs`")?,
-            experiments,
-        })
+        Json::obj(pairs)
     }
 
     /// Canonical rendering of the schedule-independent aggregates: the
@@ -1294,86 +499,24 @@ impl BenchReport {
     /// count, or git metadata.  Byte-identical across worker counts.
     #[must_use]
     pub fn deterministic_fingerprint(&self) -> String {
-        Json::obj(vec![
+        let mut pairs = vec![
             ("schema_version", Json::Num(self.schema_version as f64)),
             ("name", Json::str(&self.name)),
             ("scale", Json::str(&self.scale)),
             ("reps", Json::Num(self.reps as f64)),
-            (
-                "experiments",
-                Json::Arr(
-                    self.experiments
-                        .iter()
-                        .map(|exp| {
-                            Json::obj(vec![
-                                ("name", Json::str(&exp.name)),
-                                (
-                                    "cells",
-                                    Json::Arr(
-                                        exp.cells.iter().map(cell_deterministic_json).collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "serve",
-                Json::Arr(
-                    self.serve
-                        .iter()
-                        .map(serve_cell_deterministic_json)
-                        .collect(),
-                ),
-            ),
-            (
-                "auction",
-                Json::Arr(
-                    self.auction
-                        .iter()
-                        .map(auction_cell_deterministic_json)
-                        .collect(),
-                ),
-            ),
-            (
-                "drift",
-                Json::Arr(
-                    self.drift
-                        .iter()
-                        .map(drift_cell_deterministic_json)
-                        .collect(),
-                ),
-            ),
-            (
-                "longhaul",
-                Json::Arr(
-                    self.longhaul
-                        .iter()
-                        .map(longhaul_cell_deterministic_json)
-                        .collect(),
-                ),
-            ),
-            (
-                "privacy",
-                Json::Arr(
-                    self.privacy
-                        .iter()
-                        .map(privacy_cell_deterministic_json)
-                        .collect(),
-                ),
-            ),
-            // The obs dump is built with `to_json(deterministic_only =
-            // true)`, which drops every wall-clock histogram — what's left
-            // (work-unit spans, counters, gauges) is schedule-independent.
-            ("obs", self.obs.clone().unwrap_or(Json::Null)),
-        ])
-        .render()
+        ];
+        pairs.extend(self.sections(false));
+        // The obs dump is built with `to_json(deterministic_only = true)`,
+        // which drops every wall-clock histogram — what's left (work-unit
+        // spans, counters, gauges) is schedule-independent.
+        pairs.push(("obs", self.obs.clone().unwrap_or(Json::Null)));
+        Json::obj(pairs).render()
     }
 
     /// The CI sanity gate: every deterministic aggregate must be finite and
     /// non-negative, and the bounded ones (regret ratio, acceptance rate)
-    /// must not exceed 1.
+    /// must not exceed 1.  Each service workload adds its own gates
+    /// ([`Workload::validate`]).
     ///
     /// Returns the list of violations (empty means the report is healthy).
     /// Perf figures are exempt — latency percentiles are legitimately NaN
@@ -1387,22 +530,6 @@ impl BenchReport {
     #[must_use]
     pub fn validate(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        let check_stat = |violations: &mut Vec<String>,
-                          place: &str,
-                          what: &str,
-                          stat: &AggStat,
-                          upper: Option<f64>| {
-            let tolerance = gate_tolerance(stat_scale(stat));
-            for (part, v) in [("mean", stat.mean), ("min", stat.min), ("max", stat.max)] {
-                if !v.is_finite() {
-                    violations.push(format!("{place}: {what} {part} is not finite ({v})"));
-                } else if v < -tolerance {
-                    violations.push(format!("{place}: {what} {part} is negative ({v})"));
-                } else if upper.is_some_and(|bound| v > bound + tolerance) {
-                    violations.push(format!("{place}: {what} {part} exceeds 1 ({v})"));
-                }
-            }
-        };
         for exp in &self.experiments {
             for cell in &exp.cells {
                 let place = format!("{} / {}", exp.name, cell.label);
@@ -1439,36 +566,15 @@ impl BenchReport {
                 }
             }
         }
-        for cell in &self.serve {
-            let place = format!("serve / {}", cell.label);
-            for (what, stat, upper) in [
-                ("revenue", &cell.revenue, None),
-                ("regret", &cell.regret, None),
-                ("acceptance rate", &cell.accept_rate, Some(1.0)),
-            ] {
-                check_stat(&mut violations, &place, what, stat, upper);
-            }
-            // Throughput sanity: a cell that served anything must report a
-            // positive quotes/sec, and overload shedding must never starve
-            // the service completely.
-            let throughput = cell.perf.quotes_per_sec;
-            if cell.quotes_served > 0 && (!throughput.is_finite() || throughput <= 0.0) {
-                violations.push(format!(
-                    "{place}: quotes/sec is not positive ({throughput})"
-                ));
-            }
-            if cell.quotes_served == 0 {
-                violations.push(format!("{place}: served no quotes at all"));
-            }
-            let shed_rate = cell.shed_rate();
-            if !shed_rate.is_finite() || shed_rate >= 1.0 {
-                violations.push(format!("{place}: shed rate reached 100% ({shed_rate})"));
-            }
-        }
+        let full_scale = self.scale == "full";
+        ServeCellSpec::validate(&self.serve, full_scale, &mut violations);
+        AuctionCellSpec::validate(&self.auction, full_scale, &mut violations);
+        DriftCellSpec::validate(&self.drift, full_scale, &mut violations);
+        LonghaulCellSpec::validate(&self.longhaul, full_scale, &mut violations);
+        PrivacyCellSpec::validate(&self.privacy, full_scale, &mut violations);
         // The v5 headline summary must agree with the serve section it was
         // folded from: present exactly when serve cells are, and positive
-        // whenever anything was served.  (Pre-v5 files legitimately carry
-        // serve cells without a summary.)
+        // whenever anything was served.
         match &self.perf {
             Some(perf) => {
                 let total: u64 = self.serve.iter().map(|c| c.quotes_served).sum();
@@ -1487,241 +593,11 @@ impl BenchReport {
                     ));
                 }
             }
-            None => {
-                if !self.serve.is_empty() && self.schema_version >= 5 {
-                    violations.push(
-                        "perf summary: a v5 report with serve cells must carry the headline \
-                         summary"
-                            .to_owned(),
-                    );
-                }
-            }
-        }
-        for cell in &self.auction {
-            let place = format!("auction / {}", cell.label);
-            for (what, stat, upper) in [
-                ("revenue", &cell.revenue, None),
-                ("baseline revenue", &cell.baseline_revenue, None),
-                ("welfare", &cell.welfare, None),
-                ("reserve hit rate", &cell.hit_rate, Some(1.0)),
-            ] {
-                check_stat(&mut violations, &place, what, stat, upper);
-            }
-            if cell.auctions == 0 {
-                violations.push(format!("{place}: settled no auction rounds at all"));
-            }
-            if cell.sales == 0 {
-                violations.push(format!("{place}: sold nothing in any round"));
-            }
-            // A sale never prices above the winning bid, so welfare
-            // dominates revenue identically per round and in every sum.
-            // The comparison tolerance scales with the pair's magnitude.
-            let tolerance = gate_tolerance(cell.welfare.mean.abs().max(cell.revenue.mean.abs()));
-            if cell.welfare.mean + tolerance < cell.revenue.mean {
-                violations.push(format!(
-                    "{place}: welfare {} fell below revenue {}",
-                    cell.welfare.mean, cell.revenue.mean
-                ));
-            }
-            let throughput = cell.perf.rounds_per_sec;
-            if cell.auctions > 0 && (!throughput.is_finite() || throughput <= 0.0) {
-                violations.push(format!(
-                    "{place}: rounds/sec is not positive ({throughput})"
-                ));
-            }
-            // The reserve-uplift gate of the auction workload: at full
-            // scale, every *learned* reserve policy must earn at least the
-            // second-price-no-reserve baseline in the thin-competition
-            // cells (≤ 2 bidders) — the regime personalized reserves exist
-            // for.  With thicker competition the second bid already
-            // extracts the surplus and the optimal reserve is non-binding,
-            // so those cells are gated only on the invariants above.
-            // Quick-scale horizons are too short for the learners to
-            // converge, so the gate is a full-scale contract.
-            if self.scale == "full" && cell.is_learned_policy() && cell.bidders <= 2 {
-                let baseline = cell.baseline_revenue.mean;
-                let tolerance = gate_tolerance(baseline.abs().max(cell.revenue.mean.abs()));
-                if cell.revenue.mean + tolerance < baseline {
-                    violations.push(format!(
-                        "{place}: learned-reserve revenue {} fell below the no-reserve \
-                         second-price baseline {}",
-                        cell.revenue.mean, baseline
-                    ));
-                }
-            }
-        }
-        for cell in &self.drift {
-            let place = format!("drift / {}", cell.label);
-            for (what, stat, upper) in [
-                ("revenue", &cell.revenue, None),
-                ("regret", &cell.regret, None),
-                ("post-shift regret", &cell.post_shift_regret, None),
-                ("acceptance rate", &cell.accept_rate, Some(1.0)),
-            ] {
-                check_stat(&mut violations, &place, what, stat, upper);
-            }
-            if cell.rounds == 0 {
-                violations.push(format!("{place}: served no rounds at all"));
-            }
-            if cell.sales == 0 {
-                violations.push(format!("{place}: sold nothing in any round"));
-            }
-            let throughput = cell.perf.quotes_per_sec;
-            if cell.rounds > 0 && (!throughput.is_finite() || throughput <= 0.0) {
-                violations.push(format!(
-                    "{place}: quotes/sec is not positive ({throughput})"
-                ));
-            }
-            // The drift-adaptivity gate: at full scale, in every
-            // piecewise-stationary cell, the drift-aware policies must beat
-            // the static mechanism's post-shift regret (the static
-            // mechanism's knowledge set excludes the moved θ*, so its
-            // conservative prices go stale; restart and discounting exist
-            // to recover exactly this).  Environment seeds are shared
-            // across the row's policy columns, so the comparison is over
-            // identical markets.  Quick-scale phases are too short for the
-            // comparison to separate, so the gate is a full-scale contract.
-            if self.scale == "full" && cell.kind == "piecewise" && cell.policy != "static" {
-                let static_cell = self.drift.iter().find(|other| {
-                    other.kind == cell.kind
-                        && other.magnitude == cell.magnitude
-                        && other.policy == "static"
-                });
-                if let Some(static_cell) = static_cell {
-                    let aware = cell.post_shift_regret.mean;
-                    let stationary = static_cell.post_shift_regret.mean;
-                    if aware >= stationary {
-                        violations.push(format!(
-                            "{place}: post-shift regret {aware} did not beat the static \
-                             mechanism's {stationary}"
-                        ));
-                    }
-                }
-            }
-        }
-        for cell in &self.longhaul {
-            let place = format!("longhaul / {}", cell.label);
-            for (what, stat, upper) in [
-                ("revenue", &cell.revenue, None),
-                ("regret", &cell.regret, None),
-                ("acceptance rate", &cell.accept_rate, Some(1.0)),
-            ] {
-                check_stat(&mut violations, &place, what, stat, upper);
-            }
-            if cell.quotes_served == 0 {
-                violations.push(format!("{place}: served no quotes at all"));
-            }
-            // The residency contract of the paging layer: the run records
-            // the high-water mark across every wave of both the original
-            // and the restored service, and it must stay under the cap.
-            if cell.max_resident > cell.resident_capacity {
-                violations.push(format!(
-                    "{place}: {} tenants resident at the high-water mark, above the \
-                     configured cap of {}",
-                    cell.max_resident, cell.resident_capacity
-                ));
-            }
-            // A longhaul run that wrote no WAL segments never exercised the
-            // checkpoint path it exists to measure.
-            if cell.wal_segments == 0 {
-                violations.push(format!("{place}: wrote no WAL segments at all"));
-            }
-            let throughput = cell.perf.quotes_per_sec;
-            if cell.quotes_served > 0 && (!throughput.is_finite() || throughput <= 0.0) {
-                violations.push(format!(
-                    "{place}: quotes/sec is not positive ({throughput})"
-                ));
-            }
-            // Restore latency and memory-per-tenant are wall-clock figures,
-            // but a successful run must still report them as finite,
-            // non-negative numbers for the CI columns to mean anything.
-            for (what, v) in [
-                ("restore latency µs", cell.perf.restore_latency_micros),
-                ("memory per tenant", cell.perf.memory_per_tenant_bytes),
-            ] {
-                if !v.is_finite() || v < 0.0 {
-                    violations.push(format!("{place}: {what} is not a sane figure ({v})"));
-                }
-            }
-        }
-        for cell in &self.privacy {
-            let place = format!("privacy / {}", cell.label);
-            for (what, stat, upper) in [
-                ("revenue", &cell.revenue, None),
-                ("compensation", &cell.compensation, None),
-                ("epsilon spent", &cell.epsilon_spent, None),
-                ("acceptance rate", &cell.accept_rate, Some(1.0)),
-            ] {
-                check_stat(&mut violations, &place, what, stat, upper);
-            }
-            if cell.quotes_served == 0 {
-                violations.push(format!("{place}: served no quotes at all"));
-            }
-            // The arbitrage-free accounting identity: the shard lifts every
-            // reserve to cover owner payouts, so cumulative compensation can
-            // never exceed cumulative revenue.
-            let tolerance =
-                gate_tolerance(cell.revenue.mean.abs().max(cell.compensation.mean.abs()));
-            if cell.compensation.mean > cell.revenue.mean + tolerance {
-                violations.push(format!(
-                    "{place}: owner compensation {} exceeded revenue {}",
-                    cell.compensation.mean, cell.revenue.mean
-                ));
-            }
-            // Retirement is sticky, so the per-wave exhaustion trajectory
-            // must be monotone non-decreasing...
-            if cell
-                .exhausted_trajectory
-                .windows(2)
-                .any(|pair| pair[1] < pair[0])
-            {
-                violations.push(format!(
-                    "{place}: the owners-exhausted trajectory decreased — retirement \
-                     must be sticky"
-                ));
-            }
-            // ...and the grid is sized so budgets actually bind: a run where
-            // no owner ever exhausted measured nothing.
-            if cell.owners_exhausted == 0 {
-                violations.push(format!(
-                    "{place}: no owner ever exhausted her budget — the cell never \
-                     exercised the throttling it exists to measure"
-                ));
-            } else {
-                // Exhaustion must measurably throttle supply: the second
-                // half of the trace serves strictly fewer quotes.
-                if cell.quoted_late >= cell.quoted_early {
-                    violations.push(format!(
-                        "{place}: budget exhaustion did not throttle supply ({} quotes \
-                         served late vs {} early)",
-                        cell.quoted_late, cell.quoted_early
-                    ));
-                }
-                if cell.throttled == 0 {
-                    violations.push(format!(
-                        "{place}: owners exhausted but no quote was ever refused"
-                    ));
-                }
-            }
-            // A privacy run that wrote no WAL segments never exercised the
-            // ledger-persistence path it exists to verify.
-            if cell.wal_segments == 0 {
-                violations.push(format!("{place}: wrote no WAL segments at all"));
-            }
-            let throughput = cell.perf.quotes_per_sec;
-            if cell.quotes_served > 0 && (!throughput.is_finite() || throughput <= 0.0) {
-                violations.push(format!(
-                    "{place}: quotes/sec is not positive ({throughput})"
-                ));
-            }
-            if !cell.perf.restore_latency_micros.is_finite()
-                || cell.perf.restore_latency_micros < 0.0
-            {
-                violations.push(format!(
-                    "{place}: restore latency µs is not a sane figure ({})",
-                    cell.perf.restore_latency_micros
-                ));
-            }
+            None if !self.serve.is_empty() => violations.push(
+                "perf summary: a v5 report with serve cells must carry the headline summary"
+                    .to_owned(),
+            ),
+            None => {}
         }
         // The v8 obs section, when present, must be the deterministic
         // registry dump: an object whose sections are themselves objects.
@@ -1741,6 +617,41 @@ impl BenchReport {
     }
 }
 
+/// Appends a violation for each of `stat`'s mean/min/max that is not
+/// finite, negative beyond the scale-relative tolerance, or above `upper`.
+pub(crate) fn check_stat(
+    violations: &mut Vec<String>,
+    place: &str,
+    what: &str,
+    stat: &AggStat,
+    upper: Option<f64>,
+) {
+    let tolerance = gate_tolerance(stat_scale(stat));
+    for (part, v) in [("mean", stat.mean), ("min", stat.min), ("max", stat.max)] {
+        if !v.is_finite() {
+            violations.push(format!("{place}: {what} {part} is not finite ({v})"));
+        } else if v < -tolerance {
+            violations.push(format!("{place}: {what} {part} is negative ({v})"));
+        } else if upper.is_some_and(|bound| v > bound + tolerance) {
+            violations.push(format!("{place}: {what} {part} exceeds 1 ({v})"));
+        }
+    }
+}
+
+/// Appends a violation when a cell that served `served` requests reports a
+/// throughput (`what`, e.g. `quotes/sec`) that is not positive.
+pub(crate) fn check_throughput(
+    violations: &mut Vec<String>,
+    place: &str,
+    what: &str,
+    served: u64,
+    rate: f64,
+) {
+    if served > 0 && (!rate.is_finite() || rate <= 0.0) {
+        violations.push(format!("{place}: {what} is not positive ({rate})"));
+    }
+}
+
 /// The magnitude scale a gated aggregate lives at (at least 1, so
 /// unit-scale rates keep the absolute bar).
 fn stat_scale(stat: &AggStat) -> f64 {
@@ -1754,13 +665,19 @@ fn stat_scale(stat: &AggStat) -> f64 {
 /// the thousands accumulates f64 rounding noise far above an absolute
 /// `1e-9`, so lower-bound gates scale with the magnitude of the statistic
 /// they guard; unit-scale figures (ratios, rates) keep the old bar.
-fn gate_tolerance(scale: f64) -> f64 {
+pub(crate) fn gate_tolerance(scale: f64) -> f64 {
     1e-9 * scale.abs().max(1.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::auction::AuctionPerf;
+    use crate::drift::DriftPerf;
+    use crate::longhaul::LonghaulPerf;
+    use crate::privacy::PrivacyPerf;
+    use crate::runner::{CellPerf, CheckpointAggregate};
+    use crate::serve::ServePerf;
 
     fn sample_stat(mean: f64) -> AggStat {
         AggStat {
@@ -1823,7 +740,6 @@ mod tests {
             shards: 8,
             waves: 24,
             reps: 2,
-            workers: 4,
             quotes_served: 768,
             observations: 768,
             sales: 600,
@@ -1852,7 +768,6 @@ mod tests {
             shards: 4,
             waves: 48,
             reps: 2,
-            workers: 4,
             auctions: 384,
             sales: 300,
             reserve_hits: 120,
@@ -1863,8 +778,6 @@ mod tests {
             perf: AuctionPerf {
                 wall_clock_secs: 0.4,
                 rounds_per_sec: 80_000.0,
-                // Finite so the round-trip test's `assert_eq!` can compare
-                // the struct (NaN would fail PartialEq against itself).
                 latency_mean_micros: 3.4,
                 latency_p50_micros: 3.0,
                 latency_p99_micros: 9.0,
@@ -1882,7 +795,6 @@ mod tests {
             shards: 4,
             waves: 90,
             reps: 2,
-            workers: 4,
             rounds: 720,
             sales: 500,
             drift_fires: if policy == "restart" { 8 } else { 0 },
@@ -1908,7 +820,6 @@ mod tests {
             shards: 4,
             waves: 24,
             reps: 2,
-            workers: 4,
             resident_capacity: 8,
             wal_segment_size: 8,
             quotes_served: 480,
@@ -1937,7 +848,6 @@ mod tests {
             shards: 2,
             waves: 16,
             reps: 2,
-            workers: 4,
             owners: 4,
             epsilon_budget: 1.5,
             requests: 128,
@@ -2012,17 +922,6 @@ mod tests {
     }
 
     #[test]
-    fn report_round_trips_through_json() {
-        let report = sample_report();
-        let rendered = report.to_json().render_pretty();
-        let reparsed =
-            BenchReport::from_json(&Json::parse(&rendered).expect("parse")).expect("from_json");
-        assert_eq!(reparsed, report);
-        // A second render is byte-identical (stable schema).
-        assert_eq!(reparsed.to_json().render_pretty(), rendered);
-    }
-
-    #[test]
     fn fingerprint_ignores_perf_and_metadata() {
         let mut a = sample_report();
         let mut b = sample_report();
@@ -2032,17 +931,12 @@ mod tests {
         b.experiments[0].cells[0].perf.rounds_per_sec = 1.0;
         // Serve/auction throughput, latency, and the drain worker count are
         // wall-clock/schedule facts, not aggregates.
-        b.serve[0].workers = 1;
         b.serve[0].perf.quotes_per_sec = 3.0;
         b.serve[0].perf.latency_p99_micros = 9_999.0;
-        b.auction[0].workers = 1;
         b.auction[0].perf.rounds_per_sec = 5.0;
-        b.drift[0].workers = 1;
         b.drift[0].perf.quotes_per_sec = 7.0;
-        b.longhaul[0].workers = 1;
         b.longhaul[0].perf.restore_latency_micros = 123_456.0;
         b.longhaul[0].perf.memory_per_tenant_bytes = 1.0;
-        b.privacy[0].workers = 1;
         b.privacy[0].perf.quotes_per_sec = 2.0;
         b.privacy[0].perf.restore_latency_micros = 9.0;
         // The v5 headline summary is pure wall clock: invisible too.
@@ -2074,167 +968,6 @@ mod tests {
         let mut h = sample_report();
         h.privacy[0].exhausted_trajectory[3] += 1;
         assert_ne!(h.deterministic_fingerprint(), b.deterministic_fingerprint());
-    }
-
-    #[test]
-    fn v1_through_v6_reports_without_newer_sections_still_parse() {
-        let mut report = sample_report();
-        report.serve.clear();
-        report.auction.clear();
-        report.drift.clear();
-        report.longhaul.clear();
-        report.privacy.clear();
-        report.perf = None;
-        let mut rendered = report.to_json();
-        // Simulate a v1 file: no `serve`/`auction`/`drift`/`longhaul`/
-        // `privacy` keys, version 1.
-        if let Json::Obj(pairs) = &mut rendered {
-            pairs.retain(|(key, _)| {
-                key != "serve"
-                    && key != "auction"
-                    && key != "drift"
-                    && key != "longhaul"
-                    && key != "privacy"
-            });
-            pairs[0].1 = Json::Num(1.0);
-        }
-        let reparsed = BenchReport::from_json(&rendered).expect("v1 parses");
-        assert_eq!(reparsed.schema_version, 1);
-        assert!(reparsed.serve.is_empty());
-        assert!(reparsed.auction.is_empty());
-        assert!(reparsed.drift.is_empty());
-        assert!(reparsed.longhaul.is_empty());
-        assert!(reparsed.privacy.is_empty());
-        assert!(reparsed.perf.is_none());
-
-        // Simulate a v2 file: a `serve` section but no `auction`/`drift`
-        // (and no v5 `perf` summary, no v6 `longhaul`, no v7 `privacy`).
-        let mut v2 = sample_report();
-        v2.auction.clear();
-        v2.drift.clear();
-        v2.longhaul.clear();
-        v2.privacy.clear();
-        let mut rendered = v2.to_json();
-        if let Json::Obj(pairs) = &mut rendered {
-            pairs.retain(|(key, _)| {
-                key != "auction"
-                    && key != "drift"
-                    && key != "longhaul"
-                    && key != "privacy"
-                    && key != "perf"
-            });
-            pairs[0].1 = Json::Num(2.0);
-        }
-        let reparsed = BenchReport::from_json(&rendered).expect("v2 parses");
-        assert_eq!(reparsed.schema_version, 2);
-        assert_eq!(reparsed.serve.len(), 1);
-        assert!(reparsed.auction.is_empty());
-        assert!(reparsed.drift.is_empty());
-        assert!(reparsed.perf.is_none());
-        assert!(
-            reparsed.validate().is_empty(),
-            "a pre-v5 file with serve cells but no summary is healthy"
-        );
-
-        // Simulate a v3 file: serve + auction but no `drift`.
-        let mut v3 = sample_report();
-        v3.drift.clear();
-        v3.longhaul.clear();
-        v3.privacy.clear();
-        let mut rendered = v3.to_json();
-        if let Json::Obj(pairs) = &mut rendered {
-            pairs.retain(|(key, _)| {
-                key != "drift" && key != "longhaul" && key != "privacy" && key != "perf"
-            });
-            pairs[0].1 = Json::Num(3.0);
-        }
-        let reparsed = BenchReport::from_json(&rendered).expect("v3 parses");
-        assert_eq!(reparsed.schema_version, 3);
-        assert_eq!(reparsed.auction.len(), 1);
-        assert!(reparsed.drift.is_empty());
-        assert!(reparsed.longhaul.is_empty());
-        assert!(reparsed.perf.is_none());
-
-        // Simulate a v4 file: the pre-v5 sections but no top-level `perf`
-        // summary, no `longhaul`, no `privacy`.
-        let mut rendered = sample_report().to_json();
-        if let Json::Obj(pairs) = &mut rendered {
-            pairs.retain(|(key, _)| key != "perf" && key != "longhaul" && key != "privacy");
-            pairs[0].1 = Json::Num(4.0);
-        }
-        let reparsed = BenchReport::from_json(&rendered).expect("v4 parses");
-        assert_eq!(reparsed.schema_version, 4);
-        assert_eq!(reparsed.drift.len(), 3);
-        assert!(reparsed.longhaul.is_empty());
-        assert!(reparsed.perf.is_none());
-        assert!(reparsed.validate().is_empty());
-
-        // Simulate a v5 file: everything except the v6 `longhaul` and v7
-        // `privacy` sections.
-        let mut rendered = sample_report().to_json();
-        if let Json::Obj(pairs) = &mut rendered {
-            pairs.retain(|(key, _)| key != "longhaul" && key != "privacy");
-            pairs[0].1 = Json::Num(5.0);
-        }
-        let reparsed = BenchReport::from_json(&rendered).expect("v5 parses");
-        assert_eq!(reparsed.schema_version, 5);
-        assert!(reparsed.longhaul.is_empty());
-        assert!(reparsed.privacy.is_empty());
-        assert!(reparsed.perf.is_some());
-        assert!(reparsed.validate().is_empty());
-
-        // Simulate a v6 file: everything except the v7 `privacy` section.
-        let mut rendered = sample_report().to_json();
-        if let Json::Obj(pairs) = &mut rendered {
-            pairs.retain(|(key, _)| key != "privacy");
-            pairs[0].1 = Json::Num(6.0);
-        }
-        let reparsed = BenchReport::from_json(&rendered).expect("v6 parses");
-        assert_eq!(reparsed.schema_version, 6);
-        assert_eq!(reparsed.longhaul.len(), 1);
-        assert!(reparsed.privacy.is_empty());
-        assert!(reparsed.perf.is_some());
-        assert!(reparsed.validate().is_empty());
-    }
-
-    #[test]
-    fn v7_reports_without_obs_or_mean_latency_still_parse() {
-        // Simulate a v7 file: every section, but no top-level `obs` and no
-        // `latency_mean_micros` in the auction/drift perf objects.
-        let mut rendered = sample_report().to_json();
-        if let Json::Obj(pairs) = &mut rendered {
-            pairs.retain(|(key, _)| key != "obs");
-            pairs[0].1 = Json::Num(7.0);
-            for (key, section) in pairs.iter_mut() {
-                if key != "auction" && key != "drift" {
-                    continue;
-                }
-                let Json::Arr(cells) = section else {
-                    panic!("{key} is an array")
-                };
-                for cell in cells {
-                    let Json::Obj(fields) = cell else {
-                        panic!("cell is an object")
-                    };
-                    for (name, field) in fields.iter_mut() {
-                        if name == "perf" {
-                            let Json::Obj(perf) = field else {
-                                panic!("perf is an object")
-                            };
-                            perf.retain(|(k, _)| k != "latency_mean_micros");
-                        }
-                    }
-                }
-            }
-        }
-        let reparsed = BenchReport::from_json(&rendered).expect("v7 parses");
-        assert_eq!(reparsed.schema_version, 7);
-        assert!(reparsed.obs.is_none(), "no obs section in a v7 file");
-        // The additive perf column reads back as NaN, like every other
-        // absent wall-clock figure, and validate() stays green.
-        assert!(reparsed.auction[0].perf.latency_mean_micros.is_nan());
-        assert!(reparsed.drift[0].perf.latency_mean_micros.is_nan());
-        assert!(reparsed.validate().is_empty());
     }
 
     #[test]
@@ -2647,20 +1380,6 @@ mod tests {
         let mut nan_perf = sample_report();
         nan_perf.experiments[0].cells[0].perf.latency_p50_micros = f64::NAN;
         assert!(nan_perf.validate().is_empty());
-    }
-
-    #[test]
-    fn from_json_rejects_newer_schemas_and_missing_fields() {
-        let mut newer = sample_report();
-        newer.schema_version = SCHEMA_VERSION + 1;
-        let rendered = newer.to_json().render();
-        assert!(BenchReport::from_json(&Json::parse(&rendered).unwrap())
-            .unwrap_err()
-            .contains("newer"));
-
-        assert!(BenchReport::from_json(&Json::parse("{}").unwrap()).is_err());
-        let no_cells = Json::parse(r#"{"schema_version":1,"name":"x"}"#).unwrap();
-        assert!(BenchReport::from_json(&no_cells).is_err());
     }
 
     #[test]

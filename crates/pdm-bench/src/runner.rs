@@ -274,8 +274,8 @@ pub fn aggregate_cell(
         latency_p50_micros: mean_over(&|o| o.round_latency_p50_micros),
         latency_p99_micros: mean_over(&|o| o.round_latency_p99_micros),
         // An empty latency accumulator (Lemma-8 jobs bypass the simulation
-        // loop) reports max = -inf; normalise to NaN like the percentiles so
-        // the JSON schema round-trips (non-finite encodes as null → NaN).
+        // loop) reports max = -inf; normalise to NaN like the percentiles,
+        // the one "no figure" value the report knows (written as null).
         latency_max_micros: {
             let max = outcomes
                 .iter()

@@ -34,15 +34,17 @@
 //! [`PricingSession`]: pdm_pricing::prelude::PricingSession
 
 use crate::grid::derive_seed;
-use crate::runner::{latency_p50_p99_micros, pool_latency, AggStat};
+use crate::json::Json;
+use crate::report::{agg_stat_json, check_stat, check_throughput, BenchReport};
+use crate::runner::AggStat;
 use crate::table;
+use crate::workload::{Cell, Rep, Workload};
 use crate::Scale;
 use pdm_linalg::sampling;
-use pdm_obs::LogHistogram;
 use pdm_pricing::prelude::{RegretReport, StepOutcome};
 use pdm_service::{
-    MarketService, MetricRegistry, OutcomeReport, QueryRequest, ServiceConfig, ServiceError,
-    ShardMetrics, TenantConfig, TenantId, TenantState,
+    MarketService, OutcomeReport, QueryRequest, ServiceConfig, ServiceError, ShardMetrics,
+    TenantConfig, TenantId, TenantState,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -156,8 +158,6 @@ pub struct ServeCellReport {
     pub waves: u64,
     /// Repetitions aggregated.
     pub reps: u64,
-    /// Worker threads each drain ran on.
-    pub workers: u64,
     /// Quotes served, summed over repetitions.
     pub quotes_served: u64,
     /// Outcome reports applied, summed over repetitions.
@@ -194,32 +194,6 @@ impl ServeCellReport {
     }
 }
 
-/// The serve grid: tenant count × arrival mix at the given scale.
-#[must_use]
-pub fn serve_grid(scale: Scale) -> Vec<ServeCellSpec> {
-    let tenant_counts = scale.pick(vec![16usize, 48], vec![192, 768]);
-    let dim = scale.pick(3, 8);
-    let shards = scale.pick(8, 16);
-    let waves = scale.pick(24, 96);
-    let mixes = [ArrivalMix::Uniform, ArrivalMix::HotCold, ArrivalMix::Bursty];
-    let mut cells = Vec::new();
-    for &tenants in &tenant_counts {
-        for &mix in &mixes {
-            let index = cells.len() as u64;
-            cells.push(ServeCellSpec {
-                label: format!("tenants={tenants}/mix={}", mix.name()),
-                tenants,
-                dim,
-                shards,
-                waves,
-                mix,
-                seed: SERVE_SEED_BASE + index,
-            });
-        }
-    }
-    cells
-}
-
 /// One recorded request of one tenant, replayed through a serial session
 /// during verification.
 enum ReplayEvent {
@@ -233,22 +207,16 @@ enum ReplayEvent {
     Observe { accepted: bool, value: f64 },
 }
 
-/// The per-repetition outcome handed to the aggregator.
-struct RepOutcome {
+/// The per-repetition ledger totals, folded over tenants in tenant order.
+pub struct ServeOutcome {
     revenue: f64,
     regret: f64,
     accept_rate: f64,
-    metrics: ShardMetrics,
-    drain_time: Duration,
-    /// The service's final `pdm-obs` scrape: per-stage span histograms,
-    /// exported counters, and point-in-time gauges.  Folded across reps and
-    /// cells into the run-wide registry `--metrics-out` writes.
-    scrape: MetricRegistry,
 }
 
 /// Runs one repetition of one cell and verifies it against the serial
 /// replay.  Returns the deterministic per-rep aggregates.
-fn run_rep(spec: &ServeCellSpec, workers: usize, rep: u64) -> Result<RepOutcome, String> {
+fn run_rep(spec: &ServeCellSpec, workers: usize, rep: u64) -> Result<Rep<ServeOutcome>, String> {
     let traffic_seed = derive_seed(spec.seed, rep);
     let tenants = spec.tenants as u64;
     let tenant_config = TenantConfig::standard(spec.dim, spec.waves);
@@ -402,123 +370,172 @@ fn run_rep(spec: &ServeCellSpec, workers: usize, rep: u64) -> Result<RepOutcome,
         merged.merge(&served);
     }
 
-    Ok(RepOutcome {
-        revenue: merged.cumulative_revenue,
-        regret: merged.cumulative_regret,
-        accept_rate: merged.acceptance_rate(),
+    Ok(Rep {
+        outcome: ServeOutcome {
+            revenue: merged.cumulative_revenue,
+            regret: merged.cumulative_regret,
+            accept_rate: merged.acceptance_rate(),
+        },
         metrics: service.aggregate_metrics(),
         drain_time,
         scrape: service.scrape(),
     })
 }
 
-/// Runs one cell (all repetitions) and aggregates it into a report row.
-/// Every repetition's final service scrape is merged into `obs` (the
-/// registry merge is an exact integer fold, so the rep/cell order never
-/// moves a bucket).
-pub fn run_serve_cell_obs(
-    spec: &ServeCellSpec,
-    workers: usize,
-    reps: u64,
-    obs: &mut MetricRegistry,
-) -> Result<ServeCellReport, String> {
-    let started = Instant::now();
-    let reps = reps.max(1);
-    let mut revenue = Vec::with_capacity(reps as usize);
-    let mut regret = Vec::with_capacity(reps as usize);
-    let mut accept_rate = Vec::with_capacity(reps as usize);
-    let mut metrics = ShardMetrics::new();
-    let mut latency = LogHistogram::new();
-    let mut drain_time = Duration::ZERO;
-    for rep in 0..reps {
-        let outcome = run_rep(spec, workers, rep)?;
-        revenue.push(outcome.revenue);
-        regret.push(outcome.regret);
-        accept_rate.push(outcome.accept_rate);
-        metrics.merge(&outcome.metrics);
-        pool_latency(&mut latency, &outcome.scrape);
-        drain_time += outcome.drain_time;
-        obs.merge(&outcome.scrape);
+impl Workload for ServeCellSpec {
+    const NAME: &'static str = "serve";
+    const VERIFIED: &'static str = "posted prices, revenue, regret";
+    type Outcome = ServeOutcome;
+    type Row = ServeCellReport;
+
+    /// The serve grid: tenant count × arrival mix at the given scale.
+    fn grid(scale: Scale) -> Vec<Self> {
+        let tenant_counts = scale.pick(vec![16usize, 48], vec![192, 768]);
+        let dim = scale.pick(3, 8);
+        let shards = scale.pick(8, 16);
+        let waves = scale.pick(24, 96);
+        let mixes = [ArrivalMix::Uniform, ArrivalMix::HotCold, ArrivalMix::Bursty];
+        let mut cells = Vec::new();
+        for &tenants in &tenant_counts {
+            for &mix in &mixes {
+                let index = cells.len() as u64;
+                cells.push(ServeCellSpec {
+                    label: format!("tenants={tenants}/mix={}", mix.name()),
+                    tenants,
+                    dim,
+                    shards,
+                    waves,
+                    mix,
+                    seed: SERVE_SEED_BASE + index,
+                });
+            }
+        }
+        cells
     }
 
-    let drain_secs = drain_time.as_secs_f64();
-    let quotes_per_sec = if drain_secs > 0.0 {
-        metrics.quotes_served as f64 / drain_secs
-    } else {
-        0.0
-    };
-    let (p50, p99) = latency_p50_p99_micros(&latency);
-    Ok(ServeCellReport {
-        label: spec.label.clone(),
-        mix: spec.mix.name().to_owned(),
-        tenants: spec.tenants as u64,
-        shards: spec.shards as u64,
-        waves: spec.waves as u64,
-        reps,
-        workers: workers as u64,
-        quotes_served: metrics.quotes_served,
-        observations: metrics.observations,
-        sales: metrics.sales,
-        shed: metrics.shed,
-        rejected: metrics.rejected,
-        revenue: AggStat::from_values(&revenue),
-        regret: AggStat::from_values(&regret),
-        accept_rate: AggStat::from_values(&accept_rate),
-        perf: ServePerf {
-            wall_clock_secs: started.elapsed().as_secs_f64(),
-            quotes_per_sec,
-            latency_mean_micros: metrics.latency_stats().mean(),
-            latency_p50_micros: p50,
-            latency_p99_micros: p99,
-        },
-    })
-}
+    fn label(&self) -> &str {
+        &self.label
+    }
 
-/// [`run_serve_cell_obs`] with the scrape discarded, for callers that only
-/// want the report row.
-pub fn run_serve_cell(
-    spec: &ServeCellSpec,
-    workers: usize,
-    reps: u64,
-) -> Result<ServeCellReport, String> {
-    run_serve_cell_obs(spec, workers, reps, &mut MetricRegistry::new())
-}
+    fn shards(&self) -> usize {
+        self.shards
+    }
 
-/// Runs a set of serve cells (the whole grid, or a `--filter` subset),
-/// folding every cell's scrape into `obs`.
-pub fn run_serve_cells_obs(
-    cells: &[ServeCellSpec],
-    workers: usize,
-    reps: u64,
-    obs: &mut MetricRegistry,
-) -> Result<Vec<ServeCellReport>, String> {
-    cells
-        .iter()
-        .map(|spec| run_serve_cell_obs(spec, workers, reps, obs))
-        .collect()
-}
+    fn run_rep(&self, workers: usize, rep: u64) -> Result<Rep<ServeOutcome>, String> {
+        run_rep(self, workers, rep)
+    }
 
-/// Runs a set of serve cells (the whole grid, or a `--filter` subset).
-pub fn run_serve_cells(
-    cells: &[ServeCellSpec],
-    workers: usize,
-    reps: u64,
-) -> Result<Vec<ServeCellReport>, String> {
-    run_serve_cells_obs(cells, workers, reps, &mut MetricRegistry::new())
-}
+    fn fold(&self, cell: &Cell<ServeOutcome>) -> ServeCellReport {
+        let metrics = &cell.metrics;
+        let (p50, p99) = cell.latency_p50_p99_micros();
+        ServeCellReport {
+            label: self.label.clone(),
+            mix: self.mix.name().to_owned(),
+            tenants: self.tenants as u64,
+            shards: self.shards as u64,
+            waves: self.waves as u64,
+            reps: cell.rep_count(),
+            quotes_served: metrics.quotes_served,
+            observations: metrics.observations,
+            sales: metrics.sales,
+            shed: metrics.shed,
+            rejected: metrics.rejected,
+            revenue: cell.stat(|rep| rep.outcome.revenue),
+            regret: cell.stat(|rep| rep.outcome.regret),
+            accept_rate: cell.stat(|rep| rep.outcome.accept_rate),
+            perf: ServePerf {
+                wall_clock_secs: cell.wall_clock_secs,
+                quotes_per_sec: cell.per_drain_sec(metrics.quotes_served),
+                latency_mean_micros: metrics.latency_stats().mean(),
+                latency_p50_micros: p50,
+                latency_p99_micros: p99,
+            },
+        }
+    }
 
-/// Runs the whole serve grid at the given scale.
-pub fn run_serve_grid(
-    scale: Scale,
-    workers: usize,
-    reps: u64,
-) -> Result<Vec<ServeCellReport>, String> {
-    run_serve_cells(&serve_grid(scale), workers, reps)
+    fn render(rows: &[ServeCellReport]) -> Vec<String> {
+        vec![render_serve(rows), render_serve_summary(rows)]
+    }
+
+    fn validate(rows: &[ServeCellReport], _full_scale: bool, violations: &mut Vec<String>) {
+        for cell in rows {
+            let place = format!("serve / {}", cell.label);
+            for (what, stat, upper) in [
+                ("revenue", &cell.revenue, None),
+                ("regret", &cell.regret, None),
+                ("acceptance rate", &cell.accept_rate, Some(1.0)),
+            ] {
+                check_stat(violations, &place, what, stat, upper);
+            }
+            // Throughput sanity: a cell that served anything must report a
+            // positive quotes/sec, and overload shedding must never starve
+            // the service completely.
+            let throughput = cell.perf.quotes_per_sec;
+            check_throughput(
+                violations,
+                &place,
+                "quotes/sec",
+                cell.quotes_served,
+                throughput,
+            );
+            if cell.quotes_served == 0 {
+                violations.push(format!("{place}: served no quotes at all"));
+            }
+            let shed_rate = cell.shed_rate();
+            if !shed_rate.is_finite() || shed_rate >= 1.0 {
+                violations.push(format!("{place}: shed rate reached 100% ({shed_rate})"));
+            }
+        }
+    }
+
+    /// Everything except `perf` and the worker count (both legitimately
+    /// differ between the runs the determinism suite compares).
+    fn deterministic_json(cell: &ServeCellReport) -> Vec<(&'static str, Json)> {
+        vec![
+            ("label", Json::str(&cell.label)),
+            ("mix", Json::str(&cell.mix)),
+            ("tenants", Json::Num(cell.tenants as f64)),
+            ("shards", Json::Num(cell.shards as f64)),
+            ("waves", Json::Num(cell.waves as f64)),
+            ("reps", Json::Num(cell.reps as f64)),
+            ("quotes_served", Json::Num(cell.quotes_served as f64)),
+            ("observations", Json::Num(cell.observations as f64)),
+            ("sales", Json::Num(cell.sales as f64)),
+            ("shed", Json::Num(cell.shed as f64)),
+            ("rejected", Json::Num(cell.rejected as f64)),
+            ("revenue", agg_stat_json(&cell.revenue)),
+            ("regret", agg_stat_json(&cell.regret)),
+            ("accept_rate", agg_stat_json(&cell.accept_rate)),
+        ]
+    }
+
+    fn perf_json(cell: &ServeCellReport) -> Vec<(&'static str, Json)> {
+        vec![
+            ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
+            ("quotes_per_sec", Json::Num(cell.perf.quotes_per_sec)),
+            (
+                "latency_mean_micros",
+                Json::Num(cell.perf.latency_mean_micros),
+            ),
+            (
+                "latency_p50_micros",
+                Json::Num(cell.perf.latency_p50_micros),
+            ),
+            (
+                "latency_p99_micros",
+                Json::Num(cell.perf.latency_p99_micros),
+            ),
+        ]
+    }
+
+    fn rows(report: &mut BenchReport) -> &mut Vec<ServeCellReport> {
+        &mut report.serve
+    }
 }
 
 /// Renders the serve cells as the console table `bench serve` prints.
 #[must_use]
-pub fn render_serve(cells: &[ServeCellReport]) -> String {
+fn render_serve(cells: &[ServeCellReport]) -> String {
     let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|cell| {
@@ -552,7 +569,7 @@ pub fn render_serve(cells: &[ServeCellReport]) -> String {
 ///
 /// [`MarketService::aggregate_metrics`]: pdm_service::MarketService::aggregate_metrics
 #[must_use]
-pub fn render_serve_summary(cells: &[ServeCellReport]) -> String {
+fn render_serve_summary(cells: &[ServeCellReport]) -> String {
     let mut totals = ShardMetrics::new();
     let mut revenue = 0.0;
     let mut regret = 0.0;
@@ -605,6 +622,12 @@ pub fn render_serve_summary(cells: &[ServeCellReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::run_cell;
+    use pdm_service::MetricRegistry;
+
+    fn run(spec: &ServeCellSpec, workers: usize, reps: u64) -> ServeCellReport {
+        run_cell(spec, workers, reps, &mut MetricRegistry::new()).unwrap()
+    }
 
     fn tiny_cell(mix: ArrivalMix) -> ServeCellSpec {
         ServeCellSpec {
@@ -620,7 +643,7 @@ mod tests {
 
     #[test]
     fn grid_covers_tenant_counts_and_mixes() {
-        let quick = serve_grid(Scale::Quick);
+        let quick = ServeCellSpec::grid(Scale::Quick);
         assert_eq!(quick.len(), 6);
         let labels: Vec<&str> = quick.iter().map(|c| c.label.as_str()).collect();
         assert!(labels.contains(&"tenants=16/mix=uniform"));
@@ -629,7 +652,7 @@ mod tests {
         let mut seeds: Vec<u64> = quick.iter().map(|c| c.seed).collect();
         seeds.dedup();
         assert_eq!(seeds.len(), quick.len());
-        let full = serve_grid(Scale::Full);
+        let full = ServeCellSpec::grid(Scale::Full);
         assert!(full[0].tenants > quick[0].tenants);
         assert!(full[0].waves > quick[0].waves);
     }
@@ -657,7 +680,7 @@ mod tests {
 
     #[test]
     fn cell_runs_and_passes_its_own_serial_verification() {
-        let report = run_serve_cell(&tiny_cell(ArrivalMix::Uniform), 2, 1).unwrap();
+        let report = run(&tiny_cell(ArrivalMix::Uniform), 2, 1);
         assert_eq!(report.quotes_served, 12 * 8);
         assert_eq!(report.observations, report.quotes_served);
         assert_eq!(report.shed, 0);
@@ -674,22 +697,22 @@ mod tests {
             shards: 2,
             ..tiny_cell(ArrivalMix::Bursty)
         };
-        let report = run_serve_cell(&spec, 2, 1).unwrap();
+        let report = run(&spec, 2, 1);
         assert!(
             report.shed > 0,
             "the bursty mix must exercise the shed path"
         );
         assert!(report.shed_rate() < 1.0);
         // Shed requests never became rounds, and the replay verification
-        // still passed (run_serve_cell would have errored otherwise).
+        // still passed (the run would have errored otherwise).
         assert_eq!(report.observations, report.quotes_served);
     }
 
     #[test]
     fn worker_count_does_not_move_deterministic_aggregates() {
         for mix in [ArrivalMix::Uniform, ArrivalMix::HotCold, ArrivalMix::Bursty] {
-            let one = run_serve_cell(&tiny_cell(mix), 1, 2).unwrap();
-            let four = run_serve_cell(&tiny_cell(mix), 4, 2).unwrap();
+            let one = run(&tiny_cell(mix), 1, 2);
+            let four = run(&tiny_cell(mix), 4, 2);
             assert_eq!(one.quotes_served, four.quotes_served, "{mix:?}");
             assert_eq!(one.sales, four.sales, "{mix:?}");
             assert_eq!(one.shed, four.shed, "{mix:?}");
@@ -708,8 +731,8 @@ mod tests {
 
     #[test]
     fn reps_reseed_the_traffic() {
-        let one = run_serve_cell(&tiny_cell(ArrivalMix::Uniform), 2, 1).unwrap();
-        let three = run_serve_cell(&tiny_cell(ArrivalMix::Uniform), 2, 3).unwrap();
+        let one = run(&tiny_cell(ArrivalMix::Uniform), 2, 1);
+        let three = run(&tiny_cell(ArrivalMix::Uniform), 2, 3);
         assert_eq!(three.quotes_served, 3 * one.quotes_served);
         // Different seeds ⇒ the repetitions spread.
         assert!(three.revenue.std > 0.0);
@@ -717,7 +740,7 @@ mod tests {
 
     #[test]
     fn render_lists_every_cell_with_throughput() {
-        let report = run_serve_cell(&tiny_cell(ArrivalMix::Uniform), 1, 1).unwrap();
+        let report = run(&tiny_cell(ArrivalMix::Uniform), 1, 1);
         let table = render_serve(std::slice::from_ref(&report));
         assert!(table.contains("tenants=12/mix=uniform"));
         assert!(table.contains("quotes/s"));
@@ -726,8 +749,8 @@ mod tests {
 
     #[test]
     fn summary_folds_the_grid_totals() {
-        let a = run_serve_cell(&tiny_cell(ArrivalMix::Uniform), 1, 1).unwrap();
-        let b = run_serve_cell(&tiny_cell(ArrivalMix::HotCold), 1, 1).unwrap();
+        let a = run(&tiny_cell(ArrivalMix::Uniform), 1, 1);
+        let b = run(&tiny_cell(ArrivalMix::HotCold), 1, 1);
         let summary = render_serve_summary(&[a.clone(), b.clone()]);
         assert!(summary.contains("2 cells"));
         assert!(summary.contains(&(a.quotes_served + b.quotes_served).to_string()));

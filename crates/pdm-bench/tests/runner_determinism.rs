@@ -1,22 +1,23 @@
-//! Determinism suite for the parallel runner, plus the `BENCH_*.json`
-//! schema round-trip.
+//! Determinism suite for the parallel runner and the service workloads,
+//! plus the `BENCH_*.json` render stability.
 //!
 //! The acceptance bar for the runner is that the *aggregates* — everything
 //! except wall-clock derived perf figures — are **byte-identical** no matter
-//! how many workers execute the grid.  These tests run a small fixed grid
-//! with 1 and 4 workers and compare the canonical report fingerprints as
-//! strings.
+//! how many workers execute the grid.  These tests run each grid with 1 and
+//! 4 workers, compare the canonical report fingerprints as strings, and pin
+//! the serial fingerprint to a golden file under `tests/fixtures/`.
 
-use pdm_bench::auction::{auction_grid, run_auction_cells};
-use pdm_bench::drift::{drift_grid, run_drift_cells};
+use pdm_bench::auction::AuctionCellSpec;
+use pdm_bench::drift::DriftCellSpec;
 use pdm_bench::grid::{expand_jobs, CellSpec, Checkpoint, JobSpec, SyntheticMechanism};
 use pdm_bench::json::Json;
 use pdm_bench::linear_market::{LinearMarketConfig, Version};
-use pdm_bench::longhaul::{longhaul_grid, run_longhaul_cells};
-use pdm_bench::privacy::{privacy_grid, run_privacy_cells};
-use pdm_bench::report::{build_experiment_reports, BenchReport, PerfSummary, SCHEMA_VERSION};
+use pdm_bench::longhaul::LonghaulCellSpec;
+use pdm_bench::privacy::PrivacyCellSpec;
+use pdm_bench::report::{build_experiment_reports, BenchReport, PerfSummary};
 use pdm_bench::runner::run_jobs;
-use pdm_bench::serve::{run_serve_cells_obs, serve_grid};
+use pdm_bench::serve::ServeCellSpec;
+use pdm_bench::workload::{run_cells, Workload};
 use pdm_bench::Scale;
 use pdm_linalg::{sampling, Vector};
 use pdm_service::{
@@ -25,6 +26,34 @@ use pdm_service::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::Path;
+
+/// Compares a deterministic fingerprint with its golden file under
+/// `tests/fixtures/`.  A missing fixture is written and the test fails, so
+/// an intended change to the mechanism is recorded by deleting the stale
+/// file, running the suite twice and reviewing the diff.
+fn assert_matches_fixture(name: &str, fingerprint: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    let Ok(golden) = std::fs::read_to_string(&path) else {
+        std::fs::create_dir_all(path.parent().expect("fixtures have a parent"))
+            .expect("the fixture directory is writable");
+        std::fs::write(&path, fingerprint).expect("the fixture is writable");
+        panic!("wrote the missing fixture {}; rerun", path.display());
+    };
+    if golden != fingerprint {
+        let offset = golden
+            .bytes()
+            .zip(fingerprint.bytes())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| golden.len().min(fingerprint.len()));
+        panic!(
+            "fingerprint differs from fixture {} at byte offset {offset}",
+            path.display()
+        );
+    }
+}
 
 /// A small heterogeneous grid: a market cell, a synthetic cell with
 /// checkpoints, and a deterministic Lemma-8 cell.
@@ -80,7 +109,9 @@ fn report_with_workers(workers: usize, reps: u64) -> BenchReport {
     let jobs = expand_jobs(&grid, reps);
     let results = run_jobs(&jobs, workers);
     let names: Vec<String> = (0..grid.len()).map(|e| format!("experiment-{e}")).collect();
-    let experiments = build_experiment_reports(
+    let mut report = BenchReport::new("determinism-suite", "quick", workers, reps);
+    report.git_describe = "test".to_owned();
+    report.experiments = build_experiment_reports(
         names
             .iter()
             .map(String::as_str)
@@ -88,144 +119,22 @@ fn report_with_workers(workers: usize, reps: u64) -> BenchReport {
         &jobs,
         &results,
     );
-    BenchReport {
-        schema_version: SCHEMA_VERSION,
-        name: "determinism-suite".to_owned(),
-        git_describe: "test".to_owned(),
-        scale: "quick".to_owned(),
-        workers,
-        reps,
-        wall_clock_secs: 0.0,
-        experiments,
-        serve: Vec::new(),
-        auction: Vec::new(),
-        drift: Vec::new(),
-        longhaul: Vec::new(),
-        privacy: Vec::new(),
-        perf: None,
-        obs: None,
-    }
+    report
 }
 
-/// Runs the full quick-scale serve grid with the given drain worker count
-/// and wraps it in a report, the way `bench serve --workers N` does — obs
-/// registry included, so the fingerprint comparison below also covers the
-/// v8 `obs` section.
-fn serve_report_with_workers(workers: usize) -> BenchReport {
+/// Runs a service workload's whole quick-scale grid with the given drain
+/// worker count and wraps it in a report, the way `bench <workload>
+/// --workers N` does; `with_obs` adds the v8 `obs` section of the merged
+/// registry.
+fn quick_report<W: Workload>(workers: usize, with_obs: bool) -> BenchReport {
     let mut obs = MetricRegistry::new();
-    let serve = run_serve_cells_obs(&serve_grid(Scale::Quick), workers, 1, &mut obs)
-        .expect("the serve grid must run");
-    BenchReport {
-        schema_version: SCHEMA_VERSION,
-        name: "serve".to_owned(),
-        git_describe: "test".to_owned(),
-        scale: "quick".to_owned(),
-        workers,
-        reps: 1,
-        wall_clock_secs: 0.0,
-        experiments: Vec::new(),
-        perf: PerfSummary::from_serve(&serve),
-        serve,
-        auction: Vec::new(),
-        drift: Vec::new(),
-        longhaul: Vec::new(),
-        privacy: Vec::new(),
-        obs: Some(obs.to_json(true)),
-    }
-}
-
-/// Runs the full quick-scale auction grid with the given drain worker count
-/// and wraps it in a report, the way `bench auction --workers N` does.
-fn auction_report_with_workers(workers: usize) -> BenchReport {
-    BenchReport {
-        schema_version: SCHEMA_VERSION,
-        name: "auction".to_owned(),
-        git_describe: "test".to_owned(),
-        scale: "quick".to_owned(),
-        workers,
-        reps: 1,
-        wall_clock_secs: 0.0,
-        experiments: Vec::new(),
-        serve: Vec::new(),
-        auction: run_auction_cells(&auction_grid(Scale::Quick), workers, 1)
-            .expect("the auction grid must run"),
-        drift: Vec::new(),
-        longhaul: Vec::new(),
-        privacy: Vec::new(),
-        perf: None,
-        obs: None,
-    }
-}
-
-/// Runs the full quick-scale drift grid with the given drain worker count
-/// and wraps it in a report, the way `bench drift --workers N` does.
-fn drift_report_with_workers(workers: usize) -> BenchReport {
-    BenchReport {
-        schema_version: SCHEMA_VERSION,
-        name: "drift".to_owned(),
-        git_describe: "test".to_owned(),
-        scale: "quick".to_owned(),
-        workers,
-        reps: 1,
-        wall_clock_secs: 0.0,
-        experiments: Vec::new(),
-        serve: Vec::new(),
-        auction: Vec::new(),
-        drift: run_drift_cells(&drift_grid(Scale::Quick), workers, 1)
-            .expect("the drift grid must run"),
-        longhaul: Vec::new(),
-        privacy: Vec::new(),
-        perf: None,
-        obs: None,
-    }
-}
-
-/// Runs the full quick-scale longhaul grid with the given drain worker
-/// count and wraps it in a report, the way `bench longhaul --workers N`
-/// does.
-fn longhaul_report_with_workers(workers: usize) -> BenchReport {
-    BenchReport {
-        schema_version: SCHEMA_VERSION,
-        name: "longhaul".to_owned(),
-        git_describe: "test".to_owned(),
-        scale: "quick".to_owned(),
-        workers,
-        reps: 1,
-        wall_clock_secs: 0.0,
-        experiments: Vec::new(),
-        serve: Vec::new(),
-        auction: Vec::new(),
-        drift: Vec::new(),
-        longhaul: run_longhaul_cells(&longhaul_grid(Scale::Quick), workers, 1)
-            .expect("the longhaul grid must run"),
-        privacy: Vec::new(),
-        perf: None,
-        obs: None,
-    }
-}
-
-/// Runs the full quick-scale privacy grid with the given drain worker
-/// count and wraps it in a report, the way `bench privacy --workers N`
-/// does.
-fn privacy_report_with_workers(workers: usize) -> BenchReport {
-    BenchReport {
-        schema_version: SCHEMA_VERSION,
-        name: "privacy".to_owned(),
-        git_describe: "test".to_owned(),
-        scale: "quick".to_owned(),
-        workers,
-        reps: 1,
-        wall_clock_secs: 0.0,
-        experiments: Vec::new(),
-        serve: Vec::new(),
-        auction: Vec::new(),
-        drift: Vec::new(),
-        longhaul: Vec::new(),
-        privacy: run_privacy_cells(&privacy_grid(Scale::Quick), workers, 1)
-            .expect("the privacy grid must run"),
-        perf: None,
-        obs: None,
-    }
+    let mut report = BenchReport::new(W::NAME, "quick", workers, 1);
+    report.git_describe = "test".to_owned();
+    *W::rows(&mut report) =
+        run_cells(&W::grid(Scale::Quick), workers, 1, &mut obs).expect("the grid must run");
+    report.perf = PerfSummary::from_serve(&report.serve);
+    report.obs = with_obs.then(|| obs.to_json(true));
+    report
 }
 
 #[test]
@@ -236,15 +145,16 @@ fn privacy_aggregates_are_byte_identical_for_1_and_4_workers() {
     // supply counts — must produce byte-identical aggregates no matter how
     // many workers drain the shards.  (Each run additionally verified the
     // mid-run WAL restore against the original over the identical post-cut
-    // trace, bit for bit, inside `run_privacy_cells`.)
-    let serial = privacy_report_with_workers(1);
-    let parallel = privacy_report_with_workers(4);
+    // trace, bit for bit, inside `run_cells`.)
+    let serial = quick_report::<PrivacyCellSpec>(1, false);
+    let parallel = quick_report::<PrivacyCellSpec>(4, false);
     assert!(!serial.privacy.is_empty());
     assert_eq!(
         serial.deterministic_fingerprint(),
         parallel.deterministic_fingerprint(),
         "drain worker count must not affect any privacy-ledger aggregate"
     );
+    assert_matches_fixture("privacy_quick.json", &serial.deterministic_fingerprint());
     for cell in &parallel.privacy {
         assert!(cell.perf.quotes_per_sec > 0.0, "{}", cell.label);
         assert!(cell.owners_exhausted > 0, "{}", cell.label);
@@ -268,15 +178,16 @@ fn longhaul_aggregates_are_byte_identical_for_1_and_4_workers() {
     // byte-identical ledgers AND byte-identical paging/WAL counters no
     // matter how many workers drain the shards.  (Each run additionally
     // verified the restored service against the original over the identical
-    // post-cut trace, bit for bit, inside `run_longhaul_cells`.)
-    let serial = longhaul_report_with_workers(1);
-    let parallel = longhaul_report_with_workers(4);
+    // post-cut trace, bit for bit, inside `run_cells`.)
+    let serial = quick_report::<LonghaulCellSpec>(1, false);
+    let parallel = quick_report::<LonghaulCellSpec>(4, false);
     assert!(!serial.longhaul.is_empty());
     assert_eq!(
         serial.deterministic_fingerprint(),
         parallel.deterministic_fingerprint(),
         "drain worker count must not affect any longhaul aggregate"
     );
+    assert_matches_fixture("longhaul_quick.json", &serial.deterministic_fingerprint());
     for cell in &parallel.longhaul {
         assert!(cell.perf.quotes_per_sec > 0.0, "{}", cell.label);
         assert!(cell.perf.restore_latency_micros > 0.0, "{}", cell.label);
@@ -298,15 +209,16 @@ fn drift_aggregates_are_byte_identical_for_1_and_4_workers() {
     // revenue/regret/post-shift/detector aggregates no matter how many
     // workers drain the shards.  (Each run additionally verified every
     // posted price and drift counter against a serial per-tenant replay
-    // inside `run_drift_cells`.)
-    let serial = drift_report_with_workers(1);
-    let parallel = drift_report_with_workers(4);
+    // inside `run_cells`.)
+    let serial = quick_report::<DriftCellSpec>(1, false);
+    let parallel = quick_report::<DriftCellSpec>(4, false);
     assert!(!serial.drift.is_empty());
     assert_eq!(
         serial.deterministic_fingerprint(),
         parallel.deterministic_fingerprint(),
         "drain worker count must not affect any drift aggregate"
     );
+    assert_matches_fixture("drift_quick.json", &serial.deterministic_fingerprint());
     for cell in &parallel.drift {
         assert!(cell.perf.quotes_per_sec > 0.0, "{}", cell.label);
     }
@@ -321,15 +233,16 @@ fn auction_aggregates_are_byte_identical_for_1_and_4_workers() {
     // byte-identical revenue/welfare/hit aggregates no matter how many
     // workers drain the shards.  (Each run additionally verified every
     // reserve and clearing price against a serial per-tenant replay inside
-    // `run_auction_cells`.)
-    let serial = auction_report_with_workers(1);
-    let parallel = auction_report_with_workers(4);
+    // `run_cells`.)
+    let serial = quick_report::<AuctionCellSpec>(1, false);
+    let parallel = quick_report::<AuctionCellSpec>(4, false);
     assert!(!serial.auction.is_empty());
     assert_eq!(
         serial.deterministic_fingerprint(),
         parallel.deterministic_fingerprint(),
         "drain worker count must not affect any auction aggregate"
     );
+    assert_matches_fixture("auction_quick.json", &serial.deterministic_fingerprint());
     for cell in &parallel.auction {
         assert!(cell.perf.rounds_per_sec > 0.0, "{}", cell.label);
     }
@@ -346,6 +259,7 @@ fn aggregates_are_bit_identical_for_1_and_4_workers() {
         parallel.deterministic_fingerprint(),
         "worker count must not affect any deterministic aggregate"
     );
+    assert_matches_fixture("simulation_fixed.json", &serial.deterministic_fingerprint());
 }
 
 #[test]
@@ -355,15 +269,16 @@ fn serve_aggregates_are_byte_identical_for_1_and_4_workers() {
     // cells — must produce byte-identical revenue/regret aggregates no
     // matter how many workers drain the shards.  (Each run additionally
     // verified itself against a serial per-tenant replay inside
-    // `run_serve_grid`.)
-    let serial = serve_report_with_workers(1);
-    let parallel = serve_report_with_workers(4);
+    // `run_cells`.)
+    let serial = quick_report::<ServeCellSpec>(1, true);
+    let parallel = quick_report::<ServeCellSpec>(4, true);
     assert!(!serial.serve.is_empty());
     assert_eq!(
         serial.deterministic_fingerprint(),
         parallel.deterministic_fingerprint(),
         "drain worker count must not affect any serve aggregate"
     );
+    assert_matches_fixture("serve_quick.json", &serial.deterministic_fingerprint());
     // The v2 report carries the throughput figures the fingerprint ignores.
     for cell in &parallel.serve {
         assert!(cell.perf.quotes_per_sec > 0.0, "{}", cell.label);
@@ -387,10 +302,9 @@ fn obs_registry_is_byte_identical_for_1_and_4_workers() {
     // by `to_json(true)`, exactly as the v8 report section excludes them.)
     let mut serial = MetricRegistry::new();
     let mut parallel = MetricRegistry::new();
-    run_serve_cells_obs(&serve_grid(Scale::Quick), 1, 1, &mut serial)
-        .expect("the serve grid must run serially");
-    run_serve_cells_obs(&serve_grid(Scale::Quick), 4, 1, &mut parallel)
-        .expect("the serve grid must run in parallel");
+    let grid = ServeCellSpec::grid(Scale::Quick);
+    run_cells(&grid, 1, 1, &mut serial).expect("the serve grid must run serially");
+    run_cells(&grid, 4, 1, &mut parallel).expect("the serve grid must run in parallel");
     let dump = serial.to_json(true).render();
     assert_eq!(
         dump,
@@ -440,24 +354,39 @@ fn repetition_count_changes_aggregates_but_not_their_health() {
 
 #[test]
 fn report_survives_a_full_json_round_trip() {
-    let report = report_with_workers(2, 2);
+    // One report carrying every section the writer emits: experiments, all
+    // five service workloads (first cell of each quick grid), the perf
+    // summary and the obs dump.
+    let mut report = report_with_workers(2, 2);
+    let mut obs = MetricRegistry::new();
+    report.serve = run_cells(&ServeCellSpec::grid(Scale::Quick)[..1], 2, 1, &mut obs).unwrap();
+    report.auction = run_cells(&AuctionCellSpec::grid(Scale::Quick)[..1], 2, 1, &mut obs).unwrap();
+    report.drift = run_cells(&DriftCellSpec::grid(Scale::Quick)[..1], 2, 1, &mut obs).unwrap();
+    report.longhaul =
+        run_cells(&LonghaulCellSpec::grid(Scale::Quick)[..1], 2, 1, &mut obs).unwrap();
+    report.privacy = run_cells(&PrivacyCellSpec::grid(Scale::Quick)[..1], 2, 1, &mut obs).unwrap();
+    report.perf = PerfSummary::from_serve(&report.serve);
+    report.obs = Some(obs.to_json(true));
+
     let rendered = report.to_json().render_pretty();
     let parsed = Json::parse(&rendered).expect("the emitted JSON must parse");
-    let recovered = BenchReport::from_json(&parsed).expect("the schema must round-trip");
-    // Struct equality cannot be used here — real reports legitimately carry
-    // NaN perf fields (Lemma-8 cells have no latency trace) and NaN != NaN.
-    // The schema guarantee is canonical-render stability instead.
-    assert_eq!(recovered.to_json().render_pretty(), rendered);
-    assert_eq!(
-        recovered.deterministic_fingerprint(),
-        report.deterministic_fingerprint()
-    );
-    // Spot-check a non-NaN field recovered exactly.
-    assert_eq!(
-        recovered.experiments[0].cells[0].cumulative_regret.mean,
-        report.experiments[0].cells[0].cumulative_regret.mean
-    );
-    assert_eq!(recovered.workers, report.workers);
+    for section in [
+        "experiments",
+        "serve",
+        "auction",
+        "drift",
+        "longhaul",
+        "privacy",
+    ] {
+        let cells = parsed.get(section).and_then(Json::as_arr).expect(section);
+        assert!(!cells.is_empty(), "{section} is empty");
+    }
+    assert!(parsed.get("perf").is_some() && parsed.get("obs").is_some());
+    // The canonical render is stable: parsing and re-rendering the emitted
+    // text reproduces it byte for byte (NaN perf fields render as `null`
+    // both times).
+    assert_eq!(parsed.render_pretty(), rendered);
+    assert!(report.validate().is_empty());
 }
 
 /// One pre-drawn round of the differential replay workload: the buyer's

@@ -144,7 +144,7 @@ pub use metrics::ShardMetrics;
 pub use pdm_obs::MetricRegistry;
 pub use pdm_pricing::drift::DriftPolicy;
 pub use routing::{shard_of, TenantId};
-pub use service::{MarketService, ServiceConfig};
+pub use service::{drain_workers, MarketService, ServiceConfig};
 pub use snapshot::SNAPSHOT_SCHEMA_VERSION;
 pub use tenant::{
     AuctionPolicy, MarketKind, PrivacyParams, TenantConfig, TenantMechanism, TenantState,

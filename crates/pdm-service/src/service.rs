@@ -236,6 +236,18 @@ fn serve_shard(core: &Core, index: usize) {
     shard.process_all_into(&mut slot);
 }
 
+/// The worker count a drain actually runs on when `requested` workers are
+/// asked for over `shards` shards on a host with `hardware` threads:
+/// clamped to `[1, shards]` and capped at `hardware`, because more workers
+/// than shards have nothing to claim and more than the machine's threads
+/// only pay wake-up and context-switch overhead.  [`MarketService::drain`]
+/// applies exactly this rule, so a driver that reports its worker count can
+/// report the one the drains used.
+#[must_use]
+pub fn drain_workers(requested: usize, shards: usize, hardware: usize) -> usize {
+    requested.clamp(1, shards.max(1)).min(hardware.max(1))
+}
+
 /// Moves everything queued on a stripe into its shard's FIFO, preserving
 /// seq order.
 fn transfer_stripe(stripe: &IngestStripe, shard: &mut Shard) {
@@ -270,9 +282,7 @@ pub struct MarketService {
     /// Monotonic WAL segment number (see [`MarketService::checkpoint`]).
     pub(crate) wal_segments: AtomicU64,
     /// Hardware threads available to the drain pool, probed once at
-    /// construction: more drain workers than the machine can run cannot
-    /// add parallelism, they only pay wake-up and context-switch overhead,
-    /// so [`MarketService::drain`] caps its pool here.
+    /// construction, so [`drain_workers`] never probes on the drain path.
     hardware_workers: usize,
     /// Service-level observability state: WAL-stage spans plus the bounded
     /// post-mortem event journal.  Process-local — never persisted; a
@@ -573,9 +583,8 @@ impl MarketService {
     /// from an atomic counter; each shard is processed serially by whichever
     /// worker claims it, so per-shard state needs no lock contention and the
     /// computed values are independent of the worker count.  `workers` is
-    /// clamped to `[1, shard_count]` and capped at the machine's hardware
-    /// threads — oversubscribing a core cannot add parallelism, it only pays
-    /// wake-up and context-switch overhead.  An effective single worker
+    /// reduced to the count [`drain_workers`] allows for the shard count
+    /// and the machine's hardware threads.  An effective single worker
     /// (including every drain on a single-core host) runs on the calling
     /// thread with no pool at all.  `n` workers are the calling thread plus
     /// `n - 1` helpers of the service's persistent pool: the first such
@@ -593,7 +602,7 @@ impl MarketService {
     /// served, whichever thread hit it.
     pub fn drain_into(&mut self, workers: usize, out: &mut Vec<Response>) {
         let shard_count = self.core.shards.len();
-        let workers = workers.clamp(1, shard_count).min(self.hardware_workers);
+        let workers = drain_workers(workers, shard_count, self.hardware_workers);
 
         // An idle drain (e.g. the silent waves of a bursty workload) must
         // not lock shards or wake the pool.  The stripes are all there is
