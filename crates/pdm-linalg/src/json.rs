@@ -1,4 +1,5 @@
-//! A minimal JSON tree with a deterministic writer and a strict parser.
+//! A minimal JSON tree with a deterministic writer, a strict parser, and a
+//! binary image of the same tree.
 //!
 //! The vendored `serde` stand-in deliberately ships no `serde_json` (see
 //! `vendor/README.md`), so every machine-readable artifact in the workspace —
@@ -17,6 +18,14 @@
 //!   NaN/inf) and read back as NaN.  Finite numbers round-trip *exactly*:
 //!   Rust's `Display` for `f64` prints the shortest decimal that parses back
 //!   to the same bits, which is what makes JSON snapshots bit-faithful.
+//!
+//! [`Json::encode`] / [`Json::decode`] carry the same tree as a tagged,
+//! length-prefixed binary image with numbers stored as raw `f64` bits.  It
+//! is an in-memory format — `pdm-service` keeps paged-out tenant documents
+//! in it, while snapshots and WAL segments stay JSON text — and it is
+//! pinned to the text codec: `decode(encode(v))` equals `parse(render(v))`
+//! for every `v`, non-finite numbers included (they encode as `Null`).
+//! The decoder rejects damaged input with an error and never panics.
 
 use std::fmt::Write as _;
 
@@ -151,14 +160,188 @@ impl Json {
 
     /// Parses a JSON document, requiring it to span the whole input.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing content at byte {pos}"));
         }
         Ok(value)
+    }
+
+    /// Appends the binary image of the value to `out`: one tag byte per
+    /// value, LEB128 lengths before strings, arrays and objects, and
+    /// numbers as their little-endian `f64` bits.  A non-finite number
+    /// encodes as `Null`, exactly as [`Json::render`] writes it.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Json::Null => out.push(TAG_NULL),
+            Json::Bool(false) => out.push(TAG_FALSE),
+            Json::Bool(true) => out.push(TAG_TRUE),
+            Json::Num(n) if n.is_finite() => {
+                out.push(TAG_NUM);
+                out.extend_from_slice(&n.to_bits().to_le_bytes());
+            }
+            Json::Num(_) => out.push(TAG_NULL),
+            Json::Str(s) => {
+                out.push(TAG_STR);
+                encode_str(out, s);
+            }
+            Json::Arr(items) => {
+                out.push(TAG_ARR);
+                encode_len(out, items.len());
+                for item in items {
+                    item.encode(out);
+                }
+            }
+            Json::Obj(pairs) => {
+                out.push(TAG_OBJ);
+                encode_len(out, pairs.len());
+                for (key, value) in pairs {
+                    encode_str(out, key);
+                    value.encode(out);
+                }
+            }
+        }
+    }
+
+    /// Decodes a binary image written by [`Json::encode`], requiring it to
+    /// span the whole input.  Damaged input — truncated, bit-flipped, an
+    /// unknown tag, invalid UTF-8, a non-finite number, a count larger than
+    /// the bytes left could hold — is an `Err`, never a panic.
+    pub fn decode(bytes: &[u8]) -> Result<Json, String> {
+        let mut reader = Reader { bytes, pos: 0 };
+        let value = reader.value()?;
+        if reader.pos != bytes.len() {
+            return Err(format!("trailing content at byte {}", reader.pos));
+        }
+        Ok(value)
+    }
+}
+
+const TAG_NULL: u8 = 0;
+const TAG_FALSE: u8 = 1;
+const TAG_TRUE: u8 = 2;
+const TAG_NUM: u8 = 3;
+const TAG_STR: u8 = 4;
+const TAG_ARR: u8 = 5;
+const TAG_OBJ: u8 = 6;
+
+/// Appends `len` as an unsigned LEB128 varint.
+fn encode_len(out: &mut Vec<u8>, mut len: usize) {
+    while len >= 0x80 {
+        out.push(0x80 | (len & 0x7f).to_le_bytes()[0]);
+        len >>= 7;
+    }
+    out.push(len.to_le_bytes()[0]);
+}
+
+fn encode_str(out: &mut Vec<u8>, s: &str) {
+    encode_len(out, s.len());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Cursor over a binary image; every read is bounds-checked.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if n > self.remaining() {
+            return Err(format!("truncated input at byte {}", self.pos));
+        }
+        let slice = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(slice)
+    }
+
+    fn byte(&mut self) -> Result<u8, String> {
+        self.take(1).map(|b| b[0])
+    }
+
+    /// An unsigned LEB128 length, rejected past `u64` or `usize`.
+    fn varint(&mut self) -> Result<usize, String> {
+        let start = self.pos;
+        let mut value = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let byte = self.byte()?;
+            let low = u64::from(byte & 0x7f);
+            if shift > 63 || (shift == 63 && low > 1) {
+                return Err(format!("length overflows at byte {start}"));
+            }
+            value |= low << shift;
+            if byte & 0x80 == 0 {
+                return usize::try_from(value)
+                    .map_err(|_| format!("length overflows at byte {start}"));
+            }
+            shift += 7;
+        }
+    }
+
+    /// An element count: every element takes at least one byte, so a count
+    /// beyond the bytes left is damage, and the checked count bounds the
+    /// allocation made for it.
+    fn count(&mut self) -> Result<usize, String> {
+        let start = self.pos;
+        let count = self.varint()?;
+        if count > self.remaining() {
+            return Err(format!("count {count} at byte {start} exceeds the input"));
+        }
+        Ok(count)
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        let start = self.pos;
+        let len = self.varint()?;
+        let raw = self.take(len)?;
+        std::str::from_utf8(raw)
+            .map(str::to_owned)
+            .map_err(|_| format!("invalid UTF-8 in string at byte {start}"))
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        match self.byte()? {
+            TAG_NULL => Ok(Json::Null),
+            TAG_FALSE => Ok(Json::Bool(false)),
+            TAG_TRUE => Ok(Json::Bool(true)),
+            TAG_NUM => {
+                let mut bits = [0u8; 8];
+                bits.copy_from_slice(self.take(8)?);
+                let n = f64::from_bits(u64::from_le_bytes(bits));
+                if n.is_finite() {
+                    Ok(Json::Num(n))
+                } else {
+                    Err(format!("non-finite number at byte {start}"))
+                }
+            }
+            TAG_STR => self.string().map(Json::Str),
+            TAG_ARR => {
+                let count = self.count()?;
+                let mut items = Vec::with_capacity(count);
+                for _ in 0..count {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Arr(items))
+            }
+            TAG_OBJ => {
+                let count = self.count()?;
+                let mut pairs = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let key = self.string()?;
+                    pairs.push((key, self.value()?));
+                }
+                Ok(Json::Obj(pairs))
+            }
+            tag => Err(format!("unknown tag {tag} at byte {start}")),
+        }
     }
 }
 
@@ -229,14 +412,15 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -246,7 +430,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -268,10 +452,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -288,57 +472,74 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}", pos = *pos));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_owned()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "bad \\u escape")?;
-                        *pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so this is
-                // always at a char boundary).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8")?;
-                // pdm-lint: allow(no-unwrap-in-lib) reason="the match arm above guarantees the remainder is non-empty"
-                let c = rest.chars().next().expect("non-empty by match arm");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy the run up to the next quote or backslash as one slice.  Both
+        // are ASCII and the input is a `&str`, so the run ends on a char
+        // boundary and needs no re-validation.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(text.get(*pos..*pos + run).ok_or("invalid UTF-8")?);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => out.push(parse_unicode_escape(bytes, pos)?),
+            _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
+        }
+        *pos += 1;
     }
+}
+
+/// Decodes the `\uXXXX` escape whose `u` is at `*pos`, leaving `*pos` on its
+/// last hex digit.  A high surrogate must be followed by an escaped low
+/// surrogate, and the pair combines into one astral character; a lone
+/// surrogate of either kind is an error.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, String> {
+    let start = *pos - 1;
+    let high = hex4(bytes, *pos + 1)?;
+    *pos += 4;
+    let code = match high {
+        0xd800..=0xdbff => {
+            let low = match bytes.get(*pos + 1..*pos + 3) {
+                Some(b"\\u") => hex4(bytes, *pos + 3)?,
+                _ => return Err(format!("lone surrogate \\u escape at byte {start}")),
+            };
+            if !(0xdc00..=0xdfff).contains(&low) {
+                return Err(format!("lone surrogate \\u escape at byte {start}"));
+            }
+            *pos += 6;
+            0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00)
+        }
+        code => code,
+    };
+    char::from_u32(code).ok_or_else(|| format!("lone surrogate \\u escape at byte {start}"))
+}
+
+/// The four hex digits of a `\u` escape starting at byte `at`.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let hex = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+    u32::from_str_radix(std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?, 16)
+        .map_err(|_| "bad \\u escape".to_owned())
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -357,6 +558,9 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn renders_compact_and_pretty() {
@@ -433,5 +637,237 @@ mod tests {
             Json::parse(r#""A\b\f\/""#).unwrap().as_str(),
             Some("A\u{8}\u{c}/")
         );
+    }
+
+    #[test]
+    fn unicode_escapes_combine_surrogate_pairs() {
+        for text in [r#""\ud83d\ude00""#, r#""\uD83D\uDE00""#] {
+            assert_eq!(Json::parse(text).unwrap().as_str(), Some("\u{1f600}"));
+        }
+        assert_eq!(
+            Json::parse(r#""a\u00e9\u20ACz""#).unwrap().as_str(),
+            Some("aé€z")
+        );
+        // A lone surrogate of either kind is rejected, not replaced.
+        for text in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83dA""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+            r#""\ud83d\ude0""#,
+        ] {
+            assert!(Json::parse(text).is_err(), "accepted {text}");
+        }
+    }
+
+    #[test]
+    fn binary_image_round_trips_every_emittable_value() {
+        let value = Json::obj(vec![
+            ("int", Json::Num(42.0)),
+            ("neg_zero", Json::Num(-0.0)),
+            ("nan", Json::Num(f64::NAN)),
+            ("inf", Json::Num(f64::NEG_INFINITY)),
+            ("text", Json::str("quotes \" and \\ and unicode é😀")),
+            (
+                "flags",
+                Json::Arr(vec![Json::Bool(true), Json::Bool(false)]),
+            ),
+            (
+                "nested",
+                Json::Arr(vec![Json::obj(vec![("k", Json::Null)])]),
+            ),
+            ("empty_arr", Json::Arr(vec![])),
+            ("empty_obj", Json::Obj(vec![])),
+            ("long", Json::Arr(vec![Json::Num(0.5); 300])),
+        ]);
+        let mut image = Vec::new();
+        value.encode(&mut image);
+        let decoded = Json::decode(&image).unwrap();
+        assert_eq!(decoded, Json::parse(&value.render()).unwrap());
+        assert_eq!(decoded.get("nan"), Some(&Json::Null));
+        let neg_zero = decoded.get("neg_zero").and_then(Json::as_f64).unwrap();
+        assert_eq!(neg_zero.to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn decoder_rejects_damaged_images() {
+        let rejects = |bytes: &[u8]| assert!(Json::decode(bytes).is_err(), "accepted {bytes:?}");
+        rejects(&[]);
+        rejects(&[TAG_OBJ + 1]);
+        rejects(&[TAG_NULL, TAG_NULL]);
+        rejects(&[TAG_NUM, 0, 0, 0]);
+        rejects(&[TAG_STR, 2, b'a']);
+        rejects(&[TAG_STR, 1, 0xff]);
+        let mut nan = vec![TAG_NUM];
+        nan.extend_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        rejects(&nan);
+        // Counts the input could not hold fail before anything is
+        // allocated for them, including ones past u64.
+        rejects(&[
+            TAG_ARR, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
+        ]);
+        rejects(&[
+            TAG_OBJ, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+        ]);
+        rejects(&[
+            TAG_ARR, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01,
+        ]);
+        rejects(&[TAG_ARR, 3, TAG_NULL, TAG_NULL]);
+    }
+
+    // The vendored proptest has no string or recursive strategies, so the
+    // properties build their inputs from one drawn seed, which a failure
+    // report prints next to the input itself.
+
+    /// ASCII, control characters, the escaped punctuation, and 2-, 3- and
+    /// 4-byte UTF-8 scalars (surrogates are not scalars).
+    fn random_char(rng: &mut StdRng) -> char {
+        let code: u32 = match rng.gen_range(0..6) {
+            0 => rng.gen_range(0x20..0x7f),
+            1 => rng.gen_range(0..0x20),
+            2 => u32::from([b'"', b'\\', b'/'][rng.gen_range(0..3usize)]),
+            3 => rng.gen_range(0x80..0xd800),
+            4 => rng.gen_range(0xe000..0x1_0000),
+            _ => rng.gen_range(0x1_0000..0x11_0000),
+        };
+        char::from_u32(code).unwrap()
+    }
+
+    fn random_string(rng: &mut StdRng, max_len: usize) -> String {
+        let len = rng.gen_range(0..=max_len);
+        (0..len).map(|_| random_char(rng)).collect()
+    }
+
+    fn random_number(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..10) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+            5 => -f64::from_bits(rng.gen_range(1..1u64 << 52)),
+            6 => [f64::MIN_POSITIVE, f64::MAX, f64::MIN, f64::EPSILON][rng.gen_range(0..4usize)],
+            7 => f64::from_bits(rng.gen()),
+            8 => f64::from(rng.gen_range(-100_000..1_000_000)),
+            _ => rng.gen_range(-1e6..1e6),
+        }
+    }
+
+    fn random_tree(rng: &mut StdRng, depth: u32) -> Json {
+        let kinds = if depth == 0 { 4 } else { 6 };
+        match rng.gen_range(0..kinds) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen()),
+            2 => Json::Num(random_number(rng)),
+            3 => Json::Str(random_string(rng, 8)),
+            4 => Json::Arr(
+                (0..rng.gen_range(0..6))
+                    .map(|_| random_tree(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.gen_range(0..6))
+                    .map(|_| (random_string(rng, 6), random_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Writes `s` as a JSON string literal choosing, per character, a raw
+    /// copy, its short escape, or a `\u` escape (a surrogate pair above
+    /// the BMP) in either hex case.
+    fn escape_randomly(rng: &mut StdRng, s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            let short = match c {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '/' => Some("\\/"),
+                '\u{8}' => Some("\\b"),
+                '\u{c}' => Some("\\f"),
+                '\n' => Some("\\n"),
+                '\r' => Some("\\r"),
+                '\t' => Some("\\t"),
+                _ => None,
+            };
+            let must_escape = c == '"' || c == '\\';
+            match (rng.gen_range(0..3), short) {
+                (0, _) if !must_escape => out.push(c),
+                (1, Some(escape)) => out.push_str(escape),
+                _ => {
+                    let mut units = [0u16; 2];
+                    for unit in c.encode_utf16(&mut units) {
+                        if rng.gen() {
+                            let _ = write!(out, "\\u{unit:04x}");
+                        } else {
+                            let _ = write!(out, "\\u{unit:04X}");
+                        }
+                    }
+                }
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Structural equality that compares every number by its bits, so
+    /// `-0.0` and `0.0` differ.
+    fn same_bits(a: &Json, b: &Json) -> bool {
+        match (a, b) {
+            (Json::Num(x), Json::Num(y)) => x.to_bits() == y.to_bits(),
+            (Json::Arr(xs), Json::Arr(ys)) => {
+                xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+            }
+            (Json::Obj(xs), Json::Obj(ys)) => {
+                xs.len() == ys.len()
+                    && xs
+                        .iter()
+                        .zip(ys)
+                        .all(|((kx, x), (ky, y))| kx == ky && same_bits(x, y))
+            }
+            _ => a == b,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn random_strings_round_trip_through_text(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let original = random_string(&mut rng, 64);
+            let rendered = Json::Str(original.clone()).render();
+            let parsed = Json::parse(&rendered);
+            prop_assert!(
+                parsed.as_ref().ok().and_then(Json::as_str) == Some(original.as_str()),
+                "input {original:?} rendered {rendered:?} parsed {parsed:?}"
+            );
+            let escaped = escape_randomly(&mut rng, &original);
+            let parsed = Json::parse(&escaped);
+            prop_assert!(
+                parsed.as_ref().ok().and_then(Json::as_str) == Some(original.as_str()),
+                "input {original:?} escaped {escaped:?} parsed {parsed:?}"
+            );
+        }
+
+        #[test]
+        fn binary_image_matches_the_text_codec(seed in 0u64..u64::MAX) {
+            let value = random_tree(&mut StdRng::seed_from_u64(seed), 4);
+            let mut image = Vec::new();
+            value.encode(&mut image);
+            let decoded = Json::decode(&image);
+            let reparsed = Json::parse(&value.render());
+            prop_assert!(
+                matches!((&decoded, &reparsed), (Ok(d), Ok(r)) if same_bits(d, r)),
+                "input {value:?}\ndecoded {decoded:?}\nreparsed {reparsed:?}"
+            );
+            let decoded = decoded.unwrap_or(Json::Null);
+            prop_assert_eq!(decoded.render(), value.render());
+            let mut again = Vec::new();
+            decoded.encode(&mut again);
+            prop_assert!(again == image, "input {value:?}: re-encoding changed the image");
+        }
     }
 }

@@ -68,9 +68,12 @@
 //!   numbered WAL segments; [`MarketService::restore_with_wal`] replays
 //!   base-plus-segments to the same bit-identical guarantee.
 //! * **Cold-tenant paging** — with [`ServiceConfig::resident_capacity`]
-//!   set, least-recently-served quiescent tenants page out to their
-//!   serialised form and rehydrate on the next request, bounding the
-//!   resident set under tenant churn.
+//!   set, least-recently-served quiescent tenants page out and rehydrate
+//!   on the next request, bounding the resident set under tenant churn.
+//!   A page is the binary image ([`pdm_linalg::Json::encode`]) of the
+//!   tenant's snapshot document, so paging skips float formatting and
+//!   parsing; it stays in memory, and snapshots and the WAL stay JSON
+//!   text.
 //! * **Observability** — every shard carries a `pdm-obs`
 //!   [`MetricRegistry`] behind its existing lock: the serving stages
 //!   (`ingest.transfer`, `shard.drain`, `shard.quote`, `shard.observe`,

@@ -9,14 +9,17 @@
 //!
 //! With a resident cap the shard also runs the cold-tenant pager: after a
 //! drain, least-recently-served quiescent tenants beyond the cap are
-//! serialised to their snapshot form and dropped from the resident map;
-//! the next request addressed to a paged-out tenant rehydrates it from
-//! that form.  Because the serialised form is the same deterministic
-//! document the snapshot writer emits — and restoring it is bit-identical
-//! by the snapshot contract — paging never changes a price, a ledger, or
-//! a counter, only *when* memory is spent.  The shard additionally tracks
-//! which tenants changed since the last checkpoint (the dirty set), which
-//! is what makes WAL snapshots incremental.
+//! paged out and dropped from the resident map; the next request
+//! addressed to a paged-out tenant rehydrates it from its page.  A page is
+//! the binary image ([`pdm_linalg::Json::encode`]) of the same
+//! deterministic document the snapshot writer emits, and it decodes to
+//! exactly the tree that document's JSON text parses to.  Restoring that
+//! tree is bit-identical by the snapshot contract, so paging never changes
+//! a price, a ledger, or a counter, only *when* memory is spent.  Pages
+//! never leave the process: snapshots and WAL segments stay JSON text.
+//! The shard additionally tracks which tenants changed since the last
+//! checkpoint (the dirty set), which is what makes WAL snapshots
+//! incremental.
 
 use crate::api::{AuctionRequest, Payload, Request, RequestError, Response};
 #[cfg(test)]
@@ -25,7 +28,7 @@ use crate::ledger::arbitrage_clamp;
 use crate::metrics::ShardMetrics;
 use crate::obs::ShardObs;
 use crate::routing::TenantId;
-use crate::snapshot::{cold_tenant_json, cold_tenant_state, tenant_json};
+use crate::snapshot::{cold_tenant_json, cold_tenant_page, cold_tenant_state, tenant_json};
 use crate::tenant::TenantState;
 use pdm_linalg::Json;
 use pdm_pricing::prelude::{BatchRequest, BatchResponse, StepOutcome};
@@ -45,8 +48,9 @@ pub(crate) struct Shard {
     /// the operator has opted into the WAL persistence path.
     ledger_paging: bool,
     tenants: BTreeMap<TenantId, TenantState>,
-    /// Paged-out tenants, keyed to their compact serialised snapshot form.
-    cold: BTreeMap<TenantId, String>,
+    /// Paged-out tenants, keyed to the binary image of their snapshot
+    /// document (see [`cold_tenant_page`]).
+    cold: BTreeMap<TenantId, Vec<u8>>,
     /// Tenants whose state changed since the last checkpoint or full
     /// snapshot.  Ordered so checkpoints serialise in id order.
     dirty: BTreeSet<TenantId>,
@@ -113,20 +117,20 @@ impl Shard {
 
     /// Approximate bytes of tenant state this shard holds: materialised
     /// sessions at their learned-state footprint, paged-out tenants at
-    /// the length of their serialised form.
+    /// the length of their page.
     pub(crate) fn resident_memory_bytes(&self) -> usize {
         let hot: usize = self
             .tenants
             .values()
             .map(TenantState::memory_footprint_bytes)
             .sum();
-        let cold: usize = self.cold.values().map(String::len).sum();
+        let cold: usize = self.cold.values().map(Vec::len).sum();
         hot + cold
     }
 
     /// Every tenant's serialised document paired with its id — resident
-    /// tenants serialised fresh, paged-out tenants parsed back from their
-    /// stored form (byte-identical either way, by the snapshot contract).
+    /// tenants serialised fresh, paged-out tenants decoded from their page
+    /// (byte-identical either way, by the snapshot contract).
     pub(crate) fn tenant_documents(&self) -> Vec<(TenantId, Json)> {
         let mut documents: Vec<(TenantId, Json)> = self
             .tenants
@@ -136,7 +140,7 @@ impl Shard {
         documents.extend(
             self.cold
                 .iter()
-                .map(|(&id, raw)| (id, cold_tenant_json(raw))),
+                .map(|(&id, page)| (id, cold_tenant_json(page))),
         );
         documents.sort_by_key(|(id, _)| *id);
         documents
@@ -154,7 +158,7 @@ impl Shard {
             .is_some_and(|cap| self.tenants.len() >= cap)
             && self.pageable(&state)
         {
-            self.cold.insert(id, tenant_json(&state).render());
+            self.cold.insert(id, cold_tenant_page(&state));
         } else {
             self.tenants.insert(id, state);
         }
@@ -181,7 +185,7 @@ impl Shard {
     }
 
     /// The regret ledger of one tenant on this shard.  A paged-out tenant
-    /// is read from its serialised form without joining the resident set.
+    /// is read from its page without joining the resident set.
     pub(crate) fn tenant_report(
         &self,
         tenant: TenantId,
@@ -191,7 +195,7 @@ impl Shard {
         }
         self.cold
             .get(&tenant)
-            .map(|raw| cold_tenant_state(raw).session.tracker().report())
+            .map(|page| cold_tenant_state(page).session.tracker().report())
     }
 
     /// Number of tenants with a quoted-but-unobserved round.  Paged-out
@@ -218,8 +222,8 @@ impl Shard {
                     continue;
                 }
                 captured.push((id, tenant_json(state)));
-            } else if let Some(raw) = self.cold.get(&id) {
-                captured.push((id, cold_tenant_json(raw)));
+            } else if let Some(page) = self.cold.get(&id) {
+                captured.push((id, cold_tenant_json(page)));
             }
             self.dirty.remove(&id);
         }
@@ -314,16 +318,16 @@ impl Shard {
             .record_span(self.obs.drain, elapsed, requests);
     }
 
-    /// Materialises a paged-out tenant before its run is served.  The
-    /// stored form is the exact document the snapshot writer emits, and
+    /// Materialises a paged-out tenant before its run is served.  The page
+    /// decodes to the exact document the snapshot writer emits, and
     /// restoring a snapshot is bit-identical, so a rehydrated tenant
     /// prices exactly as if it had never left memory.
     fn ensure_resident(&mut self, tenant: TenantId) {
         if self.tenants.contains_key(&tenant) {
             return;
         }
-        if let Some(raw) = self.cold.remove(&tenant) {
-            self.tenants.insert(tenant, cold_tenant_state(&raw));
+        if let Some(page) = self.cold.remove(&tenant) {
+            self.tenants.insert(tenant, cold_tenant_state(&page));
             self.metrics.rehydrations += 1;
         }
     }
@@ -360,7 +364,7 @@ impl Shard {
             }
             // pdm-lint: allow(no-unwrap-in-lib) reason="candidates were collected from the resident map two lines up under the same &mut self"
             let state = self.tenants.remove(&id).expect("candidate is resident");
-            self.cold.insert(id, tenant_json(&state).render());
+            self.cold.insert(id, cold_tenant_page(&state));
             self.last_served.remove(&id);
             self.metrics.evictions += 1;
         }
@@ -745,6 +749,100 @@ mod tests {
         let captured = shard.checkpoint_dirty();
         assert_eq!(captured.len(), 2);
         assert!(shard.checkpoint_dirty().is_empty(), "dirty set drained");
+    }
+
+    /// Queues one quote→observe round for `tenant` at sequence `seq`.
+    fn enqueue_round(shard: &mut Shard, seq: u64, tenant: TenantId, round: usize) {
+        let t = round as f64 * 0.37 + tenant.0 as f64;
+        shard.enqueue(
+            seq,
+            Request::Quote(QueryRequest {
+                tenant,
+                features: Vector::from_slice(&[t.cos().abs(), t.sin().abs(), 0.5]),
+                reserve_price: 0.05,
+            }),
+        );
+        shard.enqueue(
+            seq + 1,
+            Request::Observe(OutcomeReport {
+                tenant,
+                accepted: !round.is_multiple_of(3),
+                market_value: Some(0.8 + 0.1 * t.sin()),
+            }),
+        );
+    }
+
+    /// A cap-1 shard with ledger paging whose tenant 1 (standard, dim 3)
+    /// and tenant 2 (privacy, dim 3) have each served `rounds` rounds in
+    /// one drain; tenant 1, served first, ends paged out.
+    fn shard_with_served_tenants(rounds: usize) -> Shard {
+        let mut shard = Shard::new(0, Some(1), true);
+        shard.register(TenantState::new(
+            TenantId(1),
+            TenantConfig::standard(3, 100),
+        ));
+        shard.register(TenantState::new(
+            TenantId(2),
+            TenantConfig::privacy(3, 100, crate::tenant::PrivacyParams::default()),
+        ));
+        let mut seq = 0;
+        for round in 0..rounds {
+            for tenant in [TenantId(1), TenantId(2)] {
+                enqueue_round(&mut shard, seq, tenant, round);
+                seq += 2;
+            }
+        }
+        shard.process_all();
+        shard
+    }
+
+    #[test]
+    fn a_page_decodes_to_the_text_its_tenant_renders_to() {
+        // Serving the paged-out tenant rehydrates it and pages the resident
+        // one out: its page must decode to the very text its document
+        // rendered to while resident.  Both tenant kinds take a turn, so
+        // the privacy tenant's ledgers are covered too.
+        let mut shard = shard_with_served_tenants(5);
+        let rehydrated = shard.metrics.rehydrations;
+        let mut seq = 100;
+        for (resident, cold) in [(TenantId(2), TenantId(1)), (TenantId(1), TenantId(2))] {
+            assert!(shard.cold.contains_key(&cold));
+            let state = shard.resident_state(resident).expect("resident tenant");
+            let text = tenant_json(state).render();
+            enqueue_round(&mut shard, seq, cold, 7);
+            seq += 2;
+            shard.process_all();
+            let page = &shard.cold[&resident];
+            assert_eq!(cold_tenant_json(page).render(), text);
+            assert!(
+                page.len() < text.len(),
+                "the image is smaller than the text"
+            );
+        }
+        assert_eq!(shard.metrics.rehydrations, rehydrated + 2);
+    }
+
+    #[test]
+    fn damaged_pages_fail_to_decode_without_panicking() {
+        let shard = shard_with_served_tenants(3);
+        let page = shard.cold.values().next().expect("a paged-out tenant");
+        assert!(Json::decode(page).is_ok());
+        for len in 0..page.len() {
+            assert!(
+                Json::decode(&page[..len]).is_err(),
+                "a {len}-byte prefix of a {}-byte page decoded",
+                page.len()
+            );
+        }
+        let mut damaged = page.clone();
+        for at in 0..page.len() {
+            for bit in 0..8 {
+                damaged[at] ^= 1 << bit;
+                let outcome = std::panic::catch_unwind(|| Json::decode(&damaged).is_ok());
+                assert!(outcome.is_ok(), "flipping bit {bit} of byte {at} panicked");
+                damaged[at] ^= 1 << bit;
+            }
+        }
     }
 
     #[test]

@@ -684,10 +684,10 @@ fn ledger_from_json(value: &Json, context: &str) -> Result<RegretReport, Service
 
 /// Serialises one tenant to its snapshot/WAL document.
 ///
-/// This rendering is the unit of persistence everywhere: full snapshots,
-/// WAL segments (see [`crate::wal`]), and the cold-tenant page store all
-/// carry exactly this object, so a tenant round-trips bit-identically no
-/// matter which path it travelled.
+/// This document is the unit of persistence everywhere: full snapshots and
+/// WAL segments (see [`crate::wal`]) carry its JSON text, and the
+/// cold-tenant page store its binary image ([`cold_tenant_page`]), so a
+/// tenant round-trips bit-identically no matter which path it travelled.
 pub(crate) fn tenant_json(state: &TenantState) -> Json {
     let knowledge = state.session.mechanism().knowledge();
     Json::obj(vec![
@@ -734,22 +734,36 @@ pub(crate) fn tenant_json(state: &TenantState) -> Json {
     ])
 }
 
-/// Re-parses the compact rendering a cold (paged-out) tenant is stored as.
+/// Pages a tenant out: the binary image ([`Json::encode`]) of its
+/// [`tenant_json`] document.
 ///
-/// The string was produced by [`tenant_json`]`.render()` inside this
-/// process, so a parse failure is a corrupted invariant, not bad input.
-pub(crate) fn cold_tenant_json(raw: &str) -> Json {
-    // pdm-lint: allow(no-unwrap-in-lib) reason="the string was rendered by tenant_json in this process; a parse failure is memory corruption, not input"
-    Json::parse(raw).expect("cold tenant page is valid JSON by construction")
+/// The page is the same tree the snapshot writer renders, in a form that
+/// skips formatting and re-parsing decimal floats; it never leaves the
+/// process, so snapshots and WAL segments stay JSON text.
+pub(crate) fn cold_tenant_page(state: &TenantState) -> Vec<u8> {
+    let mut page = Vec::new();
+    tenant_json(state).encode(&mut page);
+    page
+}
+
+/// Decodes the document a cold (paged-out) tenant is stored as.
+///
+/// The page was produced by [`cold_tenant_page`] inside this process, and
+/// `decode(encode(v))` equals `parse(render(v))`, so this is the document
+/// the tenant's JSON text would parse to.  A decode failure is a corrupted
+/// invariant, not bad input.
+pub(crate) fn cold_tenant_json(page: &[u8]) -> Json {
+    // pdm-lint: allow(no-unwrap-in-lib) reason="the page was encoded by cold_tenant_page in this process; a decode failure is memory corruption, not input"
+    Json::decode(page).expect("cold tenant page is a valid image by construction")
 }
 
 /// Rehydrates a cold tenant back into a live [`TenantState`].
 ///
-/// Bit-identical by the snapshot contract: serialise → parse → rebuild is
-/// the same path a full snapshot/restore takes per tenant.
-pub(crate) fn cold_tenant_state(raw: &str) -> TenantState {
+/// Bit-identical by the snapshot contract: the decoded document is the
+/// one a full snapshot/restore parses per tenant, rebuilt the same way.
+pub(crate) fn cold_tenant_state(page: &[u8]) -> TenantState {
     // pdm-lint: allow(no-unwrap-in-lib) reason="serialise then rebuild is the pinned snapshot contract; failure here is a broken invariant, not input"
-    tenant_from_json(&cold_tenant_json(raw)).expect("cold tenant page round-trips by construction")
+    tenant_from_json(&cold_tenant_json(page)).expect("cold tenant page round-trips by construction")
 }
 
 pub(crate) fn tenant_from_json(value: &Json) -> Result<TenantState, ServiceError> {
