@@ -517,12 +517,8 @@ fn render_auction(cells: &[AuctionCellReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::run_cell;
+    use crate::workload::{run_cell, run_test_cell as run};
     use pdm_service::MetricRegistry;
-
-    fn run(spec: &AuctionCellSpec, workers: usize, reps: u64) -> AuctionCellReport {
-        run_cell(spec, workers, reps, &mut MetricRegistry::new()).unwrap()
-    }
 
     fn tiny_cell(bidders: usize, policy: AuctionPolicy) -> AuctionCellSpec {
         AuctionCellSpec {

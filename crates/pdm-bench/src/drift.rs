@@ -600,12 +600,8 @@ fn render_drift(cells: &[DriftCellReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::run_cell;
+    use crate::workload::{run_cell, run_test_cell as run};
     use pdm_service::MetricRegistry;
-
-    fn run(spec: &DriftCellSpec, workers: usize, reps: u64) -> DriftCellReport {
-        run_cell(spec, workers, reps, &mut MetricRegistry::new()).unwrap()
-    }
 
     fn tiny_cell(kind: DriftKind, policy: DriftPolicy) -> DriftCellSpec {
         DriftCellSpec {

@@ -4,7 +4,7 @@
 //! paper's evaluation (Section V), plus the ablations called out in
 //! `DESIGN.md`.  Each experiment is a subcommand of the **`bench`** binary
 //! (`cargo run -p pdm-bench --release --bin bench -- <name>`); the shared
-//! pipelines live here so the binary, the Criterion benches, and the
+//! pipelines live here so the binary, the Criterion bench, and the
 //! integration tests all exercise the same code.
 //!
 //! | subcommand | reproduces |
@@ -32,7 +32,8 @@
 //! documented in `docs/BENCHMARKS.md`.  The experiment grid lives in
 //! [`experiments`]; the worker pool and aggregation in [`runner`]; the
 //! closed-loop service workloads (`serve`, `auction`, `drift`, `longhaul`,
-//! `privacy`) share one driver in [`workload`]; the write-only
+//! `privacy`) run through [`workload`], and `longhaul` and `privacy` share
+//! the crash-cut harness in `crash_cut.rs`; the write-only
 //! `BENCH_*.json` schema lives in [`report`].
 
 #![forbid(unsafe_code)]
@@ -42,6 +43,7 @@ pub mod airbnb_pipeline;
 pub mod auction;
 pub mod avazu_pipeline;
 pub mod cli;
+mod crash_cut;
 pub mod drift;
 pub mod experiments;
 pub mod grid;

@@ -4,52 +4,41 @@
 //! Every cell spins up a paging-enabled [`MarketService`] (a resident cap
 //! well below the tenant count, the WAL on) and pumps a rotating
 //! active-window traffic trace through it: each wave serves a contiguous
-//! window of tenants that slides every wave, so tenants keep falling cold
-//! and paging back in.  The whole trace is precomputed, which lets the run
-//! verify the tentpole contracts end to end:
+//! window of tenants that slides three tenants every wave, so tenants keep
+//! falling cold and paging back in.  The run goes through the crash-cut
+//! harness in `crash_cut.rs`:
 //!
 //! * **Snapshot under traffic** — a WAL checkpoint is taken every
 //!   `checkpoint_every` waves while the service keeps serving; dirty-tenant
 //!   tracking keeps each segment proportional to the tenants that actually
 //!   changed, not the population.
 //! * **Bit-identical restore** — at the halfway cut the service is rebuilt
-//!   from the base snapshot plus the accumulated segments
-//!   ([`MarketService::restore_with_wal`], timed as the restore-latency
-//!   column), and **both** services then replay the identical second half
-//!   of the trace.  Every posted price must agree bit for bit, and the
-//!   pre-cut aggregates (quotes, sales, revenue, regret) must match
-//!   exactly.  Paging counters are deliberately *not* compared: the
-//!   restored service starts with a fresh LRU, so its eviction choices may
-//!   differ while its arithmetic cannot.
-//! * **Bounded residency** — after every wave, on both services, the
-//!   materialised tenant count must not exceed the resident cap; the run
-//!   fails otherwise.  Memory per tenant (hot footprints plus cold page
-//!   bytes over the whole population) is reported as a column.
+//!   from the base snapshot plus the accumulated segments (timed as the
+//!   restore-latency column), the cut ledgers must match exactly, and
+//!   **both** services then replay the identical second half with every
+//!   posted price agreeing bit for bit.
+//! * **Bounded residency** — the workload's own check: after every wave,
+//!   on both services, the materialised tenant count must not exceed the
+//!   resident cap; the run fails otherwise.  Memory per tenant (hot
+//!   footprints plus cold page bytes over the whole population) is
+//!   reported as a column.
 //!
 //! [`MarketService`]: pdm_service::MarketService
-//! [`MarketService::restore_with_wal`]: pdm_service::MarketService::restore_with_wal
 
+use crate::crash_cut;
 use crate::grid::derive_seed;
-use crate::report::{agg_stat_json, check_stat, check_throughput, BenchReport};
+use crate::report::{agg_stat_json, check_stat, BenchReport};
 use crate::runner::AggStat;
 use crate::table;
 use crate::workload::{Cell, Rep, Workload};
 use crate::Scale;
-use pdm_linalg::{sampling, Json, Vector};
-use pdm_service::{
-    MarketService, OutcomeReport, QueryRequest, ServiceConfig, TenantConfig, TenantId,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::time::{Duration, Instant};
+use pdm_linalg::Json;
+use pdm_service::{MarketService, ServiceConfig, TenantConfig, TenantId};
+use std::time::Duration;
 
 /// Base seed of the longhaul grid; each cell derives its traffic trace from
 /// `derive_seed(LONGHAUL_SEED_BASE + cell_index, rep)`.
 const LONGHAUL_SEED_BASE: u64 = 0x10A9;
-
-/// Reserve prices are this fraction of the hidden market value, matching
-/// the serve workload's convention.
-const RESERVE_FRACTION: f64 = 0.6;
 
 /// One cell of the longhaul grid: a paging-enabled service under a rotating
 /// active-window trace with periodic WAL checkpoints.
@@ -73,6 +62,17 @@ pub struct LonghaulCellSpec {
     pub checkpoint_every: usize,
     /// Base seed of the cell's traffic trace.
     pub seed: u64,
+}
+
+impl LonghaulCellSpec {
+    /// Tenants each wave serves: at least the resident cap and a quarter of
+    /// the population, so the sliding window keeps pushing tenants cold.
+    fn window(&self) -> usize {
+        self.resident_capacity
+            .max(self.tenants / 4)
+            .max(1)
+            .min(self.tenants)
+    }
 }
 
 /// Wall-clock figures of one longhaul cell (excluded from the determinism
@@ -136,18 +136,7 @@ pub struct LonghaulCellReport {
     pub perf: LonghaulPerf,
 }
 
-/// One precomputed request of the traffic trace.
-struct TraceRequest {
-    tenant: u64,
-    features: Vector,
-    value: f64,
-    reserve: f64,
-}
-
-/// The per-repetition WAL, paging and restore figures.  The repetition's
-/// metrics and scrape are the *original* service's (the restored twin
-/// replays the same second half, so folding both would double-count the
-/// post-cut traffic).
+/// The per-repetition WAL, paging and restore figures.
 pub struct LonghaulOutcome {
     wal_segments: u64,
     max_resident: usize,
@@ -155,63 +144,11 @@ pub struct LonghaulOutcome {
     restore_latency: Duration,
 }
 
-/// Precomputes the full trace: each wave serves a sliding window of
-/// tenants, so the same requests can replay against the original service
-/// and the restored one.
-fn build_trace(
-    spec: &LonghaulCellSpec,
-    traffic_seed: u64,
-) -> Result<Vec<Vec<TraceRequest>>, String> {
-    let window = spec
-        .resident_capacity
-        .max(spec.tenants / 4)
-        .max(1)
-        .min(spec.tenants);
-    let mut streams: Vec<StdRng> = Vec::with_capacity(spec.tenants);
-    let mut thetas: Vec<Vector> = Vec::with_capacity(spec.tenants);
-    for id in 0..spec.tenants as u64 {
-        let mut rng = StdRng::seed_from_u64(derive_seed(traffic_seed, id.wrapping_add(1)));
-        thetas.push(
-            sampling::unit_sphere(&mut rng, spec.dim)
-                .map(f64::abs)
-                .normalized(),
-        );
-        streams.push(rng);
-    }
-    let mut trace = Vec::with_capacity(spec.waves);
-    for wave in 0..spec.waves {
-        // The window slides three tenants per wave: fast enough that the
-        // active set outruns the resident cap, slow enough that sessions
-        // still accumulate rounds before falling cold.
-        let start = (wave * 3) % spec.tenants;
-        let mut requests = Vec::with_capacity(window);
-        for offset in 0..window {
-            let id = ((start + offset) % spec.tenants) as u64;
-            let rng = &mut streams[id as usize];
-            let features = sampling::standard_normal_vector(rng, spec.dim)
-                .map(f64::abs)
-                .normalized();
-            let value = thetas[id as usize]
-                .dot(&features)
-                .map_err(|e| format!("{}: dot: {e}", spec.label))?;
-            requests.push(TraceRequest {
-                tenant: id,
-                features,
-                value,
-                reserve: RESERVE_FRACTION * value,
-            });
-        }
-        trace.push(requests);
-    }
-    Ok(trace)
-}
-
 /// Builds the cell's service and registers its tenants.
 fn build_service(spec: &LonghaulCellSpec) -> Result<MarketService, String> {
-    let window = spec.resident_capacity.max(spec.tenants / 4).max(1);
     let mut service = MarketService::new(ServiceConfig {
         shards: spec.shards,
-        queue_capacity: window.max(4),
+        queue_capacity: spec.window().max(4),
         resident_capacity: Some(spec.resident_capacity),
         wal_segment_size: Some(spec.wal_segment_size),
         ..ServiceConfig::default()
@@ -224,182 +161,6 @@ fn build_service(spec: &LonghaulCellSpec) -> Result<MarketService, String> {
             .map_err(|e| format!("{}: register: {e}", spec.label))?;
     }
     Ok(service)
-}
-
-/// Replays `waves` of the trace against `service`, collecting every posted
-/// price bit in `(tenant, bits)` response order and enforcing the resident
-/// cap after every wave.  Returns the accumulated drain time.
-fn run_waves(
-    label: &str,
-    service: &mut MarketService,
-    trace: &[Vec<TraceRequest>],
-    workers: usize,
-    bits: &mut Vec<(u64, u64)>,
-    max_resident: &mut usize,
-    cap: usize,
-) -> Result<Duration, String> {
-    let mut drain_time = Duration::ZERO;
-    let mut responses = Vec::new();
-    for requests in trace {
-        for request in requests {
-            service
-                .submit_quote(QueryRequest {
-                    tenant: TenantId(request.tenant),
-                    features: request.features.clone(),
-                    reserve_price: request.reserve,
-                })
-                .map_err(|e| format!("{label}: submit: {e}"))?;
-        }
-        responses.clear();
-        let started = Instant::now();
-        service.drain_into(workers, &mut responses);
-        drain_time += started.elapsed();
-        for response in &responses {
-            let quote = response
-                .quote()
-                .ok_or_else(|| format!("{label}: expected a quote response"))?;
-            let request = requests
-                .iter()
-                .find(|r| r.tenant == response.tenant.0)
-                .ok_or_else(|| format!("{label}: response without a request"))?;
-            bits.push((response.tenant.0, quote.posted_price.to_bits()));
-            service
-                .submit_outcome(OutcomeReport {
-                    tenant: response.tenant,
-                    accepted: quote.posted_price <= request.value,
-                    market_value: Some(request.value),
-                })
-                .map_err(|e| format!("{label}: outcome: {e}"))?;
-        }
-        responses.clear();
-        let started = Instant::now();
-        service.drain_into(workers, &mut responses);
-        drain_time += started.elapsed();
-        let resident = service.resident_tenants();
-        *max_resident = (*max_resident).max(resident);
-        if resident > cap {
-            return Err(format!(
-                "{label}: {resident} tenants resident after a wave, above the cap of {cap}"
-            ));
-        }
-    }
-    Ok(drain_time)
-}
-
-/// Runs one repetition of one cell: first half with checkpoints under
-/// traffic, the timed restore at the cut, then the identical second half on
-/// both services with bit-for-bit comparison.
-fn run_rep(
-    spec: &LonghaulCellSpec,
-    workers: usize,
-    rep: u64,
-) -> Result<Rep<LonghaulOutcome>, String> {
-    let trace = build_trace(spec, derive_seed(spec.seed, rep))?;
-    let cut = spec.waves / 2;
-    let cap = spec.resident_capacity;
-    let mut max_resident = 0usize;
-
-    let mut original = build_service(spec)?;
-    let base = original
-        .snapshot()
-        .map_err(|e| format!("{}: base snapshot: {e}", spec.label))?;
-    let mut stream: Vec<Json> = Vec::new();
-    let mut drain_time = Duration::ZERO;
-    let mut pre_cut_bits = Vec::new();
-    for (wave, requests) in trace[..cut].iter().enumerate() {
-        drain_time += run_waves(
-            &spec.label,
-            &mut original,
-            std::slice::from_ref(requests),
-            workers,
-            &mut pre_cut_bits,
-            &mut max_resident,
-            cap,
-        )?;
-        // Snapshot-under-traffic: the checkpoint interleaves with the load
-        // instead of waiting for the run to end.
-        if (wave + 1) % spec.checkpoint_every == 0 {
-            stream.extend(
-                original
-                    .checkpoint()
-                    .map_err(|e| format!("{}: checkpoint: {e}", spec.label))?,
-            );
-        }
-    }
-    // The cut checkpoint: the service is quiescent here, so base + stream is
-    // a consistent point to rebuild from.
-    stream.extend(
-        original
-            .checkpoint()
-            .map_err(|e| format!("{}: cut checkpoint: {e}", spec.label))?,
-    );
-
-    let restore_started = Instant::now();
-    let mut restored = MarketService::restore_with_wal(&base, &stream)
-        .map_err(|e| format!("{}: restore: {e}", spec.label))?;
-    let restore_latency = restore_started.elapsed();
-
-    // The restored service must agree with the original on everything the
-    // WAL promises to carry — the pricing arithmetic and its ledgers.  The
-    // paging counters are excluded by design: a fresh LRU may evict
-    // different tenants without changing a single priced bit.
-    let original_cut = original.aggregate_metrics();
-    let restored_cut = restored.aggregate_metrics();
-    if restored_cut.quotes_served != original_cut.quotes_served
-        || restored_cut.sales != original_cut.sales
-        || restored_cut.revenue.to_bits() != original_cut.revenue.to_bits()
-        || restored_cut.regret.to_bits() != original_cut.regret.to_bits()
-    {
-        return Err(format!(
-            "{}: the WAL restore lost counters at the cut (quotes {} vs {}, revenue {} vs {})",
-            spec.label,
-            restored_cut.quotes_served,
-            original_cut.quotes_served,
-            restored_cut.revenue,
-            original_cut.revenue,
-        ));
-    }
-
-    // Second half: the identical trace against both services.
-    let mut expected = Vec::new();
-    drain_time += run_waves(
-        &spec.label,
-        &mut original,
-        &trace[cut..],
-        workers,
-        &mut expected,
-        &mut max_resident,
-        cap,
-    )?;
-    let mut actual = Vec::new();
-    run_waves(
-        &spec.label,
-        &mut restored,
-        &trace[cut..],
-        workers,
-        &mut actual,
-        &mut max_resident,
-        cap,
-    )?;
-    if expected != actual {
-        return Err(format!(
-            "{}: the restored service diverged from the original over the post-cut trace \
-             — WAL restore is not bit-identical",
-            spec.label
-        ));
-    }
-
-    Ok(Rep {
-        outcome: LonghaulOutcome {
-            wal_segments: original.wal_segments_written(),
-            max_resident,
-            resident_memory_bytes: original.resident_memory_bytes(),
-            restore_latency,
-        },
-        metrics: original.aggregate_metrics(),
-        drain_time,
-        scrape: original.scrape(),
-    })
 }
 
 impl Workload for LonghaulCellSpec {
@@ -442,8 +203,30 @@ impl Workload for LonghaulCellSpec {
         self.shards
     }
 
+    /// One repetition through the crash-cut harness, then the resident cap
+    /// on both services.
     fn run_rep(&self, workers: usize, rep: u64) -> Result<Rep<LonghaulOutcome>, String> {
-        run_rep(self, workers, rep)
+        // The window slides three tenants per wave: fast enough that the
+        // active set outruns the resident cap, slow enough that sessions
+        // still accumulate rounds before falling cold.
+        let seed = derive_seed(self.seed, rep);
+        let trace =
+            crash_cut::build_trace(self.tenants, self.dim, self.waves, self.window(), 3, seed)
+                .map_err(|e| format!("{}: {e}", self.label))?;
+        let service = build_service(self)?;
+        let run = crash_cut::run(&self.label, service, &trace, self.checkpoint_every, workers)?;
+        if run.max_resident > self.resident_capacity {
+            return Err(format!(
+                "{}: {} tenants resident after a wave, above the cap of {}",
+                self.label, run.max_resident, self.resident_capacity
+            ));
+        }
+        Ok(run.rep(LonghaulOutcome {
+            wal_segments: run.service.wal_segments_written(),
+            max_resident: run.max_resident,
+            resident_memory_bytes: run.service.resident_memory_bytes(),
+            restore_latency: run.restore_latency,
+        }))
     }
 
     fn fold(&self, cell: &Cell<LonghaulOutcome>) -> LonghaulCellReport {
@@ -498,9 +281,6 @@ impl Workload for LonghaulCellSpec {
             ] {
                 check_stat(violations, &place, what, stat, upper);
             }
-            if cell.quotes_served == 0 {
-                violations.push(format!("{place}: served no quotes at all"));
-            }
             // The residency contract of the paging layer: the run records
             // the high-water mark across every wave of both the original
             // and the restored service, and it must stay under the cap.
@@ -511,30 +291,17 @@ impl Workload for LonghaulCellSpec {
                     cell.max_resident, cell.resident_capacity
                 ));
             }
-            // A longhaul run that wrote no WAL segments never exercised the
-            // checkpoint path it exists to measure.
-            if cell.wal_segments == 0 {
-                violations.push(format!("{place}: wrote no WAL segments at all"));
-            }
-            let throughput = cell.perf.quotes_per_sec;
-            check_throughput(
+            crash_cut::validate(
                 violations,
                 &place,
-                "quotes/sec",
                 cell.quotes_served,
-                throughput,
+                cell.perf.quotes_per_sec,
+                cell.wal_segments,
+                &[
+                    ("restore latency µs", cell.perf.restore_latency_micros),
+                    ("memory per tenant", cell.perf.memory_per_tenant_bytes),
+                ],
             );
-            // Restore latency and memory-per-tenant are wall-clock figures,
-            // but a successful run must still report them as finite,
-            // non-negative numbers for the CI columns to mean anything.
-            for (what, v) in [
-                ("restore latency µs", cell.perf.restore_latency_micros),
-                ("memory per tenant", cell.perf.memory_per_tenant_bytes),
-            ] {
-                if !v.is_finite() || v < 0.0 {
-                    violations.push(format!("{place}: {what} is not a sane figure ({v})"));
-                }
-            }
         }
     }
 
@@ -621,12 +388,7 @@ fn render_longhaul(cells: &[LonghaulCellReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::run_cell;
-    use pdm_service::MetricRegistry;
-
-    fn run(spec: &LonghaulCellSpec, workers: usize, reps: u64) -> LonghaulCellReport {
-        run_cell(spec, workers, reps, &mut MetricRegistry::new()).unwrap()
-    }
+    use crate::workload::run_test_cell as run;
 
     fn tiny_cell() -> LonghaulCellSpec {
         LonghaulCellSpec {
@@ -670,20 +432,6 @@ mod tests {
         assert!(report.perf.restore_latency_micros > 0.0);
         assert!(report.perf.memory_per_tenant_bytes > 0.0);
         assert!(report.revenue.mean > 0.0);
-    }
-
-    #[test]
-    fn worker_count_does_not_move_deterministic_aggregates() {
-        let one = run(&tiny_cell(), 1, 1);
-        let two = run(&tiny_cell(), 2, 1);
-        assert_eq!(one.quotes_served, two.quotes_served);
-        assert_eq!(one.sales, two.sales);
-        assert_eq!(one.evictions, two.evictions);
-        assert_eq!(one.rehydrations, two.rehydrations);
-        assert_eq!(one.wal_segments, two.wal_segments);
-        assert_eq!(one.max_resident, two.max_resident);
-        assert_eq!(one.revenue.mean.to_bits(), two.revenue.mean.to_bits());
-        assert_eq!(one.regret.mean.to_bits(), two.regret.mean.to_bits());
     }
 
     #[test]

@@ -24,38 +24,31 @@
 //!   serve strictly fewer quotes than the first (`quoted_late <
 //!   quoted_early` whenever anyone exhausted) — the "budget exhaustion
 //!   measurably throttles supply" gate.
-//! * **Bit-identical restore with ledgers** — as in the longhaul
-//!   workload, a WAL checkpoint is taken every `checkpoint_every` waves,
-//!   the service is rebuilt at the halfway cut, and both services replay
-//!   the identical second half.  Every posted price, every
-//!   budget-exhausted refusal, and the per-wave exhaustion trajectory
-//!   must agree bit for bit, and the cut aggregates — including the ε and
-//!   compensation totals — must match exactly.
+//! * **Bit-identical restore with ledgers** — the crash-cut harness in
+//!   `crash_cut.rs`, shared with the longhaul workload: a WAL
+//!   checkpoint is taken every `checkpoint_every` waves, the service is
+//!   rebuilt at the halfway cut, and both services replay the identical
+//!   second half.  Every posted price, every budget-exhausted refusal, and
+//!   the per-wave exhaustion trajectory must agree bit for bit, and the
+//!   cut ledgers — including the ε and compensation totals — must match
+//!   exactly.  Any other failed request is an error, not a refusal.
 //!
 //! [`MarketService`]: pdm_service::MarketService
 
+use crate::crash_cut;
 use crate::grid::derive_seed;
-use crate::report::{agg_stat_json, check_stat, check_throughput, gate_tolerance, BenchReport};
+use crate::report::{agg_stat_json, check_stat, gate_tolerance, BenchReport};
 use crate::runner::AggStat;
 use crate::table;
 use crate::workload::{Cell, Rep, Workload};
 use crate::Scale;
-use pdm_linalg::{sampling, Json, Vector};
-use pdm_service::{
-    MarketService, OutcomeReport, Payload, PrivacyParams, QueryRequest, ServiceConfig,
-    TenantConfig, TenantId,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::time::{Duration, Instant};
+use pdm_linalg::Json;
+use pdm_service::{MarketService, PrivacyParams, ServiceConfig, TenantConfig, TenantId};
+use std::time::Duration;
 
 /// Base seed of the privacy grid; each cell derives its traffic trace from
 /// `derive_seed(PRIVACY_SEED_BASE + cell_index, rep)`.
 const PRIVACY_SEED_BASE: u64 = 0x11E9;
-
-/// Reserve prices are this fraction of the hidden market value (the shard
-/// then lifts the effective reserve to cover owner compensation).
-const RESERVE_FRACTION: f64 = 0.6;
 
 /// One cell of the privacy grid: a population of privacy tenants whose
 /// owners share one ε budget level, under a closed-loop trace with
@@ -153,64 +146,12 @@ pub struct PrivacyCellReport {
     pub perf: PrivacyPerf,
 }
 
-/// One precomputed request of the traffic trace.
-struct TraceRequest {
-    tenant: u64,
-    features: Vector,
-    value: f64,
-    reserve: f64,
-}
-
-/// The per-repetition supply, WAL and restore figures.  The repetition's
-/// metrics and scrape are the *original* service's (the restored twin
-/// replays the same second half, so folding both would double-count the
-/// post-cut traffic).
+/// The per-repetition supply, WAL and restore figures.
 pub struct PrivacyOutcome {
     quoted_early: u64,
     trajectory: Vec<u64>,
     wal_segments: u64,
     restore_latency: Duration,
-}
-
-/// Precomputes the full trace: one query per tenant per wave, drawn from
-/// per-tenant streams so the identical requests can replay against the
-/// original service and the restored one.
-fn build_trace(
-    spec: &PrivacyCellSpec,
-    traffic_seed: u64,
-) -> Result<Vec<Vec<TraceRequest>>, String> {
-    let mut streams: Vec<StdRng> = Vec::with_capacity(spec.tenants);
-    let mut thetas: Vec<Vector> = Vec::with_capacity(spec.tenants);
-    for id in 0..spec.tenants as u64 {
-        let mut rng = StdRng::seed_from_u64(derive_seed(traffic_seed, id.wrapping_add(1)));
-        thetas.push(
-            sampling::unit_sphere(&mut rng, spec.owners)
-                .map(f64::abs)
-                .normalized(),
-        );
-        streams.push(rng);
-    }
-    let mut trace = Vec::with_capacity(spec.waves);
-    for _ in 0..spec.waves {
-        let mut requests = Vec::with_capacity(spec.tenants);
-        for id in 0..spec.tenants as u64 {
-            let rng = &mut streams[id as usize];
-            let features = sampling::standard_normal_vector(rng, spec.owners)
-                .map(f64::abs)
-                .normalized();
-            let value = thetas[id as usize]
-                .dot(&features)
-                .map_err(|e| format!("{}: dot: {e}", spec.label))?;
-            requests.push(TraceRequest {
-                tenant: id,
-                features,
-                value,
-                reserve: RESERVE_FRACTION * value,
-            });
-        }
-        trace.push(requests);
-    }
-    Ok(trace)
 }
 
 /// Builds the cell's service and registers its privacy tenants.
@@ -234,190 +175,6 @@ fn build_service(spec: &PrivacyCellSpec) -> Result<MarketService, String> {
             .map_err(|e| format!("{}: register: {e}", spec.label))?;
     }
     Ok(service)
-}
-
-/// Replays `waves` of the trace against `service`.  Served quotes push
-/// their posted-price bits; budget-exhausted refusals push a `u64::MAX`
-/// sentinel — both must reproduce exactly on a restored service.  After
-/// each wave the cumulative owners-exhausted counter is appended to
-/// `trajectory`.  Returns the accumulated drain time.
-fn run_waves(
-    label: &str,
-    service: &mut MarketService,
-    trace: &[Vec<TraceRequest>],
-    workers: usize,
-    bits: &mut Vec<(u64, u64)>,
-    trajectory: &mut Vec<u64>,
-) -> Result<Duration, String> {
-    let mut drain_time = Duration::ZERO;
-    let mut responses = Vec::new();
-    for requests in trace {
-        for request in requests {
-            service
-                .submit_quote(QueryRequest {
-                    tenant: TenantId(request.tenant),
-                    features: request.features.clone(),
-                    reserve_price: request.reserve,
-                })
-                .map_err(|e| format!("{label}: submit: {e}"))?;
-        }
-        responses.clear();
-        let started = Instant::now();
-        service.drain_into(workers, &mut responses);
-        drain_time += started.elapsed();
-        for response in &responses {
-            match &response.payload {
-                Payload::Quoted(quote) => {
-                    let request = requests
-                        .iter()
-                        .find(|r| r.tenant == response.tenant.0)
-                        .ok_or_else(|| format!("{label}: response without a request"))?;
-                    bits.push((response.tenant.0, quote.posted_price.to_bits()));
-                    service
-                        .submit_outcome(OutcomeReport {
-                            tenant: response.tenant,
-                            accepted: quote.posted_price <= request.value,
-                            market_value: Some(request.value),
-                        })
-                        .map_err(|e| format!("{label}: outcome: {e}"))?;
-                }
-                Payload::Failed(_) => bits.push((response.tenant.0, u64::MAX)),
-                other => {
-                    return Err(format!(
-                        "{label}: privacy tenants only quote or throttle, got {other:?}"
-                    ))
-                }
-            }
-        }
-        responses.clear();
-        let started = Instant::now();
-        service.drain_into(workers, &mut responses);
-        drain_time += started.elapsed();
-        trajectory.push(service.aggregate_metrics().owners_exhausted);
-    }
-    Ok(drain_time)
-}
-
-/// Runs one repetition of one cell: first half with checkpoints under
-/// traffic, the timed restore at the cut, then the identical second half
-/// on both services with bit-for-bit comparison — prices, refusals, the
-/// exhaustion trajectory, and the ε/compensation ledger totals.
-fn run_rep(
-    spec: &PrivacyCellSpec,
-    workers: usize,
-    rep: u64,
-) -> Result<Rep<PrivacyOutcome>, String> {
-    let trace = build_trace(spec, derive_seed(spec.seed, rep))?;
-    let cut = spec.waves / 2;
-
-    let mut original = build_service(spec)?;
-    let base = original
-        .snapshot()
-        .map_err(|e| format!("{}: base snapshot: {e}", spec.label))?;
-    let mut stream: Vec<Json> = Vec::new();
-    let mut drain_time = Duration::ZERO;
-    let mut pre_cut_bits = Vec::new();
-    let mut trajectory = Vec::with_capacity(spec.waves);
-    for (wave, requests) in trace[..cut].iter().enumerate() {
-        drain_time += run_waves(
-            &spec.label,
-            &mut original,
-            std::slice::from_ref(requests),
-            workers,
-            &mut pre_cut_bits,
-            &mut trajectory,
-        )?;
-        if (wave + 1) % spec.checkpoint_every == 0 {
-            stream.extend(
-                original
-                    .checkpoint()
-                    .map_err(|e| format!("{}: checkpoint: {e}", spec.label))?,
-            );
-        }
-    }
-    stream.extend(
-        original
-            .checkpoint()
-            .map_err(|e| format!("{}: cut checkpoint: {e}", spec.label))?,
-    );
-
-    let restore_started = Instant::now();
-    let mut restored = MarketService::restore_with_wal(&base, &stream)
-        .map_err(|e| format!("{}: restore: {e}", spec.label))?;
-    let restore_latency = restore_started.elapsed();
-
-    // The restored service must agree with the original on everything the
-    // ledgers promise to carry: the pricing counters AND the privacy
-    // economics — ε spent, compensation accrued, owners retired.
-    let original_cut = original.aggregate_metrics();
-    let restored_cut = restored.aggregate_metrics();
-    if restored_cut.quotes_served != original_cut.quotes_served
-        || restored_cut.sales != original_cut.sales
-        || restored_cut.revenue.to_bits() != original_cut.revenue.to_bits()
-        || restored_cut.epsilon_spent.to_bits() != original_cut.epsilon_spent.to_bits()
-        || restored_cut.compensation_paid.to_bits() != original_cut.compensation_paid.to_bits()
-        || restored_cut.owners_exhausted != original_cut.owners_exhausted
-        || restored_cut.privacy_throttled != original_cut.privacy_throttled
-    {
-        return Err(format!(
-            "{}: the WAL restore lost ledger state at the cut (ε {} vs {}, compensation \
-             {} vs {}, exhausted {} vs {})",
-            spec.label,
-            restored_cut.epsilon_spent,
-            original_cut.epsilon_spent,
-            restored_cut.compensation_paid,
-            original_cut.compensation_paid,
-            restored_cut.owners_exhausted,
-            original_cut.owners_exhausted,
-        ));
-    }
-    let quoted_early = original_cut.quotes_served;
-
-    // Second half: the identical trace against both services.
-    let mut expected = Vec::new();
-    drain_time += run_waves(
-        &spec.label,
-        &mut original,
-        &trace[cut..],
-        workers,
-        &mut expected,
-        &mut trajectory,
-    )?;
-    let mut actual = Vec::new();
-    let mut restored_trajectory = Vec::with_capacity(spec.waves - cut);
-    run_waves(
-        &spec.label,
-        &mut restored,
-        &trace[cut..],
-        workers,
-        &mut actual,
-        &mut restored_trajectory,
-    )?;
-    if expected != actual {
-        return Err(format!(
-            "{}: the restored service diverged from the original over the post-cut trace \
-             — ledger restore is not bit-identical",
-            spec.label
-        ));
-    }
-    if trajectory[cut..] != restored_trajectory[..] {
-        return Err(format!(
-            "{}: the restored service's exhaustion trajectory diverged from the original",
-            spec.label
-        ));
-    }
-
-    Ok(Rep {
-        outcome: PrivacyOutcome {
-            quoted_early,
-            trajectory,
-            wal_segments: original.wal_segments_written(),
-            restore_latency,
-        },
-        metrics: original.aggregate_metrics(),
-        drain_time,
-        scrape: original.scrape(),
-    })
 }
 
 impl Workload for PrivacyCellSpec {
@@ -463,8 +220,21 @@ impl Workload for PrivacyCellSpec {
         self.shards
     }
 
+    /// One repetition through the crash-cut harness: every tenant quotes
+    /// once per wave, in tenant order.
     fn run_rep(&self, workers: usize, rep: u64) -> Result<Rep<PrivacyOutcome>, String> {
-        run_rep(self, workers, rep)
+        let seed = derive_seed(self.seed, rep);
+        let trace =
+            crash_cut::build_trace(self.tenants, self.owners, self.waves, self.tenants, 0, seed)
+                .map_err(|e| format!("{}: {e}", self.label))?;
+        let service = build_service(self)?;
+        let run = crash_cut::run(&self.label, service, &trace, self.checkpoint_every, workers)?;
+        Ok(run.rep(PrivacyOutcome {
+            quoted_early: run.at_cut.quotes_served,
+            trajectory: run.trajectory.clone(),
+            wal_segments: run.service.wal_segments_written(),
+            restore_latency: run.restore_latency,
+        }))
     }
 
     fn fold(&self, cell: &Cell<PrivacyOutcome>) -> PrivacyCellReport {
@@ -528,9 +298,6 @@ impl Workload for PrivacyCellSpec {
             ] {
                 check_stat(violations, &place, what, stat, upper);
             }
-            if cell.quotes_served == 0 {
-                violations.push(format!("{place}: served no quotes at all"));
-            }
             // The arbitrage-free accounting identity: the shard lifts every
             // reserve to cover owner payouts, so cumulative compensation can
             // never exceed cumulative revenue.
@@ -577,27 +344,14 @@ impl Workload for PrivacyCellSpec {
                     ));
                 }
             }
-            // A privacy run that wrote no WAL segments never exercised the
-            // ledger-persistence path it exists to verify.
-            if cell.wal_segments == 0 {
-                violations.push(format!("{place}: wrote no WAL segments at all"));
-            }
-            let throughput = cell.perf.quotes_per_sec;
-            check_throughput(
+            crash_cut::validate(
                 violations,
                 &place,
-                "quotes/sec",
                 cell.quotes_served,
-                throughput,
+                cell.perf.quotes_per_sec,
+                cell.wal_segments,
+                &[("restore latency µs", cell.perf.restore_latency_micros)],
             );
-            if !cell.perf.restore_latency_micros.is_finite()
-                || cell.perf.restore_latency_micros < 0.0
-            {
-                violations.push(format!(
-                    "{place}: restore latency µs is not a sane figure ({})",
-                    cell.perf.restore_latency_micros
-                ));
-            }
         }
     }
 
@@ -698,12 +452,7 @@ fn render_privacy(cells: &[PrivacyCellReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::run_cell;
-    use pdm_service::MetricRegistry;
-
-    fn run(spec: &PrivacyCellSpec, workers: usize, reps: u64) -> PrivacyCellReport {
-        run_cell(spec, workers, reps, &mut MetricRegistry::new()).unwrap()
-    }
+    use crate::workload::run_test_cell as run;
 
     fn tiny_cell() -> PrivacyCellSpec {
         PrivacyCellSpec {
@@ -764,29 +513,6 @@ mod tests {
         }
         assert_eq!(last, report.owners_exhausted);
         assert!(report.perf.restore_latency_micros > 0.0);
-    }
-
-    #[test]
-    fn worker_count_does_not_move_deterministic_aggregates() {
-        let one = run(&tiny_cell(), 1, 1);
-        let two = run(&tiny_cell(), 2, 1);
-        assert_eq!(one.quotes_served, two.quotes_served);
-        assert_eq!(one.sales, two.sales);
-        assert_eq!(one.throttled, two.throttled);
-        assert_eq!(one.owners_exhausted, two.owners_exhausted);
-        assert_eq!(one.arbitrage_clamps, two.arbitrage_clamps);
-        assert_eq!(one.exhausted_trajectory, two.exhausted_trajectory);
-        assert_eq!(one.quoted_early, two.quoted_early);
-        assert_eq!(one.quoted_late, two.quoted_late);
-        assert_eq!(one.revenue.mean.to_bits(), two.revenue.mean.to_bits());
-        assert_eq!(
-            one.compensation.mean.to_bits(),
-            two.compensation.mean.to_bits()
-        );
-        assert_eq!(
-            one.epsilon_spent.mean.to_bits(),
-            two.epsilon_spent.mean.to_bits()
-        );
     }
 
     #[test]

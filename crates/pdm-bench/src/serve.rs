@@ -622,12 +622,7 @@ fn render_serve_summary(cells: &[ServeCellReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::run_cell;
-    use pdm_service::MetricRegistry;
-
-    fn run(spec: &ServeCellSpec, workers: usize, reps: u64) -> ServeCellReport {
-        run_cell(spec, workers, reps, &mut MetricRegistry::new()).unwrap()
-    }
+    use crate::workload::run_test_cell as run;
 
     fn tiny_cell(mix: ArrivalMix) -> ServeCellSpec {
         ServeCellSpec {

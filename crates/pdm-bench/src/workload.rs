@@ -148,6 +148,12 @@ pub fn run_cell<W: Workload>(
     Ok(spec.fold(&cell))
 }
 
+/// Runs one cell on a throwaway registry, for the workloads' unit tests.
+#[cfg(test)]
+pub(crate) fn run_test_cell<W: Workload>(spec: &W, workers: usize, reps: u64) -> W::Row {
+    run_cell(spec, workers, reps, &mut MetricRegistry::new()).expect("the cell must run")
+}
+
 /// Runs a set of cells (a whole grid, or a `--filter` subset) in order.
 ///
 /// # Errors

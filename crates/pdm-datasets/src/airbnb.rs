@@ -11,13 +11,12 @@
 use pdm_linalg::sampling;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The six cities covered by the original dataset.
 pub const CITIES: [&str; 6] = ["NYC", "LA", "SF", "DC", "Chicago", "Boston"];
 
 /// Property type of a listing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PropertyType {
     /// A whole apartment.
     Apartment,
@@ -32,7 +31,7 @@ pub enum PropertyType {
 }
 
 /// Room type of a listing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoomType {
     /// The entire home or apartment.
     EntireHome,
@@ -43,7 +42,7 @@ pub enum RoomType {
 }
 
 /// Cancellation policy of a listing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CancellationPolicy {
     /// Flexible.
     Flexible,
@@ -54,7 +53,7 @@ pub enum CancellationPolicy {
 }
 
 /// One listing record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AirbnbListing {
     /// Listing identifier.
     pub id: u64,
@@ -95,7 +94,7 @@ pub struct AirbnbListing {
 /// emits each listing as a jittered copy of a random archetype.  This
 /// redundancy is what lets the online pricing mechanism converge within the
 /// 74k-round horizon, exactly as it does on the real dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AirbnbGenerator {
     /// Number of listings to generate (the real dataset has 74,111).
     pub num_listings: usize,

@@ -11,7 +11,6 @@
 use pdm_linalg::sampling;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The categorical fields of an impression record, in order.
 pub const FIELDS: [&str; 8] = [
@@ -29,7 +28,7 @@ pub const FIELDS: [&str; 8] = [
 pub const FIELD_CARDINALITIES: [usize; 8] = [400, 300, 500, 5, 7, 25, 4, 24];
 
 /// One ad-display record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Impression {
     /// Record identifier.
     pub id: u64,
@@ -53,7 +52,7 @@ impl Impression {
 }
 
 /// Seeded generator for Avazu-like click logs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AvazuGenerator {
     /// Number of impressions to generate.
     pub num_impressions: usize,
@@ -76,7 +75,7 @@ impl Default for AvazuGenerator {
 
 /// The ground truth planted by the generator: which tokens matter and by how
 /// much.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlantedCtrModel {
     /// `(field index, value index, logit weight)` triples.
     pub active: Vec<(usize, u32, f64)>,

@@ -10,10 +10,9 @@
 use pdm_linalg::sampling;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Employment status of a borrower.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EmploymentStatus {
     /// Salaried employee.
     Employed,
@@ -26,7 +25,7 @@ pub enum EmploymentStatus {
 }
 
 /// One loan application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoanApplication {
     /// Application identifier.
     pub id: u64,
@@ -48,7 +47,7 @@ pub struct LoanApplication {
 }
 
 /// Seeded generator for loan applications.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoanGenerator {
     /// Number of applications to generate.
     pub num_applications: usize,

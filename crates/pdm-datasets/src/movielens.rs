@@ -11,10 +11,9 @@
 use pdm_linalg::sampling;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One rating record (user, movie, stars, timestamp).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rating {
     /// Rating user (the data owner).
     pub user_id: u64,
@@ -27,7 +26,7 @@ pub struct Rating {
 }
 
 /// A generated rating dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RatingDataset {
     /// Number of distinct users.
     pub num_users: usize,
@@ -59,7 +58,7 @@ impl RatingDataset {
 }
 
 /// Seeded generator for [`RatingDataset`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MovieLensGenerator {
     /// Number of rating users to generate.
     pub num_users: usize,

@@ -8,10 +8,8 @@
 //! from the ellipsoid's centre to the cutting hyperplane measured in the
 //! ellipsoidal norm ‖·‖_{A⁻¹}.
 
-use serde::{Deserialize, Serialize};
-
 /// Classification of a cut by its position parameter `α`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CutKind {
     /// `α = 0`: the hyperplane passes through the centre, half the volume is
     /// removed.
@@ -26,7 +24,7 @@ pub enum CutKind {
 /// A halfspace constraint `direction^T θ ≤ threshold` (for "below" cuts) or
 /// `direction^T θ ≥ threshold` (for "above" cuts), recorded together with the
 /// position parameter it produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cut {
     /// Position parameter `α` of the cut at the time it was applied.
     pub alpha: f64,
@@ -64,7 +62,7 @@ impl Cut {
 }
 
 /// Result of asking a knowledge set to record a new inequality.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CutOutcome {
     /// The set was refined; the record describes the applied cut.
     Updated(Cut),
@@ -139,15 +137,5 @@ mod tests {
         assert!(!empty.is_updated());
 
         assert!(!CutOutcome::DegenerateDirection.is_updated());
-    }
-
-    #[test]
-    fn serde_impls_exist() {
-        // Compile-time check that the derives provide both impls; an actual
-        // format round-trip needs a real serde_json, which the offline build
-        // does not have (see vendor/README.md).
-        fn assert_serde<T: Serialize + for<'de> Deserialize<'de>>() {}
-        assert_serde::<CutOutcome>();
-        assert_serde::<Cut>();
     }
 }

@@ -22,7 +22,6 @@
 use crate::cut::{Cut, CutOutcome};
 use crate::KnowledgeSet;
 use pdm_linalg::{jacobi_eigen, Cholesky, Matrix, Vector};
-use serde::{Deserialize, Serialize};
 
 /// Numerical floor used when deciding whether a direction carries any
 /// information (`√(x^T A x)` below this is treated as degenerate).
@@ -43,14 +42,13 @@ struct CutScratch {
 }
 
 /// An ellipsoidal knowledge set `E = {θ : (θ−c)^T A⁻¹ (θ−c) ≤ 1}`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ellipsoid {
     center: Vector,
     shape: Matrix,
     /// Cumulative count of volume-reducing cuts applied, kept for
     /// diagnostics (the regret analysis bounds this count).
     cuts_applied: usize,
-    #[serde(skip)]
     scratch: CutScratch,
 }
 

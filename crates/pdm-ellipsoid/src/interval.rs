@@ -9,10 +9,9 @@
 use crate::cut::{Cut, CutOutcome};
 use crate::KnowledgeSet;
 use pdm_linalg::Vector;
-use serde::{Deserialize, Serialize};
 
 /// A closed interval `[lo, hi]` of candidate scalar weights.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
     lo: f64,
     hi: f64,

@@ -19,11 +19,10 @@
 use crate::cut::{Cut, CutOutcome};
 use crate::KnowledgeSet;
 use pdm_linalg::{LinalgError, LinearProgram, LpOutcome, Vector};
-use serde::{Deserialize, Serialize};
 
 /// A bounded polytope `{θ : lower ≤ θ ≤ upper, Gθ ≤ h}` used as an exact
 /// knowledge set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polytope {
     lower: Vec<f64>,
     upper: Vec<f64>,

@@ -2,7 +2,6 @@
 //! features.
 
 use pdm_linalg::Vector;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 // pdm-lint: allow(no-hashmap-iteration) reason="the interner below needs O(1) per-token lookup on the encode hot path; it is never iterated"
 use std::collections::HashMap;
@@ -13,7 +12,7 @@ use std::hash::{Hash, Hasher};
 ///
 /// Unknown categories at transform time (and the missing-value marker `""`)
 /// map to a dedicated code of `-1.0`, mirroring pandas' behaviour.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CategoricalEncoder {
     // pdm-lint: allow(no-hashmap-iteration) reason="code assignment order comes from first-seen order in the input stream, not map traversal; lookups only"
     codes: HashMap<String, usize>,
@@ -69,7 +68,7 @@ impl CategoricalEncoder {
 
 /// One-hot encoding with the hashing trick: each token hashes to one of
 /// `dim` buckets, which receives the value `1.0` (Section V-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashingEncoder {
     dim: usize,
     seed: u64,
@@ -116,7 +115,7 @@ impl HashingEncoder {
 
 /// Appends pairwise interaction (product) features for selected column pairs,
 /// the "interaction features to enhance model capacity" step of Section V-B.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InteractionFeatures {
     pairs: Vec<(usize, usize)>,
 }

@@ -7,11 +7,10 @@
 //! sparse weight vector (≈ 20 non-zeros at hashing dimensions 128 and 1024).
 
 use pdm_linalg::Vector;
-use serde::{Deserialize, Serialize};
 
 /// FTRL-Proximal trainer/predictor for binary logistic regression over dense
 /// feature vectors (the hashed one-hot encodings are dense but short).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FtrlProximal {
     alpha: f64,
     beta: f64,

@@ -3,10 +3,9 @@
 //! (Section II-B).
 
 use pdm_linalg::{jacobi_eigen, LinalgError, Matrix, Vector};
-use serde::{Deserialize, Serialize};
 
 /// A fitted PCA transform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pca {
     mean: Vector,
     /// Columns are the principal directions, sorted by decreasing variance.

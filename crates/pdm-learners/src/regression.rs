@@ -2,10 +2,9 @@
 //! log-linear hedonic weights of the Airbnb application (Section V-B).
 
 use pdm_linalg::{Cholesky, LinalgError, Matrix, Vector};
-use serde::{Deserialize, Serialize};
 
 /// A fitted linear regression model `y ≈ x^T w (+ intercept)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearRegression {
     weights: Vector,
     intercept: f64,

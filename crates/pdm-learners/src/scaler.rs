@@ -1,10 +1,9 @@
 //! Feature standardisation (zero mean, unit variance per column).
 
 use pdm_linalg::{LinalgError, Vector};
-use serde::{Deserialize, Serialize};
 
 /// A fitted per-column standardiser.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StandardScaler {
     means: Vector,
     stds: Vector,

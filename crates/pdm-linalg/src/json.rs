@@ -1,10 +1,9 @@
 //! A minimal JSON tree with a deterministic writer, a strict parser, and a
 //! binary image of the same tree.
 //!
-//! The vendored `serde` stand-in deliberately ships no `serde_json` (see
-//! `vendor/README.md`), so every machine-readable artifact in the workspace —
-//! the `BENCH_*.json` reports of `pdm-bench` and the tenant-state snapshots
-//! of `pdm-service` — serialises through this hand-rolled module instead.  It
+//! Every machine-readable artifact in the workspace — the `BENCH_*.json`
+//! reports of `pdm-bench` and the tenant-state snapshots of `pdm-service` —
+//! serialises through this hand-rolled module; the workspace has no serde.  It
 //! lives here because `pdm-linalg` is the dependency-free root of the crate
 //! DAG, so both producers can share one implementation.  Two properties
 //! matter for those pipelines and are covered by tests:

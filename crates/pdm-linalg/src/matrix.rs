@@ -7,11 +7,10 @@
 
 use crate::error::{LinalgError, Result};
 use crate::vector::Vector;
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
 /// A dense matrix stored in row-major order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

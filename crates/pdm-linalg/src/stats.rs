@@ -6,7 +6,6 @@
 //! storing the whole trace, which matters for the 10⁵-round sweeps.
 
 use crate::error::{LinalgError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Arithmetic mean of a slice; zero for an empty slice.
 #[must_use]
@@ -163,7 +162,7 @@ impl SampleWindow {
 }
 
 /// Streaming mean / variance / min / max accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,

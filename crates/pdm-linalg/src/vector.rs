@@ -5,11 +5,10 @@
 //! and by the learners (elementwise maps, slicing into feature blocks).
 
 use crate::error::{LinalgError, Result};
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
 /// A dense, heap-allocated vector of `f64` values.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Vector {
     data: Vec<f64>,
 }
@@ -563,14 +562,5 @@ mod tests {
         assert_eq!(collected.as_slice(), &[2.0, 3.0]);
         let summed: f64 = (&a).into_iter().sum();
         assert!(approx_eq(summed, 3.0, 1e-12));
-    }
-
-    #[test]
-    fn serde_impls_exist() {
-        // Compile-time check that the derives provide both impls; an actual
-        // format round-trip needs a real serde_json, which the offline build
-        // does not have (see vendor/README.md).
-        fn assert_serde<T: Serialize + for<'de> Deserialize<'de>>() {}
-        assert_serde::<Vector>();
     }
 }

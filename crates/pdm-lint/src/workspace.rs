@@ -200,7 +200,7 @@ mod tests {
         let test = classify("crates/pdm-service/tests/mixed_market.rs").expect("test");
         assert_eq!(test.kind, FileKind::Test);
 
-        let bench = classify("crates/pdm-bench/benches/step_many.rs").expect("bench");
+        let bench = classify("crates/pdm-bench/benches/auction_clearing.rs").expect("bench");
         assert_eq!(bench.kind, FileKind::Bench);
 
         let umbrella = classify("src/lib.rs").expect("umbrella");

@@ -12,11 +12,10 @@ use crate::owner::DataOwner;
 use crate::privacy::PrivacyQuantifier;
 use crate::query::LinearQuery;
 use pdm_linalg::Vector;
-use serde::{Deserialize, Serialize};
 
 /// A query that the broker has run through privacy accounting and
 /// featurisation, ready to be priced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PricedQuery {
     /// Identifier of the underlying query.
     pub query_id: u64,

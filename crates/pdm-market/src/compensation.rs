@@ -10,10 +10,9 @@
 
 use pdm_linalg::sampling;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A per-owner compensation contract `c(ε) = base · tanh(sensitivity · ε)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompensationContract {
     /// Saturation level: the most the owner can be paid for one query.
     pub base: f64,

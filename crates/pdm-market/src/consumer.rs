@@ -9,10 +9,9 @@
 use pdm_linalg::{sampling, Vector};
 use pdm_pricing::uncertainty::NoiseModel;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One data consumer arriving in a trading round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataConsumer {
     /// Sequential identifier assigned by the pool.
     pub id: u64,

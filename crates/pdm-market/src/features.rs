@@ -8,10 +8,9 @@
 //! owner).
 
 use pdm_linalg::Vector;
-use serde::{Deserialize, Serialize};
 
 /// Aggregates per-owner compensations into a fixed-dimension feature vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeatureAggregator {
     dim: usize,
     normalize: bool,

@@ -17,10 +17,9 @@ use crate::query::QueryGenerator;
 use pdm_pricing::mechanism::PostedPriceMechanism;
 use pdm_pricing::regret::{single_round_regret, RegretTracker};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The result of one trading round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TradeOutcome {
     /// Identifier of the traded query.
     pub query_id: u64,
@@ -44,7 +43,7 @@ pub struct TradeOutcome {
 }
 
 /// Aggregate report over a full market run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarketReport {
     /// Number of trading rounds executed.
     pub rounds: usize,

@@ -1,14 +1,12 @@
 //! Data owners: the individuals whose private records the broker aggregates.
 
-use serde::{Deserialize, Serialize};
-
 /// A data owner who contributed private records to the broker's dataset.
 ///
 /// In the MovieLens-backed evaluation each owner is one rating user; the
 /// `records` are her (normalised) rating values and `data_range` bounds how
 /// much any single record can change, which drives the sensitivity term of
 /// the differential-privacy leakage quantification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataOwner {
     /// Stable identifier of the owner.
     pub id: u64,

@@ -13,7 +13,6 @@ use crate::owner::DataOwner;
 use crate::query::LinearQuery;
 use pdm_linalg::sampling;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The saturating leakage reported for degenerate mechanisms (a
 /// non-positive Laplace scale answers the query noiselessly, which in ε
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 pub const SATURATED_LEAKAGE: f64 = 1e9;
 
 /// Quantifies per-owner differential-privacy leakage of a noisy linear query.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrivacyQuantifier;
 
 impl PrivacyQuantifier {
@@ -76,7 +75,7 @@ impl PrivacyQuantifier {
 }
 
 /// The Laplace mechanism used to answer sold queries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaplaceMechanism;
 
 impl LaplaceMechanism {

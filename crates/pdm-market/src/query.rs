@@ -6,10 +6,9 @@
 
 use pdm_linalg::sampling;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A noisy linear query `answer = Σ_i w_i · data_i + Laplace(b)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearQuery {
     /// Sequential identifier assigned by the generator.
     pub id: u64,
@@ -67,7 +66,7 @@ impl LinearQuery {
 }
 
 /// How query weights are drawn (Section V-A uses both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryWeightDistribution {
     /// Standard multivariate normal.
     Gaussian,

@@ -1,7 +1,6 @@
 //! Configuration shared by the contextual pricing mechanisms.
 
 use crate::environment::Environment;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a contextual posted-price mechanism.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// `cut_on_conservative` enables the misbehaving variant analysed in Lemma 8
 /// (conservative prices are allowed to refine the knowledge set), which the
 /// ablation benchmark uses to demonstrate the Ω(T) blow-up.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PricingConfig {
     /// Radius `R` of the initial knowledge-set ball (a bound on ‖θ*‖).
     pub initial_radius: f64,

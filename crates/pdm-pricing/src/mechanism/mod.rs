@@ -16,10 +16,9 @@ pub use config::PricingConfig;
 pub use contextual::{ContextualPricing, EllipsoidPricing, ExactPolytopePricing, OneDimPricing};
 
 use pdm_linalg::Vector;
-use serde::{Deserialize, Serialize};
 
 /// Which branch of the mechanism produced a quote.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuoteKind {
     /// The exploratory price `max(q, (¯p + p̄)/2)`: riskier, but its feedback
     /// cuts the knowledge set (lines 12–21 of Algorithm 1).
@@ -36,7 +35,7 @@ pub enum QuoteKind {
 
 /// A price offered to the buyer, together with the diagnostics the simulation
 /// and benches report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quote {
     /// The price shown to the buyer, in market space.
     pub posted_price: f64,

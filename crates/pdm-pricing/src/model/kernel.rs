@@ -17,10 +17,9 @@
 
 use super::MarketValueModel;
 use pdm_linalg::Vector;
-use serde::{Deserialize, Serialize};
 
 /// The Mercer kernels supported by [`KernelizedModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MercerKernel {
     /// `K(x, y) = x·y`
     Linear,
@@ -66,7 +65,7 @@ impl MercerKernel {
 }
 
 /// Kernelized model over a fixed anchor set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelizedModel {
     input_dim: usize,
     anchors: Vec<Vector>,

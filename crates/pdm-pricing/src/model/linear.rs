@@ -2,13 +2,12 @@
 
 use super::MarketValueModel;
 use pdm_linalg::Vector;
-use serde::{Deserialize, Serialize};
 
 /// Linear model: identity feature map, identity link.
 ///
 /// This is the model under which the paper develops Algorithms 1 and 2 and
 /// under which the noisy-linear-query application (Section V-A) is evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinearModel {
     dim: usize,
 }

@@ -5,14 +5,13 @@
 
 use super::MarketValueModel;
 use pdm_linalg::Vector;
-use serde::{Deserialize, Serialize};
 
 /// Smallest market value accepted by the inverse link; prices at or below
 /// zero are clamped here so `ln` stays finite.
 const MIN_VALUE: f64 = 1e-12;
 
 /// Log-linear model: identity feature map, exponential link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogLinearModel {
     dim: usize,
 }

@@ -6,7 +6,6 @@
 
 use super::MarketValueModel;
 use pdm_linalg::Vector;
-use serde::{Deserialize, Serialize};
 
 /// Features at or below zero are clamped to this floor before taking the
 /// logarithm, so records with zero-valued amenities stay usable.
@@ -15,7 +14,7 @@ const MIN_FEATURE: f64 = 1e-9;
 const MIN_VALUE: f64 = 1e-12;
 
 /// Log-log model: elementwise-logarithm feature map, exponential link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogLogModel {
     dim: usize,
 }

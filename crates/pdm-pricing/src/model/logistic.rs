@@ -10,14 +10,13 @@
 
 use super::MarketValueModel;
 use pdm_linalg::Vector;
-use serde::{Deserialize, Serialize};
 
 /// CTR values are clamped into `[CLAMP, 1 − CLAMP]` before applying the logit
 /// inverse link so reserve prices of exactly 0 or 1 stay finite.
 const CLAMP: f64 = 1e-9;
 
 /// Logistic model: identity feature map, sigmoid link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogisticModel {
     dim: usize,
 }

@@ -16,7 +16,6 @@
 //! reported at any checkpoint.
 
 use pdm_linalg::OnlineStats;
-use serde::{Deserialize, Serialize};
 
 /// The single-round regret of Eq. (1).
 ///
@@ -42,7 +41,7 @@ pub fn is_accepted(posted_price: f64, market_value: f64) -> bool {
 }
 
 /// Per-round record retained by the tracker when tracing is enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundOutcome {
     /// Round index (1-based, like the paper's `t`).
     pub round: usize,
@@ -59,7 +58,7 @@ pub struct RoundOutcome {
 }
 
 /// Aggregated regret statistics for a finished (or in-progress) simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegretReport {
     /// Number of rounds recorded.
     pub rounds: usize,

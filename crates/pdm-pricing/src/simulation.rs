@@ -13,10 +13,9 @@ use crate::mechanism::PostedPriceMechanism;
 use crate::regret::{RegretReport, RoundOutcome};
 use crate::session::{PricingSession, StepOutcome};
 use pdm_linalg::OnlineStats;
-use serde::{Deserialize, Serialize};
 
 /// Options controlling what a simulation records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimulationOptions {
     /// Approximate number of (log-spaced) checkpoints at which cumulative
     /// regret and the regret ratio are sampled for plotting.
@@ -36,7 +35,7 @@ impl Default for SimulationOptions {
 }
 
 /// A sampled point of the cumulative-regret curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSample {
     /// Round index (1-based).
     pub round: usize,
@@ -49,7 +48,7 @@ pub struct TraceSample {
 }
 
 /// Everything a finished simulation reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimulationOutcome {
     /// The mechanism's self-reported name.
     pub mechanism_name: String,

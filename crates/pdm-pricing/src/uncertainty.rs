@@ -11,10 +11,9 @@
 
 use pdm_linalg::sampling;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A sub-Gaussian noise distribution for the market-value perturbation `δ_t`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NoiseModel {
     /// No uncertainty: `δ_t = 0` (the setting of Algorithm 1 / 1*).
     None,
@@ -67,7 +66,7 @@ impl NoiseModel {
 }
 
 /// The δ buffer of Algorithm 2, derived from a noise model and a horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UncertaintyBudget {
     /// The buffer δ used when posting prices and positioning cuts.
     pub delta: f64,
