@@ -525,23 +525,59 @@ mod tests {
     }
 
     #[test]
-    fn service_workloads_are_first_class_subcommands() {
-        for (name, command) in [
-            ("serve", Command::Serve),
-            ("auction", Command::Auction),
-            ("drift", Command::Drift),
-            ("longhaul", Command::Longhaul),
-            ("privacy", Command::Privacy),
-        ] {
-            assert_eq!(Command::parse(name), Some(command));
-            let args = parse_args(&strings(&[name, "--workers", "4", "--check"]))
-                .unwrap()
-                .unwrap();
-            assert_eq!(args.command, command);
-            assert_eq!(args.workers, 4);
-            assert!(args.check);
-            assert!(usage().contains(name));
-        }
+    fn serve_is_a_first_class_subcommand() {
+        assert_eq!(Command::parse("serve"), Some(Command::Serve));
+        let args = parse_args(&strings(&["serve", "--workers", "4", "--check"]))
+            .unwrap()
+            .unwrap();
+        assert_eq!(args.command, Command::Serve);
+        assert_eq!(args.workers, 4);
+        assert!(args.check);
+        assert!(usage().contains("serve"));
+    }
+
+    #[test]
+    fn auction_is_a_first_class_subcommand() {
+        assert_eq!(Command::parse("auction"), Some(Command::Auction));
+        let args = parse_args(&strings(&["auction", "--workers", "2", "--check"]))
+            .unwrap()
+            .unwrap();
+        assert_eq!(args.command, Command::Auction);
+        assert!(args.check);
+        assert!(usage().contains("auction"));
+    }
+
+    #[test]
+    fn drift_is_a_first_class_subcommand() {
+        assert_eq!(Command::parse("drift"), Some(Command::Drift));
+        let args = parse_args(&strings(&["drift", "--workers", "2", "--check"]))
+            .unwrap()
+            .unwrap();
+        assert_eq!(args.command, Command::Drift);
+        assert!(args.check);
+        assert!(usage().contains("drift"));
+    }
+
+    #[test]
+    fn longhaul_is_a_first_class_subcommand() {
+        assert_eq!(Command::parse("longhaul"), Some(Command::Longhaul));
+        let args = parse_args(&strings(&["longhaul", "--workers", "2", "--check"]))
+            .unwrap()
+            .unwrap();
+        assert_eq!(args.command, Command::Longhaul);
+        assert!(args.check);
+        assert!(usage().contains("longhaul"));
+    }
+
+    #[test]
+    fn privacy_is_a_first_class_subcommand() {
+        assert_eq!(Command::parse("privacy"), Some(Command::Privacy));
+        let args = parse_args(&strings(&["privacy", "--workers", "2", "--check"]))
+            .unwrap()
+            .unwrap();
+        assert_eq!(args.command, Command::Privacy);
+        assert!(args.check);
+        assert!(usage().contains("privacy"));
     }
 
     #[test]
@@ -818,6 +854,23 @@ mod tests {
         assert!(parse_args(&strings(&["all", "--reps", "x"]))
             .unwrap_err()
             .contains("positive"));
+    }
+
+    #[test]
+    fn scale_parsing_stays_in_lockstep_with_scale_try_from_args() {
+        // `Scale::try_from_args` is the strict parser for flag-only callers;
+        // this parser handles `--full` itself because it accepts more flags.
+        // Pin the two together so they cannot drift.
+        let via_cli = |args: &[&str]| {
+            let mut full = vec!["fig4"];
+            full.extend_from_slice(args);
+            parse_args(&strings(&full)).unwrap().unwrap().scale
+        };
+        assert_eq!(Ok(via_cli(&["--full"])), Scale::try_from_args(["--full"]));
+        assert_eq!(Ok(via_cli(&[])), Scale::try_from_args(Vec::<String>::new()));
+        // Both reject the classic typo.
+        assert!(Scale::try_from_args(["--ful"]).is_err());
+        assert!(parse_args(&strings(&["fig4", "--ful"])).is_err());
     }
 
     #[test]

@@ -26,8 +26,6 @@
 
 use crate::grid::derive_seed;
 use crate::report::check_throughput;
-#[cfg(doc)]
-use crate::workload::run_cell;
 use crate::workload::Rep;
 use pdm_linalg::{sampling, Json, Vector};
 use pdm_service::{

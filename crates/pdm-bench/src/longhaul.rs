@@ -16,7 +16,10 @@
 //!   from the base snapshot plus the accumulated segments (timed as the
 //!   restore-latency column), the cut ledgers must match exactly, and
 //!   **both** services then replay the identical second half with every
-//!   posted price agreeing bit for bit.
+//!   posted price agreeing bit for bit.  The harness records a
+//!   budget-exhausted refusal as a throttle in both workloads; standard
+//!   tenants carry no ε budget and cannot refuse that way, so here every
+//!   request must still quote and any other failure is an error.
 //! * **Bounded residency** — the workload's own check: after every wave,
 //!   on both services, the materialised tenant count must not exceed the
 //!   resident cap; the run fails otherwise.  Memory per tenant (hot
@@ -432,6 +435,20 @@ mod tests {
         assert!(report.perf.restore_latency_micros > 0.0);
         assert!(report.perf.memory_per_tenant_bytes > 0.0);
         assert!(report.revenue.mean > 0.0);
+    }
+
+    #[test]
+    fn worker_count_does_not_move_deterministic_aggregates() {
+        let one = run(&tiny_cell(), 1, 1);
+        let two = run(&tiny_cell(), 2, 1);
+        assert_eq!(one.quotes_served, two.quotes_served);
+        assert_eq!(one.sales, two.sales);
+        assert_eq!(one.evictions, two.evictions);
+        assert_eq!(one.rehydrations, two.rehydrations);
+        assert_eq!(one.wal_segments, two.wal_segments);
+        assert_eq!(one.max_resident, two.max_resident);
+        assert_eq!(one.revenue.mean.to_bits(), two.revenue.mean.to_bits());
+        assert_eq!(one.regret.mean.to_bits(), two.regret.mean.to_bits());
     }
 
     #[test]

@@ -228,10 +228,11 @@ impl Workload for PrivacyCellSpec {
             crash_cut::build_trace(self.tenants, self.owners, self.waves, self.tenants, 0, seed)
                 .map_err(|e| format!("{}: {e}", self.label))?;
         let service = build_service(self)?;
-        let run = crash_cut::run(&self.label, service, &trace, self.checkpoint_every, workers)?;
+        let mut run = crash_cut::run(&self.label, service, &trace, self.checkpoint_every, workers)?;
+        let trajectory = std::mem::take(&mut run.trajectory);
         Ok(run.rep(PrivacyOutcome {
             quoted_early: run.at_cut.quotes_served,
-            trajectory: run.trajectory.clone(),
+            trajectory,
             wal_segments: run.service.wal_segments_written(),
             restore_latency: run.restore_latency,
         }))
@@ -513,6 +514,29 @@ mod tests {
         }
         assert_eq!(last, report.owners_exhausted);
         assert!(report.perf.restore_latency_micros > 0.0);
+    }
+
+    #[test]
+    fn worker_count_does_not_move_deterministic_aggregates() {
+        let one = run(&tiny_cell(), 1, 1);
+        let two = run(&tiny_cell(), 2, 1);
+        assert_eq!(one.quotes_served, two.quotes_served);
+        assert_eq!(one.sales, two.sales);
+        assert_eq!(one.throttled, two.throttled);
+        assert_eq!(one.owners_exhausted, two.owners_exhausted);
+        assert_eq!(one.arbitrage_clamps, two.arbitrage_clamps);
+        assert_eq!(one.exhausted_trajectory, two.exhausted_trajectory);
+        assert_eq!(one.quoted_early, two.quoted_early);
+        assert_eq!(one.quoted_late, two.quoted_late);
+        assert_eq!(one.revenue.mean.to_bits(), two.revenue.mean.to_bits());
+        assert_eq!(
+            one.compensation.mean.to_bits(),
+            two.compensation.mean.to_bits()
+        );
+        assert_eq!(
+            one.epsilon_spent.mean.to_bits(),
+            two.epsilon_spent.mean.to_bits()
+        );
     }
 
     #[test]

@@ -11,6 +11,45 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Parses the scale from an argument list: `--full` selects
+    /// [`Scale::Full`], nothing selects [`Scale::Quick`], and anything else
+    /// is an error (a typo like `--ful` must not silently run the wrong
+    /// scale for minutes).
+    ///
+    /// Binaries with a richer flag set ([`crate::cli`]) have their own
+    /// strict parser; this one is for callers that only scale.
+    pub fn try_from_args<I>(args: I) -> Result<Self, String>
+    where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+    {
+        let mut scale = Scale::Quick;
+        for arg in args {
+            match arg.as_ref() {
+                "--full" => scale = Scale::Full,
+                other => {
+                    return Err(format!(
+                        "unrecognized argument `{other}`\nusage: <binary> [--full]"
+                    ))
+                }
+            }
+        }
+        Ok(scale)
+    }
+
+    /// Parses the scale from the process arguments, exiting with status 2
+    /// and a usage message on anything other than an optional `--full`.
+    #[must_use]
+    pub fn from_args() -> Self {
+        match Self::try_from_args(std::env::args().skip(1)) {
+            Ok(scale) => scale,
+            Err(message) => {
+                eprintln!("error: {message}");
+                std::process::exit(2);
+            }
+        }
+    }
+
     /// Picks between the quick and full value of a parameter.
     #[must_use]
     pub fn pick<T>(self, quick: T, full: T) -> T {
@@ -54,5 +93,20 @@ mod tests {
         assert_ne!(Scale::Quick.label(), Scale::Full.label());
         assert_eq!(Scale::Quick.name(), "quick");
         assert_eq!(Scale::Full.name(), "full");
+    }
+
+    #[test]
+    fn try_from_args_accepts_only_full() {
+        assert_eq!(Scale::try_from_args(Vec::<String>::new()), Ok(Scale::Quick));
+        assert_eq!(Scale::try_from_args(["--full"]), Ok(Scale::Full));
+        assert_eq!(Scale::try_from_args(["--full", "--full"]), Ok(Scale::Full));
+    }
+
+    #[test]
+    fn typos_are_an_error_with_usage() {
+        let err = Scale::try_from_args(["--ful"]).unwrap_err();
+        assert!(err.contains("--ful"));
+        assert!(err.contains("usage"));
+        assert!(Scale::try_from_args(["--full", "extra"]).is_err());
     }
 }
