@@ -28,17 +28,49 @@ use pdm_linalg::{jacobi_eigen, Cholesky, Matrix, Vector};
 const DIRECTION_TOL: f64 = 1e-12;
 
 /// Reusable buffers for the per-round hot path (`support_bounds_mut` and the
-/// cut update).  Purely transient: the contents between calls are
-/// meaningless, so the buffers take no part in equality, serialization, or
+/// cut update).  They take no part in equality, serialization, or
 /// snapshots.
+///
+/// Between a quote and the next cut they carry the quote's matvec forward.
+/// After `support_bounds_mut(x)`, `b` holds `A x` in slots `0..n` and
+/// `x^T A x` in slot `n`, and `center` holds `x`.  That tag, `b.len() ==
+/// n + 1`, lets a cut along the bitwise-same `x` skip its own pass over
+/// `A`.  Every change to the shape truncates `b` to `n` first, which clears
+/// the tag; a fresh ellipsoid starts untagged.
 #[derive(Debug, Clone, Default)]
 struct CutScratch {
-    /// Holds `A x` and then the boundary displacement `b`.
+    /// `A x` (plus the tagged `x^T A x`), then the boundary displacement `b`.
     b: Vector,
-    /// Staging area for the updated centre `c'`.
+    /// The quoted direction `x`, then the staging area for the centre `c'`.
     center: Vector,
     /// Staging area for the updated shape matrix `A'`.
     shape: Matrix,
+}
+
+impl CutScratch {
+    /// Takes the `x^T A x` the last quote recorded, when it was for the
+    /// bitwise-same `direction` of an `n`-dimensional shape that has not
+    /// changed since.  Clears the tag either way.
+    fn take_quadratic_form(&mut self, n: usize, direction: &Vector) -> Option<f64> {
+        if self.b.len() != n + 1 {
+            return None;
+        }
+        let quadratic_form = self.b[n];
+        self.b.resize(n);
+        let same_direction = self
+            .center
+            .iter()
+            .map(|x| x.to_bits())
+            .eq(direction.iter().map(|x| x.to_bits()));
+        same_direction.then_some(quadratic_form)
+    }
+
+    /// Clears the tag; called before any change to the shape.
+    fn clear_tag(&mut self, n: usize) {
+        if self.b.len() == n + 1 {
+            self.b.resize(n);
+        }
+    }
 }
 
 /// An ellipsoidal knowledge set `E = {θ : (θ−c)^T A⁻¹ (θ−c) ≤ 1}`.
@@ -237,13 +269,26 @@ impl Ellipsoid {
     /// Löwner–John cut update itself already widens them (the relaxation's
     /// standard behaviour); callers that query no direction also observe
     /// no rounds, so a discounting driver never inflates in a vacuum.
-    /// A `factor ≤ 1` or a non-finite input is a no-op.
+    /// A `factor ≤ 1`, a non-finite input, or a factor that would overflow
+    /// the shape matrix is a no-op.
     pub fn inflate(&mut self, factor: f64) {
         // NaN fails the comparison too, so non-finite inputs are no-ops.
         if factor <= 1.0 || !factor.is_finite() {
             return;
         }
-        self.shape.scale_mut(factor * factor);
+        let factor_sq = factor * factor;
+        // For a positive semi-definite shape |aᵢⱼ| ≤ max aᵢᵢ, so a finite
+        // scaled diagonal keeps every scaled entry finite.  The product
+        // also catches an overflowing `factor²`: the maximum is ≥ 0, and
+        // 0 · ∞ is NaN.
+        let widest = (0..self.dim())
+            .map(|i| self.shape.get(i, i))
+            .fold(0.0, f64::max);
+        if !(widest * factor_sq).is_finite() {
+            return;
+        }
+        self.scratch.clear_tag(self.dim());
+        self.shape.scale_mut(factor_sq);
     }
 
     /// Shared implementation of the Löwner–John update for the halfspace
@@ -257,25 +302,29 @@ impl Ellipsoid {
     /// `(−x)^T A (−x)`, `(A(−x))ᵢ = −(Ax)ᵢ`, and `(−x)^T c = −(x^T c)` all
     /// hold at the bit level.  No allocation happens on any path: the
     /// candidate centre/shape are staged in [`CutScratch`] and committed by
-    /// swapping.
+    /// swapping.  A cut along the direction the last quote used reuses that
+    /// quote's `A x` and `x^T A x` instead of recomputing them.
     fn apply_cut_signed(&mut self, direction: &Vector, sign: f64, threshold: f64) -> CutOutcome {
         let n = self.dim();
         if n == 1 {
             return self.apply_cut_one_dim(sign * direction[0], sign * threshold);
         }
-        // `x^T A x` is sign-invariant; the scratch ends up holding `A x`.
-        let scale = self
-            .shape
-            .quadratic_form_with(direction, &mut self.scratch.b)
-            .max(0.0)
-            .sqrt();
+        // `x^T A x` is sign-invariant; the scratch ends up holding `A x`,
+        // untagged, whichever branch runs.
+        let quadratic_form = match self.scratch.take_quadratic_form(n, direction) {
+            Some(quadratic_form) => quadratic_form,
+            None => self
+                .shape
+                .quadratic_form_with(direction, &mut self.scratch.b),
+        };
+        let scale = quadratic_form.max(0.0).sqrt();
         if scale <= DIRECTION_TOL {
             return CutOutcome::DegenerateDirection;
         }
         let signed_centre = sign
             * direction
                 .dot(&self.center)
-                // pdm-lint: allow(no-unwrap-in-lib) reason="dimensions checked by quadratic_form at the top of this cut step"
+                // pdm-lint: allow(no-unwrap-in-lib) reason="dimensions checked by quadratic_form, or by the tag match, at the top of this cut step"
                 .expect("dimensions checked by quadratic_form");
         let mut signed_threshold = sign * threshold;
         let nf = n as f64;
@@ -323,14 +372,14 @@ impl Ellipsoid {
         // A' = n²(1 − α²)/(n² − 1) · (A − 2(1 + nα)/((n + 1)(1 + α)) · b bᵀ)
         let outer_coeff = 2.0 * (1.0 + nf * alpha) / ((nf + 1.0) * (1.0 + alpha));
         let shape_scale = nf * nf * (1.0 - alpha * alpha) / (nf * nf - 1.0);
-        self.shape.rank_one_scaled_symmetrized_into(
+        let shape_finite = self.shape.rank_one_scaled_symmetrized_into(
             -outer_coeff,
             &self.scratch.b,
             shape_scale,
             &mut self.scratch.shape,
         );
 
-        if !self.scratch.shape.is_finite() || !self.scratch.center.is_finite() {
+        if !shape_finite || !self.scratch.center.is_finite() {
             // Refuse to poison the knowledge set with NaNs; treat as a no-op.
             return CutOutcome::OutOfRange { alpha };
         }
@@ -346,6 +395,7 @@ impl Ellipsoid {
     /// the interval is intersected exactly with the halfline.  `x` and
     /// `threshold` are already sign-adjusted scalars.
     fn apply_cut_one_dim(&mut self, x: f64, threshold: f64) -> CutOutcome {
+        self.scratch.clear_tag(1);
         if x.abs() <= DIRECTION_TOL {
             return CutOutcome::DegenerateDirection;
         }
@@ -411,11 +461,19 @@ impl KnowledgeSet for Ellipsoid {
         // Same arithmetic as the allocating path: `x^T A x` accumulated in
         // the order of `matvec(x).dot(x)`, then the spread accumulated as
         // `Σ xᵢ · ((A x)ᵢ / scale)`.
-        let scale = self
+        let n = self.dim();
+        // Sizing `b` for the tag slot before the matvec shrinks it to `n`
+        // keeps room for the tag, so tagging never reallocates.
+        self.scratch.b.resize(n + 1);
+        let quadratic_form = self
             .shape
-            .quadratic_form_with(direction, &mut self.scratch.b)
-            .max(0.0)
-            .sqrt();
+            .quadratic_form_with(direction, &mut self.scratch.b);
+        // Tag the quote so the cut that usually follows can reuse `A x`
+        // (see `CutScratch`); `zip` below stops before the tag slot.
+        self.scratch.b.resize(n + 1);
+        self.scratch.b[n] = quadratic_form;
+        self.scratch.center.copy_from(direction);
+        let scale = quadratic_form.max(0.0).sqrt();
         if scale <= DIRECTION_TOL {
             return (centre_value, centre_value);
         }
@@ -826,5 +884,19 @@ mod tests {
         e.inflate(0.5);
         e.inflate(f64::NAN);
         assert_eq!(e, frozen);
+
+        // So are finite factors that would overflow the shape: one whose
+        // square overflows, and one whose square times the widest diagonal
+        // entry does.  Either used to leave infinities and NaNs behind.
+        let x2 = Vector::from_slice(&[1.0, 1.0]);
+        for (radius, factor) in [(1.0, 1e200), (1e150, 1e5)] {
+            let mut e = Ellipsoid::ball(2, radius);
+            let frozen = e.clone();
+            let bounds = e.support_bounds(&x2);
+            e.inflate(factor);
+            assert_eq!(e, frozen, "inflate({factor:e}) on radius {radius:e}");
+            assert!(e.shape().is_finite());
+            assert_eq!(e.support_bounds(&x2), bounds);
+        }
     }
 }

@@ -8,11 +8,13 @@
 //! allocating call they replaced.  These suites drive both paths over seeded
 //! random inputs and compare raw `f64` bit patterns: any reordering of the
 //! multiply/accumulate sequence, however numerically benign, fails here.
+//! `Matrix::symmetrize` shares the rank-one kernel's tiled symmetrize, so
+//! that kernel is checked against a naive `get`/`set` loop written out here.
 
 use pdm_linalg::{sampling, Cholesky, Matrix, Vector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A dense random matrix with entries in `[-magnitude, magnitude]`.
 fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize, magnitude: f64) -> Matrix {
@@ -33,6 +35,32 @@ fn random_spd(rng: &mut StdRng, dim: usize, magnitude: f64) -> Matrix {
     }
     spd.symmetrize();
     spd
+}
+
+/// Dimensions for the rank-one kernel: small cases, and sizes on either side
+/// of one and of two `32 × 32` symmetrize tiles.
+const RANK_ONE_DIMS: [usize; 11] = [1, 2, 3, 5, 7, 31, 32, 33, 64, 65, 100];
+
+/// The reference symmetrize: average every off-diagonal pair, row by row,
+/// through `get`/`set`.
+fn naive_symmetrize(m: &mut Matrix) {
+    for i in 0..m.rows() {
+        for j in (i + 1)..m.cols() {
+            let avg = 0.5 * (m.get(i, j) + m.get(j, i));
+            m.set(i, j, avg);
+            m.set(j, i, avg);
+        }
+    }
+}
+
+/// The allocating formulation the ellipsoid update used before the fused
+/// kernel: clone, rank-one update, scale, symmetrize.
+fn three_step_reference(a: &Matrix, alpha: f64, v: &Vector, beta: f64) -> Matrix {
+    let mut reference = a.clone();
+    reference.rank_one_update(alpha, v);
+    reference.scale_mut(beta);
+    naive_symmetrize(&mut reference);
+    reference
 }
 
 fn assert_bits_eq(actual: &[f64], expected: &[f64], what: &str) {
@@ -85,26 +113,65 @@ proptest! {
 
     #[test]
     fn rank_one_fused_kernel_matches_three_step_reference_bitwise(
-        dim in 1usize..7,
+        dim_index in 0usize..RANK_ONE_DIMS.len(),
         seed in 0u64..1_000,
         alpha in -3.0..3.0_f64,
         beta in 0.1..3.0_f64,
     ) {
+        let dim = RANK_ONE_DIMS[dim_index];
         let mut rng = StdRng::seed_from_u64(seed);
         let a = random_spd(&mut rng, dim, 2.0);
         let v = sampling::uniform_vector(&mut rng, dim, -2.0, 2.0);
-
-        // The allocating formulation the ellipsoid update used before the
-        // fused kernel: clone, rank-one update, scale, symmetrize.
-        let mut reference = a.clone();
-        reference.rank_one_update(alpha, &v);
-        reference.scale_mut(beta);
-        reference.symmetrize();
+        let reference = three_step_reference(&a, alpha, &v, beta);
 
         let mut out = Matrix::default();
-        a.rank_one_scaled_symmetrized_into(alpha, &v, beta, &mut out);
+        let finite = a.rank_one_scaled_symmetrized_into(alpha, &v, beta, &mut out);
         prop_assert_eq!(out.rows(), dim);
         assert_bits_eq(out.as_slice(), reference.as_slice(), "rank-one kernel");
+        prop_assert_eq!(finite, out.is_finite());
+    }
+
+    #[test]
+    fn rank_one_finiteness_flag_matches_is_finite_on_poisoned_inputs(
+        dim_index in 0usize..RANK_ONE_DIMS.len(),
+        seed in 0u64..1_000,
+        poison in 0usize..6,
+        alpha in -3.0..3.0_f64,
+        beta in 0.1..3.0_f64,
+    ) {
+        let dim = RANK_ONE_DIMS[dim_index];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut a = random_matrix(&mut rng, dim, dim, 2.0);
+        let v = sampling::uniform_vector(&mut rng, dim, -2.0, 2.0);
+        let i = rng.gen_range(0..dim);
+        let j = rng.gen_range(0..dim);
+        let (alpha, beta) = match poison {
+            0 => { a.set(i, j, f64::INFINITY); (alpha, beta) }
+            1 => { a.set(i, j, f64::NEG_INFINITY); (alpha, beta) }
+            2 => { a.set(i, j, f64::NAN); (alpha, beta) }
+            // Two finite entries near `f64::MAX` whose sum overflows, and
+            // two whose sum cancels.  The update is the identity so the
+            // row pass leaves them exactly as set.
+            3 | 4 => {
+                let mirror = if poison == 3 { 0.75 } else { -0.75 };
+                a.set(i, j, 0.75 * f64::MAX);
+                a.set(j, i, mirror * f64::MAX);
+                (0.0, 1.0)
+            }
+            _ => (alpha, beta),
+        };
+        let reference = three_step_reference(&a, alpha, &v, beta);
+
+        let mut out = Matrix::default();
+        let finite = a.rank_one_scaled_symmetrized_into(alpha, &v, beta, &mut out);
+        prop_assert_eq!(finite, out.is_finite());
+        prop_assert_eq!(finite, reference.is_finite());
+        for (k, (got, want)) in out.as_slice().iter().zip(reference.as_slice()).enumerate() {
+            prop_assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "slot {}: {} vs reference {}", k, got, want
+            );
+        }
     }
 
     #[test]
