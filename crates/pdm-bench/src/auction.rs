@@ -81,7 +81,7 @@ pub struct AuctionPerf {
     /// Auction rounds settled per second of drain (service) time.
     pub rounds_per_sec: f64,
     /// Mean per-request service latency in µs, over *every* request of the
-    /// cell (the all-time streaming stats).
+    /// cell (the mean of its merged latency histogram).
     pub latency_mean_micros: f64,
     /// Median per-request service latency in µs, read off the cell's
     /// merged latency histogram (an upper bucket edge, ≤ 19% high).
@@ -374,7 +374,7 @@ impl Workload for AuctionCellSpec {
             perf: AuctionPerf {
                 wall_clock_secs: cell.wall_clock_secs,
                 rounds_per_sec: cell.per_drain_sec(totals.auctions),
-                latency_mean_micros: cell.metrics.latency_stats().mean(),
+                latency_mean_micros: cell.latency.mean() / 1e3,
                 latency_p50_micros: p50,
                 latency_p99_micros: p99,
             },
@@ -597,9 +597,9 @@ mod tests {
     }
 
     #[test]
-    fn latency_mean_pools_the_all_time_stats_across_reps() {
-        // Regression: the cell mean must come from the merged all-time
-        // streaming stats, not be dropped (NaN).
+    fn latency_mean_pools_the_histogram_across_reps() {
+        // Regression: the cell mean must come from the merged latency
+        // histogram, not be dropped (NaN).
         let mut obs = MetricRegistry::new();
         let report = run_cell(&tiny_cell(2, AuctionPolicy::Session), 2, 2, &mut obs).unwrap();
         assert!(

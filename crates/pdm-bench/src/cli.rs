@@ -532,6 +532,7 @@ mod tests {
             .unwrap();
         assert_eq!(args.command, Command::Serve);
         assert_eq!(args.workers, 4);
+        assert_eq!(args.scale, Scale::Quick);
         assert!(args.check);
         assert!(usage().contains("serve"));
     }
@@ -854,23 +855,6 @@ mod tests {
         assert!(parse_args(&strings(&["all", "--reps", "x"]))
             .unwrap_err()
             .contains("positive"));
-    }
-
-    #[test]
-    fn scale_parsing_stays_in_lockstep_with_scale_try_from_args() {
-        // `Scale::try_from_args` is the strict parser for flag-only callers;
-        // this parser handles `--full` itself because it accepts more flags.
-        // Pin the two together so they cannot drift.
-        let via_cli = |args: &[&str]| {
-            let mut full = vec!["fig4"];
-            full.extend_from_slice(args);
-            parse_args(&strings(&full)).unwrap().unwrap().scale
-        };
-        assert_eq!(Ok(via_cli(&["--full"])), Scale::try_from_args(["--full"]));
-        assert_eq!(Ok(via_cli(&[])), Scale::try_from_args(Vec::<String>::new()));
-        // Both reject the classic typo.
-        assert!(Scale::try_from_args(["--ful"]).is_err());
-        assert!(parse_args(&strings(&["fig4", "--ful"])).is_err());
     }
 
     #[test]

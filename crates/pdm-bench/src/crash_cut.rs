@@ -279,35 +279,16 @@ fn second_half(
 }
 
 /// The restored service must agree with the original at the cut on every
-/// ledger the WAL promises to carry: the pricing counters and money, and
-/// the privacy economics.
+/// ledger field, bit for bit: the WAL promises to carry the whole ledger.
 fn check_cut(label: &str, original: &ShardMetrics, restored: &ShardMetrics) -> Result<(), String> {
-    let (o, r) = (original, restored);
-    let counts = [
-        ("quotes", o.quotes_served, r.quotes_served),
-        ("observations", o.observations, r.observations),
-        ("sales", o.sales, r.sales),
-        ("owners exhausted", o.owners_exhausted, r.owners_exhausted),
-        ("throttles", o.privacy_throttled, r.privacy_throttled),
-    ];
-    let money = [
-        ("revenue", o.revenue, r.revenue),
-        ("regret", o.regret, r.regret),
-        ("ε spent", o.epsilon_spent, r.epsilon_spent),
-        ("compensation", o.compensation_paid, r.compensation_paid),
-    ];
-    if let Some((what, want, got)) = counts.into_iter().find(|(_, a, b)| a != b) {
-        return Err(format!(
-            "{label}: the WAL restore lost {what} at the cut ({got} restored vs {want})"
-        ));
-    }
-    if let Some((what, want, got)) = money
-        .into_iter()
-        .find(|(_, a, b)| a.to_bits() != b.to_bits())
-    {
-        return Err(format!(
-            "{label}: the WAL restore lost {what} at the cut ({got} restored vs {want})"
-        ));
+    let fields = original.fields().into_iter().zip(restored.fields());
+    for ((field, want), (_, got)) in fields {
+        if want.to_bits() != got.to_bits() {
+            let (got, want) = (got.as_f64(), want.as_f64());
+            return Err(format!(
+                "{label}: the WAL restore lost {field} at the cut ({got} restored vs {want})"
+            ));
+        }
     }
     Ok(())
 }
@@ -441,6 +422,23 @@ mod tests {
             err,
             "cut: the WAL restore lost regret at the cut (1 restored vs 0)"
         );
+
+        let mut restored = ShardMetrics::new();
+        restored.evictions = 3;
+        let err = check_cut("cut", &original, &restored).unwrap_err();
+        assert_eq!(
+            err,
+            "cut: the WAL restore lost evictions at the cut (3 restored vs 0)"
+        );
+
+        let mut restored = ShardMetrics::new();
+        restored.auction.welfare = 2.5;
+        let err = check_cut("cut", &original, &restored).unwrap_err();
+        assert_eq!(
+            err,
+            "cut: the WAL restore lost auction.welfare at the cut (2.5 restored vs 0)"
+        );
+        assert_eq!(check_cut("cut", &original, &original), Ok(()));
     }
 
     #[test]

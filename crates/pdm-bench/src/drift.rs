@@ -94,7 +94,7 @@ pub struct DriftPerf {
     /// Quotes served per second of drain (service) time.
     pub quotes_per_sec: f64,
     /// Mean per-request service latency in µs, over *every* request of the
-    /// cell (the all-time streaming stats).
+    /// cell (the mean of its merged latency histogram).
     pub latency_mean_micros: f64,
     /// Median per-request service latency in µs, read off the cell's
     /// merged latency histogram (an upper bucket edge, ≤ 19% high).
@@ -456,7 +456,7 @@ impl Workload for DriftCellSpec {
             perf: DriftPerf {
                 wall_clock_secs: cell.wall_clock_secs,
                 quotes_per_sec: cell.per_drain_sec(cell.metrics.quotes_served),
-                latency_mean_micros: cell.metrics.latency_stats().mean(),
+                latency_mean_micros: cell.latency.mean() / 1e3,
                 latency_p50_micros: p50,
                 latency_p99_micros: p99,
             },
@@ -680,9 +680,9 @@ mod tests {
     }
 
     #[test]
-    fn latency_mean_pools_the_all_time_stats_across_reps() {
-        // Regression: the cell mean must come from the merged all-time
-        // streaming stats, not be dropped (NaN).
+    fn latency_mean_pools_the_histogram_across_reps() {
+        // Regression: the cell mean must come from the merged latency
+        // histogram, not be dropped (NaN).
         let mut obs = MetricRegistry::new();
         let report = run_cell(
             &tiny_cell(piecewise(30), DriftPolicy::Static),

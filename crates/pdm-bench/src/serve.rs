@@ -134,7 +134,8 @@ pub struct ServePerf {
     pub wall_clock_secs: f64,
     /// Quotes served per second of drain (service) time.
     pub quotes_per_sec: f64,
-    /// Mean per-request service latency in µs.
+    /// Mean per-request service latency in µs, over *every* request of the
+    /// cell (the mean of its merged latency histogram).
     pub latency_mean_micros: f64,
     /// Median per-request service latency in µs, read off the cell's
     /// merged latency histogram (an upper bucket edge, ≤ 19% high).
@@ -446,7 +447,7 @@ impl Workload for ServeCellSpec {
             perf: ServePerf {
                 wall_clock_secs: cell.wall_clock_secs,
                 quotes_per_sec: cell.per_drain_sec(metrics.quotes_served),
-                latency_mean_micros: metrics.latency_stats().mean(),
+                latency_mean_micros: cell.latency.mean() / 1e3,
                 latency_p50_micros: p50,
                 latency_p99_micros: p99,
             },

@@ -537,23 +537,12 @@ fn batched_drain_replays_one_at_a_time_bit_identically() {
         "drain batching must not move any snapshotted state"
     );
 
-    // ShardMetrics fingerprint: every deterministic field, at the bit level
-    // (latency is wall-clock and deliberately excluded).
+    // ShardMetrics fingerprint: every ledger field, at the bit level.
     let metrics_a = batched.aggregate_metrics();
     let metrics_b = serial.aggregate_metrics();
-    assert_eq!(metrics_a.quotes_served, metrics_b.quotes_served);
-    assert_eq!(metrics_a.observations, metrics_b.observations);
-    assert_eq!(metrics_a.sales, metrics_b.sales);
-    assert_eq!(metrics_a.revenue.to_bits(), metrics_b.revenue.to_bits());
-    assert_eq!(metrics_a.regret.to_bits(), metrics_b.regret.to_bits());
-    assert_eq!(
-        metrics_a.regret_proxy.to_bits(),
-        metrics_b.regret_proxy.to_bits()
-    );
-    assert_eq!(metrics_a.shed, metrics_b.shed);
-    assert_eq!(metrics_a.rejected, metrics_b.rejected);
-    assert_eq!(metrics_a.drift_fires, metrics_b.drift_fires);
-    assert_eq!(metrics_a.drift_restarts, metrics_b.drift_restarts);
+    for ((field, a), (_, b)) in metrics_a.fields().into_iter().zip(metrics_b.fields()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "{field} diverged");
+    }
     assert_eq!(metrics_a.quotes_served, 512);
     assert_eq!(metrics_a.observations, 512);
 

@@ -51,11 +51,12 @@
 //!   the detector state survives snapshots (schema v3).
 //! * **Per-shard metrics** — quotes served, accept rate, revenue, exact
 //!   regret (when ground truth is supplied) plus an uncertainty-width
-//!   regret proxy, shed/rejected counts, p50/p99 service latency, and the
-//!   auction ledger (settled rounds, reserve hit-rate, clearing revenue,
-//!   welfare, no-reserve baseline) ([`ShardMetrics`]); shard ledgers fold
-//!   into one service-wide aggregate via
-//!   [`MarketService::aggregate_metrics`].
+//!   regret proxy, shed/rejected counts, paging and privacy counters, and
+//!   the auction ledger (settled rounds, reserve hit-rate, clearing
+//!   revenue, welfare, no-reserve baseline) ([`ShardMetrics`]); shard
+//!   ledgers fold into one service-wide aggregate via
+//!   [`MarketService::aggregate_metrics`].  Per-request service latency
+//!   is the `shard.request.wall_nanos` histogram of the scrape.
 //! * **Continuous ingest** — [`MarketService::ingest`] admits requests
 //!   through a shared `&self` reference via mutex-striped per-shard
 //!   queues, so producer threads keep feeding the service while a drain
@@ -106,7 +107,7 @@
 //! })?;
 //! service.drain(4);
 //! assert!(quote.posted_price >= 0.4); // the reserve price is honoured
-//! assert_eq!(service.metrics().sales, 1);
+//! assert_eq!(service.aggregate_metrics().sales, 1);
 //! # Ok::<(), pdm_service::ServiceError>(())
 //! ```
 //!

@@ -3,10 +3,9 @@
 //! Each shard counts what it served (quotes, observations, sales), what it
 //! earned (revenue), how much it may have left on the table (exact regret
 //! when the workload supplies ground truth, the uncertainty-width *proxy*
-//! always), what it refused (shed and rejected requests), how its
+//! always), what it refused (shed and rejected requests), and how its
 //! drift-aware tenants reacted to a moving market (surprisal-detector
-//! firings and knowledge-set restarts), and how fast it was (an all-time
-//! mean/min/max summary of per-request service latency).
+//! firings and knowledge-set restarts).
 //!
 //! Auction tenants report through the same ledger: the nested
 //! [`AuctionLedger`] counts settled rounds, sales, reserve hits, clearing
@@ -14,17 +13,21 @@
 //! the figures the `bench auction` workload and the reserve-uplift
 //! dashboards read per shard.
 //!
-//! Everything except the latency figures is **deterministic**: counts and
-//! monetary sums depend only on the request stream, never on thread timing,
-//! which is what lets `bench serve` compare worker counts byte for byte.
-//! Latency is wall-clock and lives strictly apart.  Its quantiles come from
-//! the [`LATENCY_HISTOGRAM`] wall histogram of each shard's `pdm-obs`
-//! registry, which merges exactly across shards and runs and holds a fixed
-//! number of buckets however many requests it has seen.
+//! Every figure is **deterministic**: counts and monetary sums depend only
+//! on the request stream, never on thread timing, which is what lets
+//! `bench serve` compare worker counts byte for byte.  Latency is
+//! wall-clock and lives strictly apart, in the [`LATENCY_HISTOGRAM`] wall
+//! histogram of each shard's `pdm-obs` registry, which merges exactly
+//! across shards and runs and holds a fixed number of buckets however many
+//! requests it has seen.
+//!
+//! The ledger's fields are listed once, in [`ShardMetrics::fields`]: the
+//! merge, the snapshot codec, the scrape export and the crash-cut check
+//! all walk that list, so a field cannot be persisted but not exported,
+//! or merged but not compared.
 
 use pdm_auction::AuctionLedger;
-use pdm_linalg::OnlineStats;
-use std::time::Duration;
+use std::fmt;
 
 /// Name of the per-request service-latency histogram (wall-clock
 /// nanoseconds, one observation per request) in every shard registry and
@@ -32,9 +35,12 @@ use std::time::Duration;
 /// [`pdm_obs::LogHistogram::quantile`].
 pub const LATENCY_HISTOGRAM: &str = "shard.request.wall_nanos";
 
-/// Counters and the latency summary of one shard (or of a whole service,
-/// after [`ShardMetrics::merge`]).
-#[derive(Debug, Clone)]
+/// Number of fields in a [`ShardMetrics`] ledger, the auction ones included.
+pub const FIELDS: usize = 23;
+
+/// The counters of one shard (or of a whole service, after
+/// [`ShardMetrics::merge`]).
+#[derive(Debug, Clone, Default)]
 pub struct ShardMetrics {
     /// Price quotes served.
     pub quotes_served: u64,
@@ -88,43 +94,203 @@ pub struct ShardMetrics {
     /// Posted prices clamped down to the arbitrage-free ceiling
     /// ([`crate::ledger::ARBITRAGE_PRICE_MARKUP`] × total compensation).
     pub arbitrage_clamps: u64,
-    /// Streaming all-time summary of per-request service latency, in
-    /// microseconds (wall-clock; excluded from all determinism
-    /// comparisons).
-    latency_stats: OnlineStats,
 }
 
-impl Default for ShardMetrics {
-    fn default() -> Self {
-        Self::new()
+/// What the code around a ledger needs to know about one of its fields.
+#[derive(Debug, Clone, Copy)]
+pub struct Field {
+    /// Key in a snapshot's ledger object (or in its nested `auction`
+    /// object).
+    pub key: &'static str,
+    /// Name of the counter [`crate::MarketService::scrape`] exports.
+    pub counter: &'static str,
+    /// Help text of that counter.
+    pub help: &'static str,
+    /// Whether the key sits in the snapshot's nested `auction` object.
+    pub nested: bool,
+    /// Whether a snapshot must carry the key.  The v1 and auction keys
+    /// must; the keys added in schema v3–v5 read as zero when absent.
+    pub required: bool,
+}
+
+impl fmt::Display for Field {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.nested {
+            f.write_str("auction.")?;
+        }
+        f.write_str(self.key)
     }
 }
+
+/// The value of one ledger field.
+#[derive(Debug, Clone, Copy)]
+pub enum Figure {
+    /// An event count.
+    Count(u64),
+    /// A money (or privacy-leakage) sum.
+    Money(f64),
+}
+
+impl Figure {
+    /// The value as the number snapshots and counters carry.
+    #[must_use]
+    pub fn as_f64(self) -> f64 {
+        match self {
+            Figure::Count(count) => count as f64,
+            Figure::Money(money) => money,
+        }
+    }
+
+    /// The value's bits: two ledgers agree on a field when these match.
+    #[must_use]
+    pub fn to_bits(self) -> u64 {
+        match self {
+            Figure::Count(count) => count,
+            Figure::Money(money) => money.to_bits(),
+        }
+    }
+}
+
+/// A mutable handle on one ledger field.
+#[derive(Debug)]
+pub(crate) enum Slot<'a> {
+    Count(&'a mut u64),
+    Money(&'a mut f64),
+}
+
+impl<'a> Slot<'a> {
+    /// A schema-v1 field: a snapshot must carry it.
+    fn required(self, key: &'static str, counter: &'static str, help: &'static str) -> Entry<'a> {
+        self.entry(key, counter, help, false, true)
+    }
+
+    /// A field added in schema v3–v5: it reads as zero when absent.
+    fn optional(self, key: &'static str, counter: &'static str, help: &'static str) -> Entry<'a> {
+        self.entry(key, counter, help, false, false)
+    }
+
+    /// A field of the nested `auction` object (schema v2), which a snapshot
+    /// either carries in full or not at all.
+    fn nested(self, key: &'static str, counter: &'static str, help: &'static str) -> Entry<'a> {
+        self.entry(key, counter, help, true, true)
+    }
+
+    fn entry(
+        self,
+        key: &'static str,
+        counter: &'static str,
+        help: &'static str,
+        nested: bool,
+        required: bool,
+    ) -> Entry<'a> {
+        let field = Field {
+            key,
+            counter,
+            help,
+            nested,
+            required,
+        };
+        (field, self)
+    }
+
+    /// What the snapshot parser's errors call this kind of value.
+    pub(crate) fn noun(&self) -> &'static str {
+        match self {
+            Slot::Count(_) => "count",
+            Slot::Money(_) => "number",
+        }
+    }
+
+    fn get(&self) -> Figure {
+        match self {
+            Slot::Count(count) => Figure::Count(**count),
+            Slot::Money(money) => Figure::Money(**money),
+        }
+    }
+
+    /// Adds the same field's figure from another ledger.
+    fn add(self, figure: Figure) {
+        match (self, figure) {
+            (Slot::Count(mine), Figure::Count(theirs)) => *mine += theirs,
+            (Slot::Money(mine), Figure::Money(theirs)) => *mine += theirs,
+            // Two walks of the one list pair fields of the same kind.
+            (Slot::Count(_), Figure::Money(_)) | (Slot::Money(_), Figure::Count(_)) => {}
+        }
+    }
+}
+
+/// One entry of the field list: a field's metadata beside a handle on its
+/// value.
+type Entry<'a> = (Field, Slot<'a>);
 
 impl ShardMetrics {
     /// An empty metrics ledger.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            quotes_served: 0,
-            observations: 0,
-            sales: 0,
-            revenue: 0.0,
-            regret: 0.0,
-            regret_proxy: 0.0,
-            shed: 0,
-            rejected: 0,
-            auction: AuctionLedger::default(),
-            drift_fires: 0,
-            drift_restarts: 0,
-            evictions: 0,
-            rehydrations: 0,
-            epsilon_spent: 0.0,
-            compensation_paid: 0.0,
-            owners_exhausted: 0,
-            privacy_throttled: 0,
-            arbitrage_clamps: 0,
-            latency_stats: OnlineStats::new(),
-        }
+        Self::default()
+    }
+
+    /// The one list of the ledger's fields, in snapshot order.
+    #[rustfmt::skip]
+    pub(crate) fn fields_mut(&mut self) -> [Entry<'_>; FIELDS] {
+        use Slot::{Count, Money};
+        let a = &mut self.auction;
+        [
+            Count(&mut self.quotes_served).required("quotes_served", "quotes_served_total",
+                "Price quotes served"),
+            Count(&mut self.observations).required("observations", "observations_total",
+                "Outcome reports applied"),
+            Count(&mut self.sales).required("sales", "sales_total",
+                "Accepted quotes"),
+            Money(&mut self.revenue).required("revenue", "revenue_total",
+                "Cumulative revenue from accepted quotes"),
+            Money(&mut self.regret).required("regret", "regret_total",
+                "Exact cumulative regret (ground-truth outcomes only)"),
+            Money(&mut self.regret_proxy).required("regret_proxy", "regret_proxy_total",
+                "Cumulative quote uncertainty width"),
+            Count(&mut self.shed).required("shed", "shed_total",
+                "Requests shed at admission (queue full)"),
+            Count(&mut self.rejected).required("rejected", "rejected_total",
+                "Requests that reached a shard but could not be served"),
+            Count(&mut self.drift_fires).optional("drift_fires", "drift_fires_total",
+                "Drift-detector firings"),
+            Count(&mut self.drift_restarts).optional("drift_restarts", "drift_restarts_total",
+                "Knowledge-set restarts"),
+            Count(&mut self.evictions).optional("evictions", "evictions_total",
+                "Tenant sessions paged out by the cold-tenant pager"),
+            Count(&mut self.rehydrations).optional("rehydrations", "rehydrations_total",
+                "Paged-out tenant sessions materialised back in"),
+            Money(&mut self.epsilon_spent).optional("epsilon_spent", "epsilon_spent_total",
+                "Privacy leakage debited across privacy tenants"),
+            Money(&mut self.compensation_paid).optional("compensation_paid",
+                "compensation_paid_total", "Compensation accrued to data owners"),
+            Count(&mut self.owners_exhausted).optional("owners_exhausted", "owners_exhausted_total",
+                "Data owners retired on budget exhaustion"),
+            Count(&mut self.privacy_throttled).optional("privacy_throttled",
+                "privacy_throttled_total", "Privacy quotes refused for exhausted supply"),
+            Count(&mut self.arbitrage_clamps).optional("arbitrage_clamps", "arbitrage_clamps_total",
+                "Posted prices clamped to the arbitrage-free ceiling"),
+            Count(&mut a.auctions).nested("auctions", "auction.rounds_total",
+                "Auction rounds settled"),
+            Count(&mut a.sales).nested("sales", "auction.sales_total",
+                "Auction rounds that sold"),
+            Count(&mut a.reserve_hits).nested("reserve_hits", "auction.reserve_hits_total",
+                "Sold auction rounds priced by the reserve"),
+            Money(&mut a.revenue).nested("revenue", "auction.revenue_total",
+                "Cumulative auction clearing revenue"),
+            Money(&mut a.welfare).nested("welfare", "auction.welfare_total",
+                "Cumulative allocative welfare (winning bids)"),
+            Money(&mut a.baseline_revenue).nested("baseline_revenue",
+                "auction.baseline_revenue_total", "Second-price-no-reserve baseline revenue"),
+        ]
+    }
+
+    /// Every field of the ledger with its value, in snapshot order.
+    #[must_use]
+    pub fn fields(&self) -> [(Field, Figure); FIELDS] {
+        self.clone()
+            .fields_mut()
+            .map(|(field, slot)| (field, slot.get()))
     }
 
     /// Fraction of sold auction rounds whose price was set by the reserve
@@ -155,12 +321,16 @@ impl ShardMetrics {
 
     /// Fraction of admission attempts that were shed (zero before any
     /// traffic).
+    ///
+    /// A refused privacy quote reaches the shard but counts only in
+    /// `privacy_throttled`, so it is an attempt of its own.
     #[must_use]
     pub fn shed_rate(&self) -> f64 {
         let attempts = self.quotes_served
             + self.observations
             + self.auction.auctions
             + self.rejected
+            + self.privacy_throttled
             + self.shed;
         if attempts == 0 {
             0.0
@@ -169,88 +339,25 @@ impl ShardMetrics {
         }
     }
 
-    /// Records one request's service time.
-    pub fn record_latency(&mut self, elapsed: Duration) {
-        self.latency_stats.push(elapsed.as_secs_f64() * 1e6);
-    }
-
-    /// Records the service time of a batch of `count` requests drained in
-    /// one go: the batch wall-clock is split evenly, counting as `count`
-    /// samples of the per-request share, folded in O(1).  A `count` of zero
-    /// is a no-op.
-    pub fn record_latency_batch(&mut self, elapsed: Duration, count: usize) {
-        if count == 0 {
-            return;
-        }
-        let micros = elapsed.as_secs_f64() * 1e6 / count as f64;
-        self.latency_stats.merge(&OnlineStats::from_raw_parts(
-            count as u64,
-            micros,
-            0.0,
-            micros * count as f64,
-            micros,
-            micros,
-        ));
-    }
-
-    /// Streaming all-time mean/min/max summary of the service latency.
-    #[must_use]
-    pub fn latency_stats(&self) -> &OnlineStats {
-        &self.latency_stats
-    }
-
     /// Accumulates another ledger into this one (used to roll shards up
     /// into service-level totals).
     pub fn merge(&mut self, other: &ShardMetrics) {
-        self.quotes_served += other.quotes_served;
-        self.observations += other.observations;
-        self.sales += other.sales;
-        self.revenue += other.revenue;
-        self.regret += other.regret;
-        self.regret_proxy += other.regret_proxy;
-        self.shed += other.shed;
-        self.rejected += other.rejected;
-        self.auction.merge(&other.auction);
-        self.drift_fires += other.drift_fires;
-        self.drift_restarts += other.drift_restarts;
-        self.evictions += other.evictions;
-        self.rehydrations += other.rehydrations;
-        self.epsilon_spent += other.epsilon_spent;
-        self.compensation_paid += other.compensation_paid;
-        self.owners_exhausted += other.owners_exhausted;
-        self.privacy_throttled += other.privacy_throttled;
-        self.arbitrage_clamps += other.arbitrage_clamps;
-        self.latency_stats.merge(&other.latency_stats);
+        for ((_, mine), (_, theirs)) in self.fields_mut().into_iter().zip(other.fields()) {
+            mine.add(theirs);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdm_linalg::Json;
 
     #[test]
-    fn empty_metrics_report_zero_rates_and_no_latency() {
+    fn empty_metrics_report_zero_rates() {
         let metrics = ShardMetrics::new();
-        assert_eq!(metrics.latency_stats().count(), 0);
         assert_eq!(metrics.accept_rate(), 0.0);
         assert_eq!(metrics.shed_rate(), 0.0);
-    }
-
-    #[test]
-    fn a_latency_batch_counts_one_even_share_per_request() {
-        let mut batched = ShardMetrics::new();
-        batched.record_latency_batch(Duration::from_micros(300), 3);
-        batched.record_latency_batch(Duration::from_micros(50), 0);
-        let mut single = ShardMetrics::new();
-        for _ in 0..3 {
-            single.record_latency(Duration::from_micros(100));
-        }
-        for stats in [batched.latency_stats(), single.latency_stats()] {
-            assert_eq!(stats.count(), 3);
-            assert!((stats.mean() - 100.0).abs() < 1e-9);
-            assert!((stats.min() - 100.0).abs() < 1e-9);
-            assert!((stats.max() - 100.0).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -266,7 +373,6 @@ mod tests {
         b.observations = 2;
         b.sales = 1;
         b.revenue = 8.0;
-        b.record_latency(Duration::from_micros(50));
 
         assert!((a.accept_rate() - 0.7).abs() < 1e-12);
         assert!((a.shed_rate() - 5.0 / 25.0).abs() < 1e-12);
@@ -275,7 +381,6 @@ mod tests {
         assert_eq!(a.quotes_served, 12);
         assert_eq!(a.sales, 8);
         assert!((a.revenue - 78.0).abs() < 1e-12);
-        assert_eq!(a.latency_stats().count(), 1);
     }
 
     #[test]
@@ -300,6 +405,14 @@ mod tests {
         m.observations = 20;
         m.sales = 5;
         assert!((m.accept_rate() - 0.5).abs() < 1e-12);
+
+        // A refused privacy quote never reaches `quotes_served` or
+        // `rejected`, but it was an attempt: 4 throttled and 4 shed
+        // requests shed half of the attempts.
+        let mut privacy = ShardMetrics::new();
+        privacy.privacy_throttled = 4;
+        privacy.shed = 4;
+        assert!((privacy.shed_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -374,5 +487,71 @@ mod tests {
         assert_eq!(a.auction.reserve_hits, 6);
         assert!((a.reserve_hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(ShardMetrics::new().reserve_hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn every_field_round_trips_through_the_snapshot_and_the_export() {
+        // A struct literal without `..`: a new field does not compile here
+        // until it gets a value, and the size check below fails until it
+        // is listed.
+        let ledger = ShardMetrics {
+            quotes_served: 1,
+            observations: 2,
+            sales: 3,
+            revenue: 4.5,
+            regret: 5.25,
+            regret_proxy: 6.125,
+            shed: 7,
+            rejected: 8,
+            auction: AuctionLedger {
+                auctions: 9,
+                sales: 10,
+                reserve_hits: 11,
+                revenue: 12.5,
+                welfare: 13.25,
+                baseline_revenue: 14.125,
+            },
+            drift_fires: 15,
+            drift_restarts: 16,
+            evictions: 17,
+            rehydrations: 18,
+            epsilon_spent: 19.5,
+            compensation_paid: 20.25,
+            owners_exhausted: 21,
+            privacy_throttled: 22,
+            arbitrage_clamps: 23,
+        };
+        assert_eq!(std::mem::size_of::<ShardMetrics>(), FIELDS * 8);
+        let fields = ledger.fields();
+        let mut values: Vec<u64> = fields.iter().map(|(_, figure)| figure.to_bits()).collect();
+        values.sort_unstable();
+        values.dedup();
+        assert_eq!(values.len(), FIELDS, "every field is listed once");
+        assert!(fields.iter().all(|(_, figure)| figure.as_f64() != 0.0));
+
+        let json = crate::snapshot::metrics_json(&ledger);
+        let reread = crate::snapshot::metrics_from_json(&json, "shard 0").unwrap();
+        for ((field, want), (_, got)) in fields.iter().zip(reread.fields()) {
+            assert_eq!(want.to_bits(), got.to_bits(), "{field}");
+        }
+
+        let mut registry = pdm_obs::MetricRegistry::new();
+        crate::obs::export_shard_metrics(&mut registry, &ledger);
+        let exported = registry.to_json(true);
+        let counters = exported.get("counters").unwrap();
+        assert!(matches!(counters, Json::Obj(pairs) if pairs.len() == FIELDS));
+        for (field, figure) in &fields {
+            assert_eq!(
+                registry.counter_value(field.counter),
+                Some(figure.as_f64()),
+                "{field}"
+            );
+        }
+
+        // Scrapes export into a fresh merge each time, so a second export
+        // into a fresh registry reads the same values, not doubled ones.
+        let mut again = pdm_obs::MetricRegistry::new();
+        crate::obs::export_shard_metrics(&mut again, &ledger);
+        assert_eq!(again.to_json(true), exported);
     }
 }

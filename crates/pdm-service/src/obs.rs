@@ -8,8 +8,9 @@
 //! one shard (WAL checkpoints, restores) and the bounded post-mortem event
 //! journal.  [`crate::MarketService::scrape`] clones the service registry,
 //! folds every shard registry in shard-index order, exports the aggregate
-//! [`ShardMetrics`] ledger as named counters, and sets the point-in-time
-//! gauges — producing one merged registry whose deterministic half is a pure
+//! [`ShardMetrics`] ledger as named counters (a walk over its one field
+//! list, [`ShardMetrics::fields`]), and sets the point-in-time gauges —
+//! producing one merged registry whose deterministic half is a pure
 //! function of the request stream, independent of worker count.
 //!
 //! The registry is process-local scratch: it is **not** persisted by
@@ -112,183 +113,14 @@ impl ServiceObs {
 }
 
 /// Exports one (typically aggregated) [`ShardMetrics`] ledger into `registry`
-/// as named counters — the exposition view of the ledger.  The ledger stays
-/// the source of truth (it is what snapshots persist and the fingerprint
-/// covers); the export re-derives the counters at every scrape, so the two
-/// can never drift apart.
+/// as named counters — the exposition view of the ledger — by walking its
+/// field list ([`ShardMetrics::fields`]), one counter per field.  The ledger
+/// stays the source of truth (it is what snapshots persist and the
+/// fingerprint covers); the export re-derives the counters at every scrape,
+/// so the two can never drift apart.
 pub(crate) fn export_shard_metrics(registry: &mut MetricRegistry, metrics: &ShardMetrics) {
-    fn add(registry: &mut MetricRegistry, name: &str, help: &str, value: f64) {
-        let id = registry.counter(name, help);
-        registry.inc(id, value);
-    }
-    add(
-        registry,
-        "quotes_served_total",
-        "Price quotes served",
-        metrics.quotes_served as f64,
-    );
-    add(
-        registry,
-        "observations_total",
-        "Outcome reports applied",
-        metrics.observations as f64,
-    );
-    add(
-        registry,
-        "sales_total",
-        "Accepted quotes",
-        metrics.sales as f64,
-    );
-    add(
-        registry,
-        "revenue_total",
-        "Cumulative revenue from accepted quotes",
-        metrics.revenue,
-    );
-    add(
-        registry,
-        "regret_total",
-        "Exact cumulative regret (ground-truth outcomes only)",
-        metrics.regret,
-    );
-    add(
-        registry,
-        "regret_proxy_total",
-        "Cumulative quote uncertainty width",
-        metrics.regret_proxy,
-    );
-    add(
-        registry,
-        "shed_total",
-        "Requests shed at admission (queue full)",
-        metrics.shed as f64,
-    );
-    add(
-        registry,
-        "rejected_total",
-        "Requests that reached a shard but could not be served",
-        metrics.rejected as f64,
-    );
-    add(
-        registry,
-        "drift_fires_total",
-        "Drift-detector firings",
-        metrics.drift_fires as f64,
-    );
-    add(
-        registry,
-        "drift_restarts_total",
-        "Knowledge-set restarts",
-        metrics.drift_restarts as f64,
-    );
-    add(
-        registry,
-        "evictions_total",
-        "Tenant sessions paged out by the cold-tenant pager",
-        metrics.evictions as f64,
-    );
-    add(
-        registry,
-        "rehydrations_total",
-        "Paged-out tenant sessions materialised back in",
-        metrics.rehydrations as f64,
-    );
-    add(
-        registry,
-        "epsilon_spent_total",
-        "Privacy leakage debited across privacy tenants",
-        metrics.epsilon_spent,
-    );
-    add(
-        registry,
-        "compensation_paid_total",
-        "Compensation accrued to data owners",
-        metrics.compensation_paid,
-    );
-    add(
-        registry,
-        "owners_exhausted_total",
-        "Data owners retired on budget exhaustion",
-        metrics.owners_exhausted as f64,
-    );
-    add(
-        registry,
-        "privacy_throttled_total",
-        "Privacy quotes refused for exhausted supply",
-        metrics.privacy_throttled as f64,
-    );
-    add(
-        registry,
-        "arbitrage_clamps_total",
-        "Posted prices clamped to the arbitrage-free ceiling",
-        metrics.arbitrage_clamps as f64,
-    );
-    add(
-        registry,
-        "auction.rounds_total",
-        "Auction rounds settled",
-        metrics.auction.auctions as f64,
-    );
-    add(
-        registry,
-        "auction.sales_total",
-        "Auction rounds that sold",
-        metrics.auction.sales as f64,
-    );
-    add(
-        registry,
-        "auction.reserve_hits_total",
-        "Sold auction rounds priced by the reserve",
-        metrics.auction.reserve_hits as f64,
-    );
-    add(
-        registry,
-        "auction.revenue_total",
-        "Cumulative auction clearing revenue",
-        metrics.auction.revenue,
-    );
-    add(
-        registry,
-        "auction.welfare_total",
-        "Cumulative allocative welfare (winning bids)",
-        metrics.auction.welfare,
-    );
-    add(
-        registry,
-        "auction.baseline_revenue_total",
-        "Second-price-no-reserve baseline revenue",
-        metrics.auction.baseline_revenue,
-    );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn export_covers_the_ledger_and_rereads_cleanly() {
-        let mut metrics = ShardMetrics::new();
-        metrics.quotes_served = 7;
-        metrics.revenue = 3.5;
-        metrics.epsilon_spent = 0.25;
-        metrics.auction.auctions = 2;
-        metrics.auction.revenue = 1.5;
-
-        let mut registry = MetricRegistry::new();
-        export_shard_metrics(&mut registry, &metrics);
-        assert_eq!(registry.counter_value("quotes_served_total"), Some(7.0));
-        assert_eq!(registry.counter_value("revenue_total"), Some(3.5));
-        assert_eq!(registry.counter_value("epsilon_spent_total"), Some(0.25));
-        assert_eq!(registry.counter_value("auction.rounds_total"), Some(2.0));
-        assert_eq!(registry.counter_value("auction.revenue_total"), Some(1.5));
-
-        // Scrapes export into a fresh merge each time, so a second export
-        // into a fresh registry reads the same values, not doubled ones.
-        let mut again = MetricRegistry::new();
-        export_shard_metrics(&mut again, &metrics);
-        assert_eq!(
-            again.to_json(true).render(),
-            registry.to_json(true).render()
-        );
+    for (field, figure) in metrics.fields() {
+        let id = registry.counter(field.counter, field.help);
+        registry.inc(id, figure.as_f64());
     }
 }

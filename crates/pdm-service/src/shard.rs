@@ -303,11 +303,9 @@ impl Shard {
             self.last_served.insert(tenant, self.clock);
         }
         self.enforce_residency();
-        // One measurement feeds the latency ledger, the per-request latency
-        // histogram and the drain span: the whole-queue timing the hot path
-        // already paid for.
+        // One measurement feeds the per-request latency histogram and the
+        // drain span: the whole-queue timing the hot path already paid for.
         let elapsed = started.elapsed();
-        self.metrics.record_latency_batch(elapsed, total);
         let requests = total as u64;
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.obs
@@ -682,7 +680,6 @@ mod tests {
         assert_eq!(shard.metrics.observations, 1);
         assert_eq!(shard.metrics.sales, 1);
         assert!(shard.metrics.regret >= 0.0);
-        assert_eq!(shard.metrics.latency_stats().count(), 2);
         let latency = shard
             .obs
             .registry

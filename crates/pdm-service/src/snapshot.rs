@@ -23,7 +23,7 @@
 
 use crate::api::ServiceError;
 use crate::ledger::{LedgerBank, OwnerLedger};
-use crate::metrics::ShardMetrics;
+use crate::metrics::{ShardMetrics, Slot, FIELDS};
 use crate::routing::TenantId;
 use crate::service::{MarketService, ServiceConfig};
 use crate::sync;
@@ -135,119 +135,53 @@ fn pricing_from_json(value: &Json, context: &str) -> Result<PricingConfig, Servi
 }
 
 pub(crate) fn metrics_json(metrics: &ShardMetrics) -> Json {
-    Json::obj(vec![
-        ("quotes_served", Json::Num(metrics.quotes_served as f64)),
-        ("observations", Json::Num(metrics.observations as f64)),
-        ("sales", Json::Num(metrics.sales as f64)),
-        ("revenue", Json::Num(metrics.revenue)),
-        ("regret", Json::Num(metrics.regret)),
-        ("regret_proxy", Json::Num(metrics.regret_proxy)),
-        ("shed", Json::Num(metrics.shed as f64)),
-        ("rejected", Json::Num(metrics.rejected as f64)),
-        ("drift_fires", Json::Num(metrics.drift_fires as f64)),
-        ("drift_restarts", Json::Num(metrics.drift_restarts as f64)),
-        ("evictions", Json::Num(metrics.evictions as f64)),
-        ("rehydrations", Json::Num(metrics.rehydrations as f64)),
-        ("epsilon_spent", Json::Num(metrics.epsilon_spent)),
-        ("compensation_paid", Json::Num(metrics.compensation_paid)),
-        (
-            "owners_exhausted",
-            Json::Num(metrics.owners_exhausted as f64),
-        ),
-        (
-            "privacy_throttled",
-            Json::Num(metrics.privacy_throttled as f64),
-        ),
-        (
-            "arbitrage_clamps",
-            Json::Num(metrics.arbitrage_clamps as f64),
-        ),
-        (
-            "auction",
-            Json::obj(vec![
-                ("auctions", Json::Num(metrics.auction.auctions as f64)),
-                ("sales", Json::Num(metrics.auction.sales as f64)),
-                (
-                    "reserve_hits",
-                    Json::Num(metrics.auction.reserve_hits as f64),
-                ),
-                ("revenue", Json::Num(metrics.auction.revenue)),
-                ("welfare", Json::Num(metrics.auction.welfare)),
-                (
-                    "baseline_revenue",
-                    Json::Num(metrics.auction.baseline_revenue),
-                ),
-            ]),
-        ),
-    ])
+    let mut pairs = Vec::with_capacity(FIELDS);
+    let mut auction = Vec::new();
+    for (field, figure) in metrics.fields() {
+        let object = if field.nested {
+            &mut auction
+        } else {
+            &mut pairs
+        };
+        object.push((field.key, Json::Num(figure.as_f64())));
+    }
+    pairs.push(("auction", Json::obj(auction)));
+    Json::obj(pairs)
 }
 
+/// Reads a ledger written by [`metrics_json`] at any schema version.  A v1
+/// document has no `auction` object, and the keys added in v3–v5 read as
+/// zero when absent; but a key that is present must parse (corruption is an
+/// error, not a silent zero).
 pub(crate) fn metrics_from_json(value: &Json, context: &str) -> Result<ShardMetrics, ServiceError> {
-    let count = |key: &str| {
-        value.get(key).and_then(Json::as_u64).ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: missing count `{key}`"))
-        })
-    };
-    let number = |key: &str| {
-        value.get(key).and_then(Json::as_f64).ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: missing number `{key}`"))
-        })
-    };
     let mut metrics = ShardMetrics::new();
-    metrics.quotes_served = count("quotes_served")?;
-    metrics.observations = count("observations")?;
-    metrics.sales = count("sales")?;
-    metrics.revenue = number("revenue")?;
-    metrics.regret = number("regret")?;
-    metrics.regret_proxy = number("regret_proxy")?;
-    metrics.shed = count("shed")?;
-    metrics.rejected = count("rejected")?;
-    // The drift counters arrived with schema v3; an absent key is an older
-    // document with no drift-aware tenants, but a *present* key must parse
-    // (corruption is an error, not a silent zero).
-    let optional_count = |key: &str| match value.get(key) {
-        None => Ok(0),
-        Some(v) => v.as_u64().ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: `{key}` must be a count"))
-        }),
-    };
-    metrics.drift_fires = optional_count("drift_fires")?;
-    metrics.drift_restarts = optional_count("drift_restarts")?;
-    // The paging counters arrived with schema v4; same contract as above.
-    metrics.evictions = optional_count("evictions")?;
-    metrics.rehydrations = optional_count("rehydrations")?;
-    // The privacy counters arrived with schema v5; same contract as above.
-    let optional_number = |key: &str| match value.get(key) {
-        None => Ok(0.0),
-        Some(v) => v.as_f64().ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: `{key}` must be a number"))
-        }),
-    };
-    metrics.epsilon_spent = optional_number("epsilon_spent")?;
-    metrics.compensation_paid = optional_number("compensation_paid")?;
-    metrics.owners_exhausted = optional_count("owners_exhausted")?;
-    metrics.privacy_throttled = optional_count("privacy_throttled")?;
-    metrics.arbitrage_clamps = optional_count("arbitrage_clamps")?;
-    // The auction ledger arrived with schema v2; a v1 document simply has
-    // no auction traffic to restore.
-    if let Some(auction) = value.get("auction") {
-        let acontext = format!("{context} auction");
-        let acount = |key: &str| {
-            auction.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                ServiceError::MalformedSnapshot(format!("{acontext}: missing count `{key}`"))
-            })
+    let auction = value.get("auction");
+    for (field, slot) in metrics.fields_mut() {
+        let object = match (field.nested, auction) {
+            (false, _) => value,
+            (true, Some(auction)) => auction,
+            (true, None) => continue,
         };
-        let anumber = |key: &str| {
-            auction.get(key).and_then(Json::as_f64).ok_or_else(|| {
-                ServiceError::MalformedSnapshot(format!("{acontext}: missing number `{key}`"))
-            })
+        let raw = object.get(field.key);
+        if raw.is_none() && !field.required {
+            continue;
+        }
+        let noun = slot.noun();
+        let parsed = match (slot, raw) {
+            (Slot::Count(count), Some(raw)) => raw.as_u64().map(|v| *count = v),
+            (Slot::Money(money), Some(raw)) => raw.as_f64().map(|v| *money = v),
+            (_, None) => None,
         };
-        metrics.auction.auctions = acount("auctions")?;
-        metrics.auction.sales = acount("sales")?;
-        metrics.auction.reserve_hits = acount("reserve_hits")?;
-        metrics.auction.revenue = anumber("revenue")?;
-        metrics.auction.welfare = anumber("welfare")?;
-        metrics.auction.baseline_revenue = anumber("baseline_revenue")?;
+        if parsed.is_none() {
+            let key = field.key;
+            return Err(ServiceError::MalformedSnapshot(if field.nested {
+                format!("{context} auction: missing {noun} `{key}`")
+            } else if field.required {
+                format!("{context}: missing {noun} `{key}`")
+            } else {
+                format!("{context}: `{key}` must be a {noun}")
+            }));
+        }
     }
     Ok(metrics)
 }
@@ -1193,10 +1127,10 @@ mod tests {
         }
         // Service-level counters carried over.
         assert_eq!(
-            original.metrics().quotes_served,
+            original.aggregate_metrics().quotes_served,
             MarketService::restore(&snapshot)
                 .unwrap()
-                .metrics()
+                .aggregate_metrics()
                 .quotes_served
         );
     }
@@ -1248,7 +1182,7 @@ mod tests {
         for &id in &ids {
             folded.merge(&restored.tenant_report(id).unwrap());
         }
-        let metrics = restored.metrics();
+        let metrics = restored.aggregate_metrics();
         assert_eq!(folded.sales as u64, metrics.sales);
         assert_eq!(folded.rounds as u64, metrics.observations);
     }
@@ -1288,7 +1222,7 @@ mod tests {
         // accept-only revenue and round counts survived the round trip.
         let restored = MarketService::restore(&Json::parse(&first).unwrap()).unwrap();
         assert_eq!(restored.snapshot().unwrap().render_pretty(), first);
-        assert_eq!(restored.metrics().sales, 4);
+        assert_eq!(restored.aggregate_metrics().sales, 4);
     }
 
     #[test]
@@ -1350,6 +1284,94 @@ mod tests {
         assert!(
             err.to_string().contains("tenant-1"),
             "error should name the tenant: {err}"
+        );
+    }
+
+    /// Replaces (`Some`) or removes (`None`) one key of a ledger object.
+    fn set_key(ledger: &mut Json, key: &str, value: Option<Json>) {
+        let Json::Obj(pairs) = ledger else {
+            panic!("a ledger is an object")
+        };
+        pairs.retain(|(k, _)| k != key);
+        pairs.extend(value.map(|value| (key.to_owned(), value)));
+    }
+
+    #[test]
+    fn the_ledger_parser_accepts_exactly_the_documented_shapes() {
+        let message = |doc: &Json| match metrics_from_json(doc, "shard 0") {
+            Err(ServiceError::MalformedSnapshot(message)) => message,
+            other => panic!("expected a malformed ledger, got {other:?}"),
+        };
+        let mut ledger = ShardMetrics::new();
+        ledger.sales = 3;
+        ledger.revenue = 2.5;
+        ledger.evictions = 4;
+        ledger.epsilon_spent = 0.5;
+        ledger.arbitrage_clamps = 2;
+        ledger.auction.auctions = 6;
+        ledger.auction.welfare = 1.5;
+        let doc = metrics_json(&ledger);
+        let parsed = metrics_from_json(&doc, "shard 0").unwrap();
+        assert_eq!(metrics_json(&parsed), doc);
+
+        // A v1 key is required.
+        let mut missing = doc.clone();
+        set_key(&mut missing, "sales", None);
+        assert_eq!(message(&missing), "shard 0: missing count `sales`");
+
+        // The keys added in v3–v5 read as zero when absent.
+        let later = [
+            "drift_fires",
+            "drift_restarts",
+            "evictions",
+            "rehydrations",
+            "epsilon_spent",
+            "compensation_paid",
+            "owners_exhausted",
+            "privacy_throttled",
+            "arbitrage_clamps",
+        ];
+        let mut old = doc.clone();
+        for key in later {
+            set_key(&mut old, key, None);
+        }
+        let parsed = metrics_json(&metrics_from_json(&old, "shard 0").unwrap());
+        for key in later {
+            assert_eq!(parsed.get(key), Some(&Json::Num(0.0)), "{key}");
+        }
+        assert_eq!(parsed.get("sales"), Some(&Json::Num(3.0)));
+        assert_eq!(parsed.get("auction"), doc.get("auction"));
+
+        // …but a present one must parse.
+        for bad in [Json::Num(-1.0), Json::Num(1.5), Json::str("x")] {
+            let mut corrupt = doc.clone();
+            set_key(&mut corrupt, "evictions", Some(bad));
+            assert_eq!(message(&corrupt), "shard 0: `evictions` must be a count");
+        }
+        let mut corrupt = doc.clone();
+        set_key(&mut corrupt, "epsilon_spent", Some(Json::str("x")));
+        assert_eq!(
+            message(&corrupt),
+            "shard 0: `epsilon_spent` must be a number"
+        );
+
+        // No auction object reads as an empty auction ledger.
+        let mut v1 = doc.clone();
+        set_key(&mut v1, "auction", None);
+        let parsed = metrics_json(&metrics_from_json(&v1, "shard 0").unwrap());
+        assert_eq!(
+            parsed.get("auction"),
+            metrics_json(&ShardMetrics::new()).get("auction")
+        );
+
+        // A present auction object must carry every auction figure.
+        let mut auction = doc.get("auction").unwrap().clone();
+        set_key(&mut auction, "welfare", None);
+        let mut partial = doc.clone();
+        set_key(&mut partial, "auction", Some(auction));
+        assert_eq!(
+            message(&partial),
+            "shard 0 auction: missing number `welfare`"
         );
     }
 }
