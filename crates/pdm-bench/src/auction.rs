@@ -22,6 +22,7 @@
 //! [`MarketService::drain`]: pdm_service::MarketService::drain
 //! [`TenantState::serve_auction`]: pdm_service::TenantState::serve_auction
 
+use crate::closed_loop;
 use crate::grid::derive_seed;
 use crate::json::Json;
 use crate::report::{agg_stat_json, check_stat, check_throughput, gate_tolerance, BenchReport};
@@ -32,8 +33,7 @@ use crate::Scale;
 use pdm_auction::{AuctionLedger, AuctionMarket, AuctionMarketConfig, ValuationDistribution};
 use pdm_linalg::Vector;
 use pdm_service::{
-    AuctionPolicy, AuctionRequest, MarketService, ServiceConfig, TenantConfig, TenantId,
-    TenantState,
+    AuctionPolicy, AuctionRequest, Request, ServiceConfig, TenantConfig, TenantId, TenantState,
 };
 use std::time::{Duration, Instant};
 
@@ -178,26 +178,24 @@ fn run_rep(spec: &AuctionCellSpec, workers: usize, rep: u64) -> Result<Rep<Aucti
     let traffic_seed = derive_seed(spec.seed, rep);
     let tenant_config = TenantConfig::auction(spec.dim, spec.waves, spec.policy);
 
-    let mut service = MarketService::new(ServiceConfig {
+    let config = ServiceConfig {
         shards: spec.shards,
         queue_capacity: spec.tenants.max(4),
         ..ServiceConfig::default()
-    })
-    .expect("valid service config");
-    let mut markets: Vec<AuctionMarket> = Vec::with_capacity(spec.tenants);
-    for id in 0..spec.tenants as u64 {
-        service
-            .register_tenant(TenantId(id), tenant_config)
-            .map_err(|e| format!("{}: register: {e}", spec.label))?;
-        markets.push(AuctionMarket::new(AuctionMarketConfig {
-            bidders: spec.bidders,
-            dim: spec.dim,
-            distribution: spec.distribution,
-            floor_fraction: FLOOR_FRACTION,
-            seed: derive_seed(traffic_seed, id.wrapping_add(1)),
-            drift: None,
-        }));
-    }
+    };
+    let mut service = closed_loop::build_service(&spec.label, config, spec.tenants, tenant_config)?;
+    let mut markets: Vec<AuctionMarket> = (0..spec.tenants as u64)
+        .map(|id| {
+            AuctionMarket::new(AuctionMarketConfig {
+                bidders: spec.bidders,
+                dim: spec.dim,
+                distribution: spec.distribution,
+                floor_fraction: FLOOR_FRACTION,
+                seed: derive_seed(traffic_seed, id.wrapping_add(1)),
+                drift: None,
+            })
+        })
+        .collect();
 
     let mut recorded: Vec<Vec<RecordedRound>> = (0..spec.tenants).map(|_| Vec::new()).collect();
     let mut drain_time = Duration::ZERO;
@@ -205,12 +203,12 @@ fn run_rep(spec: &AuctionCellSpec, workers: usize, rep: u64) -> Result<Rep<Aucti
         for (id, market) in markets.iter_mut().enumerate() {
             let round = market.next_round();
             service
-                .submit_auction(AuctionRequest {
+                .ingest(Request::Auction(AuctionRequest {
                     tenant: TenantId(id as u64),
                     features: round.features.clone(),
                     floor: round.floor,
                     bids: round.bids.clone(),
-                })
+                }))
                 .map_err(|e| format!("{}: submit: {e}", spec.label))?;
             recorded[id].push(RecordedRound {
                 features: round.features,
@@ -269,8 +267,7 @@ fn run_rep(spec: &AuctionCellSpec, workers: usize, rep: u64) -> Result<Rep<Aucti
     // The service's own (FIFO-ordered) ledger must agree on every counter;
     // monetary sums legitimately differ in addition order, so they are
     // compared through the counters and the per-round bits above.
-    let metrics = service.aggregate_metrics();
-    let served = metrics.auction;
+    let served = service.aggregate_metrics().auction;
     if served.auctions != ledger.auctions
         || served.sales != ledger.sales
         || served.reserve_hits != ledger.reserve_hits
@@ -288,12 +285,7 @@ fn run_rep(spec: &AuctionCellSpec, workers: usize, rep: u64) -> Result<Rep<Aucti
         ));
     }
 
-    Ok(Rep {
-        outcome: ledger,
-        metrics,
-        drain_time,
-        scrape: service.scrape(),
-    })
+    Ok(closed_loop::rep(&service, drain_time, ledger))
 }
 
 impl Workload for AuctionCellSpec {

@@ -379,7 +379,7 @@ fn run_simulation(args: &BenchArgs, report: &mut BenchReport) -> Result<usize, S
         experiments
             .iter()
             .map(|e| (e.name.as_str(), e.cells.as_slice())),
-        &jobs,
+        args.reps,
         &results,
     );
     for (experiment, aggregate) in experiments.iter().zip(&report.experiments) {

@@ -11,10 +11,12 @@
 //! on the policy, so the three policy columns of a row price the *exact
 //! same* moving market and their regret columns are directly comparable.
 //!
-//! Every repetition is verified against a serial per-tenant replay bit for
-//! bit (posted prices, detector firings, restarts), exactly like the serve
-//! and auction workloads; deterministic aggregates are folded per tenant in
-//! tenant order.  Beyond the cumulative ledgers, each cell reports
+//! Every repetition runs the closed loop in `closed_loop.rs` that `serve`,
+//! `longhaul` and `privacy` share, with the environments' rounds as its
+//! trace, and is verified against its serial per-tenant replay bit for bit
+//! (posted prices, ledgers, detector firings, restarts), exactly like the
+//! serve workload; deterministic aggregates are folded per tenant in tenant
+//! order.  Beyond the cumulative ledgers, each cell reports
 //! **post-shift regret** — regret accumulated from the first discrete shift
 //! onwards — which is the figure the BENCH v4 `validate()` gate reads: at
 //! `--full` scale the restart and discounted policies must both beat the
@@ -22,6 +24,7 @@
 //!
 //! [`MarketService`]: pdm_service::MarketService
 
+use crate::closed_loop::{self, TraceRequest};
 use crate::grid::derive_seed;
 use crate::json::Json;
 use crate::report::{agg_stat_json, check_stat, check_throughput, BenchReport};
@@ -31,14 +34,10 @@ use crate::workload::{Cell, Rep, Workload};
 use crate::Scale;
 use pdm_pricing::prelude::{
     DriftKind, DriftPolicy, DriftSchedule, DriftingLinearEnvironment, Environment, NoiseModel,
-    StepOutcome,
 };
-use pdm_service::{
-    MarketService, OutcomeReport, QueryRequest, ServiceConfig, TenantConfig, TenantId, TenantState,
-};
+use pdm_service::{ServiceConfig, TenantConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::{Duration, Instant};
 
 /// Base seed of the drift grid; environment streams derive from the *row*
 /// (kind × magnitude), not the cell, so policies face identical markets.
@@ -175,15 +174,6 @@ pub fn grid_kinds(waves: usize, magnitude: f64) -> [DriftKind; 3] {
     ]
 }
 
-/// One recorded posted-price round, replayed serially during verification.
-struct RecordedRound {
-    features: pdm_linalg::Vector,
-    reserve: f64,
-    value: f64,
-    accepted: bool,
-    posted_bits: u64,
-}
-
 /// The per-repetition totals of the serial replay.
 pub struct DriftOutcome {
     revenue: f64,
@@ -204,120 +194,72 @@ fn tenant_config(spec: &DriftCellSpec) -> TenantConfig {
     config
 }
 
-/// Runs one repetition of one cell and verifies it against the serial
-/// replay.  Returns the deterministic per-rep aggregates.
+/// Runs one repetition of one cell through the shared closed loop and
+/// verifies it against the serial replay.  Returns the deterministic
+/// per-rep aggregates.
 fn run_rep(spec: &DriftCellSpec, workers: usize, rep: u64) -> Result<Rep<DriftOutcome>, String> {
+    let label = &spec.label;
     // Environment streams derive from the row seed (kind × magnitude) and
     // the repetition — NOT the policy — so policy columns are comparable.
     let row_seed = derive_seed(spec.env_seed, rep);
-    let config = tenant_config(spec);
+    let mut environments: Vec<(DriftingLinearEnvironment, StdRng)> = (0..spec.tenants as u64)
+        .map(|id| {
+            let environment = DriftingLinearEnvironment::new(
+                spec.dim,
+                spec.waves,
+                DriftSchedule {
+                    kind: spec.kind,
+                    seed: derive_seed(row_seed, id.wrapping_add(1)),
+                },
+                NoiseModel::Gaussian { std_dev: NOISE_STD },
+            );
+            let stream = StdRng::seed_from_u64(derive_seed(row_seed, id.wrapping_add(1_000)));
+            (environment, stream)
+        })
+        .collect();
+    let mut trace = Vec::with_capacity(spec.waves);
+    for _ in 0..spec.waves {
+        let mut requests = Vec::with_capacity(spec.tenants);
+        for (id, (environment, stream)) in environments.iter_mut().enumerate() {
+            let round = environment
+                .next_round(stream)
+                .ok_or_else(|| format!("{label}: environment exhausted early"))?;
+            requests.push(TraceRequest {
+                tenant: id as u64,
+                features: round.features,
+                value: round.market_value,
+                reserve: round.reserve_price,
+            });
+        }
+        trace.push(requests);
+    }
 
-    let mut service = MarketService::new(ServiceConfig {
+    let config = tenant_config(spec);
+    let service_config = ServiceConfig {
         shards: spec.shards,
         queue_capacity: spec.tenants.max(4),
         ..ServiceConfig::default()
-    })
-    .map_err(|e| format!("{}: config: {e}", spec.label))?;
-    let mut environments: Vec<DriftingLinearEnvironment> = Vec::with_capacity(spec.tenants);
-    let mut streams: Vec<StdRng> = Vec::with_capacity(spec.tenants);
-    for id in 0..spec.tenants as u64 {
-        service
-            .register_tenant(TenantId(id), config)
-            .map_err(|e| format!("{}: register: {e}", spec.label))?;
-        environments.push(DriftingLinearEnvironment::new(
-            spec.dim,
-            spec.waves,
-            DriftSchedule {
-                kind: spec.kind,
-                seed: derive_seed(row_seed, id.wrapping_add(1)),
-            },
-            NoiseModel::Gaussian { std_dev: NOISE_STD },
-        ));
-        streams.push(StdRng::seed_from_u64(derive_seed(
-            row_seed,
-            id.wrapping_add(1_000),
-        )));
-    }
+    };
+    let mut service = closed_loop::build_service(label, service_config, spec.tenants, config)?;
+    let served = closed_loop::serve(label, &mut service, &trace, workers)?;
 
-    let mut recorded: Vec<Vec<RecordedRound>> = (0..spec.tenants).map(|_| Vec::new()).collect();
-    let mut pending: Vec<Option<(pdm_linalg::Vector, f64, f64)>> = vec![None; spec.tenants];
-    let mut drain_time = Duration::ZERO;
-    for _ in 0..spec.waves {
-        for id in 0..spec.tenants {
-            let round = environments[id]
-                .next_round(&mut streams[id])
-                .ok_or_else(|| format!("{}: environment exhausted early", spec.label))?;
-            service
-                .submit_quote(QueryRequest {
-                    tenant: TenantId(id as u64),
-                    features: round.features.clone(),
-                    reserve_price: round.reserve_price,
-                })
-                .map_err(|e| format!("{}: submit: {e}", spec.label))?;
-            pending[id] = Some((round.features, round.reserve_price, round.market_value));
-        }
-        let started = Instant::now();
-        let responses = service.drain(workers);
-        drain_time += started.elapsed();
-        for response in &responses {
-            let quote = response
-                .quote()
-                .ok_or_else(|| format!("{}: expected a quote response", spec.label))?;
-            let slot = response.tenant.0 as usize;
-            let (features, reserve, value) = pending[slot]
-                .take()
-                .ok_or_else(|| format!("{}: response without a pending quote", spec.label))?;
-            let accepted = quote.posted_price <= value;
-            recorded[slot].push(RecordedRound {
-                features,
-                reserve,
-                value,
-                accepted,
-                posted_bits: quote.posted_price.to_bits(),
-            });
-            service
-                .submit_outcome(OutcomeReport {
-                    tenant: response.tenant,
-                    accepted,
-                    market_value: Some(value),
-                })
-                .map_err(|e| format!("{}: outcome: {e}", spec.label))?;
-        }
-        let started = Instant::now();
-        service.drain(workers);
-        drain_time += started.elapsed();
-    }
-
-    // Serial verification: replay every tenant's round stream through a
-    // fresh single-threaded session under the same drift policy and require
-    // bit-identical posted prices.  The replay also rebuilds the
-    // deterministic ledgers — total and post-shift regret folded per tenant
-    // in tenant order — which is what the report aggregates.
+    // The replay also rebuilds the deterministic ledgers — total and
+    // post-shift regret folded per tenant in tenant order — which is what
+    // the report aggregates.
     let first_shift = spec.kind.first_shift_round() as usize;
     let mut revenue = 0.0;
     let mut regret = 0.0;
     let mut post_shift_regret = 0.0;
     let mut rounds = 0u64;
     let mut sales = 0u64;
-    let mut fires = 0u64;
-    let mut restarts = 0u64;
-    for (id, tenant_rounds) in recorded.iter().enumerate() {
-        let mut tenant = TenantState::new(TenantId(id as u64), config);
-        for (index, round) in tenant_rounds.iter().enumerate() {
-            let quote = tenant.session.step(&round.features, round.reserve);
-            if quote.posted_price.to_bits() != round.posted_bits {
-                return Err(format!(
-                    "{}: tenant {id}: serial replay posted {} but the service posted {} — \
-                     sharded and serial drift-aware pricing diverged",
-                    spec.label,
-                    quote.posted_price,
-                    f64::from_bits(round.posted_bits),
-                ));
-            }
-            let observed = tenant
-                .session
-                .observe(StepOutcome::with_value(round.accepted, round.value))
-                .ok_or_else(|| format!("{}: replay lost an open round", spec.label))?;
+    let states = closed_loop::replay_serially(
+        label,
+        &service,
+        &trace,
+        &served.posted,
+        spec.tenants,
+        config,
+        |index, observed| {
             rounds += 1;
             if observed.accepted {
                 sales += 1;
@@ -328,53 +270,55 @@ fn run_rep(spec: &DriftCellSpec, workers: usize, rep: u64) -> Result<Rep<DriftOu
             if index >= first_shift {
                 post_shift_regret += round_regret;
             }
-        }
-        fires += tenant.session.mechanism().detector_fires();
-        restarts += tenant.session.mechanism().restarts();
-    }
+        },
+    )?;
+    let fires: u64 = states
+        .iter()
+        .map(|tenant| tenant.session.mechanism().detector_fires())
+        .sum();
+    let restarts: u64 = states
+        .iter()
+        .map(|tenant| tenant.session.mechanism().restarts())
+        .sum();
 
     // The service's own (FIFO-ordered) drift counters must agree with the
     // serial replay — the detector is deterministic in the request stream.
     let metrics = service.aggregate_metrics();
     if metrics.drift_fires != fires || metrics.drift_restarts != restarts {
         return Err(format!(
-            "{}: service drift counters ({} fires, {} restarts) disagree with the serial \
+            "{label}: service drift counters ({} fires, {} restarts) disagree with the serial \
              replay ({fires} fires, {restarts} restarts)",
-            spec.label, metrics.drift_fires, metrics.drift_restarts,
+            metrics.drift_fires, metrics.drift_restarts,
         ));
     }
     if metrics.sales != sales || metrics.observations != rounds {
         return Err(format!(
-            "{}: service ledger ({} sales / {} rounds) disagrees with the serial replay \
+            "{label}: service ledger ({} sales / {} rounds) disagrees with the serial replay \
              ({sales} sales / {rounds} rounds)",
-            spec.label, metrics.sales, metrics.observations,
+            metrics.sales, metrics.observations,
         ));
     }
 
-    Ok(Rep {
-        outcome: DriftOutcome {
-            revenue,
-            regret,
-            post_shift_regret,
-            accept_rate: if rounds == 0 {
-                0.0
-            } else {
-                sales as f64 / rounds as f64
-            },
-            rounds,
-            sales,
-            fires,
-            restarts,
+    let outcome = DriftOutcome {
+        revenue,
+        regret,
+        post_shift_regret,
+        accept_rate: if rounds == 0 {
+            0.0
+        } else {
+            sales as f64 / rounds as f64
         },
-        metrics,
-        drain_time,
-        scrape: service.scrape(),
-    })
+        rounds,
+        sales,
+        fires,
+        restarts,
+    };
+    Ok(closed_loop::rep(&service, served.drain_time, outcome))
 }
 
 impl Workload for DriftCellSpec {
     const NAME: &'static str = "drift";
-    const VERIFIED: &'static str = "posted prices, detector firings, restarts";
+    const VERIFIED: &'static str = "posted prices, ledgers, detector firings, restarts";
     type Outcome = DriftOutcome;
     type Row = DriftCellReport;
 

@@ -1,9 +1,10 @@
 //! The experiment grid: self-contained job descriptions the parallel runner
 //! executes.
 //!
-//! A [`Job`] is one point of the evaluation grid — a workload specification
-//! ([`JobSpec`]) addressed by experiment, cell, and repetition index.  Every
-//! job carries its own RNG seeds, so running a grid with one worker or with
+//! A job is one point of the evaluation grid — a workload specification
+//! ([`JobSpec`]) reseeded for one repetition of one cell; [`expand_jobs`]
+//! lists them cell by cell, each cell's repetitions together.  Every job
+//! carries its own RNG seeds, so running a grid with one worker or with
 //! sixteen produces bit-identical results; repetitions re-derive their seeds
 //! through a SplitMix64 mix ([`derive_seed`]) so rep 0 reproduces the single
 //! runs of the original per-figure binaries exactly.
@@ -320,38 +321,16 @@ impl CellSpec {
     }
 }
 
-/// A job addressed within a grid: `(experiment, cell, rep)` plus the fully
-/// reseeded spec to execute.
-#[derive(Debug, Clone)]
-pub struct Job {
-    /// Index of the owning experiment in the grid.
-    pub experiment: usize,
-    /// Index of the owning cell within the experiment.
-    pub cell: usize,
-    /// Repetition index (0-based).
-    pub rep: u64,
-    /// The reseeded workload.
-    pub spec: JobSpec,
-}
-
-/// Expands experiment cells into the flat, deterministic job list the runner
-/// consumes: experiments × cells × repetitions, in index order.
+/// Expands experiment cells into the flat, deterministic list of reseeded
+/// specs the runner consumes: experiments × cells × repetitions, in index
+/// order, so each cell's `reps.max(1)` repetitions are adjacent.
 #[must_use]
-pub fn expand_jobs(experiments: &[Vec<CellSpec>], reps: u64) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for (e, cells) in experiments.iter().enumerate() {
-        for (c, cell) in cells.iter().enumerate() {
-            for rep in 0..reps.max(1) {
-                jobs.push(Job {
-                    experiment: e,
-                    cell: c,
-                    rep,
-                    spec: cell.spec.with_rep(rep),
-                });
-            }
-        }
-    }
-    jobs
+pub fn expand_jobs(experiments: &[Vec<CellSpec>], reps: u64) -> Vec<JobSpec> {
+    experiments
+        .iter()
+        .flatten()
+        .flat_map(|cell| (0..reps.max(1)).map(|rep| cell.spec.with_rep(rep)))
+        .collect()
 }
 
 // pdm-lint: allow(no-hashmap-iteration) reason="pipeline memo cache: get-or-insert by exact key only, never iterated"
@@ -460,31 +439,36 @@ mod tests {
 
     #[test]
     fn expand_jobs_orders_by_experiment_cell_rep() {
-        let cell = |label: &str| {
+        let cell = |seed: u64| {
             CellSpec::new(
-                label,
-                JobSpec::Lemma8 {
-                    horizon: 4,
-                    conservative_cuts: false,
+                "cell",
+                JobSpec::Synthetic {
+                    dim: 2,
+                    rounds: 4,
+                    env_seed: seed,
+                    run_seed: seed,
+                    reserve: None,
+                    epsilon: None,
+                    mechanism: SyntheticMechanism::Ellipsoid,
                 },
             )
         };
-        let experiments = vec![vec![cell("a"), cell("b")], vec![cell("c")]];
+        let experiments = vec![vec![cell(1), cell(2)], vec![cell(3)]];
         let jobs = expand_jobs(&experiments, 2);
-        assert_eq!(jobs.len(), 6);
-        let addresses: Vec<(usize, usize, u64)> =
-            jobs.iter().map(|j| (j.experiment, j.cell, j.rep)).collect();
-        assert_eq!(
-            addresses,
-            vec![
-                (0, 0, 0),
-                (0, 0, 1),
-                (0, 1, 0),
-                (0, 1, 1),
-                (1, 0, 0),
-                (1, 0, 1),
-            ]
-        );
+        // The reseeded env seed names each job's cell and repetition.
+        let seeds: Vec<u64> = jobs
+            .iter()
+            .map(|job| match job {
+                JobSpec::Synthetic { env_seed, .. } => *env_seed,
+                other => panic!("unexpected job {other:?}"),
+            })
+            .collect();
+        let expected: Vec<u64> = [1, 1, 2, 2, 3, 3]
+            .iter()
+            .zip([0, 1, 0, 1, 0, 1])
+            .map(|(&seed, rep)| derive_seed(seed, rep))
+            .collect();
+        assert_eq!(seeds, expected);
         // `reps = 0` still runs each cell once.
         assert_eq!(expand_jobs(&experiments, 0).len(), 3);
     }

@@ -32,8 +32,10 @@
 //! documented in `docs/BENCHMARKS.md`.  The experiment grid lives in
 //! [`experiments`]; the worker pool and aggregation in [`runner`]; the
 //! closed-loop service workloads (`serve`, `auction`, `drift`, `longhaul`,
-//! `privacy`) run through [`workload`], and `longhaul` and `privacy` share
-//! the crash-cut harness in `crash_cut.rs`; the write-only
+//! `privacy`) run through [`workload`], and all but `auction` share one
+//! closed loop in `closed_loop.rs` — a precomputed trace, one wave loop,
+//! and a serial replay (`serve`, `drift`) or a crash cut (`longhaul`,
+//! `privacy`) as the verification; the write-only
 //! `BENCH_*.json` schema lives in [`report`].
 
 #![forbid(unsafe_code)]
@@ -43,7 +45,7 @@ pub mod airbnb_pipeline;
 pub mod auction;
 pub mod avazu_pipeline;
 pub mod cli;
-mod crash_cut;
+mod closed_loop;
 pub mod drift;
 pub mod experiments;
 pub mod grid;

@@ -5,8 +5,9 @@
 //! well below the tenant count, the WAL on) and pumps a rotating
 //! active-window traffic trace through it: each wave serves a contiguous
 //! window of tenants that slides three tenants every wave, so tenants keep
-//! falling cold and paging back in.  The run goes through the crash-cut
-//! harness in `crash_cut.rs`:
+//! falling cold and paging back in.  The run goes through the crash cut of
+//! the closed loop in `closed_loop.rs`, which `serve`, `drift` and `privacy`
+//! share:
 //!
 //! * **Snapshot under traffic** — a WAL checkpoint is taken every
 //!   `checkpoint_every` waves while the service keeps serving; dirty-tenant
@@ -28,7 +29,7 @@
 //!
 //! [`MarketService`]: pdm_service::MarketService
 
-use crate::crash_cut;
+use crate::closed_loop;
 use crate::grid::derive_seed;
 use crate::report::{agg_stat_json, check_stat, BenchReport};
 use crate::runner::AggStat;
@@ -36,7 +37,7 @@ use crate::table;
 use crate::workload::{Cell, Rep, Workload};
 use crate::Scale;
 use pdm_linalg::Json;
-use pdm_service::{MarketService, ServiceConfig, TenantConfig, TenantId};
+use pdm_service::{ServiceConfig, TenantConfig};
 use std::time::Duration;
 
 /// Base seed of the longhaul grid; each cell derives its traffic trace from
@@ -147,25 +148,6 @@ pub struct LonghaulOutcome {
     restore_latency: Duration,
 }
 
-/// Builds the cell's service and registers its tenants.
-fn build_service(spec: &LonghaulCellSpec) -> Result<MarketService, String> {
-    let mut service = MarketService::new(ServiceConfig {
-        shards: spec.shards,
-        queue_capacity: spec.window().max(4),
-        resident_capacity: Some(spec.resident_capacity),
-        wal_segment_size: Some(spec.wal_segment_size),
-        ..ServiceConfig::default()
-    })
-    .map_err(|e| format!("{}: config: {e}", spec.label))?;
-    let config = TenantConfig::standard(spec.dim, spec.waves);
-    for id in 0..spec.tenants as u64 {
-        service
-            .register_tenant(TenantId(id), config)
-            .map_err(|e| format!("{}: register: {e}", spec.label))?;
-    }
-    Ok(service)
-}
-
 impl Workload for LonghaulCellSpec {
     const NAME: &'static str = "longhaul";
     const VERIFIED: &'static str = "WAL restore continuation, pre-cut ledgers, resident bound";
@@ -212,12 +194,22 @@ impl Workload for LonghaulCellSpec {
         // The window slides three tenants per wave: fast enough that the
         // active set outruns the resident cap, slow enough that sessions
         // still accumulate rounds before falling cold.
-        let seed = derive_seed(self.seed, rep);
-        let trace =
-            crash_cut::build_trace(self.tenants, self.dim, self.waves, self.window(), 3, seed)
-                .map_err(|e| format!("{}: {e}", self.label))?;
-        let service = build_service(self)?;
-        let run = crash_cut::run(&self.label, service, &trace, self.checkpoint_every, workers)?;
+        let (tenants, window) = (self.tenants, self.window());
+        let waves = (0..self.waves)
+            .map(|wave| (0..window).map(move |offset| (wave * 3 + offset) % tenants));
+        let trace = closed_loop::build_trace(tenants, self.dim, derive_seed(self.seed, rep), waves)
+            .map_err(|e| format!("{}: {e}", self.label))?;
+        let config = ServiceConfig {
+            shards: self.shards,
+            queue_capacity: window.max(4),
+            resident_capacity: Some(self.resident_capacity),
+            wal_segment_size: Some(self.wal_segment_size),
+            ..ServiceConfig::default()
+        };
+        let tenant = TenantConfig::standard(self.dim, self.waves);
+        let service = closed_loop::build_service(&self.label, config, tenants, tenant)?;
+        let run =
+            closed_loop::crash_cut(&self.label, service, &trace, self.checkpoint_every, workers)?;
         if run.max_resident > self.resident_capacity {
             return Err(format!(
                 "{}: {} tenants resident after a wave, above the cap of {}",
@@ -294,7 +286,7 @@ impl Workload for LonghaulCellSpec {
                     cell.max_resident, cell.resident_capacity
                 ));
             }
-            crash_cut::validate(
+            closed_loop::validate(
                 violations,
                 &place,
                 cell.quotes_served,

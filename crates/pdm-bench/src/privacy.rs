@@ -24,10 +24,10 @@
 //!   serve strictly fewer quotes than the first (`quoted_late <
 //!   quoted_early` whenever anyone exhausted) — the "budget exhaustion
 //!   measurably throttles supply" gate.
-//! * **Bit-identical restore with ledgers** — the crash-cut harness in
-//!   `crash_cut.rs`, shared with the longhaul workload: a WAL
-//!   checkpoint is taken every `checkpoint_every` waves, the service is
-//!   rebuilt at the halfway cut, and both services replay the identical
+//! * **Bit-identical restore with ledgers** — the crash cut of the closed
+//!   loop in `closed_loop.rs`, which `serve`, `drift` and `longhaul` share:
+//!   a WAL checkpoint is taken every `checkpoint_every` waves, the service
+//!   is rebuilt at the halfway cut, and both services replay the identical
 //!   second half.  Every posted price, every budget-exhausted refusal, and
 //!   the per-wave exhaustion trajectory must agree bit for bit, and the
 //!   cut ledgers — including the ε and compensation totals — must match
@@ -35,7 +35,7 @@
 //!
 //! [`MarketService`]: pdm_service::MarketService
 
-use crate::crash_cut;
+use crate::closed_loop;
 use crate::grid::derive_seed;
 use crate::report::{agg_stat_json, check_stat, gate_tolerance, BenchReport};
 use crate::runner::AggStat;
@@ -43,7 +43,7 @@ use crate::table;
 use crate::workload::{Cell, Rep, Workload};
 use crate::Scale;
 use pdm_linalg::Json;
-use pdm_service::{MarketService, PrivacyParams, ServiceConfig, TenantConfig, TenantId};
+use pdm_service::{PrivacyParams, ServiceConfig, TenantConfig};
 use std::time::Duration;
 
 /// Base seed of the privacy grid; each cell derives its traffic trace from
@@ -154,29 +154,6 @@ pub struct PrivacyOutcome {
     restore_latency: Duration,
 }
 
-/// Builds the cell's service and registers its privacy tenants.
-fn build_service(spec: &PrivacyCellSpec) -> Result<MarketService, String> {
-    let mut service = MarketService::new(ServiceConfig {
-        shards: spec.shards,
-        queue_capacity: spec.tenants.max(4),
-        wal_segment_size: Some(spec.wal_segment_size),
-        ..ServiceConfig::default()
-    })
-    .map_err(|e| format!("{}: config: {e}", spec.label))?;
-    let params = PrivacyParams {
-        epsilon_budget: spec.epsilon_budget,
-        compensation_base: spec.compensation_base,
-        ..PrivacyParams::default()
-    };
-    let config = TenantConfig::privacy(spec.owners, spec.waves, params);
-    for id in 0..spec.tenants as u64 {
-        service
-            .register_tenant(TenantId(id), config)
-            .map_err(|e| format!("{}: register: {e}", spec.label))?;
-    }
-    Ok(service)
-}
-
 impl Workload for PrivacyCellSpec {
     const NAME: &'static str = "privacy";
     const VERIFIED: &'static str = "posted prices, refusals, ε ledgers, exhaustion trajectory";
@@ -223,12 +200,26 @@ impl Workload for PrivacyCellSpec {
     /// One repetition through the crash-cut harness: every tenant quotes
     /// once per wave, in tenant order.
     fn run_rep(&self, workers: usize, rep: u64) -> Result<Rep<PrivacyOutcome>, String> {
-        let seed = derive_seed(self.seed, rep);
+        let tenants = self.tenants;
+        let waves = (0..self.waves).map(|_| 0..tenants);
         let trace =
-            crash_cut::build_trace(self.tenants, self.owners, self.waves, self.tenants, 0, seed)
+            closed_loop::build_trace(tenants, self.owners, derive_seed(self.seed, rep), waves)
                 .map_err(|e| format!("{}: {e}", self.label))?;
-        let service = build_service(self)?;
-        let mut run = crash_cut::run(&self.label, service, &trace, self.checkpoint_every, workers)?;
+        let config = ServiceConfig {
+            shards: self.shards,
+            queue_capacity: tenants.max(4),
+            wal_segment_size: Some(self.wal_segment_size),
+            ..ServiceConfig::default()
+        };
+        let params = PrivacyParams {
+            epsilon_budget: self.epsilon_budget,
+            compensation_base: self.compensation_base,
+            ..PrivacyParams::default()
+        };
+        let tenant = TenantConfig::privacy(self.owners, self.waves, params);
+        let service = closed_loop::build_service(&self.label, config, tenants, tenant)?;
+        let mut run =
+            closed_loop::crash_cut(&self.label, service, &trace, self.checkpoint_every, workers)?;
         let trajectory = std::mem::take(&mut run.trajectory);
         Ok(run.rep(PrivacyOutcome {
             quoted_early: run.at_cut.quotes_served,
@@ -345,7 +336,7 @@ impl Workload for PrivacyCellSpec {
                     ));
                 }
             }
-            crash_cut::validate(
+            closed_loop::validate(
                 violations,
                 &place,
                 cell.quotes_served,

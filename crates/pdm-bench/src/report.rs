@@ -22,7 +22,7 @@
 
 use crate::auction::{AuctionCellReport, AuctionCellSpec};
 use crate::drift::{DriftCellReport, DriftCellSpec};
-use crate::grid::{CellSpec, Job};
+use crate::grid::CellSpec;
 use crate::json::Json;
 use crate::longhaul::{LonghaulCellReport, LonghaulCellSpec};
 use crate::privacy::{PrivacyCellReport, PrivacyCellSpec};
@@ -239,35 +239,30 @@ pub struct BenchReport {
 /// Groups executed job results back into per-experiment aggregates.
 ///
 /// `named_grids` pairs each experiment's name with its cells, in the same
-/// order the grids were passed to [`crate::grid::expand_jobs`]; `jobs` and
-/// `results` are the runner's aligned input and output.  This is the one
+/// order the grids were passed to [`crate::grid::expand_jobs`] with `reps`;
+/// `results` is the runner's output for that job list, where each cell's
+/// repetitions are the next `reps.max(1)` entries.  This is the one
 /// aggregation path — the `bench` CLI and the determinism suite both call
 /// it, so the suite exercises exactly what ships.
 #[must_use]
 pub fn build_experiment_reports<'a, I>(
     named_grids: I,
-    jobs: &[Job],
+    reps: u64,
     results: &[JobResult],
 ) -> Vec<ExperimentReport>
 where
     I: IntoIterator<Item = (&'a str, &'a [CellSpec])>,
 {
+    let mut cell_results = results.chunks(reps.max(1) as usize);
     named_grids
         .into_iter()
-        .enumerate()
-        .map(|(e, (name, cells))| ExperimentReport {
+        .map(|(name, cells)| ExperimentReport {
             name: name.to_owned(),
             cells: cells
                 .iter()
-                .enumerate()
-                .map(|(c, cell)| {
-                    let reps: Vec<&JobResult> = jobs
-                        .iter()
-                        .zip(results)
-                        .filter(|(job, _)| job.experiment == e && job.cell == c)
-                        .map(|(_, result)| result)
-                        .collect();
-                    aggregate_cell(&cell.label, &cell.checkpoints, &reps)
+                .map(|cell| {
+                    let reps = cell_results.next().unwrap_or_default();
+                    aggregate_cell(&cell.label, &cell.checkpoints, reps)
                 })
                 .collect(),
         })

@@ -1,6 +1,6 @@
 //! The parallel experiment runner and the aggregation of repeated runs.
 //!
-//! [`run_jobs`] executes a flat [`Job`] list across a `std::thread::scope`
+//! [`run_jobs`] executes a flat [`JobSpec`] list across a `std::thread::scope`
 //! worker pool.  Workers pull job indices from a shared atomic counter and
 //! write each result into its own pre-allocated slot, so the returned vector
 //! is in job order no matter which worker finished what when — combined with
@@ -14,7 +14,7 @@
 //! [`CellAggregate::perf`] and are excluded from the determinism fingerprint
 //! (see [`crate::report`]).
 
-use crate::grid::{Checkpoint, Job};
+use crate::grid::{Checkpoint, JobSpec};
 use pdm_linalg::{mean, sample_std};
 use pdm_obs::{LogHistogram, MetricRegistry};
 use pdm_pricing::prelude::SimulationOutcome;
@@ -45,7 +45,7 @@ pub struct JobResult {
 /// # Panics
 /// Propagates a panic from any job (the scope joins all workers first).
 #[must_use]
-pub fn run_jobs(jobs: &[Job], workers: usize) -> Vec<JobResult> {
+pub fn run_jobs(jobs: &[JobSpec], workers: usize) -> Vec<JobResult> {
     if jobs.is_empty() {
         return Vec::new();
     }
@@ -54,12 +54,7 @@ pub fn run_jobs(jobs: &[Job], workers: usize) -> Vec<JobResult> {
     let canonical: Vec<usize> = jobs
         .iter()
         .enumerate()
-        .map(|(i, job)| {
-            jobs[..i]
-                .iter()
-                .position(|other| other.spec == job.spec)
-                .unwrap_or(i)
-        })
+        .map(|(i, job)| jobs[..i].iter().position(|other| other == job).unwrap_or(i))
         .collect();
 
     let workers = workers.clamp(1, jobs.len());
@@ -75,7 +70,7 @@ pub fn run_jobs(jobs: &[Job], workers: usize) -> Vec<JobResult> {
                     continue;
                 }
                 let start = Instant::now();
-                let outcome = job.spec.run();
+                let outcome = job.run();
                 let result = JobResult {
                     outcome,
                     wall_clock_secs: start.elapsed().as_secs_f64(),
@@ -233,7 +228,7 @@ pub struct CellAggregate {
 pub fn aggregate_cell(
     label: &str,
     checkpoints: &[Checkpoint],
-    results: &[&JobResult],
+    results: &[JobResult],
 ) -> CellAggregate {
     assert!(!results.is_empty(), "a cell needs at least one repetition");
     let outcomes: Vec<&SimulationOutcome> = results.iter().map(|r| &r.outcome).collect();
@@ -452,8 +447,7 @@ mod tests {
         .with_checkpoints(vec![Checkpoint::Round(10), Checkpoint::Fraction(1.0)])]];
         let jobs = expand_jobs(&grid, 3);
         let results = run_jobs(&jobs, 2);
-        let refs: Vec<&JobResult> = results.iter().collect();
-        let cell = aggregate_cell("synthetic", &grid[0][0].checkpoints, &refs);
+        let cell = aggregate_cell("synthetic", &grid[0][0].checkpoints, &results);
 
         assert_eq!(cell.reps, 3);
         assert_eq!(cell.rounds, 120);

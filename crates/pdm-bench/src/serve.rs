@@ -2,11 +2,13 @@
 //! sharded [`pdm_service::MarketService`] engine.
 //!
 //! Every cell of the serve grid spins up a multi-tenant service, registers
-//! `tenants` independent pricing sessions, and pumps `waves` closed-loop
-//! rounds through it: submit one price-quote request per participating
-//! tenant, [`MarketService::drain`] on the requested worker count, answer
+//! `tenants` independent pricing sessions, and pumps `waves` rounds of the
+//! closed loop in `closed_loop.rs`, which `drift`, `longhaul` and `privacy`
+//! share: admit one price-quote request per participating tenant,
+//! [`MarketService::drain_into`] on the requested worker count, answer
 //! every quote with the buyer's accept/reject decision, drain again.  The
-//! arrival mix decides *which* tenants participate in a wave:
+//! arrival mix decides *which* tenants participate in a wave, in ascending
+//! id order:
 //!
 //! * **uniform** — every tenant, every wave (steady state);
 //! * **hot-cold** — a hot quarter of the tenants every wave, the cold rest
@@ -22,17 +24,19 @@
 //!   order, so they are *byte-identical for any `--workers`*; the
 //!   determinism suite pins that.  On top of the cross-worker guarantee,
 //!   every run **replays each tenant's admitted request stream through a
-//!   fresh serial [`PricingSession`]** and verifies the posted prices and
-//!   per-tenant ledgers bit for bit — the sharded concurrent engine must
-//!   price exactly like the paper's serial loop, or the bench fails.
+//!   fresh serial [`PricingSession`]** (the shared loop's serial replay)
+//!   and verifies the posted prices and per-tenant ledgers bit for bit —
+//!   the sharded concurrent engine must price exactly like the paper's
+//!   serial loop, or the bench fails.
 //! * **Perf figures** — throughput (quotes served per second of service
 //!   time) and p50/p99 per-request service latency, reported into the
 //!   BENCH v2 schema and explicitly excluded from the determinism
 //!   fingerprint.
 //!
-//! [`MarketService::drain`]: pdm_service::MarketService::drain
+//! [`MarketService::drain_into`]: pdm_service::MarketService::drain_into
 //! [`PricingSession`]: pdm_pricing::prelude::PricingSession
 
+use crate::closed_loop;
 use crate::grid::derive_seed;
 use crate::json::Json;
 use crate::report::{agg_stat_json, check_stat, check_throughput, BenchReport};
@@ -40,23 +44,12 @@ use crate::runner::AggStat;
 use crate::table;
 use crate::workload::{Cell, Rep, Workload};
 use crate::Scale;
-use pdm_linalg::sampling;
-use pdm_pricing::prelude::{RegretReport, StepOutcome};
-use pdm_service::{
-    MarketService, OutcomeReport, QueryRequest, ServiceConfig, ServiceError, ShardMetrics,
-    TenantConfig, TenantId, TenantState,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::time::{Duration, Instant};
+use pdm_pricing::prelude::RegretReport;
+use pdm_service::{ServiceConfig, ShardMetrics, TenantConfig};
 
 /// Base seed of the serve grid; each cell derives its traffic streams from
 /// `derive_seed(SERVE_SEED_BASE + cell_index, rep)`.
 const SERVE_SEED_BASE: u64 = 0x5E4E;
-
-/// Reserve prices are this fraction of the hidden market value, matching
-/// the `reserve_fraction` convention of the synthetic environments.
-const RESERVE_FRACTION: f64 = 0.6;
 
 /// Which tenants send traffic in a given wave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,19 +188,6 @@ impl ServeCellReport {
     }
 }
 
-/// One recorded request of one tenant, replayed through a serial session
-/// during verification.
-enum ReplayEvent {
-    /// A served quote: the query plus the posted price the service returned.
-    Quote {
-        features: pdm_linalg::Vector,
-        reserve: f64,
-        posted_bits: u64,
-    },
-    /// The buyer decision that closed it.
-    Observe { accepted: bool, value: f64 },
-}
-
 /// The per-repetition ledger totals, folded over tenants in tenant order.
 pub struct ServeOutcome {
     revenue: f64,
@@ -215,172 +195,51 @@ pub struct ServeOutcome {
     accept_rate: f64,
 }
 
-/// Runs one repetition of one cell and verifies it against the serial
-/// replay.  Returns the deterministic per-rep aggregates.
+/// Runs one repetition of one cell through the shared closed loop and
+/// verifies it against the serial replay.  Returns the deterministic
+/// per-rep aggregates.
 fn run_rep(spec: &ServeCellSpec, workers: usize, rep: u64) -> Result<Rep<ServeOutcome>, String> {
-    let traffic_seed = derive_seed(spec.seed, rep);
-    let tenants = spec.tenants as u64;
-    let tenant_config = TenantConfig::standard(spec.dim, spec.waves);
-
-    let mut service = MarketService::new(ServiceConfig {
+    let label = &spec.label;
+    let tenants = spec.tenants;
+    let mix = spec.mix;
+    // Each wave admits its participating tenants in ascending id order:
+    // under the bursty mix that order decides which quotes the full queue
+    // sheds.
+    let waves = (0..spec.waves).map(|wave| {
+        (0..tenants).filter(move |&id| mix.participates(id as u64, tenants as u64, wave))
+    });
+    let trace = closed_loop::build_trace(tenants, spec.dim, derive_seed(spec.seed, rep), waves)
+        .map_err(|e| format!("{label}: {e}"))?;
+    let config = ServiceConfig {
         shards: spec.shards,
-        queue_capacity: spec.mix.queue_capacity(spec.tenants, spec.shards),
+        queue_capacity: mix.queue_capacity(tenants, spec.shards),
         ..ServiceConfig::default()
-    })
-    .expect("valid service config");
-    // Per-tenant hidden market model and query stream, all seeded from the
-    // cell's traffic seed so repetitions are independent but reproducible.
-    let mut streams: Vec<StdRng> = Vec::with_capacity(spec.tenants);
-    let mut thetas: Vec<pdm_linalg::Vector> = Vec::with_capacity(spec.tenants);
-    for id in 0..tenants {
-        service
-            .register_tenant(TenantId(id), tenant_config)
-            .map_err(|e| format!("{}: register: {e}", spec.label))?;
-        let mut rng = StdRng::seed_from_u64(derive_seed(traffic_seed, id.wrapping_add(1)));
-        thetas.push(
-            sampling::unit_sphere(&mut rng, spec.dim)
-                .map(f64::abs)
-                .normalized(),
-        );
-        streams.push(rng);
-    }
-
-    let mut replay: Vec<Vec<ReplayEvent>> = (0..spec.tenants).map(|_| Vec::new()).collect();
-    // The (features, reserve, value) of each tenant's in-flight quote.
-    let mut pending: Vec<Option<(pdm_linalg::Vector, f64, f64)>> = vec![None; spec.tenants];
-    let mut drain_time = Duration::ZERO;
-    // Response buffer reused across every drain of the rep, so the timed
-    // path never grows a fresh allocation.
-    let mut responses = Vec::new();
-
-    for wave in 0..spec.waves {
-        for id in 0..tenants {
-            if !spec.mix.participates(id, tenants, wave) {
-                continue;
-            }
-            let rng = &mut streams[id as usize];
-            let features = sampling::standard_normal_vector(rng, spec.dim)
-                .map(f64::abs)
-                .normalized();
-            let value = thetas[id as usize]
-                .dot(&features)
-                .map_err(|e| format!("{}: dot: {e}", spec.label))?;
-            let reserve = RESERVE_FRACTION * value;
-            match service.submit_quote(QueryRequest {
-                tenant: TenantId(id),
-                features: features.clone(),
-                reserve_price: reserve,
-            }) {
-                Ok(_) => pending[id as usize] = Some((features, reserve, value)),
-                // Bounded admission under overload: the request is gone and
-                // the tenant simply has no round this wave.
-                Err(ServiceError::QueueFull { .. }) => {}
-                Err(e) => return Err(format!("{}: submit: {e}", spec.label)),
-            }
-        }
-
-        responses.clear();
-        let started = Instant::now();
-        service.drain_into(workers, &mut responses);
-        drain_time += started.elapsed();
-
-        for response in &responses {
-            let quote = response
-                .quote()
-                .ok_or_else(|| format!("{}: expected a quote response", spec.label))?;
-            let slot = response.tenant.0 as usize;
-            let (features, reserve, value) = pending[slot]
-                .take()
-                .ok_or_else(|| format!("{}: response without a pending quote", spec.label))?;
-            let accepted = quote.posted_price <= value;
-            replay[slot].push(ReplayEvent::Quote {
-                features,
-                reserve,
-                posted_bits: quote.posted_price.to_bits(),
-            });
-            replay[slot].push(ReplayEvent::Observe { accepted, value });
-            service
-                .submit_outcome(OutcomeReport {
-                    tenant: response.tenant,
-                    accepted,
-                    market_value: Some(value),
-                })
-                .map_err(|e| format!("{}: outcome: {e}", spec.label))?;
-        }
-
-        responses.clear();
-        let started = Instant::now();
-        service.drain_into(workers, &mut responses);
-        drain_time += started.elapsed();
-    }
-
-    // Serial verification: replay every tenant's admitted request stream
-    // through a fresh single-threaded session and require bit-identical
-    // posted prices and ledgers.  This is the sharded-equals-serial
-    // guarantee of the engine, checked on every run.
+    };
+    let tenant_config = TenantConfig::standard(spec.dim, spec.waves);
+    let mut service = closed_loop::build_service(label, config, tenants, tenant_config)?;
+    let served = closed_loop::serve(label, &mut service, &trace, workers)?;
+    let states = closed_loop::replay_serially(
+        label,
+        &service,
+        &trace,
+        &served.posted,
+        tenants,
+        tenant_config,
+        |_, _| {},
+    )?;
     let mut merged = RegretReport::empty();
-    for id in 0..tenants {
-        let mut session = TenantState::new(TenantId(id), tenant_config).session;
-        for event in &replay[id as usize] {
-            match event {
-                ReplayEvent::Quote {
-                    features,
-                    reserve,
-                    posted_bits,
-                } => {
-                    let quote = session.step(features, *reserve);
-                    if quote.posted_price.to_bits() != *posted_bits {
-                        return Err(format!(
-                            "{}: tenant {id}: serial replay posted {} but the service \
-                             posted {} — sharded and serial pricing diverged",
-                            spec.label,
-                            quote.posted_price,
-                            f64::from_bits(*posted_bits),
-                        ));
-                    }
-                }
-                ReplayEvent::Observe { accepted, value } => {
-                    session.observe(StepOutcome::with_value(*accepted, *value));
-                }
-            }
-        }
-        let serial = session.tracker().report();
-        let served = service
-            .tenant_report(TenantId(id))
-            .ok_or_else(|| format!("{}: tenant {id} lost its report", spec.label))?;
-        if serial.cumulative_revenue.to_bits() != served.cumulative_revenue.to_bits()
-            || serial.cumulative_regret.to_bits() != served.cumulative_regret.to_bits()
-            || serial.sales != served.sales
-            || serial.rounds != served.rounds
-        {
-            return Err(format!(
-                "{}: tenant {id}: serial ledger (revenue {}, regret {}, {} sales / {} \
-                 rounds) disagrees with the service ledger (revenue {}, regret {}, {} \
-                 sales / {} rounds)",
-                spec.label,
-                serial.cumulative_revenue,
-                serial.cumulative_regret,
-                serial.sales,
-                serial.rounds,
-                served.cumulative_revenue,
-                served.cumulative_regret,
-                served.sales,
-                served.rounds,
-            ));
-        }
-        merged.merge(&served);
+    for state in &states {
+        merged.merge(&state.session.tracker().report());
     }
-
-    Ok(Rep {
-        outcome: ServeOutcome {
+    Ok(closed_loop::rep(
+        &service,
+        served.drain_time,
+        ServeOutcome {
             revenue: merged.cumulative_revenue,
             regret: merged.cumulative_regret,
             accept_rate: merged.acceptance_rate(),
         },
-        metrics: service.aggregate_metrics(),
-        drain_time,
-        scrape: service.scrape(),
-    })
+    ))
 }
 
 impl Workload for ServeCellSpec {

@@ -21,7 +21,7 @@ use pdm_bench::workload::{run_cells, Workload};
 use pdm_bench::Scale;
 use pdm_linalg::{sampling, Vector};
 use pdm_service::{
-    MarketService, MetricRegistry, OutcomeReport, Payload, QueryRequest, ServiceConfig,
+    MarketService, MetricRegistry, OutcomeReport, Payload, QueryRequest, Request, ServiceConfig,
     TenantConfig, TenantId,
 };
 use rand::rngs::StdRng;
@@ -116,7 +116,7 @@ fn report_with_workers(workers: usize, reps: u64) -> BenchReport {
             .iter()
             .map(String::as_str)
             .zip(grid.iter().map(Vec::as_slice)),
-        &jobs,
+        reps,
         &results,
     );
     report
@@ -453,11 +453,11 @@ fn run_replay(drain_every: usize) -> (Vec<(u64, Payload)>, MarketService) {
                   since_drain: &mut usize,
                   round: &ReplayRound| {
         service
-            .submit_quote(QueryRequest {
+            .ingest(Request::Quote(QueryRequest {
                 tenant: round.tenant,
                 features: round.features.clone(),
                 reserve_price: round.reserve_price,
-            })
+            }))
             .expect("queue has capacity");
         *since_drain += 1;
         if *since_drain >= drain_every {
@@ -465,11 +465,11 @@ fn run_replay(drain_every: usize) -> (Vec<(u64, Payload)>, MarketService) {
             *since_drain = 0;
         }
         service
-            .submit_outcome(OutcomeReport {
+            .ingest(Request::Observe(OutcomeReport {
                 tenant: round.tenant,
                 accepted: round.accepted,
                 market_value: Some(round.market_value),
-            })
+            }))
             .expect("queue has capacity");
         *since_drain += 1;
         if *since_drain >= drain_every {

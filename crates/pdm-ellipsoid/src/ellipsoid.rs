@@ -100,17 +100,29 @@ impl Ellipsoid {
     /// Algorithm 1/2.
     ///
     /// # Panics
-    /// Panics if `dim == 0` or `radius <= 0`.
+    /// Panics if `dim == 0`, or if `radius` is not positive or `radius²`
+    /// is not finite (see [`Ellipsoid::is_usable_radius`]).
     #[must_use]
     pub fn ball(dim: usize, radius: f64) -> Self {
         assert!(dim > 0, "ellipsoid dimension must be positive");
-        assert!(radius > 0.0, "ellipsoid radius must be positive");
+        assert!(
+            Self::is_usable_radius(radius),
+            "ellipsoid radius must be positive with a finite square, got {radius}"
+        );
         Self {
             center: Vector::zeros(dim),
             shape: Matrix::identity(dim).scaled(radius * radius),
             cuts_applied: 0,
             scratch: CutScratch::default(),
         }
+    }
+
+    /// Whether [`Ellipsoid::ball`] accepts `radius`: it must be positive
+    /// and its square finite, or the shape `radius² · I` overflows to
+    /// infinity on the diagonal and NaN off it.
+    #[must_use]
+    pub fn is_usable_radius(radius: f64) -> bool {
+        radius > 0.0 && (radius * radius).is_finite()
     }
 
     /// Creates an ellipsoid from an explicit centre and shape matrix.
@@ -551,6 +563,12 @@ mod tests {
         let d = Vector::from_slice(&[1.0, 1.0, 0.0]);
         let (lo, hi) = e.support_bounds(&d);
         assert!(approx_eq(hi - lo, 4.0 * 2.0_f64.sqrt(), 1e-12));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite square")]
+    fn ball_refuses_a_radius_whose_square_overflows() {
+        let _ = Ellipsoid::ball(2, 1e160);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Clients speak two message kinds, mirroring the mechanism's own
 //! `step`/`observe` split: a [`QueryRequest`] asks for a price quote and an
 //! [`OutcomeReport`] closes the quoted round with the buyer's decision.
-//! Both are addressed by tenant; [`crate::MarketService::submit`] routes
-//! them to the tenant's shard and returns a [`Ticket`], and the next
+//! Both are addressed by tenant; [`crate::MarketService::ingest`], the one
+//! admission call, routes a [`Request`] to the tenant's shard and returns a
+//! [`Ticket`], and the next
 //! [`crate::MarketService::drain`] turns every queued message into a
 //! [`Response`] carrying the same ticket sequence number.
 

@@ -13,8 +13,8 @@
 //! * **Stable sharding** — tenants are routed to one of `N` shards by a
 //!   seedless hash ([`routing::shard_of`]), so routing survives restarts
 //!   and snapshot/restore cycles.
-//! * **Submit/drain** — [`MarketService::submit`] admits a request into its
-//!   tenant's shard queue; [`MarketService::drain`] serves every queued
+//! * **Ingest/drain** — [`MarketService::ingest`], the one admission call,
+//!   admits a [`Request`] into its tenant's shard queue; [`MarketService::drain`] serves every queued
 //!   request on a persistent worker pool whose helper threads park between
 //!   drains, one shard per worker at a time, with **no global lock**.
 //!   Per-shard FIFO processing makes every computed value independent of
@@ -90,21 +90,21 @@
 //!
 //! ```
 //! use pdm_linalg::Vector;
-//! use pdm_service::{MarketService, OutcomeReport, QueryRequest, ServiceConfig, TenantConfig, TenantId};
+//! use pdm_service::{MarketService, OutcomeReport, QueryRequest, Request, ServiceConfig, TenantConfig, TenantId};
 //!
 //! let mut service = MarketService::new(ServiceConfig { shards: 4, queue_capacity: 64, ..ServiceConfig::default() })?;
 //! service.register_tenant(TenantId::from_name("survey-7"), TenantConfig::standard(3, 1_000))?;
-//! service.submit_quote(QueryRequest {
+//! service.ingest(Request::Quote(QueryRequest {
 //!     tenant: TenantId::from_name("survey-7"),
 //!     features: Vector::from_slice(&[0.2, 0.3, 0.5]),
 //!     reserve_price: 0.4,
-//! })?;
+//! }))?;
 //! let quote = *service.drain(4)[0].quote().expect("a quote response");
-//! service.submit_outcome(OutcomeReport {
+//! service.ingest(Request::Observe(OutcomeReport {
 //!     tenant: TenantId::from_name("survey-7"),
 //!     accepted: true,
 //!     market_value: None, // production feedback: only the accept bit
-//! })?;
+//! }))?;
 //! service.drain(4);
 //! assert!(quote.posted_price >= 0.4); // the reserve price is honoured
 //! assert_eq!(service.aggregate_metrics().sales, 1);

@@ -10,8 +10,7 @@
 //!   without limit) and returns a [`Ticket`].  Because ingest only takes
 //!   `&self`, producers keep admitting traffic while a drain is running:
 //!   the stripe mutex is held for one queue push, never for the serving
-//!   work itself.  [`MarketService::submit`] is the same path behind the
-//!   pre-ingest `&mut self` signature.
+//!   work itself.  It is the service's only admission call.
 //! * [`MarketService::drain`] transfers each stripe into its shard and
 //!   serves every queued request, one worker per shard at a time, and
 //!   returns the batched [`Response`]s in deterministic (shard, submission)
@@ -34,9 +33,7 @@
 //! durable home — [`ServiceConfig::validate`] rejects one without the
 //! other.
 
-use crate::api::{
-    AuctionRequest, OutcomeReport, QueryRequest, Request, Response, ServiceError, Ticket,
-};
+use crate::api::{Request, Response, ServiceError, Ticket};
 use crate::metrics::ShardMetrics;
 use crate::obs::{export_shard_metrics, ServiceObs};
 use crate::pool::DrainPool;
@@ -44,6 +41,7 @@ use crate::routing::{shard_of, TenantId};
 use crate::shard::Shard;
 use crate::sync;
 use crate::tenant::{MarketKind, TenantConfig, TenantState};
+use pdm_ellipsoid::Ellipsoid;
 use pdm_linalg::Json;
 use pdm_obs::MetricRegistry;
 use std::collections::{BTreeSet, VecDeque};
@@ -389,7 +387,8 @@ impl MarketService {
     /// # Errors
     /// * [`ServiceError::DuplicateTenant`] when the id is already
     ///   registered.
-    /// * [`ServiceError::InvalidConfig`] when a privacy tenant's ε budget,
+    /// * [`ServiceError::InvalidConfig`] when the initial radius is not
+    ///   positive with a finite square, or a privacy tenant's ε budget,
     ///   compensation base, compensation sensitivity, Laplace scale, or
     ///   data range is not positive and finite.
     pub fn register_tenant(
@@ -397,6 +396,12 @@ impl MarketService {
         id: TenantId,
         mut config: TenantConfig,
     ) -> Result<usize, ServiceError> {
+        let radius = config.pricing.initial_radius;
+        if !Ellipsoid::is_usable_radius(radius) {
+            return Err(ServiceError::InvalidConfig(format!(
+                "`initial_radius` must be positive with a finite square, got {radius}"
+            )));
+        }
         if let MarketKind::Privacy(ref mut params) = config.market {
             let positive_finite = |name: &str, value: f64| -> Result<(), ServiceError> {
                 if value > 0.0 && value.is_finite() {
@@ -480,65 +485,6 @@ impl MarketService {
             tenant,
             shard: index,
         })
-    }
-
-    /// Convenience wrapper: ingest a price-quote request via `&self`.
-    ///
-    /// # Errors
-    /// Same as [`MarketService::ingest`].
-    pub fn ingest_quote(&self, query: QueryRequest) -> Result<Ticket, ServiceError> {
-        self.ingest(Request::Quote(query))
-    }
-
-    /// Convenience wrapper: ingest an outcome report via `&self`.
-    ///
-    /// # Errors
-    /// Same as [`MarketService::ingest`].
-    pub fn ingest_outcome(&self, outcome: OutcomeReport) -> Result<Ticket, ServiceError> {
-        self.ingest(Request::Observe(outcome))
-    }
-
-    /// Convenience wrapper: ingest a self-contained auction round via
-    /// `&self`.
-    ///
-    /// # Errors
-    /// Same as [`MarketService::ingest`].
-    pub fn ingest_auction(&self, auction: AuctionRequest) -> Result<Ticket, ServiceError> {
-        self.ingest(Request::Auction(auction))
-    }
-
-    /// Admits one request into its tenant's ingest stripe (the pre-ingest
-    /// exclusive-reference signature, kept for drivers that own the
-    /// service; identical semantics to [`MarketService::ingest`]).
-    ///
-    /// # Errors
-    /// Same as [`MarketService::ingest`].
-    pub fn submit(&mut self, request: Request) -> Result<Ticket, ServiceError> {
-        self.ingest(request)
-    }
-
-    /// Convenience wrapper: submit a price-quote request.
-    ///
-    /// # Errors
-    /// Same as [`MarketService::ingest`].
-    pub fn submit_quote(&mut self, query: QueryRequest) -> Result<Ticket, ServiceError> {
-        self.ingest(Request::Quote(query))
-    }
-
-    /// Convenience wrapper: submit an outcome report.
-    ///
-    /// # Errors
-    /// Same as [`MarketService::ingest`].
-    pub fn submit_outcome(&mut self, outcome: OutcomeReport) -> Result<Ticket, ServiceError> {
-        self.ingest(Request::Observe(outcome))
-    }
-
-    /// Convenience wrapper: submit a self-contained auction round.
-    ///
-    /// # Errors
-    /// Same as [`MarketService::ingest`].
-    pub fn submit_auction(&mut self, auction: AuctionRequest) -> Result<Ticket, ServiceError> {
-        self.ingest(Request::Auction(auction))
     }
 
     /// Total requests currently queued (ingest stripes plus any shard
@@ -769,15 +715,15 @@ impl MarketService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::Payload;
+    use crate::api::{OutcomeReport, Payload, QueryRequest};
     use pdm_linalg::Vector;
 
-    fn query(tenant: u64, features: &[f64]) -> QueryRequest {
-        QueryRequest {
+    fn query(tenant: u64, features: &[f64]) -> Request {
+        Request::Quote(QueryRequest {
             tenant: TenantId(tenant),
             features: Vector::from_slice(features),
             reserve_price: 0.1,
-        }
+        })
     }
 
     fn service_with_tenants(shards: usize, tenants: u64) -> MarketService {
@@ -812,18 +758,18 @@ mod tests {
     }
 
     #[test]
-    fn submit_rejects_unknown_tenants() {
-        let mut service = service_with_tenants(2, 1);
-        let err = service.submit_quote(query(99, &[1.0, 0.0])).unwrap_err();
+    fn unknown_tenants_are_refused_at_admission() {
+        let service = service_with_tenants(2, 1);
+        let err = service.ingest(query(99, &[1.0, 0.0])).unwrap_err();
         assert_eq!(err, ServiceError::UnknownTenant(TenantId(99)));
     }
 
     #[test]
-    fn submit_drain_round_trip_preserves_order_and_tickets() {
+    fn admit_then_drain_preserves_order_and_tickets() {
         let mut service = service_with_tenants(3, 6);
         let mut tickets = Vec::new();
         for id in 0..6 {
-            tickets.push(service.submit_quote(query(id, &[0.6, 0.8])).unwrap());
+            tickets.push(service.ingest(query(id, &[0.6, 0.8])).unwrap());
         }
         let responses = service.drain(3);
         assert_eq!(responses.len(), 6);
@@ -853,15 +799,15 @@ mod tests {
         service
             .register_tenant(TenantId(0), TenantConfig::standard(2, 100))
             .unwrap();
-        assert!(service.submit_quote(query(0, &[1.0, 0.0])).is_ok());
-        assert!(service.submit_quote(query(0, &[1.0, 0.0])).is_ok());
-        let err = service.submit_quote(query(0, &[1.0, 0.0])).unwrap_err();
+        assert!(service.ingest(query(0, &[1.0, 0.0])).is_ok());
+        assert!(service.ingest(query(0, &[1.0, 0.0])).is_ok());
+        let err = service.ingest(query(0, &[1.0, 0.0])).unwrap_err();
         assert!(matches!(err, ServiceError::QueueFull { shard: 0, .. }));
         assert_eq!(service.aggregate_metrics().shed, 1);
         assert!(service.aggregate_metrics().shed_rate() > 0.0);
         // Draining frees capacity again.
         assert_eq!(service.drain(1).len(), 2);
-        assert!(service.submit_quote(query(0, &[1.0, 0.0])).is_ok());
+        assert!(service.ingest(query(0, &[1.0, 0.0])).is_ok());
     }
 
     #[test]
@@ -878,7 +824,7 @@ mod tests {
                         let mut ok = 0usize;
                         for round in 0..16u64 {
                             let id = (worker * 16 + round) % 8;
-                            if shared.ingest_quote(query(id, &[0.6, 0.8])).is_ok() {
+                            if shared.ingest(query(id, &[0.6, 0.8])).is_ok() {
                                 ok += 1;
                             }
                         }
@@ -905,7 +851,7 @@ mod tests {
                 for id in 0..12 {
                     let x = Vector::from_slice(&[0.5 + 0.01 * wave as f64, 0.5]);
                     service
-                        .submit(Request::Quote(QueryRequest {
+                        .ingest(Request::Quote(QueryRequest {
                             tenant: TenantId(id),
                             features: x,
                             reserve_price: 0.2,
@@ -917,11 +863,11 @@ mod tests {
                     let quote = response.quote().unwrap();
                     posted.push((response.tenant, quote.posted_price));
                     service
-                        .submit_outcome(OutcomeReport {
+                        .ingest(Request::Observe(OutcomeReport {
                             tenant: response.tenant,
                             accepted: quote.posted_price <= 1.0,
                             market_value: Some(1.0),
-                        })
+                        }))
                         .unwrap();
                 }
                 service.drain(workers);
@@ -947,7 +893,7 @@ mod tests {
                 for id in 0..12 {
                     let x = Vector::from_slice(&[0.5 + 0.01 * wave as f64, 0.5]);
                     service
-                        .submit(Request::Quote(QueryRequest {
+                        .ingest(Request::Quote(QueryRequest {
                             tenant: TenantId(id),
                             features: x,
                             reserve_price: 0.2,
@@ -957,11 +903,11 @@ mod tests {
                 for response in service.drain(workers) {
                     let quote = response.quote().unwrap();
                     service
-                        .submit_outcome(OutcomeReport {
+                        .ingest(Request::Observe(OutcomeReport {
                             tenant: response.tenant,
                             accepted: quote.posted_price <= 1.0,
                             market_value: Some(1.0),
-                        })
+                        }))
                         .unwrap();
                 }
                 service.drain(workers);
@@ -1011,15 +957,15 @@ mod tests {
         // schema itself is untouched by the observability layer.
         let mut service = service_with_tenants(2, 4);
         for id in 0..4 {
-            service.submit_quote(query(id, &[0.6, 0.8])).unwrap();
+            service.ingest(query(id, &[0.6, 0.8])).unwrap();
         }
         for response in service.drain(2) {
             service
-                .submit_outcome(OutcomeReport {
+                .ingest(Request::Observe(OutcomeReport {
                     tenant: response.tenant,
                     accepted: true,
                     market_value: Some(1.0),
-                })
+                }))
                 .unwrap();
         }
         service.drain(2);
@@ -1083,11 +1029,11 @@ mod tests {
                 for id in 0..32 {
                     let features = Vector::from_slice(&[1.0 / (DIM as f64).sqrt(); DIM]);
                     service
-                        .ingest_quote(QueryRequest {
+                        .ingest(Request::Quote(QueryRequest {
                             tenant: TenantId(id),
                             features,
                             reserve_price: 0.1,
-                        })
+                        }))
                         .unwrap();
                 }
                 let mut out = Vec::new();
@@ -1187,6 +1133,19 @@ mod tests {
         assert!(MarketService::new(config).is_ok());
         let shares: usize = (0..3).map(|i| config.resident_share(i).unwrap()).sum();
         assert_eq!(shares, 7);
+    }
+
+    #[test]
+    fn unusable_initial_radii_are_rejected_at_registration() {
+        let mut service = service_with_tenants(1, 0);
+        for radius in [-1.0, 0.0, f64::NAN, f64::INFINITY, 1e200] {
+            let mut config = TenantConfig::standard(2, 10);
+            config.pricing.initial_radius = radius;
+            let err = service.register_tenant(TenantId(7), config).unwrap_err();
+            assert!(matches!(err, ServiceError::InvalidConfig(_)), "{radius}");
+            assert!(err.to_string().contains("initial_radius"), "{err}");
+        }
+        assert_eq!(service.tenant_count(), 0);
     }
 
     #[test]
@@ -1338,16 +1297,16 @@ mod tests {
         // resident set stays bounded through the churn.
         for round in 0..3 {
             for id in 0..12u64 {
-                service.submit_quote(query(id, &[0.6, 0.8])).unwrap();
+                service.ingest(query(id, &[0.6, 0.8])).unwrap();
                 for response in service.drain(2) {
                     let quote = response.quote().expect("a quote");
                     assert!(quote.posted_price.is_finite());
                     service
-                        .submit_outcome(OutcomeReport {
+                        .ingest(Request::Observe(OutcomeReport {
                             tenant: response.tenant,
                             accepted: true,
                             market_value: Some(1.0),
-                        })
+                        }))
                         .unwrap();
                 }
                 service.drain(2);
@@ -1386,17 +1345,17 @@ mod tests {
             for wave in 0..6 {
                 for id in 0..10u64 {
                     let x = 0.4 + 0.05 * (((id + wave) % 5) as f64);
-                    service.submit_quote(query(id, &[x, 1.0 - x])).unwrap();
+                    service.ingest(query(id, &[x, 1.0 - x])).unwrap();
                 }
                 for response in service.drain(2) {
                     let quote = response.quote().unwrap();
                     posted.push(quote.posted_price.to_bits());
                     service
-                        .submit_outcome(OutcomeReport {
+                        .ingest(Request::Observe(OutcomeReport {
                             tenant: response.tenant,
                             accepted: quote.posted_price <= 1.0,
                             market_value: Some(1.0),
-                        })
+                        }))
                         .unwrap();
                 }
                 service.drain(2);

@@ -375,7 +375,7 @@ impl Shard {
             .tenants
             .get_mut(&tenant)
             // pdm-lint: allow(no-unwrap-in-lib) reason="admission and ensure_resident ran before any run is served; an unknown tenant here is queue corruption worth aborting on"
-            .expect("submit admits only registered tenants");
+            .expect("ingest admits only registered tenants");
         let metrics = &mut self.metrics;
         let obs = &mut self.obs;
         let run = &self.run_scratch;

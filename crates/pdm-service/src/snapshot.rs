@@ -115,7 +115,14 @@ fn pricing_from_json(value: &Json, context: &str) -> Result<PricingConfig, Servi
         value.get("horizon").and_then(Json::as_u64).ok_or_else(|| {
             ServiceError::MalformedSnapshot(format!("{context}: missing `horizon`"))
         })? as usize;
-    let mut config = PricingConfig::new(number("initial_radius")?, horizon)
+    let radius = number("initial_radius")?;
+    // A drift restart rebuilds the ball from this radius inside a drain.
+    if !Ellipsoid::is_usable_radius(radius) {
+        return Err(ServiceError::MalformedSnapshot(format!(
+            "{context}: `initial_radius` must be positive with a finite square, got {radius}"
+        )));
+    }
+    let mut config = PricingConfig::new(radius, horizon)
         .with_reserve(flag("use_reserve")?)
         .with_uncertainty(number("delta")?)
         .with_feature_bound(number("feature_bound")?)
@@ -1048,7 +1055,7 @@ impl MarketService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{OutcomeReport, QueryRequest};
+    use crate::api::{OutcomeReport, QueryRequest, Request};
     use pdm_linalg::sampling;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1065,22 +1072,22 @@ mod tests {
                     .normalized();
                 let reserve = 0.5 * features.sum();
                 service
-                    .submit_quote(QueryRequest {
+                    .ingest(Request::Quote(QueryRequest {
                         tenant: id,
                         features,
                         reserve_price: reserve,
-                    })
+                    }))
                     .unwrap();
             }
             for response in service.drain(2) {
                 let quote = *response.quote().unwrap();
                 posted.push(quote.posted_price);
                 service
-                    .submit_outcome(OutcomeReport {
+                    .ingest(Request::Observe(OutcomeReport {
                         tenant: response.tenant,
                         accepted: quote.posted_price <= 1.2,
                         market_value: Some(1.2),
-                    })
+                    }))
                     .unwrap();
             }
             service.drain(2);
@@ -1196,19 +1203,19 @@ mod tests {
         let mut service = fresh_service(&ids);
         for _ in 0..4 {
             service
-                .submit_quote(QueryRequest {
+                .ingest(Request::Quote(QueryRequest {
                     tenant: TenantId(8),
                     features: pdm_linalg::Vector::from_slice(&[0.5, 0.5, 0.5]),
                     reserve_price: 0.1,
-                })
+                }))
                 .unwrap();
             service.drain(1);
             service
-                .submit_outcome(OutcomeReport {
+                .ingest(Request::Observe(OutcomeReport {
                     tenant: TenantId(8),
                     accepted: true,
                     market_value: None,
-                })
+                }))
                 .unwrap();
             service.drain(1);
         }
@@ -1230,11 +1237,11 @@ mod tests {
         let ids = [TenantId(5)];
         let mut service = fresh_service(&ids);
         service
-            .submit_quote(QueryRequest {
+            .ingest(Request::Quote(QueryRequest {
                 tenant: TenantId(5),
                 features: pdm_linalg::Vector::from_slice(&[0.5, 0.5, 0.5]),
                 reserve_price: 0.1,
-            })
+            }))
             .unwrap();
         // Queued request.
         assert!(matches!(
@@ -1252,11 +1259,11 @@ mod tests {
         ));
         // Closing the round makes the service quiescent again.
         service
-            .submit_outcome(OutcomeReport {
+            .ingest(Request::Observe(OutcomeReport {
                 tenant: TenantId(5),
                 accepted: false,
                 market_value: None,
-            })
+            }))
             .unwrap();
         service.drain(1);
         assert!(service.snapshot().is_ok());
@@ -1285,6 +1292,23 @@ mod tests {
             err.to_string().contains("tenant-1"),
             "error should name the tenant: {err}"
         );
+    }
+
+    #[test]
+    fn unusable_initial_radii_are_rejected_at_restore() {
+        let text = fresh_service(&[TenantId(1)]).snapshot().unwrap().render();
+        let key = "\"initial_radius\":";
+        let start = text.find(key).unwrap() + key.len();
+        let end = start + text[start..].find(',').unwrap();
+        for radius in ["-1", "0", "1e200"] {
+            let corrupt = format!("{}{radius}{}", &text[..start], &text[end..]);
+            let err = MarketService::restore(&Json::parse(&corrupt).unwrap()).unwrap_err();
+            assert!(
+                matches!(err, ServiceError::MalformedSnapshot(_)),
+                "{radius}"
+            );
+            assert!(err.to_string().contains("initial_radius"), "{err}");
+        }
     }
 
     /// Replaces (`Some`) or removes (`None`) one key of a ledger object.

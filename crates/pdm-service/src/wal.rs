@@ -229,7 +229,7 @@ impl MarketService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{OutcomeReport, QueryRequest};
+    use crate::api::{OutcomeReport, QueryRequest, Request};
     use crate::routing::TenantId;
     use crate::service::ServiceConfig;
     use crate::tenant::TenantConfig;
@@ -263,22 +263,22 @@ mod tests {
                     .map(f64::abs)
                     .normalized();
                 service
-                    .submit_quote(QueryRequest {
+                    .ingest(Request::Quote(QueryRequest {
                         tenant: id,
                         features,
                         reserve_price: 0.3,
-                    })
+                    }))
                     .unwrap();
             }
             for response in service.drain(2) {
                 let quote = *response.quote().unwrap();
                 bits.push(quote.posted_price.to_bits());
                 service
-                    .submit_outcome(OutcomeReport {
+                    .ingest(Request::Observe(OutcomeReport {
                         tenant: response.tenant,
                         accepted: quote.posted_price <= 1.1,
                         market_value: Some(1.1),
-                    })
+                    }))
                     .unwrap();
             }
             service.drain(2);
@@ -410,11 +410,11 @@ mod tests {
         pump(&mut service, &ids, 1, 51);
         // Leave one tenant with a quoted-but-unobserved round.
         service
-            .submit_quote(QueryRequest {
+            .ingest(Request::Quote(QueryRequest {
                 tenant: ids[0],
                 features: Vector::from_slice(&[0.4, 0.4, 0.2]),
                 reserve_price: 0.2,
-            })
+            }))
             .unwrap();
         let open_quote = *service.drain(1)[0].quote().unwrap();
         let under_traffic = service.checkpoint().unwrap();
@@ -425,11 +425,11 @@ mod tests {
         // Close the round; the skipped tenant is still dirty, so the next
         // checkpoint carries it.
         service
-            .submit_outcome(OutcomeReport {
+            .ingest(Request::Observe(OutcomeReport {
                 tenant: ids[0],
                 accepted: open_quote.posted_price <= 1.1,
                 market_value: Some(1.1),
-            })
+            }))
             .unwrap();
         service.drain(1);
         let mut stream: Vec<Json> = under_traffic;

@@ -4,7 +4,7 @@
 //! OS threads, which any concurrently running test would disturb.
 
 use pdm_linalg::Vector;
-use pdm_service::{MarketService, QueryRequest, ServiceConfig, TenantConfig, TenantId};
+use pdm_service::{MarketService, QueryRequest, Request, ServiceConfig, TenantConfig, TenantId};
 use std::time::{Duration, Instant};
 
 /// The `Threads:` line of `/proc/self/status`.
@@ -54,11 +54,11 @@ fn dropping_a_service_joins_its_drain_helpers() {
                 .register_tenant(TenantId(id), TenantConfig::standard(2, 100))
                 .unwrap();
             service
-                .submit_quote(QueryRequest {
+                .ingest(Request::Quote(QueryRequest {
                     tenant: TenantId(id),
                     features: Vector::from_slice(&[0.6, 0.8]),
                     reserve_price: 0.1,
-                })
+                }))
                 .unwrap();
         }
         assert_eq!(service.drain(2).len(), 8);

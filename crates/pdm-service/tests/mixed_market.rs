@@ -14,7 +14,7 @@ use pdm_auction::{AuctionMarket, AuctionMarketConfig, ValuationDistribution};
 use pdm_linalg::{sampling, Json, Vector};
 use pdm_service::{
     AuctionPolicy, AuctionRequest, DriftPolicy, MarketService, OutcomeReport, Payload,
-    PrivacyParams, QueryRequest, ServiceConfig, TenantConfig, TenantId, TenantState,
+    PrivacyParams, QueryRequest, Request, ServiceConfig, TenantConfig, TenantId, TenantState,
     SNAPSHOT_SCHEMA_VERSION,
 };
 use rand::rngs::StdRng;
@@ -91,22 +91,22 @@ fn pump(
                 .normalized();
             let reserve = 0.4 * features.sum();
             service
-                .submit_quote(QueryRequest {
+                .ingest(Request::Quote(QueryRequest {
                     tenant: TenantId(id),
                     features,
                     reserve_price: reserve,
-                })
+                }))
                 .unwrap();
         }
         for (offset, market) in markets.iter_mut().enumerate() {
             let round = market.next_round();
             service
-                .submit_auction(AuctionRequest {
+                .ingest(Request::Auction(AuctionRequest {
                     tenant: TenantId(3 + offset as u64),
                     features: round.features,
                     floor: round.floor,
                     bids: round.bids,
-                })
+                }))
                 .unwrap();
         }
         let responses = service.drain(workers);
@@ -115,11 +115,11 @@ fn pump(
             if let Some(quote) = response.quote() {
                 produced.push((response.tenant.0, quote.posted_price.to_bits()));
                 service
-                    .submit_outcome(OutcomeReport {
+                    .ingest(Request::Observe(OutcomeReport {
                         tenant: response.tenant,
                         accepted: quote.posted_price <= 1.0,
                         market_value: Some(1.0),
-                    })
+                    }))
                     .unwrap();
             } else {
                 let cleared = response.cleared().expect("mixed waves only quote or clear");
@@ -214,12 +214,12 @@ fn zero_window_empirical_tenants_snapshot_and_restore() {
         )
         .unwrap();
     service
-        .submit_auction(AuctionRequest {
+        .ingest(Request::Auction(AuctionRequest {
             tenant: TenantId(1),
             features: Vector::from_slice(&[0.5, 0.5, 0.5]),
             floor: 0.2,
             bids: vec![0.9, 0.4],
-        })
+        }))
         .unwrap();
     service.drain(1);
     let rendered = service.snapshot().unwrap().render_pretty();
@@ -248,12 +248,12 @@ fn service_auction_arithmetic_equals_serial_replay() {
         for (offset, market) in generators.iter_mut().enumerate() {
             let round = market.next_round();
             service
-                .submit_auction(AuctionRequest {
+                .ingest(Request::Auction(AuctionRequest {
                     tenant: TenantId(3 + offset as u64),
                     features: round.features.clone(),
                     floor: round.floor,
                     bids: round.bids.clone(),
-                })
+                }))
                 .unwrap();
             let response = service.drain(2);
             let cleared = response
@@ -338,22 +338,22 @@ fn pump_drift(service: &mut MarketService, waves: std::ops::Range<usize>, seed: 
                 .map(f64::abs)
                 .normalized();
             service
-                .submit_quote(QueryRequest {
+                .ingest(Request::Quote(QueryRequest {
                     tenant: TenantId(id),
                     features,
                     reserve_price: 0.1,
-                })
+                }))
                 .unwrap();
         }
         for response in service.drain(2) {
             let quote = *response.quote().unwrap();
             produced.push(quote.posted_price.to_bits());
             service
-                .submit_outcome(OutcomeReport {
+                .ingest(Request::Observe(OutcomeReport {
                     tenant: response.tenant,
                     accepted: quote.posted_price <= value,
                     market_value: Some(value),
-                })
+                }))
                 .unwrap();
         }
         service.drain(2);
@@ -425,20 +425,20 @@ fn checked_in_v1_snapshot_restores_under_schema_v5() {
     assert_eq!(metrics.drift_restarts, 0);
     // The restored tenant serves a posted round.
     restored
-        .submit_quote(QueryRequest {
+        .ingest(Request::Quote(QueryRequest {
             tenant: TenantId(7),
             features: Vector::from_slice(&[0.6, 0.8]),
             reserve_price: 0.1,
-        })
+        }))
         .expect("v1 tenant is registered and posted-price");
     let quote = *restored.drain(1)[0].quote().expect("a quote response");
     assert!(quote.posted_price.is_finite());
     restored
-        .submit_outcome(OutcomeReport {
+        .ingest(Request::Observe(OutcomeReport {
             tenant: TenantId(7),
             accepted: true,
             market_value: None,
-        })
+        }))
         .unwrap();
     restored.drain(1);
     // Re-snapshotting writes the current schema with the drift layer.
@@ -465,23 +465,23 @@ fn checked_in_v2_snapshot_restores_under_schema_v5() {
     // The empirical auction tenant still clears rounds from its restored
     // bid-history window.
     restored
-        .submit_auction(AuctionRequest {
+        .ingest(Request::Auction(AuctionRequest {
             tenant: TenantId(4),
             features: Vector::from_slice(&[0.5, 0.5, 0.5]),
             floor: 0.2,
             bids: vec![0.9, 0.4],
-        })
+        }))
         .expect("v2 auction tenant is registered");
     let responses = restored.drain(1);
     let cleared = responses[0].cleared().expect("a cleared response");
     assert!(cleared.reserve >= 0.2);
     // A posted quote to the auction tenant is still a market mismatch.
     restored
-        .submit_quote(QueryRequest {
+        .ingest(Request::Quote(QueryRequest {
             tenant: TenantId(4),
             features: Vector::from_slice(&[0.5, 0.5, 0.5]),
             reserve_price: 0.1,
-        })
+        }))
         .unwrap();
     assert!(restored.drain(1)[0].quote().is_none());
     // Re-snapshotting upgrades the document to the current schema with an
@@ -513,20 +513,20 @@ fn checked_in_v3_snapshot_restores_under_schema_v5() {
     assert_eq!(metrics.rehydrations, 0);
     // The restored drift tenant still serves posted rounds.
     restored
-        .submit_quote(QueryRequest {
+        .ingest(Request::Quote(QueryRequest {
             tenant: TenantId(5),
             features: Vector::from_slice(&[0.5, 0.3, 0.2]),
             reserve_price: 0.1,
-        })
+        }))
         .expect("v3 drift tenant is registered and posted-price");
     let quote = *restored.drain(1)[0].quote().expect("a quote response");
     assert!(quote.posted_price.is_finite());
     restored
-        .submit_outcome(OutcomeReport {
+        .ingest(Request::Observe(OutcomeReport {
             tenant: TenantId(5),
             accepted: true,
             market_value: None,
-        })
+        }))
         .unwrap();
     restored.drain(1);
     // Checkpointing a WAL-less restore is rejected, not silently empty.
@@ -577,20 +577,20 @@ fn checked_in_v4_snapshot_restores_under_schema_v5() {
     assert_eq!(metrics.arbitrage_clamps, 0);
     // The restored posted tenant still serves.
     restored
-        .submit_quote(QueryRequest {
+        .ingest(Request::Quote(QueryRequest {
             tenant: TenantId(1),
             features: Vector::from_slice(&[0.5, 0.3, 0.2]),
             reserve_price: 0.1,
-        })
+        }))
         .expect("v4 posted tenant is registered");
     let quote = *restored.drain(1)[0].quote().expect("a quote response");
     assert!(quote.posted_price.is_finite());
     restored
-        .submit_outcome(OutcomeReport {
+        .ingest(Request::Observe(OutcomeReport {
             tenant: TenantId(1),
             accepted: true,
             market_value: None,
-        })
+        }))
         .unwrap();
     restored.drain(1);
     // Re-snapshotting upgrades the document to schema v5 with explicit
@@ -643,11 +643,11 @@ fn pump_privacy(service: &mut MarketService, waves: std::ops::Range<usize>, seed
                 .map(f64::abs)
                 .normalized();
             service
-                .submit_quote(QueryRequest {
+                .ingest(Request::Quote(QueryRequest {
                     tenant: TenantId(id),
                     features,
                     reserve_price: 0.1,
-                })
+                }))
                 .unwrap();
         }
         for response in service.drain(2) {
@@ -655,11 +655,11 @@ fn pump_privacy(service: &mut MarketService, waves: std::ops::Range<usize>, seed
                 Payload::Quoted(quote) => {
                     produced.push(quote.posted_price.to_bits());
                     service
-                        .submit_outcome(OutcomeReport {
+                        .ingest(Request::Observe(OutcomeReport {
                             tenant: response.tenant,
                             accepted: quote.posted_price <= 1.0,
                             market_value: Some(1.0),
-                        })
+                        }))
                         .unwrap();
                 }
                 Payload::Failed(_) => produced.push(u64::MAX),
@@ -747,22 +747,22 @@ fn wal_restore_mid_checkpoint_with_ledger_records_continues_bit_identically() {
     // Open a round (staging a pending ledger charge) while the owners
     // still have budget, then cut.
     original
-        .submit_quote(QueryRequest {
+        .ingest(Request::Quote(QueryRequest {
             tenant: TenantId(30),
             features: Vector::from_slice(&[0.5, 0.3, 0.2]),
             reserve_price: 0.1,
-        })
+        }))
         .unwrap();
     let open_quote = *original.drain(1)[0].quote().expect("an open quote");
     stream.extend(original.checkpoint().unwrap());
     // Close the round; the next checkpoint carries the skipped tenant with
     // its settled ledger debits.
     original
-        .submit_outcome(OutcomeReport {
+        .ingest(Request::Observe(OutcomeReport {
             tenant: TenantId(30),
             accepted: open_quote.posted_price <= 1.0,
             market_value: Some(1.0),
-        })
+        }))
         .unwrap();
     original.drain(1);
     stream.extend(original.checkpoint().unwrap());
@@ -885,22 +885,22 @@ fn wal_restore_interrupted_mid_eviction_continues_bit_identically() {
                     .map(f64::abs)
                     .normalized();
                 service
-                    .submit_quote(QueryRequest {
+                    .ingest(Request::Quote(QueryRequest {
                         tenant: id,
                         features,
                         reserve_price: 0.2,
-                    })
+                    }))
                     .unwrap();
             }
             for response in service.drain(2) {
                 let quote = *response.quote().unwrap();
                 bits.push(quote.posted_price.to_bits());
                 service
-                    .submit_outcome(OutcomeReport {
+                    .ingest(Request::Observe(OutcomeReport {
                         tenant: response.tenant,
                         accepted: quote.posted_price <= 1.0,
                         market_value: Some(1.0),
-                    })
+                    }))
                     .unwrap();
             }
             service.drain(2);
@@ -912,21 +912,21 @@ fn wal_restore_interrupted_mid_eviction_continues_bit_identically() {
     assert!(original.aggregate_metrics().evictions > 0);
     // Open a round on one tenant, then checkpoint under that traffic.
     original
-        .submit_quote(QueryRequest {
+        .ingest(Request::Quote(QueryRequest {
             tenant: ids[0],
             features: Vector::from_slice(&[0.5, 0.3, 0.2]),
             reserve_price: 0.2,
-        })
+        }))
         .unwrap();
     let open_quote = *original.drain(1)[0].quote().unwrap();
     let mut stream = original.checkpoint().unwrap();
     // Close the round; the next checkpoint carries the skipped tenant.
     original
-        .submit_outcome(OutcomeReport {
+        .ingest(Request::Observe(OutcomeReport {
             tenant: ids[0],
             accepted: open_quote.posted_price <= 1.0,
             market_value: Some(1.0),
-        })
+        }))
         .unwrap();
     original.drain(1);
     stream.extend(original.checkpoint().unwrap());

@@ -10,8 +10,8 @@
 use pdm_linalg::Vector;
 use pdm_service::metrics::LATENCY_HISTOGRAM;
 use pdm_service::{
-    shard_of, MarketService, OutcomeReport, QueryRequest, Response, ServiceConfig, TenantConfig,
-    TenantId,
+    shard_of, MarketService, OutcomeReport, QueryRequest, Request, Response, ServiceConfig,
+    TenantConfig, TenantId,
 };
 use proptest::prelude::*;
 
@@ -100,11 +100,11 @@ fn closed_loop(tenants: u64, rounds: usize, workers: usize) -> (Vec<u64>, f64, f
             let features = Vector::from_slice(&[a / norm, b / norm, c / norm]);
             let reserve = 0.6 * features.sum();
             service
-                .submit_quote(QueryRequest {
+                .ingest(Request::Quote(QueryRequest {
                     tenant: TenantId(id),
                     features,
                     reserve_price: reserve,
-                })
+                }))
                 .unwrap();
         }
         let responses = service.drain(workers);
@@ -113,11 +113,11 @@ fn closed_loop(tenants: u64, rounds: usize, workers: usize) -> (Vec<u64>, f64, f
             posted_bits.push(quote.posted_price.to_bits());
             let market_value = 1.1; // fixed hidden value: accept iff p <= v
             service
-                .submit_outcome(OutcomeReport {
+                .ingest(Request::Observe(OutcomeReport {
                     tenant: response.tenant,
                     accepted: quote.posted_price <= market_value,
                     market_value: Some(market_value),
-                })
+                }))
                 .unwrap();
         }
         service.drain(workers);
@@ -155,11 +155,11 @@ fn per_shard_metrics_cover_all_traffic_and_latency_percentiles_exist() {
     }
     for id in 0..9 {
         service
-            .submit_quote(QueryRequest {
+            .ingest(Request::Quote(QueryRequest {
                 tenant: TenantId(id),
                 features: Vector::from_slice(&[0.6, 0.8]),
                 reserve_price: 0.2,
-            })
+            }))
             .unwrap();
     }
     let before = service.scrape();
@@ -214,11 +214,11 @@ fn reused_pool_run(workers: &[usize]) -> (Vec<String>, String, String) {
         for id in 0..13u64 {
             let a = 0.2 + 0.05 * ((id + round as u64) % 7) as f64;
             service
-                .submit_quote(QueryRequest {
+                .ingest(Request::Quote(QueryRequest {
                     tenant: TenantId(id),
                     features: Vector::from_slice(&[a, 1.0 - a, 0.3]),
                     reserve_price: 0.2,
-                })
+                }))
                 .unwrap();
         }
         responses.clear();
@@ -227,11 +227,11 @@ fn reused_pool_run(workers: &[usize]) -> (Vec<String>, String, String) {
         for response in &responses {
             let quote = *response.quote().expect("quote response");
             service
-                .submit_outcome(OutcomeReport {
+                .ingest(Request::Observe(OutcomeReport {
                     tenant: response.tenant,
                     accepted: quote.posted_price <= 0.9,
                     market_value: Some(0.9),
-                })
+                }))
                 .unwrap();
         }
         responses.clear();

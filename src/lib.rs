@@ -16,7 +16,7 @@
 //!   clearing with personalized reserves (static, session-learned, or
 //!   empirical data-driven), seeded bidder populations.
 //! * [`service`] — the sharded, concurrent multi-tenant serving engine
-//!   (stable tenant→shard routing, submit/drain, bounded admission,
+//!   (stable tenant→shard routing, ingest/drain, bounded admission,
 //!   snapshots, per-shard metrics, mixed posted-price + auction tenants).
 //! * [`ellipsoid`] — the knowledge-set machinery (Löwner–John ellipsoid,
 //!   exact polytope, interval).
