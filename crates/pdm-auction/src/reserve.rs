@@ -118,7 +118,9 @@ impl EmpiricalReserve {
         assert!(config.window > 0, "empirical window must be positive");
         Self {
             config,
-            history: VecDeque::with_capacity(config.window),
+            // The history grows on demand: the window is a bound, not an
+            // allocation.
+            history: VecDeque::new(),
             fitted: 0.0,
         }
     }
@@ -316,6 +318,22 @@ mod tests {
         let before = policy.clone();
         policy.observe(ReserveFeedback::censored(false, 0.9));
         assert_eq!(policy, before);
+    }
+
+    #[test]
+    fn a_huge_window_allocates_only_what_it_observes() {
+        let config = EmpiricalConfig {
+            window: usize::MAX / 2,
+            welfare_weight: 0.0,
+        };
+        let mut policy = EmpiricalReserve::new(config);
+        for _ in 0..3 {
+            observe_pair(&mut policy, 1.0, 0.2);
+        }
+        assert_eq!(policy.history().count(), 3);
+        assert_eq!(policy.fitted(), 1.0);
+        let saved: Vec<(f64, f64)> = policy.history().collect();
+        assert_eq!(EmpiricalReserve::from_history(config, &saved), policy);
     }
 
     #[test]

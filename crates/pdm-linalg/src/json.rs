@@ -158,9 +158,12 @@ impl Json {
     }
 
     /// Parses a JSON document, requiring it to span the whole input.
+    /// Arrays and objects nested deeper than 128 levels (`MAX_DEPTH`) are
+    /// an `Err` naming the byte offset, so hostile input cannot exhaust the
+    /// stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut pos = 0usize;
-        let value = parse_value(text, &mut pos)?;
+        let value = parse_value(text, &mut pos, 0)?;
         skip_ws(text.as_bytes(), &mut pos);
         if pos != text.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -207,15 +210,26 @@ impl Json {
     /// Decodes a binary image written by [`Json::encode`], requiring it to
     /// span the whole input.  Damaged input — truncated, bit-flipped, an
     /// unknown tag, invalid UTF-8, a non-finite number, a count larger than
-    /// the bytes left could hold — is an `Err`, never a panic.
+    /// the bytes left could hold, nesting deeper than 128 levels — is an
+    /// `Err`, never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Json, String> {
         let mut reader = Reader { bytes, pos: 0 };
-        let value = reader.value()?;
+        let value = reader.value(0)?;
         if reader.pos != bytes.len() {
             return Err(format!("trailing content at byte {}", reader.pos));
         }
         Ok(value)
     }
+}
+
+/// Deepest nesting of arrays and objects [`Json::parse`] and
+/// [`Json::decode`] accept.  The workspace writes at most a handful of
+/// levels; the cap keeps the recursive readers' stack use bounded.
+const MAX_DEPTH: usize = 128;
+
+/// The error for an array or object opened at byte `pos` past [`MAX_DEPTH`].
+fn too_deep(pos: usize) -> String {
+    format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}")
 }
 
 const TAG_NULL: u8 = 0;
@@ -305,7 +319,7 @@ impl<'a> Reader<'a> {
             .map_err(|_| format!("invalid UTF-8 in string at byte {start}"))
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         let start = self.pos;
         match self.byte()? {
             TAG_NULL => Ok(Json::Null),
@@ -322,11 +336,12 @@ impl<'a> Reader<'a> {
                 }
             }
             TAG_STR => self.string().map(Json::Str),
+            TAG_ARR | TAG_OBJ if depth == MAX_DEPTH => Err(too_deep(start)),
             TAG_ARR => {
                 let count = self.count()?;
                 let mut items = Vec::with_capacity(count);
                 for _ in 0..count {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                 }
                 Ok(Json::Arr(items))
             }
@@ -335,7 +350,7 @@ impl<'a> Reader<'a> {
                 let mut pairs = Vec::with_capacity(count);
                 for _ in 0..count {
                     let key = self.string()?;
-                    pairs.push((key, self.value()?));
+                    pairs.push((key, self.value(depth + 1)?));
                 }
                 Ok(Json::Obj(pairs))
             }
@@ -411,11 +426,12 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(too_deep(*pos)),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
@@ -429,7 +445,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(text, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -454,7 +470,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(text, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -714,6 +730,35 @@ mod tests {
             TAG_ARR, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01,
         ]);
         rejects(&[TAG_ARR, 3, TAG_NULL, TAG_NULL]);
+    }
+
+    #[test]
+    fn nesting_is_capped_in_both_codecs() {
+        // 200 000 levels would overflow the stack of a recursive reader.
+        let deep = 200_000;
+        let text = "[".repeat(deep);
+        assert_eq!(
+            Json::parse(&text),
+            Err("nesting deeper than 128 levels at byte 128".to_owned())
+        );
+        let mut image = [TAG_ARR, 1].repeat(deep);
+        image.push(TAG_NULL);
+        assert_eq!(
+            Json::decode(&image),
+            Err("nesting deeper than 128 levels at byte 256".to_owned())
+        );
+        let text = format!("{}{}", "{\"k\":".repeat(deep), "null");
+        assert!(Json::parse(&text).unwrap_err().contains("nesting deeper"));
+
+        // The cap itself is accepted by both.
+        let mut value = Json::Null;
+        for _ in 0..MAX_DEPTH {
+            value = Json::Arr(vec![value]);
+        }
+        assert_eq!(Json::parse(&value.render()).as_ref(), Ok(&value));
+        let mut image = Vec::new();
+        value.encode(&mut image);
+        assert_eq!(Json::decode(&image).as_ref(), Ok(&value));
     }
 
     // The vendored proptest has no string or recursive strategies, so the

@@ -452,8 +452,10 @@ impl SurprisalDriftDetector {
             window: config.window.max(1),
             threshold: config.threshold.clamp(1, config.window.max(1)),
         };
+        // The window grows on demand: a configured (or restored) window
+        // is a bound, not an allocation.
         Self {
-            flags: VecDeque::with_capacity(config.window),
+            flags: VecDeque::new(),
             config,
             in_window: 0,
             fires: 0,
@@ -893,6 +895,23 @@ mod tests {
         }
         assert!(!d.observe(true), "aged-out surprises must not accumulate");
         assert_eq!(d.fires(), 0);
+    }
+
+    #[test]
+    fn a_huge_window_allocates_only_what_it_observes() {
+        let mut d = SurprisalDriftDetector::new(DriftDetectorConfig {
+            window: usize::MAX / 2,
+            threshold: 3,
+        });
+        assert!(!d.observe(true));
+        assert!(!d.observe(false));
+        assert!(!d.observe(true));
+        assert!(d.observe(true), "the third surprise fires");
+        assert_eq!(d.fires(), 1);
+        d.observe(false);
+        d.restore(2, &[true, false]);
+        assert_eq!(d.window_flags().collect::<Vec<_>>(), [true, false]);
+        assert_eq!(d.surprises_in_window(), 1);
     }
 
     #[test]

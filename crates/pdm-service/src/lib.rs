@@ -128,6 +128,7 @@ pub mod ledger;
 pub mod metrics;
 mod obs;
 mod pool;
+mod reader;
 pub mod routing;
 mod shard;
 pub mod snapshot;

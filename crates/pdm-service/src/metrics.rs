@@ -193,14 +193,6 @@ impl<'a> Slot<'a> {
         (field, self)
     }
 
-    /// What the snapshot parser's errors call this kind of value.
-    pub(crate) fn noun(&self) -> &'static str {
-        match self {
-            Slot::Count(_) => "count",
-            Slot::Money(_) => "number",
-        }
-    }
-
     fn get(&self) -> Figure {
         match self {
             Slot::Count(count) => Figure::Count(**count),
@@ -530,7 +522,11 @@ mod tests {
         assert!(fields.iter().all(|(_, figure)| figure.as_f64() != 0.0));
 
         let json = crate::snapshot::metrics_json(&ledger);
-        let reread = crate::snapshot::metrics_from_json(&json, "shard 0").unwrap();
+        let reread = crate::snapshot::metrics_from_json(&crate::reader::Reader::new(
+            &json,
+            crate::reader::Label::Numbered("shard", 0),
+        ))
+        .unwrap();
         for ((field, want), (_, got)) in fields.iter().zip(reread.fields()) {
             assert_eq!(want.to_bits(), got.to_bits(), "{field}");
         }

@@ -41,7 +41,6 @@ use crate::routing::{shard_of, TenantId};
 use crate::shard::Shard;
 use crate::sync;
 use crate::tenant::{MarketKind, TenantConfig, TenantState};
-use pdm_ellipsoid::Ellipsoid;
 use pdm_linalg::Json;
 use pdm_obs::MetricRegistry;
 use std::collections::{BTreeSet, VecDeque};
@@ -378,45 +377,26 @@ impl MarketService {
 
     /// Registers a new tenant, returning the shard it was routed to.
     ///
-    /// A privacy tenant's parameters are checked here (the compensation
-    /// contract would otherwise panic on a non-positive base) and then
-    /// folded against the service-wide knobs: the ε budget is lowered to
+    /// The config passes [`TenantConfig`]'s check first (the one a restore
+    /// runs too); a privacy tenant's parameters are then folded against
+    /// the service-wide knobs: the ε budget is lowered to
     /// [`ServiceConfig::privacy_budget`] and the compensation base raised
     /// to [`ServiceConfig::compensation_base`] when those caps are set.
     ///
     /// # Errors
     /// * [`ServiceError::DuplicateTenant`] when the id is already
     ///   registered.
-    /// * [`ServiceError::InvalidConfig`] when the initial radius is not
-    ///   positive with a finite square, or a privacy tenant's ε budget,
-    ///   compensation base, compensation sensitivity, Laplace scale, or
-    ///   data range is not positive and finite.
+    /// * [`ServiceError::InvalidConfig`] when the dimension is zero, the
+    ///   initial radius is not positive with a finite square, or a privacy
+    ///   tenant's ε budget, compensation base, compensation sensitivity,
+    ///   Laplace scale, or data range is not positive and finite.
     pub fn register_tenant(
         &mut self,
         id: TenantId,
         mut config: TenantConfig,
     ) -> Result<usize, ServiceError> {
-        let radius = config.pricing.initial_radius;
-        if !Ellipsoid::is_usable_radius(radius) {
-            return Err(ServiceError::InvalidConfig(format!(
-                "`initial_radius` must be positive with a finite square, got {radius}"
-            )));
-        }
+        config.check().map_err(ServiceError::InvalidConfig)?;
         if let MarketKind::Privacy(ref mut params) = config.market {
-            let positive_finite = |name: &str, value: f64| -> Result<(), ServiceError> {
-                if value > 0.0 && value.is_finite() {
-                    Ok(())
-                } else {
-                    Err(ServiceError::InvalidConfig(format!(
-                        "privacy tenant `{name}` must be positive and finite, got {value}"
-                    )))
-                }
-            };
-            positive_finite("epsilon_budget", params.epsilon_budget)?;
-            positive_finite("compensation_base", params.compensation_base)?;
-            positive_finite("compensation_sensitivity", params.compensation_sensitivity)?;
-            positive_finite("data_range", params.data_range)?;
-            positive_finite("laplace_scale", params.laplace_scale)?;
             if let Some(cap) = self.config.privacy_budget {
                 params.epsilon_budget = params.epsilon_budget.min(cap);
             }
@@ -1146,6 +1126,33 @@ mod tests {
             assert!(err.to_string().contains("initial_radius"), "{err}");
         }
         assert_eq!(service.tenant_count(), 0);
+    }
+
+    #[test]
+    fn registration_refuses_a_zero_dim_and_takes_huge_windows() {
+        let mut service = service_with_tenants(1, 0);
+        let mut flat = TenantConfig::standard(2, 10);
+        flat.dim = 0;
+        let err = service.register_tenant(TenantId(1), flat).unwrap_err();
+        assert!(matches!(err, ServiceError::InvalidConfig(_)));
+        assert!(err.to_string().contains("`dim`"), "{err}");
+        // A window is a bound, not an allocation.
+        let huge = usize::MAX / 2;
+        let restart = TenantConfig::standard(2, 10).with_drift(crate::DriftPolicy::Restart {
+            window: huge,
+            threshold: 3,
+        });
+        let empirical = TenantConfig::auction(
+            2,
+            10,
+            crate::tenant::AuctionPolicy::Empirical {
+                window: huge,
+                welfare_weight: 0.0,
+            },
+        );
+        service.register_tenant(TenantId(2), restart).unwrap();
+        service.register_tenant(TenantId(3), empirical).unwrap();
+        assert_eq!(service.tenant_count(), 2);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 use crate::api::ServiceError;
 use crate::ledger::{LedgerBank, OwnerLedger};
 use crate::metrics::{ShardMetrics, Slot, FIELDS};
+use crate::reader::{Label, Reader};
 use crate::routing::TenantId;
 use crate::service::{MarketService, ServiceConfig};
 use crate::sync;
@@ -69,21 +70,6 @@ fn vector_json(v: &Vector) -> Json {
     Json::Arr(v.iter().map(|&x| Json::Num(x)).collect())
 }
 
-fn vector_from_json(value: &Json, context: &str) -> Result<Vector, ServiceError> {
-    let items = value
-        .as_arr()
-        .ok_or_else(|| ServiceError::MalformedSnapshot(format!("{context}: expected array")))?;
-    items
-        .iter()
-        .map(|item| {
-            item.as_f64().ok_or_else(|| {
-                ServiceError::MalformedSnapshot(format!("{context}: expected number"))
-            })
-        })
-        .collect::<Result<Vec<f64>, ServiceError>>()
-        .map(Vector::from_vec)
-}
-
 fn pricing_json(config: &PricingConfig) -> Json {
     Json::obj(vec![
         ("initial_radius", Json::Num(config.initial_radius)),
@@ -99,44 +85,17 @@ fn pricing_json(config: &PricingConfig) -> Json {
     ])
 }
 
-fn pricing_from_json(value: &Json, context: &str) -> Result<PricingConfig, ServiceError> {
-    let number = |key: &str| {
-        value.get(key).and_then(Json::as_f64).ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: missing number `{key}`"))
-        })
-    };
-    let flag = |key: &str| match value.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(ServiceError::MalformedSnapshot(format!(
-            "{context}: missing flag `{key}`"
-        ))),
-    };
-    let horizon =
-        value.get("horizon").and_then(Json::as_u64).ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: missing `horizon`"))
-        })? as usize;
-    let radius = number("initial_radius")?;
-    // A drift restart rebuilds the ball from this radius inside a drain.
-    if !Ellipsoid::is_usable_radius(radius) {
-        return Err(ServiceError::MalformedSnapshot(format!(
-            "{context}: `initial_radius` must be positive with a finite square, got {radius}"
-        )));
-    }
-    let mut config = PricingConfig::new(radius, horizon)
-        .with_reserve(flag("use_reserve")?)
-        .with_uncertainty(number("delta")?)
-        .with_feature_bound(number("feature_bound")?)
-        .with_conservative_cuts(flag("cut_on_conservative")?);
+fn pricing_from_json(pricing: &Reader) -> Result<PricingConfig, ServiceError> {
+    let mut config =
+        PricingConfig::new(pricing.number("initial_radius")?, pricing.size("horizon")?)
+            .with_reserve(pricing.flag("use_reserve")?)
+            .with_uncertainty(pricing.number("delta")?)
+            .with_feature_bound(pricing.number("feature_bound")?)
+            .with_conservative_cuts(pricing.flag("cut_on_conservative")?);
     // `epsilon: null` means "use the paper's schedule" and must stay None —
     // with_epsilon would pin it.
-    match value.get("epsilon") {
-        Some(Json::Num(eps)) => config = config.with_epsilon(*eps),
-        Some(Json::Null) | None => {}
-        Some(_) => {
-            return Err(ServiceError::MalformedSnapshot(format!(
-                "{context}: `epsilon` must be a number or null"
-            )))
-        }
+    if let Some(epsilon) = pricing.optional("epsilon", Reader::number)? {
+        config = config.with_epsilon(epsilon);
     }
     Ok(config)
 }
@@ -160,34 +119,21 @@ pub(crate) fn metrics_json(metrics: &ShardMetrics) -> Json {
 /// document has no `auction` object, and the keys added in v3–v5 read as
 /// zero when absent; but a key that is present must parse (corruption is an
 /// error, not a silent zero).
-pub(crate) fn metrics_from_json(value: &Json, context: &str) -> Result<ShardMetrics, ServiceError> {
+pub(crate) fn metrics_from_json(ledger: &Reader) -> Result<ShardMetrics, ServiceError> {
     let mut metrics = ShardMetrics::new();
-    let auction = value.get("auction");
+    let auction = ledger.optional("auction", Reader::object)?;
     for (field, slot) in metrics.fields_mut() {
-        let object = match (field.nested, auction) {
-            (false, _) => value,
+        let object = match (field.nested, &auction) {
+            (false, _) => ledger,
             (true, Some(auction)) => auction,
             (true, None) => continue,
         };
-        let raw = object.get(field.key);
-        if raw.is_none() && !field.required {
+        if !field.required && !object.has(field.key) {
             continue;
         }
-        let noun = slot.noun();
-        let parsed = match (slot, raw) {
-            (Slot::Count(count), Some(raw)) => raw.as_u64().map(|v| *count = v),
-            (Slot::Money(money), Some(raw)) => raw.as_f64().map(|v| *money = v),
-            (_, None) => None,
-        };
-        if parsed.is_none() {
-            let key = field.key;
-            return Err(ServiceError::MalformedSnapshot(if field.nested {
-                format!("{context} auction: missing {noun} `{key}`")
-            } else if field.required {
-                format!("{context}: missing {noun} `{key}`")
-            } else {
-                format!("{context}: `{key}` must be a {noun}")
-            }));
+        match slot {
+            Slot::Count(count) => *count = object.count(field.key)?,
+            Slot::Money(money) => *money = object.number(field.key)?,
         }
     }
     Ok(metrics)
@@ -288,154 +234,58 @@ struct LedgerRestore {
 
 /// Parses a tenant's `market` object; also returns the learned market
 /// state (applied after the tenant state is built).
-fn market_from_json(
-    value: &Json,
-    context: &str,
-) -> Result<(MarketKind, MarketRestore), ServiceError> {
-    let malformed = |message: String| -> ServiceError { ServiceError::MalformedSnapshot(message) };
-    let kind = value
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| malformed(format!("{context}: market missing `kind`")))?;
-    match kind {
-        "posted" => Ok((MarketKind::PostedPrice, MarketRestore::None)),
+fn market_from_json(market: &Reader) -> Result<(MarketKind, MarketRestore), ServiceError> {
+    Ok(match market.string("kind")? {
+        "posted" => (MarketKind::PostedPrice, MarketRestore::None),
         "auction" => {
-            let policy = value
-                .get("policy")
-                .and_then(Json::as_str)
-                .ok_or_else(|| malformed(format!("{context}: auction missing `policy`")))?;
-            match policy {
-                "session" => Ok((
-                    MarketKind::Auction(AuctionPolicy::Session),
+            let (policy, restore) = match market.string("policy")? {
+                "session" => (AuctionPolicy::Session, MarketRestore::None),
+                "static" => (
+                    AuctionPolicy::Static {
+                        markup: market.number("markup")?,
+                    },
                     MarketRestore::None,
-                )),
-                "static" => {
-                    let markup = value.get("markup").and_then(Json::as_f64).ok_or_else(|| {
-                        malformed(format!("{context}: static policy missing `markup`"))
-                    })?;
-                    Ok((
-                        MarketKind::Auction(AuctionPolicy::Static { markup }),
-                        MarketRestore::None,
-                    ))
-                }
-                "empirical" => {
-                    // A zero window is accepted here (and clamped to 1 by
-                    // the tenant state, exactly like at registration time):
-                    // a document the service wrote must always restore.
-                    let window = value.get("window").and_then(Json::as_u64).ok_or_else(|| {
-                        malformed(format!("{context}: empirical policy missing `window`"))
-                    })? as usize;
-                    let welfare_weight = value
-                        .get("welfare_weight")
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| {
-                            malformed(format!(
-                                "{context}: empirical policy missing `welfare_weight`"
-                            ))
-                        })?;
-                    let history = value
-                        .get("history")
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| {
-                            malformed(format!("{context}: empirical policy missing `history`"))
-                        })?
-                        .iter()
-                        .map(|pair| {
-                            let items = pair.as_arr().filter(|items| items.len() == 2);
-                            match items {
-                                Some(items) => match (items[0].as_f64(), items[1].as_f64()) {
-                                    (Some(top), Some(second)) => Ok((top, second)),
-                                    _ => Err(malformed(format!(
-                                        "{context}: history entries must be number pairs"
-                                    ))),
-                                },
-                                None => Err(malformed(format!(
-                                    "{context}: history entries must be `[top, second]` pairs"
-                                ))),
-                            }
-                        })
-                        .collect::<Result<Vec<(f64, f64)>, ServiceError>>()?;
-                    Ok((
-                        MarketKind::Auction(AuctionPolicy::Empirical {
-                            window,
-                            welfare_weight,
-                        }),
-                        MarketRestore::EmpiricalHistory(history),
-                    ))
-                }
-                other => Err(malformed(format!(
-                    "{context}: unknown auction policy `{other}`"
-                ))),
-            }
+                ),
+                // A zero window is accepted here (and clamped to 1 by the tenant
+                // state, exactly like at registration time): a document the
+                // service wrote must always restore.
+                "empirical" => (
+                    AuctionPolicy::Empirical {
+                        window: market.size("window")?,
+                        welfare_weight: market.number("welfare_weight")?,
+                    },
+                    MarketRestore::EmpiricalHistory(market.list(
+                        "history",
+                        "`[top, second]` number pairs",
+                        |pair| match pair.as_arr()? {
+                            [top, second] => Some((top.as_f64()?, second.as_f64()?)),
+                            _ => None,
+                        },
+                    )?),
+                ),
+                other => return Err(market.error(format_args!("unknown auction policy `{other}`"))),
+            };
+            (MarketKind::Auction(policy), restore)
         }
-        "privacy" => {
-            let number = |key: &str| {
-                value.get(key).and_then(Json::as_f64).ok_or_else(|| {
-                    malformed(format!("{context}: privacy market missing number `{key}`"))
-                })
-            };
-            let params = PrivacyParams {
-                epsilon_budget: number("epsilon_budget")?,
-                compensation_base: number("compensation_base")?,
-                compensation_sensitivity: number("compensation_sensitivity")?,
-                data_range: number("data_range")?,
-                laplace_scale: number("laplace_scale")?,
-            };
-            let numbers = |key: &str| -> Result<Vec<f64>, ServiceError> {
-                value
-                    .get(key)
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| {
-                        malformed(format!("{context}: privacy market missing array `{key}`"))
-                    })?
-                    .iter()
-                    .map(|item| {
-                        item.as_f64().ok_or_else(|| {
-                            malformed(format!("{context}: `{key}` entries must be numbers"))
-                        })
-                    })
-                    .collect()
-            };
-            let queries = numbers("queries")?
-                .into_iter()
-                .map(|count| {
-                    if count >= 0.0 && count.fract() == 0.0 {
-                        Ok(count as u64)
-                    } else {
-                        Err(malformed(format!(
-                            "{context}: `queries` entries must be counts"
-                        )))
-                    }
-                })
-                .collect::<Result<Vec<u64>, ServiceError>>()?;
-            let exhausted = numbers("exhausted")?
-                .into_iter()
-                .map(|flag| {
-                    if flag == 0.0 || flag == 1.0 {
-                        Ok(flag == 1.0)
-                    } else {
-                        Err(malformed(format!(
-                            "{context}: `exhausted` entries must be 0 or 1"
-                        )))
-                    }
-                })
-                .collect::<Result<Vec<bool>, ServiceError>>()?;
-            Ok((
-                MarketKind::Privacy(params),
-                MarketRestore::Privacy(Box::new(LedgerRestore {
-                    epsilon_spent: numbers("epsilon_spent")?,
-                    compensation: numbers("compensation")?,
-                    queries,
-                    exhausted,
-                    epsilon_spent_total: number("epsilon_spent_total")?,
-                    compensation_total: number("compensation_total")?,
-                })),
-            ))
-        }
-        other => Err(malformed(format!(
-            "{context}: unknown market kind `{other}`"
-        ))),
-    }
+        "privacy" => (
+            MarketKind::Privacy(PrivacyParams {
+                epsilon_budget: market.number("epsilon_budget")?,
+                compensation_base: market.number("compensation_base")?,
+                compensation_sensitivity: market.number("compensation_sensitivity")?,
+                data_range: market.number("data_range")?,
+                laplace_scale: market.number("laplace_scale")?,
+            }),
+            MarketRestore::Privacy(Box::new(LedgerRestore {
+                epsilon_spent: market.numbers("epsilon_spent")?,
+                compensation: market.numbers("compensation")?,
+                queries: market.list("queries", "counts", Json::as_u64)?,
+                exhausted: market.bits("exhausted")?,
+                epsilon_spent_total: market.number("epsilon_spent_total")?,
+                compensation_total: market.number("compensation_total")?,
+            })),
+        ),
+        other => return Err(market.error(format_args!("unknown market kind `{other}`"))),
+    })
 }
 
 /// Serialises a tenant's drift policy plus the live detector state (the
@@ -479,61 +329,27 @@ struct DriftRestore {
 
 /// Parses a tenant's `drift` object (schema v3).  Returns the policy plus
 /// the detector state to re-instate after the mechanism is built.
-fn drift_from_json(
-    value: &Json,
-    context: &str,
-) -> Result<(DriftPolicy, Option<DriftRestore>), ServiceError> {
-    let malformed = |message: String| -> ServiceError { ServiceError::MalformedSnapshot(message) };
-    let policy = value
-        .get("policy")
-        .and_then(Json::as_str)
-        .ok_or_else(|| malformed(format!("{context}: drift missing `policy`")))?;
-    match policy {
+fn drift_from_json(drift: &Reader) -> Result<(DriftPolicy, Option<DriftRestore>), ServiceError> {
+    match drift.string("policy")? {
         "static" => Ok((DriftPolicy::Static, None)),
-        "discounted" => {
-            let inflation = value
-                .get("inflation")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| {
-                    malformed(format!("{context}: discounted drift missing `inflation`"))
-                })?;
-            Ok((DriftPolicy::Discounted { inflation }, None))
-        }
-        "restart" => {
-            let count = |key: &str| {
-                value.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                    malformed(format!("{context}: restart drift missing count `{key}`"))
-                })
-            };
-            let flags = value
-                .get("window_flags")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| {
-                    malformed(format!("{context}: restart drift missing `window_flags`"))
-                })?
-                .iter()
-                .map(|flag| match flag.as_f64() {
-                    Some(v) if v == 0.0 || v == 1.0 => Ok(v == 1.0),
-                    _ => Err(malformed(format!(
-                        "{context}: drift window flags must be 0 or 1"
-                    ))),
-                })
-                .collect::<Result<Vec<bool>, ServiceError>>()?;
-            Ok((
-                DriftPolicy::Restart {
-                    window: count("window")? as usize,
-                    threshold: count("threshold")? as usize,
-                },
-                Some(DriftRestore {
-                    fires: count("fires")?,
-                    restarts: count("restarts")?,
-                    flags,
-                }),
-            ))
-        }
-        other => Err(malformed(format!(
-            "{context}: unknown drift policy `{other}`"
-        ))),
+        "discounted" => Ok((
+            DriftPolicy::Discounted {
+                inflation: drift.number("inflation")?,
+            },
+            None,
+        )),
+        "restart" => Ok((
+            DriftPolicy::Restart {
+                window: drift.size("window")?,
+                threshold: drift.size("threshold")?,
+            },
+            Some(DriftRestore {
+                fires: drift.count("fires")?,
+                restarts: drift.count("restarts")?,
+                flags: drift.bits("window_flags")?,
+            }),
+        )),
+        other => Err(drift.error(format_args!("unknown drift policy `{other}`"))),
     }
 }
 
@@ -548,23 +364,14 @@ fn stats_json(stats: &OnlineStats) -> Json {
     ])
 }
 
-fn stats_from_json(value: &Json, context: &str) -> Result<OnlineStats, ServiceError> {
-    let field = |key: &str| {
-        value.get(key).and_then(Json::as_f64).ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: missing number `{key}`"))
-        })
-    };
-    let count = value
-        .get("count")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ServiceError::MalformedSnapshot(format!("{context}: missing `count`")))?;
+fn stats_from_json(stats: &Reader) -> Result<OnlineStats, ServiceError> {
     Ok(OnlineStats::from_raw_parts(
-        count,
-        field("mean")?,
-        field("m2")?,
-        field("sum")?,
-        field("min")?,
-        field("max")?,
+        stats.count("count")?,
+        stats.number("mean")?,
+        stats.number("m2")?,
+        stats.number("sum")?,
+        stats.number("min")?,
+        stats.number("max")?,
     ))
 }
 
@@ -592,34 +399,18 @@ fn ledger_json(report: &RegretReport) -> Json {
     ])
 }
 
-fn ledger_from_json(value: &Json, context: &str) -> Result<RegretReport, ServiceError> {
-    let number = |key: &str| {
-        value.get(key).and_then(Json::as_f64).ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: missing number `{key}`"))
-        })
-    };
-    let count = |key: &str| {
-        value.get(key).and_then(Json::as_u64).ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: missing count `{key}`"))
-        })
-    };
-    let stats = |key: &str| {
-        value
-            .get(key)
-            .ok_or_else(|| ServiceError::MalformedSnapshot(format!("{context}: missing `{key}`")))
-            .and_then(|v| stats_from_json(v, &format!("{context} {key}")))
-    };
+fn ledger_from_json(ledger: &Reader) -> Result<RegretReport, ServiceError> {
     let mut report = RegretReport::empty();
-    report.rounds = count("rounds")? as usize;
-    report.cumulative_regret = number("cumulative_regret")?;
-    report.cumulative_market_value = number("cumulative_market_value")?;
-    report.cumulative_revenue = number("cumulative_revenue")?;
-    report.sales = count("sales")? as usize;
-    report.unsellable_rounds = count("unsellable_rounds")? as usize;
-    report.market_value_stats = stats("market_value_stats")?;
-    report.reserve_price_stats = stats("reserve_price_stats")?;
-    report.posted_price_stats = stats("posted_price_stats")?;
-    report.regret_stats = stats("regret_stats")?;
+    report.rounds = ledger.size("rounds")?;
+    report.cumulative_regret = ledger.number("cumulative_regret")?;
+    report.cumulative_market_value = ledger.number("cumulative_market_value")?;
+    report.cumulative_revenue = ledger.number("cumulative_revenue")?;
+    report.sales = ledger.size("sales")?;
+    report.unsellable_rounds = ledger.size("unsellable_rounds")?;
+    report.market_value_stats = stats_from_json(&ledger.object("market_value_stats")?)?;
+    report.reserve_price_stats = stats_from_json(&ledger.object("reserve_price_stats")?)?;
+    report.posted_price_stats = stats_from_json(&ledger.object("posted_price_stats")?)?;
+    report.regret_stats = stats_from_json(&ledger.object("regret_stats")?)?;
     Ok(report)
 }
 
@@ -708,86 +499,42 @@ pub(crate) fn cold_tenant_state(page: &[u8]) -> TenantState {
 }
 
 pub(crate) fn tenant_from_json(value: &Json) -> Result<TenantState, ServiceError> {
-    let id = value
-        .get("id")
-        .and_then(Json::as_str)
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(TenantId)
-        .ok_or_else(|| ServiceError::MalformedSnapshot("tenant: missing `id`".to_owned()))?;
-    let context = format!("{id}");
-    let dim = value
-        .get("dim")
-        .and_then(Json::as_u64)
-        .filter(|&d| d >= 1)
-        .ok_or_else(|| ServiceError::MalformedSnapshot(format!("{context}: missing `dim`")))?
-        as usize;
-    let pricing = pricing_from_json(
-        value.get("pricing").ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: missing `pricing`"))
-        })?,
-        &context,
-    )?;
-    let knowledge = value.get("knowledge").ok_or_else(|| {
-        ServiceError::MalformedSnapshot(format!("{context}: missing `knowledge`"))
-    })?;
-    let center = vector_from_json(
-        knowledge.get("center").ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: missing `center`"))
-        })?,
-        &format!("{context} center"),
-    )?;
-    let shape_values = vector_from_json(
-        knowledge.get("shape").ok_or_else(|| {
-            ServiceError::MalformedSnapshot(format!("{context}: missing `shape`"))
-        })?,
-        &format!("{context} shape"),
-    )?;
-    if center.len() != dim || shape_values.len() != dim * dim {
-        return Err(ServiceError::MalformedSnapshot(format!(
-            "{context}: knowledge dimensions do not match dim={dim}"
-        )));
-    }
-    let shape = Matrix::from_row_major(dim, dim, shape_values.into_vec()).map_err(|e| {
-        ServiceError::MalformedSnapshot(format!("{context}: bad shape matrix: {e}"))
-    })?;
-    let ellipsoid = Ellipsoid::new(center, shape).map_err(|e| {
-        ServiceError::MalformedSnapshot(format!("{context}: degenerate knowledge set: {e}"))
-    })?;
-    // The market kind arrived with schema v2; a v1 tenant is posted-price.
-    let (market, market_restore) = match value.get("market") {
-        Some(market) => market_from_json(market, &context)?,
+    let id = Reader::new(value, Label::Name("tenant"))
+        .read("id", "decimal string", |id| id.as_str()?.parse().ok())
+        .map(TenantId)?;
+    let tenant = Reader::new(value, Label::Tenant(id));
+    // The market kind arrived with schema v2 and the drift policy with v3;
+    // older tenants are static posted-price tenants.
+    let (market, market_restore) = match tenant.optional("market", Reader::object)? {
+        Some(market) => market_from_json(&market)?,
         None => (MarketKind::PostedPrice, MarketRestore::None),
     };
-    // Privacy parameters are checked before the tenant state is built: the
-    // compensation contract the ledger bank constructs would otherwise
-    // panic on a corrupted (non-positive) base or sensitivity.
-    if let MarketKind::Privacy(params) = market {
-        for (name, parameter) in [
-            ("epsilon_budget", params.epsilon_budget),
-            ("compensation_base", params.compensation_base),
-            ("compensation_sensitivity", params.compensation_sensitivity),
-            ("data_range", params.data_range),
-            ("laplace_scale", params.laplace_scale),
-        ] {
-            if !(parameter > 0.0 && parameter.is_finite()) {
-                return Err(ServiceError::MalformedSnapshot(format!(
-                    "{context}: privacy `{name}` must be positive and finite, got {parameter}"
-                )));
-            }
-        }
-    }
-    // The drift policy arrived with schema v3; older tenants are static.
-    let (drift, drift_restore) = match value.get("drift") {
-        Some(drift) => drift_from_json(drift, &context)?,
+    let (drift, drift_restore) = match tenant.optional("drift", Reader::object)? {
+        Some(drift) => drift_from_json(&drift)?,
         None => (DriftPolicy::Static, None),
     };
     let config = TenantConfig {
-        dim,
-        pricing,
+        dim: tenant.size("dim")?,
+        pricing: pricing_from_json(&tenant.object("pricing")?)?,
         market,
         drift,
     };
-    let engine = EllipsoidPricing::with_knowledge(LinearModel::new(dim), ellipsoid, pricing);
+    // The config check runs before anything is built from it: a drift
+    // restart rebuilds the ball from the radius inside a drain, and the
+    // ledger bank's compensation contract would panic on a bad parameter.
+    config.check().map_err(|reason| tenant.error(reason))?;
+    let dim = config.dim;
+    let knowledge = tenant.object("knowledge")?;
+    let center = knowledge.numbers("center")?;
+    let shape = knowledge.numbers("shape")?;
+    if center.len() != dim || dim.checked_mul(dim) != Some(shape.len()) {
+        return Err(tenant.error(format_args!("knowledge dimensions do not match dim={dim}")));
+    }
+    let shape = Matrix::from_row_major(dim, dim, shape)
+        .map_err(|e| tenant.error(format_args!("bad shape matrix: {e}")))?;
+    let ellipsoid = Ellipsoid::new(Vector::from_vec(center), shape)
+        .map_err(|e| tenant.error(format_args!("degenerate knowledge set: {e}")))?;
+    let engine = EllipsoidPricing::with_knowledge(LinearModel::new(dim), ellipsoid, config.pricing);
     let mut mechanism = DriftAwarePricing::wrap(engine, drift);
     if let Some(restore) = drift_restore {
         mechanism.restore_drift_state(restore.fires, restore.restarts, &restore.flags);
@@ -819,8 +566,8 @@ pub(crate) fn tenant_from_json(value: &Json) -> Result<TenantState, ServiceError
                 ("exhausted", restore.exhausted.len()),
             ] {
                 if column_len != dim {
-                    return Err(ServiceError::MalformedSnapshot(format!(
-                        "{context}: privacy `{name}` has {column_len} owners, expected dim={dim}"
+                    return Err(tenant.error(format_args!(
+                        "privacy `{name}` has {column_len} owners, expected dim={dim}"
                     )));
                 }
             }
@@ -844,33 +591,89 @@ pub(crate) fn tenant_from_json(value: &Json) -> Result<TenantState, ServiceError
     // The regret/revenue ledger keeps `tenant_report` consistent with the
     // restored shard metrics.  Optional so hand-written minimal snapshots
     // (and any pre-ledger documents) restore with a fresh ledger.
-    if let Some(ledger) = value.get("ledger") {
-        let report = ledger_from_json(ledger, &format!("{context} ledger"))?;
-        state.session.restore_ledger(&report);
+    if let Some(ledger) = tenant.optional("ledger", Reader::object)? {
+        state.session.restore_ledger(&ledger_from_json(&ledger)?);
     }
     // Exact session-level totals, which also cover production (accept-only)
     // rounds the ledger cannot see.  Optional like the ledger; when absent
     // the ledger-derived counters above stand.
-    if let Some(session) = value.get("session") {
-        let scontext = format!("{context} session");
-        let count = |key: &str| {
-            session.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                ServiceError::MalformedSnapshot(format!("{scontext}: missing count `{key}`"))
-            })
-        };
-        let number = |key: &str| {
-            session.get(key).and_then(Json::as_f64).ok_or_else(|| {
-                ServiceError::MalformedSnapshot(format!("{scontext}: missing number `{key}`"))
-            })
-        };
+    if let Some(session) = tenant.optional("session", Reader::object)? {
         state.session.restore_counters(
-            count("rounds_closed")?,
-            count("sales")?,
-            number("revenue")?,
-            number("regret_proxy")?,
+            session.count("rounds_closed")?,
+            session.count("sales")?,
+            session.number("revenue")?,
+            session.number("regret_proxy")?,
         );
     }
     Ok(state)
+}
+
+/// What a full snapshot and a WAL segment both carry, read past the
+/// schema-version gate: tenant documents and one metric ledger per shard.
+pub(crate) struct Persisted<'a, 'p> {
+    doc: &'p Reader<'a, 'p>,
+    tenants: &'a [Json],
+    ledgers: &'a [Json],
+}
+
+impl<'a, 'p> Persisted<'a, 'p> {
+    /// Reads the parts of `doc` after the schema-version gate.
+    pub(crate) fn read(doc: &'p Reader<'a, 'p>) -> Result<Self, ServiceError> {
+        let version = doc.count("schema_version")?;
+        if version > SNAPSHOT_SCHEMA_VERSION {
+            return Err(doc.error(format_args!(
+                "schema v{version} is newer than this build's v{SNAPSHOT_SCHEMA_VERSION}"
+            )));
+        }
+        Ok(Self {
+            doc,
+            tenants: doc.array("tenants")?,
+            ledgers: doc.array("metrics")?,
+        })
+    }
+
+    /// Checks there is one metric ledger per shard.  A restore runs this
+    /// before it allocates the shards a hostile header may claim.
+    fn check_shards(&self, shards: usize) -> Result<(), ServiceError> {
+        if self.ledgers.len() == shards {
+            return Ok(());
+        }
+        Err(self.doc.error(format_args!(
+            "expected {shards} metric ledgers, found {}",
+            self.ledgers.len()
+        )))
+    }
+
+    /// Registers every tenant (or, on `replay`, replaces it last-record-wins),
+    /// installs the shard ledgers, and starts the WAL clean: the service is
+    /// now in sync with the document it was rebuilt from.
+    pub(crate) fn apply(
+        &self,
+        service: &mut MarketService,
+        replay: bool,
+    ) -> Result<(), ServiceError> {
+        self.check_shards(service.shard_count())?;
+        for tenant in self.tenants {
+            let state = tenant_from_json(tenant)?;
+            if replay {
+                service.apply_wal_record(state);
+            } else {
+                service
+                    .register_state(state)
+                    .map_err(|err| self.doc.error(err))?;
+            }
+        }
+        for (index, (ledger, shard)) in self.ledgers.iter().zip(service.shards()).enumerate() {
+            let ledger = self
+                .doc
+                .child(ledger, Label::Numbered("shard", index as u64));
+            let metrics = metrics_from_json(&ledger)?;
+            let mut shard = sync::lock(shard, "shard");
+            shard.metrics = metrics;
+            shard.clear_dirty();
+        }
+        Ok(())
+    }
 }
 
 impl MarketService {
@@ -945,109 +748,30 @@ impl MarketService {
     /// [`MarketService::snapshot`].
     ///
     /// # Errors
-    /// [`ServiceError::MalformedSnapshot`] when the document does not match
-    /// the schema or encodes a degenerate knowledge set.
+    /// [`ServiceError::MalformedSnapshot`] — the one error a restore
+    /// returns — when the document does not match the schema, its header
+    /// fails [`ServiceConfig::validate`], a tenant config fails its check,
+    /// or a knowledge set is degenerate.
     pub fn restore(snapshot: &Json) -> Result<Self, ServiceError> {
-        let version = snapshot
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| {
-                ServiceError::MalformedSnapshot("missing `schema_version`".to_owned())
-            })?;
-        if version > SNAPSHOT_SCHEMA_VERSION {
-            return Err(ServiceError::MalformedSnapshot(format!(
-                "snapshot schema v{version} is newer than this build's v{SNAPSHOT_SCHEMA_VERSION}"
-            )));
-        }
-        let shards = snapshot
-            .get("shards")
-            .and_then(Json::as_u64)
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| ServiceError::MalformedSnapshot("missing `shards`".to_owned()))?
-            as usize;
-        let queue_capacity = snapshot
-            .get("queue_capacity")
-            .and_then(Json::as_u64)
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| ServiceError::MalformedSnapshot("missing `queue_capacity`".to_owned()))?
-            as usize;
-        // The paging knobs arrived with schema v4; older documents (and v4
-        // documents from services with paging off) carry `null` or nothing.
-        let optional_size = |key: &str| -> Result<Option<usize>, ServiceError> {
-            match snapshot.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(value) => value
-                    .as_u64()
-                    .filter(|&n| n >= 1)
-                    .map(|n| Some(n as usize))
-                    .ok_or_else(|| {
-                        ServiceError::MalformedSnapshot(format!("bad `{key}`: {value:?}"))
-                    }),
-            }
+        let doc = Reader::new(snapshot, Label::Name("snapshot"));
+        let persisted = Persisted::read(&doc)?;
+        // The paging knobs arrived with schema v4 and the privacy knobs with
+        // v5; older documents carry neither, and a service with a knob unset
+        // writes `null` (or `false` for the paging flag).
+        let config = ServiceConfig {
+            shards: doc.size("shards")?,
+            queue_capacity: doc.size("queue_capacity")?,
+            resident_capacity: doc.optional("resident_capacity", Reader::size)?,
+            wal_segment_size: doc.optional("wal_segment_size", Reader::size)?,
+            privacy_budget: doc.optional("privacy_budget", Reader::number)?,
+            compensation_base: doc.optional("compensation_base", Reader::number)?,
+            ledger_paging: doc
+                .optional("ledger_paging", Reader::flag)?
+                .unwrap_or(false),
         };
-        let resident_capacity = optional_size("resident_capacity")?;
-        let wal_segment_size = optional_size("wal_segment_size")?;
-        // The privacy knobs arrived with schema v5; older documents carry
-        // neither key, and a v5 service with the knobs unset writes `null`
-        // (numbers) or `false` (the paging flag).
-        let optional_number = |key: &str| -> Result<Option<f64>, ServiceError> {
-            match snapshot.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(value) => value.as_f64().map(Some).ok_or_else(|| {
-                    ServiceError::MalformedSnapshot(format!("bad `{key}`: {value:?}"))
-                }),
-            }
-        };
-        let privacy_budget = optional_number("privacy_budget")?;
-        let compensation_base = optional_number("compensation_base")?;
-        let ledger_paging = match snapshot.get("ledger_paging") {
-            None => false,
-            Some(Json::Bool(flag)) => *flag,
-            Some(other) => {
-                return Err(ServiceError::MalformedSnapshot(format!(
-                    "bad `ledger_paging`: {other:?}"
-                )))
-            }
-        };
-        // The sizing was validated above (counts >= 1, optional knobs >= 1
-        // when present), so construction can only fail on the knob pairing
-        // rule; `?` keeps the error path honest.
-        let mut service = MarketService::new(ServiceConfig {
-            shards,
-            queue_capacity,
-            resident_capacity,
-            wal_segment_size,
-            privacy_budget,
-            compensation_base,
-            ledger_paging,
-        })?;
-        let tenants = snapshot
-            .get("tenants")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ServiceError::MalformedSnapshot("missing `tenants`".to_owned()))?;
-        for tenant in tenants {
-            let state = tenant_from_json(tenant)?;
-            service.register_state(state)?;
-        }
-        let metrics = snapshot
-            .get("metrics")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ServiceError::MalformedSnapshot("missing `metrics`".to_owned()))?;
-        if metrics.len() != shards {
-            return Err(ServiceError::MalformedSnapshot(format!(
-                "expected {shards} metric ledgers, found {}",
-                metrics.len()
-            )));
-        }
-        for (index, ledger) in metrics.iter().enumerate() {
-            let restored = metrics_from_json(ledger, &format!("shard {index}"))?;
-            sync::lock(&service.shards()[index], "shard").metrics = restored;
-        }
-        // Registration marked every tenant dirty; a freshly restored service
-        // is by definition in sync with its snapshot, so the WAL starts clean.
-        for shard in service.shards() {
-            sync::lock(shard, "shard").clear_dirty();
-        }
+        persisted.check_shards(config.shards)?;
+        let mut service = MarketService::new(config).map_err(|err| doc.error(err))?;
+        persisted.apply(&mut service, false)?;
         Ok(service)
     }
 }
@@ -1311,6 +1035,37 @@ mod tests {
         }
     }
 
+    #[test]
+    fn hostile_headers_are_malformed_before_the_shards_are_built() {
+        let text = fresh_service(&[TenantId(1)]).snapshot().unwrap().render();
+        for (from, to, says) in [
+            // One metric ledger per claimed shard is checked before the
+            // shards are allocated: 10^15 shards used to abort the process.
+            (
+                "\"shards\":3",
+                "\"shards\":1e15",
+                "expected 1000000000000000 metric ledgers, found 3",
+            ),
+            // A header `ServiceConfig::validate` refuses is malformed too.
+            (
+                "\"queue_capacity\":32",
+                "\"queue_capacity\":0",
+                "`queue_capacity` must be at least 1",
+            ),
+            (
+                "\"privacy_budget\":null",
+                "\"privacy_budget\":-1",
+                "`privacy_budget` must be positive",
+            ),
+        ] {
+            assert!(text.contains(from), "{from}");
+            let corrupt = Json::parse(&text.replace(from, to)).unwrap();
+            let err = MarketService::restore(&corrupt).unwrap_err();
+            assert!(matches!(err, ServiceError::MalformedSnapshot(_)), "{err}");
+            assert!(err.to_string().contains(says), "{err}");
+        }
+    }
+
     /// Replaces (`Some`) or removes (`None`) one key of a ledger object.
     fn set_key(ledger: &mut Json, key: &str, value: Option<Json>) {
         let Json::Obj(pairs) = ledger else {
@@ -1322,7 +1077,8 @@ mod tests {
 
     #[test]
     fn the_ledger_parser_accepts_exactly_the_documented_shapes() {
-        let message = |doc: &Json| match metrics_from_json(doc, "shard 0") {
+        let read = |doc: &Json| metrics_from_json(&Reader::new(doc, Label::Numbered("shard", 0)));
+        let message = |doc: &Json| match read(doc) {
             Err(ServiceError::MalformedSnapshot(message)) => message,
             other => panic!("expected a malformed ledger, got {other:?}"),
         };
@@ -1335,7 +1091,7 @@ mod tests {
         ledger.auction.auctions = 6;
         ledger.auction.welfare = 1.5;
         let doc = metrics_json(&ledger);
-        let parsed = metrics_from_json(&doc, "shard 0").unwrap();
+        let parsed = read(&doc).unwrap();
         assert_eq!(metrics_json(&parsed), doc);
 
         // A v1 key is required.
@@ -1359,7 +1115,7 @@ mod tests {
         for key in later {
             set_key(&mut old, key, None);
         }
-        let parsed = metrics_json(&metrics_from_json(&old, "shard 0").unwrap());
+        let parsed = metrics_json(&read(&old).unwrap());
         for key in later {
             assert_eq!(parsed.get(key), Some(&Json::Num(0.0)), "{key}");
         }
@@ -1382,7 +1138,7 @@ mod tests {
         // No auction object reads as an empty auction ledger.
         let mut v1 = doc.clone();
         set_key(&mut v1, "auction", None);
-        let parsed = metrics_json(&metrics_from_json(&v1, "shard 0").unwrap());
+        let parsed = metrics_json(&read(&v1).unwrap());
         assert_eq!(
             parsed.get("auction"),
             metrics_json(&ShardMetrics::new()).get("auction")

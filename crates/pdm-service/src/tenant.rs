@@ -26,6 +26,7 @@ use crate::routing::TenantId;
 use pdm_auction::{
     run_auction_round, ClearedRound, EmpiricalConfig, EmpiricalReserve, StaticReserve,
 };
+use pdm_ellipsoid::Ellipsoid;
 use pdm_linalg::Vector;
 use pdm_pricing::prelude::{
     DriftAwarePricing, DriftPolicy, LinearModel, PricingConfig, PricingSession, SimulationOptions,
@@ -208,6 +209,41 @@ impl TenantConfig {
     pub fn with_drift(mut self, drift: DriftPolicy) -> Self {
         self.drift = drift;
         self
+    }
+
+    /// Checks what building the tenant would otherwise panic on: a zero
+    /// dimension, an initial radius that is not positive with a finite
+    /// square (a drift restart rebuilds the ball from it inside a drain),
+    /// and a privacy parameter that is not positive and finite (the
+    /// compensation contract panics on one).  Registration reports the
+    /// reason as [`crate::ServiceError::InvalidConfig`], a restore as
+    /// [`crate::ServiceError::MalformedSnapshot`].
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if self.dim == 0 {
+            return Err("`dim` must be at least 1".to_owned());
+        }
+        let radius = self.pricing.initial_radius;
+        if !Ellipsoid::is_usable_radius(radius) {
+            return Err(format!(
+                "`initial_radius` must be positive with a finite square, got {radius}"
+            ));
+        }
+        if let MarketKind::Privacy(params) = self.market {
+            for (name, value) in [
+                ("epsilon_budget", params.epsilon_budget),
+                ("compensation_base", params.compensation_base),
+                ("compensation_sensitivity", params.compensation_sensitivity),
+                ("data_range", params.data_range),
+                ("laplace_scale", params.laplace_scale),
+            ] {
+                if !(value > 0.0 && value.is_finite()) {
+                    return Err(format!(
+                        "privacy `{name}` must be positive and finite, got {value}"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 }
 

@@ -32,9 +32,10 @@ use std::time::Instant;
 use pdm_linalg::Json;
 
 use crate::api::ServiceError;
+use crate::reader::{Label, Reader};
 use crate::routing::TenantId;
 use crate::service::MarketService;
-use crate::snapshot::{metrics_from_json, metrics_json, tenant_from_json, SNAPSHOT_SCHEMA_VERSION};
+use crate::snapshot::{metrics_json, Persisted, SNAPSHOT_SCHEMA_VERSION};
 use crate::sync;
 
 /// The `kind` discriminator carried by every WAL segment document, so a
@@ -128,90 +129,38 @@ impl MarketService {
     /// original.
     ///
     /// # Errors
-    /// [`ServiceError::MalformedSnapshot`] when the base document or any
-    /// segment does not match the schema, segments are out of order, or a
-    /// segment's metric ledgers do not match the shard count.
+    /// [`ServiceError::MalformedSnapshot`] — the one error a restore
+    /// returns — when the base document or any segment does not match the
+    /// schema, segments are out of order, or a segment's metric ledgers do
+    /// not match the shard count.
     pub fn restore_with_wal(base: &Json, segments: &[Json]) -> Result<Self, ServiceError> {
         // pdm-lint: allow(no-ambient-clock) reason="wall-clock latency span; wall histograms are documented non-deterministic and excluded from the determinism fingerprint"
         let started = Instant::now();
         let mut service = MarketService::restore(base)?;
-        let shards = service.shard_count();
         let mut last_segment: Option<u64> = None;
         for segment in segments {
-            let kind = segment.get("kind").and_then(Json::as_str);
-            if kind != Some(WAL_SEGMENT_KIND) {
-                return Err(ServiceError::MalformedSnapshot(format!(
-                    "WAL segment: expected kind `{WAL_SEGMENT_KIND}`, found {kind:?}"
+            let unnumbered = Reader::new(segment, Label::Name("WAL segment"));
+            let kind = unnumbered.string("kind")?;
+            if kind != WAL_SEGMENT_KIND {
+                return Err(unnumbered.error(format_args!(
+                    "expected kind `{WAL_SEGMENT_KIND}`, found `{kind}`"
                 )));
             }
-            let version = segment
-                .get("schema_version")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| {
-                    ServiceError::MalformedSnapshot(
-                        "WAL segment: missing `schema_version`".to_owned(),
-                    )
-                })?;
-            if version > SNAPSHOT_SCHEMA_VERSION {
-                return Err(ServiceError::MalformedSnapshot(format!(
-                    "WAL segment schema v{version} is newer than this build's \
-                     v{SNAPSHOT_SCHEMA_VERSION}"
-                )));
-            }
-            let number = segment
-                .get("segment")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| {
-                    ServiceError::MalformedSnapshot("WAL segment: missing `segment`".to_owned())
-                })?;
-            if last_segment.is_some_and(|prev| number <= prev) {
-                return Err(ServiceError::MalformedSnapshot(format!(
-                    "WAL segment {number} arrived after segment {}: replay must be in \
-                     ascending order",
-                    last_segment.unwrap_or(0)
+            let number = unnumbered.count("segment")?;
+            let doc = Reader::new(segment, Label::Numbered("WAL segment", number));
+            if let Some(previous) = last_segment.filter(|&previous| number <= previous) {
+                return Err(doc.error(format_args!(
+                    "arrived after segment {previous}: replay must be in ascending order"
                 )));
             }
             last_segment = Some(number);
-            let tenants = segment
-                .get("tenants")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| {
-                    ServiceError::MalformedSnapshot(format!(
-                        "WAL segment {number}: missing `tenants`"
-                    ))
-                })?;
-            for record in tenants {
-                let state = tenant_from_json(record)?;
-                service.apply_wal_record(state);
-            }
-            let metrics = segment
-                .get("metrics")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| {
-                    ServiceError::MalformedSnapshot(format!(
-                        "WAL segment {number}: missing `metrics`"
-                    ))
-                })?;
-            if metrics.len() != shards {
-                return Err(ServiceError::MalformedSnapshot(format!(
-                    "WAL segment {number}: expected {shards} metric ledgers, found {}",
-                    metrics.len()
-                )));
-            }
-            for (index, ledger) in metrics.iter().enumerate() {
-                let restored =
-                    metrics_from_json(ledger, &format!("WAL segment {number} shard {index}"))?;
-                sync::lock(&service.shards()[index], "shard").metrics = restored;
-            }
+            Persisted::read(&doc)?.apply(&mut service, true)?;
         }
-        // Replay marked replaced tenants dirty; the restored service is in
-        // sync with the stream it was rebuilt from, so the WAL starts clean
-        // and numbering continues after the last replayed segment.
-        for shard in service.shards() {
-            sync::lock(shard, "shard").clear_dirty();
-        }
+        // Numbering continues after the last replayed segment.
         if let Some(last) = last_segment {
-            service.wal_segments.store(last + 1, Ordering::Relaxed);
+            service
+                .wal_segments
+                .store(last.saturating_add(1), Ordering::Relaxed);
         }
         {
             // The restored service's registry starts fresh (observability

@@ -607,6 +607,84 @@ fn checked_in_v4_snapshot_restores_under_schema_v5() {
     assert_eq!(again.snapshot().unwrap().render_pretty(), rendered);
 }
 
+/// The v5 fixture was written by the schema-v5 service before its reader
+/// was rebuilt: two shards with every header knob set, and five dim-2
+/// tenants after 40 waves — posted tenants under the static (1), restart
+/// (2, one firing) and discounted (3) drift policies, an empirical auction
+/// tenant (4), and a privacy tenant (5) with one owner exhausted.
+#[test]
+fn checked_in_v5_snapshot_restores_byte_identically_and_serves() {
+    let fixture = include_str!("fixtures/snapshot_v5.json");
+    let mut restored =
+        MarketService::restore(&Json::parse(fixture).unwrap()).expect("v5 fixture restores");
+    assert_eq!(restored.tenant_count(), 5);
+    let config = restored.config();
+    assert_eq!(config.resident_capacity, Some(4));
+    assert_eq!(config.wal_segment_size, Some(8));
+    assert_eq!(config.privacy_budget, Some(8.0));
+    assert_eq!(config.compensation_base, Some(0.02));
+    assert!(config.ledger_paging);
+    let metrics = restored.aggregate_metrics();
+    assert_eq!(metrics.quotes_served, 126);
+    assert_eq!(metrics.auction.auctions, 40);
+    assert_eq!(metrics.drift_fires, 1);
+    assert_eq!(metrics.drift_restarts, 1);
+    assert_eq!(metrics.owners_exhausted, 1);
+    assert_eq!(
+        metrics.epsilon_spent.to_bits(),
+        5.023921656637743f64.to_bits()
+    );
+    // The restored service writes the document it was restored from.
+    assert!(
+        restored.snapshot().unwrap().render_pretty() == fixture,
+        "the v5 fixture must re-render byte-identically"
+    );
+    // And it serves one more round on every tenant; the privacy query
+    // leaks only from owner 0, whose budget has room for it.
+    for (id, features) in [
+        (1u64, [0.6, 0.8]),
+        (2, [0.6, 0.8]),
+        (3, [0.6, 0.8]),
+        (5, [0.1, 0.0]),
+    ] {
+        restored
+            .ingest(Request::Quote(QueryRequest {
+                tenant: TenantId(id),
+                features: Vector::from_slice(&features),
+                reserve_price: 0.1,
+            }))
+            .expect("v5 posted and privacy tenants are registered");
+    }
+    restored
+        .ingest(Request::Auction(AuctionRequest {
+            tenant: TenantId(4),
+            features: Vector::from_slice(&[0.8, 0.6]),
+            floor: 0.2,
+            bids: vec![0.9, 0.3],
+        }))
+        .expect("v5 auction tenant is registered");
+    let responses = restored.drain(2);
+    assert_eq!(responses.len(), 5);
+    for response in &responses {
+        match &response.payload {
+            Payload::Quoted(quote) => {
+                assert!(quote.posted_price.is_finite());
+                restored
+                    .ingest(Request::Observe(OutcomeReport {
+                        tenant: response.tenant,
+                        accepted: true,
+                        market_value: None,
+                    }))
+                    .unwrap();
+            }
+            Payload::Cleared(cleared) => assert!(cleared.reserve >= 0.2),
+            other => panic!("{} got {other:?}", response.tenant),
+        }
+    }
+    restored.drain(2);
+    assert_eq!(restored.aggregate_metrics().observations, 130);
+}
+
 /// Three privacy tenants whose owners run out of ε budget mid-test.
 fn privacy_service() -> MarketService {
     let mut service = MarketService::new(ServiceConfig {
