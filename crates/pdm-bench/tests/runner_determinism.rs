@@ -401,7 +401,7 @@ struct ReplayRound {
 }
 
 /// A 512-round seeded serve workload over 8 tenants: the first half arrives
-/// in long per-tenant blocks (maximal same-tenant runs for `serve_batch`),
+/// in long per-tenant blocks (maximal same-tenant runs for the shard),
 /// the second half in round-robin waves (runs of length ≲ 2).
 fn replay_workload() -> Vec<Vec<ReplayRound>> {
     let tenants = 8;
@@ -512,7 +512,7 @@ fn run_replay(drain_every: usize) -> (Vec<(u64, Payload)>, MarketService) {
 fn batched_drain_replays_one_at_a_time_bit_identically() {
     // The differential replay behind the batched-drain rework: the same
     // 512-round seeded workload driven through bulk drains (maximal
-    // same-tenant runs handed to `serve_batch`) and through one-at-a-time
+    // same-tenant runs served in place by the shard) and through one-at-a-time
     // submit→drain (the pre-batching dispatch) must produce the same
     // response for every sequence number, byte-identical snapshots, and
     // identical deterministic metrics fingerprints.

@@ -15,6 +15,10 @@ use pdm_linalg::logbucket::{bucket_index, quantile_rank, BUCKETS, UPPER_EDGES};
 /// fixed base-2^(1/4) grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
+    /// Counts of the grid's buckets up to the highest non-empty one: a
+    /// histogram grows only as far as its observations reach, so a stage a
+    /// workload never records costs no bucket array.  The last entry is
+    /// never zero, so equal histograms have equal vectors.
     counts: Vec<u64>,
     total: u64,
     /// Sum of raw observed values; `u128` so pathological inputs cannot
@@ -33,7 +37,7 @@ impl LogHistogram {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            counts: vec![0; BUCKETS],
+            counts: Vec::new(),
             total: 0,
             sum: 0,
         }
@@ -49,7 +53,11 @@ impl LogHistogram {
         if n == 0 {
             return;
         }
-        self.counts[bucket_index(value)] += n;
+        let bucket = bucket_index(value);
+        if bucket >= self.counts.len() {
+            self.counts.resize(bucket + 1, 0);
+        }
+        self.counts[bucket] += n;
         self.total += n;
         self.sum += u128::from(value) * u128::from(n);
     }
@@ -57,6 +65,9 @@ impl LogHistogram {
     /// Adds another histogram's counts into this one — an exact integer
     /// fold over the shared grid.
     pub fn merge(&mut self, other: &Self) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += theirs;
         }
@@ -96,12 +107,6 @@ impl LogHistogram {
         } else {
             self.sum as f64 / self.total as f64
         }
-    }
-
-    /// The per-bucket counts over the full grid.
-    #[must_use]
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
     }
 
     /// `(upper_edge, count)` for every non-empty bucket, in edge order.
@@ -169,6 +174,35 @@ mod tests {
         assert!(p99 >= p50);
         assert!(h.quantile(0.0).unwrap() <= h.quantile(1.0).unwrap());
         assert!(LogHistogram::new().quantile(0.5).is_none());
+    }
+
+    #[test]
+    fn buckets_grow_only_as_far_as_the_observations_reach() {
+        let empty = LogHistogram::new();
+        assert_eq!(
+            empty.counts.capacity(),
+            0,
+            "an unused stage allocates nothing"
+        );
+        let mut low = LogHistogram::new();
+        low.record(3);
+        let mut high = LogHistogram::new();
+        high.record(1 << 40);
+        assert!(low.counts.len() < high.counts.len());
+        assert!(high.counts.len() <= BUCKETS);
+        // Merging either way round yields the histogram recorded directly.
+        let mut direct = LogHistogram::new();
+        direct.record(3);
+        direct.record(1 << 40);
+        let mut up = low.clone();
+        up.merge(&high);
+        let mut down = high.clone();
+        down.merge(&low);
+        assert_eq!(up, direct);
+        assert_eq!(down, direct);
+        let mut with_empty = low.clone();
+        with_empty.merge(&empty);
+        assert_eq!(with_empty, low);
     }
 
     #[test]

@@ -93,9 +93,7 @@ pub mod prelude {
     };
     pub use crate::regret::{single_round_regret, RegretReport, RegretTracker};
     pub use crate::reserve::{ReserveFeedback, ReserveSetter};
-    pub use crate::session::{
-        BatchRequest, BatchResponse, ObservedRound, PricingSession, StepOutcome,
-    };
+    pub use crate::session::{ObservedRound, PricingSession, StepOutcome};
     pub use crate::simulation::{Simulation, SimulationOptions, SimulationOutcome, TraceSample};
     pub use crate::uncertainty::{NoiseModel, UncertaintyBudget};
 }

@@ -172,24 +172,6 @@ impl<M: MarketValueModel, K: KnowledgeSet> ContextualPricing<M, K> {
         self.knowledge.support_bounds(&mapped)
     }
 
-    /// Batched quoting: prices every `(features, reserve_price)` request in
-    /// order, appending one [`Quote`] per request to `out`.
-    ///
-    /// Semantically identical to calling [`PostedPriceMechanism::quote`] once
-    /// per request — quotes, counters, and the scratch cache evolve
-    /// bit-for-bit the same — but lets callers that drain request queues
-    /// (the sharded serving engine) amortise dispatch over a whole batch.
-    /// `out` is *appended to*, not cleared, so a caller can accumulate
-    /// several batches into one buffer.
-    pub fn step_many<'a, I>(&mut self, requests: I, out: &mut Vec<Quote>)
-    where
-        I: IntoIterator<Item = (&'a Vector, f64)>,
-    {
-        for (features, reserve_price) in requests {
-            out.push(self.quote(features, reserve_price));
-        }
-    }
-
     /// The link-space reserve price used for a market-space reserve.
     fn reserve_link(&self, reserve_price: f64) -> f64 {
         if self.config.use_reserve {

@@ -90,33 +90,6 @@ pub struct ObservedRound {
     pub uncertainty_width: f64,
 }
 
-/// One request of a [`PricingSession::serve_batch`] call: either open a round
-/// (quote) or close the open one (observe).
-#[derive(Debug, Clone, Copy)]
-pub enum BatchRequest<'a> {
-    /// Quote a price for a query, opening a round
-    /// ([`PricingSession::step`]).
-    Quote {
-        /// The arriving query's feature vector.
-        features: &'a Vector,
-        /// The data owner's reserve price for this query.
-        reserve_price: f64,
-    },
-    /// Close the open round with the buyer's decision
-    /// ([`PricingSession::observe`]).
-    Observe(StepOutcome),
-}
-
-/// The response to one [`BatchRequest`], in request order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BatchResponse {
-    /// The quote issued for a [`BatchRequest::Quote`].
-    Quoted(Quote),
-    /// The round record for a [`BatchRequest::Observe`] (`None` when no
-    /// round was open and the feedback was dropped).
-    Observed(Option<ObservedRound>),
-}
-
 /// A round that has been quoted but not yet observed.
 #[derive(Debug, Clone)]
 struct PendingStep {
@@ -356,29 +329,6 @@ impl<M: PostedPriceMechanism> PricingSession<M> {
             regret,
             uncertainty_width: width,
         })
-    }
-
-    /// Drains a batch of interleaved quote/observe requests in order,
-    /// appending one [`BatchResponse`] per request to `out`.
-    ///
-    /// Semantically identical to calling [`PricingSession::step`] /
-    /// [`PricingSession::observe`] once per request — every counter, ledger
-    /// entry, and quote evolves bit-for-bit the same — but lets a queue
-    ///-draining driver (the sharded serving engine) hand a whole same-tenant
-    /// run to the session at once.  `out` is appended to, not cleared.
-    pub fn serve_batch<'a, I>(&mut self, requests: I, out: &mut Vec<BatchResponse>)
-    where
-        I: IntoIterator<Item = BatchRequest<'a>>,
-    {
-        for request in requests {
-            out.push(match request {
-                BatchRequest::Quote {
-                    features,
-                    reserve_price,
-                } => BatchResponse::Quoted(self.step(features, reserve_price)),
-                BatchRequest::Observe(outcome) => BatchResponse::Observed(self.observe(outcome)),
-            });
-        }
     }
 
     /// The mechanism being driven.

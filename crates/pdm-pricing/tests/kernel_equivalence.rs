@@ -2,20 +2,18 @@
 //! allocating reference implementations, bit for bit.
 //!
 //! The quote→observe hot path was reworked around scratch-buffer kernels
-//! (`support_bounds_mut`, the sign-threaded cut update, `step_many`,
-//! `serve_batch`).  Each test here re-implements the *pre-refactor*
-//! formulation — allocating matvecs, materialised negated directions, the
-//! three-step rank-one/scale/symmetrize shape update, one-at-a-time
-//! step/observe — and drives both formulations over seeded random inputs,
+//! (`support_bounds_mut`, the sign-threaded cut update).  Each test here
+//! re-implements the *pre-refactor* formulation — allocating matvecs,
+//! materialised negated directions, the three-step rank-one/scale/symmetrize
+//! shape update — and drives both formulations over seeded random inputs,
 //! asserting that every quote, cut, counter, and knowledge-set coordinate
 //! carries the exact same `f64` bit pattern.
 
 use pdm_ellipsoid::{Cut, CutOutcome, Ellipsoid, KnowledgeSet};
 use pdm_linalg::{sampling, Matrix, Vector};
 use pdm_pricing::prelude::{
-    BatchRequest, BatchResponse, EllipsoidPricing, LinearModel, LogLinearModel, MarketValueModel,
-    ObservedRound, PostedPriceMechanism, PricingConfig, PricingSession, Quote, QuoteKind,
-    SimulationOptions, StepOutcome,
+    EllipsoidPricing, LinearModel, LogLinearModel, MarketValueModel, PostedPriceMechanism,
+    PricingConfig, Quote, QuoteKind,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -396,100 +394,6 @@ proptest! {
             assert_ellipsoid_bits(mech.knowledge(), &manual, "post-observe knowledge");
         }
     }
-
-    #[test]
-    fn step_many_matches_sequential_quotes_bitwise(
-        dim in 1usize..6,
-        batch in 1usize..24,
-        seed in 0u64..1_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let config = PricingConfig::new(1.0, 128).with_reserve(true);
-        let mut batched = mechanism(dim, config);
-        let mut sequential = batched.clone();
-        let requests: Vec<(Vector, f64)> = (0..batch)
-            .map(|_| {
-                (
-                    sampling::uniform_vector(&mut rng, dim, -1.0, 1.0),
-                    sampling::uniform(&mut rng, 0.0, 1.0),
-                )
-            })
-            .collect();
-
-        let mut batch_quotes = Vec::new();
-        batched.step_many(
-            requests.iter().map(|(f, r)| (f, *r)),
-            &mut batch_quotes,
-        );
-        let loop_quotes: Vec<Quote> = requests
-            .iter()
-            .map(|(f, r)| sequential.quote(f, *r))
-            .collect();
-
-        prop_assert_eq!(batch_quotes.len(), loop_quotes.len());
-        for (i, (a, e)) in batch_quotes.iter().zip(&loop_quotes).enumerate() {
-            assert_quote_bits(a, e, &format!("quote {i}"));
-        }
-        prop_assert_eq!(batched.exploratory_rounds(), sequential.exploratory_rounds());
-        prop_assert_eq!(batched.conservative_rounds(), sequential.conservative_rounds());
-        prop_assert_eq!(batched.certain_no_sale_rounds(), sequential.certain_no_sale_rounds());
-        assert_ellipsoid_bits(batched.knowledge(), sequential.knowledge(), "knowledge");
-    }
-
-    #[test]
-    fn serve_batch_matches_step_observe_bitwise(
-        dim in 1usize..5,
-        rounds in 1usize..32,
-        seed in 0u64..1_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let config = PricingConfig::new(1.5, 256).with_reserve(true);
-        let options = SimulationOptions::default();
-        let mut batched = PricingSession::new(mechanism(dim, config), 256, options)
-            .without_latency_tracking();
-        let mut serial = batched.clone();
-
-        let mut requests: Vec<(Vector, f64, StepOutcome)> = Vec::new();
-        for _ in 0..rounds {
-            let features = sampling::uniform_vector(&mut rng, dim, -1.0, 1.0);
-            let reserve = sampling::uniform(&mut rng, 0.0, 1.0);
-            let accepted = sampling::uniform(&mut rng, 0.0, 1.0) < 0.5;
-            let value = sampling::uniform(&mut rng, -1.0, 1.5);
-            requests.push((features, reserve, StepOutcome::with_value(accepted, value)));
-        }
-
-        let mut responses = Vec::new();
-        batched.serve_batch(
-            requests.iter().flat_map(|(features, reserve, outcome)| {
-                [
-                    BatchRequest::Quote { features, reserve_price: *reserve },
-                    BatchRequest::Observe(*outcome),
-                ]
-            }),
-            &mut responses,
-        );
-
-        for (i, (features, reserve, outcome)) in requests.iter().enumerate() {
-            let quote = serial.step(features, *reserve);
-            let record = serial.observe(*outcome);
-            match &responses[2 * i] {
-                BatchResponse::Quoted(batch_quote) => {
-                    assert_quote_bits(batch_quote, &quote, &format!("round {i} quote"));
-                }
-                other => prop_assert!(false, "round {} expected a quote, got {:?}", i, other),
-            }
-            prop_assert_eq!(&responses[2 * i + 1], &BatchResponse::Observed(record));
-        }
-        prop_assert_eq!(batched.rounds_closed(), serial.rounds_closed());
-        prop_assert_eq!(batched.sales(), serial.sales());
-        prop_assert_eq!(batched.revenue().to_bits(), serial.revenue().to_bits());
-        prop_assert_eq!(batched.regret_proxy().to_bits(), serial.regret_proxy().to_bits());
-        assert_ellipsoid_bits(
-            batched.mechanism().knowledge(),
-            serial.mechanism().knowledge(),
-            "session knowledge",
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -643,176 +547,4 @@ fn observe_with_different_features_remaps_like_the_reference() {
     );
     mech.observe(&observed, &quote, true);
     assert_ellipsoid_bits(mech.knowledge(), &manual, "cross-feature observe");
-}
-
-// ---------------------------------------------------------------------------
-// The 512-round batched replay differential
-// ---------------------------------------------------------------------------
-
-/// Drives 512 seeded rounds through `serve_batch` in ragged chunks and
-/// through one-at-a-time `step`/`observe`, then compares every response and
-/// the complete final session state at the bit level.
-#[test]
-fn serve_batch_512_round_replay_is_bit_identical() {
-    let dim = 4;
-    let rounds = 512;
-    let config = PricingConfig::new(2.0 * (dim as f64).sqrt(), rounds)
-        .with_reserve(true)
-        .with_uncertainty(0.005);
-    let build = || {
-        PricingSession::new(
-            mechanism(dim, config),
-            rounds,
-            SimulationOptions {
-                trace_points: 0,
-                keep_full_trace: false,
-            },
-        )
-        .without_latency_tracking()
-    };
-    let mut batched = build();
-    let mut serial = build();
-
-    let mut rng = StdRng::seed_from_u64(20_260_807);
-    let mut workload: Vec<(Vector, f64, StepOutcome)> = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let features = sampling::uniform_vector(&mut rng, dim, -1.0, 1.0);
-        let reserve = sampling::uniform(&mut rng, 0.0, 0.8);
-        let accepted = sampling::uniform(&mut rng, 0.0, 1.0) < 0.6;
-        let value = sampling::uniform(&mut rng, -0.5, 1.5);
-        workload.push((features, reserve, StepOutcome::with_value(accepted, value)));
-    }
-
-    // Batched leg: ragged chunk sizes so batch boundaries fall mid-round as
-    // well as between rounds.
-    let mut batched_responses = Vec::with_capacity(2 * rounds);
-    let flat: Vec<BatchRequest> = workload
-        .iter()
-        .flat_map(|(features, reserve, outcome)| {
-            [
-                BatchRequest::Quote {
-                    features,
-                    reserve_price: *reserve,
-                },
-                BatchRequest::Observe(*outcome),
-            ]
-        })
-        .collect();
-    let mut cursor = 0;
-    let mut chunk = 1;
-    while cursor < flat.len() {
-        let end = (cursor + chunk).min(flat.len());
-        batched.serve_batch(flat[cursor..end].iter().copied(), &mut batched_responses);
-        cursor = end;
-        chunk = chunk % 7 + 1; // 1, 2, …, 7, 1, … — deliberately ragged
-    }
-    assert_eq!(batched_responses.len(), 2 * rounds);
-
-    // Serial leg: the pre-refactor dispatch, one call per request.
-    let mut serial_records: Vec<Option<ObservedRound>> = Vec::with_capacity(rounds);
-    let mut serial_quotes: Vec<Quote> = Vec::with_capacity(rounds);
-    for (features, reserve, outcome) in &workload {
-        serial_quotes.push(serial.step(features, *reserve));
-        serial_records.push(serial.observe(*outcome));
-    }
-
-    for i in 0..rounds {
-        match &batched_responses[2 * i] {
-            BatchResponse::Quoted(quote) => {
-                assert_quote_bits(quote, &serial_quotes[i], &format!("round {i} quote"));
-            }
-            other => panic!("round {i}: expected a quote, got {other:?}"),
-        }
-        assert_eq!(
-            batched_responses[2 * i + 1],
-            BatchResponse::Observed(serial_records[i]),
-            "round {i} record"
-        );
-    }
-
-    // Complete session state: counters, ledger, and knowledge set.
-    assert_eq!(batched.rounds_closed(), serial.rounds_closed());
-    assert_eq!(batched.sales(), serial.sales());
-    assert_eq!(batched.abandoned_rounds(), serial.abandoned_rounds());
-    assert_eq!(batched.revenue().to_bits(), serial.revenue().to_bits());
-    assert_eq!(
-        batched.regret_proxy().to_bits(),
-        serial.regret_proxy().to_bits()
-    );
-    let (batched_report, serial_report) = (batched.tracker().report(), serial.tracker().report());
-    assert_eq!(batched_report.rounds, serial_report.rounds);
-    assert_eq!(batched_report.sales, serial_report.sales);
-    assert_eq!(
-        batched_report.cumulative_regret.to_bits(),
-        serial_report.cumulative_regret.to_bits()
-    );
-    assert_eq!(
-        batched_report.cumulative_revenue.to_bits(),
-        serial_report.cumulative_revenue.to_bits()
-    );
-    assert_ellipsoid_bits(
-        batched.mechanism().knowledge(),
-        serial.mechanism().knowledge(),
-        "final knowledge",
-    );
-}
-
-#[test]
-fn serve_batch_handles_malformed_interleavings_like_the_serial_path() {
-    // Abandoned rounds (quote over an open round) and dropped feedback
-    // (observe with no open round) must count identically on both paths.
-    let config = PricingConfig::new(1.0, 32);
-    let build = || {
-        PricingSession::new(mechanism(2, config), 32, SimulationOptions::default())
-            .without_latency_tracking()
-    };
-    let mut batched = build();
-    let mut serial = build();
-    let a = Vector::from_slice(&[0.6, 0.8]);
-    let b = Vector::from_slice(&[-0.3, 0.5]);
-
-    let requests = [
-        BatchRequest::Observe(StepOutcome::accept_only(true)), // dropped
-        BatchRequest::Quote {
-            features: &a,
-            reserve_price: 0.0,
-        },
-        BatchRequest::Quote {
-            features: &b,
-            reserve_price: 0.1,
-        }, // abandons the first round
-        BatchRequest::Observe(StepOutcome::accept_only(false)),
-        BatchRequest::Observe(StepOutcome::with_value(true, 0.4)), // dropped
-    ];
-    let mut responses = Vec::new();
-    batched.serve_batch(requests.iter().copied(), &mut responses);
-
-    let dropped = serial.observe(StepOutcome::accept_only(true));
-    assert!(dropped.is_none());
-    let q1 = serial.step(&a, 0.0);
-    let q2 = serial.step(&b, 0.1);
-    let closed = serial.observe(StepOutcome::accept_only(false));
-    let dropped_tail = serial.observe(StepOutcome::with_value(true, 0.4));
-    assert!(dropped_tail.is_none());
-
-    assert_eq!(responses.len(), 5);
-    assert_eq!(responses[0], BatchResponse::Observed(None));
-    match (&responses[1], &responses[2]) {
-        (BatchResponse::Quoted(b1), BatchResponse::Quoted(b2)) => {
-            assert_quote_bits(b1, &q1, "first quote");
-            assert_quote_bits(b2, &q2, "abandoning quote");
-        }
-        other => panic!("expected two quotes, got {other:?}"),
-    }
-    assert_eq!(responses[3], BatchResponse::Observed(closed));
-    assert_eq!(responses[4], BatchResponse::Observed(None));
-
-    assert_eq!(batched.abandoned_rounds(), serial.abandoned_rounds());
-    assert_eq!(batched.abandoned_rounds(), 1);
-    assert_eq!(batched.rounds_closed(), serial.rounds_closed());
-    assert_ellipsoid_bits(
-        batched.mechanism().knowledge(),
-        serial.mechanism().knowledge(),
-        "post-interleave knowledge",
-    );
 }

@@ -58,9 +58,12 @@
 //!   [`MarketService::aggregate_metrics`].  Per-request service latency
 //!   is the `shard.request.wall_nanos` histogram of the scrape.
 //! * **Continuous ingest** — [`MarketService::ingest`] admits requests
-//!   through a shared `&self` reference via mutex-striped per-shard
-//!   queues, so producer threads keep feeding the service while a drain
-//!   is in flight; capacity checks and shed accounting are unchanged.
+//!   through a shared `&self` reference into the tenant's shard queue,
+//!   holding the shard lock for one push: producer threads ingest
+//!   concurrently with each other, and with a
+//!   [`MarketService::checkpoint`] or [`MarketService::scrape`] of the same
+//!   shard by waiting for its lock.  A drain takes `&mut self`, so traffic
+//!   queues between drains.
 //! * **Snapshots & WAL** — the whole service state serialises to
 //!   deterministic JSON ([`MarketService::snapshot`]) and restores to a
 //!   service that quotes bit-identically ([`MarketService::restore`]).
@@ -77,8 +80,8 @@
 //!   text.
 //! * **Observability** — every shard carries a `pdm-obs`
 //!   [`MetricRegistry`] behind its existing lock: the serving stages
-//!   (`ingest.transfer`, `shard.drain`, `shard.quote`, `shard.observe`,
-//!   `ledger.settle`, `shard.auction`) record spans over deterministic
+//!   (`shard.drain`, `shard.quote`, `shard.observe`, `ledger.settle`,
+//!   `shard.auction`) record spans over deterministic
 //!   log-bucket histograms, and [`MarketService::scrape`] folds shard
 //!   registries, the aggregate [`ShardMetrics`] counters, and point-in-time
 //!   gauges into one registry renderable as Prometheus text or

@@ -30,13 +30,11 @@ pub(crate) const JOURNAL_CAPACITY: usize = 256;
 #[derive(Debug)]
 pub(crate) struct ShardObs {
     pub(crate) registry: MetricRegistry,
-    /// Ingest-stripe → shard-FIFO transfers (work = requests moved).
-    pub(crate) transfer: SpanId,
     /// Whole-queue drains (work = requests served; reuses the drain's
     /// existing single latency measurement, adding no clock reads).
     pub(crate) drain: SpanId,
-    /// Posted-price fused quote→observe segments (work = segment length)
-    /// and privacy quotes (work = 1 each).
+    /// Posted-price same-tenant runs (work = quotes and observes in the
+    /// run) and privacy quotes (work = 1 each).
     pub(crate) quote: SpanId,
     /// Privacy outcome observations, settle included (work = 1 each).
     pub(crate) observe: SpanId,
@@ -52,14 +50,10 @@ pub(crate) struct ShardObs {
 impl ShardObs {
     pub(crate) fn new() -> Self {
         let mut registry = MetricRegistry::new();
-        let transfer = registry.span(
-            "ingest.transfer",
-            "Ingest-stripe to shard-FIFO queue transfers",
-        );
         let drain = registry.span("shard.drain", "Whole-queue shard drains");
         let quote = registry.span(
             "shard.quote",
-            "Posted-price serve segments and privacy quotes",
+            "Posted-price same-tenant runs and privacy quotes",
         );
         let observe = registry.span("shard.observe", "Privacy outcome observations");
         let settle = registry.span(
@@ -74,7 +68,6 @@ impl ShardObs {
         );
         Self {
             registry,
-            transfer,
             drain,
             quote,
             observe,

@@ -2,19 +2,19 @@
 //!
 //! [`MarketService`] owns `N` shards, each holding the pricing sessions of
 //! the tenants routed to it by the stable hash of [`crate::routing`].  The
-//! API is continuous ingest + drain:
+//! API is ingest + drain:
 //!
-//! * [`MarketService::ingest`] admits a request into its tenant's
-//!   mutex-striped ingest queue through a **shared** reference (bounded —
-//!   overload is **shed** with [`ServiceError::QueueFull`], never buffered
-//!   without limit) and returns a [`Ticket`].  Because ingest only takes
-//!   `&self`, producers keep admitting traffic while a drain is running:
-//!   the stripe mutex is held for one queue push, never for the serving
-//!   work itself.  It is the service's only admission call.
-//! * [`MarketService::drain`] transfers each stripe into its shard and
-//!   serves every queued request, one worker per shard at a time, and
-//!   returns the batched [`Response`]s in deterministic (shard, submission)
-//!   order.  A multi-worker drain runs on a persistent pool (capped at the
+//! * [`MarketService::ingest`] admits a request into its tenant's shard
+//!   queue through a **shared** reference (bounded — overload is **shed**
+//!   with [`ServiceError::QueueFull`], never buffered without limit) and
+//!   returns a [`Ticket`].  It holds the shard lock for one queue push, so
+//!   producer threads ingest concurrently with each other, and with a
+//!   [`MarketService::checkpoint`] or [`MarketService::scrape`] of the same
+//!   shard by waiting for its lock.  A drain takes `&mut self`, so no
+//!   ingest overlaps one.  It is the service's only admission call.
+//! * [`MarketService::drain`] serves every queued request, one worker per
+//!   shard at a time, and returns the batched [`Response`]s in
+//!   deterministic (shard, submission) order.  A multi-worker drain runs on a persistent pool (capped at the
 //!   machine's hardware threads): helper threads spawned by the first such
 //!   drain park between drains and claim shards alongside the calling
 //!   thread (see [`crate::pool`]).
@@ -43,10 +43,8 @@ use crate::sync;
 use crate::tenant::{MarketKind, TenantConfig, TenantState};
 use pdm_linalg::Json;
 use pdm_obs::MetricRegistry;
-use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
 /// Sizing of a [`MarketService`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -187,50 +185,10 @@ impl ServiceConfig {
     }
 }
 
-/// One ingest stripe: the bounded MPSC queue in front of a shard.
-///
-/// Producers lock the stripe only for the duration of one push; the drain
-/// path takes the whole queue in one transfer.  Shed requests are counted
-/// here (the stripe is the component that refuses them) and merged into
-/// the shard's metric ledger on every read.
-#[derive(Debug)]
-struct IngestStripe {
-    queue: Mutex<VecDeque<(u64, Request)>>,
-    shed: AtomicU64,
-}
-
-impl IngestStripe {
-    fn new() -> Self {
-        Self {
-            queue: Mutex::new(VecDeque::new()),
-            shed: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The per-shard state a drain shares with its pool's helper threads, all
-/// indexed by shard.
-#[derive(Debug)]
-struct Core {
-    /// Mutex-striped bounded ingest queues, one per shard.
-    ingest: Vec<IngestStripe>,
-    shards: Vec<Mutex<Shard>>,
-    /// One response buffer per shard, filled by whichever worker serves the
-    /// shard and emptied, capacity kept, when the drain gathers the slots
-    /// in shard order.
-    slots: Vec<Mutex<Vec<Response>>>,
-}
-
-/// One pool task: transfer shard `index`'s stripe into its FIFO and serve
-/// the backlog into the shard's slot.
-fn serve_shard(core: &Core, index: usize) {
-    let mut shard = sync::lock(&core.shards[index], "shard");
-    let mut slot = sync::lock(&core.slots[index], "slot");
-    // Empty after every gather, unless a drain that panicked left
-    // responses behind: those must not leak into this drain's output.
-    slot.clear();
-    transfer_stripe(&core.ingest[index], &mut shard);
-    shard.process_all_into(&mut slot);
+/// One pool task: serve shard `index`'s queue into the shard's own
+/// response buffer.
+fn serve_shard(shards: &[Mutex<Shard>], index: usize) {
+    sync::lock(&shards[index], "shard").serve_into_buffer();
 }
 
 /// The worker count a drain actually runs on when `requested` workers are
@@ -245,36 +203,15 @@ pub fn drain_workers(requested: usize, shards: usize, hardware: usize) -> usize 
     requested.clamp(1, shards.max(1)).min(hardware.max(1))
 }
 
-/// Moves everything queued on a stripe into its shard's FIFO, preserving
-/// seq order.
-fn transfer_stripe(stripe: &IngestStripe, shard: &mut Shard) {
-    let mut queue = sync::lock(&stripe.queue, "ingest stripe");
-    let moved = queue.len();
-    if moved == 0 {
-        return;
-    }
-    // pdm-lint: allow(no-ambient-clock) reason="wall-clock latency span; wall histograms are documented non-deterministic and excluded from the determinism fingerprint"
-    let started = Instant::now();
-    shard.admit_transferred(queue.drain(..));
-    shard
-        .obs
-        .registry
-        .record_span(shard.obs.transfer, started.elapsed(), moved as u64);
-}
-
 /// The sharded serving engine.
 #[derive(Debug)]
 pub struct MarketService {
     config: ServiceConfig,
-    /// Stripes, shards and response slots, shared with the drain pool.
-    core: Arc<Core>,
+    /// The shards, shared with the drain pool.
+    shards: Arc<[Mutex<Shard>]>,
     /// The persistent drain pool, created by the first multi-worker drain
     /// and shut down (helpers joined) when the service drops.
-    pool: Option<DrainPool<Core>>,
-    /// Every registered tenant id, readable without touching a shard — the
-    /// ingest path checks membership here so admission never contends with
-    /// a drain worker holding the shard lock.
-    registry: RwLock<BTreeSet<TenantId>>,
+    pool: Option<DrainPool<[Mutex<Shard>]>>,
     next_seq: AtomicU64,
     /// Monotonic WAL segment number (see [`MarketService::checkpoint`]).
     pub(crate) wal_segments: AtomicU64,
@@ -308,13 +245,8 @@ impl MarketService {
             .collect();
         Ok(Self {
             config,
-            core: Arc::new(Core {
-                ingest: (0..config.shards).map(|_| IngestStripe::new()).collect(),
-                shards,
-                slots: (0..config.shards).map(|_| Mutex::new(Vec::new())).collect(),
-            }),
+            shards,
             pool: None,
-            registry: RwLock::new(BTreeSet::new()),
             next_seq: AtomicU64::new(0),
             wal_segments: AtomicU64::new(0),
             hardware_workers: std::thread::available_parallelism()
@@ -332,20 +264,19 @@ impl MarketService {
     /// Number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.core.shards.len()
+        self.shards.len()
     }
 
     /// The shard the given tenant is (or would be) routed to.
     #[must_use]
     pub fn shard_of(&self, tenant: TenantId) -> usize {
-        shard_of(tenant, self.core.shards.len())
+        shard_of(tenant, self.shards.len())
     }
 
     /// Total number of registered tenants, resident or paged out.
     #[must_use]
     pub fn tenant_count(&self) -> usize {
-        self.core
-            .shards
+        self.shards
             .iter()
             .map(|s| sync::lock(s, "shard").tenant_count())
             .sum()
@@ -356,8 +287,7 @@ impl MarketService {
     /// cap between drains.
     #[must_use]
     pub fn resident_tenants(&self) -> usize {
-        self.core
-            .shards
+        self.shards
             .iter()
             .map(|s| sync::lock(s, "shard").resident_count())
             .sum()
@@ -368,8 +298,7 @@ impl MarketService {
     /// length of their serialised form.
     #[must_use]
     pub fn resident_memory_bytes(&self) -> usize {
-        self.core
-            .shards
+        self.shards
             .iter()
             .map(|s| sync::lock(s, "shard").resident_memory_bytes())
             .sum()
@@ -412,54 +341,54 @@ impl MarketService {
     /// after the base snapshot (see [`MarketService::restore_with_wal`]).
     pub(crate) fn apply_wal_record(&mut self, state: TenantState) {
         let index = self.shard_of(state.id);
-        let id = state.id;
-        sync::lock(&self.core.shards[index], "shard").replace(state);
-        sync::write(&self.registry, "registry").insert(id);
+        sync::lock(&self.shards[index], "shard").replace(state);
     }
 
     /// Registers a pre-built tenant state (the snapshot-restore path).
     pub(crate) fn register_state(&mut self, state: TenantState) -> Result<usize, ServiceError> {
         let index = self.shard_of(state.id);
         let id = state.id;
-        let mut shard = sync::lock(&self.core.shards[index], "shard");
+        let mut shard = sync::lock(&self.shards[index], "shard");
         if shard.contains(id) {
             return Err(ServiceError::DuplicateTenant(id));
         }
         shard.register(state);
-        sync::write(&self.registry, "registry").insert(id);
         Ok(index)
     }
 
-    /// Admits one request into its tenant's ingest stripe through a shared
-    /// reference — the continuous-ingest path.  Producers on other threads
-    /// may call this while a drain is in flight; the stripe mutex is held
-    /// only for the push.
+    /// Admits one request into its tenant's shard queue through a shared
+    /// reference.  The shard lock is held only for the push: producers on
+    /// other threads ingest concurrently with each other, and with a
+    /// checkpoint or scrape of the same shard by waiting for its lock.
     ///
     /// # Errors
     /// * [`ServiceError::UnknownTenant`] — the tenant was never registered.
-    /// * [`ServiceError::QueueFull`] — the stripe is at capacity; the
+    /// * [`ServiceError::QueueFull`] — the shard queue is at capacity; the
     ///   request is shed (counted in the shard's metrics) instead of
     ///   growing the queue without bound.
+    ///
+    /// # Panics
+    /// When the tenant's shard lock is poisoned: a worker panicked while
+    /// serving that shard, so every later drain would fail anyway.
     pub fn ingest(&self, request: Request) -> Result<Ticket, ServiceError> {
         let tenant = request.tenant();
-        if !sync::read(&self.registry, "registry").contains(&tenant) {
+        let index = self.shard_of(tenant);
+        let mut shard = sync::lock(&self.shards[index], "shard");
+        if !shard.contains(tenant) {
             return Err(ServiceError::UnknownTenant(tenant));
         }
-        let index = self.shard_of(tenant);
-        let stripe = &self.core.ingest[index];
-        let mut queue = sync::lock(&stripe.queue, "ingest stripe");
-        if queue.len() >= self.config.queue_capacity {
-            stripe.shed.fetch_add(1, Ordering::Relaxed);
+        if shard.queue_len() >= self.config.queue_capacity {
+            shard.metrics.shed += 1;
             return Err(ServiceError::QueueFull {
                 shard: index,
                 capacity: self.config.queue_capacity,
             });
         }
-        // Sequence numbers are drawn under the stripe lock so each stripe's
+        // Sequence numbers are drawn under the shard lock so each shard's
         // queue is strictly seq-ordered — the invariant behind the
         // deterministic (shard, submission) response order.
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        queue.push_back((seq, request));
+        shard.enqueue(seq, request);
         Ok(Ticket {
             seq,
             tenant,
@@ -467,25 +396,12 @@ impl MarketService {
         })
     }
 
-    /// Total requests currently queued (ingest stripes plus any shard
-    /// backlog mid-drain).
+    /// Total requests queued across the shards and not yet served.
     #[must_use]
     pub fn queued_requests(&self) -> usize {
-        let shard_backlog: usize = self
-            .core
-            .shards
+        self.shards
             .iter()
             .map(|s| sync::lock(s, "shard").queue_len())
-            .sum();
-        self.striped_requests() + shard_backlog
-    }
-
-    /// Requests admitted to the ingest stripes and not yet transferred.
-    fn striped_requests(&self) -> usize {
-        self.core
-            .ingest
-            .iter()
-            .map(|stripe| sync::lock(&stripe.queue, "ingest stripe").len())
             .sum()
     }
 
@@ -504,11 +420,10 @@ impl MarketService {
     /// Serves every queued request, appending the responses to `out` in
     /// deterministic (shard, submission) order.
     ///
-    /// Each worker first transfers its claimed shard's ingest stripe into
-    /// the shard FIFO, then serves the backlog.  Workers claim shard indices
-    /// from an atomic counter; each shard is processed serially by whichever
-    /// worker claims it, so per-shard state needs no lock contention and the
-    /// computed values are independent of the worker count.  `workers` is
+    /// Workers claim shard indices from an atomic counter; each shard is
+    /// processed serially by whichever worker claims it, so per-shard state
+    /// needs no lock contention and the computed values are independent of
+    /// the worker count.  `workers` is
     /// reduced to the count [`drain_workers`] allows for the shard count
     /// and the machine's hardware threads.  An effective single worker
     /// (including every drain on a single-core host) runs on the calling
@@ -516,41 +431,38 @@ impl MarketService {
     /// `n - 1` helpers of the service's persistent pool: the first such
     /// drain spawns them, later drains wake them from their park, and
     /// dropping the service joins them.  Each shard's responses land in its
-    /// own slot and are gathered in shard order.
+    /// own buffer and are gathered in shard order.
     ///
-    /// Requests ingested *after* a shard's transfer step are served by the
-    /// next drain — continuous producers never block on the serving work,
-    /// they only wait out the one-push stripe lock.
+    /// The drain holds `&mut self`, so no ingest runs while it does:
+    /// producers queue between drains.
     ///
     /// # Panics
     /// When a worker panics — e.g. on a shard whose lock an earlier panic
     /// poisoned — the drain re-raises that panic once every other shard is
     /// served, whichever thread hit it.
     pub fn drain_into(&mut self, workers: usize, out: &mut Vec<Response>) {
-        let shard_count = self.core.shards.len();
+        let shard_count = self.shards.len();
         let workers = drain_workers(workers, shard_count, self.hardware_workers);
 
-        // An idle drain (e.g. the silent waves of a bursty workload) must
-        // not lock shards or wake the pool.  The stripes are all there is
-        // to check: every drain empties each shard FIFO it fills.
-        if self.striped_requests() == 0 {
-            return;
-        }
-
         if workers <= 1 {
-            for (stripe, shard) in self.core.ingest.iter().zip(&self.core.shards) {
-                let mut shard = sync::lock(shard, "shard");
-                transfer_stripe(stripe, &mut shard);
-                shard.process_all_into(out);
+            for shard in self.shards.iter() {
+                sync::lock(shard, "shard").process_all_into(out);
             }
             return;
         }
 
+        // An idle drain (e.g. the silent waves of a bursty workload) must
+        // not wake the pool.
+        if self.queued_requests() == 0 {
+            return;
+        }
         self.pool
-            .get_or_insert_with(|| DrainPool::new(Arc::clone(&self.core), shard_count, serve_shard))
+            .get_or_insert_with(|| {
+                DrainPool::new(Arc::clone(&self.shards), shard_count, serve_shard)
+            })
             .run(workers - 1);
-        for slot in &self.core.slots {
-            out.append(&mut sync::lock(slot, "slot"));
+        for shard in self.shards.iter() {
+            out.append(&mut sync::lock(shard, "shard").responses);
         }
     }
 
@@ -564,22 +476,15 @@ impl MarketService {
     /// run against a serial simulation bit for bit.
     #[must_use]
     pub fn tenant_report(&self, tenant: TenantId) -> Option<pdm_pricing::prelude::RegretReport> {
-        sync::lock(&self.core.shards[self.shard_of(tenant)], "shard").tenant_report(tenant)
+        sync::lock(&self.shards[self.shard_of(tenant)], "shard").tenant_report(tenant)
     }
 
-    /// A clone of each shard's metrics ledger, in shard order, with the
-    /// shed count of the shard's ingest stripe folded in.
+    /// A clone of each shard's metrics ledger, in shard order.
     #[must_use]
     pub fn shard_metrics(&self) -> Vec<ShardMetrics> {
-        self.core
-            .shards
+        self.shards
             .iter()
-            .zip(&self.core.ingest)
-            .map(|(shard, stripe)| {
-                let mut metrics = sync::lock(shard, "shard").metrics.clone();
-                metrics.shed += stripe.shed.load(Ordering::Relaxed);
-                metrics
-            })
+            .map(|shard| sync::lock(shard, "shard").metrics.clone())
             .collect()
     }
 
@@ -627,26 +532,25 @@ impl MarketService {
         let mut cold = 0usize;
         let mut open_rounds = 0usize;
         let mut memory_bytes = 0usize;
-        let mut shard_backlog = 0usize;
-        for shard in &self.core.shards {
+        let mut queued = 0usize;
+        for shard in self.shards.iter() {
             let shard = sync::lock(shard, "shard");
             merged.merge(&shard.obs.registry);
             resident += shard.resident_count();
             cold += shard.tenant_count() - shard.resident_count();
             open_rounds += shard.open_rounds();
             memory_bytes += shard.resident_memory_bytes();
-            shard_backlog += shard.queue_len();
+            queued += shard.queue_len();
         }
         export_shard_metrics(&mut merged, &self.aggregate_metrics());
-        let striped = self.striped_requests();
         let mut set = |name: &str, help: &str, value: f64| {
             let id = merged.gauge(name, help);
             merged.set(id, value);
         };
         set(
             "queue.depth",
-            "Requests queued across ingest stripes and shard FIFOs",
-            (striped + shard_backlog) as f64,
+            "Requests queued across the shard queues",
+            queued as f64,
         );
         set(
             "tenants.resident",
@@ -688,7 +592,7 @@ impl MarketService {
 
     /// The shards, for the snapshot writer and restorer.
     pub(crate) fn shards(&self) -> &[Mutex<Shard>] {
-        &self.core.shards
+        &self.shards
     }
 }
 
@@ -908,11 +812,12 @@ mod tests {
         assert_eq!(drain.sum(), 120, "5 waves × 12 quotes + 12 observes");
         let quote = serial.histogram_counts("shard.quote.work_items").unwrap();
         assert!(quote.count() > 0);
-        assert_eq!(quote.sum(), 120, "posted segments cover every request");
-        let transfer = serial
-            .histogram_counts("ingest.transfer.work_items")
-            .unwrap();
-        assert_eq!(transfer.sum(), 120);
+        assert_eq!(quote.sum(), 120, "posted runs cover every request");
+        assert_eq!(
+            quote.count(),
+            120,
+            "one span per same-tenant run, and every run here is one request"
+        );
 
         // Ledger counters are exported and gauges read the drained state.
         assert_eq!(serial.counter_value("quotes_served_total"), Some(60.0));
@@ -978,6 +883,15 @@ mod tests {
         assert!(restored.event_journal().render().len() >= 2);
     }
 
+    /// Poisons shard `index` the way a panicking drain worker would.
+    fn poison(service: &MarketService, index: usize) {
+        let shard = &service.shards[index];
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = shard.lock().unwrap();
+            panic!("poison shard {index}");
+        }));
+    }
+
     #[test]
     fn a_poisoned_shard_panics_the_drain_instead_of_hanging() {
         // Whichever worker claims the poisoned shard — the calling thread or
@@ -986,26 +900,22 @@ mod tests {
         // helper wakes while the caller is still busy, and the poisoned
         // shard moves through every position, so over the repetitions both
         // kinds of worker claim it.  (The pool's own tests force each case
-        // deterministically.)
+        // deterministically.)  The shard is poisoned after ingest, because
+        // ingest into a poisoned shard panics too.
         const DIM: usize = 48;
         for poisoned in 0..4 {
-            let mut service = MarketService::new(ServiceConfig {
-                shards: 4,
-                queue_capacity: 1024,
-                ..ServiceConfig::default()
-            })
-            .unwrap();
-            for id in 0..32 {
-                service
-                    .register_tenant(TenantId(id), TenantConfig::standard(DIM, 100))
-                    .unwrap();
-            }
-            let shard = &service.core.shards[poisoned];
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _guard = shard.lock().unwrap();
-                panic!("poison shard {poisoned}");
-            }));
             for _ in 0..8 {
+                let mut service = MarketService::new(ServiceConfig {
+                    shards: 4,
+                    queue_capacity: 1024,
+                    ..ServiceConfig::default()
+                })
+                .unwrap();
+                for id in 0..32 {
+                    service
+                        .register_tenant(TenantId(id), TenantConfig::standard(DIM, 100))
+                        .unwrap();
+                }
                 for id in 0..32 {
                     let features = Vector::from_slice(&[1.0 / (DIM as f64).sqrt(); DIM]);
                     service
@@ -1016,6 +926,7 @@ mod tests {
                         }))
                         .unwrap();
                 }
+                poison(&service, poisoned);
                 let mut out = Vec::new();
                 let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     service.drain_into(2, &mut out);
@@ -1025,6 +936,91 @@ mod tests {
                 assert!(message.contains("shard lock poisoned"), "{message}");
             }
         }
+    }
+
+    #[test]
+    fn ingest_into_a_poisoned_shard_panics() {
+        // Ingest locks the tenant's shard, so it refuses to queue onto a
+        // shard whose state a panicking worker may have left half-updated;
+        // every later drain of that shard would panic anyway.
+        let service = service_with_tenants(2, 4);
+        let tenant = TenantId(0);
+        poison(&service, service.shard_of(tenant));
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.ingest(query(tenant.0, &[0.6, 0.8]))
+        }))
+        .expect_err("ingest into a poisoned shard panics");
+        let message = payload.downcast::<String>().unwrap();
+        assert!(message.contains("shard lock poisoned"), "{message}");
+    }
+
+    #[test]
+    fn shed_counts_live_in_the_shard_ledger_across_a_restore() {
+        // Shedding writes straight into the shard ledger, so the aggregate,
+        // the snapshot's per-shard ledgers and the scrape's counter all read
+        // one figure, and a restored service keeps counting from it.
+        // Observes with no open round: they leave no round open, so the
+        // drained service can be snapshot.
+        let shed_on = |service: &MarketService, tenant: u64| {
+            let mut shed = 0;
+            for _ in 0..5 {
+                let observe = Request::Observe(OutcomeReport {
+                    tenant: TenantId(tenant),
+                    accepted: false,
+                    market_value: None,
+                });
+                if let Err(err) = service.ingest(observe) {
+                    assert!(matches!(err, ServiceError::QueueFull { .. }), "{err}");
+                    shed += 1;
+                }
+            }
+            shed
+        };
+        let ledger_shed = |snapshot: &Json| -> f64 {
+            let Some(Json::Arr(ledgers)) = snapshot.get("metrics") else {
+                panic!("a snapshot carries its shard ledgers");
+            };
+            ledgers
+                .iter()
+                .map(|ledger| ledger.get("shed").and_then(Json::as_f64).unwrap())
+                .sum()
+        };
+        let check = |service: &MarketService, expected: u64| {
+            assert_eq!(service.aggregate_metrics().shed, expected);
+            assert_eq!(
+                service.scrape().counter_value("shed_total"),
+                Some(expected as f64)
+            );
+        };
+
+        let mut service = MarketService::new(ServiceConfig {
+            shards: 2,
+            queue_capacity: 2,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        for id in 0..4 {
+            service
+                .register_tenant(TenantId(id), TenantConfig::standard(2, 100))
+                .unwrap();
+        }
+        let first = shed_on(&service, 0) + shed_on(&service, 1);
+        assert!(first > 0);
+        check(&service, first);
+        service.drain(2);
+        let snapshot = service.snapshot().unwrap();
+        assert_eq!(ledger_shed(&snapshot), first as f64);
+
+        let mut restored = MarketService::restore(&snapshot).unwrap();
+        check(&restored, first);
+        let second = shed_on(&restored, 2) + shed_on(&restored, 3);
+        assert!(second > 0);
+        check(&restored, first + second);
+        restored.drain(1);
+        assert_eq!(
+            ledger_shed(&restored.snapshot().unwrap()),
+            (first + second) as f64
+        );
     }
 
     #[test]
@@ -1272,7 +1268,7 @@ mod tests {
             .register_tenant(TenantId(2), TenantConfig::privacy(2, 100, generous))
             .unwrap();
         let index = service.shard_of(TenantId(2));
-        let shard = service.core.shards[index].lock().unwrap();
+        let shard = service.shards[index].lock().unwrap();
         let state = shard.resident_state(TenantId(2)).expect("resident");
         let bank = state.privacy.as_ref().unwrap();
         assert_eq!(bank.params().epsilon_budget, 1.5);

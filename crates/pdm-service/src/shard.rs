@@ -21,18 +21,18 @@
 //! checkpoint (the dirty set), which is what makes WAL snapshots
 //! incremental.
 
-use crate::api::{AuctionRequest, Payload, Request, RequestError, Response};
-#[cfg(test)]
-use crate::api::{OutcomeReport, QueryRequest};
+use crate::api::{
+    AuctionRequest, OutcomeReport, Payload, QueryRequest, Request, RequestError, Response,
+};
 use crate::ledger::arbitrage_clamp;
 use crate::metrics::ShardMetrics;
 use crate::obs::ShardObs;
 use crate::routing::TenantId;
 use crate::snapshot::{cold_tenant_json, cold_tenant_page, cold_tenant_state, tenant_json};
-use crate::tenant::TenantState;
+use crate::tenant::{MarketKind, TenantState};
 use pdm_linalg::Json;
-use pdm_pricing::prelude::{BatchRequest, BatchResponse, StepOutcome};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use pdm_pricing::prelude::{ObservedRound, StepOutcome};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 /// A shard: tenants (resident and paged out), queue, metrics.
@@ -47,7 +47,10 @@ pub(crate) struct Shard {
     /// of real money and real privacy loss, so they leave memory only when
     /// the operator has opted into the WAL persistence path.
     ledger_paging: bool,
-    tenants: BTreeMap<TenantId, TenantState>,
+    /// Resident tenants, boxed: a B-tree node holds eleven values, and
+    /// ascending registration leaves most leaves half full, so inline
+    /// states (about 1 KB each) would waste kilobytes per node.
+    tenants: BTreeMap<TenantId, Box<TenantState>>,
     /// Paged-out tenants, keyed to the binary image of their snapshot
     /// document (see [`cold_tenant_page`]).
     cold: BTreeMap<TenantId, Vec<u8>>,
@@ -61,22 +64,20 @@ pub(crate) struct Shard {
     /// Last serve tick per resident tenant (absent = never served since
     /// materialisation; those evict first, tie-broken by id).
     last_served: BTreeMap<TenantId, u64>,
-    queue: VecDeque<(u64, Request)>,
+    /// Admitted requests, in seq order, waiting for the next drain.
+    queue: Vec<(u64, Request)>,
+    /// Responses a pool worker served, waiting for the drain to gather
+    /// them in shard order (see [`Shard::serve_into_buffer`]).
+    pub(crate) responses: Vec<Response>,
     pub(crate) metrics: ShardMetrics,
     /// Per-shard observability registry and span handles, mutated only by
     /// the worker holding this shard's lock (see [`crate::obs`]).
     pub(crate) obs: ShardObs,
-    /// Scratch holding the maximal same-tenant FIFO run being drained;
-    /// reused across [`Shard::process_all`] calls.
-    run_scratch: Vec<(u64, Request)>,
-    /// Scratch for the batched session responses of one run segment.
-    response_scratch: Vec<BatchResponse>,
 }
 
 impl Shard {
-    /// Queue capacity is enforced upstream at the ingest stripe (validated
-    /// non-zero by [`crate::ServiceConfig`]); the shard FIFO itself only
-    /// ever holds what a stripe transfer hands it.
+    /// Queue capacity is enforced by the service's ingest (validated
+    /// non-zero by [`crate::ServiceConfig`]) under this shard's lock.
     pub(crate) fn new(index: usize, resident_capacity: Option<usize>, ledger_paging: bool) -> Self {
         Self {
             index,
@@ -87,11 +88,10 @@ impl Shard {
             dirty: BTreeSet::new(),
             clock: 0,
             last_served: BTreeMap::new(),
-            queue: VecDeque::new(),
+            queue: Vec::new(),
+            responses: Vec::new(),
             metrics: ShardMetrics::new(),
             obs: ShardObs::new(),
-            run_scratch: Vec::new(),
-            response_scratch: Vec::new(),
         }
     }
 
@@ -102,7 +102,7 @@ impl Shard {
     /// The resident state of one tenant, `None` when unknown or paged out.
     #[cfg(test)]
     pub(crate) fn resident_state(&self, tenant: TenantId) -> Option<&TenantState> {
-        self.tenants.get(&tenant)
+        self.tenants.get(&tenant).map(Box::as_ref)
     }
 
     /// Registered tenants, resident or paged out.
@@ -122,7 +122,7 @@ impl Shard {
         let hot: usize = self
             .tenants
             .values()
-            .map(TenantState::memory_footprint_bytes)
+            .map(|state| state.memory_footprint_bytes())
             .sum();
         let cold: usize = self.cold.values().map(Vec::len).sum();
         hot + cold
@@ -160,7 +160,7 @@ impl Shard {
         {
             self.cold.insert(id, cold_tenant_page(&state));
         } else {
-            self.tenants.insert(id, state);
+            self.tenants.insert(id, Box::new(state));
         }
     }
 
@@ -235,19 +235,10 @@ impl Shard {
         self.dirty.clear();
     }
 
-    /// Appends a stripe transfer to the FIFO.  Capacity was enforced at
-    /// ingest time (the stripe is the bounded component), so the transfer
-    /// itself never sheds.
-    pub(crate) fn admit_transferred(&mut self, requests: impl Iterator<Item = (u64, Request)>) {
-        self.queue.extend(requests);
-    }
-
-    /// Appends a request to the FIFO directly — shard-level tests drive
-    /// the processing loop through this; the service path goes through the
-    /// bounded ingest stripe and [`Shard::admit_transferred`].
-    #[cfg(test)]
+    /// Appends an admitted request to the queue.  The service checked the
+    /// tenant and the capacity and drew `seq` under this shard's lock.
     pub(crate) fn enqueue(&mut self, seq: u64, request: Request) {
-        self.queue.push_back((seq, request));
+        self.queue.push((seq, request));
     }
 
     /// Serves every queued request in FIFO order, producing one response
@@ -260,40 +251,42 @@ impl Shard {
         responses
     }
 
+    /// Serves the queue into the shard's own response buffer, which the
+    /// drain then gathers in shard order — the pool-worker form of
+    /// [`Shard::process_all_into`].
+    pub(crate) fn serve_into_buffer(&mut self) {
+        let mut responses = std::mem::take(&mut self.responses);
+        // Empty after every gather, unless a drain that panicked left
+        // responses behind: those must not leak into this drain's output.
+        responses.clear();
+        self.process_all_into(&mut responses);
+        self.responses = responses;
+    }
+
     /// Serves every queued request in FIFO order, appending one response
-    /// per request to `responses` — the allocation-free form callers with a
-    /// reusable buffer drain through.
+    /// per request to `responses`, then empties the queue (keeping its
+    /// capacity).
     ///
-    /// The queue is drained in maximal same-tenant runs: each run is looked
-    /// up once in the tenant map and handed to
-    /// [`PricingSession::serve_batch`](pdm_pricing::prelude::PricingSession::serve_batch)
-    /// as a whole, so consecutive requests for one tenant (the common shape
-    /// of a quote→observe workload) pay dispatch once.  Request order — and
-    /// therefore every quote, counter, and ledger entry — is exactly that of
-    /// one-at-a-time processing.  Processing latency is timed once for the
-    /// whole drain and attributed evenly across its requests, keeping the
-    /// hot path down to two clock reads per drain.
+    /// The queue is served in place, in maximal same-tenant runs: each run
+    /// looks its tenant up once, so consecutive requests for one tenant (the
+    /// common shape of a quote→observe workload) pay dispatch once.  Request
+    /// order — and therefore every quote, counter, and ledger entry — is
+    /// exactly that of one-at-a-time processing.  Processing latency is
+    /// timed once for the whole drain and attributed evenly across its
+    /// requests: two clock reads per drain, plus one pair per posted-price
+    /// run for its `shard.quote` span.
     pub(crate) fn process_all_into(&mut self, responses: &mut Vec<Response>) {
         if self.queue.is_empty() {
             return;
         }
         // pdm-lint: allow(no-ambient-clock) reason="wall-clock latency span; wall histograms are documented non-deterministic and excluded from the determinism fingerprint"
         let started = Instant::now();
-        let total = self.queue.len();
-        responses.reserve(total);
-        while let Some(tenant) = self.queue.front().map(|(_, request)| request.tenant()) {
-            self.run_scratch.clear();
-            while self
-                .queue
-                .front()
-                .is_some_and(|(_, request)| request.tenant() == tenant)
-            {
-                if let Some(entry) = self.queue.pop_front() {
-                    self.run_scratch.push(entry);
-                }
-            }
+        let mut queue = std::mem::take(&mut self.queue);
+        responses.reserve(queue.len());
+        for run in queue.chunk_by(|(_, a), (_, b)| a.tenant() == b.tenant()) {
+            let tenant = run[0].1.tenant();
             self.ensure_resident(tenant);
-            self.serve_run(tenant, responses);
+            self.serve_run(tenant, run, responses);
             // The run mutated the session: mark it for the next checkpoint
             // and refresh its slot in the LRU order.  One tick per run, so
             // the eviction order is deterministic for a given request
@@ -302,11 +295,13 @@ impl Shard {
             self.clock += 1;
             self.last_served.insert(tenant, self.clock);
         }
+        let requests = queue.len() as u64;
+        queue.clear();
+        self.queue = queue;
         self.enforce_residency();
         // One measurement feeds the per-request latency histogram and the
         // drain span: the whole-queue timing the hot path already paid for.
         let elapsed = started.elapsed();
-        let requests = total as u64;
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.obs
             .registry
@@ -325,7 +320,8 @@ impl Shard {
             return;
         }
         if let Some(page) = self.cold.remove(&tenant) {
-            self.tenants.insert(tenant, cold_tenant_state(&page));
+            self.tenants
+                .insert(tenant, Box::new(cold_tenant_state(&page)));
             self.metrics.rehydrations += 1;
         }
     }
@@ -368,9 +364,18 @@ impl Shard {
         }
     }
 
-    /// Serves one maximal same-tenant run currently staged in
-    /// `run_scratch`, appending one response per request.
-    fn serve_run(&mut self, tenant: TenantId, responses: &mut Vec<Response>) {
+    /// Serves one maximal same-tenant run, appending one response per
+    /// request.  Each request takes one arm of a match on (market kind,
+    /// request): an auction round settles whole, a posted-price quote or
+    /// observe goes straight to the session, a privacy quote or observe
+    /// goes through the owner ledgers, and traffic of the other market
+    /// kind is rejected.
+    fn serve_run(
+        &mut self,
+        tenant: TenantId,
+        run: &[(u64, Request)],
+        responses: &mut Vec<Response>,
+    ) {
         let state = self
             .tenants
             .get_mut(&tenant)
@@ -378,135 +383,75 @@ impl Shard {
             .expect("ingest admits only registered tenants");
         let metrics = &mut self.metrics;
         let obs = &mut self.obs;
-        let run = &self.run_scratch;
-        let response_scratch = &mut self.response_scratch;
-        let shard_index = self.index;
 
         // Drift activity (detector firings, knowledge-set restarts) is
         // accounted as a before/after delta over the whole run — the sum of
         // the per-request deltas, and deterministic either way.
         let fires_before = state.session.mechanism().detector_fires();
         let restarts_before = state.session.mechanism().restarts();
-        let posted = state.config.market.is_posted();
-        let privacy = state.config.market.privacy_params().is_some();
+        // One span per posted-price run: the ~60 ns/quote hot path pays a
+        // single clock-read pair per run, never per request.
+        // pdm-lint: allow(no-ambient-clock) reason="wall-clock latency span; wall histograms are documented non-deterministic and excluded from the determinism fingerprint"
+        let posted_started = state.config.market.is_posted().then(Instant::now);
+        let mut posted_work = 0u64;
 
-        let mut pos = 0;
-        while pos < run.len() {
-            if let (seq, Request::Auction(auction)) = &run[pos] {
-                // pdm-lint: allow(no-ambient-clock) reason="wall-clock latency span; wall histograms are documented non-deterministic and excluded from the determinism fingerprint"
-                let round_started = Instant::now();
-                let payload = Self::serve_auction_one(state, metrics, auction);
-                obs.registry.record_span(
-                    obs.auction,
-                    round_started.elapsed(),
-                    auction.bids.len() as u64,
-                );
-                responses.push(Response {
-                    seq: *seq,
-                    tenant,
-                    shard: shard_index,
-                    payload,
-                });
-                pos += 1;
-                continue;
-            }
-            // Maximal posted-market segment `[pos, seg_end)`.
-            let seg_end = run[pos..]
-                .iter()
-                .position(|(_, request)| matches!(request, Request::Auction(_)))
-                .map_or(run.len(), |offset| pos + offset);
-            let segment = &run[pos..seg_end];
-            if posted {
-                // One span batch per fused segment: the ~60 ns/quote hot
-                // path pays a single clock-read pair per segment, never per
-                // request.
-                // pdm-lint: allow(no-ambient-clock) reason="wall-clock latency span; wall histograms are documented non-deterministic and excluded from the determinism fingerprint"
-                let segment_started = Instant::now();
-                response_scratch.clear();
-                let batch = segment.iter().map(|(_, request)| match request {
-                    Request::Quote(query) => BatchRequest::Quote {
-                        features: &query.features,
-                        reserve_price: query.reserve_price,
-                    },
-                    Request::Observe(outcome) => BatchRequest::Observe(StepOutcome {
-                        accepted: outcome.accepted,
-                        market_value: outcome.market_value,
-                    }),
-                    Request::Auction(_) => unreachable!("segment excludes auction requests"),
-                });
-                state.session.serve_batch(batch, response_scratch);
-                for ((seq, _), response) in segment.iter().zip(response_scratch.iter()) {
-                    let payload = match response {
-                        BatchResponse::Quoted(quote) => {
-                            metrics.quotes_served += 1;
-                            Payload::Quoted(*quote)
-                        }
-                        BatchResponse::Observed(Some(record)) => {
-                            metrics.observations += 1;
-                            if record.accepted {
-                                metrics.sales += 1;
-                            }
-                            metrics.revenue += record.revenue;
-                            if let Some(regret) = record.regret {
-                                metrics.regret += regret;
-                            }
-                            metrics.regret_proxy += record.uncertainty_width;
-                            Payload::Observed(*record)
-                        }
-                        BatchResponse::Observed(None) => {
-                            metrics.rejected += 1;
-                            Payload::Failed(RequestError::NoOpenRound)
-                        }
-                    };
-                    responses.push(Response {
-                        seq: *seq,
-                        tenant,
-                        shard: shard_index,
-                        payload,
-                    });
-                }
-                obs.registry.record_span(
-                    obs.quote,
-                    segment_started.elapsed(),
-                    segment.len() as u64,
-                );
-            } else if privacy {
-                // Privacy-market traffic is served one request at a time:
-                // every quote first consults the owner ledgers, so there is
-                // no batched session fast path to take.  Per-request span
-                // timing is affordable here — this is explicitly not the
-                // batched posted-price hot path.
-                for (seq, request) in segment {
-                    let span = match request {
-                        Request::Quote(_) => obs.quote,
-                        _ => obs.observe,
-                    };
+        for (seq, request) in run {
+            let payload = match (state.config.market, request) {
+                (_, Request::Auction(auction)) => {
                     // pdm-lint: allow(no-ambient-clock) reason="wall-clock latency span; wall histograms are documented non-deterministic and excluded from the determinism fingerprint"
-                    let request_started = Instant::now();
-                    let payload = Self::serve_privacy_one(state, metrics, obs, request);
-                    obs.registry.record_span(span, request_started.elapsed(), 1);
-                    responses.push(Response {
-                        seq: *seq,
-                        tenant,
-                        shard: shard_index,
-                        payload,
-                    });
+                    let started = Instant::now();
+                    let payload = Self::serve_auction(state, metrics, auction);
+                    obs.registry.record_span(
+                        obs.auction,
+                        started.elapsed(),
+                        auction.bids.len() as u64,
+                    );
+                    payload
                 }
-            } else {
-                // Posted-price traffic addressed to an auction tenant: every
-                // request in the segment is rejected, exactly as the
-                // one-at-a-time path did.
-                for (seq, _) in segment {
+                (MarketKind::Auction(_), _) => {
                     metrics.rejected += 1;
-                    responses.push(Response {
-                        seq: *seq,
-                        tenant,
-                        shard: shard_index,
-                        payload: Payload::Failed(RequestError::MarketMismatch),
-                    });
+                    Payload::Failed(RequestError::MarketMismatch)
                 }
-            }
-            pos = seg_end;
+                (MarketKind::PostedPrice, Request::Quote(query)) => {
+                    posted_work += 1;
+                    metrics.quotes_served += 1;
+                    Payload::Quoted(state.session.step(&query.features, query.reserve_price))
+                }
+                (MarketKind::PostedPrice, Request::Observe(outcome)) => {
+                    posted_work += 1;
+                    match state.session.observe(step_outcome(outcome)) {
+                        Some(record) => book_observed(metrics, record),
+                        None => no_open_round(metrics),
+                    }
+                }
+                // Privacy traffic is timed per request: every quote first
+                // consults the owner ledgers, so this is not the posted-price
+                // hot path.
+                (MarketKind::Privacy(_), Request::Quote(query)) => {
+                    // pdm-lint: allow(no-ambient-clock) reason="wall-clock latency span; wall histograms are documented non-deterministic and excluded from the determinism fingerprint"
+                    let started = Instant::now();
+                    let payload = Self::serve_privacy_quote(state, metrics, query);
+                    obs.registry.record_span(obs.quote, started.elapsed(), 1);
+                    payload
+                }
+                (MarketKind::Privacy(_), Request::Observe(outcome)) => {
+                    // pdm-lint: allow(no-ambient-clock) reason="wall-clock latency span; wall histograms are documented non-deterministic and excluded from the determinism fingerprint"
+                    let started = Instant::now();
+                    let payload = Self::serve_privacy_observe(state, metrics, obs, outcome);
+                    obs.registry.record_span(obs.observe, started.elapsed(), 1);
+                    payload
+                }
+            };
+            responses.push(Response {
+                seq: *seq,
+                tenant,
+                shard: self.index,
+                payload,
+            });
+        }
+        if let Some(started) = posted_started.filter(|_| posted_work > 0) {
+            obs.registry
+                .record_span(obs.quote, started.elapsed(), posted_work);
         }
 
         let mechanism = state.session.mechanism();
@@ -516,9 +461,10 @@ impl Shard {
 
     /// Settles one self-contained auction round: reserve quote, eager
     /// second-price clearing, policy feedback — all through the shared
-    /// [`pdm_auction::run_auction_round`] path.  Drift deltas are accounted
-    /// by the enclosing run.
-    fn serve_auction_one(
+    /// [`pdm_auction::run_auction_round`] path.  A tenant of another market
+    /// kind rejects the round.  Drift deltas are accounted by the enclosing
+    /// run.
+    fn serve_auction(
         state: &mut TenantState,
         metrics: &mut ShardMetrics,
         auction: &AuctionRequest,
@@ -535,9 +481,9 @@ impl Shard {
         }
     }
 
-    /// Serves one quote or observe for a privacy tenant.
+    /// Serves one quote for a privacy tenant.
     ///
-    /// A quote first consults the tenant's [`crate::LedgerBank`]: owners
+    /// The quote first consults the tenant's [`crate::LedgerBank`]: owners
     /// whose budget cannot absorb this query's leakage are retired (sticky),
     /// and their coordinates are masked out of the feature vector before the
     /// mechanism prices it.  The total compensation owed to the surviving
@@ -550,88 +496,106 @@ impl Shard {
     /// settled round, and every revenue counter use the clamped price the
     /// buyer actually saw — a deterministic divergence, identical across
     /// worker counts.
-    fn serve_privacy_one(
+    fn serve_privacy_quote(
+        state: &mut TenantState,
+        metrics: &mut ShardMetrics,
+        query: &QueryRequest,
+    ) -> Payload {
+        let supply = state.bank_mut().begin_quote(&query.features);
+        metrics.owners_exhausted += supply.newly_exhausted;
+        if !supply.sellable {
+            metrics.privacy_throttled += 1;
+            return Payload::Failed(RequestError::BudgetExhausted);
+        }
+        let reserve = query.reserve_price.max(supply.total_compensation);
+        let Some(mut quote) =
+            state
+                .session
+                .step_throttled(&query.features, &supply.active, reserve)
+        else {
+            // A sellable supply has an active non-zero coordinate, so the
+            // session never refuses here; refusing the request is still
+            // strictly safer than panicking.  Both sides of the round state
+            // drop together — the staged charge and any open round — so
+            // quote and charge stay in lockstep.
+            state.session.abandon_round();
+            state.bank_mut().cancel_quote();
+            metrics.privacy_throttled += 1;
+            return Payload::Failed(RequestError::BudgetExhausted);
+        };
+        let (price, clamped) =
+            arbitrage_clamp(quote.posted_price, reserve, supply.total_compensation);
+        if clamped {
+            metrics.arbitrage_clamps += 1;
+        }
+        state.bank_mut().commit_quote(price);
+        metrics.quotes_served += 1;
+        quote.posted_price = price;
+        Payload::Quoted(quote)
+    }
+
+    /// Serves one observe for a privacy tenant: closes the session round,
+    /// then settles the staged charge against the owner ledgers, so the
+    /// record carries the clamped price the buyer saw.
+    fn serve_privacy_observe(
         state: &mut TenantState,
         metrics: &mut ShardMetrics,
         obs: &mut ShardObs,
-        request: &Request,
+        outcome: &OutcomeReport,
     ) -> Payload {
-        match request {
-            Request::Quote(query) => {
-                let supply = state.bank_mut().begin_quote(&query.features);
-                metrics.owners_exhausted += supply.newly_exhausted;
-                if !supply.sellable {
-                    metrics.privacy_throttled += 1;
-                    return Payload::Failed(RequestError::BudgetExhausted);
-                }
-                let reserve = query.reserve_price.max(supply.total_compensation);
-                let Some(mut quote) =
-                    state
-                        .session
-                        .step_throttled(&query.features, &supply.active, reserve)
-                else {
-                    // A sellable supply has an active non-zero coordinate, so
-                    // the session never refuses here; refusing the request is
-                    // still strictly safer than panicking.  Both sides of the
-                    // round state drop together — the staged charge and any
-                    // open round — so quote and charge stay in lockstep.
-                    state.session.abandon_round();
-                    state.bank_mut().cancel_quote();
-                    metrics.privacy_throttled += 1;
-                    return Payload::Failed(RequestError::BudgetExhausted);
-                };
-                let (price, clamped) =
-                    arbitrage_clamp(quote.posted_price, reserve, supply.total_compensation);
-                if clamped {
-                    metrics.arbitrage_clamps += 1;
-                }
-                state.bank_mut().commit_quote(price);
-                metrics.quotes_served += 1;
-                quote.posted_price = price;
-                Payload::Quoted(quote)
+        let Some(mut record) = state.session.observe(step_outcome(outcome)) else {
+            // No open round: nothing was staged on the bank either (quote
+            // and charge are staged in lockstep).
+            return no_open_round(metrics);
+        };
+        // pdm-lint: allow(no-ambient-clock) reason="wall-clock latency span; wall histograms are documented non-deterministic and excluded from the determinism fingerprint"
+        let settle_started = Instant::now();
+        let settled = state.bank_mut().settle(record.accepted);
+        obs.registry
+            .record_span(obs.settle, settle_started.elapsed(), 1);
+        if let Some(charge) = settled {
+            record.posted_price = charge.quoted_price;
+            record.revenue = if record.accepted {
+                charge.quoted_price
+            } else {
+                0.0
+            };
+            if record.accepted {
+                metrics.epsilon_spent += charge.total_leakage;
+                metrics.compensation_paid += charge.total_compensation;
             }
-            Request::Observe(outcome) => {
-                let observed = state.session.observe(StepOutcome {
-                    accepted: outcome.accepted,
-                    market_value: outcome.market_value,
-                });
-                let Some(mut record) = observed else {
-                    // No open round: nothing was staged on the bank either
-                    // (quote and charge are staged in lockstep).
-                    metrics.rejected += 1;
-                    return Payload::Failed(RequestError::NoOpenRound);
-                };
-                metrics.observations += 1;
-                // pdm-lint: allow(no-ambient-clock) reason="wall-clock latency span; wall histograms are documented non-deterministic and excluded from the determinism fingerprint"
-                let settle_started = Instant::now();
-                let settled = state.bank_mut().settle(record.accepted);
-                obs.registry
-                    .record_span(obs.settle, settle_started.elapsed(), 1);
-                if let Some(charge) = settled {
-                    record.posted_price = charge.quoted_price;
-                    record.revenue = if record.accepted {
-                        charge.quoted_price
-                    } else {
-                        0.0
-                    };
-                    if record.accepted {
-                        metrics.sales += 1;
-                        metrics.epsilon_spent += charge.total_leakage;
-                        metrics.compensation_paid += charge.total_compensation;
-                    }
-                } else if record.accepted {
-                    metrics.sales += 1;
-                }
-                metrics.revenue += record.revenue;
-                if let Some(regret) = record.regret {
-                    metrics.regret += regret;
-                }
-                metrics.regret_proxy += record.uncertainty_width;
-                Payload::Observed(record)
-            }
-            Request::Auction(_) => unreachable!("segment excludes auction requests"),
         }
+        book_observed(metrics, record)
     }
+}
+
+/// The session-level outcome of an observe request.
+fn step_outcome(outcome: &OutcomeReport) -> StepOutcome {
+    StepOutcome {
+        accepted: outcome.accepted,
+        market_value: outcome.market_value,
+    }
+}
+
+/// Books one closed round into the shard ledger — the accounting
+/// posted-price and privacy observes share.
+fn book_observed(metrics: &mut ShardMetrics, record: ObservedRound) -> Payload {
+    metrics.observations += 1;
+    if record.accepted {
+        metrics.sales += 1;
+    }
+    metrics.revenue += record.revenue;
+    if let Some(regret) = record.regret {
+        metrics.regret += regret;
+    }
+    metrics.regret_proxy += record.uncertainty_width;
+    Payload::Observed(record)
+}
+
+/// Rejects an observe that found no open round to close.
+fn no_open_round(metrics: &mut ShardMetrics) -> Payload {
+    metrics.rejected += 1;
+    Payload::Failed(RequestError::NoOpenRound)
 }
 
 #[cfg(test)]
@@ -909,6 +873,57 @@ mod tests {
         assert_eq!(shard.metrics.rejected, 2);
         assert_eq!(shard.metrics.quotes_served, 0);
         assert_eq!(shard.metrics.auction.auctions, 0);
+    }
+
+    #[test]
+    fn an_auction_inside_a_posted_run_is_rejected_without_breaking_the_round() {
+        // One posted-price tenant, one drain, one same-tenant run: the
+        // misaddressed auction round between the quote and its observe is
+        // refused, and the round it interrupts still closes.
+        let mut shard = shard_with_tenant();
+        shard.enqueue(0, quote_request());
+        shard.enqueue(
+            1,
+            Request::Auction(AuctionRequest {
+                tenant: TenantId(1),
+                features: Vector::from_slice(&[0.6, 0.8]),
+                floor: 0.1,
+                bids: vec![1.0, 0.5],
+            }),
+        );
+        shard.enqueue(
+            2,
+            Request::Observe(OutcomeReport {
+                tenant: TenantId(1),
+                accepted: true,
+                market_value: Some(1.0),
+            }),
+        );
+        let responses = shard.process_all();
+        assert!(matches!(responses[0].payload, Payload::Quoted(_)));
+        assert_eq!(
+            responses[1].payload,
+            Payload::Failed(RequestError::MarketMismatch)
+        );
+        assert!(matches!(responses[2].payload, Payload::Observed(_)));
+        assert_eq!(shard.metrics.rejected, 1);
+        assert_eq!(shard.metrics.quotes_served, 1);
+        assert_eq!(shard.metrics.observations, 1);
+        assert_eq!(shard.metrics.auction.auctions, 0);
+        // One quote span covers the run's posted work; the auction round
+        // keeps its own span.
+        let quote = shard
+            .obs
+            .registry
+            .histogram_counts("shard.quote.work_items")
+            .unwrap();
+        assert_eq!((quote.count(), quote.sum()), (1, 2));
+        let auction = shard
+            .obs
+            .registry
+            .histogram_counts("shard.auction.work_items")
+            .unwrap();
+        assert_eq!((auction.count(), auction.sum()), (1, 2));
     }
 
     #[test]

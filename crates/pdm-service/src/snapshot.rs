@@ -684,8 +684,6 @@ impl MarketService {
     /// tenant has a quoted-but-unobserved round; drain and close them
     /// first, then snapshot the quiescent service.
     pub fn snapshot(&self) -> Result<Json, ServiceError> {
-        // Stripe queues count as pending too: an ingested-but-untransferred
-        // request is invisible to the shards but still owed a response.
         let queued = self.queued_requests();
         let mut open_rounds = 0usize;
         for shard in self.shards() {
@@ -697,8 +695,6 @@ impl MarketService {
                 open_rounds,
             });
         }
-        // Merged ledgers: stripe-level shed counts fold in at read time, so
-        // the snapshot sees the same totals `shard_metrics` reports.
         let metrics: Vec<Json> = self.shard_metrics().iter().map(metrics_json).collect();
         let mut all_states: Vec<(TenantId, Json)> = Vec::new();
         for shard in self.shards() {

@@ -1,13 +1,14 @@
 //! Poison-propagation choke points for the service's locks.
 //!
 //! A poisoned lock means another worker already panicked while holding it —
-//! the shard (or slot, or stripe) behind it may be half-updated, so the only
-//! sound response is to propagate the abort rather than serve corrupt state.
+//! the shard (or the service's observability state) behind it may be
+//! half-updated, so the only sound response is to propagate the abort
+//! rather than serve corrupt state.
 //! These helpers are the service's *single* place where that decision is
 //! made: callers never write `.expect("… poisoned")` inline, which keeps the
 //! `no-unwrap-in-lib` lint surface at zero and the panic message uniform.
 
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Locks a mutex, propagating a worker panic as an explicit abort.
 pub(crate) fn lock<'a, T>(mutex: &'a Mutex<T>, what: &str) -> MutexGuard<'a, T> {
@@ -22,22 +23,6 @@ pub(crate) fn lock<'a, T>(mutex: &'a Mutex<T>, what: &str) -> MutexGuard<'a, T> 
 pub(crate) fn get_mut<'a, T>(mutex: &'a mut Mutex<T>, what: &str) -> &'a mut T {
     match mutex.get_mut() {
         Ok(inner) => inner,
-        Err(_) => poisoned(what),
-    }
-}
-
-/// Read-locks an `RwLock` under the same poison policy.
-pub(crate) fn read<'a, T>(rw: &'a RwLock<T>, what: &str) -> RwLockReadGuard<'a, T> {
-    match rw.read() {
-        Ok(guard) => guard,
-        Err(_) => poisoned(what),
-    }
-}
-
-/// Write-locks an `RwLock` under the same poison policy.
-pub(crate) fn write<'a, T>(rw: &'a RwLock<T>, what: &str) -> RwLockWriteGuard<'a, T> {
-    match rw.write() {
-        Ok(guard) => guard,
         Err(_) => poisoned(what),
     }
 }
@@ -59,11 +44,6 @@ mod tests {
         let mut m = m;
         *get_mut(&mut m, "test") = 8;
         assert_eq!(*lock(&m, "test"), 8);
-
-        let rw = RwLock::new(3u32);
-        assert_eq!(*read(&rw, "test"), 3);
-        *write(&rw, "test") = 4;
-        assert_eq!(*read(&rw, "test"), 4);
     }
 
     #[test]
