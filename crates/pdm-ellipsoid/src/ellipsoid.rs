@@ -18,18 +18,35 @@
 //!   formulas.
 //!
 //! Both are `O(n²)`; no inverse of `A` is ever formed on the hot path.
+//!
+//! `A` is stored once, as its packed upper triangle ([`PackedSymmetric`],
+//! `n(n+1)/2` floats), and the cut updates it in place as
+//! `aᵢⱼ ← (aᵢⱼ − c·(bᵢ bⱼ))·s`.  That update is exactly symmetric, so no
+//! symmetrize pass and no second copy of the shape exist.  The analyses off
+//! the hot path (volume, semi-axes, membership) expand the triangle to a
+//! dense matrix when they are called.
+//!
+//! **Invariant:** the centre and every entry of the shape are finite.  The
+//! constructors refuse anything else (`Ellipsoid::new` with
+//! [`LinalgError::NonFinite`]), and `inflate` and the cut refuse any update
+//! that could break it.  The cut's `O(n)` guard relies on it: for a finite
+//! positive semi-definite shape `|aᵢⱼ| ≤ max aᵢᵢ`, so the diagonal bounds
+//! every entry without reading the off-diagonal ones.
 
 use crate::cut::{Cut, CutOutcome};
 use crate::KnowledgeSet;
-use pdm_linalg::{jacobi_eigen, Cholesky, Matrix, Vector};
+use pdm_linalg::{jacobi_eigen, Cholesky, LinalgError, Matrix, PackedSymmetric, Vector};
 
 /// Numerical floor used when deciding whether a direction carries any
 /// information (`√(x^T A x)` below this is treated as degenerate).
 const DIRECTION_TOL: f64 = 1e-12;
 
-/// Reusable buffers for the per-round hot path (`support_bounds_mut` and the
-/// cut update).  They take no part in equality, serialization, or
-/// snapshots.
+/// Reusable `n`-float buffers for the per-round hot path
+/// (`support_bounds_mut` and the cut update).  They take no part in
+/// equality, serialization, or snapshots.  The shape itself is never
+/// staged: the cut decides from `b`, the staged centre and the shape's
+/// diagonal whether its result is finite, and only then writes the shape
+/// in place.
 ///
 /// Between a quote and the next cut they carry the quote's matvec forward.
 /// After `support_bounds_mut(x)`, `b` holds `A x` in slots `0..n` and
@@ -43,8 +60,6 @@ struct CutScratch {
     b: Vector,
     /// The quoted direction `x`, then the staging area for the centre `c'`.
     center: Vector,
-    /// Staging area for the updated shape matrix `A'`.
-    shape: Matrix,
 }
 
 impl CutScratch {
@@ -77,7 +92,8 @@ impl CutScratch {
 #[derive(Debug, Clone)]
 pub struct Ellipsoid {
     center: Vector,
-    shape: Matrix,
+    /// The packed upper triangle of `A`.
+    shape: PackedSymmetric,
     /// Cumulative count of volume-reducing cuts applied, kept for
     /// diagnostics (the regret analysis bounds this count).
     cuts_applied: usize,
@@ -111,7 +127,7 @@ impl Ellipsoid {
         );
         Self {
             center: Vector::zeros(dim),
-            shape: Matrix::identity(dim).scaled(radius * radius),
+            shape: PackedSymmetric::scaled_identity(dim, radius * radius),
             cuts_applied: 0,
             scratch: CutScratch::default(),
         }
@@ -125,27 +141,36 @@ impl Ellipsoid {
         radius > 0.0 && (radius * radius).is_finite()
     }
 
-    /// Creates an ellipsoid from an explicit centre and shape matrix.
+    /// Creates an ellipsoid from an explicit centre and dense shape matrix,
+    /// which is symmetrized and packed (a symmetric shape packs exactly).
     ///
     /// # Errors
-    /// Returns an error when `shape` is not symmetric positive definite or
-    /// its dimension does not match the centre.
-    pub fn new(center: Vector, shape: Matrix) -> Result<Self, pdm_linalg::LinalgError> {
+    /// Returns [`LinalgError::NonFinite`] when the centre or any entry of
+    /// the shape is NaN or infinite, and an error when `shape` is not
+    /// symmetric positive definite or its dimension does not match the
+    /// centre.
+    pub fn new(center: Vector, shape: Matrix) -> Result<Self, LinalgError> {
         if shape.rows() != center.len() || shape.cols() != center.len() {
-            return Err(pdm_linalg::LinalgError::DimensionMismatch {
+            return Err(LinalgError::DimensionMismatch {
                 operation: "Ellipsoid::new",
                 expected: center.len(),
                 actual: shape.rows(),
             });
         }
+        // NaN passes both the symmetry test and the Cholesky pivot test, so
+        // finiteness is checked first, explicitly (packing checks the shape).
+        if !center.is_finite() {
+            return Err(LinalgError::NonFinite {
+                operation: "Ellipsoid::new",
+            });
+        }
+        let packed = PackedSymmetric::from_dense(&shape)?;
         // Positive-definiteness check via Cholesky; the factor itself is not
         // retained because the hot path never needs A⁻¹ explicitly.
         Cholesky::factor(&shape, 1e-6)?;
-        let mut shape = shape;
-        shape.symmetrize();
         Ok(Self {
             center,
-            shape,
+            shape: packed,
             cuts_applied: 0,
             scratch: CutScratch::default(),
         })
@@ -176,9 +201,9 @@ impl Ellipsoid {
         &self.center
     }
 
-    /// The shape matrix `A`.
+    /// The shape matrix `A`, as its packed upper triangle.
     #[must_use]
-    pub fn shape(&self) -> &Matrix {
+    pub fn shape(&self) -> &PackedSymmetric {
         &self.shape
     }
 
@@ -229,7 +254,7 @@ impl Ellipsoid {
     /// raw determinant has underflowed.
     #[must_use]
     pub fn log_volume(&self) -> f64 {
-        let logdet = match Cholesky::factor(&self.shape, 1e-6) {
+        let logdet = match Cholesky::factor(&self.shape.to_dense(), 1e-6) {
             Ok(chol) => chol.log_determinant(),
             // A numerically semi-definite shape matrix means the volume has
             // collapsed to (effectively) zero.
@@ -253,16 +278,16 @@ impl Ellipsoid {
     /// symmetric matrices maintained by this type.
     #[must_use]
     pub fn semi_axes(&self) -> Vector {
-        // pdm-lint: allow(no-unwrap-in-lib) reason="the shape matrix is symmetric by construction (every update symmetrises); jacobi_eigen fails only on asymmetry"
-        let eig = jacobi_eigen(&self.shape, 1e-6).expect("shape matrix stays symmetric");
+        // pdm-lint: allow(no-unwrap-in-lib) reason="the expanded packed shape is exactly symmetric; jacobi_eigen fails only on asymmetry"
+        let eig = jacobi_eigen(&self.shape.to_dense(), 1e-6).expect("shape matrix is symmetric");
         eig.eigenvalues.map(|v| v.max(0.0).sqrt())
     }
 
     /// Smallest eigenvalue of the shape matrix (`γ_n(A)` in Lemmas 4–5).
     #[must_use]
     pub fn smallest_eigenvalue(&self) -> f64 {
-        // pdm-lint: allow(no-unwrap-in-lib) reason="the shape matrix is symmetric by construction (every update symmetrises); jacobi_eigen fails only on asymmetry"
-        let eig = jacobi_eigen(&self.shape, 1e-6).expect("shape matrix stays symmetric");
+        // pdm-lint: allow(no-unwrap-in-lib) reason="the expanded packed shape is exactly symmetric; jacobi_eigen fails only on asymmetry"
+        let eig = jacobi_eigen(&self.shape.to_dense(), 1e-6).expect("shape matrix is symmetric");
         eig.smallest()
     }
 
@@ -293,10 +318,7 @@ impl Ellipsoid {
         // scaled diagonal keeps every scaled entry finite.  The product
         // also catches an overflowing `factor²`: the maximum is ≥ 0, and
         // 0 · ∞ is NaN.
-        let widest = (0..self.dim())
-            .map(|i| self.shape.get(i, i))
-            .fold(0.0, f64::max);
-        if !(widest * factor_sq).is_finite() {
+        if !(self.shape.max_diagonal() * factor_sq).is_finite() {
             return;
         }
         self.scratch.clear_tag(self.dim());
@@ -313,9 +335,11 @@ impl Ellipsoid {
     /// distributes exactly over rounded sums and products, so
     /// `(−x)^T A (−x)`, `(A(−x))ᵢ = −(Ax)ᵢ`, and `(−x)^T c = −(x^T c)` all
     /// hold at the bit level.  No allocation happens on any path: the
-    /// candidate centre/shape are staged in [`CutScratch`] and committed by
-    /// swapping.  A cut along the direction the last quote used reuses that
-    /// quote's `A x` and `x^T A x` instead of recomputing them.
+    /// candidate centre is staged in [`CutScratch`] and committed by
+    /// swapping, and the shape is updated in place once an `O(n)` guard
+    /// has shown the result finite.  A cut along the direction the last
+    /// quote used reuses that quote's `A x` and `x^T A x` instead of
+    /// recomputing them.
     fn apply_cut_signed(&mut self, direction: &Vector, sign: f64, threshold: f64) -> CutOutcome {
         let n = self.dim();
         if n == 1 {
@@ -381,23 +405,31 @@ impl Ellipsoid {
             // pdm-lint: allow(no-unwrap-in-lib) reason="center and the cut vector b share the ellipsoid dimension established at construction"
             .expect("center and b share the dimension");
 
-        // A' = n²(1 − α²)/(n² − 1) · (A − 2(1 + nα)/((n + 1)(1 + α)) · b bᵀ)
+        // A' = s · (A − c · b bᵀ) with s = n²(1 − α²)/(n² − 1) and
+        // c = 2(1 + nα)/((n + 1)(1 + α)).
         let outer_coeff = 2.0 * (1.0 + nf * alpha) / ((nf + 1.0) * (1.0 + alpha));
         let shape_scale = nf * nf * (1.0 - alpha * alpha) / (nf * nf - 1.0);
-        let shape_finite = self.shape.rank_one_scaled_symmetrized_into(
-            -outer_coeff,
-            &self.scratch.b,
-            shape_scale,
-            &mut self.scratch.shape,
-        );
 
-        if !shape_finite || !self.scratch.center.is_finite() {
+        // The shape is written in place, so whether the result is finite is
+        // decided before any entry changes.  The shape is finite and
+        // positive semi-definite, so |aᵢⱼ| ≤ max aᵢᵢ, and |bᵢ bⱼ| ≤ max bᵢ²:
+        // every new entry is at most (max aᵢᵢ + |c|·max bᵢ²)·s in magnitude.
+        // The factor 2 leaves room for rounding in both bounds.  `f64::max`
+        // drops a NaN `bᵢ`, but every `bᵢ` is finite once the staged centre
+        // is: `c` is finite, and `step · bᵢ` is NaN or infinite whenever `bᵢ`
+        // is (even at `step = 0`).
+        let longest_sq = self.scratch.b.iter().fold(0.0, |m: f64, b| m.max(b * b));
+        let bound =
+            (2.0 * self.shape.max_diagonal() + outer_coeff.abs() * longest_sq) * shape_scale;
+        if !bound.is_finite() || !self.scratch.center.is_finite() {
             // Refuse to poison the knowledge set with NaNs; treat as a no-op.
             return CutOutcome::OutOfRange { alpha };
         }
 
+        // aᵢⱼ ← (aᵢⱼ + (−c)·(bᵢ bⱼ))·s, bit for bit (aᵢⱼ − c·(bᵢ bⱼ))·s.
+        self.shape
+            .rank_one_update_scaled(-outer_coeff, &self.scratch.b, shape_scale);
         std::mem::swap(&mut self.center, &mut self.scratch.center);
-        std::mem::swap(&mut self.shape, &mut self.scratch.shape);
         self.cuts_applied += 1;
         CutOutcome::Updated(Cut::from_alpha(alpha))
     }
@@ -514,10 +546,20 @@ impl KnowledgeSet for Ellipsoid {
         }
         let diff = theta - &self.center;
         // Solve A z = diff so that diff^T A⁻¹ diff = diff^T z.
-        match self.shape.solve(&diff) {
+        match self.shape.to_dense().solve(&diff) {
             Ok(z) => diff.dot(&z).map(|q| q <= 1.0 + 1e-8).unwrap_or(false),
             Err(_) => false,
         }
+    }
+
+    /// The heap the ellipsoid has allocated, by capacity: the packed shape,
+    /// the centre, and the two scratch vectors.
+    fn memory_footprint_bytes(&self) -> usize {
+        let floats = self.shape.capacity()
+            + self.center.capacity()
+            + self.scratch.b.capacity()
+            + self.scratch.center.capacity();
+        floats * std::mem::size_of::<f64>()
     }
 }
 
@@ -587,6 +629,31 @@ mod tests {
         assert!(Ellipsoid::new(c.clone(), not_pd).is_err());
         let wrong_dim = Matrix::identity(3);
         assert!(Ellipsoid::new(c, wrong_dim).is_err());
+    }
+
+    #[test]
+    fn new_refuses_non_finite_centres_and_shapes() {
+        let non_finite = |result: Result<Ellipsoid, LinalgError>| {
+            matches!(result, Err(LinalgError::NonFinite { .. }))
+        };
+        let spd = Matrix::from_rows(&[vec![2.0, 0.5], vec![0.5, 1.0]]);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // Off-diagonal NaNs pass the symmetry check and the Cholesky
+            // pivot test, so only the explicit check stands in their way.
+            let mut both = spd.clone();
+            both.set(0, 1, bad);
+            both.set(1, 0, bad);
+            assert!(non_finite(Ellipsoid::new(Vector::zeros(2), both)), "{bad}");
+            let mut diagonal = spd.clone();
+            diagonal.set(1, 1, bad);
+            assert!(
+                non_finite(Ellipsoid::new(Vector::zeros(2), diagonal)),
+                "{bad}"
+            );
+            let centre = Vector::from_slice(&[0.0, bad]);
+            assert!(non_finite(Ellipsoid::new(centre, spd.clone())), "{bad}");
+        }
+        assert!(Ellipsoid::new(Vector::zeros(2), spd).is_ok());
     }
 
     #[test]
@@ -794,6 +861,45 @@ mod tests {
     }
 
     #[test]
+    fn cuts_whose_result_would_not_be_finite_leave_the_set_untouched() {
+        // A diagonal near f64::MAX: a central cut along e₁ scales a₂₂ by
+        // n²/(n² − 1) = 4/3, past f64::MAX.
+        let huge = Ellipsoid::ball(2, (1.5e308_f64).sqrt());
+        let e1 = Vector::from_slice(&[1.0, 0.0]);
+        let nan_direction = Vector::from_slice(&[0.6, f64::NAN]);
+        let x = Vector::from_slice(&[0.6, 0.8]);
+        let cases: [(&str, Ellipsoid, &Vector, f64); 3] = [
+            ("overflowing update", huge, &e1, 0.0),
+            (
+                "NaN direction entry",
+                Ellipsoid::ball(2, 1.0),
+                &nan_direction,
+                0.0,
+            ),
+            ("NaN threshold", Ellipsoid::ball(2, 1.0), &x, f64::NAN),
+        ];
+        for (what, mut e, direction, threshold) in cases {
+            // Quote first, so a tagged `A x` is in play as well.
+            e.support_bounds_mut(direction);
+            let (center, shape) = (e.center().clone(), e.shape().clone());
+            for outcome in [
+                e.cut_below(direction, threshold),
+                e.cut_above(direction, threshold),
+            ] {
+                assert!(!outcome.is_updated(), "{what}: {outcome:?}");
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(e.center().as_slice()),
+                bits(center.as_slice()),
+                "{what}"
+            );
+            assert_eq!(bits(e.shape().as_slice()), bits(shape.as_slice()), "{what}");
+            assert_eq!(e.cuts_applied(), 0, "{what}");
+        }
+    }
+
+    #[test]
     fn cuts_applied_counter_increments_only_on_updates() {
         let mut e = Ellipsoid::ball(2, 1.0);
         let x = Vector::from_slice(&[1.0, 0.0]);
@@ -826,7 +932,7 @@ mod tests {
                 via_sign.center().as_slice(),
                 via_negation.center().as_slice()
             );
-            assert_eq!(via_sign.shape().as_slice(), via_negation.shape().as_slice());
+            assert_eq!(via_sign.shape(), via_negation.shape());
         }
         // And in one dimension, where the interval specialisation kicks in.
         let x1 = Vector::from_slice(&[-0.8]);

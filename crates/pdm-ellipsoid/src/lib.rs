@@ -78,6 +78,16 @@ pub trait KnowledgeSet {
         let (lo, hi) = self.support_bounds(direction);
         hi - lo
     }
+
+    /// Bytes of memory the set keeps for its learned state (Section V-D
+    /// reports the knowledge-set footprint).  [`Ellipsoid`] counts what it
+    /// has allocated; the default is the dense-ellipsoid estimate of
+    /// `n² + n` floats, which the other representations report as a
+    /// yardstick.
+    fn memory_footprint_bytes(&self) -> usize {
+        let n = self.dim();
+        (n * n + n) * std::mem::size_of::<f64>()
+    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Dimensions under test: the one-dimensional interval path, the smallest
-/// general case, and sizes on either side of the symmetrize tile.
+/// general case, and sizes on either side of a 32-float row.
 const DIMS: [usize; 4] = [1, 2, 33, 100];
 
 /// One ellipsoid that quotes with `support_bounds_mut` (and so records the

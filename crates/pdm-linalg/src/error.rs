@@ -57,6 +57,12 @@ pub enum LinalgError {
         /// Human-readable name of the operation that failed.
         operation: &'static str,
     },
+    /// A vector or matrix that must hold only finite numbers held a NaN or
+    /// an infinity.
+    NonFinite {
+        /// Human-readable name of the operation that refused the value.
+        operation: &'static str,
+    },
     /// A scalar argument was outside its valid domain.
     InvalidArgument {
         /// Description of the violated requirement.
@@ -99,6 +105,9 @@ impl fmt::Display for LinalgError {
             LinalgError::Unbounded => write!(f, "linear program is unbounded"),
             LinalgError::Empty { operation } => {
                 write!(f, "{operation} requires a non-empty operand")
+            }
+            LinalgError::NonFinite { operation } => {
+                write!(f, "{operation} requires finite entries")
             }
             LinalgError::InvalidArgument { message } => {
                 write!(f, "invalid argument: {message}")

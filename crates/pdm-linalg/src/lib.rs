@@ -4,10 +4,11 @@
 //! `personal-data-pricing` workspace.
 //!
 //! The ellipsoid-based pricing mechanism of Niu et al. (ICDE 2020) only needs
-//! a handful of operations — matrix–vector products, rank-one updates of a
-//! symmetric positive-definite shape matrix, eigenvalues (for ellipsoid
-//! volumes and axis widths), and Cholesky factorisation (for positive
-//! definiteness checks and the ordinary-least-squares learner) — so this crate
+//! a handful of operations — matrix–vector products and rank-one updates of a
+//! symmetric positive-definite shape matrix (stored as its packed upper
+//! triangle, [`PackedSymmetric`]), eigenvalues (for ellipsoid volumes and
+//! axis widths), and Cholesky factorisation (for positive definiteness
+//! checks and the ordinary-least-squares learner) — so this crate
 //! implements exactly those, plus a dense simplex linear-programming solver
 //! used in tests to cross-check ellipsoid bounds against the exact polytope
 //! knowledge set.
@@ -42,6 +43,7 @@ pub mod error;
 pub mod json;
 pub mod logbucket;
 pub mod matrix;
+pub mod packed;
 pub mod sampling;
 pub mod simplex;
 pub mod stats;
@@ -52,6 +54,7 @@ pub use eigen::{jacobi_eigen, EigenDecomposition};
 pub use error::{LinalgError, Result};
 pub use json::Json;
 pub use matrix::Matrix;
+pub use packed::PackedSymmetric;
 pub use simplex::{LinearProgram, LpOutcome, LpSolution};
 pub use stats::{
     mean, population_std, quantile_sorted, quantiles, sample_std, OnlineStats, SampleWindow,

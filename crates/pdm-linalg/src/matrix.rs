@@ -1,9 +1,10 @@
 //! Dense, row-major `f64` matrices.
 //!
-//! [`Matrix`] provides the operations needed by the ellipsoid pricing
-//! mechanism (matrix–vector products, symmetric rank-one updates, quadratic
-//! forms) and by the learners (Gram matrices, transposes, solves via
-//! [`crate::Cholesky`]).
+//! [`Matrix`] provides the dense operations of the learners (Gram matrices,
+//! transposes, solves via [`crate::Cholesky`]) and the off-hot-path
+//! analyses of the ellipsoid mechanism (volumes, eigenvalues, membership),
+//! which expand its packed shape ([`crate::PackedSymmetric`]) to a dense
+//! matrix first.
 
 use crate::error::{LinalgError, Result};
 use crate::vector::Vector;
@@ -169,19 +170,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Overwrites `self` with the contents of `src`, reusing the existing
-    /// allocation whenever its capacity suffices.
-    ///
-    /// The matrix counterpart of [`Vector::copy_from`]: the ellipsoid cut
-    /// update copies the shape matrix into a long-lived scratch buffer each
-    /// round instead of cloning a fresh `n × n` allocation.
-    pub fn copy_from(&mut self, src: &Matrix) {
-        self.rows = src.rows;
-        self.cols = src.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
-
     /// Resizes the matrix to `rows x cols` and fills it with zeros, reusing
     /// the existing allocation whenever its capacity suffices.
     ///
@@ -222,13 +210,6 @@ impl Matrix {
         }
     }
 
-    /// Scales the matrix in place by `factor`.
-    pub fn scale_mut(&mut self, factor: f64) {
-        for x in &mut self.data {
-            *x *= factor;
-        }
-    }
-
     /// Matrix–vector product `A x`.
     ///
     /// # Panics
@@ -246,30 +227,6 @@ impl Matrix {
             let row = self.row(i);
             row.iter().zip(x.iter()).map(|(a, b)| a * b).sum()
         })
-    }
-
-    /// Matrix–vector product `A x` into a caller-owned scratch buffer.
-    ///
-    /// Produces exactly the values of [`Matrix::matvec`] — the per-row
-    /// multiply/accumulate order is identical, so results are bit-for-bit
-    /// equal — without allocating.  `out` is resized to `self.rows()`.
-    ///
-    /// # Panics
-    /// Panics when `x.len() != self.cols()`.
-    pub fn mul_vec_into(&self, x: &Vector, out: &mut Vector) {
-        assert_eq!(
-            x.len(),
-            self.cols,
-            "mul_vec_into: vector length {} does not match {} columns",
-            x.len(),
-            self.cols
-        );
-        out.resize(self.rows);
-        let out = out.as_mut_slice();
-        for (i, slot) in out.iter_mut().enumerate() {
-            let row = self.row(i);
-            *slot = row.iter().zip(x.iter()).map(|(a, b)| a * b).sum();
-        }
     }
 
     /// Transposed matrix–vector product `A^T x`.
@@ -337,23 +294,6 @@ impl Matrix {
         self.matvec(x).dot(x).expect("dimensions checked above")
     }
 
-    /// Quadratic form `x^T A x` computed through a caller-owned scratch
-    /// buffer (which ends up holding `A x`).
-    ///
-    /// Bit-for-bit equal to [`Matrix::quadratic_form`] — the product and
-    /// accumulation order is identical — without allocating.
-    ///
-    /// # Panics
-    /// Panics when the matrix is not square or `x.len() != n`.
-    pub fn quadratic_form_with(&self, x: &Vector, scratch: &mut Vector) -> f64 {
-        assert!(
-            self.is_square(),
-            "quadratic_form_with requires a square matrix"
-        );
-        self.mul_vec_into(x, scratch);
-        scratch.iter().zip(x.iter()).map(|(m, d)| m * d).sum()
-    }
-
     /// In-place symmetric rank-one update `A += alpha * v v^T`.
     ///
     /// # Panics
@@ -367,62 +307,6 @@ impl Matrix {
                 self.add_to(i, j, alpha * vi * v[j]);
             }
         }
-    }
-
-    /// Fused `syr`-style kernel of the ellipsoid cut update:
-    /// `out = symmetrize((A + alpha · v vᵀ) · beta)`, written into a
-    /// caller-owned scratch matrix without allocating.  Returns `true` when
-    /// every entry of `out` is finite, so the caller needs no separate
-    /// `is_finite` pass over the result.
-    ///
-    /// Bit-for-bit equal to the three-step sequence
-    /// `out = A.clone(); out.rank_one_update(alpha, v); out.scale_mut(beta);
-    /// out.symmetrize()`: each element sees exactly the rounding sequence
-    /// `(a + (alpha·vᵢ)·vⱼ) · beta`, then the same upper/lower average
-    /// `0.5 · (dᵢⱼ + dⱼᵢ)`.
-    ///
-    /// Two passes over the matrix: a row pass that the compiler vectorises,
-    /// then a symmetrize over `32 × 32` tiles, so the column-order half of
-    /// each averaged pair stays in cache.  The averaging does not depend on
-    /// visit order, so the tiling is bit-neutral.  The finiteness flag is
-    /// gathered during the symmetrize from the diagonal and every averaged
-    /// value; it is exact, because a non-finite input stays non-finite
-    /// through the average and an overflowing `dᵢⱼ + dⱼᵢ` is caught too.
-    ///
-    /// # Panics
-    /// Panics when the matrix is not square or `v.len() != n`.
-    pub fn rank_one_scaled_symmetrized_into(
-        &self,
-        alpha: f64,
-        v: &Vector,
-        beta: f64,
-        out: &mut Matrix,
-    ) -> bool {
-        assert!(
-            self.is_square(),
-            "rank_one_scaled_symmetrized_into requires a square matrix"
-        );
-        assert_eq!(
-            v.len(),
-            self.rows,
-            "rank_one_scaled_symmetrized_into: dimension mismatch"
-        );
-        let n = self.rows;
-        out.rows = n;
-        out.cols = n;
-        out.data.clear();
-        out.data.reserve(n * n);
-        let v = v.as_slice();
-        for i in 0..n {
-            let avi = alpha * v[i];
-            let row = self.row(i);
-            out.data.extend(
-                row.iter()
-                    .zip(v.iter())
-                    .map(|(&a, &vj)| (a + avi * vj) * beta),
-            );
-        }
-        symmetrize_tiled(n, &mut out.data)
     }
 
     /// Maximum absolute asymmetry `max_ij |A[i][j] - A[j][i]|` (zero for
@@ -448,14 +332,17 @@ impl Matrix {
         self.is_square() && self.max_asymmetry() <= tol
     }
 
-    /// Forces exact symmetry by averaging `A` and `A^T` in place.
-    ///
-    /// The ellipsoid shape matrix is updated tens of thousands of times per
-    /// simulation; re-symmetrising after each rank-one update keeps floating
-    /// point drift from accumulating into asymmetry.
+    /// Forces exact symmetry by replacing every off-diagonal pair with its
+    /// average `0.5 · (aᵢⱼ + aⱼᵢ)`.
     pub fn symmetrize(&mut self) {
         assert!(self.is_square(), "symmetrize requires a square matrix");
-        symmetrize_tiled(self.rows, &mut self.data);
+        for i in 0..self.rows {
+            for j in (i + 1)..self.cols {
+                let avg = 0.5 * (self.get(i, j) + self.get(j, i));
+                self.set(i, j, avg);
+                self.set(j, i, avg);
+            }
+        }
     }
 
     /// Returns `true` when every entry is finite.
@@ -543,39 +430,6 @@ impl Matrix {
         }
         Ok(x)
     }
-}
-
-/// Side of the square tiles [`symmetrize_tiled`] walks.  A `32 × 32` tile
-/// of `f64` is 8 KB, so a tile and its mirror fit in L1 together.
-const SYMMETRIZE_TILE: usize = 32;
-
-/// Replaces every off-diagonal pair of the row-major `n × n` matrix `data`
-/// with its average `0.5 · (dᵢⱼ + dⱼᵢ)`, tile by tile, and returns `true`
-/// when the diagonal and every averaged value are finite (which is exactly
-/// when the whole symmetrized matrix is finite).
-fn symmetrize_tiled(n: usize, data: &mut [f64]) -> bool {
-    debug_assert_eq!(data.len(), n * n);
-    let mut finite = true;
-    for i in 0..n {
-        finite &= data[i * n + i].is_finite();
-    }
-    for row_tile in (0..n).step_by(SYMMETRIZE_TILE) {
-        let row_end = (row_tile + SYMMETRIZE_TILE).min(n);
-        for col_tile in (row_tile..n).step_by(SYMMETRIZE_TILE) {
-            let col_end = (col_tile + SYMMETRIZE_TILE).min(n);
-            for i in row_tile..row_end {
-                // On the diagonal tile only the strict upper triangle is
-                // visited, so every pair is averaged exactly once.
-                for j in col_tile.max(i + 1)..col_end {
-                    let avg = 0.5 * (data[i * n + j] + data[j * n + i]);
-                    data[i * n + j] = avg;
-                    data[j * n + i] = avg;
-                    finite &= avg.is_finite();
-                }
-            }
-        }
-    }
-    finite
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -767,58 +621,8 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_into_matches_matvec_bitwise() {
-        let m = Matrix::from_rows(&[
-            vec![0.1, -2.3, 7.7],
-            vec![4.25, 0.0, -1.5],
-            vec![9.01, 3.3, 0.125],
-        ]);
-        let x = Vector::from_slice(&[1.7, -0.3, 2.9]);
-        let expected = m.matvec(&x);
-        let mut out = Vector::zeros(1); // wrong size on purpose: must resize
-        m.mul_vec_into(&x, &mut out);
-        assert_eq!(out.as_slice(), expected.as_slice());
-    }
-
-    #[test]
-    fn quadratic_form_with_matches_allocating_path_bitwise() {
-        let a = Matrix::from_rows(&[vec![2.0, 0.51], vec![0.51, 1.25]]);
-        let x = Vector::from_slice(&[1.3, -2.7]);
-        let mut scratch = Vector::zeros(0);
-        let fused = a.quadratic_form_with(&x, &mut scratch);
-        assert_eq!(fused.to_bits(), a.quadratic_form(&x).to_bits());
-        // The scratch ends up holding A x.
-        assert_eq!(scratch.as_slice(), a.matvec(&x).as_slice());
-    }
-
-    #[test]
-    fn rank_one_scaled_symmetrized_into_matches_three_step_sequence() {
-        let a = Matrix::from_rows(&[
-            vec![3.0, 0.7, -0.2],
-            vec![0.7, 2.0, 0.05],
-            vec![-0.2, 0.05, 1.5],
-        ]);
-        let v = Vector::from_slice(&[0.3, -1.9, 2.2]);
-        let (alpha, beta) = (-0.637, 1.0625);
-        let mut reference = a.clone();
-        reference.rank_one_update(alpha, &v);
-        reference.scale_mut(beta);
-        reference.symmetrize();
-        let mut fused = Matrix::default();
-        a.rank_one_scaled_symmetrized_into(alpha, &v, beta, &mut fused);
-        assert_eq!(fused, reference);
-        // Reuse of a stale, differently-sized buffer must be harmless.
-        let mut dirty = Matrix::zeros(7, 2);
-        a.rank_one_scaled_symmetrized_into(alpha, &v, beta, &mut dirty);
-        assert_eq!(dirty, reference);
-    }
-
-    #[test]
-    fn copy_from_and_resize_zeroed_reuse_buffers() {
-        let src = example();
-        let mut dst = Matrix::zeros(5, 5);
-        dst.copy_from(&src);
-        assert_eq!(dst, src);
+    fn resize_zeroed_clears_a_dirty_buffer() {
+        let mut dst = example();
         dst.resize_zeroed(2, 3);
         assert_eq!(dst, Matrix::zeros(2, 3));
     }

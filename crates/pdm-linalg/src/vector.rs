@@ -115,6 +115,12 @@ impl Vector {
         self.data.resize(len, 0.0);
     }
 
+    /// Number of entries the vector has allocated room for.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Consumes the vector and returns the underlying storage.
     #[must_use]
     pub fn into_vec(self) -> Vec<f64> {

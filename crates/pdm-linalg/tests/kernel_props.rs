@@ -1,17 +1,19 @@
-//! Property tests pinning the fused in-place kernels to their allocating
-//! reference formulations, bit for bit.
+//! Property tests pinning the in-place kernels to naive reference
+//! formulations, bit for bit.
 //!
 //! The hot path of the ellipsoid mechanism routes every per-round product
-//! through three scratch-buffer kernels — [`Matrix::mul_vec_into`],
-//! [`Matrix::rank_one_scaled_symmetrized_into`], and
-//! [`Cholesky::factor_into`] — that each promise *exactly* the values of the
-//! allocating call they replaced.  These suites drive both paths over seeded
-//! random inputs and compare raw `f64` bit patterns: any reordering of the
-//! multiply/accumulate sequence, however numerically benign, fails here.
-//! `Matrix::symmetrize` shares the rank-one kernel's tiled symmetrize, so
-//! that kernel is checked against a naive `get`/`set` loop written out here.
+//! through scratch-buffer kernels: the packed shape's
+//! [`PackedSymmetric::quadratic_form_with`] (`A x` and `xᵀ A x` in one pass
+//! over the upper triangle) and [`PackedSymmetric::rank_one_update_scaled`]
+//! (the cut's `(A + α v vᵀ) β`, in place), plus [`Cholesky::factor_into`].
+//! These suites drive each kernel and a naive dense loop written out here,
+//! in the same multiply/accumulate order, over seeded random inputs and
+//! compare raw `f64` bit patterns: any reordering, however numerically
+//! benign, fails here.  Separate properties bound the packed results
+//! against the plain dense products, and check the finiteness bound the
+//! ellipsoid cut decides on before it writes the shape in place.
 
-use pdm_linalg::{sampling, Cholesky, Matrix, Vector};
+use pdm_linalg::{sampling, Cholesky, Matrix, PackedSymmetric, Vector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,30 +39,36 @@ fn random_spd(rng: &mut StdRng, dim: usize, magnitude: f64) -> Matrix {
     spd
 }
 
-/// Dimensions for the rank-one kernel: small cases, and sizes on either side
-/// of one and of two `32 × 32` symmetrize tiles.
-const RANK_ONE_DIMS: [usize; 11] = [1, 2, 3, 5, 7, 31, 32, 33, 64, 65, 100];
-
-/// The reference symmetrize: average every off-diagonal pair, row by row,
-/// through `get`/`set`.
-fn naive_symmetrize(m: &mut Matrix) {
-    for i in 0..m.rows() {
-        for j in (i + 1)..m.cols() {
-            let avg = 0.5 * (m.get(i, j) + m.get(j, i));
-            m.set(i, j, avg);
-            m.set(j, i, avg);
-        }
-    }
+fn packed(m: &Matrix) -> PackedSymmetric {
+    PackedSymmetric::from_dense(m).expect("finite square input")
 }
 
-/// The allocating formulation the ellipsoid update used before the fused
-/// kernel: clone, rank-one update, scale, symmetrize.
-fn three_step_reference(a: &Matrix, alpha: f64, v: &Vector, beta: f64) -> Matrix {
-    let mut reference = a.clone();
-    reference.rank_one_update(alpha, v);
-    reference.scale_mut(beta);
-    naive_symmetrize(&mut reference);
-    reference
+/// Dimensions for the packed kernels: small cases, and sizes on either side
+/// of the 32- and 64-float boundaries a vectorised row loop splits at.
+const PACKED_DIMS: [usize; 11] = [1, 2, 3, 5, 7, 31, 32, 33, 64, 65, 100];
+
+/// The reference `A x` in the packed kernel's order, on a dense symmetric
+/// matrix: row `i` adds `Σ_{j ≥ i} aᵢⱼ xⱼ` to `yᵢ`, then `xᵢ aᵢⱼ` to every
+/// later `yⱼ`.
+fn triangle_order_matvec(a: &Matrix, x: &Vector) -> Vector {
+    let n = x.len();
+    let mut y = Vector::zeros(n);
+    for i in 0..n {
+        let dot: f64 = (i..n).map(|j| a.get(i, j) * x[j]).sum();
+        y[i] += dot;
+        for j in (i + 1)..n {
+            y[j] += x[i] * a.get(i, j);
+        }
+    }
+    y
+}
+
+/// The reference cut update on the full dense matrix:
+/// `(aᵢⱼ + α·(vᵢ vⱼ)) · β` for every entry.
+fn dense_rank_one_reference(a: &Matrix, alpha: f64, v: &Vector, beta: f64) -> Matrix {
+    Matrix::from_fn(a.rows(), a.cols(), |i, j| {
+        (a.get(i, j) + alpha * (v[i] * v[j])) * beta
+    })
 }
 
 fn assert_bits_eq(actual: &[f64], expected: &[f64], what: &str) {
@@ -78,95 +86,76 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn mul_vec_into_matches_matvec_bitwise(
-        rows in 1usize..7,
-        cols in 1usize..7,
+    fn packed_matvec_matches_triangle_order_reference_bitwise(
+        dim_index in 0usize..PACKED_DIMS.len(),
         seed in 0u64..1_000,
     ) {
+        let dim = PACKED_DIMS[dim_index];
         let mut rng = StdRng::seed_from_u64(seed);
-        let a = random_matrix(&mut rng, rows, cols, 10.0);
-        let x = sampling::uniform_vector(&mut rng, cols, -10.0, 10.0);
-        let reference = a.matvec(&x);
+        let a = random_spd(&mut rng, dim, 3.0);
+        let x = sampling::uniform_vector(&mut rng, dim, -10.0, 10.0);
+        let reference = triangle_order_matvec(&a, &x);
         // Scratch arrives dirty and wrongly sized on purpose: the kernel
         // must resize and overwrite every slot.
         let mut scratch = Vector::from_slice(&[f64::NAN; 3]);
-        a.mul_vec_into(&x, &mut scratch);
-        prop_assert_eq!(scratch.len(), rows);
-        assert_bits_eq(scratch.as_slice(), reference.as_slice(), "mul_vec_into");
+        let form = packed(&a).quadratic_form_with(&x, &mut scratch);
+        prop_assert_eq!(scratch.len(), dim);
+        assert_bits_eq(scratch.as_slice(), reference.as_slice(), "packed A x");
+        let reference_form: f64 = reference.iter().zip(x.iter()).map(|(m, d)| m * d).sum();
+        prop_assert_eq!(form.to_bits(), reference_form.to_bits());
+        // The allocating entry points are the same computation.
+        prop_assert_eq!(packed(&a).quadratic_form(&x).to_bits(), form.to_bits());
+        assert_bits_eq(packed(&a).matvec(&x).as_slice(), reference.as_slice(), "matvec");
     }
 
     #[test]
-    fn quadratic_form_with_matches_quadratic_form_bitwise(
-        dim in 1usize..7,
+    fn packed_matvec_is_close_to_the_dense_product(
+        dim in 1usize..12,
         seed in 0u64..1_000,
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = random_matrix(&mut rng, dim, dim, 5.0);
-        let x = sampling::uniform_vector(&mut rng, dim, -5.0, 5.0);
-        let reference = a.quadratic_form(&x);
-        let mut scratch = Vector::zeros(0);
-        let fused = a.quadratic_form_with(&x, &mut scratch);
-        prop_assert_eq!(fused.to_bits(), reference.to_bits());
-        // The scratch contract: it ends up holding `A x`.
-        assert_bits_eq(scratch.as_slice(), a.matvec(&x).as_slice(), "scratch = A x");
-    }
-
-    #[test]
-    fn rank_one_fused_kernel_matches_three_step_reference_bitwise(
-        dim_index in 0usize..RANK_ONE_DIMS.len(),
-        seed in 0u64..1_000,
-        alpha in -3.0..3.0_f64,
-        beta in 0.1..3.0_f64,
-    ) {
-        let dim = RANK_ONE_DIMS[dim_index];
         let mut rng = StdRng::seed_from_u64(seed);
         let a = random_spd(&mut rng, dim, 2.0);
-        let v = sampling::uniform_vector(&mut rng, dim, -2.0, 2.0);
-        let reference = three_step_reference(&a, alpha, &v, beta);
-
-        let mut out = Matrix::default();
-        let finite = a.rank_one_scaled_symmetrized_into(alpha, &v, beta, &mut out);
-        prop_assert_eq!(out.rows(), dim);
-        assert_bits_eq(out.as_slice(), reference.as_slice(), "rank-one kernel");
-        prop_assert_eq!(finite, out.is_finite());
+        let x = sampling::uniform_vector(&mut rng, dim, -5.0, 5.0);
+        let mut y = Vector::zeros(0);
+        let form = packed(&a).quadratic_form_with(&x, &mut y);
+        let dense = a.matvec(&x);
+        for i in 0..dim {
+            prop_assert!((y[i] - dense[i]).abs() <= 1e-10 * (1.0 + dense[i].abs()));
+        }
+        let dense_form = a.quadratic_form(&x);
+        prop_assert!((form - dense_form).abs() <= 1e-10 * (1.0 + dense_form.abs()));
     }
 
     #[test]
-    fn rank_one_finiteness_flag_matches_is_finite_on_poisoned_inputs(
-        dim_index in 0usize..RANK_ONE_DIMS.len(),
+    fn packed_rank_one_update_matches_dense_reference_bitwise(
+        dim_index in 0usize..PACKED_DIMS.len(),
         seed in 0u64..1_000,
-        poison in 0usize..6,
+        poison in 0usize..5,
         alpha in -3.0..3.0_f64,
         beta in 0.1..3.0_f64,
     ) {
-        let dim = RANK_ONE_DIMS[dim_index];
+        let dim = PACKED_DIMS[dim_index];
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut a = random_matrix(&mut rng, dim, dim, 2.0);
-        let v = sampling::uniform_vector(&mut rng, dim, -2.0, 2.0);
-        let i = rng.gen_range(0..dim);
-        let j = rng.gen_range(0..dim);
-        let (alpha, beta) = match poison {
-            0 => { a.set(i, j, f64::INFINITY); (alpha, beta) }
-            1 => { a.set(i, j, f64::NEG_INFINITY); (alpha, beta) }
-            2 => { a.set(i, j, f64::NAN); (alpha, beta) }
-            // Two finite entries near `f64::MAX` whose sum overflows, and
-            // two whose sum cancels.  The update is the identity so the
-            // row pass leaves them exactly as set.
-            3 | 4 => {
-                let mirror = if poison == 3 { 0.75 } else { -0.75 };
-                a.set(i, j, 0.75 * f64::MAX);
-                a.set(j, i, mirror * f64::MAX);
-                (0.0, 1.0)
+        let mut a = random_spd(&mut rng, dim, 2.0);
+        let mut p = packed(&a);
+        let mut v = sampling::uniform_vector(&mut rng, dim, -2.0, 2.0);
+        // Non-finite entries of the shape or the vector must propagate
+        // exactly as through the reference: the kernel checks nothing.
+        let (i, j) = (rng.gen_range(0..dim), rng.gen_range(0..dim));
+        match poison {
+            0..=2 => {
+                let bad = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][poison];
+                p.set(i, j, bad);
+                a.set(i, j, bad);
+                a.set(j, i, bad);
             }
-            _ => (alpha, beta),
-        };
-        let reference = three_step_reference(&a, alpha, &v, beta);
-
-        let mut out = Matrix::default();
-        let finite = a.rank_one_scaled_symmetrized_into(alpha, &v, beta, &mut out);
-        prop_assert_eq!(finite, out.is_finite());
-        prop_assert_eq!(finite, reference.is_finite());
-        for (k, (got, want)) in out.as_slice().iter().zip(reference.as_slice()).enumerate() {
+            3 => v[i] = f64::NAN,
+            _ => {}
+        }
+        let reference = dense_rank_one_reference(&a, alpha, &v, beta);
+        p.rank_one_update_scaled(alpha, &v, beta);
+        let dense = p.to_dense();
+        for (k, (got, want)) in dense.as_slice().iter().zip(reference.as_slice()).enumerate() {
             prop_assert!(
                 got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
                 "slot {}: {} vs reference {}", k, got, want
@@ -175,7 +164,7 @@ proptest! {
     }
 
     #[test]
-    fn rank_one_fused_kernel_is_exactly_symmetric_and_close_to_naive(
+    fn packed_rank_one_update_is_close_to_naive(
         dim in 2usize..7,
         seed in 0u64..1_000,
         alpha in -2.0..2.0_f64,
@@ -184,20 +173,46 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = random_spd(&mut rng, dim, 2.0);
         let v = sampling::uniform_vector(&mut rng, dim, -2.0, 2.0);
-        let mut out = Matrix::default();
-        a.rank_one_scaled_symmetrized_into(alpha, &v, beta, &mut out);
-        // Symmetrization is exact, not just within tolerance.
-        prop_assert_eq!(out.max_asymmetry(), 0.0);
-        // And the values agree with the mathematical definition
+        let mut p = packed(&a);
+        p.rank_one_update_scaled(alpha, &v, beta);
+        // The values agree with the mathematical definition
         // `β(A + α v vᵀ)` up to roundoff.
         for i in 0..dim {
             for j in 0..dim {
                 let naive = beta * (a.get(i, j) + alpha * v[i] * v[j]);
                 prop_assert!(
-                    (out.get(i, j) - naive).abs() <= 1e-9 * (1.0 + naive.abs()),
-                    "({}, {}): {} vs naive {}", i, j, out.get(i, j), naive
+                    (p.get(i, j) - naive).abs() <= 1e-9 * (1.0 + naive.abs()),
+                    "({}, {}): {} vs naive {}", i, j, p.get(i, j), naive
                 );
             }
+        }
+    }
+
+    #[test]
+    fn finite_cut_bound_implies_a_finite_update(
+        dim in 2usize..9,
+        seed in 0u64..1_000,
+        shape_exponent in 250i32..309,
+        vector_exponent in 120i32..155,
+        alpha in -3.0..0.0_f64,
+        beta in 0.5..2.0_f64,
+    ) {
+        // The ellipsoid cut writes its shape in place only when
+        // `(2·max aᵢᵢ + |α|·max vᵢ²)·β` is finite; on a positive definite
+        // shape that must keep every updated entry finite.  Magnitudes
+        // near f64::MAX make the bound fail as well as hold.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let unit = random_spd(&mut rng, dim, 1.0);
+        let mut p = packed(&unit);
+        p.scale_mut(10f64.powi(shape_exponent) / p.max_diagonal());
+        prop_assume!(p.is_finite());
+        let v = sampling::uniform_vector(&mut rng, dim, -1.0, 1.0)
+            .scaled(10f64.powi(vector_exponent));
+        let longest_sq = v.iter().fold(0.0, |m: f64, x| m.max(x * x));
+        let bound = (2.0 * p.max_diagonal() + alpha.abs() * longest_sq) * beta;
+        p.rank_one_update_scaled(alpha, &v, beta);
+        if bound.is_finite() {
+            prop_assert!(p.is_finite(), "bound {} is finite but the update overflowed", bound);
         }
     }
 
@@ -241,16 +256,16 @@ proptest! {
     fn scratch_buffers_survive_dimension_changes(
         seed in 0u64..500,
     ) {
-        // One scratch vector reused across shrinking and growing shapes —
-        // exactly how a session-owned buffer lives across tenants of
-        // different dimension.
+        // One scratch vector reused across shrinking and growing shapes:
+        // every slot of `A x` must be rewritten, none left over.
         let mut rng = StdRng::seed_from_u64(seed);
         let mut scratch = Vector::zeros(0);
         for &dim in &[5usize, 2, 7, 1, 4] {
-            let a = random_matrix(&mut rng, dim, dim, 4.0);
+            let a = random_spd(&mut rng, dim, 2.0);
             let x = sampling::uniform_vector(&mut rng, dim, -4.0, 4.0);
-            a.mul_vec_into(&x, &mut scratch);
-            assert_bits_eq(scratch.as_slice(), a.matvec(&x).as_slice(), "resized scratch");
+            packed(&a).quadratic_form_with(&x, &mut scratch);
+            let reference = triangle_order_matvec(&a, &x);
+            assert_bits_eq(scratch.as_slice(), reference.as_slice(), "resized scratch");
         }
     }
 }
@@ -261,16 +276,15 @@ fn degenerate_shapes_do_not_panic() {
     let a = Matrix::from_fn(1, 1, |_, _| 4.0);
     let x = Vector::from_slice(&[3.0]);
     let mut scratch = Vector::zeros(0);
-    a.mul_vec_into(&x, &mut scratch);
-    assert_eq!(scratch[0].to_bits(), 12.0_f64.to_bits());
+    let mut p = packed(&a);
     assert_eq!(
-        a.quadratic_form_with(&x, &mut scratch).to_bits(),
+        p.quadratic_form_with(&x, &mut scratch).to_bits(),
         36.0_f64.to_bits()
     );
-    let mut out = Matrix::default();
-    a.rank_one_scaled_symmetrized_into(2.0, &x, 0.5, &mut out);
+    assert_eq!(scratch[0].to_bits(), 12.0_f64.to_bits());
+    p.rank_one_update_scaled(2.0, &x, 0.5);
     assert_eq!(
-        out.get(0, 0).to_bits(),
+        p.get(0, 0).to_bits(),
         (0.5_f64 * (4.0 + 2.0 * 9.0)).to_bits()
     );
     let mut lower = Matrix::default();
@@ -288,13 +302,10 @@ fn zero_vector_inputs_are_exact_no_ops() {
     }
     let zero = Vector::zeros(3);
     let mut scratch = Vector::zeros(0);
-    spd.mul_vec_into(&zero, &mut scratch);
+    let mut p = packed(&spd);
+    assert_eq!(p.quadratic_form_with(&zero, &mut scratch), 0.0);
     assert_eq!(scratch.as_slice(), &[0.0, 0.0, 0.0]);
-    assert_eq!(spd.quadratic_form_with(&zero, &mut scratch), 0.0);
     // A rank-one update with the zero vector must reproduce `β·A` exactly.
-    let mut out = Matrix::default();
-    spd.rank_one_scaled_symmetrized_into(5.0, &zero, 1.0, &mut out);
-    for (got, want) in out.as_slice().iter().zip(spd.as_slice()) {
-        assert_eq!(got.to_bits(), want.to_bits());
-    }
+    p.rank_one_update_scaled(5.0, &zero, 1.0);
+    assert_bits_eq(p.to_dense().as_slice(), spd.as_slice(), "zero update");
 }

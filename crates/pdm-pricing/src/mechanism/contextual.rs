@@ -264,10 +264,7 @@ impl<M: MarketValueModel, K: KnowledgeSet> PostedPriceMechanism for ContextualPr
     }
 
     fn memory_footprint_bytes(&self) -> usize {
-        // Shape matrix + centre for the ellipsoid; the same accounting is a
-        // (loose) lower bound for the other representations.
-        let n = self.model.mapped_dim();
-        n * n * std::mem::size_of::<f64>() + n * std::mem::size_of::<f64>()
+        self.knowledge.memory_footprint_bytes()
     }
 }
 
@@ -544,9 +541,26 @@ mod tests {
     }
 
     #[test]
-    fn memory_footprint_scales_quadratically() {
-        let mech = linear_mech(100, 1.0, 10, true, 0.0);
-        assert_eq!(mech.memory_footprint_bytes(), 100 * 100 * 8 + 100 * 8);
+    fn memory_footprint_counts_the_allocated_knowledge_buffers() {
+        let n = 100;
+        let mut mech = linear_mech(n, 1.0, 100_000, false, 0.0);
+        // A fresh ball: the packed shape and the centre, nothing staged.
+        let packed = n * (n + 1) / 2;
+        assert_eq!(mech.memory_footprint_bytes(), (packed + n) * 8);
+        // One warm-up quote and cut allocate the scratch: `A x` with its
+        // tag slot (n + 1) and the staged centre (n).  The shape is cut in
+        // place, so there is still exactly one packed buffer.
+        let x = Vector::from_fn(n, |i| if i % 3 == 0 { 1.0 } else { 0.0 });
+        let quote = mech.quote(&x, 0.0);
+        assert_eq!(quote.kind, QuoteKind::Exploratory);
+        mech.observe(&x, &quote, true);
+        assert_eq!(mech.cuts_applied(), 1);
+        let scratch = (n + 1) + n;
+        assert_eq!(mech.memory_footprint_bytes(), (packed + n + scratch) * 8);
+        // Later rounds reuse those buffers.
+        let quote = mech.quote(&x, 0.0);
+        mech.observe(&x, &quote, false);
+        assert_eq!(mech.memory_footprint_bytes(), (packed + n + scratch) * 8);
     }
 
     #[test]

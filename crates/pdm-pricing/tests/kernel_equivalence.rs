@@ -1,13 +1,14 @@
-//! Differential suite pinning the fused hot-path kernels to old-style
+//! Differential suite pinning the in-place hot-path kernels to naive
 //! allocating reference implementations, bit for bit.
 //!
-//! The quote→observe hot path was reworked around scratch-buffer kernels
-//! (`support_bounds_mut`, the sign-threaded cut update).  Each test here
-//! re-implements the *pre-refactor* formulation — allocating matvecs,
-//! materialised negated directions, the three-step rank-one/scale/symmetrize
-//! shape update — and drives both formulations over seeded random inputs,
-//! asserting that every quote, cut, counter, and knowledge-set coordinate
-//! carries the exact same `f64` bit pattern.
+//! The quote→observe hot path runs on scratch-buffer kernels
+//! (`support_bounds_mut`, the sign-threaded cut update of the packed shape,
+//! in place).  Each test here re-implements the textbook formulation on a
+//! dense matrix — allocating matvecs, materialised negated directions, a
+//! fresh centre and shape per cut — in the kernels' rounding order, and
+//! drives both formulations over seeded random inputs, asserting that every
+//! quote, cut, counter, and knowledge-set coordinate carries the exact same
+//! `f64` bit pattern.
 
 use pdm_ellipsoid::{Cut, CutOutcome, Ellipsoid, KnowledgeSet};
 use pdm_linalg::{sampling, Matrix, Vector};
@@ -36,11 +37,37 @@ enum ReferenceCut {
     },
 }
 
-/// The textbook Grötschel–Lovász–Schrijver update exactly as the allocating
-/// formulation computed it: `cut_above` materialises the negated direction
-/// (here threaded as `sign`, which IEEE-754 negation makes bit-equivalent),
-/// `b` is a fresh `matvec`, the new centre a `clone` + `axpy`, and the new
-/// shape the three-step `rank_one_update` → `scale_mut` → `symmetrize`.
+/// `A x` for a dense symmetric `A`, summed in the order of the packed
+/// kernel: row `i` adds `Σ_{j ≥ i} aᵢⱼ xⱼ` to `yᵢ`, then `xᵢ aᵢⱼ` to every
+/// later `yⱼ`.
+fn triangle_order_matvec(shape: &Matrix, x: &Vector) -> Vector {
+    let n = x.len();
+    let mut y = Vector::zeros(n);
+    for i in 0..n {
+        let dot: f64 = (i..n).map(|j| shape.get(i, j) * x[j]).sum();
+        y[i] += dot;
+        for j in (i + 1)..n {
+            y[j] += x[i] * shape.get(i, j);
+        }
+    }
+    y
+}
+
+/// `xᵀ A x` as `Σᵢ (A x)ᵢ xᵢ`, with the triangle-order `A x`.
+fn quadratic_form(shape: &Matrix, x: &Vector) -> f64 {
+    triangle_order_matvec(shape, x)
+        .iter()
+        .zip(x.iter())
+        .map(|(m, d)| m * d)
+        .sum()
+}
+
+/// The textbook Grötschel–Lovász–Schrijver update as a naive allocating
+/// formulation: `cut_above` materialises the negated direction (here
+/// threaded as `sign`, which IEEE-754 negation makes bit-equivalent), `b`
+/// is a fresh matvec, the new centre a `clone` + `axpy`, and the new shape
+/// is built entry by entry over the full dense matrix as
+/// `(aᵢⱼ − c·(bᵢ bⱼ))·s`.  A result that is not finite is refused.
 fn reference_cut(
     center: &Vector,
     shape: &Matrix,
@@ -52,7 +79,7 @@ fn reference_cut(
     if n == 1 {
         return reference_cut_one_dim(center, shape, sign * direction[0], sign * threshold);
     }
-    let scale = shape.quadratic_form(direction).max(0.0).sqrt();
+    let scale = quadratic_form(shape, direction).max(0.0).sqrt();
     if scale <= DIRECTION_TOL {
         return ReferenceCut::NoOp(CutOutcome::DegenerateDirection);
     }
@@ -77,7 +104,7 @@ fn reference_cut(
         break;
     }
 
-    let mut b = shape.matvec(direction);
+    let mut b = triangle_order_matvec(shape, direction);
     let inv_scale = 1.0 / scale;
     for slot in b.as_mut_slice() {
         *slot = (sign * *slot) * inv_scale;
@@ -89,10 +116,9 @@ fn reference_cut(
 
     let outer_coeff = 2.0 * (1.0 + nf * alpha) / ((nf + 1.0) * (1.0 + alpha));
     let shape_scale = nf * nf * (1.0 - alpha * alpha) / (nf * nf - 1.0);
-    let mut new_shape = shape.clone();
-    new_shape.rank_one_update(-outer_coeff, &b);
-    new_shape.scale_mut(shape_scale);
-    new_shape.symmetrize();
+    let new_shape = Matrix::from_fn(n, n, |i, j| {
+        (shape.get(i, j) - outer_coeff * (b[i] * b[j])) * shape_scale
+    });
 
     if !new_shape.is_finite() || !new_center.is_finite() {
         return ReferenceCut::NoOp(CutOutcome::OutOfRange { alpha });
@@ -191,22 +217,10 @@ fn reference_quote<M: MarketValueModel>(
 // Bit-level comparison helpers
 // ---------------------------------------------------------------------------
 
-fn assert_vec_bits(actual: &Vector, expected: &Vector, what: &str) {
+fn assert_bits(actual: &[f64], expected: &[f64], what: &str) {
     assert_eq!(actual.len(), expected.len(), "{what}: length");
-    for (i, (a, e)) in actual.iter().zip(expected.iter()).enumerate() {
+    for (i, (a, e)) in actual.iter().zip(expected).enumerate() {
         assert_eq!(a.to_bits(), e.to_bits(), "{what}: slot {i} ({a} vs {e})");
-    }
-}
-
-fn assert_mat_bits(actual: &Matrix, expected: &Matrix, what: &str) {
-    assert_eq!(actual.rows(), expected.rows(), "{what}: rows");
-    for (i, (a, e)) in actual
-        .as_slice()
-        .iter()
-        .zip(expected.as_slice())
-        .enumerate()
-    {
-        assert_eq!(a.to_bits(), e.to_bits(), "{what}: entry {i} ({a} vs {e})");
     }
 }
 
@@ -224,8 +238,12 @@ fn assert_quote_bits(actual: &Quote, expected: &Quote, what: &str) {
 }
 
 fn assert_ellipsoid_bits(actual: &Ellipsoid, expected: &Ellipsoid, what: &str) {
-    assert_vec_bits(actual.center(), expected.center(), what);
-    assert_mat_bits(actual.shape(), expected.shape(), what);
+    assert_bits(
+        actual.center().as_slice(),
+        expected.center().as_slice(),
+        what,
+    );
+    assert_bits(actual.shape().as_slice(), expected.shape().as_slice(), what);
     assert_eq!(
         actual.cuts_applied(),
         expected.cuts_applied(),
@@ -236,9 +254,9 @@ fn assert_ellipsoid_bits(actual: &Ellipsoid, expected: &Ellipsoid, what: &str) {
 /// Applies the reference prediction against the live cut and checks both the
 /// outcome and the resulting state, bit for bit.
 fn check_cut(e: &mut Ellipsoid, direction: &Vector, sign: f64, threshold: f64, what: &str) {
-    let predicted = reference_cut(e.center(), e.shape(), direction, sign, threshold);
     let before_center = e.center().clone();
-    let before_shape = e.shape().clone();
+    let before_shape = e.shape().to_dense();
+    let predicted = reference_cut(&before_center, &before_shape, direction, sign, threshold);
     let outcome = if sign >= 0.0 {
         e.cut_below(direction, threshold)
     } else {
@@ -247,8 +265,12 @@ fn check_cut(e: &mut Ellipsoid, direction: &Vector, sign: f64, threshold: f64, w
     match predicted {
         ReferenceCut::NoOp(expected) => {
             assert_eq!(outcome, expected, "{what}: no-op outcome");
-            assert_vec_bits(e.center(), &before_center, what);
-            assert_mat_bits(e.shape(), &before_shape, what);
+            assert_bits(e.center().as_slice(), before_center.as_slice(), what);
+            assert_bits(
+                e.shape().to_dense().as_slice(),
+                before_shape.as_slice(),
+                what,
+            );
         }
         ReferenceCut::Updated {
             outcome: expected,
@@ -256,8 +278,8 @@ fn check_cut(e: &mut Ellipsoid, direction: &Vector, sign: f64, threshold: f64, w
             shape,
         } => {
             assert_eq!(outcome, expected, "{what}: updated outcome");
-            assert_vec_bits(e.center(), &center, what);
-            assert_mat_bits(e.shape(), &shape, what);
+            assert_bits(e.center().as_slice(), center.as_slice(), what);
+            assert_bits(e.shape().to_dense().as_slice(), shape.as_slice(), what);
         }
     }
 }

@@ -434,16 +434,11 @@ pub(crate) fn tenant_json(state: &TenantState) -> Json {
             "knowledge",
             Json::obj(vec![
                 ("center", vector_json(knowledge.center())),
+                // The full n × n row-major array, read straight from the
+                // packed triangle.
                 (
                     "shape",
-                    Json::Arr(
-                        knowledge
-                            .shape()
-                            .as_slice()
-                            .iter()
-                            .map(|&x| Json::Num(x))
-                            .collect(),
-                    ),
+                    Json::Arr(knowledge.shape().dense_row_major().map(Json::Num).collect()),
                 ),
             ]),
         ),

@@ -213,3 +213,43 @@ fn every_single_leaf_mutation_of_a_wal_segment_replays_or_is_malformed() {
         MarketService::restore_with_wal(&base, std::slice::from_ref(mutant))
     }));
 }
+
+#[test]
+fn null_knowledge_leaves_are_malformed() {
+    // The JSON reader maps `null` to NaN, and NaN passes both the symmetry
+    // test and the Cholesky pivot test; the knowledge set must still be
+    // refused.  Tenant 0 of the fixture is at dim 2, so its shape is
+    // [a₀₀, a₀₁, a₁₀, a₁₁].
+    let base = Json::parse(FIXTURE).unwrap();
+    let knowledge = |leaf: &str, index: usize| {
+        vec![
+            Step::Key("tenants".into()),
+            Step::Index(0),
+            Step::Key("knowledge".into()),
+            Step::Key(leaf.into()),
+            Step::Index(index),
+        ]
+    };
+    let cases = [
+        (
+            "both off-diagonal shape entries",
+            vec![knowledge("shape", 1), knowledge("shape", 2)],
+        ),
+        ("a diagonal shape entry", vec![knowledge("shape", 3)]),
+        ("a centre entry", vec![knowledge("center", 0)]),
+    ];
+    for (what, paths) in cases {
+        let mutant = paths.iter().fold(base.clone(), |doc, path| {
+            mutate(&doc, path, Some(&Json::Null))
+        });
+        match MarketService::restore(&mutant) {
+            Err(ServiceError::MalformedSnapshot(message)) => {
+                assert!(message.contains("knowledge"), "{what}: {message}");
+            }
+            other => panic!(
+                "{what}: expected MalformedSnapshot, got {:?}",
+                other.map(drop)
+            ),
+        }
+    }
+}
