@@ -35,7 +35,7 @@
 
 use crate::cut::{Cut, CutOutcome};
 use crate::KnowledgeSet;
-use pdm_linalg::{jacobi_eigen, Cholesky, LinalgError, Matrix, PackedSymmetric, Vector};
+use pdm_linalg::{jacobi_eigen, Cholesky, LinalgError, PackedSymmetric, Vector};
 
 /// Numerical floor used when deciding whether a direction carries any
 /// information (`√(x^T A x)` below this is treated as degenerate).
@@ -141,36 +141,33 @@ impl Ellipsoid {
         radius > 0.0 && (radius * radius).is_finite()
     }
 
-    /// Creates an ellipsoid from an explicit centre and dense shape matrix,
-    /// which is symmetrized and packed (a symmetric shape packs exactly).
+    /// Creates an ellipsoid from an explicit centre and packed shape.
     ///
     /// # Errors
-    /// Returns [`LinalgError::NonFinite`] when the centre or any entry of
-    /// the shape is NaN or infinite, and an error when `shape` is not
-    /// symmetric positive definite or its dimension does not match the
-    /// centre.
-    pub fn new(center: Vector, shape: Matrix) -> Result<Self, LinalgError> {
-        if shape.rows() != center.len() || shape.cols() != center.len() {
+    /// Returns [`LinalgError::DimensionMismatch`] when the shape's dimension
+    /// does not match the centre, [`LinalgError::NonFinite`] when the centre
+    /// or any entry of the shape is NaN or infinite, and
+    /// [`LinalgError::NotPositiveDefinite`] when the shape is not positive
+    /// definite.
+    pub fn new(center: Vector, shape: PackedSymmetric) -> Result<Self, LinalgError> {
+        if shape.dim() != center.len() {
             return Err(LinalgError::DimensionMismatch {
                 operation: "Ellipsoid::new",
                 expected: center.len(),
-                actual: shape.rows(),
+                actual: shape.dim(),
             });
         }
-        // NaN passes both the symmetry test and the Cholesky pivot test, so
-        // finiteness is checked first, explicitly (packing checks the shape).
-        if !center.is_finite() {
+        if !center.is_finite() || !shape.is_finite() {
             return Err(LinalgError::NonFinite {
                 operation: "Ellipsoid::new",
             });
         }
-        let packed = PackedSymmetric::from_dense(&shape)?;
         // Positive-definiteness check via Cholesky; the factor itself is not
         // retained because the hot path never needs A⁻¹ explicitly.
-        Cholesky::factor(&shape, 1e-6)?;
+        Cholesky::factor(&shape.to_dense(), 1e-6)?;
         Ok(Self {
             center,
-            shape: packed,
+            shape,
             cuts_applied: 0,
             scratch: CutScratch::default(),
         })
@@ -591,7 +588,7 @@ fn ln_gamma_half(m: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdm_linalg::approx_eq;
+    use pdm_linalg::{approx_eq, Matrix};
 
     #[test]
     fn ball_support_bounds() {
@@ -622,13 +619,24 @@ mod tests {
         assert!(approx_eq(hi, 10.0_f64.sqrt(), 1e-12));
     }
 
+    /// The packed triangle of a symmetric dense matrix.
+    fn packed(rows: &[Vec<f64>]) -> PackedSymmetric {
+        PackedSymmetric::from_dense(&Matrix::from_rows(rows)).unwrap()
+    }
+
     #[test]
     fn new_rejects_bad_shapes() {
         let c = Vector::zeros(2);
-        let not_pd = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]);
-        assert!(Ellipsoid::new(c.clone(), not_pd).is_err());
-        let wrong_dim = Matrix::identity(3);
-        assert!(Ellipsoid::new(c, wrong_dim).is_err());
+        let not_pd = packed(&[vec![1.0, 2.0], vec![2.0, 1.0]]);
+        assert!(matches!(
+            Ellipsoid::new(c.clone(), not_pd),
+            Err(LinalgError::NotPositiveDefinite { .. })
+        ));
+        let wrong_dim = PackedSymmetric::scaled_identity(3, 1.0);
+        assert!(matches!(
+            Ellipsoid::new(c, wrong_dim),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]
@@ -636,20 +644,13 @@ mod tests {
         let non_finite = |result: Result<Ellipsoid, LinalgError>| {
             matches!(result, Err(LinalgError::NonFinite { .. }))
         };
-        let spd = Matrix::from_rows(&[vec![2.0, 0.5], vec![0.5, 1.0]]);
+        let spd = packed(&[vec![2.0, 0.5], vec![0.5, 1.0]]);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            // Off-diagonal NaNs pass the symmetry check and the Cholesky
-            // pivot test, so only the explicit check stands in their way.
-            let mut both = spd.clone();
-            both.set(0, 1, bad);
-            both.set(1, 0, bad);
-            assert!(non_finite(Ellipsoid::new(Vector::zeros(2), both)), "{bad}");
-            let mut diagonal = spd.clone();
-            diagonal.set(1, 1, bad);
-            assert!(
-                non_finite(Ellipsoid::new(Vector::zeros(2), diagonal)),
-                "{bad}"
-            );
+            for (i, j) in [(0, 1), (1, 1)] {
+                let mut shape = spd.clone();
+                shape.set(i, j, bad);
+                assert!(non_finite(Ellipsoid::new(Vector::zeros(2), shape)), "{bad}");
+            }
             let centre = Vector::from_slice(&[0.0, bad]);
             assert!(non_finite(Ellipsoid::new(centre, spd.clone())), "{bad}");
         }
@@ -828,7 +829,7 @@ mod tests {
 
     #[test]
     fn semi_axes_and_smallest_eigenvalue() {
-        let shape = Matrix::diagonal(&[4.0, 1.0]);
+        let shape = packed(&[vec![4.0, 0.0], vec![0.0, 1.0]]);
         let e = Ellipsoid::new(Vector::zeros(2), shape).unwrap();
         let axes = e.semi_axes();
         assert!(approx_eq(axes[0], 2.0, 1e-9));

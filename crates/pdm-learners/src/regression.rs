@@ -22,7 +22,8 @@ impl LinearRegression {
     ///
     /// # Errors
     /// Returns an error when the design is empty, the row/target counts
-    /// differ, or the normal equations are singular.
+    /// differ, a row or target is not finite, or the normal equations are
+    /// singular.
     pub fn fit(
         rows: &[Vector],
         targets: &[f64],
@@ -54,6 +55,13 @@ impl LinearRegression {
                     operation: "LinearRegression::fit",
                     expected: dim,
                     actual: row.len(),
+                });
+            }
+            // A NaN target would reach only `Xᵀy`, past the factorisation's
+            // own finiteness check on `XᵀX`.
+            if !row.is_finite() || !y.is_finite() {
+                return Err(LinalgError::NonFinite {
+                    operation: "LinearRegression::fit",
                 });
             }
             row_buffer[..dim].copy_from_slice(row.as_slice());
@@ -280,5 +288,32 @@ mod tests {
         assert!(LinearRegression::fit(&rows, &[1.0, 2.0], true, 0.0).is_err());
         let ragged = vec![Vector::from_slice(&[1.0]), Vector::from_slice(&[1.0, 2.0])];
         assert!(LinearRegression::fit(&ragged, &[1.0, 2.0], true, 0.0).is_err());
+    }
+
+    #[test]
+    fn non_finite_features_and_targets_are_refused() {
+        let (rows, targets, _, _) = synthetic(20, 2, 0.1, 5);
+        let non_finite = |result: Result<LinearRegression, LinalgError>| {
+            matches!(result, Err(LinalgError::NonFinite { .. }))
+        };
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut poisoned_rows = rows.clone();
+            poisoned_rows[7][1] = bad;
+            assert!(non_finite(LinearRegression::fit(
+                &poisoned_rows,
+                &targets,
+                true,
+                0.0
+            )));
+            // `XᵀX` stays finite here; the NaN enters only through `Xᵀy`.
+            let mut poisoned_targets = targets.clone();
+            poisoned_targets[3] = bad;
+            assert!(non_finite(LinearRegression::fit(
+                &rows,
+                &poisoned_targets,
+                true,
+                0.0
+            )));
+        }
     }
 }

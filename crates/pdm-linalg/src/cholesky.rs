@@ -21,7 +21,8 @@ impl Cholesky {
     ///
     /// # Errors
     /// Returns [`LinalgError::NotSquare`] or [`LinalgError::NotSymmetric`] for
-    /// malformed inputs, and [`LinalgError::NotPositiveDefinite`] when a pivot
+    /// malformed inputs, [`LinalgError::NonFinite`] when any entry is NaN or
+    /// infinite, and [`LinalgError::NotPositiveDefinite`] when a pivot
     /// becomes non-positive.
     pub fn factor(matrix: &Matrix, symmetry_tol: f64) -> Result<Self> {
         let mut lower = Matrix::default();
@@ -40,13 +41,22 @@ impl Cholesky {
     ///
     /// # Errors
     /// Returns [`LinalgError::NotSquare`] or [`LinalgError::NotSymmetric`] for
-    /// malformed inputs, and [`LinalgError::NotPositiveDefinite`] when a pivot
+    /// malformed inputs, [`LinalgError::NonFinite`] when any entry is NaN or
+    /// infinite, and [`LinalgError::NotPositiveDefinite`] when a pivot
     /// becomes non-positive.
     pub fn factor_into(matrix: &Matrix, symmetry_tol: f64, lower: &mut Matrix) -> Result<()> {
         if !matrix.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: matrix.rows(),
                 cols: matrix.cols(),
+            });
+        }
+        // NaN slips past both tests below: `f64::max` drops it from the
+        // asymmetry, and `NaN <= 0.0` is false at a pivot.  The elimination
+        // also never reads the upper triangle.
+        if !matrix.is_finite() {
+            return Err(LinalgError::NonFinite {
+                operation: "Cholesky::factor",
             });
         }
         let asym = matrix.max_asymmetry();
@@ -256,6 +266,24 @@ mod tests {
             Cholesky::factor(&asym, 1e-12),
             Err(LinalgError::NotSymmetric { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_non_finite_entries() {
+        let nan = f64::NAN;
+        for bad in [
+            Matrix::from_rows(&[vec![1.0, nan], vec![nan, 1.0]]),
+            // The elimination reads only the lower triangle, so a NaN above
+            // the diagonal would never reach a pivot.
+            Matrix::from_rows(&[vec![1.0, nan], vec![0.5, 1.0]]),
+            Matrix::from_rows(&[vec![1.0, 0.5], vec![0.5, f64::INFINITY]]),
+        ] {
+            assert!(matches!(
+                Cholesky::factor(&bad, 1e-12),
+                Err(LinalgError::NonFinite { .. })
+            ));
+            assert!(!is_positive_definite(&bad, 1e-12));
+        }
     }
 
     #[test]

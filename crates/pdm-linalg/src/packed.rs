@@ -79,6 +79,34 @@ impl PackedSymmetric {
         Ok(packed)
     }
 
+    /// Takes `data` as the packed upper triangle of a `dim × dim` matrix,
+    /// row by row (the layout of [`PackedSymmetric::as_slice`]).
+    ///
+    /// # Errors
+    /// Returns [`LinalgError::DimensionMismatch`] unless `data` holds
+    /// exactly `dim(dim+1)/2` entries, and [`LinalgError::NonFinite`] when
+    /// any entry is not finite.
+    pub fn from_packed(dim: usize, data: Vec<f64>) -> Result<Self> {
+        let expected = dim
+            .checked_add(1)
+            .and_then(|next| dim.checked_mul(next))
+            .map_or(usize::MAX, |twice| twice / 2);
+        if data.len() != expected {
+            return Err(LinalgError::DimensionMismatch {
+                operation: "PackedSymmetric::from_packed",
+                expected,
+                actual: data.len(),
+            });
+        }
+        let packed = Self { dim, data };
+        if !packed.is_finite() {
+            return Err(LinalgError::NonFinite {
+                operation: "PackedSymmetric::from_packed",
+            });
+        }
+        Ok(packed)
+    }
+
     /// Expands the triangle into a dense, exactly symmetric matrix.
     #[must_use]
     pub fn to_dense(&self) -> Matrix {
@@ -120,12 +148,6 @@ impl PackedSymmetric {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.data.capacity()
-    }
-
-    /// Every entry of the full `n × n` matrix in row-major order, read
-    /// straight from the triangle (no dense copy is built).
-    pub fn dense_row_major(&self) -> impl Iterator<Item = f64> + '_ {
-        (0..self.dim).flat_map(move |i| (0..self.dim).map(move |j| self.get(i, j)))
     }
 
     /// The largest diagonal entry, or `0` when every diagonal entry is
@@ -257,9 +279,39 @@ mod tests {
         assert_eq!(packed.as_slice(), &[4.0, 0.5, -1.25, 3.0, 0.75, 2.0]);
         assert_eq!(packed.get(2, 0), -1.25);
         assert_eq!(packed.to_dense(), example());
-        let dense: Vec<f64> = packed.dense_row_major().collect();
-        assert_eq!(dense, example().as_slice());
         assert_eq!(packed.max_diagonal(), 4.0);
+    }
+
+    #[test]
+    fn from_packed_takes_the_triangle_and_refuses_a_wrong_length_or_non_finite_entry() {
+        let packed = PackedSymmetric::from_dense(&example()).unwrap();
+        let again = PackedSymmetric::from_packed(3, packed.as_slice().to_vec()).unwrap();
+        assert_eq!(again, packed);
+        assert_eq!(
+            PackedSymmetric::from_packed(0, Vec::new()).unwrap().dim(),
+            0
+        );
+        for len in [5, 7, 9] {
+            assert!(matches!(
+                PackedSymmetric::from_packed(3, vec![1.0; len]),
+                Err(LinalgError::DimensionMismatch {
+                    expected: 6,
+                    actual,
+                    ..
+                }) if actual == len
+            ));
+        }
+        // A dimension whose triangle length overflows is a mismatch, not
+        // a wrapped length or a panic.
+        assert!(PackedSymmetric::from_packed(usize::MAX, vec![1.0]).is_err());
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut data = packed.as_slice().to_vec();
+            data[4] = poison;
+            assert!(matches!(
+                PackedSymmetric::from_packed(3, data),
+                Err(LinalgError::NonFinite { .. })
+            ));
+        }
     }
 
     #[test]

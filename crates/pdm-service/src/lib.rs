@@ -39,8 +39,8 @@
 //!   owed compensation rides the reserve so every sale covers its payouts,
 //!   and quotes are clamped to an arbitrage-free band above the
 //!   compensation curve ([`arbitrage_clamp`]).  Ledgers persist through
-//!   snapshots (schema v5) and the WAL, and their totals join the
-//!   determinism fingerprint.
+//!   snapshots (schema v6, packed upper triangle) and the WAL, and their
+//!   totals join the determinism fingerprint.
 //! * **Drift policies** — every tenant config carries a
 //!   [`DriftPolicy`]: `Static` runs the
 //!   paper's stationary mechanism unchanged, `Restart` re-initialises the

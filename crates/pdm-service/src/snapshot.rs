@@ -31,13 +31,21 @@ use crate::sync;
 use crate::tenant::{AuctionPolicy, MarketKind, PrivacyParams, TenantConfig, TenantState};
 use pdm_auction::{EmpiricalConfig, EmpiricalReserve};
 use pdm_ellipsoid::Ellipsoid;
-use pdm_linalg::{Json, Matrix, OnlineStats, Vector};
+use pdm_linalg::{Json, LinalgError, Matrix, OnlineStats, PackedSymmetric, Vector};
 use pdm_pricing::prelude::{
     DriftAwarePricing, DriftPolicy, EllipsoidPricing, LinearModel, PricingConfig, RegretReport,
 };
 
 /// Version of the snapshot schema this build writes.
 ///
+/// v6 stores each tenant's `knowledge.shape` as the packed upper triangle
+/// of the symmetric shape matrix, row by row: `n(n+1)/2` numbers instead
+/// of the `n²` of a full row-major matrix.  It is the in-memory layout of
+/// the ellipsoid's shape ([`PackedSymmetric`]), so writing copies the
+/// buffer, reading builds it directly, and the round trip is exact.  The
+/// document's `schema_version` decides the layout, never the array length
+/// (at dim 1 the two coincide); v1–v5 documents restore from their full
+/// matrices.
 /// v5 added the privacy-budget economics layer: a `privacy` market kind
 /// per tenant carrying the ledger parameters and every owner's ε spent,
 /// compensation accrued, query count, and exhaustion flag (plus the
@@ -64,10 +72,19 @@ use pdm_pricing::prelude::{
 /// history) and the auction counters of the per-shard metric ledgers.
 /// v1 documents restore as posted-price tenants with empty auction
 /// counters.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 5;
+pub const SNAPSHOT_SCHEMA_VERSION: u64 = 6;
 
-fn vector_json(v: &Vector) -> Json {
-    Json::Arr(v.iter().map(|&x| Json::Num(x)).collect())
+/// The first schema version whose tenant documents store the shape as its
+/// packed upper triangle.
+const PACKED_SHAPE_SINCE: u64 = 6;
+
+/// How far a v1–v5 full shape matrix may stray from symmetry, the
+/// tolerance of the positive-definiteness check those documents were
+/// always read with.
+const DENSE_SHAPE_SYMMETRY_TOL: f64 = 1e-6;
+
+fn numbers_json(values: &[f64]) -> Json {
+    Json::Arr(values.iter().map(|&x| Json::Num(x)).collect())
 }
 
 fn pricing_json(config: &PricingConfig) -> Json {
@@ -433,13 +450,9 @@ pub(crate) fn tenant_json(state: &TenantState) -> Json {
         (
             "knowledge",
             Json::obj(vec![
-                ("center", vector_json(knowledge.center())),
-                // The full n × n row-major array, read straight from the
-                // packed triangle.
-                (
-                    "shape",
-                    Json::Arr(knowledge.shape().dense_row_major().map(Json::Num).collect()),
-                ),
+                ("center", numbers_json(knowledge.center().as_slice())),
+                // The packed upper triangle, row by row (schema v6).
+                ("shape", numbers_json(knowledge.shape().as_slice())),
             ]),
         ),
         ("ledger", ledger_json(&state.session.tracker().report())),
@@ -488,12 +501,26 @@ pub(crate) fn cold_tenant_json(page: &[u8]) -> Json {
 ///
 /// Bit-identical by the snapshot contract: the decoded document is the
 /// one a full snapshot/restore parses per tenant, rebuilt the same way.
+/// Pages never leave the process, so they are always the current schema.
 pub(crate) fn cold_tenant_state(page: &[u8]) -> TenantState {
+    let document = cold_tenant_json(page);
     // pdm-lint: allow(no-unwrap-in-lib) reason="serialise then rebuild is the pinned snapshot contract; failure here is a broken invariant, not input"
-    tenant_from_json(&cold_tenant_json(page)).expect("cold tenant page round-trips by construction")
+    tenant_from_json(&document, SNAPSHOT_SCHEMA_VERSION).expect("a cold page round-trips")
 }
 
-pub(crate) fn tenant_from_json(value: &Json) -> Result<TenantState, ServiceError> {
+/// Reads a v1–v5 shape: the full `n × n` row-major matrix, packed.
+fn dense_shape(dim: usize, numbers: Vec<f64>) -> Result<PackedSymmetric, LinalgError> {
+    let dense = Matrix::from_row_major(dim, dim, numbers)?;
+    let max_asymmetry = dense.max_asymmetry();
+    if max_asymmetry > DENSE_SHAPE_SYMMETRY_TOL {
+        return Err(LinalgError::NotSymmetric { max_asymmetry });
+    }
+    PackedSymmetric::from_dense(&dense)
+}
+
+/// Rebuilds a tenant from its document, read under the `schema_version` of
+/// the snapshot or WAL segment that carried it.
+pub(crate) fn tenant_from_json(value: &Json, version: u64) -> Result<TenantState, ServiceError> {
     let id = Reader::new(value, Label::Name("tenant"))
         .read("id", "decimal string", |id| id.as_str()?.parse().ok())
         .map(TenantId)?;
@@ -522,11 +549,23 @@ pub(crate) fn tenant_from_json(value: &Json) -> Result<TenantState, ServiceError
     let knowledge = tenant.object("knowledge")?;
     let center = knowledge.numbers("center")?;
     let shape = knowledge.numbers("shape")?;
-    if center.len() != dim || dim.checked_mul(dim) != Some(shape.len()) {
-        return Err(tenant.error(format_args!("knowledge dimensions do not match dim={dim}")));
+    if center.len() != dim {
+        return Err(tenant.error(format_args!(
+            "knowledge centre has {} numbers, expected dim={dim}",
+            center.len()
+        )));
     }
-    let shape = Matrix::from_row_major(dim, dim, shape)
-        .map_err(|e| tenant.error(format_args!("bad shape matrix: {e}")))?;
+    // The version picks the layout; the constructors check the length.
+    let shape = if version >= PACKED_SHAPE_SINCE {
+        PackedSymmetric::from_packed(dim, shape)
+    } else {
+        dense_shape(dim, shape)
+    }
+    .map_err(|e| {
+        tenant.error(format_args!(
+            "bad knowledge shape for schema v{version}: {e}"
+        ))
+    })?;
     let ellipsoid = Ellipsoid::new(Vector::from_vec(center), shape)
         .map_err(|e| tenant.error(format_args!("degenerate knowledge set: {e}")))?;
     let engine = EllipsoidPricing::with_knowledge(LinearModel::new(dim), ellipsoid, config.pricing);
@@ -607,6 +646,7 @@ pub(crate) fn tenant_from_json(value: &Json) -> Result<TenantState, ServiceError
 /// schema-version gate: tenant documents and one metric ledger per shard.
 pub(crate) struct Persisted<'a, 'p> {
     doc: &'p Reader<'a, 'p>,
+    version: u64,
     tenants: &'a [Json],
     ledgers: &'a [Json],
 }
@@ -622,6 +662,7 @@ impl<'a, 'p> Persisted<'a, 'p> {
         }
         Ok(Self {
             doc,
+            version,
             tenants: doc.array("tenants")?,
             ledgers: doc.array("metrics")?,
         })
@@ -649,7 +690,7 @@ impl<'a, 'p> Persisted<'a, 'p> {
     ) -> Result<(), ServiceError> {
         self.check_shards(service.shard_count())?;
         for tenant in self.tenants {
-            let state = tenant_from_json(tenant)?;
+            let state = tenant_from_json(tenant, self.version)?;
             if replay {
                 service.apply_wal_record(state);
             } else {
@@ -868,6 +909,70 @@ mod tests {
         // snapshot → restore → snapshot is the identity on the rendering.
         let restored = MarketService::restore(&Json::parse(&first).unwrap()).unwrap();
         assert_eq!(restored.snapshot().unwrap().render_pretty(), first);
+    }
+
+    /// The value under `key` of a JSON object.
+    fn field<'j>(value: &'j mut Json, key: &str) -> &'j mut Json {
+        let Json::Obj(pairs) = value else {
+            panic!("`{key}` is read from an object")
+        };
+        &mut pairs
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .expect("key exists")
+            .1
+    }
+
+    #[test]
+    fn documents_store_the_packed_triangle_and_v5_matrices_restore_to_it() {
+        let ids: Vec<TenantId> = [4u64, 9].into_iter().map(TenantId).collect();
+        let mut service = fresh_service(&ids);
+        pump(&mut service, &ids, 4);
+        let v6 = service.snapshot().unwrap();
+        // Rewrite the document as schema v5 would have written it: every
+        // shape as its full 3 × 3 row-major matrix.
+        let mut v5 = v6.clone();
+        *field(&mut v5, "schema_version") = Json::Num(5.0);
+        let Json::Arr(tenants) = field(&mut v5, "tenants") else {
+            panic!("tenants is an array")
+        };
+        for tenant in tenants {
+            let shape = field(field(tenant, "knowledge"), "shape");
+            let packed: Vec<f64> = shape
+                .as_arr()
+                .unwrap()
+                .iter()
+                .map(|x| x.as_f64().unwrap())
+                .collect();
+            assert_eq!(packed.len(), 6, "dim 3 stores 3·4/2 numbers");
+            let packed = PackedSymmetric::from_packed(3, packed).unwrap();
+            *shape = numbers_json(packed.to_dense().as_slice());
+        }
+        // Both layouts restore to the same service, which writes v6 again.
+        let rendered = v6.render();
+        for doc in [&v6, &v5] {
+            let restored = MarketService::restore(doc).unwrap();
+            assert_eq!(restored.snapshot().unwrap().render(), rendered);
+        }
+    }
+
+    #[test]
+    fn a_dim_1_shape_restores_under_both_layouts() {
+        // At dim 1 the packed triangle and the full matrix are the same
+        // single number, so v5 and v6 documents read alike.
+        let mut service = fresh_service(&[]);
+        service
+            .register_tenant(TenantId(6), TenantConfig::standard(1, 100))
+            .unwrap();
+        let v6 = service.snapshot().unwrap().render();
+        // The standard radius at dim 1 is 2, so the shape is [2²].
+        assert!(v6.contains("\"shape\":[4]"), "{v6}");
+        let v5 = v6.replace("\"schema_version\":6", "\"schema_version\":5");
+        assert_ne!(v5, v6);
+        for text in [&v6, &v5] {
+            let restored = MarketService::restore(&Json::parse(text).unwrap()).unwrap();
+            assert_eq!(restored.snapshot().unwrap().render(), v6);
+        }
     }
 
     #[test]

@@ -411,7 +411,7 @@ fn drift_tenant_snapshot_restores_bit_identically() {
 }
 
 #[test]
-fn checked_in_v1_snapshot_restores_under_schema_v5() {
+fn checked_in_v1_snapshot_restores_under_the_current_schema() {
     let fixture = include_str!("fixtures/snapshot_v1.json");
     let mut restored =
         MarketService::restore(&Json::parse(fixture).unwrap()).expect("v1 fixture restores");
@@ -449,7 +449,7 @@ fn checked_in_v1_snapshot_restores_under_schema_v5() {
 }
 
 #[test]
-fn checked_in_v2_snapshot_restores_under_schema_v5() {
+fn checked_in_v2_snapshot_restores_under_the_current_schema() {
     let fixture = include_str!("fixtures/snapshot_v2.json");
     let mut restored =
         MarketService::restore(&Json::parse(fixture).unwrap()).expect("v2 fixture restores");
@@ -493,7 +493,7 @@ fn checked_in_v2_snapshot_restores_under_schema_v5() {
 }
 
 #[test]
-fn checked_in_v3_snapshot_restores_under_schema_v5() {
+fn checked_in_v3_snapshot_restores_under_the_current_schema() {
     let fixture = include_str!("fixtures/snapshot_v3.json");
     let mut restored =
         MarketService::restore(&Json::parse(fixture).unwrap()).expect("v3 fixture restores");
@@ -545,7 +545,7 @@ fn checked_in_v3_snapshot_restores_under_schema_v5() {
 }
 
 #[test]
-fn checked_in_v4_snapshot_restores_under_schema_v5() {
+fn checked_in_v4_snapshot_restores_under_the_current_schema() {
     let fixture = include_str!("fixtures/snapshot_v4.json");
     let mut restored =
         MarketService::restore(&Json::parse(fixture).unwrap()).expect("v4 fixture restores");
@@ -593,8 +593,8 @@ fn checked_in_v4_snapshot_restores_under_schema_v5() {
         }))
         .unwrap();
     restored.drain(1);
-    // Re-snapshotting upgrades the document to schema v5 with explicit
-    // (null/false) privacy knobs and the privacy counters.
+    // Re-snapshotting upgrades the document to the current schema with
+    // explicit (null/false) privacy knobs and the privacy counters.
     let rendered = restored.snapshot().unwrap().render_pretty();
     assert!(rendered.contains(&format!("\"schema_version\": {SNAPSHOT_SCHEMA_VERSION}")));
     assert!(rendered.contains("\"privacy_budget\": null"));
@@ -612,11 +612,17 @@ fn checked_in_v4_snapshot_restores_under_schema_v5() {
 /// tenants after 40 waves — posted tenants under the static (1), restart
 /// (2, one firing) and discounted (3) drift policies, an empirical auction
 /// tenant (4), and a privacy tenant (5) with one owner exhausted.
-#[test]
-fn checked_in_v5_snapshot_restores_byte_identically_and_serves() {
-    let fixture = include_str!("fixtures/snapshot_v5.json");
+const SNAPSHOT_V5: &str = include_str!("fixtures/snapshot_v5.json");
+/// The v5 fixture restored and re-rendered under schema v6: the same
+/// service, each shape stored as its packed upper triangle.
+const SNAPSHOT_V6: &str = include_str!("fixtures/snapshot_v6.json");
+
+/// Restores one of the v5/v6 fixtures, checks the service it describes,
+/// serves one more round on every tenant, and returns the restored
+/// service's rendering from before that round.
+fn restore_fixture_and_serve(fixture: &str) -> String {
     let mut restored =
-        MarketService::restore(&Json::parse(fixture).unwrap()).expect("v5 fixture restores");
+        MarketService::restore(&Json::parse(fixture).unwrap()).expect("the fixture restores");
     assert_eq!(restored.tenant_count(), 5);
     let config = restored.config();
     assert_eq!(config.resident_capacity, Some(4));
@@ -634,13 +640,9 @@ fn checked_in_v5_snapshot_restores_byte_identically_and_serves() {
         metrics.epsilon_spent.to_bits(),
         5.023921656637743f64.to_bits()
     );
-    // The restored service writes the document it was restored from.
-    assert!(
-        restored.snapshot().unwrap().render_pretty() == fixture,
-        "the v5 fixture must re-render byte-identically"
-    );
-    // And it serves one more round on every tenant; the privacy query
-    // leaks only from owner 0, whose budget has room for it.
+    let rendered = restored.snapshot().unwrap().render_pretty();
+    // The privacy query leaks only from owner 0, whose budget has room for
+    // it.
     for (id, features) in [
         (1u64, [0.6, 0.8]),
         (2, [0.6, 0.8]),
@@ -653,7 +655,7 @@ fn checked_in_v5_snapshot_restores_byte_identically_and_serves() {
                 features: Vector::from_slice(&features),
                 reserve_price: 0.1,
             }))
-            .expect("v5 posted and privacy tenants are registered");
+            .expect("the posted and privacy tenants are registered");
     }
     restored
         .ingest(Request::Auction(AuctionRequest {
@@ -662,7 +664,7 @@ fn checked_in_v5_snapshot_restores_byte_identically_and_serves() {
             floor: 0.2,
             bids: vec![0.9, 0.3],
         }))
-        .expect("v5 auction tenant is registered");
+        .expect("the auction tenant is registered");
     let responses = restored.drain(2);
     assert_eq!(responses.len(), 5);
     for response in &responses {
@@ -683,6 +685,23 @@ fn checked_in_v5_snapshot_restores_byte_identically_and_serves() {
     }
     restored.drain(2);
     assert_eq!(restored.aggregate_metrics().observations, 130);
+    rendered
+}
+
+#[test]
+fn checked_in_v5_snapshot_restores_as_the_v6_fixture_and_serves() {
+    assert!(
+        restore_fixture_and_serve(SNAPSHOT_V5) == SNAPSHOT_V6,
+        "the v5 fixture must re-render as exactly the v6 fixture"
+    );
+}
+
+#[test]
+fn checked_in_v6_snapshot_restores_byte_identically_and_serves() {
+    assert!(
+        restore_fixture_and_serve(SNAPSHOT_V6) == SNAPSHOT_V6,
+        "the v6 fixture must re-render byte-identically"
+    );
 }
 
 /// Three privacy tenants whose owners run out of ε budget mid-test.

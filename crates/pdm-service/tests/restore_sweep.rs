@@ -1,7 +1,7 @@
 //! A hostile-document sweep over both persisted formats.
 //!
-//! Every leaf of the checked-in v5 snapshot, and of one WAL segment the
-//! restored service writes, is deleted or replaced by a string, −1, 0.5
+//! Every leaf of the checked-in v5 and v6 snapshots, and of one WAL
+//! segment the restored service writes, is deleted or replaced by a string, −1, 0.5
 //! or 1e18, one leaf and one mutation at a time.  `restore` and
 //! `restore_with_wal` must answer every mutant with `Ok` or
 //! `MalformedSnapshot`: never another error, never a panic, never an abort
@@ -16,7 +16,12 @@ use pdm_service::{
     TenantId,
 };
 
-const FIXTURE: &str = include_str!("fixtures/snapshot_v5.json");
+/// Five dim-2 tenants, each shape stored as the full 2 × 2 matrix
+/// `[a₀₀, a₀₁, a₁₀, a₁₁]`.
+const FIXTURE_V5: &str = include_str!("fixtures/snapshot_v5.json");
+/// The same service under schema v6: each shape is its packed upper
+/// triangle `[a₀₀, a₀₁, a₁₁]`.
+const FIXTURE_V6: &str = include_str!("fixtures/snapshot_v6.json");
 
 /// One step from a document's root towards a leaf.
 #[derive(Debug, Clone)]
@@ -187,13 +192,19 @@ fn serve_one_wave(service: &mut MarketService) {
 
 #[test]
 fn every_single_leaf_mutation_of_a_v5_snapshot_restores_or_is_malformed() {
-    let base = Json::parse(FIXTURE).unwrap();
-    assert_clean(&sweep("snapshot", &base, MarketService::restore));
+    let base = Json::parse(FIXTURE_V5).unwrap();
+    assert_clean(&sweep("v5 snapshot", &base, MarketService::restore));
+}
+
+#[test]
+fn every_single_leaf_mutation_of_a_v6_snapshot_restores_or_is_malformed() {
+    let base = Json::parse(FIXTURE_V6).unwrap();
+    assert_clean(&sweep("v6 snapshot", &base, MarketService::restore));
 }
 
 #[test]
 fn every_single_leaf_mutation_of_a_wal_segment_replays_or_is_malformed() {
-    let base = Json::parse(FIXTURE).unwrap();
+    let base = Json::parse(FIXTURE_V6).unwrap();
     let mut service = MarketService::restore(&base).unwrap();
     serve_one_wave(&mut service);
     let segments = service.checkpoint().unwrap();
@@ -214,42 +225,113 @@ fn every_single_leaf_mutation_of_a_wal_segment_replays_or_is_malformed() {
     }));
 }
 
+/// The path to entry `index` of tenant 0's `knowledge.<leaf>` array.
+fn knowledge(leaf: &str, index: usize) -> Vec<Step> {
+    vec![
+        Step::Key("tenants".into()),
+        Step::Index(0),
+        Step::Key("knowledge".into()),
+        Step::Key(leaf.into()),
+        Step::Index(index),
+    ]
+}
+
+/// Restores `doc`, which must be refused as malformed with a message that
+/// names tenant 0 of the fixtures and contains `says`.
+fn assert_malformed(what: &str, doc: &Json, says: &str) {
+    match MarketService::restore(doc) {
+        Err(ServiceError::MalformedSnapshot(message)) => {
+            assert!(message.contains("tenant-1"), "{what}: {message}");
+            assert!(message.contains(says), "{what}: {message}");
+        }
+        other => panic!(
+            "{what}: expected MalformedSnapshot, got {:?}",
+            other.map(drop)
+        ),
+    }
+}
+
 #[test]
 fn null_knowledge_leaves_are_malformed() {
     // The JSON reader maps `null` to NaN, and NaN passes both the symmetry
     // test and the Cholesky pivot test; the knowledge set must still be
-    // refused.  Tenant 0 of the fixture is at dim 2, so its shape is
-    // [a₀₀, a₀₁, a₁₀, a₁₁].
-    let base = Json::parse(FIXTURE).unwrap();
-    let knowledge = |leaf: &str, index: usize| {
-        vec![
-            Step::Key("tenants".into()),
-            Step::Index(0),
-            Step::Key("knowledge".into()),
-            Step::Key(leaf.into()),
-            Step::Index(index),
-        ]
-    };
+    // refused.  Tenant 0 of both fixtures is at dim 2.
     let cases = [
         (
+            FIXTURE_V5,
             "both off-diagonal shape entries",
             vec![knowledge("shape", 1), knowledge("shape", 2)],
         ),
-        ("a diagonal shape entry", vec![knowledge("shape", 3)]),
-        ("a centre entry", vec![knowledge("center", 0)]),
+        (
+            FIXTURE_V5,
+            "a diagonal shape entry",
+            vec![knowledge("shape", 3)],
+        ),
+        (FIXTURE_V5, "a centre entry", vec![knowledge("center", 0)]),
+        (
+            FIXTURE_V6,
+            "the off-diagonal shape entry",
+            vec![knowledge("shape", 1)],
+        ),
+        (
+            FIXTURE_V6,
+            "a diagonal shape entry",
+            vec![knowledge("shape", 2)],
+        ),
+        (FIXTURE_V6, "a centre entry", vec![knowledge("center", 1)]),
     ];
-    for (what, paths) in cases {
-        let mutant = paths.iter().fold(base.clone(), |doc, path| {
-            mutate(&doc, path, Some(&Json::Null))
-        });
-        match MarketService::restore(&mutant) {
-            Err(ServiceError::MalformedSnapshot(message)) => {
-                assert!(message.contains("knowledge"), "{what}: {message}");
-            }
-            other => panic!(
-                "{what}: expected MalformedSnapshot, got {:?}",
-                other.map(drop)
-            ),
-        }
+    for (fixture, what, paths) in cases {
+        let base = Json::parse(fixture).unwrap();
+        let mutant = paths
+            .iter()
+            .fold(base, |doc, path| mutate(&doc, path, Some(&Json::Null)));
+        assert_malformed(what, &mutant, "knowledge");
+    }
+}
+
+/// `doc` with tenant 0's `knowledge.shape` replaced by `shape`.
+fn with_shape(doc: &Json, shape: &[f64]) -> Json {
+    let mut path = knowledge("shape", 0);
+    path.pop();
+    let shape = Json::Arr(shape.iter().map(|&x| Json::Num(x)).collect());
+    mutate(doc, &path, Some(&shape))
+}
+
+/// Tenant 0's `knowledge.shape` numbers.
+fn shape_of(doc: &Json) -> Vec<f64> {
+    doc.get("tenants")
+        .and_then(Json::as_arr)
+        .and_then(|tenants| tenants[0].get("knowledge"))
+        .and_then(|knowledge| knowledge.get("shape"))
+        .and_then(Json::as_arr)
+        .expect("tenant 0 has a shape")
+        .iter()
+        .map(|x| x.as_f64().expect("a number"))
+        .collect()
+}
+
+#[test]
+fn the_schema_version_decides_the_shape_layout() {
+    // The version the document declares decides how its shape is read; a
+    // shape of the other layout is malformed, never reinterpreted.
+    let v5 = Json::parse(FIXTURE_V5).unwrap();
+    let v6 = Json::parse(FIXTURE_V6).unwrap();
+    let (dense, packed) = (shape_of(&v5), shape_of(&v6));
+    assert_eq!(dense.len(), 4);
+    assert_eq!(packed, [dense[0], dense[1], dense[3]]);
+    assert_eq!(dense[1], dense[2], "the v5 shape is symmetric");
+    let one_long = [packed.as_slice(), &[0.0]].concat();
+    // A full matrix can be asymmetric; v1–v5 restores refuse one that is
+    // beyond the positive-definiteness check's tolerance, as they always
+    // have.
+    let asymmetric = [dense[0], dense[1] + 1.0, dense[2], dense[3]];
+    for (what, doc) in [
+        ("a v6 shape with 4 numbers", with_shape(&v6, &dense)),
+        ("a v5 shape with 3 numbers", with_shape(&v5, &packed)),
+        ("a v6 shape one number short", with_shape(&v6, &packed[..2])),
+        ("a v6 shape one number long", with_shape(&v6, &one_long)),
+        ("an asymmetric v5 shape", with_shape(&v5, &asymmetric)),
+    ] {
+        assert_malformed(what, &doc, "knowledge shape");
     }
 }
