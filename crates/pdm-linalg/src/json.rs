@@ -8,15 +8,19 @@
 //! DAG, so both producers can share one implementation.  Two properties
 //! matter for those pipelines and are covered by tests:
 //!
-//! * **Determinism** — object keys keep insertion order and numbers render
-//!   through `f64`'s shortest-round-trip `Display`, so the same report always
-//!   produces the same bytes (the determinism suite compares outputs of runs
-//!   with different worker counts byte-for-byte).
+//! * **Determinism** — object keys keep insertion order and numbers go
+//!   through [`write_f64`], which writes exactly `f64`'s `Display` bytes:
+//!   the shortest decimal that parses back to the same bits, an exact tie
+//!   between two such decimals rounded up, never an exponent.  So the same
+//!   report always produces the same bytes (the determinism suite compares
+//!   outputs of runs with different worker counts byte-for-byte), and the
+//!   text stays readable decimal for offline audit.
 //! * **Round-trip** — `parse(render(v))` reproduces `v` for every value this
 //!   module can emit.  Non-finite numbers are written as `null` (JSON has no
-//!   NaN/inf) and read back as NaN.  Finite numbers round-trip *exactly*:
-//!   Rust's `Display` for `f64` prints the shortest decimal that parses back
-//!   to the same bits, which is what makes JSON snapshots bit-faithful.
+//!   NaN/inf) and read back as NaN.  Finite numbers round-trip *exactly*,
+//!   which is what makes JSON snapshots bit-faithful.  The parser reads
+//!   numbers in RFC 8259's grammar only and refuses a literal that
+//!   overflows `f64`, so no text reads back as an infinity.
 //!
 //! [`Json::encode`] / [`Json::decode`] carry the same tree as a tagged,
 //! length-prefixed binary image with numbers stored as raw `f64` bits.  It
@@ -27,6 +31,11 @@
 //! The decoder rejects damaged input with an error and never panics.
 
 use std::fmt::Write as _;
+
+mod float;
+mod pow5;
+
+pub use float::write_f64;
 
 /// A JSON value.  Objects preserve insertion order (no map type) so renders
 /// are deterministic.
@@ -79,13 +88,14 @@ impl Json {
         }
     }
 
-    /// The value as an unsigned integer (rejects negatives and fractions).
+    /// The value as an unsigned integer (rejects negatives, fractions and
+    /// anything from 2^64 up).
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
+        // Not `<= u64::MAX as f64`: that cast rounds up to 2^64 itself.
+        const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < TWO_POW_64 => Some(*n as u64),
             _ => None,
         }
     }
@@ -130,13 +140,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    let _ = write!(out, "{n}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Num(n) if n.is_finite() => write_f64(out, *n),
+            Json::Num(_) => out.push_str("null"),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 write_sequence(out, indent, level, '[', ']', items.len(), |out, i| {
@@ -557,17 +562,49 @@ fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
         .map_err(|_| "bad \\u escape".to_owned())
 }
 
+/// Reads a number in RFC 8259's grammar,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.  A literal beyond
+/// `f64`'s range is an error; one below it reads as zero.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos > from
+    };
+    let invalid = |pos: usize| format!("invalid number at byte {pos}");
+    if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid UTF-8")?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+    // A leading zero stands alone: `01` ends the number after the `0`.
+    if bytes.get(*pos) == Some(&b'0') {
+        *pos += 1;
+    } else if !digits(pos) {
+        return Err(invalid(*pos));
+    }
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if !digits(pos) {
+            return Err(invalid(*pos));
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if !digits(pos) {
+            return Err(invalid(*pos));
+        }
+    }
+    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| invalid(start))?;
+    match text.parse::<f64>() {
+        Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+        Ok(_) => Err(format!("number `{text}` at byte {start} overflows f64")),
+        Err(_) => Err(invalid(start)),
+    }
 }
 
 #[cfg(test)]
@@ -592,10 +629,31 @@ mod tests {
 
     #[test]
     fn round_trips_every_emittable_value() {
+        let numbers = [
+            42.0,
+            -0.125,
+            1.234e-9,
+            -0.0,
+            5e-324,
+            f64::MAX,
+            1e21,
+            // An exact tie, which `write_f64` rounds up as `Display` does.
+            f64::from_bits(0x4317_9085_685d_83c9),
+        ];
+        for x in numbers {
+            let text = Json::Num(x).render();
+            assert_eq!(text, format!("{x}"));
+            let back = Json::parse(&text).ok().and_then(|v| v.as_f64());
+            assert_eq!(back.map(f64::to_bits), Some(x.to_bits()), "{text}");
+        }
         let value = Json::obj(vec![
             ("int", Json::Num(42.0)),
             ("neg", Json::Num(-0.125)),
             ("tiny", Json::Num(1.234e-9)),
+            (
+                "numbers",
+                Json::Arr(numbers.iter().map(|&x| Json::Num(x)).collect()),
+            ),
             ("nan_as_null", Json::Num(f64::NAN)),
             ("text", Json::str("quotes \" and \\ and unicode é")),
             ("flag", Json::Bool(false)),
@@ -628,6 +686,66 @@ mod tests {
         assert_eq!(value.get("s").and_then(Json::as_u64), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
+    }
+
+    #[test]
+    fn as_u64_stops_below_two_to_the_64() {
+        // 2^64 is what `u64::MAX as f64` rounds to; it does not fit.
+        assert_eq!(Json::Num(18_446_744_073_709_551_616.0).as_u64(), None);
+        // The largest double below 2^64 does.
+        assert_eq!(
+            Json::Num(18_446_744_073_709_549_568.0).as_u64(),
+            Some(18_446_744_073_709_549_568)
+        );
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for (text, bits) in [
+            ("0", 0f64.to_bits()),
+            ("-0", (-0f64).to_bits()),
+            ("-0.0e0", (-0f64).to_bits()),
+            ("1E+2", 100f64.to_bits()),
+            ("123.456e-7", 123.456e-7f64.to_bits()),
+            // Underflow is legal and reads as zero.
+            ("1e-400", 0f64.to_bits()),
+            ("-1e-400", (-0f64).to_bits()),
+        ] {
+            let parsed = Json::parse(text).ok().and_then(|v| v.as_f64());
+            assert_eq!(parsed.map(f64::to_bits), Some(bits), "{text}");
+        }
+        for text in [
+            "+1",
+            ".5",
+            "5.",
+            "01",
+            "-01",
+            "1.e3",
+            "-",
+            "-.5",
+            "--1",
+            "1e",
+            "1e+",
+            "1.5e",
+            "0x10",
+            "Infinity",
+            "-Infinity",
+            "NaN",
+            "1e400",
+            "-1e400",
+            "[01]",
+            "[1.]",
+        ] {
+            assert!(Json::parse(text).is_err(), "accepted {text}");
+        }
+        assert_eq!(
+            Json::parse("[1, 1e400]"),
+            Err("number `1e400` at byte 4 overflows f64".to_owned())
+        );
+        assert_eq!(
+            Json::parse(r#"{"a": 1.e3}"#),
+            Err("invalid number at byte 8".to_owned())
+        );
     }
 
     #[test]
@@ -894,6 +1012,20 @@ mod tests {
                 parsed.as_ref().ok().and_then(Json::as_str) == Some(original.as_str()),
                 "input {original:?} escaped {escaped:?} parsed {parsed:?}"
             );
+        }
+
+        #[test]
+        fn numbers_render_as_display_and_parse_back(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..16 {
+                let x = random_number(&mut rng);
+                let text = Json::Num(x).render();
+                let expected = if x.is_finite() { format!("{x}") } else { "null".to_owned() };
+                prop_assert_eq!(&text, &expected);
+                let back = Json::parse(&text).ok().and_then(|v| v.as_f64());
+                let same = back.is_some_and(|b| b.to_bits() == x.to_bits() || (b.is_nan() && !x.is_finite()));
+                prop_assert!(same, "{x:?} rendered {text} parsed {back:?}");
+            }
         }
 
         #[test]

@@ -15,6 +15,7 @@
 //! the first real scraper pointed at it.
 
 use crate::registry::MetricRegistry;
+use pdm_linalg::json::write_f64;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -93,7 +94,10 @@ fn fmt_value(value: f64) -> String {
     } else if value == f64::NEG_INFINITY {
         "-Inf".to_owned()
     } else {
-        format!("{value}")
+        // The same float text as every JSON artifact: `Display`'s bytes.
+        let mut out = String::new();
+        write_f64(&mut out, value);
+        out
     }
 }
 
@@ -291,6 +295,28 @@ fn is_valid_name(name: &str) -> bool {
 mod tests {
     use super::*;
     use std::time::Duration;
+
+    #[test]
+    fn finite_samples_print_as_display_does() {
+        for x in [
+            0.5,
+            1234.5678,
+            -2.75,
+            -0.0,
+            0.0,
+            42.0,
+            1e21,
+            f64::MAX,
+            1e-7,
+            5e-324,
+            f64::MIN_POSITIVE,
+        ] {
+            assert_eq!(fmt_value(x), format!("{x}"), "{x:e}");
+        }
+        assert_eq!(fmt_value(f64::NAN), "NaN");
+        assert_eq!(fmt_value(f64::INFINITY), "+Inf");
+        assert_eq!(fmt_value(f64::NEG_INFINITY), "-Inf");
+    }
 
     fn sample_registry() -> MetricRegistry {
         let mut reg = MetricRegistry::new();

@@ -1115,6 +1115,27 @@ mod tests {
     }
 
     #[test]
+    fn a_count_of_two_to_the_64_is_malformed_not_saturated() {
+        let mut doc = fresh_service(&[TenantId(1)]).snapshot().unwrap();
+        let Json::Arr(tenants) = field(&mut doc, "tenants") else {
+            panic!("`tenants` is an array")
+        };
+        // 2^64 is one past u64::MAX, and the double `u64::MAX` rounds to.
+        // The writer prints it as its shortest digits; a file may spell it
+        // out in full.
+        *field(field(&mut tenants[0], "session"), "sales") =
+            Json::Num(18_446_744_073_709_551_616.0);
+        let text = doc.render().replace(
+            "\"sales\":18446744073709552000",
+            "\"sales\":18446744073709551616",
+        );
+        assert!(text.contains("\"sales\":18446744073709551616"));
+        let err = MarketService::restore(&Json::parse(&text).unwrap()).unwrap_err();
+        assert!(matches!(err, ServiceError::MalformedSnapshot(_)), "{err}");
+        assert!(err.to_string().contains("`sales` must be a count"), "{err}");
+    }
+
+    #[test]
     fn unusable_initial_radii_are_rejected_at_restore() {
         let text = fresh_service(&[TenantId(1)]).snapshot().unwrap().render();
         let key = "\"initial_radius\":";

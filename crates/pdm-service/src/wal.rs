@@ -89,17 +89,12 @@ impl MarketService {
         let base = self
             .wal_segments
             .fetch_add(chunk_count as u64, Ordering::Relaxed);
-        let mut chunks: Vec<Vec<Json>> = records
-            .chunks(segment_size)
-            .map(|chunk| chunk.iter().map(|(_, json)| json.clone()).collect())
-            .collect();
-        if chunks.is_empty() {
-            chunks.push(Vec::new());
-        }
-        let segments: Vec<Json> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(offset, tenants)| {
+        // Each record moves into its segment; with nothing dirty the one
+        // segment is empty.
+        let mut records = records.into_iter().map(|(_, json)| json);
+        let segments: Vec<Json> = (0..chunk_count)
+            .map(|offset| {
+                let tenants: Vec<Json> = records.by_ref().take(segment_size).collect();
                 Json::obj(vec![
                     ("schema_version", Json::Num(SNAPSHOT_SCHEMA_VERSION as f64)),
                     ("kind", Json::Str(WAL_SEGMENT_KIND.to_owned())),
