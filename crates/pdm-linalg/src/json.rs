@@ -1,5 +1,4 @@
-//! A minimal JSON tree with a deterministic writer, a strict parser, and a
-//! binary image of the same tree.
+//! A minimal JSON tree with a deterministic writer and a strict parser.
 //!
 //! Every machine-readable artifact in the workspace — the `BENCH_*.json`
 //! reports of `pdm-bench` and the tenant-state snapshots of `pdm-service` —
@@ -21,14 +20,6 @@
 //!   which is what makes JSON snapshots bit-faithful.  The parser reads
 //!   numbers in RFC 8259's grammar only and refuses a literal that
 //!   overflows `f64`, so no text reads back as an infinity.
-//!
-//! [`Json::encode`] / [`Json::decode`] carry the same tree as a tagged,
-//! length-prefixed binary image with numbers stored as raw `f64` bits.  It
-//! is an in-memory format — `pdm-service` keeps paged-out tenant documents
-//! in it, while snapshots and WAL segments stay JSON text — and it is
-//! pinned to the text codec: `decode(encode(v))` equals `parse(render(v))`
-//! for every `v`, non-finite numbers included (they encode as `Null`).
-//! The decoder rejects damaged input with an error and never panics.
 
 use std::fmt::Write as _;
 
@@ -175,194 +166,12 @@ impl Json {
         }
         Ok(value)
     }
-
-    /// Appends the binary image of the value to `out`: one tag byte per
-    /// value, LEB128 lengths before strings, arrays and objects, and
-    /// numbers as their little-endian `f64` bits.  A non-finite number
-    /// encodes as `Null`, exactly as [`Json::render`] writes it.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Json::Null => out.push(TAG_NULL),
-            Json::Bool(false) => out.push(TAG_FALSE),
-            Json::Bool(true) => out.push(TAG_TRUE),
-            Json::Num(n) if n.is_finite() => {
-                out.push(TAG_NUM);
-                out.extend_from_slice(&n.to_bits().to_le_bytes());
-            }
-            Json::Num(_) => out.push(TAG_NULL),
-            Json::Str(s) => {
-                out.push(TAG_STR);
-                encode_str(out, s);
-            }
-            Json::Arr(items) => {
-                out.push(TAG_ARR);
-                encode_len(out, items.len());
-                for item in items {
-                    item.encode(out);
-                }
-            }
-            Json::Obj(pairs) => {
-                out.push(TAG_OBJ);
-                encode_len(out, pairs.len());
-                for (key, value) in pairs {
-                    encode_str(out, key);
-                    value.encode(out);
-                }
-            }
-        }
-    }
-
-    /// Decodes a binary image written by [`Json::encode`], requiring it to
-    /// span the whole input.  Damaged input — truncated, bit-flipped, an
-    /// unknown tag, invalid UTF-8, a non-finite number, a count larger than
-    /// the bytes left could hold, nesting deeper than 128 levels — is an
-    /// `Err`, never a panic.
-    pub fn decode(bytes: &[u8]) -> Result<Json, String> {
-        let mut reader = Reader { bytes, pos: 0 };
-        let value = reader.value(0)?;
-        if reader.pos != bytes.len() {
-            return Err(format!("trailing content at byte {}", reader.pos));
-        }
-        Ok(value)
-    }
 }
 
-/// Deepest nesting of arrays and objects [`Json::parse`] and
-/// [`Json::decode`] accept.  The workspace writes at most a handful of
-/// levels; the cap keeps the recursive readers' stack use bounded.
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts.  The
+/// workspace writes at most a handful of levels; the cap keeps the
+/// recursive reader's stack use bounded.
 const MAX_DEPTH: usize = 128;
-
-/// The error for an array or object opened at byte `pos` past [`MAX_DEPTH`].
-fn too_deep(pos: usize) -> String {
-    format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}")
-}
-
-const TAG_NULL: u8 = 0;
-const TAG_FALSE: u8 = 1;
-const TAG_TRUE: u8 = 2;
-const TAG_NUM: u8 = 3;
-const TAG_STR: u8 = 4;
-const TAG_ARR: u8 = 5;
-const TAG_OBJ: u8 = 6;
-
-/// Appends `len` as an unsigned LEB128 varint.
-fn encode_len(out: &mut Vec<u8>, mut len: usize) {
-    while len >= 0x80 {
-        out.push(0x80 | (len & 0x7f).to_le_bytes()[0]);
-        len >>= 7;
-    }
-    out.push(len.to_le_bytes()[0]);
-}
-
-fn encode_str(out: &mut Vec<u8>, s: &str) {
-    encode_len(out, s.len());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Cursor over a binary image; every read is bounds-checked.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if n > self.remaining() {
-            return Err(format!("truncated input at byte {}", self.pos));
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn byte(&mut self) -> Result<u8, String> {
-        self.take(1).map(|b| b[0])
-    }
-
-    /// An unsigned LEB128 length, rejected past `u64` or `usize`.
-    fn varint(&mut self) -> Result<usize, String> {
-        let start = self.pos;
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.byte()?;
-            let low = u64::from(byte & 0x7f);
-            if shift > 63 || (shift == 63 && low > 1) {
-                return Err(format!("length overflows at byte {start}"));
-            }
-            value |= low << shift;
-            if byte & 0x80 == 0 {
-                return usize::try_from(value)
-                    .map_err(|_| format!("length overflows at byte {start}"));
-            }
-            shift += 7;
-        }
-    }
-
-    /// An element count: every element takes at least one byte, so a count
-    /// beyond the bytes left is damage, and the checked count bounds the
-    /// allocation made for it.
-    fn count(&mut self) -> Result<usize, String> {
-        let start = self.pos;
-        let count = self.varint()?;
-        if count > self.remaining() {
-            return Err(format!("count {count} at byte {start} exceeds the input"));
-        }
-        Ok(count)
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        let start = self.pos;
-        let len = self.varint()?;
-        let raw = self.take(len)?;
-        std::str::from_utf8(raw)
-            .map(str::to_owned)
-            .map_err(|_| format!("invalid UTF-8 in string at byte {start}"))
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        let start = self.pos;
-        match self.byte()? {
-            TAG_NULL => Ok(Json::Null),
-            TAG_FALSE => Ok(Json::Bool(false)),
-            TAG_TRUE => Ok(Json::Bool(true)),
-            TAG_NUM => {
-                let mut bits = [0u8; 8];
-                bits.copy_from_slice(self.take(8)?);
-                let n = f64::from_bits(u64::from_le_bytes(bits));
-                if n.is_finite() {
-                    Ok(Json::Num(n))
-                } else {
-                    Err(format!("non-finite number at byte {start}"))
-                }
-            }
-            TAG_STR => self.string().map(Json::Str),
-            TAG_ARR | TAG_OBJ if depth == MAX_DEPTH => Err(too_deep(start)),
-            TAG_ARR => {
-                let count = self.count()?;
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    items.push(self.value(depth + 1)?);
-                }
-                Ok(Json::Arr(items))
-            }
-            TAG_OBJ => {
-                let count = self.count()?;
-                let mut pairs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let key = self.string()?;
-                    pairs.push((key, self.value(depth + 1)?));
-                }
-                Ok(Json::Obj(pairs))
-            }
-            tag => Err(format!("unknown tag {tag} at byte {start}")),
-        }
-    }
-}
 
 /// Shared body/indentation logic for arrays and objects.
 fn write_sequence(
@@ -436,7 +245,10 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
-        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(too_deep(*pos)),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
@@ -796,62 +608,7 @@ mod tests {
     }
 
     #[test]
-    fn binary_image_round_trips_every_emittable_value() {
-        let value = Json::obj(vec![
-            ("int", Json::Num(42.0)),
-            ("neg_zero", Json::Num(-0.0)),
-            ("nan", Json::Num(f64::NAN)),
-            ("inf", Json::Num(f64::NEG_INFINITY)),
-            ("text", Json::str("quotes \" and \\ and unicode é😀")),
-            (
-                "flags",
-                Json::Arr(vec![Json::Bool(true), Json::Bool(false)]),
-            ),
-            (
-                "nested",
-                Json::Arr(vec![Json::obj(vec![("k", Json::Null)])]),
-            ),
-            ("empty_arr", Json::Arr(vec![])),
-            ("empty_obj", Json::Obj(vec![])),
-            ("long", Json::Arr(vec![Json::Num(0.5); 300])),
-        ]);
-        let mut image = Vec::new();
-        value.encode(&mut image);
-        let decoded = Json::decode(&image).unwrap();
-        assert_eq!(decoded, Json::parse(&value.render()).unwrap());
-        assert_eq!(decoded.get("nan"), Some(&Json::Null));
-        let neg_zero = decoded.get("neg_zero").and_then(Json::as_f64).unwrap();
-        assert_eq!(neg_zero.to_bits(), (-0.0f64).to_bits());
-    }
-
-    #[test]
-    fn decoder_rejects_damaged_images() {
-        let rejects = |bytes: &[u8]| assert!(Json::decode(bytes).is_err(), "accepted {bytes:?}");
-        rejects(&[]);
-        rejects(&[TAG_OBJ + 1]);
-        rejects(&[TAG_NULL, TAG_NULL]);
-        rejects(&[TAG_NUM, 0, 0, 0]);
-        rejects(&[TAG_STR, 2, b'a']);
-        rejects(&[TAG_STR, 1, 0xff]);
-        let mut nan = vec![TAG_NUM];
-        nan.extend_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        rejects(&nan);
-        // Counts the input could not hold fail before anything is
-        // allocated for them, including ones past u64.
-        rejects(&[
-            TAG_ARR, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
-        ]);
-        rejects(&[
-            TAG_OBJ, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
-        ]);
-        rejects(&[
-            TAG_ARR, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01,
-        ]);
-        rejects(&[TAG_ARR, 3, TAG_NULL, TAG_NULL]);
-    }
-
-    #[test]
-    fn nesting_is_capped_in_both_codecs() {
+    fn nesting_is_capped() {
         // 200 000 levels would overflow the stack of a recursive reader.
         let deep = 200_000;
         let text = "[".repeat(deep);
@@ -859,24 +616,15 @@ mod tests {
             Json::parse(&text),
             Err("nesting deeper than 128 levels at byte 128".to_owned())
         );
-        let mut image = [TAG_ARR, 1].repeat(deep);
-        image.push(TAG_NULL);
-        assert_eq!(
-            Json::decode(&image),
-            Err("nesting deeper than 128 levels at byte 256".to_owned())
-        );
         let text = format!("{}{}", "{\"k\":".repeat(deep), "null");
         assert!(Json::parse(&text).unwrap_err().contains("nesting deeper"));
 
-        // The cap itself is accepted by both.
+        // The cap itself is accepted.
         let mut value = Json::Null;
         for _ in 0..MAX_DEPTH {
             value = Json::Arr(vec![value]);
         }
         assert_eq!(Json::parse(&value.render()).as_ref(), Ok(&value));
-        let mut image = Vec::new();
-        value.encode(&mut image);
-        assert_eq!(Json::decode(&image).as_ref(), Ok(&value));
     }
 
     // The vendored proptest has no string or recursive strategies, so the
@@ -974,6 +722,22 @@ mod tests {
         out
     }
 
+    /// `value` as the text codec writes it: non-finite numbers become
+    /// `null`.
+    fn as_written(value: &Json) -> Json {
+        match value {
+            Json::Num(x) if !x.is_finite() => Json::Null,
+            Json::Arr(items) => Json::Arr(items.iter().map(as_written).collect()),
+            Json::Obj(pairs) => Json::Obj(
+                pairs
+                    .iter()
+                    .map(|(key, value)| (key.clone(), as_written(value)))
+                    .collect(),
+            ),
+            _ => value.clone(),
+        }
+    }
+
     /// Structural equality that compares every number by its bits, so
     /// `-0.0` and `0.0` differ.
     fn same_bits(a: &Json, b: &Json) -> bool {
@@ -1029,21 +793,16 @@ mod tests {
         }
 
         #[test]
-        fn binary_image_matches_the_text_codec(seed in 0u64..u64::MAX) {
+        fn random_trees_round_trip_through_text(seed in 0u64..u64::MAX) {
             let value = random_tree(&mut StdRng::seed_from_u64(seed), 4);
-            let mut image = Vec::new();
-            value.encode(&mut image);
-            let decoded = Json::decode(&image);
-            let reparsed = Json::parse(&value.render());
+            let rendered = value.render();
+            let parsed = Json::parse(&rendered);
             prop_assert!(
-                matches!((&decoded, &reparsed), (Ok(d), Ok(r)) if same_bits(d, r)),
-                "input {value:?}\ndecoded {decoded:?}\nreparsed {reparsed:?}"
+                matches!(&parsed, Ok(parsed) if same_bits(parsed, &as_written(&value))),
+                "input {value:?}\nrendered {rendered}\nparsed {parsed:?}"
             );
-            let decoded = decoded.unwrap_or(Json::Null);
-            prop_assert_eq!(decoded.render(), value.render());
-            let mut again = Vec::new();
-            decoded.encode(&mut again);
-            prop_assert!(again == image, "input {value:?}: re-encoding changed the image");
+            let again = parsed.map(|parsed| parsed.render());
+            prop_assert!(again.as_ref() == Ok(&rendered), "input {value:?}: re-rendering changed the text");
         }
     }
 }

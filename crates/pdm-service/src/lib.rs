@@ -74,10 +74,11 @@
 //! * **Cold-tenant paging** — with [`ServiceConfig::resident_capacity`]
 //!   set, least-recently-served quiescent tenants page out and rehydrate
 //!   on the next request, bounding the resident set under tenant churn.
-//!   A page is the binary image ([`pdm_linalg::Json::encode`]) of the
-//!   tenant's snapshot document, so paging skips float formatting and
-//!   parsing; it stays in memory, and snapshots and the WAL stay JSON
-//!   text.
+//!   A page holds the fields of the tenant's snapshot document as a
+//!   typed little-endian image (raw float bits, no `Json` tree) and reads
+//!   back through the snapshot restore's checks and constructors, so
+//!   paging skips float formatting and parsing; it stays in memory, and
+//!   snapshots and the WAL stay JSON text.
 //! * **Observability** — every shard carries a `pdm-obs`
 //!   [`MetricRegistry`] behind its existing lock: the serving stages
 //!   (`shard.drain`, `shard.quote`, `shard.observe`, `ledger.settle`,
@@ -130,6 +131,7 @@ pub mod api;
 pub mod ledger;
 pub mod metrics;
 mod obs;
+mod page;
 mod pool;
 mod reader;
 pub mod routing;

@@ -21,6 +21,8 @@
 //! Snapshots are only taken at a quiescent point — no queued requests, no
 //! quoted-but-unobserved rounds — so there is no in-flight state to encode.
 
+use std::fmt;
+
 use crate::api::ServiceError;
 use crate::ledger::{LedgerBank, OwnerLedger};
 use crate::metrics::{ShardMetrics, Slot, FIELDS};
@@ -102,19 +104,18 @@ fn pricing_json(config: &PricingConfig) -> Json {
     ])
 }
 
+/// Reads a pricing config as written; [`TenantParts::build`] passes it
+/// through the public builders.
 fn pricing_from_json(pricing: &Reader) -> Result<PricingConfig, ServiceError> {
-    let mut config =
-        PricingConfig::new(pricing.number("initial_radius")?, pricing.size("horizon")?)
-            .with_reserve(pricing.flag("use_reserve")?)
-            .with_uncertainty(pricing.number("delta")?)
-            .with_feature_bound(pricing.number("feature_bound")?)
-            .with_conservative_cuts(pricing.flag("cut_on_conservative")?);
-    // `epsilon: null` means "use the paper's schedule" and must stay None —
-    // with_epsilon would pin it.
-    if let Some(epsilon) = pricing.optional("epsilon", Reader::number)? {
-        config = config.with_epsilon(epsilon);
-    }
-    Ok(config)
+    Ok(PricingConfig {
+        initial_radius: pricing.number("initial_radius")?,
+        feature_bound: pricing.number("feature_bound")?,
+        horizon: pricing.size("horizon")?,
+        epsilon: pricing.optional("epsilon", Reader::number)?,
+        delta: pricing.number("delta")?,
+        use_reserve: pricing.flag("use_reserve")?,
+        cut_on_conservative: pricing.flag("cut_on_conservative")?,
+    })
 }
 
 pub(crate) fn metrics_json(metrics: &ShardMetrics) -> Json {
@@ -228,81 +229,65 @@ fn market_json(state: &TenantState) -> Json {
     }
 }
 
-/// Learned market state persisted alongside the market kind, applied
-/// after the tenant state is built.
-enum MarketRestore {
-    /// Nothing beyond the kind itself (posted, session/static auction).
-    None,
-    /// The empirical reserve setter's persisted bid history.
-    EmpiricalHistory(Vec<(f64, f64)>),
-    /// The privacy tenant's owner ledgers and bank totals.
-    Privacy(Box<LedgerRestore>),
-}
-
 /// The persisted state of a privacy tenant's [`LedgerBank`].
-struct LedgerRestore {
-    epsilon_spent: Vec<f64>,
-    compensation: Vec<f64>,
-    queries: Vec<u64>,
-    exhausted: Vec<bool>,
-    epsilon_spent_total: f64,
-    compensation_total: f64,
+#[derive(Default)]
+pub(crate) struct LedgerRestore {
+    pub(crate) epsilon_spent: Vec<f64>,
+    pub(crate) compensation: Vec<f64>,
+    pub(crate) queries: Vec<u64>,
+    pub(crate) exhausted: Vec<bool>,
+    pub(crate) epsilon_spent_total: f64,
+    pub(crate) compensation_total: f64,
 }
 
-/// Parses a tenant's `market` object; also returns the learned market
-/// state (applied after the tenant state is built).
-fn market_from_json(market: &Reader) -> Result<(MarketKind, MarketRestore), ServiceError> {
-    Ok(match market.string("kind")? {
-        "posted" => (MarketKind::PostedPrice, MarketRestore::None),
-        "auction" => {
-            let (policy, restore) = match market.string("policy")? {
-                "session" => (AuctionPolicy::Session, MarketRestore::None),
-                "static" => (
-                    AuctionPolicy::Static {
-                        markup: market.number("markup")?,
-                    },
-                    MarketRestore::None,
-                ),
-                // A zero window is accepted here (and clamped to 1 by the tenant
-                // state, exactly like at registration time): a document the
-                // service wrote must always restore.
-                "empirical" => (
-                    AuctionPolicy::Empirical {
-                        window: market.size("window")?,
-                        welfare_weight: market.number("welfare_weight")?,
-                    },
-                    MarketRestore::EmpiricalHistory(market.list(
-                        "history",
-                        "`[top, second]` number pairs",
-                        |pair| match pair.as_arr()? {
-                            [top, second] => Some((top.as_f64()?, second.as_f64()?)),
-                            _ => None,
-                        },
-                    )?),
-                ),
-                other => return Err(market.error(format_args!("unknown auction policy `{other}`"))),
-            };
-            (MarketKind::Auction(policy), restore)
-        }
-        "privacy" => (
-            MarketKind::Privacy(PrivacyParams {
-                epsilon_budget: market.number("epsilon_budget")?,
-                compensation_base: market.number("compensation_base")?,
-                compensation_sensitivity: market.number("compensation_sensitivity")?,
-                data_range: market.number("data_range")?,
-                laplace_scale: market.number("laplace_scale")?,
-            }),
-            MarketRestore::Privacy(Box::new(LedgerRestore {
+/// Reads a tenant's `market` object into `parts`: the kind, and the
+/// learned state the kind carries.
+fn market_from_json(market: &Reader, parts: &mut TenantParts) -> Result<(), ServiceError> {
+    parts.config.market = match market.string("kind")? {
+        "posted" => MarketKind::PostedPrice,
+        "auction" => MarketKind::Auction(match market.string("policy")? {
+            "session" => AuctionPolicy::Session,
+            "static" => AuctionPolicy::Static {
+                markup: market.number("markup")?,
+            },
+            // A zero window is accepted here (and clamped to 1 by the tenant
+            // state, exactly like at registration time): a document the
+            // service wrote must always restore.
+            "empirical" => {
+                parts.history =
+                    market.list("history", "`[top, second]` number pairs", |pair| match pair
+                        .as_arr()?
+                    {
+                        [top, second] => Some((top.as_f64()?, second.as_f64()?)),
+                        _ => None,
+                    })?;
+                AuctionPolicy::Empirical {
+                    window: market.size("window")?,
+                    welfare_weight: market.number("welfare_weight")?,
+                }
+            }
+            other => return Err(market.error(format_args!("unknown auction policy `{other}`"))),
+        }),
+        "privacy" => {
+            parts.owners = LedgerRestore {
                 epsilon_spent: market.numbers("epsilon_spent")?,
                 compensation: market.numbers("compensation")?,
                 queries: market.list("queries", "counts", Json::as_u64)?,
                 exhausted: market.bits("exhausted")?,
                 epsilon_spent_total: market.number("epsilon_spent_total")?,
                 compensation_total: market.number("compensation_total")?,
-            })),
-        ),
+            };
+            MarketKind::Privacy(PrivacyParams {
+                epsilon_budget: market.number("epsilon_budget")?,
+                compensation_base: market.number("compensation_base")?,
+                compensation_sensitivity: market.number("compensation_sensitivity")?,
+                data_range: market.number("data_range")?,
+                laplace_scale: market.number("laplace_scale")?,
+            })
+        }
         other => return Err(market.error(format_args!("unknown market kind `{other}`"))),
-    })
+    };
+    Ok(())
 }
 
 /// Serialises a tenant's drift policy plus the live detector state (the
@@ -337,37 +322,36 @@ fn drift_json(state: &TenantState) -> Json {
     }
 }
 
-/// The restored drift state of a restart-policy tenant.
-struct DriftRestore {
-    fires: u64,
-    restarts: u64,
-    flags: Vec<bool>,
+/// The restored detector state of a restart-policy tenant.
+#[derive(Default)]
+pub(crate) struct DriftRestore {
+    pub(crate) fires: u64,
+    pub(crate) restarts: u64,
+    pub(crate) flags: Vec<bool>,
 }
 
-/// Parses a tenant's `drift` object (schema v3).  Returns the policy plus
-/// the detector state to re-instate after the mechanism is built.
-fn drift_from_json(drift: &Reader) -> Result<(DriftPolicy, Option<DriftRestore>), ServiceError> {
-    match drift.string("policy")? {
-        "static" => Ok((DriftPolicy::Static, None)),
-        "discounted" => Ok((
-            DriftPolicy::Discounted {
-                inflation: drift.number("inflation")?,
-            },
-            None,
-        )),
-        "restart" => Ok((
-            DriftPolicy::Restart {
-                window: drift.size("window")?,
-                threshold: drift.size("threshold")?,
-            },
-            Some(DriftRestore {
+/// Reads a tenant's `drift` object (schema v3) into `parts`: the policy,
+/// and the detector state of a restart policy.
+fn drift_from_json(drift: &Reader, parts: &mut TenantParts) -> Result<(), ServiceError> {
+    parts.config.drift = match drift.string("policy")? {
+        "static" => DriftPolicy::Static,
+        "discounted" => DriftPolicy::Discounted {
+            inflation: drift.number("inflation")?,
+        },
+        "restart" => {
+            parts.detector = DriftRestore {
                 fires: drift.count("fires")?,
                 restarts: drift.count("restarts")?,
                 flags: drift.bits("window_flags")?,
-            }),
-        )),
-        other => Err(drift.error(format_args!("unknown drift policy `{other}`"))),
-    }
+            };
+            DriftPolicy::Restart {
+                window: drift.size("window")?,
+                threshold: drift.size("threshold")?,
+            }
+        }
+        other => return Err(drift.error(format_args!("unknown drift policy `{other}`"))),
+    };
+    Ok(())
 }
 
 fn stats_json(stats: &OnlineStats) -> Json {
@@ -434,9 +418,9 @@ fn ledger_from_json(ledger: &Reader) -> Result<RegretReport, ServiceError> {
 /// Serialises one tenant to its snapshot/WAL document.
 ///
 /// This document is the unit of persistence everywhere: full snapshots and
-/// WAL segments (see [`crate::wal`]) carry its JSON text, and the
-/// cold-tenant page store its binary image ([`cold_tenant_page`]), so a
-/// tenant round-trips bit-identically no matter which path it travelled.
+/// WAL segments (see [`crate::wal`]) carry its JSON text, and a cold page
+/// ([`crate::page`]) carries the same fields in the same order as raw
+/// bits, so a tenant round-trips bit-identically whichever path it took.
 pub(crate) fn tenant_json(state: &TenantState) -> Json {
     let knowledge = state.session.mechanism().knowledge();
     Json::obj(vec![
@@ -474,40 +458,6 @@ pub(crate) fn tenant_json(state: &TenantState) -> Json {
     ])
 }
 
-/// Pages a tenant out: the binary image ([`Json::encode`]) of its
-/// [`tenant_json`] document.
-///
-/// The page is the same tree the snapshot writer renders, in a form that
-/// skips formatting and re-parsing decimal floats; it never leaves the
-/// process, so snapshots and WAL segments stay JSON text.
-pub(crate) fn cold_tenant_page(state: &TenantState) -> Vec<u8> {
-    let mut page = Vec::new();
-    tenant_json(state).encode(&mut page);
-    page
-}
-
-/// Decodes the document a cold (paged-out) tenant is stored as.
-///
-/// The page was produced by [`cold_tenant_page`] inside this process, and
-/// `decode(encode(v))` equals `parse(render(v))`, so this is the document
-/// the tenant's JSON text would parse to.  A decode failure is a corrupted
-/// invariant, not bad input.
-pub(crate) fn cold_tenant_json(page: &[u8]) -> Json {
-    // pdm-lint: allow(no-unwrap-in-lib) reason="the page was encoded by cold_tenant_page in this process; a decode failure is memory corruption, not input"
-    Json::decode(page).expect("cold tenant page is a valid image by construction")
-}
-
-/// Rehydrates a cold tenant back into a live [`TenantState`].
-///
-/// Bit-identical by the snapshot contract: the decoded document is the
-/// one a full snapshot/restore parses per tenant, rebuilt the same way.
-/// Pages never leave the process, so they are always the current schema.
-pub(crate) fn cold_tenant_state(page: &[u8]) -> TenantState {
-    let document = cold_tenant_json(page);
-    // pdm-lint: allow(no-unwrap-in-lib) reason="serialise then rebuild is the pinned snapshot contract; failure here is a broken invariant, not input"
-    tenant_from_json(&document, SNAPSHOT_SCHEMA_VERSION).expect("a cold page round-trips")
-}
-
 /// Reads a v1–v5 shape: the full `n × n` row-major matrix, packed.
 fn dense_shape(dim: usize, numbers: Vec<f64>) -> Result<PackedSymmetric, LinalgError> {
     let dense = Matrix::from_row_major(dim, dim, numbers)?;
@@ -518,128 +468,233 @@ fn dense_shape(dim: usize, numbers: Vec<f64>) -> Result<PackedSymmetric, LinalgE
     PackedSymmetric::from_dense(&dense)
 }
 
-/// Rebuilds a tenant from its document, read under the `schema_version` of
-/// the snapshot or WAL segment that carried it.
-pub(crate) fn tenant_from_json(value: &Json, version: u64) -> Result<TenantState, ServiceError> {
-    let id = Reader::new(value, Label::Name("tenant"))
-        .read("id", "decimal string", |id| id.as_str()?.parse().ok())
-        .map(TenantId)?;
-    let tenant = Reader::new(value, Label::Tenant(id));
-    // The market kind arrived with schema v2 and the drift policy with v3;
-    // older tenants are static posted-price tenants.
-    let (market, market_restore) = match tenant.optional("market", Reader::object)? {
-        Some(market) => market_from_json(&market)?,
-        None => (MarketKind::PostedPrice, MarketRestore::None),
-    };
-    let (drift, drift_restore) = match tenant.optional("drift", Reader::object)? {
-        Some(drift) => drift_from_json(&drift)?,
-        None => (DriftPolicy::Static, None),
-    };
-    let config = TenantConfig {
-        dim: tenant.size("dim")?,
-        pricing: pricing_from_json(&tenant.object("pricing")?)?,
-        market,
-        drift,
-    };
-    // The config check runs before anything is built from it: a drift
-    // restart rebuilds the ball from the radius inside a drain, and the
-    // ledger bank's compensation contract would panic on a bad parameter.
-    config.check().map_err(|reason| tenant.error(reason))?;
-    let dim = config.dim;
-    let knowledge = tenant.object("knowledge")?;
-    let center = knowledge.numbers("center")?;
-    let shape = knowledge.numbers("shape")?;
-    if center.len() != dim {
-        return Err(tenant.error(format_args!(
-            "knowledge centre has {} numbers, expected dim={dim}",
-            center.len()
-        )));
+/// The session-level counters of a tenant document.
+#[derive(Default)]
+pub(crate) struct SessionCounters {
+    pub(crate) rounds_closed: u64,
+    pub(crate) sales: u64,
+    pub(crate) revenue: f64,
+    pub(crate) regret_proxy: f64,
+}
+
+/// A tenant as read from its document or its cold page: plain values, no
+/// check run and nothing built yet.  [`TenantParts::build`] is the one
+/// path from here to a [`TenantState`], so both readers run every check.
+pub(crate) struct TenantParts {
+    pub(crate) id: TenantId,
+    /// The schema version the parts were read under; it picks the shape
+    /// layout.
+    pub(crate) version: u64,
+    pub(crate) config: TenantConfig,
+    pub(crate) center: Vec<f64>,
+    pub(crate) shape: Vec<f64>,
+    /// An empirical auction tenant's bid history.
+    pub(crate) history: Vec<(f64, f64)>,
+    /// A privacy tenant's owner ledgers.
+    pub(crate) owners: LedgerRestore,
+    /// A restart-policy tenant's detector.
+    pub(crate) detector: DriftRestore,
+    /// The regret/revenue ledger; `None` restores a fresh one.
+    pub(crate) ledger: Option<RegretReport>,
+    /// The session-level totals; `None` keeps the ledger-derived ones.
+    pub(crate) counters: Option<SessionCounters>,
+}
+
+/// A malformed-document error naming the tenant.
+fn malformed(id: TenantId, message: impl fmt::Display) -> ServiceError {
+    ServiceError::MalformedSnapshot(format!("{id}: {message}"))
+}
+
+impl TenantParts {
+    /// Parts with nothing read yet: a static posted-price tenant, which is
+    /// what a document from before schema v2 describes.
+    pub(crate) fn blank(version: u64) -> Self {
+        Self {
+            id: TenantId(0),
+            version,
+            config: TenantConfig::standard(1, 1),
+            center: Vec::new(),
+            shape: Vec::new(),
+            history: Vec::new(),
+            owners: LedgerRestore::default(),
+            detector: DriftRestore::default(),
+            ledger: None,
+            counters: None,
+        }
     }
-    // The version picks the layout; the constructors check the length.
-    let shape = if version >= PACKED_SHAPE_SINCE {
-        PackedSymmetric::from_packed(dim, shape)
-    } else {
-        dense_shape(dim, shape)
+
+    /// Reads a tenant document under the `schema_version` of the snapshot
+    /// or WAL segment that carried it.
+    fn from_json(value: &Json, version: u64) -> Result<Self, ServiceError> {
+        let mut parts = Self::blank(version);
+        parts.id = Reader::new(value, Label::Name("tenant"))
+            .read("id", "decimal string", |id| id.as_str()?.parse().ok())
+            .map(TenantId)?;
+        let tenant = Reader::new(value, Label::Tenant(parts.id));
+        // The market kind arrived with schema v2 and the drift policy with
+        // v3.
+        if let Some(market) = tenant.optional("market", Reader::object)? {
+            market_from_json(&market, &mut parts)?;
+        }
+        if let Some(drift) = tenant.optional("drift", Reader::object)? {
+            drift_from_json(&drift, &mut parts)?;
+        }
+        parts.config.dim = tenant.size("dim")?;
+        parts.config.pricing = pricing_from_json(&tenant.object("pricing")?)?;
+        let knowledge = tenant.object("knowledge")?;
+        parts.center = knowledge.numbers("center")?;
+        parts.shape = knowledge.numbers("shape")?;
+        // Optional so hand-written minimal snapshots (and any pre-ledger
+        // documents) restore with a fresh ledger.
+        parts.ledger = tenant.optional("ledger", |tenant, key| {
+            ledger_from_json(&tenant.object(key)?)
+        })?;
+        parts.counters = tenant.optional("session", |tenant, key| {
+            let session = tenant.object(key)?;
+            Ok(SessionCounters {
+                rounds_closed: session.count("rounds_closed")?,
+                sales: session.count("sales")?,
+                revenue: session.number("revenue")?,
+                regret_proxy: session.number("regret_proxy")?,
+            })
+        })?;
+        Ok(parts)
     }
-    .map_err(|e| {
-        tenant.error(format_args!(
-            "bad knowledge shape for schema v{version}: {e}"
-        ))
-    })?;
-    let ellipsoid = Ellipsoid::new(Vector::from_vec(center), shape)
-        .map_err(|e| tenant.error(format_args!("degenerate knowledge set: {e}")))?;
-    let engine = EllipsoidPricing::with_knowledge(LinearModel::new(dim), ellipsoid, config.pricing);
-    let mut mechanism = DriftAwarePricing::wrap(engine, drift);
-    if let Some(restore) = drift_restore {
-        mechanism.restore_drift_state(restore.fires, restore.restarts, &restore.flags);
-    }
-    let mut state = TenantState::with_mechanism(id, config, mechanism);
-    match (market_restore, market) {
-        (
-            MarketRestore::EmpiricalHistory(history),
+
+    /// Checks the parts and builds the tenant they describe.
+    pub(crate) fn build(self) -> Result<TenantState, ServiceError> {
+        let Self {
+            id,
+            version,
+            mut config,
+            center,
+            shape,
+            history,
+            owners,
+            detector,
+            ledger,
+            counters,
+        } = self;
+        // Through the builders, which clamp as at registration time.
+        let pricing = config.pricing;
+        config.pricing = PricingConfig::new(pricing.initial_radius, pricing.horizon)
+            .with_reserve(pricing.use_reserve)
+            .with_uncertainty(pricing.delta)
+            .with_feature_bound(pricing.feature_bound)
+            .with_conservative_cuts(pricing.cut_on_conservative);
+        // `epsilon: None` means "use the paper's schedule" and must stay
+        // None — with_epsilon would pin it.
+        if let Some(epsilon) = pricing.epsilon {
+            config.pricing = config.pricing.with_epsilon(epsilon);
+        }
+        // The config check runs before anything is built from it: a drift
+        // restart rebuilds the ball from the radius inside a drain, and the
+        // ledger bank's compensation contract would panic on a bad
+        // parameter.
+        config.check().map_err(|reason| malformed(id, reason))?;
+        let dim = config.dim;
+        if center.len() != dim {
+            return Err(malformed(
+                id,
+                format_args!(
+                    "knowledge centre has {} numbers, expected dim={dim}",
+                    center.len()
+                ),
+            ));
+        }
+        // The version picks the layout; the constructors check the length.
+        let shape = if version >= PACKED_SHAPE_SINCE {
+            PackedSymmetric::from_packed(dim, shape)
+        } else {
+            dense_shape(dim, shape)
+        }
+        .map_err(|e| {
+            malformed(
+                id,
+                format_args!("bad knowledge shape for schema v{version}: {e}"),
+            )
+        })?;
+        let ellipsoid = Ellipsoid::new(Vector::from_vec(center), shape)
+            .map_err(|e| malformed(id, format_args!("degenerate knowledge set: {e}")))?;
+        let engine =
+            EllipsoidPricing::with_knowledge(LinearModel::new(dim), ellipsoid, config.pricing);
+        let mut mechanism = DriftAwarePricing::wrap(engine, config.drift);
+        // A no-op for the other policies, whose detector state is blank.
+        mechanism.restore_drift_state(detector.fires, detector.restarts, &detector.flags);
+        let mut state = TenantState::with_mechanism(id, config, mechanism);
+        match config.market {
             MarketKind::Auction(AuctionPolicy::Empirical {
                 window,
                 welfare_weight,
-            }),
-        ) => {
-            // `from_history` re-derives the fitted level from the persisted
-            // window, so a restored policy always agrees with its own refit.
-            state.empirical = Some(EmpiricalReserve::from_history(
-                EmpiricalConfig {
-                    window: window.max(1),
-                    welfare_weight,
-                },
-                &history,
-            ));
-        }
-        (MarketRestore::Privacy(restore), MarketKind::Privacy(params)) => {
-            for (name, column_len) in [
-                ("epsilon_spent", restore.epsilon_spent.len()),
-                ("compensation", restore.compensation.len()),
-                ("queries", restore.queries.len()),
-                ("exhausted", restore.exhausted.len()),
-            ] {
-                if column_len != dim {
-                    return Err(tenant.error(format_args!(
-                        "privacy `{name}` has {column_len} owners, expected dim={dim}"
-                    )));
-                }
+            }) => {
+                // `from_history` re-derives the fitted level from the
+                // persisted window, so a restored policy always agrees with
+                // its own refit.
+                state.empirical = Some(EmpiricalReserve::from_history(
+                    EmpiricalConfig {
+                        window: window.max(1),
+                        welfare_weight,
+                    },
+                    &history,
+                ));
             }
-            let ledgers: Vec<OwnerLedger> = (0..dim)
-                .map(|owner| OwnerLedger {
-                    epsilon_spent: restore.epsilon_spent[owner],
-                    compensation_accrued: restore.compensation[owner],
-                    queries: restore.queries[owner],
-                    exhausted: restore.exhausted[owner],
-                })
-                .collect();
-            state.privacy = Some(LedgerBank::restore(
-                params,
-                ledgers,
-                restore.epsilon_spent_total,
-                restore.compensation_total,
-            ));
+            MarketKind::Privacy(params) => {
+                for (name, column_len) in [
+                    ("epsilon_spent", owners.epsilon_spent.len()),
+                    ("compensation", owners.compensation.len()),
+                    ("queries", owners.queries.len()),
+                    ("exhausted", owners.exhausted.len()),
+                ] {
+                    if column_len != dim {
+                        return Err(malformed(
+                            id,
+                            format_args!(
+                                "privacy `{name}` has {column_len} owners, expected dim={dim}"
+                            ),
+                        ));
+                    }
+                }
+                let ledgers: Vec<OwnerLedger> = (0..dim)
+                    .map(|owner| OwnerLedger {
+                        epsilon_spent: owners.epsilon_spent[owner],
+                        compensation_accrued: owners.compensation[owner],
+                        queries: owners.queries[owner],
+                        exhausted: owners.exhausted[owner],
+                    })
+                    .collect();
+                state.privacy = Some(LedgerBank::restore(
+                    params,
+                    ledgers,
+                    owners.epsilon_spent_total,
+                    owners.compensation_total,
+                ));
+            }
+            _ => {}
         }
-        _ => {}
+        // The regret/revenue ledger keeps `tenant_report` consistent with
+        // the restored shard metrics.
+        if let Some(ledger) = ledger {
+            state.session.restore_ledger(&ledger);
+        }
+        // Exact session-level totals, which also cover production
+        // (accept-only) rounds the ledger cannot see.  When absent the
+        // ledger-derived counters above stand.
+        if let Some(counters) = counters {
+            state.session.restore_counters(
+                counters.rounds_closed,
+                counters.sales,
+                counters.revenue,
+                counters.regret_proxy,
+            );
+        }
+        Ok(state)
     }
-    // The regret/revenue ledger keeps `tenant_report` consistent with the
-    // restored shard metrics.  Optional so hand-written minimal snapshots
-    // (and any pre-ledger documents) restore with a fresh ledger.
-    if let Some(ledger) = tenant.optional("ledger", Reader::object)? {
-        state.session.restore_ledger(&ledger_from_json(&ledger)?);
-    }
-    // Exact session-level totals, which also cover production (accept-only)
-    // rounds the ledger cannot see.  Optional like the ledger; when absent
-    // the ledger-derived counters above stand.
-    if let Some(session) = tenant.optional("session", Reader::object)? {
-        state.session.restore_counters(
-            session.count("rounds_closed")?,
-            session.count("sales")?,
-            session.number("revenue")?,
-            session.number("regret_proxy")?,
-        );
-    }
-    Ok(state)
+}
+
+/// Rebuilds a tenant from its document, read under the `schema_version` of
+/// the snapshot or WAL segment that carried it.
+pub(crate) fn tenant_from_json(value: &Json, version: u64) -> Result<TenantState, ServiceError> {
+    TenantParts::from_json(value, version)?.build()
 }
 
 /// What a full snapshot and a WAL segment both carry, read past the
