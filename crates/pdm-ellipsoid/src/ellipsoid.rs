@@ -22,9 +22,11 @@
 //! `A` is stored once, as its packed upper triangle ([`PackedSymmetric`],
 //! `n(n+1)/2` floats), and the cut updates it in place as
 //! `aᵢⱼ ← (aᵢⱼ − c·(bᵢ bⱼ))·s`.  That update is exactly symmetric, so no
-//! symmetrize pass and no second copy of the shape exist.  The analyses off
-//! the hot path (volume, semi-axes, membership) expand the triangle to a
-//! dense matrix when they are called.
+//! symmetrize pass and no second copy of the shape exist.  The
+//! positive-definiteness check of [`Ellipsoid::new`] and the volume factor
+//! the triangle in place ([`PackedCholesky`]); the other analyses off the
+//! hot path (semi-axes, membership) expand it to a dense matrix when they
+//! are called.
 //!
 //! **Invariant:** the centre and every entry of the shape are finite.  The
 //! constructors refuse anything else (`Ellipsoid::new` with
@@ -35,7 +37,7 @@
 
 use crate::cut::{Cut, CutOutcome};
 use crate::KnowledgeSet;
-use pdm_linalg::{jacobi_eigen, Cholesky, LinalgError, PackedSymmetric, Vector};
+use pdm_linalg::{jacobi_eigen, LinalgError, PackedCholesky, PackedSymmetric, Vector};
 
 /// Numerical floor used when deciding whether a direction carries any
 /// information (`√(x^T A x)` below this is treated as degenerate).
@@ -162,9 +164,10 @@ impl Ellipsoid {
                 operation: "Ellipsoid::new",
             });
         }
-        // Positive-definiteness check via Cholesky; the factor itself is not
-        // retained because the hot path never needs A⁻¹ explicitly.
-        Cholesky::factor(&shape.to_dense(), 1e-6)?;
+        // Positive-definiteness check via a Cholesky factor of the packed
+        // triangle; the factor itself is not retained because the hot path
+        // never needs A⁻¹ explicitly.
+        PackedCholesky::factor(&shape)?;
         Ok(Self {
             center,
             shape,
@@ -251,7 +254,7 @@ impl Ellipsoid {
     /// raw determinant has underflowed.
     #[must_use]
     pub fn log_volume(&self) -> f64 {
-        let logdet = match Cholesky::factor(&self.shape.to_dense(), 1e-6) {
+        let logdet = match PackedCholesky::factor(&self.shape) {
             Ok(chol) => chol.log_determinant(),
             // A numerically semi-definite shape matrix means the volume has
             // collapsed to (effectively) zero.
@@ -622,6 +625,40 @@ mod tests {
     /// The packed triangle of a symmetric dense matrix.
     fn packed(rows: &[Vec<f64>]) -> PackedSymmetric {
         PackedSymmetric::from_dense(&Matrix::from_rows(rows)).unwrap()
+    }
+
+    /// `log_volume` as computed from the dense expansion of the shape and
+    /// the dense Cholesky factor.
+    fn dense_log_volume(e: &Ellipsoid) -> f64 {
+        match pdm_linalg::Cholesky::factor(&e.shape().to_dense(), 1e-6) {
+            Ok(chol) => ln_unit_ball_volume(e.dim()) + 0.5 * chol.log_determinant(),
+            Err(_) => f64::NEG_INFINITY,
+        }
+    }
+
+    #[test]
+    fn log_volume_keeps_the_dense_factor_bits_over_cut_sequences() {
+        for (dim, cuts) in [(2, 60), (5, 150), (16, 400)] {
+            let mut e = Ellipsoid::ball(dim, 3.0);
+            let mut applied = 0;
+            for round in 0..cuts {
+                let x = Vector::from_fn(dim, |j| ((round * dim + j) as f64 * 0.7).sin());
+                let (lo, hi) = e.support_bounds(&x);
+                let threshold = lo + (hi - lo) * [0.5, 0.3, 0.65][round % 3];
+                let outcome = if round % 2 == 0 {
+                    e.cut_below(&x, threshold)
+                } else {
+                    e.cut_above(&x, threshold)
+                };
+                applied += usize::from(outcome.is_updated());
+                assert_eq!(
+                    e.log_volume().to_bits(),
+                    dense_log_volume(&e).to_bits(),
+                    "dim {dim}, after cut {round}"
+                );
+            }
+            assert!(applied > cuts / 4, "dim {dim}: only {applied} cuts applied");
+        }
     }
 
     #[test]

@@ -1,29 +1,41 @@
 //! Pins the allocation-free hot path: after one warm-up round populates the
 //! ellipsoid's scratch buffers, steady-state support queries and cut updates
-//! must perform **zero** heap allocations.
+//! must perform **zero** heap allocations.  It also pins what building an
+//! ellipsoid from a stored shape costs: one allocation, the packed
+//! factorisation's scratch.
 //!
-//! The whole measurement lives in a single `#[test]` — the counting
-//! allocator is process-global, so concurrent tests in the same binary would
-//! race the counter.  `unsafe` is confined to the thin `GlobalAlloc`
-//! forwarding shims below; the crate under test itself denies unsafe code.
+//! The counter is per thread, so each test counts only its own
+//! allocations while the harness runs others beside it.  `unsafe` is
+//! confined to the thin `GlobalAlloc` forwarding shims below; the crate
+//! under test itself denies unsafe code.
 
 use pdm_ellipsoid::{Ellipsoid, KnowledgeSet};
-use pdm_linalg::Vector;
+use pdm_linalg::{PackedSymmetric, Vector};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counts every allocation and reallocation routed through the system
-/// allocator.  Deallocations are free-running (releasing scratch capacity is
-/// fine; *acquiring* any on the hot path is the regression).
+/// allocator, per thread.  Deallocations are free-running (releasing
+/// scratch capacity is fine; *acquiring* any on the hot path is the
+/// regression).
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it never
+    // allocates, so the allocator may touch it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 // pdm-lint: allow(unsafe-requires-waiver) reason="test-only counting allocator delegating to System; GlobalAlloc is an unsafe trait by definition"
 unsafe impl GlobalAlloc for CountingAllocator {
     // pdm-lint: allow(unsafe-requires-waiver) reason="signature required by the GlobalAlloc trait"
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // pdm-lint: allow(unsafe-requires-waiver) reason="forwards the caller contract unchanged to System.alloc"
         unsafe { System.alloc(layout) }
     }
@@ -36,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // pdm-lint: allow(unsafe-requires-waiver) reason="signature required by the GlobalAlloc trait"
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // pdm-lint: allow(unsafe-requires-waiver) reason="forwards the caller contract unchanged to System.realloc"
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -45,8 +57,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations this thread has made so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
@@ -111,4 +124,36 @@ fn steady_state_cut_rounds_do_not_allocate() {
     );
     assert!(applied > 0, "the loop must actually exercise live cuts");
     assert!(sink.is_finite(), "support bounds stayed finite");
+}
+
+#[test]
+fn building_from_a_stored_shape_allocates_only_the_factor_scratch() {
+    // A cold-tenant page read hands `Ellipsoid::new` a decoded centre and
+    // packed shape; the positive-definiteness check may allocate its one
+    // packed factor, but no dense copy of the shape and no dense factor.
+    let dim = 16;
+    let mut cut = Ellipsoid::ball(dim, 2.0);
+    for round in 0..24 {
+        let direction = Vector::from_fn(dim, |j| ((round * dim + j) as f64 * 0.37).cos());
+        let (lo, hi) = cut.support_bounds(&direction);
+        cut.cut_below(&direction, 0.5 * (lo + hi));
+    }
+    assert!(
+        cut.cuts_applied() > 0,
+        "the shape must be a cut one, not a ball"
+    );
+    let center = cut.center().clone();
+    let shape = PackedSymmetric::from_packed(dim, cut.shape().as_slice().to_vec())
+        .expect("a cut shape is finite");
+
+    let before = allocations();
+    let rebuilt = Ellipsoid::new(center, shape).expect("a cut shape is positive definite");
+    let after = allocations();
+
+    assert!(
+        after - before <= 1,
+        "Ellipsoid::new at dim {dim} made {} allocations; the packed factor is the only one allowed",
+        after - before
+    );
+    assert_eq!(rebuilt.shape(), cut.shape());
 }

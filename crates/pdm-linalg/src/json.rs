@@ -20,13 +20,25 @@
 //!   which is what makes JSON snapshots bit-faithful.  The parser reads
 //!   numbers in RFC 8259's grammar only and refuses a literal that
 //!   overflows `f64`, so no text reads back as an infinity.
+//!
+//! Object keys are a [`Key`], a `Cow<'static, str>`.  The writers name
+//! their fields with string literals, so [`Json::obj`] borrows those keys
+//! and building a tree allocates no string per key.  Only [`Json::parse`]
+//! and writers whose keys are runtime names (a metric registry's entries)
+//! own theirs.  Lookup with [`Json::get`] and `==` compare the text alone,
+//! so a borrowed and an owned key are the same key.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 mod float;
 mod pow5;
 
 pub use float::write_f64;
+
+/// An object key: borrowed for the writers' fixed field names, owned for
+/// parsed documents and runtime names.
+pub type Key = Cow<'static, str>;
 
 /// A JSON value.  Objects preserve insertion order (no map type) so renders
 /// are deterministic.
@@ -43,14 +55,15 @@ pub enum Json {
     /// An array.
     Arr(Vec<Json>),
     /// An object as an ordered key/value list.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Key, Json)>),
 }
 
 impl Json {
-    /// Builds an object from key/value pairs (keeps the given order).
+    /// Builds an object from key/value pairs (keeps the given order).  A
+    /// `&'static str` key is borrowed, a `String` key moved in.
     #[must_use]
-    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    pub fn obj<K: Into<Key>>(pairs: Vec<(K, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     /// Builds a string value.
@@ -205,23 +218,31 @@ fn write_sequence(
     out.push(close);
 }
 
+/// Writes `s` as a string literal.  Only `"`, `\\` and the control
+/// characters below U+0020 are escaped.  All of them are ASCII, so every run
+/// between two of them ends on a char boundary and is copied as one slice:
+/// a key or label that needs no escape is a single `push_str`.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            // pdm-lint: allow(no-lossy-cast) reason="char to u32 is lossless by the language definition; the lexical lint cannot see the source type"
-            c if (c as u32) < 0x20 => {
-                // pdm-lint: allow(no-lossy-cast) reason="char to u32 is lossless by the language definition; the lexical lint cannot see the source type"
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| b < 0x20 || b == b'"' || b == b'\\')
+    {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            control => {
+                let _ = write!(out, "\\u{:04x}", u32::from(control));
             }
-            c => out.push(c),
         }
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -288,7 +309,7 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
                 let value = parse_value(text, pos, depth + 1)?;
-                pairs.push((key, value));
+                pairs.push((Key::Owned(key), value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -679,7 +700,7 @@ mod tests {
             ),
             _ => Json::Obj(
                 (0..rng.gen_range(0..6))
-                    .map(|_| (random_string(rng, 6), random_tree(rng, depth - 1)))
+                    .map(|_| (random_string(rng, 6).into(), random_tree(rng, depth - 1)))
                     .collect(),
             ),
         }
@@ -720,6 +741,38 @@ mod tests {
         }
         out.push('"');
         out
+    }
+
+    /// A string writer that decides char by char: the oracle of
+    /// `write_escaped`, which copies the runs between escapes.
+    fn write_escaped_per_char(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if u32::from(c) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", u32::from(c));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn keys_compare_by_text_whether_borrowed_or_owned() {
+        let written = Json::obj(vec![("a", Json::Num(1.0)), ("b", Json::Null)]);
+        let parsed = Json::parse(r#"{"a":1,"b":null}"#).unwrap();
+        assert!(matches!(&written, Json::Obj(pairs) if matches!(pairs[0].0, Key::Borrowed(_))));
+        assert!(matches!(&parsed, Json::Obj(pairs) if matches!(pairs[0].0, Key::Owned(_))));
+        assert_eq!(written, parsed);
+        assert_eq!(parsed.get("b"), Some(&Json::Null));
+        let runtime = Json::obj(vec![(String::from("a"), Json::Num(1.0))]);
+        assert_eq!(runtime.get("a"), written.get("a"));
     }
 
     /// `value` as the text codec writes it: non-finite numbers become
@@ -776,6 +829,23 @@ mod tests {
                 parsed.as_ref().ok().and_then(Json::as_str) == Some(original.as_str()),
                 "input {original:?} escaped {escaped:?} parsed {parsed:?}"
             );
+        }
+
+        #[test]
+        fn strings_are_written_as_the_per_char_writer_writes_them(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mixed = random_string(&mut rng, 48);
+            // The same text without any character that needs an escape.
+            let clean: String = mixed
+                .chars()
+                .filter(|&c| u32::from(c) >= 0x20 && c != '"' && c != '\\')
+                .collect();
+            for text in [&mixed, &clean] {
+                let (mut fast, mut oracle) = (String::new(), String::new());
+                write_escaped(&mut fast, text);
+                write_escaped_per_char(&mut oracle, text);
+                prop_assert!(fast == oracle, "input {text:?}: wrote {fast:?}, per char {oracle:?}");
+            }
         }
 
         #[test]

@@ -49,7 +49,7 @@ pub mod simplex;
 pub mod stats;
 pub mod vector;
 
-pub use cholesky::Cholesky;
+pub use cholesky::{Cholesky, PackedCholesky};
 pub use eigen::{jacobi_eigen, EigenDecomposition};
 pub use error::{LinalgError, Result};
 pub use json::Json;

@@ -9,9 +9,10 @@
 //! kernels each make one contiguous pass over the triangle:
 //! [`PackedSymmetric::quadratic_form_with`] (the quote's `A x` and
 //! `xᵀ A x`) and [`PackedSymmetric::rank_one_update_scaled`] (the cut's
-//! `A ← (A + α v vᵀ) β`, in place).  Everything else — factorisations,
-//! eigenvalues, solves — expands the triangle with
-//! [`PackedSymmetric::to_dense`] first.
+//! `A ← (A + α v vᵀ) β`, in place).  The positive-definiteness check and
+//! the log-determinant factor the triangle where it lies
+//! ([`crate::PackedCholesky`]).  Everything else — eigenvalues, solves —
+//! expands the triangle with [`PackedSymmetric::to_dense`] first.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;

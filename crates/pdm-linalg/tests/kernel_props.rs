@@ -5,7 +5,8 @@
 //! through scratch-buffer kernels: the packed shape's
 //! [`PackedSymmetric::quadratic_form_with`] (`A x` and `xᵀ A x` in one pass
 //! over the upper triangle) and [`PackedSymmetric::rank_one_update_scaled`]
-//! (the cut's `(A + α v vᵀ) β`, in place), plus [`Cholesky::factor_into`].
+//! (the cut's `(A + α v vᵀ) β`, in place), plus [`Cholesky::factor_into`]
+//! and the packed shape's own factor, [`PackedCholesky::factor`].
 //! These suites drive each kernel and a naive dense loop written out here,
 //! in the same multiply/accumulate order, over seeded random inputs and
 //! compare raw `f64` bit patterns: any reordering, however numerically
@@ -13,7 +14,9 @@
 //! against the plain dense products, and check the finiteness bound the
 //! ellipsoid cut decides on before it writes the shape in place.
 
-use pdm_linalg::{sampling, Cholesky, Matrix, PackedSymmetric, Vector};
+use pdm_linalg::{
+    sampling, Cholesky, LinalgError, Matrix, PackedCholesky, PackedSymmetric, Vector,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,6 +82,44 @@ fn assert_bits_eq(actual: &[f64], expected: &[f64], what: &str) {
             e.to_bits(),
             "{what}: slot {i} diverged ({a} vs {e})"
         );
+    }
+}
+
+/// Factors `shape` packed and as its dense expansion, and asserts the two
+/// agree: both `Ok` with every factor entry and the log-determinant equal
+/// bit for bit, or both `NotPositiveDefinite` at the same pivot with the
+/// same value bits.
+fn assert_packed_cholesky_matches_dense(shape: &PackedSymmetric, what: &str) {
+    let dense = Cholesky::factor(&shape.to_dense(), 1e-6);
+    let packed = PackedCholesky::factor(shape);
+    match (&dense, &packed) {
+        (Ok(dense), Ok(packed)) => {
+            let lower = dense.lower();
+            let rows: Vec<f64> = (0..shape.dim())
+                .flat_map(|i| (0..=i).map(move |j| lower.get(i, j)))
+                .collect();
+            assert_bits_eq(packed.as_slice(), &rows, what);
+            assert_eq!(
+                packed.log_determinant().to_bits(),
+                dense.log_determinant().to_bits(),
+                "{what}: log-determinant"
+            );
+        }
+        (
+            Err(LinalgError::NotPositiveDefinite { pivot, value }),
+            Err(LinalgError::NotPositiveDefinite {
+                pivot: packed_pivot,
+                value: packed_value,
+            }),
+        ) => {
+            assert_eq!(pivot, packed_pivot, "{what}: failing pivot");
+            assert_eq!(
+                value.to_bits(),
+                packed_value.to_bits(),
+                "{what}: pivot value"
+            );
+        }
+        _ => panic!("{what}: dense {dense:?}, packed {packed:?}"),
     }
 }
 
@@ -268,6 +309,76 @@ proptest! {
             assert_bits_eq(scratch.as_slice(), reference.as_slice(), "resized scratch");
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn packed_cholesky_gives_the_dense_verdict(
+        dim in 1usize..33,
+        pivot in 0usize..32,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let spd = random_spd(&mut rng, dim, 2.0);
+        let shape = packed(&spd);
+        assert_packed_cholesky_matches_dense(&shape, "random SPD");
+        prop_assert!(PackedCholesky::factor(&shape).is_ok());
+
+        // Pivot `p` with `aₚₚ` set to the squares the elimination subtracts
+        // from it: zero up to rounding, of either sign.
+        let p = pivot % dim;
+        let dense = Cholesky::factor(&spd, 1e-6).expect("SPD by construction");
+        let subtracted = (0..p).fold(0.0, |sum, k| {
+            sum + dense.lower().get(p, k) * dense.lower().get(p, k)
+        });
+        let mut near_zero = shape.clone();
+        near_zero.set(p, p, subtracted);
+        assert_packed_cholesky_matches_dense(&near_zero, "rounded-zero pivot");
+
+        // Row `p` cleared off the diagonal: its pivot is `aₚₚ` exactly.
+        let tiny = f64::from_bits(1);
+        for value in [0.0, -0.0, -1.0, -tiny, tiny, f64::MIN_POSITIVE / 2.0] {
+            let mut forced = shape.clone();
+            for k in (0..dim).filter(|&k| k != p) {
+                forced.set(p, k, 0.0);
+            }
+            forced.set(p, p, value);
+            assert_packed_cholesky_matches_dense(&forced, "forced pivot");
+            let verdict = PackedCholesky::factor(&forced).map(|_| ());
+            if value > 0.0 {
+                prop_assert!(verdict.is_ok(), "subnormal pivot {} refused: {:?}", value, verdict);
+            } else {
+                prop_assert!(
+                    matches!(verdict, Err(LinalgError::NotPositiveDefinite { pivot, value: at })
+                        if pivot == p && at.to_bits() == value.to_bits()),
+                    "pivot {} forced to {:?}: {:?}", p, value, verdict
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn packed_cholesky_refuses_non_finite_entries() {
+    for poison in [f64::NAN, f64::INFINITY] {
+        let mut shape = PackedSymmetric::scaled_identity(3, 1.0);
+        shape.set(2, 1, poison);
+        assert!(matches!(
+            PackedCholesky::factor(&shape),
+            Err(LinalgError::NonFinite { .. })
+        ));
+    }
+    let empty = PackedCholesky::factor(&PackedSymmetric::scaled_identity(0, 1.0)).unwrap();
+    assert!(empty.as_slice().is_empty());
+    assert_eq!(
+        empty.log_determinant().to_bits(),
+        Cholesky::factor(&Matrix::zeros(0, 0), 1e-6)
+            .unwrap()
+            .log_determinant()
+            .to_bits()
+    );
 }
 
 #[test]

@@ -274,19 +274,19 @@ impl MetricRegistry {
     /// worker counts.  Entries are sorted by name.
     #[must_use]
     pub fn to_json(&self, deterministic_only: bool) -> Json {
-        let mut counters: Vec<(&str, Json)> = self
+        let mut counters: Vec<(String, Json)> = self
             .counters
             .iter()
-            .map(|entry| (entry.name.as_str(), Json::Num(entry.value)))
+            .map(|entry| (entry.name.clone(), Json::Num(entry.value)))
             .collect();
-        counters.sort_by(|a, b| a.0.cmp(b.0));
-        let mut gauges: Vec<(&str, Json)> = self
+        counters.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut gauges: Vec<(String, Json)> = self
             .gauges
             .iter()
-            .map(|entry| (entry.name.as_str(), Json::Num(entry.value)))
+            .map(|entry| (entry.name.clone(), Json::Num(entry.value)))
             .collect();
-        gauges.sort_by(|a, b| a.0.cmp(b.0));
-        let mut histograms: Vec<(&str, Json)> = self
+        gauges.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut histograms: Vec<(String, Json)> = self
             .histograms
             .iter()
             .filter(|entry| entry.deterministic || !deterministic_only)
@@ -299,7 +299,7 @@ impl MetricRegistry {
                     })
                     .collect();
                 (
-                    entry.name.as_str(),
+                    entry.name.clone(),
                     Json::obj(vec![
                         ("count", Json::Num(entry.value.count() as f64)),
                         ("sum", Json::Num(entry.value.sum_f64())),
@@ -308,7 +308,7 @@ impl MetricRegistry {
                 )
             })
             .collect();
-        histograms.sort_by(|a, b| a.0.cmp(b.0));
+        histograms.sort_by(|a, b| a.0.cmp(&b.0));
         Json::obj(vec![
             ("counters", Json::obj(counters)),
             ("gauges", Json::obj(gauges)),

@@ -33,6 +33,7 @@ use crate::tenant::{MarketKind, TenantState};
 use pdm_linalg::Json;
 use pdm_pricing::prelude::{ObservedRound, StepOutcome};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 use std::time::Instant;
 
 /// A shard: tenants (resident and paged out), queue, metrics.
@@ -63,6 +64,13 @@ pub(crate) struct Shard {
     /// Last serve tick per resident tenant (absent = never served since
     /// materialisation; those evict first, tie-broken by id).
     last_served: BTreeMap<TenantId, u64>,
+    /// With a resident cap, every resident tenant as `(tick, id)`, the tick
+    /// read from `last_served` (0 when absent): the eviction order, kept in
+    /// order so the pager walks it from the oldest entry instead of sorting
+    /// the resident set on every drain.  A rehydrated tenant enters it when
+    /// the run that rehydrated it is served, before the pager can look.
+    /// Empty without a cap.
+    eviction_order: BTreeSet<(u64, TenantId)>,
     /// Admitted requests, in seq order, waiting for the next drain.
     queue: Vec<(u64, Request)>,
     /// Responses a pool worker served, waiting for the drain to gather
@@ -87,6 +95,7 @@ impl Shard {
             dirty: BTreeSet::new(),
             clock: 0,
             last_served: BTreeMap::new(),
+            eviction_order: BTreeSet::new(),
             queue: Vec::new(),
             responses: Vec::new(),
             metrics: ShardMetrics::new(),
@@ -160,7 +169,17 @@ impl Shard {
             self.cold.insert(id, write_page(&state));
         } else {
             self.tenants.insert(id, Box::new(state));
+            if self.resident_capacity.is_some() {
+                // A `replace` keeps the tick of the state it supersedes.
+                self.eviction_order.insert((self.last_tick(id), id));
+            }
         }
+    }
+
+    /// The tick a resident tenant is ordered at: its last serve, or 0 when
+    /// it was not served since it became resident.
+    fn last_tick(&self, id: TenantId) -> u64 {
+        self.last_served.get(&id).copied().unwrap_or(0)
     }
 
     /// Whether a tenant may leave memory through the cold map.  Privacy
@@ -175,7 +194,9 @@ impl Shard {
     pub(crate) fn replace(&mut self, state: TenantState) {
         let id = state.id;
         self.cold.remove(&id);
-        self.tenants.remove(&id);
+        if self.tenants.remove(&id).is_some() {
+            self.eviction_order.remove(&(self.last_tick(id), id));
+        }
         self.register(state);
     }
 
@@ -280,6 +301,24 @@ impl Shard {
         }
         // pdm-lint: allow(no-ambient-clock) reason="wall-clock latency span; wall histograms are documented non-deterministic and excluded from the determinism fingerprint"
         let started = Instant::now();
+        let requests = self.serve_queue(responses);
+        self.enforce_residency();
+        // One measurement feeds the per-request latency histogram and the
+        // drain span: the whole-queue timing the hot path already paid for.
+        let elapsed = started.elapsed();
+        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.obs
+            .registry
+            .observe_n(self.obs.latency, nanos / requests, requests);
+        self.obs
+            .registry
+            .record_span(self.obs.drain, elapsed, requests);
+    }
+
+    /// Serves the queue in maximal same-tenant runs (see
+    /// [`Shard::process_all_into`]) and empties it, keeping its capacity.
+    /// Returns the number of requests served.
+    fn serve_queue(&mut self, responses: &mut Vec<Response>) -> u64 {
         let mut queue = std::mem::take(&mut self.queue);
         responses.reserve(queue.len());
         for run in queue.chunk_by(|(_, a), (_, b)| a.tenant() == b.tenant()) {
@@ -292,22 +331,16 @@ impl Shard {
             // stream regardless of how many workers drain the other shards.
             self.dirty.insert(tenant);
             self.clock += 1;
-            self.last_served.insert(tenant, self.clock);
+            let previous = self.last_served.insert(tenant, self.clock);
+            if self.resident_capacity.is_some() {
+                self.eviction_order.remove(&(previous.unwrap_or(0), tenant));
+                self.eviction_order.insert((self.clock, tenant));
+            }
         }
         let requests = queue.len() as u64;
         queue.clear();
         self.queue = queue;
-        self.enforce_residency();
-        // One measurement feeds the per-request latency histogram and the
-        // drain span: the whole-queue timing the hot path already paid for.
-        let elapsed = started.elapsed();
-        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.obs
-            .registry
-            .observe_n(self.obs.latency, nanos / requests, requests);
-        self.obs
-            .registry
-            .record_span(self.obs.drain, elapsed, requests);
+        requests
     }
 
     /// Materialises a paged-out tenant before its run is served.  The page
@@ -325,38 +358,31 @@ impl Shard {
     }
 
     /// Pages least-recently-served quiescent tenants out until the
-    /// resident set fits the cap again.  Tenants with an open round are
-    /// skipped (their mid-round state has no serialised form); they become
-    /// evictable as soon as the round closes.  Ties on the serve tick
-    /// (e.g. never-served tenants) break on the id, keeping the eviction
-    /// sequence — and therefore the eviction/rehydration counters —
-    /// deterministic.
+    /// resident set fits the cap again, walking the eviction order from
+    /// its oldest entry.  Tenants with an open round are skipped (their
+    /// mid-round state has no serialised form); they become evictable as
+    /// soon as the round closes.  Ties on the serve tick (e.g. never-served
+    /// tenants) break on the id, keeping the eviction sequence — and
+    /// therefore the eviction/rehydration counters — deterministic.
     fn enforce_residency(&mut self) {
         let Some(cap) = self.resident_capacity else {
             return;
         };
-        if self.tenants.len() <= cap {
-            return;
-        }
-        let mut candidates: Vec<(u64, TenantId)> = self
-            .tenants
-            .values()
-            .filter(|state| !state.session.has_pending() && self.pageable(state))
-            .map(|state| {
-                (
-                    self.last_served.get(&state.id).copied().unwrap_or(0),
-                    state.id,
-                )
-            })
-            .collect();
-        candidates.sort_unstable();
-        for (_, id) in candidates {
-            if self.tenants.len() <= cap {
+        let mut after = Bound::Unbounded;
+        while self.tenants.len() > cap {
+            let Some(&(tick, id)) = self.eviction_order.range((after, Bound::Unbounded)).next()
+            else {
                 break;
+            };
+            after = Bound::Excluded((tick, id));
+            let state = &self.tenants[&id];
+            if state.session.has_pending() || !self.pageable(state) {
+                continue;
             }
-            // pdm-lint: allow(no-unwrap-in-lib) reason="candidates were collected from the resident map two lines up under the same &mut self"
-            let state = self.tenants.remove(&id).expect("candidate is resident");
-            self.cold.insert(id, write_page(&state));
+            let page = write_page(state);
+            self.tenants.remove(&id);
+            self.cold.insert(id, page);
+            self.eviction_order.remove(&(tick, id));
             self.last_served.remove(&id);
             self.metrics.evictions += 1;
         }
@@ -760,6 +786,186 @@ mod tests {
         }
         shard.process_all();
         shard
+    }
+
+    /// The eviction rule as the pager applied it before it kept an order:
+    /// collect the quiescent, pageable residents as (last serve tick or 0,
+    /// id), sort, and take as many as the cap is exceeded by.  The oracle
+    /// of the kept eviction order.
+    fn collect_and_sort_victims(shard: &Shard) -> Vec<TenantId> {
+        let cap = shard.resident_capacity.expect("a capped shard");
+        let mut candidates: Vec<(u64, TenantId)> = shard
+            .tenants
+            .values()
+            .filter(|state| !state.session.has_pending() && shard.pageable(state))
+            .map(|state| (shard.last_tick(state.id), state.id))
+            .collect();
+        candidates.sort_unstable();
+        let excess = shard.tenants.len().saturating_sub(cap);
+        candidates
+            .into_iter()
+            .take(excess)
+            .map(|(_, id)| id)
+            .collect()
+    }
+
+    /// The kept order lists exactly the resident tenants, each at the tick
+    /// `last_served` holds for it.
+    fn assert_order_matches_residents(shard: &Shard) {
+        let expected: BTreeSet<(u64, TenantId)> = shard
+            .tenants
+            .keys()
+            .map(|&id| (shard.last_tick(id), id))
+            .collect();
+        assert_eq!(shard.eviction_order, expected);
+    }
+
+    /// One drain whose residency step is checked against the oracle: the
+    /// tenants it pages out are the oracle's victims, which it returns in
+    /// eviction order.
+    fn drain_checked(shard: &mut Shard) -> Vec<TenantId> {
+        shard.serve_queue(&mut Vec::new());
+        assert_order_matches_residents(shard);
+        let expected = collect_and_sort_victims(shard);
+        let resident: Vec<TenantId> = shard.tenants.keys().copied().collect();
+        shard.enforce_residency();
+        let evicted: BTreeSet<TenantId> = resident
+            .into_iter()
+            .filter(|id| !shard.tenants.contains_key(id))
+            .collect();
+        assert_eq!(evicted, expected.iter().copied().collect::<BTreeSet<_>>());
+        assert!(expected.iter().all(|id| shard.cold.contains_key(id)));
+        assert_order_matches_residents(shard);
+        expected
+    }
+
+    /// Queues a quote for `tenant` without its observe: the round stays
+    /// open past the drain.
+    fn enqueue_quote(shard: &mut Shard, seq: u64, tenant: TenantId) {
+        shard.enqueue(
+            seq,
+            Request::Quote(QueryRequest {
+                tenant,
+                features: Vector::from_slice(&[0.6, 0.3, 0.5]),
+                reserve_price: 0.05,
+            }),
+        );
+    }
+
+    #[test]
+    fn the_kept_eviction_order_pages_out_what_collect_and_sort_did() {
+        use crate::tenant::PrivacyParams;
+        let standard = |id| TenantState::new(TenantId(id), TenantConfig::standard(3, 100));
+        let ids = |ids: &[u64]| ids.iter().copied().map(TenantId).collect::<Vec<_>>();
+        let mut shard = Shard::new(0, Some(3), false);
+        // Three residents never served (tick 0); a privacy tenant pinned
+        // over the cap; three more registered straight into the cold map.
+        for id in [12, 9, 4] {
+            shard.register(standard(id));
+        }
+        shard.register(TenantState::new(
+            TenantId(50),
+            TenantConfig::privacy(3, 100, PrivacyParams::default()),
+        ));
+        for id in [7, 30, 21] {
+            shard.register(standard(id));
+        }
+        assert_eq!((shard.resident_count(), shard.cold.len()), (4, 3));
+        assert_order_matches_residents(&shard);
+
+        // Serving 7, 30 and 50 leaves six residents for a cap of 3: the
+        // three never-served ones go, tied on tick 0 and taken by id.
+        let mut seq = 0;
+        for (round, id) in [7, 30, 50].into_iter().enumerate() {
+            enqueue_round(&mut shard, seq, TenantId(id), round);
+            seq += 2;
+        }
+        assert_eq!(drain_checked(&mut shard), ids(&[4, 9, 12]));
+
+        // Tenant 7's round stays open and 50 stays pinned, so the two
+        // evictions skip both and reach past them to 30, then 21.
+        enqueue_quote(&mut shard, seq, TenantId(7));
+        enqueue_round(&mut shard, seq + 1, TenantId(21), 1);
+        enqueue_round(&mut shard, seq + 3, TenantId(9), 2);
+        seq += 5;
+        assert_eq!(drain_checked(&mut shard), ids(&[30, 21]));
+        assert!(shard.tenants[&TenantId(7)].session.has_pending());
+
+        // A WAL replace of resident 9 keeps its tick; closing 7's round
+        // and serving 12 then evicts the oldest quiescent tenant, 9.
+        shard.replace(standard(9));
+        assert_order_matches_residents(&shard);
+        shard.enqueue(
+            seq,
+            Request::Observe(OutcomeReport {
+                tenant: TenantId(7),
+                accepted: true,
+                market_value: Some(1.0),
+            }),
+        );
+        enqueue_round(&mut shard, seq + 1, TenantId(12), 3);
+        seq += 3;
+        assert_eq!(drain_checked(&mut shard), ids(&[9]));
+        assert!(shard.tenants.contains_key(&TenantId(50)));
+
+        // A WAL replace of a cold tenant leaves it cold; serving it then
+        // evicts 7, now the oldest quiescent tenant.
+        shard.replace(standard(30));
+        assert!(shard.cold.contains_key(&TenantId(30)));
+        assert_order_matches_residents(&shard);
+        enqueue_round(&mut shard, seq, TenantId(30), 4);
+        assert_eq!(drain_checked(&mut shard), ids(&[7]));
+    }
+
+    #[test]
+    fn a_random_drive_pages_out_what_collect_and_sort_did() {
+        use crate::tenant::PrivacyParams;
+        // xorshift64: the shard crate has no random-number dependency.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut draw = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut shard = Shard::new(0, Some(4), false);
+        for id in 0..14 {
+            let config = if id % 5 == 0 {
+                TenantConfig::privacy(3, 100, PrivacyParams::default())
+            } else {
+                TenantConfig::standard(3, 100)
+            };
+            shard.register(TenantState::new(TenantId(id), config));
+        }
+        let mut seq = 0;
+        let mut evictions = 0;
+        for drain in 0..200 {
+            for _ in 0..=draw(6) {
+                let tenant = TenantId(draw(14));
+                if draw(4) == 0 {
+                    enqueue_quote(&mut shard, seq, tenant);
+                    seq += 1;
+                } else {
+                    enqueue_round(&mut shard, seq, tenant, drain);
+                    seq += 2;
+                }
+            }
+            if draw(8) == 0 {
+                let id = draw(14);
+                if id % 5 != 0 {
+                    shard.replace(TenantState::new(
+                        TenantId(id),
+                        TenantConfig::standard(3, 100),
+                    ));
+                }
+            }
+            evictions += drain_checked(&mut shard).len();
+        }
+        assert_eq!(shard.metrics.evictions as usize, evictions);
+        assert!(
+            evictions > 200,
+            "the drive must page: {evictions} evictions"
+        );
     }
 
     #[test]

@@ -1244,7 +1244,7 @@ mod tests {
             panic!("a ledger is an object")
         };
         pairs.retain(|(k, _)| k != key);
-        pairs.extend(value.map(|value| (key.to_owned(), value)));
+        pairs.extend(value.map(|value| (key.to_owned().into(), value)));
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn leaves(value: &Json, path: &mut Vec<Step>, out: &mut Vec<Vec<Step>>) {
         }
         Json::Obj(pairs) if !pairs.is_empty() => {
             for (key, item) in pairs {
-                path.push(Step::Key(key.clone()));
+                path.push(Step::Key(key.to_string()));
                 leaves(item, path, out);
                 path.pop();
             }
