@@ -1,17 +1,20 @@
 //! Typed reads of persisted documents.
 //!
 //! Every snapshot, WAL segment and tenant document is read back through a
-//! [`Reader`]: a JSON value plus where it sits in its document.  The
+//! [`Reader`]: a JSON object plus where it sits in its document.  Its
 //! accessors build every missing-key and wrong-type error, so a hostile
 //! document comes back as one [`ServiceError::MalformedSnapshot`] naming
-//! the path and the key.  The path is a chain of borrowed labels, formatted
-//! only when an error is built, so a clean restore allocates no context.
+//! the path and the key.  A reader is also the JSON reading direction of
+//! the field walks (see [`crate::page`]): entering an object pushes its key
+//! onto the path, and leaving pops it.  The path is a short stack of
+//! borrowed labels, formatted only when an error is built.
 
 use std::fmt;
 
 use pdm_linalg::Json;
 
 use crate::api::ServiceError;
+use crate::page::{Io, Leaf};
 use crate::routing::TenantId;
 
 /// One step of a reader's path: a document or key name, a numbered item
@@ -23,53 +26,48 @@ pub(crate) enum Label {
     Tenant(TenantId),
 }
 
-/// A JSON value read by key, with the path that error messages name.
-pub(crate) struct Reader<'a, 'p> {
+/// A JSON object read by key, with the path that error messages name.
+#[derive(Clone)]
+pub(crate) struct Reader<'a> {
     value: &'a Json,
-    label: Label,
-    parent: Option<&'p Reader<'a, 'p>>,
+    path: Vec<Label>,
 }
 
-impl fmt::Display for Reader<'_, '_> {
+impl fmt::Display for Reader<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if let Some(parent) = self.parent {
-            write!(f, "{parent} ")?;
+        for (at, label) in self.path.iter().enumerate() {
+            if at > 0 {
+                f.write_str(" ")?;
+            }
+            match label {
+                Label::Name(name) => f.write_str(name)?,
+                Label::Numbered(name, number) => write!(f, "{name} {number}")?,
+                Label::Tenant(id) => write!(f, "{id}")?,
+            }
         }
-        match self.label {
-            Label::Name(name) => f.write_str(name),
-            Label::Numbered(name, number) => write!(f, "{name} {number}"),
-            Label::Tenant(id) => write!(f, "{id}"),
-        }
+        Ok(())
     }
 }
 
-impl<'a, 'p> Reader<'a, 'p> {
+impl<'a> Reader<'a> {
     /// A reader at the root of a document.
     pub(crate) fn new(value: &'a Json, label: Label) -> Self {
         Self {
             value,
-            label,
-            parent: None,
+            path: vec![label],
         }
     }
 
     /// A reader over `value`, one step below this one.
-    pub(crate) fn child<'s>(&'s self, value: &'a Json, label: Label) -> Reader<'a, 's> {
-        Reader {
-            value,
-            label,
-            parent: Some(self),
-        }
+    pub(crate) fn child(&self, value: &'a Json, label: Label) -> Self {
+        let mut path = self.path.clone();
+        path.push(label);
+        Self { value, path }
     }
 
     /// A malformed-document error in this reader's context.
     pub(crate) fn error(&self, message: impl fmt::Display) -> ServiceError {
         ServiceError::MalformedSnapshot(format!("{self}: {message}"))
-    }
-
-    /// Whether `key` is present (as anything, `null` included).
-    pub(crate) fn has(&self, key: &str) -> bool {
-        self.value.get(key).is_some()
     }
 
     /// The value at `key` through `parse`; `noun` names what it must be.
@@ -90,39 +88,9 @@ impl<'a, 'p> Reader<'a, 'p> {
         parse(raw).ok_or_else(|| self.error(format_args!("`{key}` must be {article} {noun}")))
     }
 
-    /// `read` for a key that may be absent or `null`.
-    pub(crate) fn optional<'s, T>(
-        &'s self,
-        key: &'static str,
-        read: impl FnOnce(&'s Self, &'static str) -> Result<T, ServiceError>,
-    ) -> Result<Option<T>, ServiceError> {
-        match self.value.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(_) => read(self, key).map(Some),
-        }
-    }
-
     /// A non-negative integer.
     pub(crate) fn count(&self, key: &str) -> Result<u64, ServiceError> {
-        self.read(key, "count", Json::as_u64)
-    }
-
-    /// A non-negative integer that fits a `usize`.
-    pub(crate) fn size(&self, key: &str) -> Result<usize, ServiceError> {
-        self.read(key, "count", |raw| usize::try_from(raw.as_u64()?).ok())
-    }
-
-    /// A number; `null` reads back as NaN (non-finite numbers render so).
-    pub(crate) fn number(&self, key: &str) -> Result<f64, ServiceError> {
-        self.read(key, "number", Json::as_f64)
-    }
-
-    /// A boolean.
-    pub(crate) fn flag(&self, key: &str) -> Result<bool, ServiceError> {
-        self.read(key, "flag", |raw| match raw {
-            Json::Bool(flag) => Some(*flag),
-            _ => None,
-        })
+        self.read(key, u64::NOUN, Json::as_u64)
     }
 
     /// A string.
@@ -134,43 +102,59 @@ impl<'a, 'p> Reader<'a, 'p> {
     pub(crate) fn array(&self, key: &str) -> Result<&'a [Json], ServiceError> {
         self.read(key, "array", Json::as_arr)
     }
+}
 
-    /// An object, as a reader one step below this one.
-    pub(crate) fn object<'s>(&'s self, key: &'static str) -> Result<Reader<'a, 's>, ServiceError> {
-        let value = self.read(key, "object", |raw| match raw {
+/// Reads a document through a walk.
+impl Io for Reader<'_> {
+    type Error = ServiceError;
+
+    fn leaf<T: Leaf>(&mut self, key: &'static str, value: &mut T) -> Result<(), ServiceError> {
+        *value = match T::absent() {
+            Some(absent) if !self.has(key) => absent,
+            _ => self.read(key, T::NOUN, T::from_json)?,
+        };
+        Ok(())
+    }
+
+    fn tag(
+        &mut self,
+        key: &'static str,
+        noun: &str,
+        tag: &mut usize,
+        names: &[&'static str],
+    ) -> Result<(), ServiceError> {
+        let name = self.string(key)?;
+        *tag = names
+            .iter()
+            .position(|&known| known == name)
+            .ok_or_else(|| self.error(format_args!("unknown {noun} `{name}`")))?;
+        Ok(())
+    }
+
+    /// An optional object that is absent or `null` skips `body`.
+    fn object(
+        &mut self,
+        key: &'static str,
+        required: bool,
+        body: impl FnOnce(&mut Self) -> Result<(), ServiceError>,
+    ) -> Result<(), ServiceError> {
+        if !required && matches!(self.value.get(key), None | Some(Json::Null)) {
+            return Ok(());
+        }
+        let object = self.read(key, "object", |raw| match raw {
             Json::Obj(_) => Some(raw),
             _ => None,
         })?;
-        Ok(self.child(value, Label::Name(key)))
+        let outer = std::mem::replace(&mut self.value, object);
+        self.path.push(Label::Name(key));
+        let read = body(self);
+        self.path.pop();
+        self.value = outer;
+        read
     }
 
-    /// An array whose every entry `parse` accepts; `noun` names the entries.
-    pub(crate) fn list<T>(
-        &self,
-        key: &str,
-        noun: &str,
-        parse: impl Fn(&'a Json) -> Option<T>,
-    ) -> Result<Vec<T>, ServiceError> {
-        self.array(key)?
-            .iter()
-            .map(|item| {
-                parse(item)
-                    .ok_or_else(|| self.error(format_args!("`{key}` entries must be {noun}")))
-            })
-            .collect()
-    }
-
-    /// An array of numbers.
-    pub(crate) fn numbers(&self, key: &str) -> Result<Vec<f64>, ServiceError> {
-        self.list(key, "numbers", Json::as_f64)
-    }
-
-    /// An array of flags written as `0`/`1`.
-    pub(crate) fn bits(&self, key: &str) -> Result<Vec<bool>, ServiceError> {
-        self.list(key, "0 or 1", |raw| match raw.as_u64()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        })
+    /// Whether `key` is present, as anything, `null` included.
+    fn has(&self, key: &str) -> bool {
+        self.value.get(key).is_some()
     }
 }

@@ -26,9 +26,9 @@ use crate::api::{
 use crate::ledger::arbitrage_clamp;
 use crate::metrics::ShardMetrics;
 use crate::obs::ShardObs;
-use crate::page::{read_page, write_page};
+use crate::page::{read_page, read_parts, write_page};
 use crate::routing::TenantId;
-use crate::snapshot::tenant_json;
+use crate::snapshot::{tenant_json, TenantParts};
 use crate::tenant::{MarketKind, TenantState};
 use pdm_linalg::Json;
 use pdm_pricing::prelude::{ObservedRound, StepOutcome};
@@ -137,8 +137,8 @@ impl Shard {
     }
 
     /// Every tenant's serialised document paired with its id — resident
-    /// tenants serialised as they are, paged-out tenants read back from
-    /// their page first (byte-identical either way).
+    /// tenants serialised as they are, paged-out tenants rendered from the
+    /// parts their page reads into (byte-identical either way).
     pub(crate) fn tenant_documents(&self) -> Vec<(TenantId, Json)> {
         let mut documents: Vec<(TenantId, Json)> = self
             .tenants
@@ -148,7 +148,7 @@ impl Shard {
         documents.extend(
             self.cold
                 .iter()
-                .map(|(&id, page)| (id, tenant_json(&rehydrate(page)))),
+                .map(|(&id, page)| (id, unpage(page).json())),
         );
         documents.sort_by_key(|(id, _)| *id);
         documents
@@ -231,8 +231,9 @@ impl Shard {
     /// serialised documents — **quiescent tenants only**.  A tenant with an
     /// open round stays dirty (its mid-round state has no serialised form)
     /// and is captured by a later checkpoint, which is what lets
-    /// checkpoints run under live traffic.  Captured tenants leave the
-    /// dirty set.
+    /// checkpoints run under live traffic.  A paged-out tenant renders from
+    /// the parts its page reads into and stays paged out.  Captured tenants
+    /// leave the dirty set.
     pub(crate) fn checkpoint_dirty(&mut self) -> Vec<(TenantId, Json)> {
         let ids: Vec<TenantId> = self.dirty.iter().copied().collect();
         let mut captured = Vec::new();
@@ -243,7 +244,7 @@ impl Shard {
                 }
                 captured.push((id, tenant_json(state)));
             } else if let Some(page) = self.cold.get(&id) {
-                captured.push((id, tenant_json(&rehydrate(page))));
+                captured.push((id, unpage(page).json()));
             }
             self.dirty.remove(&id);
         }
@@ -598,6 +599,13 @@ impl Shard {
 fn rehydrate(page: &[u8]) -> TenantState {
     // pdm-lint: allow(no-unwrap-in-lib) reason="the page was written by write_page in this process; a read failure is memory corruption, not input"
     read_page(page).expect("a cold page reads back")
+}
+
+/// Reads a paged-out tenant's fields back, to render without building it.
+/// Same invariant as [`rehydrate`].
+fn unpage(page: &[u8]) -> TenantParts {
+    // pdm-lint: allow(no-unwrap-in-lib) reason="the page was written by write_page in this process; a read failure is memory corruption, not input"
+    read_parts(page).expect("a cold page reads back")
 }
 
 /// The session-level outcome of an observe request.
@@ -990,6 +998,40 @@ mod tests {
             assert!(page.len() < text.len(), "the page is smaller than the text");
         }
         assert_eq!(shard.metrics.rehydrations, rehydrated + 2);
+    }
+
+    #[test]
+    fn a_cold_tenant_renders_its_resident_text_without_rehydrating() {
+        // Cap 1: serving tenant 2 after tenant 1 pages tenant 1 out while it
+        // is still dirty.  Its checkpoint record and its snapshot document
+        // both render from its page's parts: the very text it rendered to
+        // while resident, with no rehydration and no change to the cold map.
+        let mut shard = Shard::new(0, Some(1), false);
+        for id in [1, 2] {
+            shard.register(TenantState::new(
+                TenantId(id),
+                TenantConfig::standard(3, 100),
+            ));
+        }
+        enqueue_round(&mut shard, 0, TenantId(1), 1);
+        enqueue_round(&mut shard, 2, TenantId(1), 2);
+        shard.process_all();
+        let text = tenant_json(shard.resident_state(TenantId(1)).unwrap()).render();
+        enqueue_round(&mut shard, 4, TenantId(2), 3);
+        shard.process_all();
+        assert!(shard.cold.contains_key(&TenantId(1)), "tenant 1 paged out");
+        let rehydrations = shard.metrics.rehydrations;
+        let cold = shard.cold.clone();
+        let documents = shard.tenant_documents();
+        let captured = shard.checkpoint_dirty();
+        for rendered in [&documents, &captured] {
+            let (id, document) = &rendered[0];
+            assert_eq!((*id, document.render()), (TenantId(1), text.clone()));
+        }
+        assert_eq!(captured.len(), 2, "both tenants were dirty");
+        assert_eq!(shard.metrics.rehydrations, rehydrations);
+        assert_eq!(shard.cold, cold);
+        assert!(shard.resident_state(TenantId(1)).is_none());
     }
 
     #[test]

@@ -20,22 +20,34 @@
 //!
 //! Snapshots are only taken at a quiescent point — no queued requests, no
 //! quoted-but-unobserved rounds — so there is no in-flight state to encode.
+//!
+//! Every persisted type lists its fields once, and that one list drives
+//! every direction it is written or read in.  A tenant's is the walk of
+//! `page.rs`, which drives four: a cold page's byte count, its bytes, the
+//! document's JSON text and the document read back.  The shard metric
+//! ledger walks `ShardMetrics::fields_mut` and the header walks
+//! [`ServiceConfig`]'s sizing, both through the same JSON writer and
+//! reader.  Since a document renders from a tenant's persisted parts, a
+//! snapshot or checkpoint renders a paged-out tenant straight from the
+//! parts its page reads into; only a request rehydrates it, through the
+//! build that runs every check.
 
 use std::fmt;
 
 use crate::api::ServiceError;
 use crate::ledger::{LedgerBank, OwnerLedger};
-use crate::metrics::{ShardMetrics, Slot, FIELDS};
+use crate::metrics::{Field, ShardMetrics, Slot};
+use crate::page::{walk, Io, JsonOut, Leaf};
 use crate::reader::{Label, Reader};
 use crate::routing::TenantId;
 use crate::service::{MarketService, ServiceConfig};
 use crate::sync;
-use crate::tenant::{AuctionPolicy, MarketKind, PrivacyParams, TenantConfig, TenantState};
+use crate::tenant::{AuctionPolicy, MarketKind, TenantConfig, TenantState};
 use pdm_auction::{EmpiricalConfig, EmpiricalReserve};
 use pdm_ellipsoid::Ellipsoid;
-use pdm_linalg::{Json, LinalgError, Matrix, OnlineStats, PackedSymmetric, Vector};
+use pdm_linalg::{Json, LinalgError, Matrix, PackedSymmetric, Vector};
 use pdm_pricing::prelude::{
-    DriftAwarePricing, DriftPolicy, EllipsoidPricing, LinearModel, PricingConfig, RegretReport,
+    DriftAwarePricing, EllipsoidPricing, LinearModel, PricingConfig, RegretReport,
 };
 
 /// Version of the snapshot schema this build writes.
@@ -85,147 +97,41 @@ const PACKED_SHAPE_SINCE: u64 = 6;
 /// always read with.
 const DENSE_SHAPE_SYMMETRY_TOL: f64 = 1e-6;
 
-fn numbers_json(values: &[f64]) -> Json {
-    Json::Arr(values.iter().map(|&x| Json::Num(x)).collect())
-}
-
-fn pricing_json(config: &PricingConfig) -> Json {
-    Json::obj(vec![
-        ("initial_radius", Json::Num(config.initial_radius)),
-        ("feature_bound", Json::Num(config.feature_bound)),
-        ("horizon", Json::Num(config.horizon as f64)),
-        ("epsilon", config.epsilon.map_or(Json::Null, Json::Num)),
-        ("delta", Json::Num(config.delta)),
-        ("use_reserve", Json::Bool(config.use_reserve)),
-        (
-            "cut_on_conservative",
-            Json::Bool(config.cut_on_conservative),
-        ),
-    ])
-}
-
-/// Reads a pricing config as written; [`TenantParts::build`] passes it
-/// through the public builders.
-fn pricing_from_json(pricing: &Reader) -> Result<PricingConfig, ServiceError> {
-    Ok(PricingConfig {
-        initial_radius: pricing.number("initial_radius")?,
-        feature_bound: pricing.number("feature_bound")?,
-        horizon: pricing.size("horizon")?,
-        epsilon: pricing.optional("epsilon", Reader::number)?,
-        delta: pricing.number("delta")?,
-        use_reserve: pricing.flag("use_reserve")?,
-        cut_on_conservative: pricing.flag("cut_on_conservative")?,
-    })
-}
-
 pub(crate) fn metrics_json(metrics: &ShardMetrics) -> Json {
-    let mut pairs = Vec::with_capacity(FIELDS);
-    let mut auction = Vec::new();
-    for (field, figure) in metrics.fields() {
-        let object = if field.nested {
-            &mut auction
-        } else {
-            &mut pairs
-        };
-        object.push((field.key, Json::Num(figure.as_f64())));
-    }
-    pairs.push(("auction", Json::obj(auction)));
-    Json::obj(pairs)
+    JsonOut::write(|out| shard_ledger(out, &mut metrics.clone()))
 }
 
-/// Reads a ledger written by [`metrics_json`] at any schema version.  A v1
-/// document has no `auction` object, and the keys added in v3–v5 read as
-/// zero when absent; but a key that is present must parse (corruption is an
-/// error, not a silent zero).
+/// Reads a ledger written by [`metrics_json`] at any schema version.
 pub(crate) fn metrics_from_json(ledger: &Reader) -> Result<ShardMetrics, ServiceError> {
     let mut metrics = ShardMetrics::new();
-    let auction = ledger.optional("auction", Reader::object)?;
-    for (field, slot) in metrics.fields_mut() {
-        let object = match (field.nested, &auction) {
-            (false, _) => ledger,
-            (true, Some(auction)) => auction,
-            (true, None) => continue,
-        };
-        if !field.required && !object.has(field.key) {
-            continue;
-        }
-        match slot {
-            Slot::Count(count) => *count = object.count(field.key)?,
-            Slot::Money(money) => *money = object.number(field.key)?,
-        }
-    }
+    shard_ledger(&mut ledger.clone(), &mut metrics)?;
     Ok(metrics)
 }
 
-fn market_json(state: &TenantState) -> Json {
-    match state.config.market {
-        MarketKind::PostedPrice => Json::obj(vec![("kind", Json::str("posted"))]),
-        MarketKind::Auction(policy) => {
-            let mut pairs = vec![
-                ("kind", Json::str("auction")),
-                ("policy", Json::str(policy.name())),
-            ];
-            match policy {
-                AuctionPolicy::Session => {}
-                AuctionPolicy::Static { markup } => pairs.push(("markup", Json::Num(markup))),
-                AuctionPolicy::Empirical {
-                    window,
-                    welfare_weight,
-                } => {
-                    pairs.push(("window", Json::Num(window as f64)));
-                    pairs.push(("welfare_weight", Json::Num(welfare_weight)));
-                    let history: Vec<Json> = state
-                        .empirical
-                        .as_ref()
-                        .map(|setter| {
-                            setter
-                                .history()
-                                .map(|(top, second)| {
-                                    Json::Arr(vec![Json::Num(top), Json::Num(second)])
-                                })
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    pairs.push(("history", Json::Arr(history)));
-                }
-            }
-            Json::obj(pairs)
-        }
-        MarketKind::Privacy(params) => {
-            let bank = state.bank();
-            let column = |field: fn(&OwnerLedger) -> Json| -> Json {
-                Json::Arr(bank.ledgers().iter().map(field).collect())
-            };
-            Json::obj(vec![
-                ("kind", Json::str("privacy")),
-                ("epsilon_budget", Json::Num(params.epsilon_budget)),
-                ("compensation_base", Json::Num(params.compensation_base)),
-                (
-                    "compensation_sensitivity",
-                    Json::Num(params.compensation_sensitivity),
-                ),
-                ("data_range", Json::Num(params.data_range)),
-                ("laplace_scale", Json::Num(params.laplace_scale)),
-                (
-                    "epsilon_spent",
-                    column(|ledger| Json::Num(ledger.epsilon_spent)),
-                ),
-                (
-                    "compensation",
-                    column(|ledger| Json::Num(ledger.compensation_accrued)),
-                ),
-                ("queries", column(|ledger| Json::Num(ledger.queries as f64))),
-                (
-                    "exhausted",
-                    column(|ledger| Json::Num(if ledger.exhausted { 1.0 } else { 0.0 })),
-                ),
-                // Bank totals are persisted verbatim, **not** recomputed
-                // from the per-owner columns: incremental accumulation
-                // order and restore-sum order round floats differently.
-                ("epsilon_spent_total", Json::Num(bank.epsilon_spent_total())),
-                ("compensation_total", Json::Num(bank.compensation_total())),
-            ])
-        }
+/// A shard's metric ledger, in [`ShardMetrics::fields_mut`] order with the
+/// auction figures in their nested object.  A v1 document has no `auction`
+/// object, which reads as an empty auction ledger.
+fn shard_ledger<I: Io>(io: &mut I, metrics: &mut ShardMetrics) -> Result<(), I::Error> {
+    let (auction, top): (Vec<_>, Vec<_>) = metrics
+        .fields_mut()
+        .into_iter()
+        .partition(|(field, _)| field.nested);
+    top.into_iter().try_for_each(|entry| figure(io, entry))?;
+    io.object("auction", false, |io| {
+        auction.into_iter().try_for_each(|entry| figure(io, entry))
+    })
+}
+
+/// One ledger figure.  The keys added in v3–v5 read as zero when absent;
+/// but a key that is present must parse (corruption is an error, not a
+/// silent zero).
+fn figure<I: Io>(io: &mut I, (field, slot): (Field, Slot)) -> Result<(), I::Error> {
+    if !field.required && !io.has(field.key) {
+        return Ok(());
+    }
+    match slot {
+        Slot::Count(count) => io.leaf(field.key, count),
+        Slot::Money(money) => io.leaf(field.key, money),
     }
 }
 
@@ -240,88 +146,6 @@ pub(crate) struct LedgerRestore {
     pub(crate) compensation_total: f64,
 }
 
-/// Reads a tenant's `market` object into `parts`: the kind, and the
-/// learned state the kind carries.
-fn market_from_json(market: &Reader, parts: &mut TenantParts) -> Result<(), ServiceError> {
-    parts.config.market = match market.string("kind")? {
-        "posted" => MarketKind::PostedPrice,
-        "auction" => MarketKind::Auction(match market.string("policy")? {
-            "session" => AuctionPolicy::Session,
-            "static" => AuctionPolicy::Static {
-                markup: market.number("markup")?,
-            },
-            // A zero window is accepted here (and clamped to 1 by the tenant
-            // state, exactly like at registration time): a document the
-            // service wrote must always restore.
-            "empirical" => {
-                parts.history =
-                    market.list("history", "`[top, second]` number pairs", |pair| match pair
-                        .as_arr()?
-                    {
-                        [top, second] => Some((top.as_f64()?, second.as_f64()?)),
-                        _ => None,
-                    })?;
-                AuctionPolicy::Empirical {
-                    window: market.size("window")?,
-                    welfare_weight: market.number("welfare_weight")?,
-                }
-            }
-            other => return Err(market.error(format_args!("unknown auction policy `{other}`"))),
-        }),
-        "privacy" => {
-            parts.owners = LedgerRestore {
-                epsilon_spent: market.numbers("epsilon_spent")?,
-                compensation: market.numbers("compensation")?,
-                queries: market.list("queries", "counts", Json::as_u64)?,
-                exhausted: market.bits("exhausted")?,
-                epsilon_spent_total: market.number("epsilon_spent_total")?,
-                compensation_total: market.number("compensation_total")?,
-            };
-            MarketKind::Privacy(PrivacyParams {
-                epsilon_budget: market.number("epsilon_budget")?,
-                compensation_base: market.number("compensation_base")?,
-                compensation_sensitivity: market.number("compensation_sensitivity")?,
-                data_range: market.number("data_range")?,
-                laplace_scale: market.number("laplace_scale")?,
-            })
-        }
-        other => return Err(market.error(format_args!("unknown market kind `{other}`"))),
-    };
-    Ok(())
-}
-
-/// Serialises a tenant's drift policy plus the live detector state (the
-/// part of the mechanism the knowledge set cannot carry).
-fn drift_json(state: &TenantState) -> Json {
-    let mechanism = state.session.mechanism();
-    match state.config.drift {
-        DriftPolicy::Static => Json::obj(vec![("policy", Json::str("static"))]),
-        DriftPolicy::Restart { window, threshold } => {
-            let flags: Vec<Json> = mechanism
-                .detector()
-                .map(|detector| {
-                    detector
-                        .window_flags()
-                        .map(|flag| Json::Num(if flag { 1.0 } else { 0.0 }))
-                        .collect()
-                })
-                .unwrap_or_default();
-            Json::obj(vec![
-                ("policy", Json::str("restart")),
-                ("window", Json::Num(window as f64)),
-                ("threshold", Json::Num(threshold as f64)),
-                ("fires", Json::Num(mechanism.detector_fires() as f64)),
-                ("restarts", Json::Num(mechanism.restarts() as f64)),
-                ("window_flags", Json::Arr(flags)),
-            ])
-        }
-        DriftPolicy::Discounted { inflation } => Json::obj(vec![
-            ("policy", Json::str("discounted")),
-            ("inflation", Json::Num(inflation)),
-        ]),
-    }
-}
-
 /// The restored detector state of a restart-policy tenant.
 #[derive(Default)]
 pub(crate) struct DriftRestore {
@@ -330,132 +154,14 @@ pub(crate) struct DriftRestore {
     pub(crate) flags: Vec<bool>,
 }
 
-/// Reads a tenant's `drift` object (schema v3) into `parts`: the policy,
-/// and the detector state of a restart policy.
-fn drift_from_json(drift: &Reader, parts: &mut TenantParts) -> Result<(), ServiceError> {
-    parts.config.drift = match drift.string("policy")? {
-        "static" => DriftPolicy::Static,
-        "discounted" => DriftPolicy::Discounted {
-            inflation: drift.number("inflation")?,
-        },
-        "restart" => {
-            parts.detector = DriftRestore {
-                fires: drift.count("fires")?,
-                restarts: drift.count("restarts")?,
-                flags: drift.bits("window_flags")?,
-            };
-            DriftPolicy::Restart {
-                window: drift.size("window")?,
-                threshold: drift.size("threshold")?,
-            }
-        }
-        other => return Err(drift.error(format_args!("unknown drift policy `{other}`"))),
-    };
-    Ok(())
-}
-
-fn stats_json(stats: &OnlineStats) -> Json {
-    Json::obj(vec![
-        ("count", Json::Num(stats.count() as f64)),
-        ("mean", Json::Num(stats.mean())),
-        ("m2", Json::Num(stats.m2())),
-        ("sum", Json::Num(stats.sum())),
-        ("min", Json::Num(stats.min())),
-        ("max", Json::Num(stats.max())),
-    ])
-}
-
-fn stats_from_json(stats: &Reader) -> Result<OnlineStats, ServiceError> {
-    Ok(OnlineStats::from_raw_parts(
-        stats.count("count")?,
-        stats.number("mean")?,
-        stats.number("m2")?,
-        stats.number("sum")?,
-        stats.number("min")?,
-        stats.number("max")?,
-    ))
-}
-
-fn ledger_json(report: &RegretReport) -> Json {
-    Json::obj(vec![
-        ("rounds", Json::Num(report.rounds as f64)),
-        ("cumulative_regret", Json::Num(report.cumulative_regret)),
-        (
-            "cumulative_market_value",
-            Json::Num(report.cumulative_market_value),
-        ),
-        ("cumulative_revenue", Json::Num(report.cumulative_revenue)),
-        ("sales", Json::Num(report.sales as f64)),
-        (
-            "unsellable_rounds",
-            Json::Num(report.unsellable_rounds as f64),
-        ),
-        ("market_value_stats", stats_json(&report.market_value_stats)),
-        (
-            "reserve_price_stats",
-            stats_json(&report.reserve_price_stats),
-        ),
-        ("posted_price_stats", stats_json(&report.posted_price_stats)),
-        ("regret_stats", stats_json(&report.regret_stats)),
-    ])
-}
-
-fn ledger_from_json(ledger: &Reader) -> Result<RegretReport, ServiceError> {
-    let mut report = RegretReport::empty();
-    report.rounds = ledger.size("rounds")?;
-    report.cumulative_regret = ledger.number("cumulative_regret")?;
-    report.cumulative_market_value = ledger.number("cumulative_market_value")?;
-    report.cumulative_revenue = ledger.number("cumulative_revenue")?;
-    report.sales = ledger.size("sales")?;
-    report.unsellable_rounds = ledger.size("unsellable_rounds")?;
-    report.market_value_stats = stats_from_json(&ledger.object("market_value_stats")?)?;
-    report.reserve_price_stats = stats_from_json(&ledger.object("reserve_price_stats")?)?;
-    report.posted_price_stats = stats_from_json(&ledger.object("posted_price_stats")?)?;
-    report.regret_stats = stats_from_json(&ledger.object("regret_stats")?)?;
-    Ok(report)
-}
-
 /// Serialises one tenant to its snapshot/WAL document.
 ///
 /// This document is the unit of persistence everywhere: full snapshots and
 /// WAL segments (see [`crate::wal`]) carry its JSON text, and a cold page
-/// ([`crate::page`]) carries the same fields in the same order as raw
+/// ([`crate::page`]) carries the same fields through the same walk as raw
 /// bits, so a tenant round-trips bit-identically whichever path it took.
 pub(crate) fn tenant_json(state: &TenantState) -> Json {
-    let knowledge = state.session.mechanism().knowledge();
-    Json::obj(vec![
-        // Tenant ids are full u64s (name hashes use all 64 bits) and JSON
-        // numbers are f64s, so ids are encoded as strings to stay exact.
-        ("id", Json::Str(state.id.0.to_string())),
-        ("dim", Json::Num(state.config.dim as f64)),
-        ("pricing", pricing_json(&state.config.pricing)),
-        ("market", market_json(state)),
-        ("drift", drift_json(state)),
-        (
-            "knowledge",
-            Json::obj(vec![
-                ("center", numbers_json(knowledge.center().as_slice())),
-                // The packed upper triangle, row by row (schema v6).
-                ("shape", numbers_json(knowledge.shape().as_slice())),
-            ]),
-        ),
-        ("ledger", ledger_json(&state.session.tracker().report())),
-        // Session-level counters are wider than the ledger: production
-        // (accept-only) rounds carry no ground truth, so they count here
-        // but not in the regret report.
-        (
-            "session",
-            Json::obj(vec![
-                (
-                    "rounds_closed",
-                    Json::Num(state.session.rounds_closed() as f64),
-                ),
-                ("sales", Json::Num(state.session.sales() as f64)),
-                ("revenue", Json::Num(state.session.revenue())),
-                ("regret_proxy", Json::Num(state.session.regret_proxy())),
-            ]),
-        ),
-    ])
+    TenantParts::of(state).json()
 }
 
 /// Reads a v1–v5 shape: the full `n × n` row-major matrix, packed.
@@ -521,44 +227,6 @@ impl TenantParts {
             ledger: None,
             counters: None,
         }
-    }
-
-    /// Reads a tenant document under the `schema_version` of the snapshot
-    /// or WAL segment that carried it.
-    fn from_json(value: &Json, version: u64) -> Result<Self, ServiceError> {
-        let mut parts = Self::blank(version);
-        parts.id = Reader::new(value, Label::Name("tenant"))
-            .read("id", "decimal string", |id| id.as_str()?.parse().ok())
-            .map(TenantId)?;
-        let tenant = Reader::new(value, Label::Tenant(parts.id));
-        // The market kind arrived with schema v2 and the drift policy with
-        // v3.
-        if let Some(market) = tenant.optional("market", Reader::object)? {
-            market_from_json(&market, &mut parts)?;
-        }
-        if let Some(drift) = tenant.optional("drift", Reader::object)? {
-            drift_from_json(&drift, &mut parts)?;
-        }
-        parts.config.dim = tenant.size("dim")?;
-        parts.config.pricing = pricing_from_json(&tenant.object("pricing")?)?;
-        let knowledge = tenant.object("knowledge")?;
-        parts.center = knowledge.numbers("center")?;
-        parts.shape = knowledge.numbers("shape")?;
-        // Optional so hand-written minimal snapshots (and any pre-ledger
-        // documents) restore with a fresh ledger.
-        parts.ledger = tenant.optional("ledger", |tenant, key| {
-            ledger_from_json(&tenant.object(key)?)
-        })?;
-        parts.counters = tenant.optional("session", |tenant, key| {
-            let session = tenant.object(key)?;
-            Ok(SessionCounters {
-                rounds_closed: session.count("rounds_closed")?,
-                sales: session.count("sales")?,
-                revenue: session.number("revenue")?,
-                regret_proxy: session.number("regret_proxy")?,
-            })
-        })?;
-        Ok(parts)
     }
 
     /// Checks the parts and builds the tenant they describe.
@@ -694,21 +362,29 @@ impl TenantParts {
 /// Rebuilds a tenant from its document, read under the `schema_version` of
 /// the snapshot or WAL segment that carried it.
 pub(crate) fn tenant_from_json(value: &Json, version: u64) -> Result<TenantState, ServiceError> {
-    TenantParts::from_json(value, version)?.build()
+    // The id comes first so every later error can name the tenant.
+    let id = Reader::new(value, Label::Name("tenant")).read(
+        "id",
+        TenantId::NOUN,
+        TenantId::from_json,
+    )?;
+    let mut parts = TenantParts::blank(version);
+    walk(&mut Reader::new(value, Label::Tenant(id)), &mut parts)?;
+    parts.build()
 }
 
 /// What a full snapshot and a WAL segment both carry, read past the
 /// schema-version gate: tenant documents and one metric ledger per shard.
-pub(crate) struct Persisted<'a, 'p> {
-    doc: &'p Reader<'a, 'p>,
+pub(crate) struct Persisted<'a> {
+    doc: Reader<'a>,
     version: u64,
     tenants: &'a [Json],
     ledgers: &'a [Json],
 }
 
-impl<'a, 'p> Persisted<'a, 'p> {
+impl<'a> Persisted<'a> {
     /// Reads the parts of `doc` after the schema-version gate.
-    pub(crate) fn read(doc: &'p Reader<'a, 'p>) -> Result<Self, ServiceError> {
+    pub(crate) fn read(doc: Reader<'a>) -> Result<Self, ServiceError> {
         let version = doc.count("schema_version")?;
         if version > SNAPSHOT_SCHEMA_VERSION {
             return Err(doc.error(format_args!(
@@ -716,10 +392,10 @@ impl<'a, 'p> Persisted<'a, 'p> {
             )));
         }
         Ok(Self {
-            doc,
-            version,
             tenants: doc.array("tenants")?,
             ledgers: doc.array("metrics")?,
+            doc,
+            version,
         })
     }
 
@@ -767,6 +443,23 @@ impl<'a, 'p> Persisted<'a, 'p> {
     }
 }
 
+/// The service sizing a full snapshot opens with.  The paging knobs
+/// arrived with schema v4 and the privacy knobs with v5; older documents
+/// carry neither, and a service with a knob unset writes `null` (or `false`
+/// for the paging flag).
+fn header<I: Io>(io: &mut I, config: &mut ServiceConfig) -> Result<(), I::Error> {
+    io.leaf("shards", &mut config.shards)?;
+    io.leaf("queue_capacity", &mut config.queue_capacity)?;
+    io.leaf("resident_capacity", &mut config.resident_capacity)?;
+    io.leaf("wal_segment_size", &mut config.wal_segment_size)?;
+    io.leaf("privacy_budget", &mut config.privacy_budget)?;
+    io.leaf("compensation_base", &mut config.compensation_base)?;
+    let mut ledger_paging = Some(config.ledger_paging);
+    io.leaf("ledger_paging", &mut ledger_paging)?;
+    config.ledger_paging = ledger_paging.unwrap_or(false);
+    Ok(())
+}
+
 impl MarketService {
     /// Serialises the full service state to a deterministic JSON tree.
     ///
@@ -799,36 +492,13 @@ impl MarketService {
         // how tenants happen to be distributed.
         all_states.sort_by_key(|(id, _)| *id);
         let tenants: Vec<Json> = all_states.into_iter().map(|(_, json)| json).collect();
-        let optional_size = |size: Option<usize>| size.map_or(Json::Null, |n| Json::Num(n as f64));
-        Ok(Json::obj(vec![
-            ("schema_version", Json::Num(SNAPSHOT_SCHEMA_VERSION as f64)),
-            ("shards", Json::Num(self.shard_count() as f64)),
-            (
-                "queue_capacity",
-                Json::Num(self.config().queue_capacity as f64),
-            ),
-            (
-                "resident_capacity",
-                optional_size(self.config().resident_capacity),
-            ),
-            (
-                "wal_segment_size",
-                optional_size(self.config().wal_segment_size),
-            ),
-            (
-                "privacy_budget",
-                self.config().privacy_budget.map_or(Json::Null, Json::Num),
-            ),
-            (
-                "compensation_base",
-                self.config()
-                    .compensation_base
-                    .map_or(Json::Null, Json::Num),
-            ),
-            ("ledger_paging", Json::Bool(self.config().ledger_paging)),
-            ("tenants", Json::Arr(tenants)),
-            ("metrics", Json::Arr(metrics)),
-        ]))
+        Ok(JsonOut::write(|out| {
+            out.push("schema_version", Json::Num(SNAPSHOT_SCHEMA_VERSION as f64));
+            header(out, &mut self.config())?;
+            out.push("tenants", Json::Arr(tenants));
+            out.push("metrics", Json::Arr(metrics));
+            Ok(())
+        }))
     }
 
     /// Rebuilds a service from a snapshot produced by
@@ -840,24 +510,11 @@ impl MarketService {
     /// fails [`ServiceConfig::validate`], a tenant config fails its check,
     /// or a knowledge set is degenerate.
     pub fn restore(snapshot: &Json) -> Result<Self, ServiceError> {
-        let doc = Reader::new(snapshot, Label::Name("snapshot"));
-        let persisted = Persisted::read(&doc)?;
-        // The paging knobs arrived with schema v4 and the privacy knobs with
-        // v5; older documents carry neither, and a service with a knob unset
-        // writes `null` (or `false` for the paging flag).
-        let config = ServiceConfig {
-            shards: doc.size("shards")?,
-            queue_capacity: doc.size("queue_capacity")?,
-            resident_capacity: doc.optional("resident_capacity", Reader::size)?,
-            wal_segment_size: doc.optional("wal_segment_size", Reader::size)?,
-            privacy_budget: doc.optional("privacy_budget", Reader::number)?,
-            compensation_base: doc.optional("compensation_base", Reader::number)?,
-            ledger_paging: doc
-                .optional("ledger_paging", Reader::flag)?
-                .unwrap_or(false),
-        };
+        let mut persisted = Persisted::read(Reader::new(snapshot, Label::Name("snapshot")))?;
+        let mut config = ServiceConfig::default();
+        header(&mut persisted.doc, &mut config)?;
         persisted.check_shards(config.shards)?;
-        let mut service = MarketService::new(config).map_err(|err| doc.error(err))?;
+        let mut service = MarketService::new(config).map_err(|err| persisted.doc.error(err))?;
         persisted.apply(&mut service, false)?;
         Ok(service)
     }
@@ -1001,7 +658,14 @@ mod tests {
                 .collect();
             assert_eq!(packed.len(), 6, "dim 3 stores 3·4/2 numbers");
             let packed = PackedSymmetric::from_packed(3, packed).unwrap();
-            *shape = numbers_json(packed.to_dense().as_slice());
+            *shape = Json::Arr(
+                packed
+                    .to_dense()
+                    .as_slice()
+                    .iter()
+                    .map(|&x| Json::Num(x))
+                    .collect(),
+            );
         }
         // Both layouts restore to the same service, which writes v6 again.
         let rendered = v6.render();
@@ -1204,6 +868,45 @@ mod tests {
                 "{radius}"
             );
             assert!(err.to_string().contains("initial_radius"), "{err}");
+        }
+    }
+
+    #[test]
+    fn unknown_variant_names_are_malformed_and_name_their_tenant() {
+        let mut service = fresh_service(&[TenantId(1)]);
+        let static_auction = TenantConfig::auction(3, 500, AuctionPolicy::Static { markup: 0.1 });
+        service
+            .register_tenant(TenantId(2), static_auction)
+            .unwrap();
+        let discounted = TenantConfig::standard(3, 500)
+            .with_drift(pdm_pricing::prelude::DriftPolicy::Discounted { inflation: 1.01 });
+        service.register_tenant(TenantId(3), discounted).unwrap();
+        let text = service.snapshot().unwrap().render();
+        for (from, to, says) in [
+            (
+                "\"kind\":\"posted\"",
+                "\"kind\":\"mutant\"",
+                "tenant-1 market: unknown market kind `mutant`",
+            ),
+            (
+                "\"policy\":\"static\",\"markup\"",
+                "\"policy\":\"mutant\",\"markup\"",
+                "tenant-2 market: unknown auction policy `mutant`",
+            ),
+            (
+                "\"policy\":\"discounted\"",
+                "\"policy\":\"mutant\"",
+                "tenant-3 drift: unknown drift policy `mutant`",
+            ),
+        ] {
+            assert!(text.contains(from), "{from}");
+            // Tenants render in id order, so the first match is the
+            // tenant the message must name.
+            let corrupt = Json::parse(&text.replacen(from, to, 1)).unwrap();
+            match MarketService::restore(&corrupt) {
+                Err(ServiceError::MalformedSnapshot(message)) => assert_eq!(message, says),
+                other => panic!("{from}: expected a malformed snapshot, got {other:?}"),
+            }
         }
     }
 

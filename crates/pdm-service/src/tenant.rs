@@ -272,24 +272,15 @@ pub struct TenantState {
 }
 
 impl TenantState {
-    /// The ledger bank of a privacy tenant, shared.
+    /// The ledger bank of a privacy tenant (the quote/settle charge paths).
     ///
     /// # Panics
     /// Only the privacy paths call this; a privacy tenant without its bank
     /// is a construction bug worth aborting on, not a recoverable error.
-    pub(crate) fn bank(&self) -> &LedgerBank {
-        self.privacy
-            .as_ref()
-            // pdm-lint: allow(no-unwrap-in-lib) reason="construction invariant: every MarketKind::Privacy tenant is built with a bank; the shard and snapshot privacy paths run only for those"
-            .expect("privacy tenants carry a ledger bank")
-    }
-
-    /// The ledger bank of a privacy tenant, exclusive (the quote/settle
-    /// charge paths).  Same invariant as [`TenantState::bank`].
     pub(crate) fn bank_mut(&mut self) -> &mut LedgerBank {
         self.privacy
             .as_mut()
-            // pdm-lint: allow(no-unwrap-in-lib) reason="construction invariant: every MarketKind::Privacy tenant is built with a bank; the shard and snapshot privacy paths run only for those"
+            // pdm-lint: allow(no-unwrap-in-lib) reason="construction invariant: every MarketKind::Privacy tenant is built with a bank; the shard privacy paths run only for those"
             .expect("privacy tenants carry a ledger bank")
     }
 

@@ -149,7 +149,7 @@ impl MarketService {
                 )));
             }
             last_segment = Some(number);
-            Persisted::read(&doc)?.apply(&mut service, true)?;
+            Persisted::read(doc)?.apply(&mut service, true)?;
         }
         // Numbering continues after the last replayed segment.
         if let Some(last) = last_segment {

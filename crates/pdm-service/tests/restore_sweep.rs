@@ -1,8 +1,9 @@
 //! A hostile-document sweep over both persisted formats.
 //!
-//! Every leaf of the checked-in v5 and v6 snapshots, and of one WAL
-//! segment the restored service writes, is deleted or replaced by a string, −1, 0.5
-//! or 1e18, one leaf and one mutation at a time.  `restore` and
+//! Every leaf of the checked-in v5 and v6 snapshots, of one WAL segment the
+//! restored service writes, and of a snapshot holding every kind of tenant,
+//! is deleted or replaced by a string, −1, 0.5 or 1e18, one leaf and one
+//! mutation at a time.  `restore` and
 //! `restore_with_wal` must answer every mutant with `Ok` or
 //! `MalformedSnapshot`: never another error, never a panic, never an abort
 //! (a hostile count used to size an allocation).  A failure names the leaf
@@ -12,8 +13,8 @@ use std::panic::{self, AssertUnwindSafe};
 
 use pdm_linalg::{Json, Vector};
 use pdm_service::{
-    AuctionRequest, MarketService, OutcomeReport, Payload, QueryRequest, Request, ServiceError,
-    TenantId,
+    AuctionPolicy, AuctionRequest, DriftPolicy, MarketService, OutcomeReport, Payload,
+    PrivacyParams, QueryRequest, Request, ServiceConfig, ServiceError, TenantConfig, TenantId,
 };
 
 /// Five dim-2 tenants, each shape stored as the full 2 × 2 matrix
@@ -223,6 +224,100 @@ fn every_single_leaf_mutation_of_a_wal_segment_replays_or_is_malformed() {
     assert_clean(&sweep("WAL segment", segment, |mutant| {
         MarketService::restore_with_wal(&base, std::slice::from_ref(mutant))
     }));
+}
+
+/// One dim-2 tenant of every kind a tenant document carries: posted, a
+/// pinned `epsilon`, the three auction policies, privacy, and the two live
+/// drift policies.
+fn every_kind() -> Vec<TenantConfig> {
+    let mut pinned = TenantConfig::standard(2, 200);
+    pinned.pricing = pinned
+        .pricing
+        .with_epsilon(0.02)
+        .with_conservative_cuts(true)
+        .with_reserve(false);
+    let privacy = PrivacyParams {
+        epsilon_budget: 1.2,
+        ..PrivacyParams::default()
+    };
+    vec![
+        TenantConfig::standard(2, 200),
+        pinned,
+        TenantConfig::auction(2, 200, AuctionPolicy::Session),
+        TenantConfig::auction(2, 200, AuctionPolicy::Static { markup: 0.05 }),
+        TenantConfig::auction(
+            2,
+            200,
+            AuctionPolicy::Empirical {
+                window: 4,
+                welfare_weight: 0.25,
+            },
+        ),
+        TenantConfig::privacy(2, 200, privacy),
+        TenantConfig::standard(2, 200).with_drift(DriftPolicy::Restart {
+            window: 8,
+            threshold: 2,
+        }),
+        TenantConfig::standard(2, 200).with_drift(DriftPolicy::Discounted { inflation: 1.01 }),
+    ]
+}
+
+#[test]
+fn every_single_leaf_mutation_of_every_tenant_kind_restores_or_is_malformed() {
+    let kinds = every_kind();
+    let mut service = MarketService::new(ServiceConfig {
+        shards: 2,
+        queue_capacity: 64,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    for (id, config) in (1u64..).zip(&kinds) {
+        service.register_tenant(TenantId(id), *config).unwrap();
+    }
+    // A few rounds of every kind of traffic, every round closed, so each
+    // tenant carries learned state: a cut knowledge set, a bid history,
+    // spent privacy budget, a drift window.
+    for round in 0..6u32 {
+        let t = f64::from(round) * 0.37;
+        let features = Vector::from_slice(&[t.cos().abs() * 0.6, t.sin().abs() * 0.6 + 0.1]);
+        for (id, config) in (1u64..).zip(&kinds) {
+            let tenant = TenantId(id);
+            let request = if config.market.auction_policy().is_some() {
+                Request::Auction(AuctionRequest {
+                    tenant,
+                    features: features.clone(),
+                    floor: 0.1,
+                    bids: vec![0.9, 0.4],
+                })
+            } else {
+                Request::Quote(QueryRequest {
+                    tenant,
+                    features: features.clone(),
+                    reserve_price: 0.05,
+                })
+            };
+            service.ingest(request).unwrap();
+        }
+        for response in service.drain(1) {
+            if let Payload::Quoted(quote) = response.payload {
+                service
+                    .ingest(Request::Observe(OutcomeReport {
+                        tenant: response.tenant,
+                        accepted: quote.posted_price <= 0.7,
+                        market_value: (round % 2 == 0).then_some(0.7),
+                    }))
+                    .unwrap();
+            }
+        }
+        service.drain(1);
+    }
+    let base = service.snapshot().unwrap();
+    let text = base.render();
+    for leaf in ["\"markup\"", "\"epsilon\":0.02", "\"policy\":\"session\""] {
+        assert!(text.contains(leaf), "the snapshot must carry {leaf}");
+    }
+    MarketService::restore(&base).unwrap();
+    assert_clean(&sweep("every-kind snapshot", &base, MarketService::restore));
 }
 
 /// The path to entry `index` of tenant 0's `knowledge.<leaf>` array.
