@@ -8,12 +8,13 @@
 //! matter for those pipelines and are covered by tests:
 //!
 //! * **Determinism** — object keys keep insertion order and numbers go
-//!   through [`write_f64`], which writes exactly `f64`'s `Display` bytes:
-//!   the shortest decimal that parses back to the same bits, an exact tie
-//!   between two such decimals rounded up, never an exponent.  So the same
-//!   report always produces the same bytes (the determinism suite compares
-//!   outputs of runs with different worker counts byte-for-byte), and the
-//!   text stays readable decimal for offline audit.
+//!   through the writer behind [`write_f64`], which writes exactly `f64`'s
+//!   `Display` bytes: the shortest decimal that parses back to the same
+//!   bits, an exact tie between two such decimals rounded up, never an
+//!   exponent.  So the same report always produces the same bytes (the
+//!   determinism suite compares outputs of runs with different worker
+//!   counts byte-for-byte), and the text stays readable decimal for
+//!   offline audit.
 //! * **Round-trip** — `parse(render(v))` reproduces `v` for every value this
 //!   module can emit.  Non-finite numbers are written as `null` (JSON has no
 //!   NaN/inf) and read back as NaN.  Finite numbers round-trip *exactly*,
@@ -27,9 +28,13 @@
 //! and writers whose keys are runtime names (a metric registry's entries)
 //! own theirs.  Lookup with [`Json::get`] and `==` compare the text alone,
 //! so a borrowed and an owned key are the same key.
+//!
+//! [`Json::render`] and [`Json::render_pretty`] share one writer that
+//! appends every token of the tree to a single byte buffer (numbers with
+//! one copy each from the float writer's stack buffer) and turns it into
+//! the document's `String` with one UTF-8 check at the end.
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
 
 mod float;
 mod pow5;
@@ -125,45 +130,14 @@ impl Json {
     /// Renders the value as compact JSON (no whitespace).
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        Writer::document(self, None)
     }
 
     /// Renders the value with two-space indentation and a trailing newline,
     /// the format the `BENCH_*.json` files are written in.
     #[must_use]
     pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) if n.is_finite() => write_f64(out, *n),
-            Json::Num(_) => out.push_str("null"),
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                write_sequence(out, indent, level, '[', ']', items.len(), |out, i| {
-                    items[i].write(out, indent, level + 1);
-                });
-            }
-            Json::Obj(pairs) => {
-                write_sequence(out, indent, level, '{', '}', pairs.len(), |out, i| {
-                    let (key, value) = &pairs[i];
-                    write_escaped(out, key);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    value.write(out, indent, level + 1);
-                });
-            }
-        }
+        Writer::document(self, Some(2))
     }
 
     /// Parses a JSON document, requiring it to span the whole input.
@@ -186,64 +160,126 @@ impl Json {
 /// recursive reader's stack use bounded.
 const MAX_DEPTH: usize = 128;
 
-/// Shared body/indentation logic for arrays and objects.
-fn write_sequence(
-    out: &mut String,
+/// The one JSON writer: renders a tree into a single byte buffer, which
+/// becomes the document's `String` at the end.
+struct Writer {
+    out: Vec<u8>,
+    /// The pretty form's indentation width; `None` writes compact JSON.
     indent: Option<usize>,
-    level: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut write_item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
+}
+
+impl Writer {
+    /// `value` as one document: compact, or pretty with a trailing newline
+    /// when `indent` is set.  The buffer becomes the `String` with one
+    /// check; every byte came from a `&str` copied whole, or is ASCII.
+    fn document(value: &Json, indent: Option<usize>) -> String {
+        let mut writer = Writer {
+            out: Vec::new(),
+            indent,
+        };
+        writer.value(value, 0);
+        if indent.is_some() {
+            writer.out.push(b'\n');
+        }
+        match String::from_utf8(writer.out) {
+            Ok(text) => text,
+            Err(_) => unreachable!("the writer copies whole strings and ASCII"),
+        }
     }
-    for i in 0..len {
+
+    /// Writes `value`, nested `level` sequences deep.
+    fn value(&mut self, value: &Json, level: usize) {
+        match value {
+            Json::Null => self.out.extend_from_slice(b"null"),
+            Json::Bool(b) => self
+                .out
+                .extend_from_slice(if *b { b"true" } else { b"false" }),
+            Json::Num(n) if n.is_finite() => float::push_f64(&mut self.out, *n),
+            Json::Num(_) => self.out.extend_from_slice(b"null"),
+            Json::Str(s) => write_escaped(&mut self.out, s),
+            Json::Arr(items) => {
+                self.out.push(b'[');
+                for (i, item) in items.iter().enumerate() {
+                    self.item(i, level);
+                    self.value(item, level + 1);
+                }
+                self.close(b']', items.is_empty(), level);
+            }
+            Json::Obj(pairs) => {
+                self.out.push(b'{');
+                for (i, (key, value)) in pairs.iter().enumerate() {
+                    self.item(i, level);
+                    write_escaped(&mut self.out, key);
+                    self.out.extend_from_slice(match self.indent {
+                        Some(_) => b": ",
+                        None => b":",
+                    });
+                    self.value(value, level + 1);
+                }
+                self.close(b'}', pairs.is_empty(), level);
+            }
+        }
+    }
+
+    /// Starts item `i` of a sequence at `level`: a comma after the first,
+    /// and in the pretty form a new line one level deeper.
+    fn item(&mut self, i: usize, level: usize) {
         if i > 0 {
-            out.push(',');
+            self.out.push(b',');
         }
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (level + 1)));
+        self.new_line(level + 1);
+    }
+
+    /// Closes a sequence at `level`; a non-empty one in the pretty form
+    /// closes on a line of its own.
+    fn close(&mut self, bracket: u8, empty: bool, level: usize) {
+        if !empty {
+            self.new_line(level);
         }
-        write_item(out, i);
+        self.out.push(bracket);
     }
-    if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * level));
+
+    /// A new line indented to `level`, in the pretty form only.
+    fn new_line(&mut self, level: usize) {
+        if let Some(width) = self.indent {
+            self.out.push(b'\n');
+            self.out.resize(self.out.len() + width * level, b' ');
+        }
     }
-    out.push(close);
 }
 
 /// Writes `s` as a string literal.  Only `"`, `\\` and the control
 /// characters below U+0020 are escaped.  All of them are ASCII, so every run
-/// between two of them ends on a char boundary and is copied as one slice:
-/// a key or label that needs no escape is a single `push_str`.
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    let mut rest = s;
+/// between two of them is a whole UTF-8 sequence and is copied as one slice:
+/// a key or label that needs no escape is a single `extend_from_slice`.
+fn write_escaped(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push(b'"');
+    let mut rest = s.as_bytes();
     while let Some(at) = rest
-        .bytes()
-        .position(|b| b < 0x20 || b == b'"' || b == b'\\')
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
     {
-        out.push_str(&rest[..at]);
-        match rest.as_bytes()[at] {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            control => {
-                let _ = write!(out, "\\u{:04x}", u32::from(control));
-            }
+        out.extend_from_slice(&rest[..at]);
+        match rest[at] {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            control => out.extend_from_slice(&[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(control >> 4)],
+                HEX[usize::from(control & 0xf)],
+            ]),
         }
         rest = &rest[at + 1..];
     }
-    out.push_str(rest);
-    out.push('"');
+    out.extend_from_slice(rest);
+    out.push(b'"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -446,6 +482,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::fmt::Write as _;
 
     #[test]
     fn renders_compact_and_pretty() {
@@ -763,6 +800,69 @@ mod tests {
         out.push('"');
     }
 
+    /// The `String` writer the byte writer replaced, kept as its oracle:
+    /// a closure per sequence, a `String` per indent, and numbers through
+    /// `Display` itself.
+    fn write_oracle(value: &Json, out: &mut String, indent: Option<usize>, level: usize) {
+        match value {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) if n.is_finite() => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => write_escaped_per_char(out, s),
+            Json::Arr(items) => {
+                write_sequence(out, indent, level, '[', ']', items.len(), |out, i| {
+                    write_oracle(&items[i], out, indent, level + 1);
+                });
+            }
+            Json::Obj(pairs) => {
+                write_sequence(out, indent, level, '{', '}', pairs.len(), |out, i| {
+                    let (key, value) = &pairs[i];
+                    write_escaped_per_char(out, key);
+                    out.push(':');
+                    if indent.is_some() {
+                        out.push(' ');
+                    }
+                    write_oracle(value, out, indent, level + 1);
+                });
+            }
+        }
+    }
+
+    /// The oracle's shared body/indentation logic for arrays and objects.
+    fn write_sequence(
+        out: &mut String,
+        indent: Option<usize>,
+        level: usize,
+        open: char,
+        close: char,
+        len: usize,
+        mut write_item: impl FnMut(&mut String, usize),
+    ) {
+        out.push(open);
+        if len == 0 {
+            out.push(close);
+            return;
+        }
+        for i in 0..len {
+            if i > 0 {
+                out.push(',');
+            }
+            if let Some(width) = indent {
+                out.push('\n');
+                out.push_str(&" ".repeat(width * (level + 1)));
+            }
+            write_item(out, i);
+        }
+        if let Some(width) = indent {
+            out.push('\n');
+            out.push_str(&" ".repeat(width * level));
+        }
+        out.push(close);
+    }
+
     #[test]
     fn keys_compare_by_text_whether_borrowed_or_owned() {
         let written = Json::obj(vec![("a", Json::Num(1.0)), ("b", Json::Null)]);
@@ -841,10 +941,14 @@ mod tests {
                 .filter(|&c| u32::from(c) >= 0x20 && c != '"' && c != '\\')
                 .collect();
             for text in [&mixed, &clean] {
-                let (mut fast, mut oracle) = (String::new(), String::new());
+                let (mut fast, mut oracle) = (Vec::new(), String::new());
                 write_escaped(&mut fast, text);
                 write_escaped_per_char(&mut oracle, text);
-                prop_assert!(fast == oracle, "input {text:?}: wrote {fast:?}, per char {oracle:?}");
+                prop_assert!(
+                    fast == oracle.as_bytes(),
+                    "input {text:?}: wrote {:?}, per char {oracle:?}",
+                    String::from_utf8_lossy(&fast)
+                );
             }
         }
 
@@ -859,6 +963,19 @@ mod tests {
                 let back = Json::parse(&text).ok().and_then(|v| v.as_f64());
                 let same = back.is_some_and(|b| b.to_bits() == x.to_bits() || (b.is_nan() && !x.is_finite()));
                 prop_assert!(same, "{x:?} rendered {text} parsed {back:?}");
+            }
+        }
+
+        #[test]
+        fn random_trees_render_as_the_string_writer_renders_them(seed in 0u64..u64::MAX) {
+            let value = random_tree(&mut StdRng::seed_from_u64(seed), 4);
+            for (indent, rendered) in [(None, value.render()), (Some(2), value.render_pretty())] {
+                let mut oracle = String::new();
+                write_oracle(&value, &mut oracle, indent, 0);
+                if indent.is_some() {
+                    oracle.push('\n');
+                }
+                prop_assert!(rendered == oracle, "input {value:?}\nrendered {rendered:?}\noracle {oracle:?}");
             }
         }
 

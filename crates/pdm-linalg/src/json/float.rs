@@ -1,12 +1,28 @@
 //! Shortest round-trip decimal text for `f64`, byte for byte what
 //! `Display` writes.
 //!
-//! [`write_f64`] finds the digits with Ryū (Adams, "Ryū: fast
-//! float-to-string conversion", PLDI 2018): the double and the two ends of
-//! its rounding interval are scaled by a power of ten through one
-//! 64×128-bit product each with the tables of [`super::pow5`], and digits
-//! are dropped while the interval still holds a shorter decimal.  Two
-//! details follow `Display` rather than the paper:
+//! [`push_f64`] is the one number writer: it lays a number's text out in a
+//! stack buffer and appends it to a byte buffer with a single
+//! `extend_from_slice`.  [`write_f64`] is the same writer appending to a
+//! `String`.  The digits come from one of two places:
+//!
+//! * an integral value below 2^53 in magnitude is its own shortest decimal
+//!   (Ryū's small-integer path): its ulp is at most 1, so no other decimal
+//!   with as few digits lies within half an ulp of it, and its integer
+//!   digits are printed as they are;
+//! * every other double goes through Ryū (Adams, "Ryū: fast float-to-string
+//!   conversion", PLDI 2018): the double and the two ends of its rounding
+//!   interval are scaled by a power of ten through one 64×128-bit product
+//!   each with the tables of [`super::pow5`], and digits are dropped while
+//!   the interval still holds a shorter decimal.
+//!
+//! The digits go into the buffer as a fixed window of 17, zero-padded: the
+//! leading digit, then two 8-digit chunks of four `DIGIT_PAIRS` entries
+//! each, so no branch depends on the digit count.  The buffer starts out
+//! as ASCII zeros, so the window's padding and a zero run before or after
+//! the digits cost nothing; only a run that outgrows the buffer (below
+//! 1e-44 or from 1e63 up) is appended in pieces.  Two details follow
+//! `Display` rather than the paper:
 //!
 //! * an exact tie between the two nearest shortest candidates rounds up,
 //!   where textbook Ryū rounds to even (bits `0x43179085685d83c9` are
@@ -14,8 +30,6 @@
 //! * the layout is plain decimal, never an exponent: `1e21` prints 22
 //!   digits, `5e-324` prints `0.`, 323 zeros and a `5`, and negative zero
 //!   prints `-0`.
-
-use std::fmt::Write as _;
 
 use super::pow5::{POW5, POW5_INV};
 
@@ -32,27 +46,135 @@ const DIGIT_PAIRS: &[u8; 200] = b"\
     6061626364656667686970717273747576777879\
     8081828384858687888990919293949596979899";
 
+/// The most digits a shortest decimal of a double has.
+const MAX_DIGITS: usize = 17;
+
+/// The stack buffer a number's text is laid out in: a sign, `0.`, 17
+/// digits and a zero run of 44 fit, which covers every double from 1e-44
+/// up to below 1e63.
+const TEXT_LEN: usize = 64;
+
 /// Appends `x` exactly as `format!("{x}")` would: the shortest decimal
-/// that parses back to the same bits, in plain (never exponent) notation.
-/// Non-finite values, which JSON cannot carry, go through `Display`
-/// itself.
+/// that parses back to the same bits, in plain (never exponent) notation,
+/// and `NaN`, `inf` or `-inf` for a non-finite value.  The JSON renderer
+/// appends the same text to its byte buffer through the same writer.
 pub fn write_f64(out: &mut String, x: f64) {
+    lay_out(x, |text| match std::str::from_utf8(text) {
+        Ok(text) => out.push_str(text),
+        Err(_) => unreachable!("decimal text is ASCII digits, `-` and `.`"),
+    });
+}
+
+/// Appends `x` to a byte buffer as [`write_f64`] appends it to a `String`.
+pub(crate) fn push_f64(out: &mut Vec<u8>, x: f64) {
+    lay_out(x, |text| out.extend_from_slice(text));
+}
+
+/// Lays `x` out as `Display` does and hands the text to `append`: in one
+/// piece, unless a zero run outgrows the stack buffer.
+fn lay_out(x: f64, mut append: impl FnMut(&[u8])) {
     if !x.is_finite() {
-        let _ = write!(out, "{x}");
+        append(if x.is_nan() {
+            b"NaN"
+        } else if x > 0.0 {
+            b"inf"
+        } else {
+            b"-inf"
+        });
         return;
-    }
-    if x.is_sign_negative() {
-        out.push('-');
     }
     let bits = x.to_bits();
     let ieee_mantissa = bits & ((1 << MANTISSA_BITS) - 1);
     let ieee_exponent = (bits >> MANTISSA_BITS) & 0x7ff;
-    if ieee_exponent == 0 && ieee_mantissa == 0 {
-        out.push('0');
+    let (digits, exponent) = match small_integer(ieee_mantissa, ieee_exponent) {
+        Some(integer) => (integer, 0),
+        None => shortest(ieee_mantissa, ieee_exponent),
+    };
+    let len = digits.checked_ilog10().map_or(1, |log| log as usize + 1);
+    // The decimal point sits `point` digits into the digits.
+    let point = len as i64 + exponent;
+    let negative = x.is_sign_negative();
+    let sign = usize::from(negative);
+    // Where the last digit ends and where the text ends.
+    let (digits_end, end) = if point <= 0 {
+        // `0.`, the zeros after the point, the digits.
+        let end = sign + 2 + (-point) as usize + len;
+        (end, end)
+    } else if point < len as i64 {
+        // The digits with the point among them.
+        (sign + len, sign + len + 1)
+    } else {
+        // The digits, then the zeros up to the point.
+        (sign + len, sign + point as usize)
+    };
+    if end > TEXT_LEN {
+        lay_out_long(negative, digits, len, point, append);
         return;
     }
-    let (digits, exponent) = shortest(ieee_mantissa, ieee_exponent);
-    write_decimal(out, digits, exponent);
+    // The digit window's zero padding lands on the text's own zeros, or
+    // in the room before the text: the window ends at least one byte into
+    // the text, so it reaches at most 16 bytes before it.  The sign and
+    // the point go in after the digits.
+    const ROOM: usize = MAX_DIGITS - 1;
+    let mut buf = [b'0'; ROOM + TEXT_LEN];
+    write_digits(&mut buf, ROOM + digits_end, digits);
+    let text = &mut buf[ROOM..];
+    if point <= 0 {
+        text[sign + 1] = b'.';
+    } else if point < len as i64 {
+        // Move the fraction's digits, at most 16, one place to the right.
+        let at = sign + point as usize;
+        text.copy_within(at..at + MAX_DIGITS - 1, at + 1);
+        text[at] = b'.';
+    }
+    if negative {
+        text[0] = b'-';
+    }
+    append(&text[..end]);
+}
+
+/// The text of a double below 1e-44 or from 1e63 up, whose zero run
+/// outgrows the stack buffer, in pieces: `0.`, the zeros and the digits,
+/// or the digits and the zeros, after the sign.
+fn lay_out_long(
+    negative: bool,
+    digits: u64,
+    len: usize,
+    point: i64,
+    mut append: impl FnMut(&[u8]),
+) {
+    let mut buf = [b'0'; MAX_DIGITS];
+    write_digits(&mut buf, MAX_DIGITS, digits);
+    let digits = &buf[MAX_DIGITS - len..];
+    if negative {
+        append(b"-");
+    }
+    if point <= 0 {
+        append(b"0.");
+        append_zeros(&mut append, (-point) as usize);
+        append(digits);
+    } else {
+        append(digits);
+        append_zeros(&mut append, point as usize - len);
+    }
+}
+
+/// The magnitude of a double that is an integer below 2^53, zero
+/// included, or `None`.
+fn small_integer(ieee_mantissa: u64, ieee_exponent: u64) -> Option<u64> {
+    if ieee_exponent == 0 {
+        // Zero, or a subnormal, which is below 1.
+        return (ieee_mantissa == 0).then_some(0);
+    }
+    // The magnitude is m2 / 2^shift with 2^52 ≤ m2 < 2^53, so it is below
+    // 2^53 exactly when the shift is not negative, and below 1 when it
+    // passes 52.  11 bits: the conversion is exact.
+    let shift = EXPONENT_BIAS + i64::from(MANTISSA_BITS) - ieee_exponent as i64;
+    if !(0..=i64::from(MANTISSA_BITS)).contains(&shift) {
+        return None;
+    }
+    let m2 = ieee_mantissa | 1 << MANTISSA_BITS;
+    (m2 & ((1 << shift) - 1) == 0).then_some(m2 >> shift)
 }
 
 /// The shortest `digits · 10^exponent` inside the rounding interval of the
@@ -154,68 +276,42 @@ fn shortest(ieee_mantissa: u64, ieee_exponent: u64) -> (u64, i64) {
     (output, e10 + removed)
 }
 
-/// Appends `digits · 10^exponent` as `Display` lays it out: the digits with
-/// a decimal point among them, after `0.` and leading zeros, or before
-/// trailing zeros.
-fn write_decimal(out: &mut String, digits: u64, exponent: i64) {
-    let mut buf = [0u8; 21];
-    let start = write_digits(&mut buf, digits);
-    let len = (buf.len() - start) as i64;
-    // The decimal point sits `point` digits into the text.
-    let point = len + exponent;
-    if point <= 0 {
-        out.push_str("0.");
-        push_zeros(out, -point);
-        push_ascii(out, &buf[start..]);
-    } else if point < len {
-        let point = point as usize;
-        buf.copy_within(start..start + point, start - 1);
-        buf[start - 1 + point] = b'.';
-        push_ascii(out, &buf[start - 1..]);
-    } else {
-        push_ascii(out, &buf[start..]);
-        push_zeros(out, point - len);
-    }
+/// Writes `v`, which has at most [`MAX_DIGITS`] digits, as exactly that
+/// many, zero-padded, ending just before `buf[end]`: its leading digit,
+/// then two 8-digit chunks of four `DIGIT_PAIRS` entries each.  A fixed
+/// count keeps the digit count from steering any branch.
+fn write_digits(buf: &mut [u8], end: usize, v: u64) {
+    debug_assert!(v < 100_000_000_000_000_000, "{v} has more than 17 digits");
+    let (high, low) = (v / 100_000_000, v % 100_000_000);
+    let at = end - MAX_DIGITS;
+    buf[at] = digit_pair(high / 100_000_000)[1];
+    write_chunk(&mut buf[at + 1..at + 9], high % 100_000_000);
+    write_chunk(&mut buf[at + 9..end], low);
 }
 
-/// Writes the decimal digits of `v` right-aligned in `buf` and returns the
-/// index of the first.  `buf` has room for every `u64` and one byte more.
-fn write_digits(buf: &mut [u8; 21], mut v: u64) -> usize {
-    let mut at = buf.len();
-    while v >= 100 {
-        let pair = 2 * (v % 100) as usize;
-        v /= 100;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    }
-    let pair = 2 * v as usize;
-    if v >= 10 {
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    } else {
-        at -= 1;
-        buf[at] = DIGIT_PAIRS[pair + 1];
-    }
-    at
+/// Writes `v < 10^8` as the eight digits of `chunk`.
+fn write_chunk(chunk: &mut [u8], v: u64) {
+    let (high, low) = (v / 10_000, v % 10_000);
+    chunk[..2].copy_from_slice(digit_pair(high / 100));
+    chunk[2..4].copy_from_slice(digit_pair(high % 100));
+    chunk[4..6].copy_from_slice(digit_pair(low / 100));
+    chunk[6..].copy_from_slice(digit_pair(low % 100));
 }
 
-/// Appends the digits and point `write_decimal` laid out, all ASCII.
-fn push_ascii(out: &mut String, bytes: &[u8]) {
-    match std::str::from_utf8(bytes) {
-        Ok(text) => out.push_str(text),
-        Err(_) => unreachable!("decimal text is ASCII digits and `.`"),
-    }
+/// The two ASCII digits of `v < 100`.
+fn digit_pair(v: u64) -> &'static [u8] {
+    let at = 2 * v as usize;
+    &DIGIT_PAIRS[at..at + 2]
 }
 
-/// Appends `count` zeros, up to 64 per copy: `5e-324` needs 323.
-fn push_zeros(out: &mut String, count: i64) {
-    const ZEROS: &str = "0000000000000000000000000000000000000000000000000000000000000000";
-    let mut count = count as usize;
-    while count > ZEROS.len() {
-        out.push_str(ZEROS);
-        count -= ZEROS.len();
+/// Appends `count` zeros, a buffer's worth per piece: `5e-324` needs 323.
+fn append_zeros(append: &mut impl FnMut(&[u8]), mut count: usize) {
+    const ZEROS: [u8; TEXT_LEN] = [b'0'; TEXT_LEN];
+    while count > TEXT_LEN {
+        append(&ZEROS);
+        count -= TEXT_LEN;
     }
-    out.push_str(&ZEROS[..count]);
+    append(&ZEROS[..count]);
 }
 
 /// `(m · mul) >> shift` for a `shift` of at least 64, from two 64×64-bit
@@ -386,5 +482,96 @@ mod tests {
         let mut tie = String::new();
         write_f64(&mut tie, f64::from_bits(0x4317_9085_685d_83c9));
         assert_eq!(tie, "1658206780088562.3");
+    }
+
+    /// `write_f64` and `push_f64` against `Display` for `x` and `-x`.
+    fn check_both_signs(x: f64) {
+        for x in [x, -x] {
+            let (mut text, mut bytes) = (String::new(), Vec::new());
+            write_f64(&mut text, x);
+            push_f64(&mut bytes, x);
+            let display = format!("{x}");
+            assert_eq!(text, display, "bits {:#018x}", x.to_bits());
+            assert_eq!(bytes, display.as_bytes(), "bits {:#018x}", x.to_bits());
+        }
+    }
+
+    /// Significant digits of `Display`'s text: what `lay_out` wrote with
+    /// `write_digits`, less an integer's trailing zeros.
+    fn digit_count(x: f64) -> usize {
+        let text = format!("{x}");
+        let digits = text.trim_start_matches(['-', '0', '.']).replace('.', "");
+        digits.trim_end_matches('0').len()
+    }
+
+    #[test]
+    fn every_digit_count_and_layout_matches_display() {
+        // Every digit count puts the first digit at another place of the
+        // 17-digit window: the leading digit, or a pair of either chunk.
+        const DIGITS: &str = "12345678912345675";
+        for count in 1..=DIGITS.len() {
+            let digits = &DIGITS[..count];
+            let (head, tail) = digits.split_at(1);
+            let mut cases = vec![
+                // Ryū: `0.` and zeros, in the buffer and past it.
+                format!("0.000{digits}"),
+                format!("{head}.{tail}e-70"),
+                // Ryū: trailing zeros, in the buffer and past it.
+                format!("{head}.{tail}e20"),
+                format!("{head}.{tail}e70"),
+            ];
+            if count > 1 {
+                // Ryū: the point among the digits.
+                cases.push(format!("{head}.{tail}"));
+            }
+            if count < 17 {
+                // The small-integer path.
+                cases.push(digits.to_owned());
+            }
+            for case in cases {
+                let x: f64 = case.parse().unwrap();
+                assert_eq!(digit_count(x), count, "{case} reads back as {x}");
+                check_both_signs(x);
+            }
+        }
+        // The last zero run that fits the buffer, and the first that does
+        // not, on both sides of the point and with either sign.
+        for x in [1e-62, 1e-63, 1e63, 1e64, 1.5e-61, 1.5e62] {
+            check_both_signs(x);
+        }
+        // Zero runs of several buffers: 323 zeros after the point, 292
+        // before it.  Then the zeros and the values with no digits.
+        for x in [5e-324, f64::MAX, 0.0, f64::NAN, f64::INFINITY] {
+            check_both_signs(x);
+        }
+    }
+
+    #[test]
+    fn small_integers_take_the_integer_path_and_nothing_else_does() {
+        let integer = |x: f64| {
+            let bits = x.to_bits();
+            small_integer(
+                bits & ((1 << MANTISSA_BITS) - 1),
+                (bits >> MANTISSA_BITS) & 0x7ff,
+            )
+        };
+        let two_53 = 9_007_199_254_740_992.0;
+        for (x, expected) in [
+            (0.0, Some(0)),
+            (-0.0, Some(0)),
+            (1.0, Some(1)),
+            (-7.0, Some(7)),
+            (1e15, Some(1_000_000_000_000_000)),
+            (two_53 - 1.0, Some(9_007_199_254_740_991)),
+            (two_53, None),
+            (two_53 + 2.0, None),
+            (0.5, None),
+            (1.5, None),
+            (two_53 / 2.0 - 0.5, None),
+            (5e-324, None),
+            (f64::MIN_POSITIVE, None),
+        ] {
+            assert_eq!(integer(x), expected, "{x}");
+        }
     }
 }

@@ -206,6 +206,14 @@ impl PackedSymmetric {
     /// `yᵢ` is final once row `i` is done: rows before it have added their
     /// `aₖᵢ xₖ`.  The form is then `Σᵢ yᵢ xᵢ`.
     ///
+    /// Rows go four to a block, so the block's four dots are independent
+    /// chains in one loop over the columns instead of one serial chain
+    /// after another.  Each sum keeps the order of the row-by-row loop: a
+    /// dot adds its terms in column order, as `Sum` does, and `yⱼ` adds
+    /// the rows' terms in row order, so every bit of `y` and of the form
+    /// is the row-by-row loop's.  The last `n mod 4` rows go one at a
+    /// time.
+    ///
     /// # Panics
     /// Panics when `x.len() != self.dim()`.
     pub fn quadratic_form_with(&self, x: &Vector, y: &mut Vector) -> f64 {
@@ -221,7 +229,55 @@ impl PackedSymmetric {
         out.fill(0.0);
         let x = x.as_slice();
         let mut start = 0;
-        for i in 0..n {
+        let mut i = 0;
+        while i + 4 <= n {
+            let len = n - i;
+            let (row0, rest) = self.data[start..].split_at(len);
+            let (row1, rest) = rest.split_at(len - 1);
+            let (row2, rest) = rest.split_at(len - 2);
+            let row3 = &rest[..len - 3];
+            start += 4 * len - 6;
+            let (x0, x1, x2, x3) = (x[i], x[i + 1], x[i + 2], x[i + 3]);
+            // The columns inside the block first (`Sum` starts from `-0.0`,
+            // which leaves the first term as it is), …
+            let mut d0 = row0[0] * x0 + row0[1] * x1 + row0[2] * x2 + row0[3] * x3;
+            let mut d1 = row1[0] * x1 + row1[1] * x2 + row1[2] * x3;
+            let mut d2 = row2[0] * x2 + row2[1] * x3;
+            let mut d3 = row3[0] * x3;
+            // … then every column after it, which each of the four rows
+            // reaches with its dot and its axpy.
+            let after = row0[4..]
+                .iter()
+                .zip(&row1[3..])
+                .zip(&row2[2..])
+                .zip(&row3[1..])
+                .zip(&x[i + 4..])
+                .zip(&mut out[i + 4..]);
+            for (((((&a0, &a1), &a2), &a3), &xj), yj) in after {
+                d0 += a0 * xj;
+                d1 += a1 * xj;
+                d2 += a2 * xj;
+                d3 += a3 * xj;
+                *yj += x0 * a0;
+                *yj += x1 * a1;
+                *yj += x2 * a2;
+                *yj += x3 * a3;
+            }
+            // The block's own `y`s: the axpys of the rows above in the
+            // block, then the row's dot.
+            out[i] += d0;
+            out[i + 1] += x0 * row0[1];
+            out[i + 1] += d1;
+            out[i + 2] += x0 * row0[2];
+            out[i + 2] += x1 * row1[1];
+            out[i + 2] += d2;
+            out[i + 3] += x0 * row0[3];
+            out[i + 3] += x1 * row1[2];
+            out[i + 3] += x2 * row2[1];
+            out[i + 3] += d3;
+            i += 4;
+        }
+        for i in i..n {
             let row = &self.data[start..start + n - i];
             start += n - i;
             let dot: f64 = row.iter().zip(&x[i..]).map(|(a, b)| a * b).sum();
@@ -264,6 +320,9 @@ impl PackedSymmetric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn example() -> Matrix {
         Matrix::from_rows(&[
@@ -358,6 +417,89 @@ mod tests {
         assert_eq!(q, example().quadratic_form(&x));
         assert_eq!(packed.matvec(&x), y);
         assert_eq!(packed.quadratic_form(&x).to_bits(), q.to_bits());
+    }
+
+    /// The row-by-row loop `quadratic_form_with` ran before it took rows
+    /// four at a time: the oracle its bits must match.
+    fn quadratic_form_by_rows(packed: &PackedSymmetric, x: &[f64], out: &mut Vec<f64>) -> f64 {
+        let n = packed.dim();
+        out.clear();
+        out.resize(n, 0.0);
+        let mut start = 0;
+        for i in 0..n {
+            let row = &packed.as_slice()[start..start + n - i];
+            start += n - i;
+            let dot: f64 = row.iter().zip(&x[i..]).map(|(a, b)| a * b).sum();
+            out[i] += dot;
+            let xi = x[i];
+            for (slot, &a) in out[i + 1..].iter_mut().zip(&row[1..]) {
+                *slot += xi * a;
+            }
+        }
+        out.iter().zip(x).map(|(m, d)| m * d).sum()
+    }
+
+    /// Exact zeros of both signs, negatives, and values of many scales,
+    /// so sums cancel, round and keep a zero's sign.
+    fn awkward(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..6) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => -rng.gen_range(0.0..4.0f64),
+            3 => rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-12..12)),
+            4 => f64::from(rng.gen_range(-3..=3)),
+            _ => rng.gen_range(0.0..4.0),
+        }
+    }
+
+    /// A random triangle and vector of `dim` drawn from [`awkward`].
+    fn random_case(rng: &mut StdRng, dim: usize) -> (PackedSymmetric, Vector) {
+        let data: Vec<f64> = (0..packed_len(dim)).map(|_| awkward(rng)).collect();
+        let packed = PackedSymmetric::from_packed(dim, data).unwrap();
+        (packed, Vector::from_fn(dim, |_| awkward(rng)))
+    }
+
+    /// `quadratic_form_with` against the row-by-row loop, by bits.
+    fn assert_matches_rows(packed: &PackedSymmetric, x: &Vector) {
+        let dim = packed.dim();
+        let mut y = Vector::zeros(0);
+        let mut expected_y = Vec::new();
+        let form = packed.quadratic_form_with(x, &mut y);
+        let expected = quadratic_form_by_rows(packed, x.as_slice(), &mut expected_y);
+        assert_eq!(
+            form.to_bits(),
+            expected.to_bits(),
+            "dim {dim}: {form} vs {expected}"
+        );
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(y.as_slice()), bits(&expected_y), "dim {dim}");
+    }
+
+    #[test]
+    fn every_block_remainder_keeps_the_row_by_row_bits() {
+        // Dims 1–9 run each remainder 0–3 with no block, one and two.
+        let mut rng = StdRng::seed_from_u64(9);
+        for dim in 1..=9 {
+            for _ in 0..4 {
+                let (packed, x) = random_case(&mut rng, dim);
+                assert_matches_rows(&packed, &x);
+            }
+            // Zeros of both signs only: the form keeps the sign its chain
+            // gives a zero sum.
+            let packed = PackedSymmetric::scaled_identity(dim, -0.0);
+            let x = Vector::from_fn(dim, |i| if i % 2 == 0 { -0.0 } else { 0.0 });
+            assert_matches_rows(&packed, &x);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_form_keeps_the_row_by_row_bits(seed in 0u64..u64::MAX, dim in 1usize..34) {
+            let (packed, x) = random_case(&mut StdRng::seed_from_u64(seed), dim);
+            assert_matches_rows(&packed, &x);
+        }
     }
 
     #[test]

@@ -136,6 +136,56 @@ fn zeros_and_extremes_match_display() {
     assert_eq!(text, "-0");
 }
 
+/// Integral values below 2^53 print their integer digits without a digit
+/// search; the edges of that path, on both sides, print as `Display` does.
+#[test]
+fn the_integer_path_edges_match_display() {
+    let two_53 = 9_007_199_254_740_992.0;
+    let mut checker = Checker::default();
+    for x in [
+        0.0,
+        1.0,
+        two_53 - 1.0,
+        two_53,
+        two_53 + 2.0,
+        1e15,
+        1e16,
+        1e21,
+        1e22,
+        // Below 1 and not integral: the largest subnormal, the smallest
+        // normal and the integers' neighbours.
+        f64::from_bits((1 << 52) - 1),
+        f64::MIN_POSITIVE,
+        5e-324,
+        0.5,
+        1.0 - f64::EPSILON / 2.0,
+        1.0 + f64::EPSILON,
+        two_53 / 2.0 - 0.5,
+        two_53 / 2.0 + 0.5,
+    ] {
+        checker.check_both_signs(x);
+    }
+    for (x, text) in [
+        (-0.0, "-0"),
+        (two_53 - 1.0, "9007199254740991"),
+        (two_53, "9007199254740992"),
+        (two_53 + 2.0, "9007199254740994"),
+        (1e16, "10000000000000000"),
+        (1e22, "10000000000000000000000"),
+    ] {
+        let mut written = String::new();
+        write_f64(&mut written, x);
+        assert_eq!(written, text);
+    }
+    // Every integer in a window at each end of the path, and every
+    // representable value in the window above 2^53.
+    for n in 0..=1_000u32 {
+        let n = f64::from(n);
+        checker.check_both_signs(two_53 - 1.0 - n);
+        checker.check_both_signs(two_53 + 2.0 * n);
+    }
+}
+
 /// Exact ties between the two nearest shortest decimals round up, as
 /// `Display` does, where textbook Ryū rounds to even.
 #[test]

@@ -708,7 +708,7 @@ fn drift<I: Io>(io: &mut I, parts: &mut TenantParts) -> Result<(), I::Error> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::api::{AuctionRequest, OutcomeReport, QueryRequest, Request, Response};
     use crate::routing::TenantId;
@@ -718,7 +718,7 @@ mod tests {
     use pdm_linalg::{Json, Vector};
 
     /// Every kind of tenant a page must carry, at `dim`.
-    fn kinds(dim: usize) -> Vec<(&'static str, TenantConfig)> {
+    pub(crate) fn kinds(dim: usize) -> Vec<(&'static str, TenantConfig)> {
         let privacy = PrivacyParams {
             epsilon_budget: 1.2,
             ..PrivacyParams::default()
@@ -772,7 +772,11 @@ mod tests {
     /// Serves `rounds` of a deterministic stream to the one tenant of
     /// `shard`: one auction per round for auction tenants, a quote and its
     /// outcome otherwise (every fourth outcome accept-only).
-    fn serve(shard: &mut Shard, config: &TenantConfig, rounds: std::ops::Range<usize>) -> String {
+    pub(crate) fn serve(
+        shard: &mut Shard,
+        config: &TenantConfig,
+        rounds: std::ops::Range<usize>,
+    ) -> String {
         let tenant = TenantId(1);
         let mut seq = 0;
         for round in rounds {

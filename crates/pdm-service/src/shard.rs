@@ -31,7 +31,7 @@ use crate::routing::TenantId;
 use crate::snapshot::{tenant_json, TenantParts};
 use crate::tenant::{MarketKind, TenantState};
 use pdm_linalg::Json;
-use pdm_pricing::prelude::{ObservedRound, StepOutcome};
+use pdm_pricing::prelude::{ObservedRound, RegretReport, RegretTracker, StepOutcome};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 use std::time::Instant;
@@ -204,18 +204,19 @@ impl Shard {
         self.queue.len()
     }
 
-    /// The regret ledger of one tenant on this shard.  A paged-out tenant
-    /// is read from its page without joining the resident set.
-    pub(crate) fn tenant_report(
-        &self,
-        tenant: TenantId,
-    ) -> Option<pdm_pricing::prelude::RegretReport> {
+    /// The regret ledger of one tenant on this shard.  A paged-out tenant's
+    /// is the ledger its page reads into, with no build and no session: the
+    /// report a rehydrated tenant's tracker would give, as a rebuild
+    /// restores the tracker from that very ledger.
+    pub(crate) fn tenant_report(&self, tenant: TenantId) -> Option<RegretReport> {
         if let Some(state) = self.tenants.get(&tenant) {
             return Some(state.session.tracker().report());
         }
-        self.cold
-            .get(&tenant)
-            .map(|page| rehydrate(page).session.tracker().report())
+        self.cold.get(&tenant).map(|page| {
+            unpage(page)
+                .ledger
+                .unwrap_or_else(|| RegretTracker::new(false).report())
+        })
     }
 
     /// Number of tenants with a quoted-but-unobserved round.  Paged-out
@@ -1032,6 +1033,61 @@ mod tests {
         assert_eq!(shard.metrics.rehydrations, rehydrations);
         assert_eq!(shard.cold, cold);
         assert!(shard.resident_state(TenantId(1)).is_none());
+    }
+
+    /// Every field of a regret report, floats as their bits.
+    fn report_bits(report: &RegretReport) -> Vec<u64> {
+        let mut bits = vec![
+            report.rounds as u64,
+            report.cumulative_regret.to_bits(),
+            report.cumulative_market_value.to_bits(),
+            report.cumulative_revenue.to_bits(),
+            report.sales as u64,
+            report.unsellable_rounds as u64,
+        ];
+        for stats in [
+            &report.market_value_stats,
+            &report.reserve_price_stats,
+            &report.posted_price_stats,
+            &report.regret_stats,
+        ] {
+            bits.extend([
+                stats.count(),
+                stats.mean().to_bits(),
+                stats.m2().to_bits(),
+                stats.min().to_bits(),
+                stats.max().to_bits(),
+                stats.sum().to_bits(),
+            ]);
+        }
+        bits
+    }
+
+    #[test]
+    fn a_cold_tenant_reports_the_ledger_a_rehydration_would() {
+        for (kind, config) in crate::page::tests::kinds(3) {
+            for rounds in [0..0, 0..12] {
+                let what = format!("{kind} after {} rounds", rounds.len());
+                let mut live = Shard::new(0, None, false);
+                live.register(TenantState::new(TenantId(1), config));
+                crate::page::tests::serve(&mut live, &config, rounds);
+                let resident = live.tenant_report(TenantId(1)).unwrap();
+                // Cap 0: the shard pages every tenant it is handed.
+                let state = live.tenants.remove(&TenantId(1)).unwrap();
+                let mut shard = Shard::new(0, Some(0), true);
+                shard.register(*state);
+                let cold = shard.cold.clone();
+                let rehydrations = shard.metrics.rehydrations;
+                let report = shard.tenant_report(TenantId(1)).expect("a cold tenant");
+                assert_eq!(shard.metrics.rehydrations, rehydrations, "{what}");
+                assert_eq!(shard.cold, cold, "{what}");
+                assert!(shard.tenants.is_empty(), "{what}");
+                let rehydrated = rehydrate(&cold[&TenantId(1)]);
+                let expected = rehydrated.session.tracker().report();
+                assert_eq!(report_bits(&report), report_bits(&expected), "{what}");
+                assert_eq!(report_bits(&report), report_bits(&resident), "{what}");
+            }
+        }
     }
 
     #[test]
