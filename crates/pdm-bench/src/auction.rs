@@ -620,7 +620,12 @@ mod tests {
         let report = run(&tiny_cell(2, AuctionPolicy::Session), 1, 1);
         let rendered = render_auction(std::slice::from_ref(&report));
         assert!(rendered.contains("bidders=2/dist=uniform/policy=session"));
-        assert!(rendered.contains("uplift"));
-        assert!(rendered.contains("no-rsv"));
+        table::assert_headers(
+            &rendered,
+            &[
+                "cell", "rounds", "sales", "hit", "revenue", "no-rsv", "uplift", "welfare",
+                "rounds/s", "p99 µs",
+            ],
+        );
     }
 }

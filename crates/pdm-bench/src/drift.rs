@@ -672,7 +672,20 @@ mod tests {
         let report = run(&tiny_cell(piecewise(30), DriftPolicy::Static), 1, 1);
         let rendered = render_drift(std::slice::from_ref(&report));
         assert!(rendered.contains("kind=piecewise/mag=1.0/policy=static"));
-        assert!(rendered.contains("post-shift"));
-        assert!(rendered.contains("restarts"));
+        table::assert_headers(
+            &rendered,
+            &[
+                "cell",
+                "rounds",
+                "accept",
+                "fires",
+                "restarts",
+                "revenue",
+                "regret",
+                "post-shift",
+                "quotes/s",
+                "p99 µs",
+            ],
+        );
     }
 }

@@ -448,8 +448,19 @@ mod tests {
         let report = run(&tiny_cell(), 1, 1);
         let rendered = render_longhaul(std::slice::from_ref(&report));
         assert!(rendered.contains("tenants=12/cap=4"));
-        assert!(rendered.contains("B/tenant"));
-        assert!(rendered.contains("restore µs"));
-        assert!(rendered.contains("wal segs"));
+        table::assert_headers(
+            &rendered,
+            &[
+                "cell",
+                "quotes",
+                "evict",
+                "rehydrate",
+                "wal segs",
+                "resident",
+                "B/tenant",
+                "restore µs",
+                "quotes/s",
+            ],
+        );
     }
 }

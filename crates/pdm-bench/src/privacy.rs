@@ -535,8 +535,21 @@ mod tests {
         let report = run(&tiny_cell(), 1, 1);
         let rendered = render_privacy(std::slice::from_ref(&report));
         assert!(rendered.contains("budget=1.5/owners=4"));
-        assert!(rendered.contains("throttled"));
-        assert!(rendered.contains("payouts"));
-        assert!(rendered.contains("ε spent"));
+        table::assert_headers(
+            &rendered,
+            &[
+                "cell",
+                "quotes",
+                "throttled",
+                "exhausted",
+                "clamps",
+                "wal segs",
+                "revenue",
+                "payouts",
+                "ε spent",
+                "restore µs",
+                "quotes/s",
+            ],
+        );
     }
 }

@@ -598,8 +598,13 @@ mod tests {
         let report = run(&tiny_cell(ArrivalMix::Uniform), 1, 1);
         let table = render_serve(std::slice::from_ref(&report));
         assert!(table.contains("tenants=12/mix=uniform"));
-        assert!(table.contains("quotes/s"));
-        assert!(table.contains("p99"));
+        table::assert_headers(
+            &table,
+            &[
+                "cell", "quotes", "sales", "accept", "shed", "revenue", "regret", "quotes/s",
+                "p50 µs", "p99 µs",
+            ],
+        );
     }
 
     #[test]
@@ -609,6 +614,18 @@ mod tests {
         let summary = render_serve_summary(&[a.clone(), b.clone()]);
         assert!(summary.contains("2 cells"));
         assert!(summary.contains(&(a.quotes_served + b.quotes_served).to_string()));
-        assert!(summary.contains("revenue/rep"));
+        table::assert_headers(
+            &summary,
+            &[
+                "grid total",
+                "quotes",
+                "sales",
+                "accept",
+                "shed",
+                "revenue/rep",
+                "regret/rep",
+                "quotes/s",
+            ],
+        );
     }
 }

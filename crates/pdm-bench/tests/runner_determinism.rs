@@ -382,11 +382,101 @@ fn report_survives_a_full_json_round_trip() {
         assert!(!cells.is_empty(), "{section} is empty");
     }
     assert!(parsed.get("perf").is_some() && parsed.get("obs").is_some());
+    // The schema of every section, pinned key by key: the first cell's
+    // ordered keys, and the ordered keys of its `perf` object (which the
+    // golden fingerprints strip, so nothing else pins them).
+    let first_experiment = &parsed.get("experiments").and_then(Json::as_arr).unwrap()[0];
+    let first_cells = [
+        ("experiments", first_experiment),
+        ("serve", parsed.get("serve").unwrap()),
+        ("auction", parsed.get("auction").unwrap()),
+        ("drift", parsed.get("drift").unwrap()),
+        ("longhaul", parsed.get("longhaul").unwrap()),
+        ("privacy", parsed.get("privacy").unwrap()),
+    ]
+    .map(|(section, parent)| {
+        let cells = parent.get("cells").unwrap_or(parent);
+        (section, cells.as_arr().expect(section)[0].clone())
+    });
+    for ((section, cell), (keys, perf_keys)) in first_cells.iter().zip(schema()) {
+        assert_eq!(object_keys(cell), keys, "{section} keys");
+        let perf = cell.get("perf").expect(section);
+        assert_eq!(object_keys(perf), perf_keys, "{section} perf keys");
+    }
     // The canonical render is stable: parsing and re-rendering the emitted
     // text reproduces it byte for byte (NaN perf fields render as `null`
     // both times).
     assert_eq!(parsed.render_pretty(), rendered);
     assert!(report.validate().is_empty());
+}
+
+/// The keys of a JSON object, in order.
+fn object_keys(value: &Json) -> Vec<&str> {
+    match value {
+        Json::Obj(pairs) => pairs.iter().map(|(key, _)| key.as_ref()).collect(),
+        other => panic!("expected an object, got {}", other.render()),
+    }
+}
+
+/// The written schema of one cell of each section, in section order: the
+/// cell's keys, then the keys of its `perf` object.
+fn schema() -> [(Vec<String>, Vec<String>); 6] {
+    let words = |text: &str| text.split_whitespace().map(str::to_owned).collect();
+    let latency = "latency_mean_micros latency_p50_micros latency_p99_micros";
+    let served = &format!("wall_clock_secs quotes_per_sec {latency}");
+    let restored = "wall_clock_secs quotes_per_sec restore_latency_micros";
+    [
+        (
+            words(
+                "label mechanism reps rounds cumulative_regret regret_ratio revenue \
+                 acceptance_rate market_value_per_round reserve_price_per_round \
+                 posted_price_per_round regret_per_round checkpoints perf",
+            ),
+            words(
+                "wall_clock_secs rounds_per_sec latency_mean_micros latency_p50_micros \
+                 latency_p99_micros latency_max_micros memory_bytes",
+            ),
+        ),
+        (
+            words(
+                "label mix tenants shards waves reps quotes_served observations sales shed \
+                 rejected revenue regret accept_rate workers perf",
+            ),
+            words(served),
+        ),
+        (
+            words(
+                "label distribution policy tenants bidders shards waves reps auctions sales \
+                 reserve_hits revenue baseline_revenue welfare hit_rate workers perf",
+            ),
+            words(&format!("wall_clock_secs rounds_per_sec {latency}")),
+        ),
+        (
+            words(
+                "label kind magnitude policy tenants shards waves reps rounds sales \
+                 drift_fires drift_restarts revenue regret post_shift_regret accept_rate \
+                 workers perf",
+            ),
+            words(served),
+        ),
+        (
+            words(
+                "label tenants shards waves reps resident_capacity wal_segment_size \
+                 quotes_served observations sales evictions rehydrations wal_segments \
+                 max_resident revenue regret accept_rate workers perf",
+            ),
+            words(&format!("{restored} memory_per_tenant_bytes")),
+        ),
+        (
+            words(
+                "label tenants shards waves reps owners epsilon_budget requests quotes_served \
+                 observations sales throttled arbitrage_clamps owners_exhausted wal_segments \
+                 quoted_early quoted_late exhausted_trajectory revenue compensation \
+                 epsilon_spent accept_rate workers perf",
+            ),
+            words(restored),
+        ),
+    ]
 }
 
 /// One pre-drawn round of the differential replay workload: the buyer's
