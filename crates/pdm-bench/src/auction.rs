@@ -24,8 +24,7 @@
 
 use crate::closed_loop;
 use crate::grid::derive_seed;
-use crate::json::Json;
-use crate::report::{agg_stat_json, check_stat, check_throughput, gate_tolerance, BenchReport};
+use crate::report::{check_stat, check_throughput, gate_tolerance, BenchReport, Column};
 use crate::runner::AggStat;
 use crate::table;
 use crate::workload::{Cell, Rep, Workload};
@@ -33,7 +32,8 @@ use crate::Scale;
 use pdm_auction::{AuctionLedger, AuctionMarket, AuctionMarketConfig, ValuationDistribution};
 use pdm_linalg::Vector;
 use pdm_service::{
-    AuctionPolicy, AuctionRequest, Request, ServiceConfig, TenantConfig, TenantId, TenantState,
+    AuctionPolicy, AuctionRequest, Request, ServiceConfig, ShardMetrics, TenantConfig, TenantId,
+    TenantState,
 };
 use std::time::{Duration, Instant};
 
@@ -91,7 +91,7 @@ pub struct AuctionPerf {
 }
 
 /// Everything the BENCH v3 report records about one auction cell.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct AuctionCellReport {
     /// Row label (from the cell spec).
     pub label: String,
@@ -109,12 +109,10 @@ pub struct AuctionCellReport {
     pub waves: u64,
     /// Repetitions aggregated.
     pub reps: u64,
-    /// Rounds settled, summed over repetitions.
-    pub auctions: u64,
-    /// Rounds sold, summed over repetitions.
-    pub sales: u64,
-    /// Sales priced by the reserve, summed over repetitions.
-    pub reserve_hits: u64,
+    /// The service ledger, merged over repetitions: its `auction` part
+    /// counts the rounds settled, the rounds sold and the sales priced by
+    /// the reserve.
+    pub metrics: ShardMetrics,
     /// Cumulative clearing revenue per repetition.
     pub revenue: AggStat,
     /// What second-price-with-no-reserve would have earned per repetition.
@@ -342,10 +340,6 @@ impl Workload for AuctionCellSpec {
     }
 
     fn fold(&self, cell: &Cell<AuctionLedger>) -> AuctionCellReport {
-        let mut totals = AuctionLedger::default();
-        for rep in &cell.reps {
-            totals.merge(&rep.outcome);
-        }
         let (p50, p99) = cell.latency_p50_p99_micros();
         AuctionCellReport {
             label: self.label.clone(),
@@ -356,25 +350,19 @@ impl Workload for AuctionCellSpec {
             shards: self.shards as u64,
             waves: self.waves as u64,
             reps: cell.rep_count(),
-            auctions: totals.auctions,
-            sales: totals.sales,
-            reserve_hits: totals.reserve_hits,
+            metrics: cell.metrics.clone(),
             revenue: cell.stat(|rep| rep.outcome.revenue),
             baseline_revenue: cell.stat(|rep| rep.outcome.baseline_revenue),
             welfare: cell.stat(|rep| rep.outcome.welfare),
             hit_rate: cell.stat(|rep| rep.outcome.reserve_hit_rate()),
             perf: AuctionPerf {
                 wall_clock_secs: cell.wall_clock_secs,
-                rounds_per_sec: cell.per_drain_sec(totals.auctions),
+                rounds_per_sec: cell.per_drain_sec(cell.metrics.auction.auctions),
                 latency_mean_micros: cell.latency.mean() / 1e3,
                 latency_p50_micros: p50,
                 latency_p99_micros: p99,
             },
         }
-    }
-
-    fn render(rows: &[AuctionCellReport]) -> Vec<String> {
-        vec![render_auction(rows)]
     }
 
     fn validate(rows: &[AuctionCellReport], full_scale: bool, violations: &mut Vec<String>) {
@@ -388,10 +376,11 @@ impl Workload for AuctionCellSpec {
             ] {
                 check_stat(violations, &place, what, stat, upper);
             }
-            if cell.auctions == 0 {
+            let ledger = &cell.metrics.auction;
+            if ledger.auctions == 0 {
                 violations.push(format!("{place}: settled no auction rounds at all"));
             }
-            if cell.sales == 0 {
+            if ledger.sales == 0 {
                 violations.push(format!("{place}: sold nothing in any round"));
             }
             // A sale never prices above the winning bid, so welfare
@@ -405,7 +394,13 @@ impl Workload for AuctionCellSpec {
                 ));
             }
             let throughput = cell.perf.rounds_per_sec;
-            check_throughput(violations, &place, "rounds/sec", cell.auctions, throughput);
+            check_throughput(
+                violations,
+                &place,
+                "rounds/sec",
+                ledger.auctions,
+                throughput,
+            );
             // The reserve-uplift gate of the auction workload: at full
             // scale, every *learned* reserve policy must earn at least the
             // second-price-no-reserve baseline in the thin-competition
@@ -429,42 +424,30 @@ impl Workload for AuctionCellSpec {
         }
     }
 
-    fn deterministic_json(cell: &AuctionCellReport) -> Vec<(&'static str, Json)> {
+    fn columns(cell: &AuctionCellReport) -> Vec<Column<'_>> {
+        let (ledger, perf) = (&cell.metrics.auction, &cell.perf);
         vec![
-            ("label", Json::str(&cell.label)),
-            ("distribution", Json::str(&cell.distribution)),
-            ("policy", Json::str(&cell.policy)),
-            ("tenants", Json::Num(cell.tenants as f64)),
-            ("bidders", Json::Num(cell.bidders as f64)),
-            ("shards", Json::Num(cell.shards as f64)),
-            ("waves", Json::Num(cell.waves as f64)),
-            ("reps", Json::Num(cell.reps as f64)),
-            ("auctions", Json::Num(cell.auctions as f64)),
-            ("sales", Json::Num(cell.sales as f64)),
-            ("reserve_hits", Json::Num(cell.reserve_hits as f64)),
-            ("revenue", agg_stat_json(&cell.revenue)),
-            ("baseline_revenue", agg_stat_json(&cell.baseline_revenue)),
-            ("welfare", agg_stat_json(&cell.welfare)),
-            ("hit_rate", agg_stat_json(&cell.hit_rate)),
-        ]
-    }
-
-    fn perf_json(cell: &AuctionCellReport) -> Vec<(&'static str, Json)> {
-        vec![
-            ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
-            ("rounds_per_sec", Json::Num(cell.perf.rounds_per_sec)),
-            (
-                "latency_mean_micros",
-                Json::Num(cell.perf.latency_mean_micros),
-            ),
-            (
-                "latency_p50_micros",
-                Json::Num(cell.perf.latency_p50_micros),
-            ),
-            (
-                "latency_p99_micros",
-                Json::Num(cell.perf.latency_p99_micros),
-            ),
+            Column::new("label", &cell.label).show("cell"),
+            Column::new("distribution", &cell.distribution),
+            Column::new("policy", &cell.policy),
+            Column::new("tenants", cell.tenants),
+            Column::new("bidders", cell.bidders),
+            Column::new("shards", cell.shards),
+            Column::new("waves", cell.waves),
+            Column::new("reps", cell.reps),
+            Column::new("auctions", ledger.auctions).show("rounds"),
+            Column::new("sales", ledger.sales).show("sales"),
+            Column::new("reserve_hits", ledger.reserve_hits),
+            Column::new("revenue", &cell.revenue).fixed("revenue", 2),
+            Column::new("baseline_revenue", &cell.baseline_revenue).fixed("no-rsv", 2),
+            Column::table("uplift", table::fmt(cell.uplift(), 3)),
+            Column::new("welfare", &cell.welfare).fixed("welfare", 2),
+            Column::new("hit_rate", &cell.hit_rate).pct("hit"),
+            Column::perf("wall_clock_secs", perf.wall_clock_secs),
+            Column::perf("rounds_per_sec", perf.rounds_per_sec).fixed("rounds/s", 0),
+            Column::perf("latency_mean_micros", perf.latency_mean_micros),
+            Column::perf("latency_p50_micros", perf.latency_p50_micros),
+            Column::perf("latency_p99_micros", perf.latency_p99_micros).fixed("p99 µs", 1),
         ]
     }
 
@@ -473,42 +456,10 @@ impl Workload for AuctionCellSpec {
     }
 }
 
-/// Renders the auction cells as the console table `bench auction` prints.
-#[must_use]
-fn render_auction(cells: &[AuctionCellReport]) -> String {
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .map(|cell| {
-            vec![
-                cell.label.clone(),
-                cell.auctions.to_string(),
-                cell.sales.to_string(),
-                table::pct(cell.hit_rate.mean),
-                table::fmt(cell.revenue.mean, 2),
-                table::fmt(cell.baseline_revenue.mean, 2),
-                if cell.uplift().is_finite() {
-                    format!("{:.3}", cell.uplift())
-                } else {
-                    "inf".to_owned()
-                },
-                table::fmt(cell.welfare.mean, 2),
-                table::fmt(cell.perf.rounds_per_sec, 0),
-                table::fmt(cell.perf.latency_p99_micros, 1),
-            ]
-        })
-        .collect();
-    table::render(
-        &[
-            "cell", "rounds", "sales", "hit", "revenue", "no-rsv", "uplift", "welfare", "rounds/s",
-            "p99 µs",
-        ],
-        &rows,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::render_table;
     use crate::workload::{run_cell, run_test_cell as run};
     use pdm_service::MetricRegistry;
 
@@ -546,8 +497,8 @@ mod tests {
     fn cell_runs_and_passes_its_own_serial_verification() {
         for policy in grid_policies() {
             let report = run(&tiny_cell(2, policy), 2, 1);
-            assert_eq!(report.auctions, 4 * 12, "{policy:?}");
-            assert!(report.sales > 0, "{policy:?}");
+            assert_eq!(report.metrics.auction.auctions, 4 * 12, "{policy:?}");
+            assert!(report.metrics.auction.sales > 0, "{policy:?}");
             assert!(report.revenue.mean > 0.0, "{policy:?}");
             assert!(
                 report.welfare.mean >= report.revenue.mean,
@@ -563,7 +514,8 @@ mod tests {
         assert_eq!(report.baseline_revenue.mean, 0.0);
         assert!(report.uplift().is_infinite());
         // Every single-bidder sale is priced by the reserve, by definition.
-        assert_eq!(report.reserve_hits, report.sales);
+        let ledger = &report.metrics.auction;
+        assert_eq!(ledger.reserve_hits, ledger.sales);
         assert!((report.hit_rate.mean - 1.0).abs() < 1e-12);
     }
 
@@ -572,9 +524,10 @@ mod tests {
         for policy in grid_policies() {
             let one = run(&tiny_cell(2, policy), 1, 2);
             let four = run(&tiny_cell(2, policy), 4, 2);
-            assert_eq!(one.auctions, four.auctions, "{policy:?}");
-            assert_eq!(one.sales, four.sales, "{policy:?}");
-            assert_eq!(one.reserve_hits, four.reserve_hits, "{policy:?}");
+            let (a, b) = (&one.metrics.auction, &four.metrics.auction);
+            assert_eq!(a.auctions, b.auctions, "{policy:?}");
+            assert_eq!(a.sales, b.sales, "{policy:?}");
+            assert_eq!(a.reserve_hits, b.reserve_hits, "{policy:?}");
             assert_eq!(
                 one.revenue.mean.to_bits(),
                 four.revenue.mean.to_bits(),
@@ -603,7 +556,7 @@ mod tests {
         let rounds = obs
             .counter_value("auction.rounds_total")
             .expect("the scrape exports the auction ledger");
-        assert_eq!(rounds as u64, report.auctions);
+        assert_eq!(rounds as u64, report.metrics.auction.auctions);
     }
 
     #[test]
@@ -611,16 +564,19 @@ mod tests {
         let spec = tiny_cell(2, AuctionPolicy::Session);
         let one = run(&spec, 2, 1);
         let three = run(&spec, 2, 3);
-        assert_eq!(three.auctions, 3 * one.auctions);
+        assert_eq!(
+            three.metrics.auction.auctions,
+            3 * one.metrics.auction.auctions
+        );
         assert!(three.revenue.std > 0.0);
     }
 
     #[test]
     fn render_lists_every_cell_with_uplift() {
         let report = run(&tiny_cell(2, AuctionPolicy::Session), 1, 1);
-        let rendered = render_auction(std::slice::from_ref(&report));
+        let rendered = render_table(std::slice::from_ref(&report), AuctionCellSpec::columns);
         assert!(rendered.contains("bidders=2/dist=uniform/policy=session"));
-        table::assert_headers(
+        table::tests::assert_headers(
             &rendered,
             &[
                 "cell", "rounds", "sales", "hit", "revenue", "no-rsv", "uplift", "welfare",

@@ -12,10 +12,11 @@ use crate::grid::expand_jobs;
 use crate::longhaul::LonghaulCellSpec;
 use crate::privacy::PrivacyCellSpec;
 use crate::report::{
-    build_experiment_reports, git_describe, BenchReport, PerfFloor, PerfSummary, SCHEMA_VERSION,
+    build_experiment_reports, git_describe, render_table, BenchReport, PerfFloor, PerfSummary,
+    SCHEMA_VERSION,
 };
 use crate::runner::run_jobs;
-use crate::serve::ServeCellSpec;
+use crate::serve::{self, ServeCellSpec};
 use crate::workload::{run_cells, Workload};
 use crate::Scale;
 use pdm_service::{drain_workers, MetricRegistry};
@@ -317,15 +318,17 @@ fn run_service<W: Workload>(
     );
     println!();
     let rows = run_cells(&cells, workers, args.reps, obs)?;
-    for table in W::render(&rows) {
-        println!("{table}");
+    println!("{}", render_table(&rows, W::columns));
+    *W::rows(report) = rows;
+    report.perf = PerfSummary::from_serve(&report.serve);
+    if let Some(perf) = &report.perf {
+        println!("{}", serve::render_summary(&report.serve, perf));
     }
     println!(
         "every cell verified bit-for-bit against its serial per-tenant replay ({})",
         W::VERIFIED
     );
     println!();
-    *W::rows(report) = rows;
     report.workers = workers;
     // Only the deterministic half of the registry: wall-clock histograms
     // are excluded from the report.
@@ -414,7 +417,6 @@ pub fn execute(args: &BenchArgs) -> Result<BenchReport, String> {
         Command::Privacy => run_service::<PrivacyCellSpec>(args, &mut report, &mut obs),
         _ => run_simulation(args, &mut report),
     }?;
-    report.perf = PerfSummary::from_serve(&report.serve);
     report.wall_clock_secs = start.elapsed().as_secs_f64();
     let workers = report.workers;
 
@@ -591,7 +593,7 @@ mod tests {
         let report = execute(&args).expect("filtered privacy run passes --check");
         assert_eq!(report.privacy.len(), 1);
         assert_eq!(report.privacy[0].label, "budget=1.5/owners=4");
-        assert!(report.privacy[0].owners_exhausted > 0);
+        assert!(report.privacy[0].metrics.owners_exhausted > 0);
         assert!(report.experiments.is_empty());
         assert!(report.serve.is_empty());
         assert!(report.validate().is_empty());
@@ -802,7 +804,7 @@ mod tests {
             .and_then(|c| c.get("quotes_served_total"))
             .and_then(Json::as_f64)
             .expect("obs counters carry quotes_served_total");
-        let total: u64 = report.serve.iter().map(|c| c.quotes_served).sum();
+        let total: u64 = report.serve.iter().map(|c| c.metrics.quotes_served).sum();
         assert_eq!(quotes as u64, total);
         let _ = std::fs::remove_file(scrape);
 

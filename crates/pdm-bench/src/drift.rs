@@ -26,16 +26,14 @@
 
 use crate::closed_loop::{self, TraceRequest};
 use crate::grid::derive_seed;
-use crate::json::Json;
-use crate::report::{agg_stat_json, check_stat, check_throughput, BenchReport};
+use crate::report::{check_stat, check_throughput, BenchReport, Column};
 use crate::runner::AggStat;
-use crate::table;
 use crate::workload::{Cell, Rep, Workload};
 use crate::Scale;
 use pdm_pricing::prelude::{
     DriftKind, DriftPolicy, DriftSchedule, DriftingLinearEnvironment, Environment, NoiseModel,
 };
-use pdm_service::{ServiceConfig, TenantConfig};
+use pdm_service::{ServiceConfig, ShardMetrics, TenantConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -103,7 +101,7 @@ pub struct DriftPerf {
 }
 
 /// Everything the BENCH v4 report records about one drift cell.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct DriftCellReport {
     /// Row label (from the cell spec).
     pub label: String,
@@ -121,14 +119,10 @@ pub struct DriftCellReport {
     pub waves: u64,
     /// Repetitions aggregated.
     pub reps: u64,
-    /// Rounds served and observed, summed over repetitions.
-    pub rounds: u64,
-    /// Accepted quotes, summed over repetitions.
-    pub sales: u64,
-    /// Drift-detector firings, summed over repetitions.
-    pub drift_fires: u64,
-    /// Knowledge-set restarts, summed over repetitions.
-    pub drift_restarts: u64,
+    /// The service ledger, merged over repetitions: rounds observed
+    /// (`observations`), sales, drift-detector firings and knowledge-set
+    /// restarts, each checked against the serial replay.
+    pub metrics: ShardMetrics,
     /// Cumulative revenue per repetition.
     pub revenue: AggStat,
     /// Cumulative regret per repetition.
@@ -179,11 +173,6 @@ pub struct DriftOutcome {
     revenue: f64,
     regret: f64,
     post_shift_regret: f64,
-    accept_rate: f64,
-    rounds: u64,
-    sales: u64,
-    fires: u64,
-    restarts: u64,
 }
 
 /// The tenant config of one cell: the paper's posted-price defaults with
@@ -303,15 +292,6 @@ fn run_rep(spec: &DriftCellSpec, workers: usize, rep: u64) -> Result<Rep<DriftOu
         revenue,
         regret,
         post_shift_regret,
-        accept_rate: if rounds == 0 {
-            0.0
-        } else {
-            sales as f64 / rounds as f64
-        },
-        rounds,
-        sales,
-        fires,
-        restarts,
     };
     Ok(closed_loop::rep(&service, served.drain_time, outcome))
 }
@@ -376,9 +356,6 @@ impl Workload for DriftCellSpec {
     }
 
     fn fold(&self, cell: &Cell<DriftOutcome>) -> DriftCellReport {
-        let total = |count: fn(&DriftOutcome) -> u64| -> u64 {
-            cell.reps.iter().map(|rep| count(&rep.outcome)).sum()
-        };
         let (p50, p99) = cell.latency_p50_p99_micros();
         DriftCellReport {
             label: self.label.clone(),
@@ -389,14 +366,11 @@ impl Workload for DriftCellSpec {
             shards: self.shards as u64,
             waves: self.waves as u64,
             reps: cell.rep_count(),
-            rounds: total(|outcome| outcome.rounds),
-            sales: total(|outcome| outcome.sales),
-            drift_fires: total(|outcome| outcome.fires),
-            drift_restarts: total(|outcome| outcome.restarts),
+            metrics: cell.metrics.clone(),
             revenue: cell.stat(|rep| rep.outcome.revenue),
             regret: cell.stat(|rep| rep.outcome.regret),
             post_shift_regret: cell.stat(|rep| rep.outcome.post_shift_regret),
-            accept_rate: cell.stat(|rep| rep.outcome.accept_rate),
+            accept_rate: cell.stat(|rep| rep.metrics.accept_rate()),
             perf: DriftPerf {
                 wall_clock_secs: cell.wall_clock_secs,
                 quotes_per_sec: cell.per_drain_sec(cell.metrics.quotes_served),
@@ -405,10 +379,6 @@ impl Workload for DriftCellSpec {
                 latency_p99_micros: p99,
             },
         }
-    }
-
-    fn render(rows: &[DriftCellReport]) -> Vec<String> {
-        vec![render_drift(rows)]
     }
 
     fn validate(rows: &[DriftCellReport], full_scale: bool, violations: &mut Vec<String>) {
@@ -422,14 +392,15 @@ impl Workload for DriftCellSpec {
             ] {
                 check_stat(violations, &place, what, stat, upper);
             }
-            if cell.rounds == 0 {
+            let rounds = cell.metrics.observations;
+            if rounds == 0 {
                 violations.push(format!("{place}: served no rounds at all"));
             }
-            if cell.sales == 0 {
+            if cell.metrics.sales == 0 {
                 violations.push(format!("{place}: sold nothing in any round"));
             }
             let throughput = cell.perf.quotes_per_sec;
-            check_throughput(violations, &place, "quotes/sec", cell.rounds, throughput);
+            check_throughput(violations, &place, "quotes/sec", rounds, throughput);
             // The drift-adaptivity gate: at full scale, in every
             // piecewise-stationary cell, the drift-aware policies must beat
             // the static mechanism's post-shift regret (the static
@@ -459,43 +430,30 @@ impl Workload for DriftCellSpec {
         }
     }
 
-    fn deterministic_json(cell: &DriftCellReport) -> Vec<(&'static str, Json)> {
+    fn columns(cell: &DriftCellReport) -> Vec<Column<'_>> {
+        let (metrics, perf) = (&cell.metrics, &cell.perf);
         vec![
-            ("label", Json::str(&cell.label)),
-            ("kind", Json::str(&cell.kind)),
-            ("magnitude", Json::Num(cell.magnitude)),
-            ("policy", Json::str(&cell.policy)),
-            ("tenants", Json::Num(cell.tenants as f64)),
-            ("shards", Json::Num(cell.shards as f64)),
-            ("waves", Json::Num(cell.waves as f64)),
-            ("reps", Json::Num(cell.reps as f64)),
-            ("rounds", Json::Num(cell.rounds as f64)),
-            ("sales", Json::Num(cell.sales as f64)),
-            ("drift_fires", Json::Num(cell.drift_fires as f64)),
-            ("drift_restarts", Json::Num(cell.drift_restarts as f64)),
-            ("revenue", agg_stat_json(&cell.revenue)),
-            ("regret", agg_stat_json(&cell.regret)),
-            ("post_shift_regret", agg_stat_json(&cell.post_shift_regret)),
-            ("accept_rate", agg_stat_json(&cell.accept_rate)),
-        ]
-    }
-
-    fn perf_json(cell: &DriftCellReport) -> Vec<(&'static str, Json)> {
-        vec![
-            ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
-            ("quotes_per_sec", Json::Num(cell.perf.quotes_per_sec)),
-            (
-                "latency_mean_micros",
-                Json::Num(cell.perf.latency_mean_micros),
-            ),
-            (
-                "latency_p50_micros",
-                Json::Num(cell.perf.latency_p50_micros),
-            ),
-            (
-                "latency_p99_micros",
-                Json::Num(cell.perf.latency_p99_micros),
-            ),
+            Column::new("label", &cell.label).show("cell"),
+            Column::new("kind", &cell.kind),
+            Column::new("magnitude", cell.magnitude),
+            Column::new("policy", &cell.policy),
+            Column::new("tenants", cell.tenants),
+            Column::new("shards", cell.shards),
+            Column::new("waves", cell.waves),
+            Column::new("reps", cell.reps),
+            Column::new("rounds", metrics.observations).show("rounds"),
+            Column::new("sales", metrics.sales),
+            Column::new("drift_fires", metrics.drift_fires).show("fires"),
+            Column::new("drift_restarts", metrics.drift_restarts).show("restarts"),
+            Column::new("revenue", &cell.revenue).fixed("revenue", 2),
+            Column::new("regret", &cell.regret).fixed("regret", 2),
+            Column::new("post_shift_regret", &cell.post_shift_regret).fixed("post-shift", 2),
+            Column::new("accept_rate", &cell.accept_rate).pct("accept"),
+            Column::perf("wall_clock_secs", perf.wall_clock_secs),
+            Column::perf("quotes_per_sec", perf.quotes_per_sec).fixed("quotes/s", 0),
+            Column::perf("latency_mean_micros", perf.latency_mean_micros),
+            Column::perf("latency_p50_micros", perf.latency_p50_micros),
+            Column::perf("latency_p99_micros", perf.latency_p99_micros).fixed("p99 µs", 1),
         ]
     }
 
@@ -504,46 +462,11 @@ impl Workload for DriftCellSpec {
     }
 }
 
-/// Renders the drift cells as the console table `bench drift` prints.
-#[must_use]
-fn render_drift(cells: &[DriftCellReport]) -> String {
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .map(|cell| {
-            vec![
-                cell.label.clone(),
-                cell.rounds.to_string(),
-                table::pct(cell.accept_rate.mean),
-                cell.drift_fires.to_string(),
-                cell.drift_restarts.to_string(),
-                table::fmt(cell.revenue.mean, 2),
-                table::fmt(cell.regret.mean, 2),
-                table::fmt(cell.post_shift_regret.mean, 2),
-                table::fmt(cell.perf.quotes_per_sec, 0),
-                table::fmt(cell.perf.latency_p99_micros, 1),
-            ]
-        })
-        .collect();
-    table::render(
-        &[
-            "cell",
-            "rounds",
-            "accept",
-            "fires",
-            "restarts",
-            "revenue",
-            "regret",
-            "post-shift",
-            "quotes/s",
-            "p99 µs",
-        ],
-        &rows,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::render_table;
+    use crate::table;
     use crate::workload::{run_cell, run_test_cell as run};
     use pdm_service::MetricRegistry;
 
@@ -589,8 +512,8 @@ mod tests {
     fn cell_runs_and_passes_its_own_serial_verification() {
         for policy in grid_policies() {
             let report = run(&tiny_cell(piecewise(30), policy), 2, 1);
-            assert_eq!(report.rounds, 3 * 30, "{policy:?}");
-            assert!(report.sales > 0, "{policy:?}");
+            assert_eq!(report.metrics.observations, 3 * 30, "{policy:?}");
+            assert!(report.metrics.sales > 0, "{policy:?}");
             assert!(report.revenue.mean > 0.0, "{policy:?}");
             assert!(
                 report.regret.mean >= report.post_shift_regret.mean,
@@ -606,10 +529,11 @@ mod tests {
             let spec = tiny_cell(piecewise(30), policy);
             let one = run(&spec, 1, 2);
             let four = run(&spec, 4, 2);
-            assert_eq!(one.rounds, four.rounds, "{policy:?}");
-            assert_eq!(one.sales, four.sales, "{policy:?}");
-            assert_eq!(one.drift_fires, four.drift_fires, "{policy:?}");
-            assert_eq!(one.drift_restarts, four.drift_restarts, "{policy:?}");
+            let (a, b) = (&one.metrics, &four.metrics);
+            assert_eq!(a.observations, b.observations, "{policy:?}");
+            assert_eq!(a.sales, b.sales, "{policy:?}");
+            assert_eq!(a.drift_fires, b.drift_fires, "{policy:?}");
+            assert_eq!(a.drift_restarts, b.drift_restarts, "{policy:?}");
             assert_eq!(
                 one.revenue.mean.to_bits(),
                 four.revenue.mean.to_bits(),
@@ -645,7 +569,7 @@ mod tests {
         let quotes = obs
             .counter_value("quotes_served_total")
             .expect("the scrape exports the served counter");
-        assert_eq!(quotes as u64, report.rounds);
+        assert_eq!(quotes as u64, report.metrics.observations);
     }
 
     #[test]
@@ -656,23 +580,24 @@ mod tests {
         let mut spec = tiny_cell(piecewise(180), DriftPolicy::restart_default());
         spec.waves = 180;
         let report = run(&spec, 2, 1);
+        let metrics = &report.metrics;
         assert!(
-            report.drift_fires >= 1,
+            metrics.drift_fires >= 1,
             "full-magnitude jumps must trigger the detector"
         );
-        assert_eq!(report.drift_fires, report.drift_restarts);
+        assert_eq!(metrics.drift_fires, metrics.drift_restarts);
         // Static cells never fire.
         let static_report = run(&tiny_cell(piecewise(30), DriftPolicy::Static), 2, 1);
-        assert_eq!(static_report.drift_fires, 0);
-        assert_eq!(static_report.drift_restarts, 0);
+        assert_eq!(static_report.metrics.drift_fires, 0);
+        assert_eq!(static_report.metrics.drift_restarts, 0);
     }
 
     #[test]
     fn render_lists_every_cell_with_post_shift_regret() {
         let report = run(&tiny_cell(piecewise(30), DriftPolicy::Static), 1, 1);
-        let rendered = render_drift(std::slice::from_ref(&report));
+        let rendered = render_table(std::slice::from_ref(&report), DriftCellSpec::columns);
         assert!(rendered.contains("kind=piecewise/mag=1.0/policy=static"));
-        table::assert_headers(
+        table::tests::assert_headers(
             &rendered,
             &[
                 "cell",

@@ -31,13 +31,11 @@
 
 use crate::closed_loop;
 use crate::grid::derive_seed;
-use crate::report::{agg_stat_json, check_stat, BenchReport};
+use crate::report::{check_stat, BenchReport, Column};
 use crate::runner::AggStat;
-use crate::table;
 use crate::workload::{Cell, Rep, Workload};
 use crate::Scale;
-use pdm_linalg::Json;
-use pdm_service::{ServiceConfig, TenantConfig};
+use pdm_service::{ServiceConfig, ShardMetrics, TenantConfig};
 use std::time::Duration;
 
 /// Base seed of the longhaul grid; each cell derives its traffic trace from
@@ -98,7 +96,7 @@ pub struct LonghaulPerf {
 }
 
 /// Everything the BENCH v6 report records about one longhaul cell.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct LonghaulCellReport {
     /// Row label (from the cell spec).
     pub label: String,
@@ -114,16 +112,10 @@ pub struct LonghaulCellReport {
     pub resident_capacity: u64,
     /// Tenant records per WAL segment.
     pub wal_segment_size: u64,
-    /// Quotes served on the original service, summed over repetitions.
-    pub quotes_served: u64,
-    /// Outcome reports applied, summed over repetitions.
-    pub observations: u64,
-    /// Accepted quotes, summed over repetitions.
-    pub sales: u64,
-    /// Cold-tenant evictions on the original service, summed over reps.
-    pub evictions: u64,
-    /// Cold-tenant rehydrations on the original service, summed over reps.
-    pub rehydrations: u64,
+    /// The original service's ledger, merged over repetitions: quotes
+    /// served, outcomes applied, sales, cold-tenant evictions and
+    /// rehydrations.
+    pub metrics: ShardMetrics,
     /// WAL segments written per repetition (identical across reps by
     /// construction), summed over reps.
     pub wal_segments: u64,
@@ -225,7 +217,6 @@ impl Workload for LonghaulCellSpec {
     }
 
     fn fold(&self, cell: &Cell<LonghaulOutcome>) -> LonghaulCellReport {
-        let metrics = &cell.metrics;
         let reps = cell.rep_count();
         let outcomes = || cell.reps.iter().map(|rep| &rep.outcome);
         let memory_bytes: f64 = outcomes()
@@ -240,11 +231,7 @@ impl Workload for LonghaulCellSpec {
             reps,
             resident_capacity: self.resident_capacity as u64,
             wal_segment_size: self.wal_segment_size as u64,
-            quotes_served: metrics.quotes_served,
-            observations: metrics.observations,
-            sales: metrics.sales,
-            evictions: metrics.evictions,
-            rehydrations: metrics.rehydrations,
+            metrics: cell.metrics.clone(),
             wal_segments: outcomes().map(|outcome| outcome.wal_segments).sum(),
             max_resident: outcomes()
                 .map(|outcome| outcome.max_resident)
@@ -255,15 +242,11 @@ impl Workload for LonghaulCellSpec {
             accept_rate: cell.stat(|rep| rep.metrics.accept_rate()),
             perf: LonghaulPerf {
                 wall_clock_secs: cell.wall_clock_secs,
-                quotes_per_sec: cell.per_drain_sec(metrics.quotes_served),
+                quotes_per_sec: cell.per_drain_sec(cell.metrics.quotes_served),
                 restore_latency_micros: restore_time.as_secs_f64() * 1e6 / reps as f64,
                 memory_per_tenant_bytes: memory_bytes / (reps as f64 * self.tenants as f64),
             },
         }
-    }
-
-    fn render(rows: &[LonghaulCellReport]) -> Vec<String> {
-        vec![render_longhaul(rows)]
     }
 
     fn validate(rows: &[LonghaulCellReport], _full_scale: bool, violations: &mut Vec<String>) {
@@ -289,7 +272,7 @@ impl Workload for LonghaulCellSpec {
             closed_loop::validate(
                 violations,
                 &place,
-                cell.quotes_served,
+                cell.metrics.quotes_served,
                 cell.perf.quotes_per_sec,
                 cell.wal_segments,
                 &[
@@ -300,43 +283,34 @@ impl Workload for LonghaulCellSpec {
         }
     }
 
-    fn deterministic_json(cell: &LonghaulCellReport) -> Vec<(&'static str, Json)> {
+    fn columns(cell: &LonghaulCellReport) -> Vec<Column<'_>> {
+        let (metrics, perf) = (&cell.metrics, &cell.perf);
+        let resident = format!("{}/{}", cell.max_resident, cell.resident_capacity);
         vec![
-            ("label", Json::str(&cell.label)),
-            ("tenants", Json::Num(cell.tenants as f64)),
-            ("shards", Json::Num(cell.shards as f64)),
-            ("waves", Json::Num(cell.waves as f64)),
-            ("reps", Json::Num(cell.reps as f64)),
-            (
-                "resident_capacity",
-                Json::Num(cell.resident_capacity as f64),
-            ),
-            ("wal_segment_size", Json::Num(cell.wal_segment_size as f64)),
-            ("quotes_served", Json::Num(cell.quotes_served as f64)),
-            ("observations", Json::Num(cell.observations as f64)),
-            ("sales", Json::Num(cell.sales as f64)),
-            ("evictions", Json::Num(cell.evictions as f64)),
-            ("rehydrations", Json::Num(cell.rehydrations as f64)),
-            ("wal_segments", Json::Num(cell.wal_segments as f64)),
-            ("max_resident", Json::Num(cell.max_resident as f64)),
-            ("revenue", agg_stat_json(&cell.revenue)),
-            ("regret", agg_stat_json(&cell.regret)),
-            ("accept_rate", agg_stat_json(&cell.accept_rate)),
-        ]
-    }
-
-    fn perf_json(cell: &LonghaulCellReport) -> Vec<(&'static str, Json)> {
-        vec![
-            ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
-            ("quotes_per_sec", Json::Num(cell.perf.quotes_per_sec)),
-            (
-                "restore_latency_micros",
-                Json::Num(cell.perf.restore_latency_micros),
-            ),
-            (
-                "memory_per_tenant_bytes",
-                Json::Num(cell.perf.memory_per_tenant_bytes),
-            ),
+            Column::new("label", &cell.label).show("cell"),
+            Column::new("tenants", cell.tenants),
+            Column::new("shards", cell.shards),
+            Column::new("waves", cell.waves),
+            Column::new("reps", cell.reps),
+            Column::new("resident_capacity", cell.resident_capacity),
+            Column::new("wal_segment_size", cell.wal_segment_size),
+            Column::new("quotes_served", metrics.quotes_served).show("quotes"),
+            Column::new("observations", metrics.observations),
+            Column::new("sales", metrics.sales),
+            Column::new("evictions", metrics.evictions).show("evict"),
+            Column::new("rehydrations", metrics.rehydrations).show("rehydrate"),
+            Column::new("wal_segments", cell.wal_segments).show("wal segs"),
+            Column::new("max_resident", cell.max_resident),
+            Column::table("resident", resident),
+            Column::new("revenue", &cell.revenue),
+            Column::new("regret", &cell.regret),
+            Column::new("accept_rate", &cell.accept_rate),
+            Column::perf("wall_clock_secs", perf.wall_clock_secs),
+            Column::perf("quotes_per_sec", perf.quotes_per_sec).fixed("quotes/s", 0),
+            Column::perf("restore_latency_micros", perf.restore_latency_micros)
+                .fixed("restore µs", 1),
+            Column::perf("memory_per_tenant_bytes", perf.memory_per_tenant_bytes)
+                .fixed("B/tenant", 0),
         ]
     }
 
@@ -345,44 +319,11 @@ impl Workload for LonghaulCellSpec {
     }
 }
 
-/// Renders the longhaul cells as the console table `bench longhaul` prints.
-#[must_use]
-fn render_longhaul(cells: &[LonghaulCellReport]) -> String {
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .map(|cell| {
-            vec![
-                cell.label.clone(),
-                cell.quotes_served.to_string(),
-                cell.evictions.to_string(),
-                cell.rehydrations.to_string(),
-                cell.wal_segments.to_string(),
-                format!("{}/{}", cell.max_resident, cell.resident_capacity),
-                table::fmt(cell.perf.memory_per_tenant_bytes, 0),
-                table::fmt(cell.perf.restore_latency_micros, 1),
-                table::fmt(cell.perf.quotes_per_sec, 0),
-            ]
-        })
-        .collect();
-    table::render(
-        &[
-            "cell",
-            "quotes",
-            "evict",
-            "rehydrate",
-            "wal segs",
-            "resident",
-            "B/tenant",
-            "restore µs",
-            "quotes/s",
-        ],
-        &rows,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::render_table;
+    use crate::table;
     use crate::workload::run_test_cell as run;
 
     fn tiny_cell() -> LonghaulCellSpec {
@@ -415,13 +356,14 @@ mod tests {
     #[test]
     fn cell_survives_its_own_restore_and_residency_gates() {
         let report = run(&tiny_cell(), 2, 1);
-        assert!(report.quotes_served > 0);
-        assert_eq!(report.observations, report.quotes_served);
+        let metrics = &report.metrics;
+        assert!(metrics.quotes_served > 0);
+        assert_eq!(metrics.observations, metrics.quotes_served);
         assert!(
-            report.evictions > 0,
+            metrics.evictions > 0,
             "a cap of 4 over 12 tenants must force paging"
         );
-        assert!(report.rehydrations > 0);
+        assert!(metrics.rehydrations > 0);
         assert!(report.wal_segments > 0);
         assert!(report.max_resident <= report.resident_capacity);
         assert!(report.perf.restore_latency_micros > 0.0);
@@ -433,10 +375,11 @@ mod tests {
     fn worker_count_does_not_move_deterministic_aggregates() {
         let one = run(&tiny_cell(), 1, 1);
         let two = run(&tiny_cell(), 2, 1);
-        assert_eq!(one.quotes_served, two.quotes_served);
-        assert_eq!(one.sales, two.sales);
-        assert_eq!(one.evictions, two.evictions);
-        assert_eq!(one.rehydrations, two.rehydrations);
+        let (a, b) = (&one.metrics, &two.metrics);
+        assert_eq!(a.quotes_served, b.quotes_served);
+        assert_eq!(a.sales, b.sales);
+        assert_eq!(a.evictions, b.evictions);
+        assert_eq!(a.rehydrations, b.rehydrations);
         assert_eq!(one.wal_segments, two.wal_segments);
         assert_eq!(one.max_resident, two.max_resident);
         assert_eq!(one.revenue.mean.to_bits(), two.revenue.mean.to_bits());
@@ -446,9 +389,9 @@ mod tests {
     #[test]
     fn render_lists_every_column() {
         let report = run(&tiny_cell(), 1, 1);
-        let rendered = render_longhaul(std::slice::from_ref(&report));
+        let rendered = render_table(std::slice::from_ref(&report), LonghaulCellSpec::columns);
         assert!(rendered.contains("tenants=12/cap=4"));
-        table::assert_headers(
+        table::tests::assert_headers(
             &rendered,
             &[
                 "cell",

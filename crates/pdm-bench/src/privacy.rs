@@ -37,13 +37,12 @@
 
 use crate::closed_loop;
 use crate::grid::derive_seed;
-use crate::report::{agg_stat_json, check_stat, gate_tolerance, BenchReport};
+use crate::report::{check_stat, gate_tolerance, BenchReport, Column};
 use crate::runner::AggStat;
-use crate::table;
 use crate::workload::{Cell, Rep, Workload};
 use crate::Scale;
 use pdm_linalg::Json;
-use pdm_service::{PrivacyParams, ServiceConfig, TenantConfig};
+use pdm_service::{PrivacyParams, ServiceConfig, ShardMetrics, TenantConfig};
 use std::time::Duration;
 
 /// Base seed of the privacy grid; each cell derives its traffic trace from
@@ -92,7 +91,7 @@ pub struct PrivacyPerf {
 }
 
 /// Everything the BENCH v7 report records about one privacy cell.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PrivacyCellReport {
     /// Row label (from the cell spec).
     pub label: String,
@@ -110,19 +109,12 @@ pub struct PrivacyCellReport {
     pub epsilon_budget: f64,
     /// Quote requests submitted, summed over repetitions.
     pub requests: u64,
-    /// Quotes actually served (not throttled), summed over repetitions.
-    pub quotes_served: u64,
-    /// Outcome reports applied, summed over repetitions.
-    pub observations: u64,
-    /// Accepted quotes, summed over repetitions.
-    pub sales: u64,
-    /// Quote requests refused because every weighted owner had exhausted
-    /// her budget, summed over repetitions.
-    pub throttled: u64,
-    /// Posted prices clamped by the arbitrage-free band, summed over reps.
-    pub arbitrage_clamps: u64,
-    /// Owners retired by the end of the run, summed over repetitions.
-    pub owners_exhausted: u64,
+    /// The original service's ledger, merged over repetitions: quotes
+    /// served (not throttled), outcomes applied, sales, quotes refused
+    /// because every weighted owner had exhausted her budget
+    /// (`privacy_throttled`), prices clamped by the arbitrage-free band and
+    /// owners retired by the end of the run.
+    pub metrics: ShardMetrics,
     /// WAL segments written, summed over repetitions.
     pub wal_segments: u64,
     /// Quotes served in the first half of the trace, summed over reps.
@@ -253,12 +245,7 @@ impl Workload for PrivacyCellSpec {
             owners: self.owners as u64,
             epsilon_budget: self.epsilon_budget,
             requests: reps * (self.waves as u64) * (self.tenants as u64),
-            quotes_served: metrics.quotes_served,
-            observations: metrics.observations,
-            sales: metrics.sales,
-            throttled: metrics.privacy_throttled,
-            arbitrage_clamps: metrics.arbitrage_clamps,
-            owners_exhausted: metrics.owners_exhausted,
+            metrics: metrics.clone(),
             wal_segments: cell.reps.iter().map(|rep| rep.outcome.wal_segments).sum(),
             quoted_early,
             quoted_late: metrics.quotes_served - quoted_early,
@@ -273,10 +260,6 @@ impl Workload for PrivacyCellSpec {
                 restore_latency_micros: restore_time.as_secs_f64() * 1e6 / reps as f64,
             },
         }
-    }
-
-    fn render(rows: &[PrivacyCellReport]) -> Vec<String> {
-        vec![render_privacy(rows)]
     }
 
     fn validate(rows: &[PrivacyCellReport], _full_scale: bool, violations: &mut Vec<String>) {
@@ -315,7 +298,7 @@ impl Workload for PrivacyCellSpec {
             }
             // ...and the grid is sized so budgets actually bind: a run where
             // no owner ever exhausted measured nothing.
-            if cell.owners_exhausted == 0 {
+            if cell.metrics.owners_exhausted == 0 {
                 violations.push(format!(
                     "{place}: no owner ever exhausted her budget — the cell never \
                      exercised the throttling it exists to measure"
@@ -330,7 +313,7 @@ impl Workload for PrivacyCellSpec {
                         cell.quoted_late, cell.quoted_early
                     ));
                 }
-                if cell.throttled == 0 {
+                if cell.metrics.privacy_throttled == 0 {
                     violations.push(format!(
                         "{place}: owners exhausted but no quote was ever refused"
                     ));
@@ -339,7 +322,7 @@ impl Workload for PrivacyCellSpec {
             closed_loop::validate(
                 violations,
                 &place,
-                cell.quotes_served,
+                cell.metrics.quotes_served,
                 cell.perf.quotes_per_sec,
                 cell.wal_segments,
                 &[("restore latency µs", cell.perf.restore_latency_micros)],
@@ -347,49 +330,44 @@ impl Workload for PrivacyCellSpec {
         }
     }
 
-    fn deterministic_json(cell: &PrivacyCellReport) -> Vec<(&'static str, Json)> {
+    fn columns(cell: &PrivacyCellReport) -> Vec<Column<'_>> {
+        let (metrics, perf) = (&cell.metrics, &cell.perf);
+        let owners = cell.owners * cell.tenants * cell.reps;
+        let trajectory = cell.exhausted_trajectory.iter();
         vec![
-            ("label", Json::str(&cell.label)),
-            ("tenants", Json::Num(cell.tenants as f64)),
-            ("shards", Json::Num(cell.shards as f64)),
-            ("waves", Json::Num(cell.waves as f64)),
-            ("reps", Json::Num(cell.reps as f64)),
-            ("owners", Json::Num(cell.owners as f64)),
-            ("epsilon_budget", Json::Num(cell.epsilon_budget)),
-            ("requests", Json::Num(cell.requests as f64)),
-            ("quotes_served", Json::Num(cell.quotes_served as f64)),
-            ("observations", Json::Num(cell.observations as f64)),
-            ("sales", Json::Num(cell.sales as f64)),
-            ("throttled", Json::Num(cell.throttled as f64)),
-            ("arbitrage_clamps", Json::Num(cell.arbitrage_clamps as f64)),
-            ("owners_exhausted", Json::Num(cell.owners_exhausted as f64)),
-            ("wal_segments", Json::Num(cell.wal_segments as f64)),
-            ("quoted_early", Json::Num(cell.quoted_early as f64)),
-            ("quoted_late", Json::Num(cell.quoted_late as f64)),
-            (
+            Column::new("label", &cell.label).show("cell"),
+            Column::new("tenants", cell.tenants),
+            Column::new("shards", cell.shards),
+            Column::new("waves", cell.waves),
+            Column::new("reps", cell.reps),
+            Column::new("owners", cell.owners),
+            Column::new("epsilon_budget", cell.epsilon_budget),
+            Column::new("requests", cell.requests),
+            Column::new("quotes_served", metrics.quotes_served).show("quotes"),
+            Column::new("observations", metrics.observations),
+            Column::new("sales", metrics.sales),
+            Column::new("throttled", metrics.privacy_throttled).show("throttled"),
+            Column::table(
+                "exhausted",
+                format!("{}/{owners}", metrics.owners_exhausted),
+            ),
+            Column::new("arbitrage_clamps", metrics.arbitrage_clamps).show("clamps"),
+            Column::new("owners_exhausted", metrics.owners_exhausted),
+            Column::new("wal_segments", cell.wal_segments).show("wal segs"),
+            Column::new("quoted_early", cell.quoted_early),
+            Column::new("quoted_late", cell.quoted_late),
+            Column::new(
                 "exhausted_trajectory",
-                Json::Arr(
-                    cell.exhausted_trajectory
-                        .iter()
-                        .map(|&n| Json::Num(n as f64))
-                        .collect(),
-                ),
+                Json::Arr(trajectory.map(|&n| Json::Num(n as f64)).collect()),
             ),
-            ("revenue", agg_stat_json(&cell.revenue)),
-            ("compensation", agg_stat_json(&cell.compensation)),
-            ("epsilon_spent", agg_stat_json(&cell.epsilon_spent)),
-            ("accept_rate", agg_stat_json(&cell.accept_rate)),
-        ]
-    }
-
-    fn perf_json(cell: &PrivacyCellReport) -> Vec<(&'static str, Json)> {
-        vec![
-            ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
-            ("quotes_per_sec", Json::Num(cell.perf.quotes_per_sec)),
-            (
-                "restore_latency_micros",
-                Json::Num(cell.perf.restore_latency_micros),
-            ),
+            Column::new("revenue", &cell.revenue).fixed("revenue", 2),
+            Column::new("compensation", &cell.compensation).fixed("payouts", 2),
+            Column::new("epsilon_spent", &cell.epsilon_spent).fixed("ε spent", 2),
+            Column::new("accept_rate", &cell.accept_rate),
+            Column::perf("wall_clock_secs", perf.wall_clock_secs),
+            Column::perf("quotes_per_sec", perf.quotes_per_sec).fixed("quotes/s", 0),
+            Column::perf("restore_latency_micros", perf.restore_latency_micros)
+                .fixed("restore µs", 1),
         ]
     }
 
@@ -398,52 +376,11 @@ impl Workload for PrivacyCellSpec {
     }
 }
 
-/// Renders the privacy cells as the console table `bench privacy` prints.
-#[must_use]
-fn render_privacy(cells: &[PrivacyCellReport]) -> String {
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .map(|cell| {
-            vec![
-                cell.label.clone(),
-                cell.quotes_served.to_string(),
-                cell.throttled.to_string(),
-                format!(
-                    "{}/{}",
-                    cell.owners_exhausted,
-                    cell.owners * cell.tenants * cell.reps
-                ),
-                cell.arbitrage_clamps.to_string(),
-                cell.wal_segments.to_string(),
-                table::fmt(cell.revenue.mean, 2),
-                table::fmt(cell.compensation.mean, 2),
-                table::fmt(cell.epsilon_spent.mean, 2),
-                table::fmt(cell.perf.restore_latency_micros, 1),
-                table::fmt(cell.perf.quotes_per_sec, 0),
-            ]
-        })
-        .collect();
-    table::render(
-        &[
-            "cell",
-            "quotes",
-            "throttled",
-            "exhausted",
-            "clamps",
-            "wal segs",
-            "revenue",
-            "payouts",
-            "ε spent",
-            "restore µs",
-            "quotes/s",
-        ],
-        &rows,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::render_table;
+    use crate::table;
     use crate::workload::run_test_cell as run;
 
     fn tiny_cell() -> PrivacyCellSpec {
@@ -475,13 +412,17 @@ mod tests {
     #[test]
     fn cell_exhausts_owners_and_throttles_supply() {
         let report = run(&tiny_cell(), 2, 1);
-        assert!(report.quotes_served > 0);
-        assert!(report.sales > 0, "the session must make sales to spend ε");
+        let metrics = &report.metrics;
+        assert!(metrics.quotes_served > 0);
+        assert!(metrics.sales > 0, "the session must make sales to spend ε");
         assert!(
-            report.owners_exhausted > 0,
+            metrics.owners_exhausted > 0,
             "the budget must bind mid-run, or the cell measures nothing"
         );
-        assert!(report.throttled > 0, "exhausted tenants must refuse quotes");
+        assert!(
+            metrics.privacy_throttled > 0,
+            "exhausted tenants must refuse quotes"
+        );
         assert!(
             report.quoted_late < report.quoted_early,
             "throttling must shrink the served supply ({} late vs {} early)",
@@ -503,7 +444,7 @@ mod tests {
             assert!(sample >= last, "trajectory must be monotone");
             last = sample;
         }
-        assert_eq!(last, report.owners_exhausted);
+        assert_eq!(last, metrics.owners_exhausted);
         assert!(report.perf.restore_latency_micros > 0.0);
     }
 
@@ -511,11 +452,12 @@ mod tests {
     fn worker_count_does_not_move_deterministic_aggregates() {
         let one = run(&tiny_cell(), 1, 1);
         let two = run(&tiny_cell(), 2, 1);
-        assert_eq!(one.quotes_served, two.quotes_served);
-        assert_eq!(one.sales, two.sales);
-        assert_eq!(one.throttled, two.throttled);
-        assert_eq!(one.owners_exhausted, two.owners_exhausted);
-        assert_eq!(one.arbitrage_clamps, two.arbitrage_clamps);
+        let (a, b) = (&one.metrics, &two.metrics);
+        assert_eq!(a.quotes_served, b.quotes_served);
+        assert_eq!(a.sales, b.sales);
+        assert_eq!(a.privacy_throttled, b.privacy_throttled);
+        assert_eq!(a.owners_exhausted, b.owners_exhausted);
+        assert_eq!(a.arbitrage_clamps, b.arbitrage_clamps);
         assert_eq!(one.exhausted_trajectory, two.exhausted_trajectory);
         assert_eq!(one.quoted_early, two.quoted_early);
         assert_eq!(one.quoted_late, two.quoted_late);
@@ -533,9 +475,9 @@ mod tests {
     #[test]
     fn render_lists_every_column() {
         let report = run(&tiny_cell(), 1, 1);
-        let rendered = render_privacy(std::slice::from_ref(&report));
+        let rendered = render_table(std::slice::from_ref(&report), PrivacyCellSpec::columns);
         assert!(rendered.contains("budget=1.5/owners=4"));
-        table::assert_headers(
+        table::tests::assert_headers(
             &rendered,
             &[
                 "cell",

@@ -26,9 +26,11 @@ use crate::grid::CellSpec;
 use crate::json::Json;
 use crate::longhaul::{LonghaulCellReport, LonghaulCellSpec};
 use crate::privacy::{PrivacyCellReport, PrivacyCellSpec};
-use crate::runner::{aggregate_cell, AggStat, CellAggregate, JobResult, MeanStd};
+use crate::runner::{aggregate_cell, AggStat, CellAggregate, JobResult};
 use crate::serve::{ServeCellReport, ServeCellSpec};
+use crate::table;
 use crate::workload::Workload;
+use std::borrow::Cow;
 use std::process::Command;
 
 /// Version of the `BENCH_*.json` schema this build writes.
@@ -87,13 +89,13 @@ impl PerfSummary {
         if cells.is_empty() {
             return None;
         }
-        let serve_quotes: u64 = cells.iter().map(|c| c.quotes_served).sum();
+        let serve_quotes: u64 = cells.iter().map(|c| c.metrics.quotes_served).sum();
         // Each cell reports quotes/sec over its accumulated drain time, so
         // the drain seconds are recovered exactly as quotes ÷ throughput.
         let serve_drain_secs: f64 = cells
             .iter()
             .filter(|c| c.perf.quotes_per_sec > 0.0)
-            .map(|c| c.quotes_served as f64 / c.perf.quotes_per_sec)
+            .map(|c| c.metrics.quotes_served as f64 / c.perf.quotes_per_sec)
             .sum();
         let serve_quotes_per_sec = if serve_drain_secs > 0.0 {
             serve_quotes as f64 / serve_drain_secs
@@ -197,7 +199,7 @@ pub struct ExperimentReport {
 }
 
 /// The top-level report one `bench` invocation writes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct BenchReport {
     /// Schema version ([`SCHEMA_VERSION`] for freshly written reports).
     pub schema_version: u64,
@@ -294,105 +296,199 @@ pub(crate) fn agg_stat_json(stat: &AggStat) -> Json {
     ])
 }
 
-fn mean_std_json(value: &MeanStd) -> Json {
-    Json::obj(vec![
-        ("mean", Json::Num(value.mean)),
-        ("std", Json::Num(value.std)),
-    ])
+/// One column of a report row: its JSON key, which half of the cell it
+/// sits in (the fingerprint or `perf`), and — when the console table shows
+/// it — its header and number format.  A column with a header and no key
+/// is shown only.  A row lists its columns once, in report order; the
+/// report cell and the console table both read that list.
+pub struct Column<'a> {
+    key: Option<&'static str>,
+    perf: bool,
+    value: Value<'a>,
+    shown: Option<(&'static str, Format)>,
 }
 
-/// The schedule-independent columns of a simulation cell (everything
-/// except `perf`).
-fn cell_deterministic_json(cell: &CellAggregate) -> Vec<(&'static str, Json)> {
-    vec![
-        ("label", Json::str(&cell.label)),
-        ("mechanism", Json::str(&cell.mechanism_name)),
-        ("reps", Json::Num(cell.reps as f64)),
-        ("rounds", Json::Num(cell.rounds as f64)),
-        ("cumulative_regret", agg_stat_json(&cell.cumulative_regret)),
-        ("regret_ratio", agg_stat_json(&cell.regret_ratio)),
-        ("revenue", agg_stat_json(&cell.revenue)),
-        ("acceptance_rate", agg_stat_json(&cell.acceptance_rate)),
-        (
-            "market_value_per_round",
-            mean_std_json(&cell.market_value_per_round),
-        ),
-        (
-            "reserve_price_per_round",
-            mean_std_json(&cell.reserve_price_per_round),
-        ),
-        (
-            "posted_price_per_round",
-            mean_std_json(&cell.posted_price_per_round),
-        ),
-        ("regret_per_round", mean_std_json(&cell.regret_per_round)),
-        (
-            "checkpoints",
-            Json::Arr(
-                cell.checkpoints
-                    .iter()
-                    .map(|cp| {
-                        Json::obj(vec![
-                            ("round", Json::Num(cp.round as f64)),
-                            ("cumulative_regret", agg_stat_json(&cp.cumulative_regret)),
-                            ("regret_ratio", agg_stat_json(&cp.regret_ratio)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]
+/// The value of a [`Column`].
+pub enum Value<'a> {
+    /// Text: a JSON string, shown as it is.
+    Text(Cow<'a, str>),
+    /// An event count.
+    Count(u64),
+    /// A real number.
+    Num(f64),
+    /// An aggregate over repetitions; the console shows its mean.
+    Stat(&'a AggStat),
+    /// Any other JSON value; the console never shows one.
+    Json(Json),
 }
 
-fn cell_perf_json(cell: &CellAggregate) -> Vec<(&'static str, Json)> {
-    vec![
-        ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
-        ("rounds_per_sec", Json::Num(cell.perf.rounds_per_sec)),
-        (
-            "latency_mean_micros",
-            Json::Num(cell.perf.latency_mean_micros),
-        ),
-        (
-            "latency_p50_micros",
-            Json::Num(cell.perf.latency_p50_micros),
-        ),
-        (
-            "latency_p99_micros",
-            Json::Num(cell.perf.latency_p99_micros),
-        ),
-        (
-            "latency_max_micros",
-            Json::Num(cell.perf.latency_max_micros),
-        ),
-        ("memory_bytes", Json::Num(cell.perf.memory_bytes as f64)),
-    ]
+/// How the console table prints a column's value.
+#[derive(Clone, Copy)]
+enum Format {
+    /// Text as it is, a count in full.
+    Plain,
+    /// A ratio as a percentage.
+    Pct,
+    /// A number with this many decimals.
+    Fixed(usize),
 }
 
-/// One cell as JSON: its deterministic columns, then the drain worker
-/// count (service cells of a full report), then `perf` (full reports).
-fn cell_json(
-    mut columns: Vec<(&'static str, Json)>,
-    workers: Option<usize>,
-    perf: Option<Vec<(&'static str, Json)>>,
-) -> Json {
-    columns.extend(workers.map(|workers| ("workers", Json::Num(workers as f64))));
-    columns.extend(perf.map(|perf| ("perf", Json::obj(perf))));
-    Json::obj(columns)
+impl<'a> From<&'a String> for Value<'a> {
+    fn from(text: &'a String) -> Self {
+        Value::Text(Cow::Borrowed(text))
+    }
+}
+
+impl From<u64> for Value<'_> {
+    fn from(count: u64) -> Self {
+        Value::Count(count)
+    }
+}
+
+impl From<f64> for Value<'_> {
+    fn from(x: f64) -> Self {
+        Value::Num(x)
+    }
+}
+
+impl<'a> From<&'a AggStat> for Value<'a> {
+    fn from(stat: &'a AggStat) -> Self {
+        Value::Stat(stat)
+    }
+}
+
+impl From<Json> for Value<'_> {
+    fn from(json: Json) -> Self {
+        Value::Json(json)
+    }
+}
+
+impl Value<'_> {
+    fn into_json(self) -> Json {
+        match self {
+            Value::Text(text) => Json::str(&text),
+            Value::Count(count) => Json::Num(count as f64),
+            Value::Num(x) => Json::Num(x),
+            Value::Stat(stat) => agg_stat_json(stat),
+            Value::Json(json) => json,
+        }
+    }
+
+    fn text(&self, format: Format) -> String {
+        let number = match self {
+            Value::Text(text) => return text.to_string(),
+            Value::Count(count) if matches!(format, Format::Plain) => return count.to_string(),
+            Value::Json(json) => return json.render(),
+            Value::Count(count) => *count as f64,
+            Value::Num(x) => *x,
+            Value::Stat(stat) => stat.mean,
+        };
+        match format {
+            Format::Plain => number.to_string(),
+            Format::Pct => table::pct(number),
+            Format::Fixed(decimals) => table::fmt(number, decimals),
+        }
+    }
+}
+
+impl<'a> Column<'a> {
+    /// A column of the cell's deterministic half, its fingerprint.
+    pub fn new(key: &'static str, value: impl Into<Value<'a>>) -> Self {
+        Self {
+            key: Some(key),
+            perf: false,
+            value: value.into(),
+            shown: None,
+        }
+    }
+
+    /// A wall-clock column, in the cell's `perf` object.
+    pub fn perf(key: &'static str, value: impl Into<Value<'a>>) -> Self {
+        Self {
+            perf: true,
+            ..Self::new(key, value)
+        }
+    }
+
+    /// A column only the console shows: `text` under `header`.
+    pub fn table(header: &'static str, text: String) -> Self {
+        Self {
+            key: None,
+            perf: false,
+            value: Value::Text(Cow::Owned(text)),
+            shown: Some((header, Format::Plain)),
+        }
+    }
+
+    /// Shows the value as it is under `header`.
+    #[must_use]
+    pub fn show(self, header: &'static str) -> Self {
+        self.shown(header, Format::Plain)
+    }
+
+    /// Shows the value as a percentage under `header`.
+    #[must_use]
+    pub fn pct(self, header: &'static str) -> Self {
+        self.shown(header, Format::Pct)
+    }
+
+    /// Shows the value with `decimals` decimals under `header`.
+    #[must_use]
+    pub fn fixed(self, header: &'static str, decimals: usize) -> Self {
+        self.shown(header, Format::Fixed(decimals))
+    }
+
+    fn shown(self, header: &'static str, format: Format) -> Self {
+        Self {
+            shown: Some((header, format)),
+            ..self
+        }
+    }
+}
+
+/// One row as a report cell: its fingerprint columns, then — in a full
+/// report — the drain worker count (service rows) and the `perf` object.
+fn cell_json(columns: Vec<Column<'_>>, full: bool, workers: Option<usize>) -> Json {
+    let (mut pairs, mut perf) = (Vec::new(), Vec::new());
+    for column in columns {
+        if let Some(key) = column.key {
+            let half = if column.perf { &mut perf } else { &mut pairs };
+            half.push((key, column.value.into_json()));
+        }
+    }
+    if full {
+        pairs.extend(workers.map(|workers| ("workers", Json::Num(workers as f64))));
+        pairs.push(("perf", Json::obj(perf)));
+    }
+    Json::obj(pairs)
 }
 
 /// A service workload's report section: its key and its cells.
 fn section<W: Workload>(rows: &[W::Row], full: bool, workers: usize) -> (&'static str, Json) {
     let cells = rows
         .iter()
-        .map(|row| {
-            cell_json(
-                W::deterministic_json(row),
-                full.then_some(workers),
-                full.then(|| W::perf_json(row)),
-            )
-        })
+        .map(|row| cell_json(W::columns(row), full, Some(workers)))
         .collect();
     (W::NAME, Json::Arr(cells))
+}
+
+/// The console table of a set of rows: every column with a header, in
+/// column order.
+pub fn render_table<R>(rows: &[R], columns: impl Fn(&R) -> Vec<Column<'_>>) -> String {
+    let mut headers = Vec::new();
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| {
+            let shown = columns(row).into_iter().filter_map(|column| {
+                let (header, format) = column.shown?;
+                Some((header, column.value.text(format)))
+            });
+            let texts;
+            (headers, texts) = shown.unzip();
+            texts
+        })
+        .collect();
+    table::render(&headers, &cells)
 }
 
 impl PerfSummary {
@@ -443,13 +539,7 @@ impl BenchReport {
                 let cells = exp
                     .cells
                     .iter()
-                    .map(|cell| {
-                        cell_json(
-                            cell_deterministic_json(cell),
-                            None,
-                            full.then(|| cell_perf_json(cell)),
-                        )
-                    })
+                    .map(|cell| cell_json(cell.columns(), full, None))
                     .collect();
                 Json::obj(vec![
                     ("name", Json::str(&exp.name)),
@@ -572,7 +662,7 @@ impl BenchReport {
         // whenever anything was served.
         match &self.perf {
             Some(perf) => {
-                let total: u64 = self.serve.iter().map(|c| c.quotes_served).sum();
+                let total: u64 = self.serve.iter().map(|c| c.metrics.quotes_served).sum();
                 if perf.serve_quotes != total {
                     violations.push(format!(
                         "perf summary: serve_quotes {} disagrees with the serve section's {}",
@@ -671,8 +761,10 @@ mod tests {
     use crate::drift::DriftPerf;
     use crate::longhaul::LonghaulPerf;
     use crate::privacy::PrivacyPerf;
-    use crate::runner::{CellPerf, CheckpointAggregate};
+    use crate::runner::{CellPerf, CheckpointAggregate, MeanStd};
     use crate::serve::ServePerf;
+    use pdm_auction::AuctionLedger;
+    use pdm_service::ShardMetrics;
 
     fn sample_stat(mean: f64) -> AggStat {
         AggStat {
@@ -735,11 +827,13 @@ mod tests {
             shards: 8,
             waves: 24,
             reps: 2,
-            quotes_served: 768,
-            observations: 768,
-            sales: 600,
-            shed: 12,
-            rejected: 0,
+            metrics: ShardMetrics {
+                quotes_served: 768,
+                observations: 768,
+                sales: 600,
+                shed: 12,
+                ..ShardMetrics::default()
+            },
             revenue: sample_stat(420.0),
             regret: sample_stat(9.5),
             accept_rate: sample_stat(0.78),
@@ -763,9 +857,15 @@ mod tests {
             shards: 4,
             waves: 48,
             reps: 2,
-            auctions: 384,
-            sales: 300,
-            reserve_hits: 120,
+            metrics: ShardMetrics {
+                auction: AuctionLedger {
+                    auctions: 384,
+                    sales: 300,
+                    reserve_hits: 120,
+                    ..AuctionLedger::default()
+                },
+                ..ShardMetrics::default()
+            },
             revenue: sample_stat(210.0),
             baseline_revenue: sample_stat(180.0),
             welfare: sample_stat(260.0),
@@ -790,10 +890,13 @@ mod tests {
             shards: 4,
             waves: 90,
             reps: 2,
-            rounds: 720,
-            sales: 500,
-            drift_fires: if policy == "restart" { 8 } else { 0 },
-            drift_restarts: if policy == "restart" { 8 } else { 0 },
+            metrics: ShardMetrics {
+                observations: 720,
+                sales: 500,
+                drift_fires: if policy == "restart" { 8 } else { 0 },
+                drift_restarts: if policy == "restart" { 8 } else { 0 },
+                ..ShardMetrics::default()
+            },
             revenue: sample_stat(300.0),
             regret: sample_stat(40.0),
             post_shift_regret: sample_stat(post_shift_mean),
@@ -817,11 +920,14 @@ mod tests {
             reps: 2,
             resident_capacity: 8,
             wal_segment_size: 8,
-            quotes_served: 480,
-            observations: 480,
-            sales: 300,
-            evictions: 64,
-            rehydrations: 60,
+            metrics: ShardMetrics {
+                quotes_served: 480,
+                observations: 480,
+                sales: 300,
+                evictions: 64,
+                rehydrations: 60,
+                ..ShardMetrics::default()
+            },
             wal_segments: 14,
             max_resident: 8,
             revenue: sample_stat(150.0),
@@ -846,12 +952,15 @@ mod tests {
             owners: 4,
             epsilon_budget: 1.5,
             requests: 128,
-            quotes_served: 90,
-            observations: 90,
-            sales: 55,
-            throttled: 38,
-            arbitrage_clamps: 3,
-            owners_exhausted: 28,
+            metrics: ShardMetrics {
+                quotes_served: 90,
+                observations: 90,
+                sales: 55,
+                privacy_throttled: 38,
+                arbitrage_clamps: 3,
+                owners_exhausted: 28,
+                ..ShardMetrics::default()
+            },
             wal_segments: 10,
             quoted_early: 60,
             quoted_late: 30,
@@ -945,7 +1054,7 @@ mod tests {
         c.serve[0].revenue.mean += 1.0;
         assert_ne!(c.deterministic_fingerprint(), b.deterministic_fingerprint());
         let mut d = sample_report();
-        d.auction[0].reserve_hits += 1;
+        d.auction[0].metrics.auction.reserve_hits += 1;
         assert_ne!(d.deterministic_fingerprint(), b.deterministic_fingerprint());
         let mut e = sample_report();
         e.drift[0].post_shift_regret.mean += 1.0;
@@ -953,12 +1062,12 @@ mod tests {
         // The longhaul paging/WAL counters are deterministic aggregates, so
         // the fingerprint must see them.
         let mut f = sample_report();
-        f.longhaul[0].evictions += 1;
+        f.longhaul[0].metrics.evictions += 1;
         assert_ne!(f.deterministic_fingerprint(), b.deterministic_fingerprint());
         // The privacy ledger counters are deterministic aggregates too —
         // ε totals, exhaustion counts, and the per-wave trajectory.
         let mut g = sample_report();
-        g.privacy[0].owners_exhausted += 1;
+        g.privacy[0].metrics.owners_exhausted += 1;
         assert_ne!(g.deterministic_fingerprint(), b.deterministic_fingerprint());
         let mut h = sample_report();
         h.privacy[0].exhausted_trajectory[3] += 1;
@@ -1058,7 +1167,7 @@ mod tests {
 
         // A dead cell fails.
         let mut dead = sample_report();
-        dead.longhaul[0].quotes_served = 0;
+        dead.longhaul[0].metrics.quotes_served = 0;
         assert!(dead
             .validate()
             .iter()
@@ -1102,7 +1211,7 @@ mod tests {
         // The grid exists to measure exhaustion: a run where no budget ever
         // bound is a sizing bug, not a pass.
         let mut unbound = sample_report();
-        unbound.privacy[0].owners_exhausted = 0;
+        unbound.privacy[0].metrics.owners_exhausted = 0;
         unbound.privacy[0].exhausted_trajectory = vec![0; 8];
         assert!(unbound
             .validate()
@@ -1117,7 +1226,7 @@ mod tests {
             .iter()
             .any(|v| v.contains("did not throttle supply")));
         let mut unrefused = sample_report();
-        unrefused.privacy[0].throttled = 0;
+        unrefused.privacy[0].metrics.privacy_throttled = 0;
         assert!(unrefused
             .validate()
             .iter()
@@ -1163,8 +1272,8 @@ mod tests {
 
         // A dead drift cell fails.
         let mut dead = sample_report();
-        dead.drift[0].rounds = 0;
-        dead.drift[0].sales = 0;
+        dead.drift[0].metrics.observations = 0;
+        dead.drift[0].metrics.sales = 0;
         assert!(dead
             .validate()
             .iter()
@@ -1256,8 +1365,8 @@ mod tests {
 
         // A dead cell fails.
         let mut dead = sample_report();
-        dead.auction[0].auctions = 0;
-        dead.auction[0].sales = 0;
+        dead.auction[0].metrics.auction.auctions = 0;
+        dead.auction[0].metrics.auction.sales = 0;
         assert!(dead
             .validate()
             .iter()
@@ -1302,9 +1411,10 @@ mod tests {
         stalled.serve[0].perf.quotes_per_sec = 0.0;
         assert!(stalled.validate().iter().any(|v| v.contains("quotes/sec")));
         let mut starved = sample_report();
-        starved.serve[0].quotes_served = 0;
-        starved.serve[0].observations = 0;
-        starved.serve[0].sales = 0;
+        let starved_metrics = &mut starved.serve[0].metrics;
+        starved_metrics.quotes_served = 0;
+        starved_metrics.observations = 0;
+        starved_metrics.sales = 0;
         assert!(starved
             .validate()
             .iter()
@@ -1312,10 +1422,11 @@ mod tests {
 
         // Total shed (100%) fails; partial shed passes.
         let mut drowned = sample_report();
-        drowned.serve[0].quotes_served = 0;
-        drowned.serve[0].observations = 0;
-        drowned.serve[0].rejected = 0;
-        drowned.serve[0].shed = 500;
+        let drowned_metrics = &mut drowned.serve[0].metrics;
+        drowned_metrics.quotes_served = 0;
+        drowned_metrics.observations = 0;
+        drowned_metrics.rejected = 0;
+        drowned_metrics.shed = 500;
         assert!(drowned
             .validate()
             .iter()

@@ -15,6 +15,8 @@
 //! (see [`crate::report`]).
 
 use crate::grid::{Checkpoint, JobSpec};
+use crate::json::Json;
+use crate::report::{agg_stat_json, Column};
 use pdm_linalg::{mean, sample_std};
 use pdm_obs::{LogHistogram, MetricRegistry};
 use pdm_pricing::prelude::SimulationOutcome;
@@ -215,6 +217,62 @@ pub struct CellAggregate {
     pub checkpoints: Vec<CheckpointAggregate>,
     /// Wall-clock derived throughput/latency figures.
     pub perf: CellPerf,
+}
+
+impl MeanStd {
+    fn to_json(self) -> Json {
+        Json::obj(vec![
+            ("mean", Json::Num(self.mean)),
+            ("std", Json::Num(self.std)),
+        ])
+    }
+}
+
+impl CellAggregate {
+    /// The cell's report columns, in report order; the experiments print
+    /// their own pivoted tables, so none carries a header.
+    #[must_use]
+    pub fn columns(&self) -> Vec<Column<'_>> {
+        let checkpoints = self.checkpoints.iter().map(|cp| {
+            Json::obj(vec![
+                ("round", Json::Num(cp.round as f64)),
+                ("cumulative_regret", agg_stat_json(&cp.cumulative_regret)),
+                ("regret_ratio", agg_stat_json(&cp.regret_ratio)),
+            ])
+        });
+        let perf = &self.perf;
+        vec![
+            Column::new("label", &self.label),
+            Column::new("mechanism", &self.mechanism_name),
+            Column::new("reps", self.reps),
+            Column::new("rounds", self.rounds as u64),
+            Column::new("cumulative_regret", &self.cumulative_regret),
+            Column::new("regret_ratio", &self.regret_ratio),
+            Column::new("revenue", &self.revenue),
+            Column::new("acceptance_rate", &self.acceptance_rate),
+            Column::new(
+                "market_value_per_round",
+                self.market_value_per_round.to_json(),
+            ),
+            Column::new(
+                "reserve_price_per_round",
+                self.reserve_price_per_round.to_json(),
+            ),
+            Column::new(
+                "posted_price_per_round",
+                self.posted_price_per_round.to_json(),
+            ),
+            Column::new("regret_per_round", self.regret_per_round.to_json()),
+            Column::new("checkpoints", Json::Arr(checkpoints.collect())),
+            Column::perf("wall_clock_secs", perf.wall_clock_secs),
+            Column::perf("rounds_per_sec", perf.rounds_per_sec),
+            Column::perf("latency_mean_micros", perf.latency_mean_micros),
+            Column::perf("latency_p50_micros", perf.latency_p50_micros),
+            Column::perf("latency_p99_micros", perf.latency_p99_micros),
+            Column::perf("latency_max_micros", perf.latency_max_micros),
+            Column::perf("memory_bytes", perf.memory_bytes as u64),
+        ]
+    }
 }
 
 /// Folds the repetitions of one cell into a [`CellAggregate`].

@@ -38,8 +38,7 @@
 
 use crate::closed_loop;
 use crate::grid::derive_seed;
-use crate::json::Json;
-use crate::report::{agg_stat_json, check_stat, check_throughput, BenchReport};
+use crate::report::{check_stat, check_throughput, render_table, BenchReport, Column, PerfSummary};
 use crate::runner::AggStat;
 use crate::table;
 use crate::workload::{Cell, Rep, Workload};
@@ -138,7 +137,7 @@ pub struct ServePerf {
 }
 
 /// Everything the BENCH v2 report records about one serve cell.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ServeCellReport {
     /// Row label (from the cell spec).
     pub label: String,
@@ -152,16 +151,9 @@ pub struct ServeCellReport {
     pub waves: u64,
     /// Repetitions aggregated.
     pub reps: u64,
-    /// Quotes served, summed over repetitions.
-    pub quotes_served: u64,
-    /// Outcome reports applied, summed over repetitions.
-    pub observations: u64,
-    /// Accepted quotes, summed over repetitions.
-    pub sales: u64,
-    /// Requests shed at admission (bounded queue), summed over repetitions.
-    pub shed: u64,
-    /// Requests rejected at serve time, summed over repetitions.
-    pub rejected: u64,
+    /// The service ledger, merged over repetitions: quotes served,
+    /// outcomes applied, sales, requests shed at admission and rejected.
+    pub metrics: ShardMetrics,
     /// Cumulative revenue per repetition.
     pub revenue: AggStat,
     /// Cumulative exact regret per repetition.
@@ -170,22 +162,6 @@ pub struct ServeCellReport {
     pub accept_rate: AggStat,
     /// Wall-clock throughput/latency figures.
     pub perf: ServePerf,
-}
-
-impl ServeCellReport {
-    /// Fraction of admission attempts that were shed.
-    ///
-    /// Delegates to [`ShardMetrics::shed_rate`] so the report and the
-    /// service agree on one definition of an "attempt".
-    #[must_use]
-    pub fn shed_rate(&self) -> f64 {
-        let mut counters = ShardMetrics::new();
-        counters.quotes_served = self.quotes_served;
-        counters.observations = self.observations;
-        counters.rejected = self.rejected;
-        counters.shed = self.shed;
-        counters.shed_rate()
-    }
 }
 
 /// The per-repetition ledger totals, folded over tenants in tenant order.
@@ -286,7 +262,6 @@ impl Workload for ServeCellSpec {
     }
 
     fn fold(&self, cell: &Cell<ServeOutcome>) -> ServeCellReport {
-        let metrics = &cell.metrics;
         let (p50, p99) = cell.latency_p50_p99_micros();
         ServeCellReport {
             label: self.label.clone(),
@@ -295,26 +270,18 @@ impl Workload for ServeCellSpec {
             shards: self.shards as u64,
             waves: self.waves as u64,
             reps: cell.rep_count(),
-            quotes_served: metrics.quotes_served,
-            observations: metrics.observations,
-            sales: metrics.sales,
-            shed: metrics.shed,
-            rejected: metrics.rejected,
+            metrics: cell.metrics.clone(),
             revenue: cell.stat(|rep| rep.outcome.revenue),
             regret: cell.stat(|rep| rep.outcome.regret),
             accept_rate: cell.stat(|rep| rep.outcome.accept_rate),
             perf: ServePerf {
                 wall_clock_secs: cell.wall_clock_secs,
-                quotes_per_sec: cell.per_drain_sec(metrics.quotes_served),
+                quotes_per_sec: cell.per_drain_sec(cell.metrics.quotes_served),
                 latency_mean_micros: cell.latency.mean() / 1e3,
                 latency_p50_micros: p50,
                 latency_p99_micros: p99,
             },
         }
-    }
-
-    fn render(rows: &[ServeCellReport]) -> Vec<String> {
-        vec![render_serve(rows), render_serve_summary(rows)]
     }
 
     fn validate(rows: &[ServeCellReport], _full_scale: bool, violations: &mut Vec<String>) {
@@ -330,61 +297,47 @@ impl Workload for ServeCellSpec {
             // Throughput sanity: a cell that served anything must report a
             // positive quotes/sec, and overload shedding must never starve
             // the service completely.
-            let throughput = cell.perf.quotes_per_sec;
+            let served = cell.metrics.quotes_served;
             check_throughput(
                 violations,
                 &place,
                 "quotes/sec",
-                cell.quotes_served,
-                throughput,
+                served,
+                cell.perf.quotes_per_sec,
             );
-            if cell.quotes_served == 0 {
+            if served == 0 {
                 violations.push(format!("{place}: served no quotes at all"));
             }
-            let shed_rate = cell.shed_rate();
+            let shed_rate = cell.metrics.shed_rate();
             if !shed_rate.is_finite() || shed_rate >= 1.0 {
                 violations.push(format!("{place}: shed rate reached 100% ({shed_rate})"));
             }
         }
     }
 
-    /// Everything except `perf` and the worker count (both legitimately
-    /// differ between the runs the determinism suite compares).
-    fn deterministic_json(cell: &ServeCellReport) -> Vec<(&'static str, Json)> {
+    fn columns(cell: &ServeCellReport) -> Vec<Column<'_>> {
+        let (metrics, perf) = (&cell.metrics, &cell.perf);
         vec![
-            ("label", Json::str(&cell.label)),
-            ("mix", Json::str(&cell.mix)),
-            ("tenants", Json::Num(cell.tenants as f64)),
-            ("shards", Json::Num(cell.shards as f64)),
-            ("waves", Json::Num(cell.waves as f64)),
-            ("reps", Json::Num(cell.reps as f64)),
-            ("quotes_served", Json::Num(cell.quotes_served as f64)),
-            ("observations", Json::Num(cell.observations as f64)),
-            ("sales", Json::Num(cell.sales as f64)),
-            ("shed", Json::Num(cell.shed as f64)),
-            ("rejected", Json::Num(cell.rejected as f64)),
-            ("revenue", agg_stat_json(&cell.revenue)),
-            ("regret", agg_stat_json(&cell.regret)),
-            ("accept_rate", agg_stat_json(&cell.accept_rate)),
-        ]
-    }
-
-    fn perf_json(cell: &ServeCellReport) -> Vec<(&'static str, Json)> {
-        vec![
-            ("wall_clock_secs", Json::Num(cell.perf.wall_clock_secs)),
-            ("quotes_per_sec", Json::Num(cell.perf.quotes_per_sec)),
-            (
-                "latency_mean_micros",
-                Json::Num(cell.perf.latency_mean_micros),
-            ),
-            (
-                "latency_p50_micros",
-                Json::Num(cell.perf.latency_p50_micros),
-            ),
-            (
-                "latency_p99_micros",
-                Json::Num(cell.perf.latency_p99_micros),
-            ),
+            Column::new("label", &cell.label).show("cell"),
+            Column::new("mix", &cell.mix),
+            Column::new("tenants", cell.tenants),
+            Column::new("shards", cell.shards),
+            Column::new("waves", cell.waves),
+            Column::new("reps", cell.reps),
+            Column::new("quotes_served", metrics.quotes_served).show("quotes"),
+            Column::new("observations", metrics.observations),
+            Column::new("sales", metrics.sales).show("sales"),
+            Column::new("shed", metrics.shed),
+            Column::new("rejected", metrics.rejected),
+            Column::new("revenue", &cell.revenue).fixed("revenue", 2),
+            Column::new("regret", &cell.regret).fixed("regret", 2),
+            Column::new("accept_rate", &cell.accept_rate).pct("accept"),
+            Column::table("shed", table::pct(metrics.shed_rate())),
+            Column::perf("wall_clock_secs", perf.wall_clock_secs),
+            Column::perf("quotes_per_sec", perf.quotes_per_sec).fixed("quotes/s", 0),
+            Column::perf("latency_mean_micros", perf.latency_mean_micros),
+            Column::perf("latency_p50_micros", perf.latency_p50_micros).fixed("p50 µs", 1),
+            Column::perf("latency_p99_micros", perf.latency_p99_micros).fixed("p99 µs", 1),
         ]
     }
 
@@ -393,90 +346,31 @@ impl Workload for ServeCellSpec {
     }
 }
 
-/// Renders the serve cells as the console table `bench serve` prints.
-#[must_use]
-fn render_serve(cells: &[ServeCellReport]) -> String {
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .map(|cell| {
-            vec![
-                cell.label.clone(),
-                cell.quotes_served.to_string(),
-                cell.sales.to_string(),
-                table::pct(cell.accept_rate.mean),
-                table::pct(cell.shed_rate()),
-                table::fmt(cell.revenue.mean, 2),
-                table::fmt(cell.regret.mean, 2),
-                table::fmt(cell.perf.quotes_per_sec, 0),
-                table::fmt(cell.perf.latency_p50_micros, 1),
-                table::fmt(cell.perf.latency_p99_micros, 1),
-            ]
-        })
-        .collect();
-    table::render(
-        &[
-            "cell", "quotes", "sales", "accept", "shed", "revenue", "regret", "quotes/s", "p50 µs",
-            "p99 µs",
-        ],
-        &rows,
-    )
-}
-
 /// Renders the grid-wide summary line `bench serve` prints under the
-/// per-cell table: every cell's service-level aggregate (the
-/// [`MarketService::aggregate_metrics`] fold each repetition produced)
-/// summed across the grid.
-///
-/// [`MarketService::aggregate_metrics`]: pdm_service::MarketService::aggregate_metrics
+/// per-cell table: every cell's service ledger merged across the grid, the
+/// per-repetition revenue and regret means summed, and the grid throughput
+/// of the report's headline summary.
 #[must_use]
-fn render_serve_summary(cells: &[ServeCellReport]) -> String {
+pub fn render_summary(cells: &[ServeCellReport], perf: &PerfSummary) -> String {
     let mut totals = ShardMetrics::new();
-    let mut revenue = 0.0;
-    let mut regret = 0.0;
-    let mut drain_secs = 0.0;
+    let (mut revenue, mut regret) = (0.0, 0.0);
     for cell in cells {
-        totals.quotes_served += cell.quotes_served;
-        totals.observations += cell.observations;
-        totals.sales += cell.sales;
-        totals.shed += cell.shed;
-        totals.rejected += cell.rejected;
+        totals.merge(&cell.metrics);
         revenue += cell.revenue.mean;
         regret += cell.regret.mean;
-        // Each cell's throughput is quotes ÷ accumulated drain time, so the
-        // drain seconds are recovered exactly — the same fold the report's
-        // v5 perf summary uses.
-        if cell.perf.quotes_per_sec > 0.0 {
-            drain_secs += cell.quotes_served as f64 / cell.perf.quotes_per_sec;
-        }
     }
-    let grid_quotes_per_sec = if drain_secs > 0.0 {
-        totals.quotes_served as f64 / drain_secs
-    } else {
-        0.0
-    };
-    let rows = vec![vec![
-        format!("{} cells", cells.len()),
-        totals.quotes_served.to_string(),
-        totals.sales.to_string(),
-        table::pct(totals.accept_rate()),
-        table::pct(totals.shed_rate()),
-        table::fmt(revenue, 2),
-        table::fmt(regret, 2),
-        table::fmt(grid_quotes_per_sec, 0),
-    ]];
-    table::render(
-        &[
-            "grid total",
-            "quotes",
-            "sales",
-            "accept",
-            "shed",
-            "revenue/rep",
-            "regret/rep",
-            "quotes/s",
-        ],
-        &rows,
-    )
+    render_table(&[totals], |totals| {
+        vec![
+            Column::table("grid total", format!("{} cells", cells.len())),
+            Column::table("quotes", totals.quotes_served.to_string()),
+            Column::table("sales", totals.sales.to_string()),
+            Column::table("accept", table::pct(totals.accept_rate())),
+            Column::table("shed", table::pct(totals.shed_rate())),
+            Column::table("revenue/rep", table::fmt(revenue, 2)),
+            Column::table("regret/rep", table::fmt(regret, 2)),
+            Column::table("quotes/s", table::fmt(perf.serve_quotes_per_sec, 0)),
+        ]
+    })
 }
 
 #[cfg(test)]
@@ -536,9 +430,10 @@ mod tests {
     #[test]
     fn cell_runs_and_passes_its_own_serial_verification() {
         let report = run(&tiny_cell(ArrivalMix::Uniform), 2, 1);
-        assert_eq!(report.quotes_served, 12 * 8);
-        assert_eq!(report.observations, report.quotes_served);
-        assert_eq!(report.shed, 0);
+        let metrics = &report.metrics;
+        assert_eq!(metrics.quotes_served, 12 * 8);
+        assert_eq!(metrics.observations, metrics.quotes_served);
+        assert_eq!(metrics.shed, 0);
         assert!(report.revenue.mean > 0.0);
         assert!(report.regret.mean >= 0.0);
         assert!(report.accept_rate.mean > 0.0 && report.accept_rate.mean <= 1.0);
@@ -553,14 +448,15 @@ mod tests {
             ..tiny_cell(ArrivalMix::Bursty)
         };
         let report = run(&spec, 2, 1);
+        let metrics = &report.metrics;
         assert!(
-            report.shed > 0,
+            metrics.shed > 0,
             "the bursty mix must exercise the shed path"
         );
-        assert!(report.shed_rate() < 1.0);
+        assert!(metrics.shed_rate() < 1.0);
         // Shed requests never became rounds, and the replay verification
         // still passed (the run would have errored otherwise).
-        assert_eq!(report.observations, report.quotes_served);
+        assert_eq!(metrics.observations, metrics.quotes_served);
     }
 
     #[test]
@@ -568,9 +464,10 @@ mod tests {
         for mix in [ArrivalMix::Uniform, ArrivalMix::HotCold, ArrivalMix::Bursty] {
             let one = run(&tiny_cell(mix), 1, 2);
             let four = run(&tiny_cell(mix), 4, 2);
-            assert_eq!(one.quotes_served, four.quotes_served, "{mix:?}");
-            assert_eq!(one.sales, four.sales, "{mix:?}");
-            assert_eq!(one.shed, four.shed, "{mix:?}");
+            let (a, b) = (&one.metrics, &four.metrics);
+            assert_eq!(a.quotes_served, b.quotes_served, "{mix:?}");
+            assert_eq!(a.sales, b.sales, "{mix:?}");
+            assert_eq!(a.shed, b.shed, "{mix:?}");
             assert_eq!(
                 one.revenue.mean.to_bits(),
                 four.revenue.mean.to_bits(),
@@ -588,7 +485,7 @@ mod tests {
     fn reps_reseed_the_traffic() {
         let one = run(&tiny_cell(ArrivalMix::Uniform), 2, 1);
         let three = run(&tiny_cell(ArrivalMix::Uniform), 2, 3);
-        assert_eq!(three.quotes_served, 3 * one.quotes_served);
+        assert_eq!(three.metrics.quotes_served, 3 * one.metrics.quotes_served);
         // Different seeds ⇒ the repetitions spread.
         assert!(three.revenue.std > 0.0);
     }
@@ -596,9 +493,9 @@ mod tests {
     #[test]
     fn render_lists_every_cell_with_throughput() {
         let report = run(&tiny_cell(ArrivalMix::Uniform), 1, 1);
-        let table = render_serve(std::slice::from_ref(&report));
+        let table = render_table(std::slice::from_ref(&report), ServeCellSpec::columns);
         assert!(table.contains("tenants=12/mix=uniform"));
-        table::assert_headers(
+        table::tests::assert_headers(
             &table,
             &[
                 "cell", "quotes", "sales", "accept", "shed", "revenue", "regret", "quotes/s",
@@ -611,10 +508,13 @@ mod tests {
     fn summary_folds_the_grid_totals() {
         let a = run(&tiny_cell(ArrivalMix::Uniform), 1, 1);
         let b = run(&tiny_cell(ArrivalMix::HotCold), 1, 1);
-        let summary = render_serve_summary(&[a.clone(), b.clone()]);
+        let cells = [a, b];
+        let perf = PerfSummary::from_serve(&cells).expect("serve cells");
+        let summary = render_summary(&cells, &perf);
         assert!(summary.contains("2 cells"));
-        assert!(summary.contains(&(a.quotes_served + b.quotes_served).to_string()));
-        table::assert_headers(
+        let quotes = cells[0].metrics.quotes_served + cells[1].metrics.quotes_served;
+        assert!(summary.contains(&quotes.to_string()));
+        table::tests::assert_headers(
             &summary,
             &[
                 "grid total",

@@ -44,22 +44,21 @@ pub fn pct(value: f64) -> String {
     format!("{:.2}%", value * 100.0)
 }
 
-/// Asserts that a table [`render`] wrote carries exactly the headers
-/// `want`, in any order.
 #[cfg(test)]
-pub(crate) fn assert_headers(table: &str, want: &[&str]) {
-    let header = table.lines().next().unwrap_or_default();
-    let mut got: Vec<&str> = header.split("  ").map(str::trim).collect();
-    got.retain(|cell| !cell.is_empty());
-    got.sort_unstable();
-    let mut want = want.to_vec();
-    want.sort_unstable();
-    assert_eq!(got, want, "headers of\n{table}");
-}
-
-#[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Asserts that a table [`render`] wrote carries exactly the headers
+    /// `want`, in any order.
+    pub(crate) fn assert_headers(table: &str, want: &[&str]) {
+        let header = table.lines().next().unwrap_or_default();
+        let mut got: Vec<&str> = header.split("  ").map(str::trim).collect();
+        got.retain(|cell| !cell.is_empty());
+        got.sort_unstable();
+        let mut want = want.to_vec();
+        want.sort_unstable();
+        assert_eq!(got, want, "headers of\n{table}");
+    }
 
     #[test]
     fn render_aligns_columns() {

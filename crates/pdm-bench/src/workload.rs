@@ -3,18 +3,18 @@
 //!
 //! A workload is a [`Workload`] impl on its cell-spec type: the grid, one
 //! verified repetition ([`Workload::run_rep`]), the fold of a cell's
-//! repetitions into a report row, the console tables, the `--check` gates
-//! and the two JSON column lists of a row.  [`run_cells`] owns everything
-//! else: the repetition loop, the cell wall clock, the summed drain time,
-//! the [`ShardMetrics`] merge, latency pooling and the fold of every
-//! repetition's scrape into the run-wide registry.
+//! repetitions into a report row, the row's one column list (which the
+//! report cell and the console table both read) and the `--check` gates.
+//! [`run_cells`] owns everything else: the repetition loop, the cell wall
+//! clock, the summed drain time, the [`ShardMetrics`] merge, latency
+//! pooling and the fold of every repetition's scrape into the run-wide
+//! registry.
 //!
 //! The registry merges are exact integer folds, so neither the cell order
 //! nor the repetition order moves a bucket; everything a fold feeds into
 //! the deterministic half of a row is folded in repetition order.
 
-use crate::json::Json;
-use crate::report::BenchReport;
+use crate::report::{BenchReport, Column};
 use crate::runner::{latency_p50_p99_micros, pool_latency, AggStat};
 use crate::Scale;
 use pdm_obs::LogHistogram;
@@ -45,14 +45,11 @@ pub trait Workload: Sized {
     fn run_rep(&self, workers: usize, rep: u64) -> Result<Rep<Self::Outcome>, String>;
     /// Folds a cell's repetitions into its report row.
     fn fold(&self, cell: &Cell<Self::Outcome>) -> Self::Row;
-    /// The console tables for a set of rows.
-    fn render(rows: &[Self::Row]) -> Vec<String>;
+    /// The row's columns, in report order: the report cell, its `perf`
+    /// object and the console table all read this one list.
+    fn columns(row: &Self::Row) -> Vec<Column<'_>>;
     /// Appends the `--check` violations of a report section.
     fn validate(rows: &[Self::Row], full_scale: bool, violations: &mut Vec<String>);
-    /// The schedule-independent JSON columns of a row (its fingerprint).
-    fn deterministic_json(row: &Self::Row) -> Vec<(&'static str, Json)>;
-    /// The wall-clock JSON columns of a row (its `perf` object).
-    fn perf_json(row: &Self::Row) -> Vec<(&'static str, Json)>;
     /// The report section this workload's rows live in.
     fn rows(report: &mut BenchReport) -> &mut Vec<Self::Row>;
 }

@@ -157,8 +157,8 @@ fn privacy_aggregates_are_byte_identical_for_1_and_4_workers() {
     assert_matches_fixture("privacy_quick.json", &serial.deterministic_fingerprint());
     for cell in &parallel.privacy {
         assert!(cell.perf.quotes_per_sec > 0.0, "{}", cell.label);
-        assert!(cell.owners_exhausted > 0, "{}", cell.label);
-        assert!(cell.throttled > 0, "{}", cell.label);
+        assert!(cell.metrics.owners_exhausted > 0, "{}", cell.label);
+        assert!(cell.metrics.privacy_throttled > 0, "{}", cell.label);
         assert!(cell.quoted_late < cell.quoted_early, "{}", cell.label);
         assert!(
             cell.compensation.mean <= cell.revenue.mean,
@@ -191,7 +191,7 @@ fn longhaul_aggregates_are_byte_identical_for_1_and_4_workers() {
     for cell in &parallel.longhaul {
         assert!(cell.perf.quotes_per_sec > 0.0, "{}", cell.label);
         assert!(cell.perf.restore_latency_micros > 0.0, "{}", cell.label);
-        assert!(cell.evictions > 0, "{}", cell.label);
+        assert!(cell.metrics.evictions > 0, "{}", cell.label);
         assert!(
             cell.max_resident <= cell.resident_capacity,
             "{}",
