@@ -194,7 +194,7 @@ impl Writer {
             Json::Bool(b) => self
                 .out
                 .extend_from_slice(if *b { b"true" } else { b"false" }),
-            Json::Num(n) if n.is_finite() => float::push_f64(&mut self.out, *n),
+            Json::Num(n) if n.is_finite() => write_f64(&mut self.out, *n),
             Json::Num(_) => self.out.extend_from_slice(b"null"),
             Json::Str(s) => write_escaped(&mut self.out, s),
             Json::Arr(items) => {

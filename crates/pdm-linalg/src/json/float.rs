@@ -1,10 +1,9 @@
 //! Shortest round-trip decimal text for `f64`, byte for byte what
 //! `Display` writes.
 //!
-//! [`push_f64`] is the one number writer: it lays a number's text out in a
+//! [`write_f64`] is the one number writer: it lays a number's text out in a
 //! stack buffer and appends it to a byte buffer with a single
-//! `extend_from_slice`.  [`write_f64`] is the same writer appending to a
-//! `String`.  The digits come from one of two places:
+//! `extend_from_slice`.  The digits come from one of two places:
 //!
 //! * an integral value below 2^53 in magnitude is its own shortest decimal
 //!   (Ryū's small-integer path): its ulp is at most 1, so no other decimal
@@ -54,19 +53,11 @@ const MAX_DIGITS: usize = 17;
 /// up to below 1e63.
 const TEXT_LEN: usize = 64;
 
-/// Appends `x` exactly as `format!("{x}")` would: the shortest decimal
+/// Appends the bytes of `format!("{x}")` to `out`: the shortest decimal
 /// that parses back to the same bits, in plain (never exponent) notation,
-/// and `NaN`, `inf` or `-inf` for a non-finite value.  The JSON renderer
-/// appends the same text to its byte buffer through the same writer.
-pub fn write_f64(out: &mut String, x: f64) {
-    lay_out(x, |text| match std::str::from_utf8(text) {
-        Ok(text) => out.push_str(text),
-        Err(_) => unreachable!("decimal text is ASCII digits, `-` and `.`"),
-    });
-}
-
-/// Appends `x` to a byte buffer as [`write_f64`] appends it to a `String`.
-pub(crate) fn push_f64(out: &mut Vec<u8>, x: f64) {
+/// and `NaN`, `inf` or `-inf` for a non-finite value.  The text is ASCII,
+/// so a buffer of UTF-8 stays UTF-8.
+pub fn write_f64(out: &mut Vec<u8>, x: f64) {
     lay_out(x, |text| out.extend_from_slice(text));
 }
 
@@ -475,23 +466,21 @@ mod tests {
             f64::NEG_INFINITY,
         ];
         for x in cases {
-            let mut out = String::new();
+            let mut out = Vec::new();
             write_f64(&mut out, x);
-            assert_eq!(out, format!("{x}"), "bits {:#018x}", x.to_bits());
+            assert_eq!(out, format!("{x}").as_bytes(), "bits {:#018x}", x.to_bits());
         }
-        let mut tie = String::new();
+        let mut tie = Vec::new();
         write_f64(&mut tie, f64::from_bits(0x4317_9085_685d_83c9));
-        assert_eq!(tie, "1658206780088562.3");
+        assert_eq!(tie, b"1658206780088562.3");
     }
 
-    /// `write_f64` and `push_f64` against `Display` for `x` and `-x`.
+    /// `write_f64` against `Display` for `x` and `-x`.
     fn check_both_signs(x: f64) {
         for x in [x, -x] {
-            let (mut text, mut bytes) = (String::new(), Vec::new());
-            write_f64(&mut text, x);
-            push_f64(&mut bytes, x);
+            let mut bytes = Vec::new();
+            write_f64(&mut bytes, x);
             let display = format!("{x}");
-            assert_eq!(text, display, "bits {:#018x}", x.to_bits());
             assert_eq!(bytes, display.as_bytes(), "bits {:#018x}", x.to_bits());
         }
     }

@@ -17,7 +17,7 @@
 use crate::registry::MetricRegistry;
 use pdm_linalg::json::write_f64;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Maps a dotted logical name onto the Prometheus charset:
 /// `shard.quote.wall_nanos` → `pdm_shard_quote_wall_nanos`.
@@ -39,27 +39,26 @@ pub fn exposition_name(name: &str) -> String {
 /// sorted by name; histogram buckets are cumulative, collapse duplicate
 /// integer edges at the low end of the grid, stop at the last non-empty
 /// bucket, and always end with the mandatory `+Inf` bucket.
+///
+/// The exposition is written into one byte buffer, numbers straight from
+/// the float writer, and turned into a `String` with one UTF-8 check.
 #[must_use]
 pub fn render(registry: &MetricRegistry) -> String {
-    // fmt::Write to a String cannot fail; the results are discarded, not
+    // io::Write to a Vec cannot fail; the results are discarded, not
     // unwrapped, to keep the no-unwrap-in-lib surface at zero.
-    let mut out = String::new();
+    let mut out = Vec::new();
     for (name, help, value) in registry.sorted_counters() {
-        let prom = exposition_name(name);
-        let _ = writeln!(out, "# HELP {prom} {}", escape_help(help));
-        let _ = writeln!(out, "# TYPE {prom} counter");
-        let _ = writeln!(out, "{prom} {}", fmt_value(value));
+        let prom = family(&mut out, name, help, "counter");
+        let _ = write!(out, "{prom} ");
+        write_value(&mut out, value);
     }
     for (name, help, value) in registry.sorted_gauges() {
-        let prom = exposition_name(name);
-        let _ = writeln!(out, "# HELP {prom} {}", escape_help(help));
-        let _ = writeln!(out, "# TYPE {prom} gauge");
-        let _ = writeln!(out, "{prom} {}", fmt_value(value));
+        let prom = family(&mut out, name, help, "gauge");
+        let _ = write!(out, "{prom} ");
+        write_value(&mut out, value);
     }
     for (name, help, hist) in registry.sorted_histograms() {
-        let prom = exposition_name(name);
-        let _ = writeln!(out, "# HELP {prom} {}", escape_help(help));
-        let _ = writeln!(out, "# TYPE {prom} histogram");
+        let prom = family(&mut out, name, help, "histogram");
         // Cumulative counts over the non-empty prefix of the grid, with
         // duplicate integer edges collapsed (the sub-unity part of the
         // base-2^(1/4) grid repeats edges 1 and 2).
@@ -80,29 +79,45 @@ pub fn render(registry: &MetricRegistry) -> String {
             }
         }
         let _ = writeln!(out, "{prom}_bucket{{le=\"+Inf\"}} {}", hist.count());
-        let _ = writeln!(out, "{prom}_sum {}", fmt_value(hist.sum_f64()));
+        let _ = write!(out, "{prom}_sum ");
+        write_value(&mut out, hist.sum_f64());
         let _ = writeln!(out, "{prom}_count {}", hist.count());
     }
-    out
-}
-
-fn fmt_value(value: f64) -> String {
-    if value.is_nan() {
-        "NaN".to_owned()
-    } else if value == f64::INFINITY {
-        "+Inf".to_owned()
-    } else if value == f64::NEG_INFINITY {
-        "-Inf".to_owned()
-    } else {
-        // The same float text as every JSON artifact: `Display`'s bytes.
-        let mut out = String::new();
-        write_f64(&mut out, value);
-        out
+    match String::from_utf8(out) {
+        Ok(text) => text,
+        Err(_) => unreachable!("the exposition copies whole strings and ASCII"),
     }
 }
 
-fn escape_help(help: &str) -> String {
-    help.replace('\\', "\\\\").replace('\n', "\\n")
+/// Writes a family's `# HELP` and `# TYPE` lines, with `\` and newlines in
+/// the help text escaped, and returns the family's exposition name.
+fn family(out: &mut Vec<u8>, name: &str, help: &str, kind: &str) -> String {
+    let prom = exposition_name(name);
+    let _ = write!(out, "# HELP {prom} ");
+    for &byte in help.as_bytes() {
+        match byte {
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            byte => out.push(byte),
+        }
+    }
+    let _ = writeln!(out, "\n# TYPE {prom} {kind}");
+    prom
+}
+
+/// Writes a sample value and ends its line: `NaN`, `+Inf` and `-Inf` as
+/// the format spells them, every other value as `Display` writes it.
+fn write_value(out: &mut Vec<u8>, value: f64) {
+    if value.is_nan() {
+        out.extend_from_slice(b"NaN");
+    } else if value == f64::INFINITY {
+        out.extend_from_slice(b"+Inf");
+    } else if value == f64::NEG_INFINITY {
+        out.extend_from_slice(b"-Inf");
+    } else {
+        write_f64(out, value);
+    }
+    out.push(b'\n');
 }
 
 /// One parsed sample line.
@@ -294,10 +309,197 @@ fn is_valid_name(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write as _;
     use std::time::Duration;
+
+    /// The exposition as the renderer wrote it through `fmt::Write` into a
+    /// `String`, with one `String` per sample value: the oracle the byte
+    /// renderer must match.
+    fn oracle_render(registry: &MetricRegistry) -> String {
+        let mut out = String::new();
+        for (name, help, value) in registry.sorted_counters() {
+            let prom = exposition_name(name);
+            let _ = writeln!(out, "# HELP {prom} {}", escape_help(help));
+            let _ = writeln!(out, "# TYPE {prom} counter");
+            let _ = writeln!(out, "{prom} {}", fmt_value(value));
+        }
+        for (name, help, value) in registry.sorted_gauges() {
+            let prom = exposition_name(name);
+            let _ = writeln!(out, "# HELP {prom} {}", escape_help(help));
+            let _ = writeln!(out, "# TYPE {prom} gauge");
+            let _ = writeln!(out, "{prom} {}", fmt_value(value));
+        }
+        for (name, help, hist) in registry.sorted_histograms() {
+            let prom = exposition_name(name);
+            let _ = writeln!(out, "# HELP {prom} {}", escape_help(help));
+            let _ = writeln!(out, "# TYPE {prom} histogram");
+            let mut cumulative = 0u64;
+            let mut last_edge: Option<u64> = None;
+            for (edge, count) in hist.nonzero_buckets() {
+                if let Some(previous) = last_edge {
+                    if previous != edge {
+                        let _ = writeln!(out, "{prom}_bucket{{le=\"{previous}\"}} {cumulative}");
+                    }
+                }
+                cumulative += count;
+                last_edge = Some(edge);
+            }
+            if let Some(previous) = last_edge {
+                if previous != u64::MAX {
+                    let _ = writeln!(out, "{prom}_bucket{{le=\"{previous}\"}} {cumulative}");
+                }
+            }
+            let _ = writeln!(out, "{prom}_bucket{{le=\"+Inf\"}} {}", hist.count());
+            let _ = writeln!(out, "{prom}_sum {}", fmt_value(hist.sum_f64()));
+            let _ = writeln!(out, "{prom}_count {}", hist.count());
+        }
+        out
+    }
+
+    fn fmt_value(value: f64) -> String {
+        if value.is_nan() {
+            "NaN".to_owned()
+        } else if value == f64::INFINITY {
+            "+Inf".to_owned()
+        } else if value == f64::NEG_INFINITY {
+            "-Inf".to_owned()
+        } else {
+            format!("{value}")
+        }
+    }
+
+    fn escape_help(help: &str) -> String {
+        help.replace('\\', "\\\\").replace('\n', "\\n")
+    }
+
+    /// SplitMix64: the random registries are a pure function of the seed.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+            from[self.below(from.len() as u64) as usize]
+        }
+
+        /// NaN, ±∞, zeros, integers, round and arbitrary fractions.
+        fn value(&mut self) -> f64 {
+            let x = match self.below(8) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => -0.0,
+                3 => (self.next() >> self.below(64)) as f64,
+                4 => self.below(1_000_000) as f64 / 1000.0,
+                5 => 0.1 * self.below(100) as f64,
+                _ => loop {
+                    let x = f64::from_bits(self.next());
+                    if x.is_finite() {
+                        break x;
+                    }
+                },
+            };
+            if self.below(3) == 0 {
+                -x
+            } else {
+                x
+            }
+        }
+
+        /// A help text built from plain words, backslashes and newlines.
+        fn help(&mut self) -> String {
+            let pieces = ["Quotes", " served", "\\", "\n", "π ε", "a\\nb", ""];
+            (0..self.below(5)).map(|_| self.pick(&pieces)).collect()
+        }
+    }
+
+    /// A registry of random counters, gauges, spans and histograms, some
+    /// histograms empty and some on the collapsed low edges of the grid.
+    fn random_registry(draws: &mut Draws) -> MetricRegistry {
+        let names = [
+            "quotes_served_total",
+            "queue.depth",
+            "shard.quote",
+            "weird-name.π",
+            "x",
+        ];
+        let mut reg = MetricRegistry::new();
+        for i in 0..draws.below(4) {
+            let name = format!("{}.c{i}", draws.pick(&names));
+            let id = reg.counter(&name, &draws.help());
+            for _ in 0..draws.below(3) {
+                let by = draws.value();
+                reg.inc(id, by);
+            }
+        }
+        for i in 0..draws.below(4) {
+            let name = format!("{}.g{i}", draws.pick(&names));
+            let id = reg.gauge(&name, &draws.help());
+            let level = draws.value();
+            reg.set(id, level);
+        }
+        for i in 0..draws.below(4) {
+            let name = format!("{}.h{i}", draws.pick(&names));
+            let help = draws.help();
+            match draws.below(4) {
+                0 => {
+                    reg.histogram(&name, &help);
+                }
+                1 => {
+                    let id = reg.histogram(&name, &help);
+                    for value in [0, 1, 2, 3] {
+                        reg.observe(id, value);
+                    }
+                }
+                2 => {
+                    let id = reg.wall_histogram(&name, &help);
+                    for _ in 0..draws.below(20) {
+                        let (value, n) = (draws.next() >> draws.below(64), 1 + draws.below(5));
+                        reg.observe_n(id, value, n);
+                    }
+                }
+                _ => {
+                    let id = reg.span(&name, &help);
+                    for _ in 0..draws.below(6) {
+                        let nanos = Duration::from_nanos(draws.next() >> 20);
+                        let work = draws.below(1_000);
+                        reg.record_span(id, nanos, work);
+                    }
+                }
+            }
+        }
+        reg
+    }
+
+    #[test]
+    fn random_registries_render_as_the_string_renderer_did() {
+        let mut draws = Draws(29);
+        for _ in 0..300 {
+            let registry = random_registry(&mut draws);
+            assert_eq!(render(&registry), oracle_render(&registry));
+        }
+        assert_eq!(
+            render(&sample_registry()),
+            oracle_render(&sample_registry())
+        );
+    }
 
     #[test]
     fn finite_samples_print_as_display_does() {
+        let text = |x: f64| {
+            let mut out = Vec::new();
+            write_value(&mut out, x);
+            String::from_utf8(out).expect("ASCII")
+        };
         for x in [
             0.5,
             1234.5678,
@@ -311,11 +513,11 @@ mod tests {
             5e-324,
             f64::MIN_POSITIVE,
         ] {
-            assert_eq!(fmt_value(x), format!("{x}"), "{x:e}");
+            assert_eq!(text(x), format!("{x}\n"), "{x:e}");
         }
-        assert_eq!(fmt_value(f64::NAN), "NaN");
-        assert_eq!(fmt_value(f64::INFINITY), "+Inf");
-        assert_eq!(fmt_value(f64::NEG_INFINITY), "-Inf");
+        assert_eq!(text(f64::NAN), "NaN\n");
+        assert_eq!(text(f64::INFINITY), "+Inf\n");
+        assert_eq!(text(f64::NEG_INFINITY), "-Inf\n");
     }
 
     fn sample_registry() -> MetricRegistry {
