@@ -1,10 +1,10 @@
 //! # pdm-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! paper's evaluation (Section V), plus the ablations called out in
-//! `DESIGN.md`.  Each experiment is a subcommand of the **`bench`** binary
-//! (`cargo run -p pdm-bench --release --bin bench -- <name>`); the shared
-//! pipelines live here so the binary, the Criterion bench, and the
+//! paper's evaluation (Section V), plus the ablations listed in
+//! `docs/BENCHMARKS.md`.  Each experiment is a subcommand of the **`bench`**
+//! binary (`cargo run -p pdm-bench --release --bin bench -- <name>`); the
+//! shared pipelines live here so the binary, the Criterion bench, and the
 //! integration tests all exercise the same code.
 //!
 //! | subcommand | reproduces |

@@ -14,7 +14,6 @@
 //! Every generator is deterministic given a seed, documents which structural
 //! properties of the original dataset it preserves, and exposes the ground
 //! truth it planted so experiments can verify the learners recover it.
-//! The substitution rationale is recorded in `DESIGN.md` §3.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

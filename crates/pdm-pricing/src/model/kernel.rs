@@ -12,8 +12,7 @@
 //! ```
 //!
 //! This keeps the online mechanism unchanged while capturing the same
-//! non-linear dependency on the raw features.  The substitution is recorded
-//! in DESIGN.md.
+//! non-linear dependency on the raw features.
 
 use super::MarketValueModel;
 use pdm_linalg::Vector;
