@@ -393,14 +393,8 @@ impl Workload for AuctionCellSpec {
                     cell.welfare.mean, cell.revenue.mean
                 ));
             }
-            let throughput = cell.perf.rounds_per_sec;
-            check_throughput(
-                violations,
-                &place,
-                "rounds/sec",
-                ledger.auctions,
-                throughput,
-            );
+            let rate = cell.perf.rounds_per_sec;
+            check_throughput(violations, &place, "rounds/sec", ledger.auctions, rate);
             // The reserve-uplift gate of the auction workload: at full
             // scale, every *learned* reserve policy must earn at least the
             // second-price-no-reserve baseline in the thin-competition
